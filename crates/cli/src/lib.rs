@@ -883,6 +883,8 @@ struct ChaosOutcome {
     link: moc_abcast::LinkStats,
     /// Merged group-commit batch statistics for the run.
     batch: moc_abcast::BatchStats,
+    /// Completions no invocation was waiting for (double applications).
+    orphans: u64,
 }
 
 fn chaos_run_one<R: moc_protocol::ReplicaProtocol + 'static>(
@@ -893,6 +895,7 @@ fn chaos_run_one<R: moc_protocol::ReplicaProtocol + 'static>(
     let report = moc_protocol::chaos::run_chaos_cluster::<R>(config, scripts_in);
     let link = report.total_link_stats();
     let batch = report.total_batch_stats();
+    let orphans = report.anomalies.orphan_completions;
     let expected_sabotage = !config.link.dedup || !config.link.retransmit;
     if !report.anomalies.is_clean() && !expected_sabotage {
         return ChaosOutcome {
@@ -901,6 +904,7 @@ fn chaos_run_one<R: moc_protocol::ReplicaProtocol + 'static>(
             detail: format!("anomalies: {:?}", report.anomalies),
             link,
             batch,
+            orphans,
         };
     }
     let history = match &report.history {
@@ -912,6 +916,7 @@ fn chaos_run_one<R: moc_protocol::ReplicaProtocol + 'static>(
                 detail: format!("invalid history: {e}"),
                 link,
                 batch,
+                orphans,
             }
         }
     };
@@ -925,6 +930,7 @@ fn chaos_run_one<R: moc_protocol::ReplicaProtocol + 'static>(
                 detail: format!("checker error: {e}"),
                 link,
                 batch,
+                orphans,
             }
         }
     };
@@ -951,21 +957,23 @@ fn chaos_run_one<R: moc_protocol::ReplicaProtocol + 'static>(
         detail,
         link,
         batch,
+        orphans,
     }
 }
 
 /// Renders the consolidated transport/runtime counter block shared by
 /// `moc chaos` and `moc load`: reliable-link totals, group-commit batch
-/// statistics, and (when the host runs pipelined clients) the merged
-/// replica pipeline metrics.
+/// statistics, the hosts' orphan-completion tally, and (when the host
+/// runs pipelined clients) the merged replica pipeline metrics.
 fn counter_block(
     runs: u64,
     link: &moc_abcast::LinkStats,
     batch: &moc_abcast::BatchStats,
+    orphans: u64,
     pipeline: Option<&moc_runtime::PipelineMetrics>,
 ) -> String {
     let mut out = format!(
-        "transport/runtime counters ({runs} run{}):\n  link:     {} data frames sent, {} received, {} delivered, {} dup-discarded, {} retransmissions, {} acks sent, {} acks received, {} rejoins\n  ordering: {} submissions stamped in {} batches (occupancy {:.2})\n",
+        "transport/runtime counters ({runs} run{}):\n  link:     {} data frames sent, {} received, {} delivered, {} dup-discarded, {} retransmissions, {} acks sent, {} acks received, {} rejoins\n  ordering: {} submissions stamped in {} batches (occupancy {:.2})\n  host:     {orphans} orphan completions\n",
         if runs == 1 { "" } else { "s" },
         link.data_sent,
         link.data_received,
@@ -1078,6 +1086,7 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
     let mut audited_refutations = 0u64;
     let mut sweep_link = moc_abcast::LinkStats::default();
     let mut sweep_batch = moc_abcast::BatchStats::default();
+    let mut sweep_orphans = 0u64;
 
     for proto in &protocols {
         let condition = match *proto {
@@ -1140,6 +1149,7 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
                     };
                     sweep_link = sweep_link.merge(&outcome.link);
                     sweep_batch.merge(outcome.batch);
+                    sweep_orphans += outcome.orphans;
                     if outcome.audited_refutation {
                         audited_refutations += 1;
                     }
@@ -1173,7 +1183,13 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
         }
     }
 
-    out.push_str(&counter_block(total, &sweep_link, &sweep_batch, None));
+    out.push_str(&counter_block(
+        total,
+        &sweep_link,
+        &sweep_batch,
+        sweep_orphans,
+        None,
+    ));
     if sabotage {
         let _ = std::fmt::Write::write_fmt(
             &mut out,
@@ -1269,6 +1285,7 @@ fn cmd_load(args: &Args) -> Result<(String, i32), String> {
         1,
         &counters.link,
         &counters.batch,
+        counters.pipeline.orphan_completions,
         Some(&counters.pipeline),
     ));
     if dropped > 0 {
@@ -2259,6 +2276,7 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("submissions stamped"), "{out}");
+        assert!(out.contains("host:     0 orphan completions"), "{out}");
         // Group commit actually grouped: more items than batches.
         let ordering = out
             .lines()
@@ -2294,6 +2312,7 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("0 dropped replies"), "{out}");
+        assert!(out.contains("host:     0 orphan completions"), "{out}");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! simulator, with the [`moc_abcast::ReliableLink`] sublayer between the
 //! replicas and the wire.
 //!
-//! This is [`crate::harness`] hardened for hostile networks. The stack is
+//! This is [`crate::harness`] — the same simulator node over the same
+//! replica host — hardened for hostile networks. The stack is
 //!
 //! ```text
 //!   client script  →  replica protocol (msc / mlin / aggregate)
@@ -27,21 +28,15 @@
 //! non-quiescence are all recorded in [`ChaosAnomalies`] instead of
 //! tripping asserts.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
-
 pub use moc_abcast::{LinkConfig, LinkStats};
-use moc_abcast::{LinkMsg, Outbox, ReliableLink};
 use moc_core::history::History;
-use moc_core::ids::{MOpId, ProcessId};
-use moc_core::mop::{EventTime, MOpClass, MOpRecord};
-use moc_monitor::OnlineMonitor;
+use moc_core::ids::MOpId;
+use moc_core::mop::MOpClass;
 pub use moc_monitor::{MonitorConfig, MonitorRunSummary};
-use moc_sim::{Context, FaultPlan, NetworkConfig, Node, RunStats, TimerId, World};
+use moc_sim::{FaultPlan, NetworkConfig, RunStats};
 
-use crate::harness::{ClientScript, OpSpec};
-use crate::{MOperation, ReplicaMetrics, ReplicaProtocol};
+use crate::harness::{self, ClientScript};
+use crate::{ReplicaMetrics, ReplicaProtocol};
 
 /// Configuration of a chaos run: the cluster, the fault plan, and the
 /// link-layer tuning.
@@ -261,18 +256,7 @@ impl ChaosRunReport {
 
     /// The p-th percentile (0..=100) response time for `class`.
     pub fn percentile_latency(&self, class: MOpClass, p: f64) -> Option<u64> {
-        let mut xs: Vec<u64> = self
-            .latencies
-            .iter()
-            .filter(|(c, _)| *c == class)
-            .map(|&(_, l)| l)
-            .collect();
-        if xs.is_empty() {
-            return None;
-        }
-        xs.sort_unstable();
-        let rank = ((p / 100.0) * (xs.len() - 1) as f64).round() as usize;
-        Some(xs[rank.min(xs.len() - 1)])
+        harness::percentile_latency(&self.latencies, class, p)
     }
 
     /// Aggregated group-commit counters across all replicas.
@@ -286,262 +270,18 @@ impl ChaosRunReport {
 
     /// Aggregated link counters across all replicas.
     pub fn total_link_stats(&self) -> LinkStats {
-        let mut t = LinkStats::default();
-        for s in &self.link_stats {
-            t.data_sent += s.data_sent;
-            t.data_received += s.data_received;
-            t.delivered += s.delivered;
-            t.duplicates_discarded += s.duplicates_discarded;
-            t.retransmissions += s.retransmissions;
-            t.acks_sent += s.acks_sent;
-            t.acks_received += s.acks_received;
-            t.rejoins += s.rejoins;
-        }
-        t
+        self.link_stats
+            .iter()
+            .fold(LinkStats::default(), |a, s| a.merge(s))
     }
 
     /// The relation `~p ∪ ~rf ∪ ~ww` over the recorded history (see
     /// [`crate::harness::RunReport::ww_relation`]). `None` when the
     /// history is invalid.
     pub fn ww_relation(&self) -> Option<moc_core::relations::Relation> {
-        use moc_core::relations::{process_order, reads_from};
         let h = self.history.as_ref().ok()?;
-        let mut rel = process_order(h).union(&reads_from(h));
-        for pair in self.update_order.windows(2) {
-            if let (Some(a), Some(b)) = (h.idx_of(pair[0]), h.idx_of(pair[1])) {
-                rel.add(a, b);
-            }
-        }
-        Some(rel)
+        Some(harness::ww_relation(h, &self.update_order))
     }
-}
-
-/// A replica + scripted client + reliable-link endpoint, hosted as one
-/// fault-tolerant simulator node.
-struct ChaosNode<R: ReplicaProtocol> {
-    me: ProcessId,
-    n: usize,
-    replica: R,
-    link: ReliableLink<R::Msg>,
-    script: VecDeque<OpSpec>,
-    think_ns: u64,
-    start_delay_ns: u64,
-    next_seq: u32,
-    inflight: Option<(MOpId, u64)>,
-    records: Vec<MOpRecord>,
-    latencies: Vec<(MOpClass, u64)>,
-    /// The currently armed think timer; any other timer is a link tick.
-    think_timer: Option<TimerId>,
-    /// The earliest link deadline a tick timer is armed for.
-    tick_deadline: Option<u64>,
-    orphan_completions: u64,
-    /// The run-wide online sentinel, shared by every node (the simulator
-    /// is single-threaded, so a `Rc<RefCell<..>>` suffices).
-    monitor: Option<Rc<RefCell<OnlineMonitor>>>,
-}
-
-impl<R: ReplicaProtocol> ChaosNode<R> {
-    /// Frames the replica's outbox through the link and hands the wire
-    /// traffic to the simulator.
-    fn relay(&mut self, out: &mut Outbox<R::Msg>, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
-        let now = ctx.now().as_nanos();
-        let mut wire = Vec::new();
-        for (to, m) in out.drain() {
-            self.link.send(to, m, now, &mut wire);
-        }
-        for (to, f) in wire {
-            ctx.send(to, f);
-        }
-    }
-
-    /// Arms a tick timer for the earliest pending deadline — link
-    /// retransmission or broadcast failover suspicion, whichever comes
-    /// first — unless one at least as early is already armed. Superseded
-    /// timers still fire and run a (harmless, idempotent) early tick.
-    fn arm_tick(&mut self, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
-        let d = match (self.link.next_deadline(), self.replica.abcast_deadline()) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return,
-        };
-        if self.tick_deadline.is_none_or(|armed| armed > d) {
-            let delay = d.saturating_sub(ctx.now().as_nanos()).max(1);
-            ctx.set_timer(delay);
-            self.tick_deadline = Some(d);
-        }
-    }
-
-    fn invoke_next(&mut self, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
-        if self.inflight.is_some() {
-            // A stale think timer (e.g. re-armed across a crash window):
-            // the previous m-operation is still being recovered.
-            return;
-        }
-        let Some(spec) = self.script.pop_front() else {
-            return;
-        };
-        let id = MOpId::new(self.me, self.next_seq);
-        self.next_seq += 1;
-        self.inflight = Some((id, ctx.now().as_nanos()));
-        if let Some(m) = &self.monitor {
-            m.borrow_mut().on_invoke(id, ctx.now().as_nanos());
-        }
-        let mop = MOperation::new(id, spec.program, spec.args);
-        let mut out = Outbox::new(self.n);
-        self.replica.invoke(mop, &mut out);
-        self.relay(&mut out, ctx);
-        self.drain(ctx);
-        self.arm_tick(ctx);
-    }
-
-    fn drain(&mut self, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
-        for c in self.replica.drain_completions() {
-            match self.inflight {
-                Some((id, invoked_ns)) if c.id == id => {
-                    self.inflight = None;
-                    let now = ctx.now().as_nanos();
-                    let record = MOpRecord {
-                        id,
-                        invoked_at: EventTime::from_nanos(invoked_ns),
-                        responded_at: EventTime::from_nanos(now),
-                        ops: c.ops,
-                        outputs: c.outputs,
-                        treated_as: c.treated_as,
-                        label: c.label,
-                    };
-                    if let Some(m) = &self.monitor {
-                        m.borrow_mut().on_complete(record.clone(), now);
-                    }
-                    self.latencies.push((record.treated_as, now - invoked_ns));
-                    self.records.push(record);
-                    if !self.script.is_empty() {
-                        self.think_timer = Some(ctx.set_timer(self.think_ns.max(1)));
-                    }
-                }
-                // A completion with no (or the wrong) inflight op: a
-                // duplicated broadcast frame was applied twice. Tally it;
-                // the history keeps the first completion only.
-                _ => self.orphan_completions += 1,
-            }
-        }
-    }
-}
-
-impl<R: ReplicaProtocol> Node for ChaosNode<R> {
-    type Msg = LinkMsg<R::Msg>;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        if !self.script.is_empty() {
-            self.think_timer = Some(ctx.set_timer(self.start_delay_ns.max(1)));
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, frame: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        let now = ctx.now().as_nanos();
-        let mut wire = Vec::new();
-        let ready = self.link.on_wire(from, frame, now, &mut wire);
-        for (to, f) in wire {
-            ctx.send(to, f);
-        }
-        for m in ready {
-            let mut out = Outbox::new(self.n);
-            self.replica.on_message(from, m, &mut out);
-            self.relay(&mut out, ctx);
-        }
-        self.drain(ctx);
-        self.arm_tick(ctx);
-    }
-
-    fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, Self::Msg>) {
-        if self.think_timer == Some(timer) {
-            self.think_timer = None;
-            self.invoke_next(ctx);
-        } else {
-            // A link/abcast tick (possibly superseded or early — both
-            // on_tick hooks only act on deadlines that are actually due).
-            self.tick_deadline = None;
-            let now = ctx.now().as_nanos();
-            let mut wire = Vec::new();
-            self.link.on_tick(now, &mut wire);
-            for (to, f) in wire {
-                ctx.send(to, f);
-            }
-            // A due suspicion timer can start or escalate a view change,
-            // and a completed change can release buffered deliveries.
-            let mut out = Outbox::new(self.n);
-            self.replica.on_abcast_tick(now, &mut out);
-            self.relay(&mut out, ctx);
-            self.drain(ctx);
-            self.arm_tick(ctx);
-        }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        // Timers armed before the outage were suppressed with it; the
-        // link's rejoin handshake recovers in-flight protocol traffic.
-        let now = ctx.now().as_nanos();
-        let mut wire = Vec::new();
-        self.link.on_restart(now, &mut wire);
-        for (to, f) in wire {
-            ctx.send(to, f);
-        }
-        // Let the broadcast react to its own outage: a restarted fixed
-        // sequencer fail-stops, a view-based one resyncs its suspicion
-        // clock and catches up as a follower.
-        let mut out = Outbox::new(self.n);
-        self.replica.on_abcast_restart(now, &mut out);
-        self.relay(&mut out, ctx);
-        self.drain(ctx);
-        self.think_timer = None;
-        self.tick_deadline = None;
-        self.arm_tick(ctx);
-        if self.inflight.is_none() && !self.script.is_empty() {
-            self.think_timer = Some(ctx.set_timer(self.think_ns.max(1)));
-        }
-    }
-}
-
-/// Splits one replica's channel logs into the shared (wire-agreed)
-/// channels and the log of its private read-only fast-path channel, if
-/// the broadcast arms one.
-fn split_private_channel<R: ReplicaProtocol>(node: &ChaosNode<R>) -> (Vec<Vec<MOpId>>, Vec<MOpId>) {
-    let mut logs = node.replica.channel_logs();
-    let mut private_log = Vec::new();
-    if let Some(c) = node.replica.private_channel() {
-        let c = c as usize;
-        if c < logs.len() {
-            private_log = std::mem::take(&mut logs[c]);
-            while logs.last().is_some_and(|l| l.is_empty()) {
-                logs.pop();
-            }
-        }
-    }
-    (logs, private_log)
-}
-
-/// Verifies one replica's private fast-path channel log against its
-/// contract: every entry must have been issued by the owning replica
-/// itself and must correspond to a completed m-operation that performed
-/// no writes (a write applied outside the agreed order is exactly the
-/// corruption the fast path must never introduce). Returns the number of
-/// violating entries.
-fn private_channel_violations(me: ProcessId, log: &[MOpId], records: &[MOpRecord]) -> u64 {
-    log.iter()
-        .map(|id| {
-            if id.process != me {
-                return 1;
-            }
-            match records.iter().find(|r| r.id == *id) {
-                None => 1,
-                Some(r) => u64::from(
-                    r.ops
-                        .iter()
-                        .any(|op| op.kind == moc_core::op::OpKind::Write),
-                ),
-            }
-        })
-        .sum()
 }
 
 /// Runs protocol `R` over `scripts` (one per process) on the
@@ -552,142 +292,16 @@ pub fn run_chaos_cluster<R: ReplicaProtocol + 'static>(
     config: &ChaosConfig,
     scripts: Vec<ClientScript>,
 ) -> ChaosRunReport {
-    let n = scripts.len();
-    assert!(n > 0, "need at least one process");
-    let sentinel = config
-        .monitor
-        .clone()
-        .map(|mc| Rc::new(RefCell::new(OnlineMonitor::new(config.num_objects, mc))));
-    let nodes: Vec<ChaosNode<R>> = scripts
-        .into_iter()
-        .enumerate()
-        .map(|(p, script)| ChaosNode {
-            me: ProcessId::new(p as u32),
-            n,
-            replica: {
-                let mut r = R::new(ProcessId::new(p as u32), n, config.num_objects);
-                if let Some((base, max)) = config.failover_timeouts {
-                    r.set_failover_timeouts(base, max);
-                }
-                if let Some(plan) = &config.shard_plan {
-                    r.set_shard_plan(plan.clone());
-                }
-                if let Some(plan) = &config.commute_plan {
-                    r.set_commute_plan(plan.clone());
-                }
-                if let Some(cfg) = config.batching {
-                    r.set_batching(cfg);
-                }
-                r
-            },
-            link: ReliableLink::new(ProcessId::new(p as u32), n, config.link),
-            script: script.ops.into(),
-            think_ns: script.think_ns,
-            start_delay_ns: script.start_delay_ns,
-            next_seq: 0,
-            inflight: None,
-            records: Vec::new(),
-            latencies: Vec::new(),
-            think_timer: None,
-            tick_deadline: None,
-            orphan_completions: 0,
-            monitor: sentinel.clone(),
-        })
-        .collect();
-    let mut world = World::with_faults(nodes, config.network, config.faults.clone(), config.seed);
-    let mut events = 0u64;
-    let mut stalled = true;
-    while events < config.max_events {
-        if !world.step() {
-            stalled = false;
-            break;
-        }
-        events += 1;
-    }
-    let sim = world.stats();
-    let nodes = world.into_nodes();
-
-    let mut anomalies = ChaosAnomalies {
-        stalled,
-        ..ChaosAnomalies::default()
-    };
-    let update_order: Vec<MOpId> = nodes[0].replica.delivery_log().to_vec();
-    // Agreement is per ordering channel: single-order broadcasts report
-    // one channel (the whole log, so this is the old whole-log check);
-    // sharded broadcasts may legitimately interleave commuting channels
-    // differently per replica, but each channel's log must be identical.
-    // The replica-private read-only fast-path channel is split off first:
-    // its contents never cross the wire and legitimately differ per
-    // replica, so it is verified entry-by-entry instead of compared.
-    let (reference_channels, _) = split_private_channel(&nodes[0]);
-    let mut private_fast_logs = Vec::with_capacity(nodes.len());
-    for node in &nodes {
-        let (shared, private_log) = split_private_channel(node);
-        if shared != reference_channels {
-            anomalies.delivery_divergence = true;
-        }
-        anomalies.fast_path_violations +=
-            private_channel_violations(node.me, &private_log, &node.records);
-        private_fast_logs.push(private_log);
-        if node.replica.store() != nodes[0].replica.store() {
-            anomalies.store_divergence = true;
-        }
-    }
-    let mut records = Vec::new();
-    let mut latencies = Vec::new();
-    let mut replica_metrics = Vec::new();
-    let mut link_stats = Vec::new();
-    let mut view_transcripts = Vec::new();
-    let mut commute_fast_applied = Vec::new();
-    let mut batch_stats = Vec::new();
-    let mut end_ns = 0u64;
-    for node in nodes {
-        anomalies.orphan_completions += node.orphan_completions;
-        anomalies.unfinished_ops += node.script.len() as u64 + u64::from(node.inflight.is_some());
-        for r in &node.records {
-            end_ns = end_ns.max(r.responded_at.as_nanos());
-        }
-        records.extend(node.records);
-        latencies.extend(node.latencies);
-        replica_metrics.push(node.replica.metrics());
-        link_stats.push(node.link.stats());
-        view_transcripts.push(node.replica.abcast_transcript());
-        commute_fast_applied.push(node.replica.commute_fast_applied());
-        batch_stats.push(node.replica.batch_stats());
-    }
-    let history = History::new(config.num_objects, records).map_err(|e| e.to_string());
-    // All node clones of the sentinel were dropped when the nodes were
-    // consumed above, so the unwrap cannot fail.
-    let monitor = sentinel.map(|m| {
-        let mut mon = Rc::try_unwrap(m)
-            .unwrap_or_else(|_| unreachable!("nodes consumed"))
-            .into_inner();
-        mon.flush(end_ns + 1);
-        mon.into_summary()
-    });
-    ChaosRunReport {
-        protocol: R::protocol_name(),
-        history,
-        latencies,
-        replica_metrics,
-        link_stats,
-        sim,
-        update_order,
-        channel_logs: reference_channels,
-        private_fast_logs,
-        anomalies,
-        view_transcripts,
-        commute_fast_applied,
-        batch_stats,
-        monitor,
-    }
+    harness::simulate::<R>(config, Some(config.link), scripts).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{private_channel_violations, OpSpec};
     use crate::{MlinOverSequencer, MscOverSequencer, MscOverSharded, MscOverView};
-    use moc_core::ids::ObjectId;
+    use moc_core::ids::{ObjectId, ProcessId};
+    use moc_core::mop::{EventTime, MOpRecord};
     use moc_core::program::{reg, ProgramBuilder};
     use moc_sim::DelayModel;
     use std::sync::Arc;

@@ -1,5 +1,8 @@
-//! Simulation harness: hosts protocol replicas on `moc-sim`, drives
-//! scripted clients, and emits validated histories plus metrics.
+//! Simulation harness: drives the shared replica host ([`crate::host`])
+//! on `moc-sim` with scripted clients, and emits validated histories plus
+//! metrics. One simulator node serves both the fair-weather run
+//! ([`run_cluster`]: trusted channel) and the fault-injecting one
+//! ([`crate::chaos::run_chaos_cluster`]: reliable link over a faulty wire).
 //!
 //! Each process is a replica with a co-located client (the paper's model:
 //! processes are sequential and manipulate objects through m-operations,
@@ -11,18 +14,25 @@
 //! resulting [`History`] carries the exact real-time order `~t` needed to
 //! check m-linearizability.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use moc_abcast::Outbox;
+use moc_abcast::{LinkConfig, LinkMsg};
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ProcessId};
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::program::Program;
+use moc_core::relations::Relation;
 use moc_core::value::Value;
+use moc_monitor::OnlineMonitor;
 use moc_sim::{Context, NetworkConfig, Node, RunStats, TimerId, World};
 
-use crate::{MOperation, ReplicaMetrics, ReplicaProtocol};
+use crate::chaos::{ChaosAnomalies, ChaosConfig, ChaosRunReport};
+use crate::host::{OrderingSetup, ReplicaHost};
+use crate::store::ReplicaStore;
+use crate::{ReplicaMetrics, ReplicaProtocol};
 
 /// One m-operation of a client script.
 #[derive(Debug, Clone)]
@@ -125,39 +135,20 @@ pub struct RunReport {
     /// Each replica's object store at quiescence. Once every broadcast has
     /// been delivered everywhere, all stores must agree (replica
     /// convergence) — asserted by the Theorem 15/20 tests.
-    pub final_stores: Vec<crate::store::ReplicaStore>,
+    pub final_stores: Vec<ReplicaStore>,
 }
 
 impl RunReport {
     /// Mean response time over completed m-operations of `class`, in
     /// nanoseconds; `None` if none completed.
     pub fn mean_latency(&self, class: MOpClass) -> Option<f64> {
-        let xs: Vec<u64> = self
-            .latencies
-            .iter()
-            .filter(|(c, _)| *c == class)
-            .map(|&(_, l)| l)
-            .collect();
-        if xs.is_empty() {
-            return None;
-        }
-        Some(xs.iter().sum::<u64>() as f64 / xs.len() as f64)
+        let xs = class_latencies(&self.latencies, class);
+        (!xs.is_empty()).then(|| xs.iter().sum::<u64>() as f64 / xs.len() as f64)
     }
 
     /// The p-th percentile (0..=100) response time for `class`.
     pub fn percentile_latency(&self, class: MOpClass, p: f64) -> Option<u64> {
-        let mut xs: Vec<u64> = self
-            .latencies
-            .iter()
-            .filter(|(c, _)| *c == class)
-            .map(|&(_, l)| l)
-            .collect();
-        if xs.is_empty() {
-            return None;
-        }
-        xs.sort_unstable();
-        let rank = ((p / 100.0) * (xs.len() - 1) as f64).round() as usize;
-        Some(xs[rank.min(xs.len() - 1)])
+        percentile_latency(&self.latencies, class, p)
     }
 
     /// Total network messages sent during the run.
@@ -169,99 +160,311 @@ impl RunReport {
     /// m-sequential-consistency relation extended with the broadcast order.
     /// By construction it satisfies the WW-constraint, so Theorem 7's
     /// polynomial checker applies to it.
-    pub fn ww_relation(&self) -> moc_core::relations::Relation {
-        use moc_core::relations::{process_order, reads_from};
-        let mut rel = process_order(&self.history).union(&reads_from(&self.history));
-        for pair in self.update_order.windows(2) {
-            if let (Some(a), Some(b)) = (self.history.idx_of(pair[0]), self.history.idx_of(pair[1]))
-            {
-                rel.add(a, b);
-            }
-        }
-        rel
+    pub fn ww_relation(&self) -> Relation {
+        ww_relation(&self.history, &self.update_order)
     }
 }
 
-/// A replica plus its scripted client, hosted as one simulator node.
-struct ProtoNode<R: ReplicaProtocol> {
-    me: ProcessId,
-    n: usize,
-    replica: R,
+fn class_latencies(latencies: &[(MOpClass, u64)], class: MOpClass) -> Vec<u64> {
+    let of_class = latencies.iter().filter(|(c, _)| *c == class);
+    of_class.map(|&(_, l)| l).collect()
+}
+
+/// The p-th percentile (0..=100) of the `class` entries of `latencies`.
+pub(crate) fn percentile_latency(
+    latencies: &[(MOpClass, u64)],
+    class: MOpClass,
+    p: f64,
+) -> Option<u64> {
+    let mut xs = class_latencies(latencies, class);
+    if xs.is_empty() {
+        return None;
+    }
+    xs.sort_unstable();
+    let rank = ((p / 100.0) * (xs.len() - 1) as f64).round() as usize;
+    Some(xs[rank.min(xs.len() - 1)])
+}
+
+/// `~p ∪ ~rf` over `history`, plus the broadcast order `update_order`.
+pub(crate) fn ww_relation(history: &History, update_order: &[MOpId]) -> Relation {
+    use moc_core::relations::{process_order, reads_from};
+    let mut rel = process_order(history).union(&reads_from(history));
+    for pair in update_order.windows(2) {
+        if let (Some(a), Some(b)) = (history.idx_of(pair[0]), history.idx_of(pair[1])) {
+            rel.add(a, b);
+        }
+    }
+    rel
+}
+
+/// The simulator driver of the replica host: supplies what the host
+/// cannot know — the virtual clock, the wire, the sequential scripted
+/// client with its think timer, tick timers, and the run-wide sentinel.
+struct ScriptedNode<R: ReplicaProtocol> {
+    host: ReplicaHost<R, ()>,
     script: VecDeque<OpSpec>,
     think_ns: u64,
     start_delay_ns: u64,
-    next_seq: u32,
-    inflight: Option<(MOpId, u64)>,
     records: Vec<MOpRecord>,
-    latencies: Vec<(MOpClass, u64)>,
+    /// The currently armed think timer; any other timer is a tick.
+    think_timer: Option<TimerId>,
+    /// The earliest deadline a tick timer is armed for.
+    tick_deadline: Option<u64>,
+    /// The run-wide online sentinel, shared by every node (the simulator
+    /// is single-threaded, so a `Rc<RefCell<..>>` suffices).
+    monitor: Option<Rc<RefCell<OnlineMonitor>>>,
 }
 
-impl<R: ReplicaProtocol> ProtoNode<R> {
-    fn relay(&mut self, out: &mut Outbox<R::Msg>, ctx: &mut Context<'_, R::Msg>) {
-        for (to, m) in out.drain() {
-            ctx.send(to, m);
+fn now_of<M>(ctx: &Context<'_, M>) -> EventTime {
+    EventTime::from_nanos(ctx.now().as_nanos())
+}
+
+impl<R: ReplicaProtocol> ScriptedNode<R> {
+    fn arm_think(&mut self, delay_ns: u64, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
+        if !self.script.is_empty() {
+            self.think_timer = Some(ctx.set_timer(delay_ns.max(1)));
         }
     }
 
-    fn invoke_next(&mut self, ctx: &mut Context<'_, R::Msg>) {
-        let Some(spec) = self.script.pop_front() else {
-            return;
-        };
-        let id = MOpId::new(self.me, self.next_seq);
-        self.next_seq += 1;
-        debug_assert!(self.inflight.is_none(), "processes are sequential");
-        self.inflight = Some((id, ctx.now().as_nanos()));
-        let mop = MOperation::new(id, spec.program, spec.args);
-        let mut out = Outbox::new(self.n);
-        self.replica.invoke(mop, &mut out);
-        self.relay(&mut out, ctx);
-        self.drain(ctx);
-    }
-
-    fn drain(&mut self, ctx: &mut Context<'_, R::Msg>) {
-        for c in self.replica.drain_completions() {
-            let (id, invoked_ns) = self
-                .inflight
-                .take()
-                .expect("completion without an inflight m-operation");
-            assert_eq!(c.id, id, "completions must match the inflight op");
-            let now = ctx.now().as_nanos();
-            self.records.push(MOpRecord {
-                id,
-                invoked_at: EventTime::from_nanos(invoked_ns),
-                responded_at: EventTime::from_nanos(now),
-                ops: c.ops,
-                outputs: c.outputs,
-                treated_as: c.treated_as,
-                label: c.label,
-            });
-            self.latencies.push((c.treated_as, now - invoked_ns));
-            if !self.script.is_empty() {
-                ctx.set_timer(self.think_ns.max(1));
+    /// Settles the host and carries out what it asked for: frames onto
+    /// the wire, observations into the sentinel, records into the
+    /// client (arming its next think timer), then the tick timer.
+    fn settle(&mut self, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
+        let now = now_of(ctx);
+        self.host.settle(&|| now);
+        for (to, frame) in self.host.wire.drain(..) {
+            ctx.send(to, frame);
+        }
+        for ev in self.host.monitor_feed.drain(..) {
+            if let Some(m) = &self.monitor {
+                ev.apply(&mut m.borrow_mut());
+            }
+        }
+        for r in std::mem::take(&mut self.host.retired) {
+            self.records.push(r.record);
+            self.arm_think(self.think_ns, ctx);
+        }
+        // Arm a tick for the earliest pending deadline — link
+        // retransmission or broadcast suspicion/flush — unless one at
+        // least as early is already armed. Superseded timers still fire
+        // and run a (harmless, idempotent) early tick.
+        if let Some(d) = self.host.next_deadline() {
+            if self.tick_deadline.is_none_or(|armed| armed > d) {
+                ctx.set_timer(d.saturating_sub(ctx.now().as_nanos()).max(1));
+                self.tick_deadline = Some(d);
             }
         }
     }
 }
 
-impl<R: ReplicaProtocol> Node for ProtoNode<R> {
-    type Msg = R::Msg;
+impl<R: ReplicaProtocol> Node for ScriptedNode<R> {
+    type Msg = LinkMsg<R::Msg>;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        if !self.script.is_empty() {
-            ctx.set_timer(self.start_delay_ns.max(1));
+        self.arm_think(self.start_delay_ns, ctx);
+    }
+
+    fn on_message(&mut self, from: ProcessId, frame: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
+        self.host.on_wire(from, frame, now_of(ctx));
+        self.settle(ctx);
+    }
+
+    fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, Self::Msg>) {
+        if self.think_timer == Some(timer) {
+            self.think_timer = None;
+            // The client is sequential; a stale think timer (re-armed
+            // across a crash window) finds the previous m-operation still
+            // being recovered.
+            if self.host.in_flight() > 0 {
+                return;
+            }
+            let Some(spec) = self.script.pop_front() else {
+                return;
+            };
+            self.host.submit(spec.program, spec.args, (), now_of(ctx));
+        } else {
+            // Possibly superseded or early — both tick hooks only act on
+            // deadlines that are actually due.
+            self.tick_deadline = None;
+            self.host.on_tick(now_of(ctx));
+        }
+        self.settle(ctx);
+    }
+
+    fn on_restart(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        // Timers armed before the outage were suppressed with it.
+        self.tick_deadline = None;
+        self.host.on_restart(now_of(ctx));
+        self.settle(ctx);
+        self.think_timer = None;
+        if self.host.in_flight() == 0 {
+            self.arm_think(self.think_ns, ctx);
         }
     }
+}
 
-    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        let mut out = Outbox::new(self.n);
-        self.replica.on_message(from, msg, &mut out);
-        self.relay(&mut out, ctx);
-        self.drain(ctx);
+/// Splits one replica's channel logs into the shared (wire-agreed)
+/// channels and the log of its private read-only fast-path channel, if
+/// the broadcast arms one.
+fn split_private_channel<R: ReplicaProtocol>(replica: &R) -> (Vec<Vec<MOpId>>, Vec<MOpId>) {
+    let mut logs = replica.channel_logs();
+    let mut private_log = Vec::new();
+    if let Some(c) = replica.private_channel() {
+        let c = c as usize;
+        if c < logs.len() {
+            private_log = std::mem::take(&mut logs[c]);
+            while logs.last().is_some_and(|l| l.is_empty()) {
+                logs.pop();
+            }
+        }
     }
+    (logs, private_log)
+}
 
-    fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, Self::Msg>) {
-        self.invoke_next(ctx);
+/// Verifies one replica's private fast-path channel log against its
+/// contract: every entry must have been issued by the owning replica
+/// itself and must correspond to a completed m-operation that performed
+/// no writes (a write applied outside the agreed order is exactly the
+/// corruption the fast path must never introduce). Returns the number of
+/// violating entries.
+pub(crate) fn private_channel_violations(
+    me: ProcessId,
+    log: &[MOpId],
+    records: &[MOpRecord],
+) -> u64 {
+    log.iter()
+        .map(|id| {
+            if id.process != me {
+                return 1;
+            }
+            match records.iter().find(|r| r.id == *id) {
+                None => 1,
+                Some(r) => u64::from(
+                    r.ops
+                        .iter()
+                        .any(|op| op.kind == moc_core::op::OpKind::Write),
+                ),
+            }
+        })
+        .sum()
+}
+
+/// Runs `scripts` (one per process) over protocol `R` on the simulator
+/// configured by `config`, behind a reliable link tuned by `link` or, for
+/// `None`, on the trusted channel. Returns the chaos-shaped report — which
+/// [`run_cluster`] reshapes — and each replica's final store.
+pub(crate) fn simulate<R: ReplicaProtocol + 'static>(
+    config: &ChaosConfig,
+    link: Option<LinkConfig>,
+    scripts: Vec<ClientScript>,
+) -> (ChaosRunReport, Vec<ReplicaStore>) {
+    let n = scripts.len();
+    assert!(n > 0, "need at least one process");
+    let sentinel = config
+        .monitor
+        .clone()
+        .map(|mc| Rc::new(RefCell::new(OnlineMonitor::new(config.num_objects, mc))));
+    let setup = OrderingSetup {
+        failover_timeouts: config.failover_timeouts,
+        shard_plan: config.shard_plan.as_ref(),
+        commute_plan: config.commute_plan.as_ref(),
+        batching: config.batching,
+    };
+    let nodes: Vec<ScriptedNode<R>> = scripts
+        .into_iter()
+        .enumerate()
+        .map(|(p, script)| ScriptedNode {
+            host: ReplicaHost::new(
+                ProcessId::new(p as u32),
+                n,
+                config.num_objects,
+                link,
+                &setup,
+                sentinel.is_some(),
+            ),
+            script: script.ops.into(),
+            think_ns: script.think_ns,
+            start_delay_ns: script.start_delay_ns,
+            records: Vec::new(),
+            think_timer: None,
+            tick_deadline: None,
+            monitor: sentinel.clone(),
+        })
+        .collect();
+    let mut world = World::with_faults(nodes, config.network, config.faults.clone(), config.seed);
+    let mut events = 0u64;
+    let mut stalled = true;
+    while events < config.max_events {
+        if !world.step() {
+            stalled = false;
+            break;
+        }
+        events += 1;
     }
+    let sim = world.stats();
+    let nodes = world.into_nodes();
+
+    let mut anomalies = ChaosAnomalies {
+        stalled,
+        ..ChaosAnomalies::default()
+    };
+    let reference = nodes[0].host.replica();
+    let update_order = reference.delivery_log().to_vec();
+    // Agreement is per ordering channel: single-order broadcasts report
+    // one channel (the whole log); sharded broadcasts may legitimately
+    // interleave commuting channels differently per replica, but each
+    // channel's log must be identical. The replica-private read-only
+    // fast-path channel is split off first: its contents never cross the
+    // wire and legitimately differ per replica, so it is verified
+    // entry-by-entry instead of compared.
+    let (channel_logs, _) = split_private_channel(reference);
+    let mut private_fast_logs = Vec::with_capacity(n);
+    let mut link_stats = Vec::with_capacity(n);
+    for (p, node) in nodes.iter().enumerate() {
+        let replica = node.host.replica();
+        let (shared, private_log) = split_private_channel(replica);
+        anomalies.delivery_divergence |= shared != channel_logs;
+        anomalies.fast_path_violations +=
+            private_channel_violations(ProcessId::new(p as u32), &private_log, &node.records);
+        private_fast_logs.push(private_log);
+        anomalies.store_divergence |= replica.store() != reference.store();
+        anomalies.orphan_completions += node.host.metrics().orphan_completions;
+        anomalies.unfinished_ops += (node.script.len() + node.host.in_flight()) as u64;
+        link_stats.push(node.host.link_stats());
+    }
+    // Consuming the nodes drops their clones of the sentinel.
+    let mut replicas = Vec::with_capacity(n);
+    let mut records = Vec::new();
+    for node in nodes {
+        replicas.push(node.host.into_replica());
+        records.extend(node.records);
+    }
+    let span = |r: &MOpRecord| r.responded_at.as_nanos() - r.invoked_at.as_nanos();
+    let end_ns = records.iter().map(|r| r.responded_at.as_nanos()).max();
+    let monitor = sentinel.map(|m| {
+        let mut mon = Rc::try_unwrap(m)
+            .unwrap_or_else(|_| unreachable!("nodes consumed"))
+            .into_inner();
+        mon.flush(end_ns.unwrap_or(0) + 1);
+        mon.into_summary()
+    });
+    let report = ChaosRunReport {
+        protocol: R::protocol_name(),
+        latencies: records.iter().map(|r| (r.treated_as, span(r))).collect(),
+        history: History::new(config.num_objects, records).map_err(|e| e.to_string()),
+        replica_metrics: replicas.iter().map(|r| r.metrics()).collect(),
+        link_stats,
+        sim,
+        update_order,
+        channel_logs,
+        private_fast_logs,
+        anomalies,
+        view_transcripts: replicas.iter().map(|r| r.abcast_transcript()).collect(),
+        commute_fast_applied: replicas.iter().map(|r| r.commute_fast_applied()).collect(),
+        batch_stats: replicas.iter().map(|r| r.batch_stats()).collect(),
+        monitor,
+    };
+    (report, replicas.iter().map(|r| r.store().clone()).collect())
 }
 
 /// Runs protocol `R` over the given client scripts (one per process; the
@@ -277,64 +480,30 @@ pub fn run_cluster<R: ReplicaProtocol + 'static>(
     config: &ClusterConfig,
     scripts: Vec<ClientScript>,
 ) -> RunReport {
-    let n = scripts.len();
-    assert!(n > 0, "need at least one process");
-    let nodes: Vec<ProtoNode<R>> = scripts
-        .into_iter()
-        .enumerate()
-        .map(|(p, script)| ProtoNode {
-            me: ProcessId::new(p as u32),
-            n,
-            replica: R::new(ProcessId::new(p as u32), n, config.num_objects),
-            script: script.ops.into(),
-            think_ns: script.think_ns,
-            start_delay_ns: script.start_delay_ns,
-            next_seq: 0,
-            inflight: None,
-            records: Vec::new(),
-            latencies: Vec::new(),
-        })
-        .collect();
-    let mut world = World::new(nodes, config.network, config.seed);
-    let sim = world.run_until_quiescent(config.max_events);
-    let nodes = world.into_nodes();
-
-    let mut records = Vec::new();
-    let mut latencies = Vec::new();
-    let mut replica_metrics = Vec::new();
-    let update_order: Vec<MOpId> = nodes[0].replica.delivery_log().to_vec();
-    // Agreement is asserted per ordering channel: for single-order
-    // broadcasts this is the whole delivery log; a sharded broadcast may
-    // interleave commuting channels differently per replica, but every
-    // channel's own log must be identical everywhere.
-    let reference_channels = nodes[0].replica.channel_logs();
-    for node in &nodes {
-        assert_eq!(
-            node.replica.channel_logs(),
-            reference_channels,
-            "replicas disagree on a channel's broadcast order"
-        );
-    }
-    let mut final_stores = Vec::new();
-    for node in nodes {
-        assert!(
-            node.script.is_empty() && node.inflight.is_none(),
-            "client script did not finish: protocol lost an operation"
-        );
-        records.extend(node.records);
-        latencies.extend(node.latencies);
-        replica_metrics.push(node.replica.metrics());
-        final_stores.push(node.replica.store().clone());
-    }
-    let history =
-        History::new(config.num_objects, records).expect("protocol produced an invalid history");
+    let chaos = ChaosConfig::new(config.num_objects, config.seed)
+        .with_network(config.network)
+        .with_max_events(config.max_events);
+    let (run, final_stores) = simulate::<R>(&chaos, None, scripts);
+    assert!(
+        !run.anomalies.stalled,
+        "simulation did not quiesce within {} events",
+        config.max_events
+    );
+    assert!(
+        !run.anomalies.delivery_divergence,
+        "replicas disagree on a channel's broadcast order"
+    );
+    assert!(
+        run.anomalies.unfinished_ops == 0 && run.anomalies.orphan_completions == 0,
+        "client script did not finish: protocol lost an operation"
+    );
     RunReport {
-        protocol: R::protocol_name(),
-        history,
-        latencies,
-        replica_metrics,
-        sim,
-        update_order,
+        protocol: run.protocol,
+        history: run.history.expect("protocol produced an invalid history"),
+        latencies: run.latencies,
+        replica_metrics: run.replica_metrics,
+        sim: run.sim,
+        update_order: run.update_order,
         final_stores,
     }
 }

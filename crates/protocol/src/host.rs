@@ -1,0 +1,730 @@
+//! The replica host: everything between "a client hands over a program"
+//! and "a record enters the history", written once.
+//!
+//! [`ReplicaHost`] is as pure as the Section 5 replica it wraps. Inputs
+//! are a submission, a frame off the wire, a tick or a restart, each with
+//! the caller's clock reading, then [`ReplicaHost::settle`] with the clock
+//! itself; outputs are three queues the driver drains: `wire`, `retired`
+//! and `monitor_feed`. The stages an m-operation meets:
+//!
+//! 1. **admit** — id, invocation stamp, classification, then the gate:
+//!    *updates pipeline, queries drain*. An invocation runs while earlier
+//!    ones of its process are in flight only if it and all of them are
+//!    updates, so a query observes the process's own earlier writes even
+//!    under Figure 4's local queries. Pipelined updates are stamped in
+//!    program order only over a per-sender FIFO channel (the link's
+//!    contract); on a trusted, reordering channel the driver keeps one
+//!    m-operation in flight per process.
+//! 2. **submit / deliver / apply** — the replica's own actions.
+//! 3. **stash** — completions that overtake an earlier invocation wait.
+//! 4. **retire** — strictly FIFO. The *recorded* interval is clamped to
+//!    follow the previous retirement (the model's processes are
+//!    sequential); the true times travel alongside in [`Retired`].
+//! 5. **record / monitor feed** — the one place an [`MOpRecord`] is
+//!    built. A completion nobody waits for (a double-applied frame past a
+//!    sabotaged link) is an *orphan*: counted, fed to the sentinel, never
+//!    recorded.
+//!
+//! Drivers supply clock, wire and client: the simulator node of
+//! [`crate::harness`] (virtual time; trusted channel for `run_cluster`,
+//! faulty wire for `run_chaos_cluster`; scripted client) and the
+//! `moc-runtime` replica thread (wall clock, router thread, reply
+//! channels).
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+use moc_abcast::{BatchConfig, LinkConfig, LinkMsg, LinkStats, Outbox, ReliableLink};
+use moc_core::commute::CommutePlan;
+use moc_core::ids::{MOpId, ProcessId};
+use moc_core::mop::{EventTime, MOpRecord};
+use moc_core::program::Program;
+use moc_core::shard::ShardPlan;
+use moc_core::value::Value;
+use moc_monitor::OnlineMonitor;
+
+use crate::{Completion, MOperation, ReplicaProtocol};
+
+/// Counters describing one host's invocation pipeline: how deep the
+/// in-flight window got, how long admissions waited behind the
+/// read-your-writes gate, and whether anything went unclaimed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PipelineMetrics {
+    /// Invocations accepted by the host.
+    pub invocations: u64,
+    /// Invocations retired (reply generated).
+    pub retired: u64,
+    /// Peak of admitted-but-uncompleted plus gate-queued invocations.
+    pub peak_depth: u64,
+    /// Completions that arrived before an earlier invocation of the same
+    /// process finished (retired strictly FIFO via the stash).
+    pub out_of_order_completions: u64,
+    /// Total time invocations spent queued behind the admission gate
+    /// before reaching the protocol.
+    pub queue_residency_ns: u64,
+    /// Replies whose client had gone away by retirement. A healthy
+    /// harness never drops one.
+    pub dropped_replies: u64,
+    /// Completions with no pending invocation, or a second completion of
+    /// one: a frame applied twice. The healthy stack never produces one.
+    pub orphan_completions: u64,
+}
+
+impl PipelineMetrics {
+    /// Combines counters from two replicas: sums, except `peak_depth`,
+    /// which takes the max.
+    pub fn merge(&self, other: &PipelineMetrics) -> PipelineMetrics {
+        PipelineMetrics {
+            invocations: self.invocations + other.invocations,
+            retired: self.retired + other.retired,
+            peak_depth: self.peak_depth.max(other.peak_depth),
+            out_of_order_completions: self.out_of_order_completions
+                + other.out_of_order_completions,
+            queue_residency_ns: self.queue_residency_ns + other.queue_residency_ns,
+            dropped_replies: self.dropped_replies + other.dropped_replies,
+            orphan_completions: self.orphan_completions + other.orphan_completions,
+        }
+    }
+}
+
+/// A finished m-operation leaving the host.
+#[derive(Debug)]
+pub struct Retired<T> {
+    /// The history record, with the recorded (clamped) times.
+    pub record: MOpRecord,
+    /// True invocation time (the clock reading passed to `submit`).
+    pub invoked_at: EventTime,
+    /// True response time (read from `settle`'s clock at retirement).
+    pub responded_at: EventTime,
+    /// Whatever the driver attached at submission.
+    pub token: T,
+}
+
+/// One observation for an online sentinel, in stream order.
+#[derive(Debug)]
+pub enum MonitorEvent {
+    /// An invocation event at the given time (ns).
+    Invoke(MOpId, u64),
+    /// A response event — or an orphan completion — at the given time.
+    Complete(Box<MOpRecord>, u64),
+}
+
+impl MonitorEvent {
+    /// The event's time, ns.
+    pub fn at_ns(&self) -> u64 {
+        match self {
+            MonitorEvent::Invoke(_, at) | MonitorEvent::Complete(_, at) => *at,
+        }
+    }
+
+    /// Streams the event into `monitor`.
+    pub fn apply(self, monitor: &mut OnlineMonitor) {
+        match self {
+            MonitorEvent::Invoke(id, at) => monitor.on_invoke(id, at),
+            MonitorEvent::Complete(record, at) => {
+                monitor.on_complete(*record, at);
+            }
+        }
+    }
+}
+
+/// Broadcast tuning installed on the replica before any traffic. Every
+/// field is ignored by broadcasts without the matching machinery.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OrderingSetup<'a> {
+    /// Failover suspicion timeouts `(base_ns, max_ns)`.
+    pub failover_timeouts: Option<(u64, u64)>,
+    /// A certified shard partition.
+    pub shard_plan: Option<&'a ShardPlan>,
+    /// A commute certificate's delivery plan.
+    pub commute_plan: Option<&'a CommutePlan>,
+    /// Group-commit batching.
+    pub batching: Option<BatchConfig>,
+}
+
+/// An invocation on its way through the pipeline.
+struct Inflight<T> {
+    id: MOpId,
+    is_update: bool,
+    invoked_at: EventTime,
+    token: T,
+}
+
+fn record_of(c: Completion, invoked_at: EventTime, responded_at: EventTime) -> MOpRecord {
+    MOpRecord {
+        id: c.id,
+        invoked_at,
+        responded_at,
+        ops: c.ops,
+        outputs: c.outputs,
+        treated_as: c.treated_as,
+        label: c.label,
+    }
+}
+
+/// One process's replica, its invocation pipeline and its end of the
+/// channel (see the module docs). `T` is the driver's per-invocation
+/// token, returned in [`Retired`].
+///
+/// Input methods only queue work. Call [`ReplicaHost::settle`] after
+/// every input (or batch of inputs), then drain the output queues.
+pub struct ReplicaHost<R: ReplicaProtocol, T> {
+    me: ProcessId,
+    replica: R,
+    /// `None` is the trusted channel: frames pass unnumbered, are never
+    /// acked or retransmitted, and the host is never ticked.
+    link: Option<ReliableLink<R::Msg>>,
+    next_seq: u32,
+    /// Invocations the gate has not yet let through, in invocation order.
+    admission: VecDeque<(MOperation, Inflight<T>)>,
+    /// Invocations handed to the protocol, in invocation (FIFO) order.
+    pending: VecDeque<Inflight<T>>,
+    /// Completions waiting for earlier invocations to retire.
+    stash: HashMap<MOpId, Completion>,
+    /// High-water mark of recorded response times.
+    last_retired: EventTime,
+    metrics: PipelineMetrics,
+    monitored: bool,
+    out: Outbox<R::Msg>,
+    /// Frames to put on the wire, in send order.
+    pub wire: Vec<(ProcessId, LinkMsg<R::Msg>)>,
+    /// M-operations retired since the driver last drained, FIFO.
+    pub retired: Vec<Retired<T>>,
+    /// Sentinel observations since the driver last drained; stays empty
+    /// unless the host was built `monitored`.
+    pub monitor_feed: Vec<MonitorEvent>,
+}
+
+impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
+    /// Hosts a fresh `R::new(me, n, num_objects)` with `setup` installed
+    /// on its broadcast, behind a [`ReliableLink`] tuned by `link` (or on
+    /// the trusted channel when `None`).
+    pub fn new(
+        me: ProcessId,
+        n: usize,
+        num_objects: usize,
+        link: Option<LinkConfig>,
+        setup: &OrderingSetup<'_>,
+        monitored: bool,
+    ) -> Self {
+        let mut replica = R::new(me, n, num_objects);
+        if let Some((base, max)) = setup.failover_timeouts {
+            replica.set_failover_timeouts(base, max);
+        }
+        if let Some(plan) = setup.shard_plan {
+            replica.set_shard_plan(plan.clone());
+        }
+        if let Some(plan) = setup.commute_plan {
+            replica.set_commute_plan(plan.clone());
+        }
+        if let Some(cfg) = setup.batching {
+            replica.set_batching(cfg);
+        }
+        ReplicaHost {
+            me,
+            replica,
+            link: link.map(|cfg| ReliableLink::new(me, n, cfg)),
+            next_seq: 0,
+            admission: VecDeque::new(),
+            pending: VecDeque::new(),
+            stash: HashMap::new(),
+            last_retired: EventTime::ZERO,
+            metrics: PipelineMetrics::default(),
+            monitored,
+            out: Outbox::new(n),
+            wire: Vec::new(),
+            retired: Vec::new(),
+            monitor_feed: Vec::new(),
+        }
+    }
+
+    /// The hosted replica.
+    pub fn replica(&self) -> &R {
+        &self.replica
+    }
+
+    /// Consumes the host, keeping the replica.
+    pub(crate) fn into_replica(self) -> R {
+        self.replica
+    }
+
+    /// Pipeline counters so far.
+    pub fn metrics(&self) -> PipelineMetrics {
+        self.metrics
+    }
+
+    /// The link endpoint's transport counters (zero on the trusted
+    /// channel).
+    pub fn link_stats(&self) -> LinkStats {
+        self.link.as_ref().map(|l| l.stats()).unwrap_or_default()
+    }
+
+    /// Invocations submitted but not yet retired.
+    pub fn in_flight(&self) -> usize {
+        self.admission.len() + self.pending.len()
+    }
+
+    /// Earliest absolute time (ns) at which [`ReplicaHost::on_tick`] has
+    /// something to do: the link's retransmission or the broadcast's
+    /// suspicion / group-commit deadline, whichever first.
+    pub fn next_deadline(&self) -> Option<u64> {
+        match (
+            self.link.as_ref()?.next_deadline(),
+            self.replica.abcast_deadline(),
+        ) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// The invocation event: `program(args)` becomes this process's next
+    /// m-operation, stamped `now`. It reaches the protocol once the gate
+    /// opens, in [`ReplicaHost::settle`].
+    pub fn submit(&mut self, program: Arc<Program>, args: Vec<Value>, token: T, now: EventTime) {
+        let id = MOpId::new(self.me, self.next_seq);
+        self.next_seq += 1;
+        if self.monitored {
+            self.monitor_feed
+                .push(MonitorEvent::Invoke(id, now.as_nanos()));
+        }
+        let mop = MOperation::new(id, program, args);
+        let inflight = Inflight {
+            id,
+            is_update: mop.is_update(),
+            invoked_at: now,
+            token,
+        };
+        self.admission.push_back((mop, inflight));
+        self.metrics.invocations += 1;
+        self.metrics.peak_depth = self.metrics.peak_depth.max(self.in_flight() as u64);
+    }
+
+    /// A frame arrives off the wire.
+    pub fn on_wire(&mut self, from: ProcessId, frame: LinkMsg<R::Msg>, now: EventTime) {
+        let ready = match (&mut self.link, frame) {
+            (Some(link), frame) => link.on_wire(from, frame, now.as_nanos(), &mut self.wire),
+            (None, LinkMsg::Data { payload, .. }) => vec![payload],
+            (None, _) => Vec::new(),
+        };
+        for m in ready {
+            self.replica.on_message(from, m, &mut self.out);
+        }
+    }
+
+    /// A deadline was reached: runs both tick hooks (each only acts on
+    /// deadlines that are actually due).
+    pub fn on_tick(&mut self, now: EventTime) {
+        if let Some(link) = &mut self.link {
+            link.on_tick(now.as_nanos(), &mut self.wire);
+        }
+        self.replica.on_abcast_tick(now.as_nanos(), &mut self.out);
+    }
+
+    /// The hosting process came back from a crash: the link's rejoin
+    /// handshake recovers in-flight traffic, and the broadcast reacts to
+    /// its own outage.
+    pub(crate) fn on_restart(&mut self, now: EventTime) {
+        if let Some(link) = &mut self.link {
+            link.on_restart(now.as_nanos(), &mut self.wire);
+        }
+        self.replica
+            .on_abcast_restart(now.as_nanos(), &mut self.out);
+    }
+
+    /// Retires completions and admits queued invocations until neither
+    /// makes progress — admission can complete synchronously (a local
+    /// query) and retirement can open the gate for the next admission —
+    /// then frames everything the replica wants sent.
+    ///
+    /// Takes the clock rather than a reading: a response event is stamped
+    /// after the completion it answers was collected from the replica.
+    pub fn settle(&mut self, clock: &impl Fn() -> EventTime) {
+        loop {
+            let mut progress = false;
+            for c in self.replica.drain_completions() {
+                progress = true;
+                let in_pipeline = self.pending.iter().any(|p| p.id == c.id);
+                if !in_pipeline || self.stash.contains_key(&c.id) {
+                    self.metrics.orphan_completions += 1;
+                    if self.monitored {
+                        // A re-completion of a settled id latches the
+                        // sentinel's duplicate-completion violation.
+                        let at = clock();
+                        let record = Box::new(record_of(c, at, at));
+                        self.monitor_feed
+                            .push(MonitorEvent::Complete(record, at.as_nanos()));
+                    }
+                    continue;
+                }
+                if self.pending.front().is_some_and(|p| p.id != c.id) {
+                    self.metrics.out_of_order_completions += 1;
+                }
+                self.stash.insert(c.id, c);
+            }
+            while let Some(front) = self.pending.front() {
+                let Some(c) = self.stash.remove(&front.id) else {
+                    break;
+                };
+                progress = true;
+                let p = self.pending.pop_front().expect("front exists");
+                let responded_at = clock();
+                let invoked_rec = p.invoked_at.max(self.last_retired);
+                let responded_rec = responded_at.max(invoked_rec);
+                self.last_retired = responded_rec;
+                let record = record_of(c, invoked_rec, responded_rec);
+                if self.monitored {
+                    self.monitor_feed.push(MonitorEvent::Complete(
+                        Box::new(record.clone()),
+                        responded_rec.as_nanos(),
+                    ));
+                }
+                self.metrics.retired += 1;
+                self.retired.push(Retired {
+                    record,
+                    invoked_at: p.invoked_at,
+                    responded_at,
+                    token: p.token,
+                });
+            }
+            // The gate: an invocation joins in-flight ones only if it and
+            // they are updates. A query is only ever admitted alone, so
+            // the newest pending invocation speaks for all of them.
+            while let Some((_, head)) = self.admission.front() {
+                let shut = |last: &Inflight<T>| !(head.is_update && last.is_update);
+                if self.pending.back().is_some_and(shut) {
+                    break;
+                }
+                let (mop, inflight) = self.admission.pop_front().expect("head exists");
+                progress = true;
+                self.metrics.queue_residency_ns += clock()
+                    .as_nanos()
+                    .saturating_sub(inflight.invoked_at.as_nanos());
+                self.pending.push_back(inflight);
+                self.replica.invoke(mop, &mut self.out);
+            }
+            if !progress {
+                break;
+            }
+        }
+        for (to, m) in self.out.drain() {
+            match &mut self.link {
+                Some(link) => link.send(to, m, clock().as_nanos(), &mut self.wire),
+                None => self.wire.push((to, LinkMsg::Data { seq: 0, payload: m })),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{MscOverSequencer, ProtocolMsg};
+    use moc_checker::conditions::{check, Condition, Strategy as CheckStrategy};
+    use moc_core::history::History;
+    use moc_core::ids::ObjectId;
+    use moc_core::program::{arg, reg, ProgramBuilder};
+    use moc_monitor::MonitorConfig;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const N: usize = 3;
+    /// One private object per process plus one everybody writes.
+    const OBJECTS: usize = N + 1;
+    const SHARED: u32 = N as u32;
+
+    type Msg = <MscOverSequencer as ReplicaProtocol>::Msg;
+
+    /// Writes `arg(0)` to the process's own object and to the shared one.
+    fn write_own(p: usize) -> Arc<Program> {
+        let mut b = ProgramBuilder::new("w");
+        b.write(ObjectId::new(p as u32), arg(0))
+            .write(ObjectId::new(SHARED), arg(0))
+            .ret(vec![]);
+        Arc::new(b.build().unwrap())
+    }
+
+    /// Reads the process's own object and the shared one.
+    fn read_own(p: usize) -> Arc<Program> {
+        let mut b = ProgramBuilder::new("r");
+        b.read(ObjectId::new(p as u32), 0)
+            .read(ObjectId::new(SHARED), 1)
+            .ret(vec![reg(0), reg(1)]);
+        Arc::new(b.build().unwrap())
+    }
+
+    /// Three hosts, each behind its link, wired back to back: every frame they emit sits
+    /// in `inflight` until a seeded shuffle picks it (the link restores
+    /// per-sender FIFO, which is what lets one process's updates be
+    /// stamped in program order), and the virtual clock advances one
+    /// tick per input. The token is the operation's index in its
+    /// process's script.
+    struct Loopback {
+        hosts: Vec<ReplicaHost<MscOverSequencer, usize>>,
+        inflight: Vec<(ProcessId, ProcessId, LinkMsg<Msg>)>,
+        rng: StdRng,
+        now: u64,
+        retired: Vec<Retired<usize>>,
+        feed: Vec<MonitorEvent>,
+    }
+
+    impl Loopback {
+        fn new(seed: u64, link: LinkConfig, monitored: bool) -> Self {
+            let setup = OrderingSetup::default();
+            Loopback {
+                hosts: (0..N)
+                    .map(|p| {
+                        let me = ProcessId::new(p as u32);
+                        ReplicaHost::new(me, N, OBJECTS, Some(link), &setup, monitored)
+                    })
+                    .collect(),
+                inflight: Vec::new(),
+                rng: StdRng::seed_from_u64(seed),
+                now: 0,
+                retired: Vec::new(),
+                feed: Vec::new(),
+            }
+        }
+
+        fn tick(&mut self) -> EventTime {
+            self.now += 1;
+            EventTime::from_nanos(self.now)
+        }
+
+        fn settle(&mut self, p: usize) {
+            let host = &mut self.hosts[p];
+            let now = EventTime::from_nanos(self.now);
+            host.settle(&|| now);
+            let from = host.me;
+            self.inflight
+                .extend(host.wire.drain(..).map(|(to, f)| (from, to, f)));
+            self.retired.append(&mut host.retired);
+            self.feed.append(&mut host.monitor_feed);
+        }
+
+        fn submit(&mut self, p: usize, program: Arc<Program>, args: Vec<Value>, token: usize) {
+            let now = self.tick();
+            self.hosts[p].submit(program, args, token, now);
+            self.settle(p);
+        }
+
+        /// Delivers one randomly chosen in-flight frame, if any.
+        fn deliver_one(&mut self) -> bool {
+            if self.inflight.is_empty() {
+                return false;
+            }
+            let i = self.rng.gen_range(0..self.inflight.len());
+            let (from, to, frame) = self.inflight.swap_remove(i);
+            let now = self.tick();
+            self.hosts[to.index()].on_wire(from, frame, now);
+            self.settle(to.index());
+            true
+        }
+    }
+
+    /// One scripted m-operation: an update writing `value`, or a query.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Op {
+        Write(i64),
+        Read,
+    }
+
+    /// Per-process scripts; the k-th write of a process writes `k`, so a
+    /// later read of its own object names the write it observed.
+    fn scripts(seed: u64, ops: usize, update_pct: u32) -> Vec<Vec<Op>> {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        (0..N)
+            .map(|_| {
+                let mut writes = 0;
+                (0..ops)
+                    .map(|_| {
+                        if rng.gen_range(0..100) < update_pct {
+                            writes += 1;
+                            Op::Write(writes)
+                        } else {
+                            Op::Read
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Closed-loop clients keeping up to `window` m-operations in flight,
+    /// interleaved with deliveries by the seeded shuffle. Returns the
+    /// retirements in retirement order, the true submit times by
+    /// `(process, token)`, and each host's counters.
+    fn run_windowed(
+        seed: u64,
+        window: usize,
+        scripts: &[Vec<Op>],
+    ) -> (Vec<Retired<usize>>, Vec<Vec<u64>>, Vec<PipelineMetrics>) {
+        let mut net = Loopback::new(seed, LinkConfig::default(), false);
+        let mut next = [0usize; N];
+        let mut submitted_at: Vec<Vec<u64>> = vec![Vec::new(); N];
+        loop {
+            let ready: Vec<usize> = (0..N)
+                .filter(|&p| next[p] < scripts[p].len() && net.hosts[p].in_flight() < window)
+                .collect();
+            if !ready.is_empty() && (net.inflight.is_empty() || net.rng.gen_bool(0.4)) {
+                let p = ready[net.rng.gen_range(0..ready.len())];
+                let (program, args) = match scripts[p][next[p]] {
+                    Op::Write(v) => (write_own(p), vec![v]),
+                    Op::Read => (read_own(p), vec![]),
+                };
+                net.submit(p, program, args, next[p]);
+                submitted_at[p].push(net.now);
+                next[p] += 1;
+            } else if !net.deliver_one() {
+                break;
+            }
+        }
+        let metrics = net.hosts.iter().map(|h| h.metrics()).collect();
+        (net.retired, submitted_at, metrics)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn gate_keeps_pipelined_processes_sequential_and_consistent(
+            seed in any::<u64>(),
+            window in 1usize..=16,
+            ops in 1usize..=12,
+            update_pct in 0u32..=100,
+        ) {
+            let scripts = scripts(seed, ops, update_pct);
+            let (retired, submitted_at, metrics) = run_windowed(seed, window, &scripts);
+            prop_assert_eq!(retired.len(), N * ops, "every invocation retired");
+            for (p, script) in scripts.iter().enumerate() {
+                let mine: Vec<&Retired<usize>> = retired
+                    .iter()
+                    .filter(|r| r.record.id.process.index() == p)
+                    .collect();
+                let mut last_write = 0;
+                for (k, r) in mine.iter().enumerate() {
+                    // FIFO: the k-th retirement is the k-th invocation.
+                    prop_assert_eq!(r.token, k);
+                    prop_assert_eq!(r.record.id.seq as usize, k);
+                    // Replies carry the true times ...
+                    prop_assert_eq!(r.invoked_at.as_nanos(), submitted_at[p][k]);
+                    prop_assert!(r.invoked_at <= r.responded_at);
+                    // ... records are sequential per process.
+                    prop_assert!(r.record.invoked_at <= r.record.responded_at);
+                    if k > 0 {
+                        prop_assert!(mine[k - 1].record.responded_at <= r.record.invoked_at);
+                    }
+                    // The gate, by value: a query sees the process's own
+                    // latest write, however many were in flight before it.
+                    match script[k] {
+                        Op::Write(v) => last_write = v,
+                        Op::Read => prop_assert_eq!(r.record.outputs[0], last_write),
+                    }
+                }
+                prop_assert!(metrics[p].peak_depth <= window as u64);
+                prop_assert_eq!(metrics[p].retired, ops as u64);
+                prop_assert_eq!(metrics[p].orphan_completions, 0);
+            }
+            let records: Vec<MOpRecord> = retired.into_iter().map(|r| r.record).collect();
+            let (again, _, _) = run_windowed(seed, window, &scripts);
+            let replay: Vec<MOpRecord> = again.into_iter().map(|r| r.record).collect();
+            prop_assert_eq!(&records, &replay, "same seed, same records");
+            let history = History::new(OBJECTS, records).expect("structurally valid");
+            let verdict = check(
+                &history,
+                Condition::MSequentialConsistency,
+                CheckStrategy::Auto,
+            )
+            .unwrap();
+            prop_assert!(verdict.satisfied, "{:?}", verdict.reason);
+        }
+    }
+
+    /// Negative control for the gate: hand a query straight to the
+    /// replica while one of the process's own updates is still in flight
+    /// and the local copy answers with the overwritten value. The
+    /// recorded history — write, then a read that misses it — is refuted.
+    #[test]
+    fn bypassing_the_gate_is_refuted_by_the_checker() {
+        let run = |bypass: bool| {
+            let mut net = Loopback::new(7, LinkConfig::default(), false);
+            net.submit(1, write_own(1), vec![9], 0);
+            if bypass {
+                let now = net.tick();
+                let host = &mut net.hosts[1];
+                let mop = MOperation::new(MOpId::new(host.me, host.next_seq), read_own(1), vec![]);
+                host.next_seq += 1;
+                host.pending.push_back(Inflight {
+                    id: mop.id,
+                    is_update: false,
+                    invoked_at: now,
+                    token: 1,
+                });
+                host.replica.invoke(mop, &mut host.out);
+                net.settle(1);
+            } else {
+                net.submit(1, read_own(1), vec![], 1);
+            }
+            while net.deliver_one() {}
+            let records: Vec<MOpRecord> = net.retired.into_iter().map(|r| r.record).collect();
+            assert_eq!(records.len(), 2);
+            let read_value = records[1].outputs[0];
+            let history = History::new(OBJECTS, records).expect("structurally valid");
+            let verdict = check(
+                &history,
+                Condition::MSequentialConsistency,
+                CheckStrategy::Auto,
+            )
+            .unwrap();
+            (read_value, verdict.satisfied)
+        };
+        assert_eq!(run(false), (9, true), "gated: the query waits and sees 9");
+        assert_eq!(run(true), (0, false), "ungated: stale read, refuted");
+    }
+
+    /// A submit frame duplicated past a (missing) link is stamped and
+    /// applied twice: the first completion retires normally, the second
+    /// is an orphan — tallied, fed to the sentinel, never recorded.
+    #[test]
+    fn double_applied_update_is_tallied_as_an_orphan_and_latches_the_sentinel() {
+        let run = |monitored: bool| {
+            let mut net = Loopback::new(3, LinkConfig::sabotaged(), monitored);
+            net.submit(1, write_own(1), vec![5], 0);
+            assert!(matches!(
+                net.inflight[..],
+                [(
+                    _,
+                    _,
+                    LinkMsg::Data {
+                        payload: ProtocolMsg::Abcast(_),
+                        ..
+                    }
+                )]
+            ));
+            net.inflight.push(net.inflight[0].clone());
+            while net.deliver_one() {}
+            assert_eq!(net.retired.len(), 1, "the first completion retires");
+            let metrics = net.hosts[1].metrics();
+            assert_eq!((metrics.retired, metrics.orphan_completions), (1, 1));
+            assert_eq!(net.hosts[1].in_flight(), 0);
+            net.feed
+        };
+        assert!(run(false).is_empty(), "unmonitored hosts queue nothing");
+
+        let feed = run(true);
+        let completions = feed
+            .iter()
+            .filter(|ev| matches!(ev, MonitorEvent::Complete(..)))
+            .count();
+        assert_eq!(completions, 2, "the stream carries the orphan too");
+        let mut sentinel = OnlineMonitor::new(
+            OBJECTS,
+            MonitorConfig::new(Condition::MSequentialConsistency),
+        );
+        for ev in feed {
+            ev.apply(&mut sentinel);
+        }
+        let violation = sentinel.violation().expect("duplicate completion latched");
+        assert_eq!(violation.culprit, Some(ProcessId::new(1)));
+    }
+}

@@ -22,11 +22,14 @@
 //! ([`store::ReplicaStore`]) together with the per-object version vector
 //! `ts` the correctness proofs revolve around (P 5.3–P 5.8).
 //!
-//! [`harness`] hosts any of these replicas on the deterministic simulator,
-//! co-locating a scripted client with each replica, and emits a validated
-//! [`moc_core::History`] plus latency and message metrics — the raw
-//! material for the Theorem 15/20 validation tests and the benchmark
-//! suite.
+//! [`host`] is the one piece of code that hosts any of these replicas:
+//! it stamps invocation and response events, gates and retires the
+//! process's m-operations and builds the history records. [`harness`] and
+//! [`chaos`] drive it on the deterministic simulator (fair-weather and
+//! fault-injecting), co-locating a scripted client with each replica, and
+//! emit a validated [`moc_core::History`] plus latency and message
+//! metrics — the raw material for the Theorem 15/20 validation tests and
+//! the benchmark suite; `moc-runtime` drives it on OS threads.
 
 use std::fmt;
 use std::sync::Arc;
@@ -41,6 +44,7 @@ use moc_core::vv::VersionVector;
 pub mod aggregate;
 pub mod chaos;
 pub mod harness;
+pub mod host;
 pub mod mlin;
 pub mod msc;
 pub mod store;
