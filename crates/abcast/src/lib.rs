@@ -172,6 +172,109 @@ impl BatchStats {
     }
 }
 
+/// What a stamping endpoint must put on the wire after a [`GroupCommit`]
+/// step.
+#[derive(Debug)]
+pub(crate) enum Fanout<P> {
+    /// Nothing: the payload joined the pending run, or no run expired.
+    Hold,
+    /// Batching is off: this stamp and payload alone, as a plain `Ordered`
+    /// message.
+    One(u64, P),
+    /// A run of consecutively stamped payloads — `run[i]` carries stamp
+    /// `first + i` — as one `OrderedBatch` frame.
+    Run(u64, Vec<P>),
+}
+
+/// The group-commit state of one stamping endpoint: the stamped-but-
+/// unflushed run, its flush deadline and the [`BatchStats`].
+///
+/// The state machines never read time themselves, so the window is armed
+/// on the first tick after a partial run appeared: [`Self::next_deadline`]
+/// asks the host for an immediate tick until then.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupCommit<P> {
+    cfg: BatchConfig,
+    /// `run[i]` carries stamp `first + i` (consecutive by construction).
+    run: Vec<P>,
+    first: u64,
+    /// Absolute flush time for the current partial run, once armed.
+    deadline: Option<u64>,
+    stats: BatchStats,
+}
+
+impl<P> GroupCommit<P> {
+    /// Batching off, nothing pending.
+    pub(crate) fn new() -> Self {
+        GroupCommit {
+            cfg: BatchConfig::default(),
+            run: Vec::new(),
+            first: 0,
+            deadline: None,
+            stats: BatchStats::default(),
+        }
+    }
+
+    /// Installs the batching configuration; call before any traffic.
+    pub(crate) fn configure(&mut self, cfg: BatchConfig) {
+        self.cfg = cfg;
+    }
+
+    pub(crate) fn stats(&self) -> BatchStats {
+        self.stats
+    }
+
+    /// Takes a freshly stamped payload. The stamp is already fixed, so
+    /// whenever the run flushes the agreed order is unaffected.
+    pub(crate) fn push(&mut self, stamp: u64, payload: P) -> Fanout<P> {
+        self.stats.items_stamped += 1;
+        if !self.cfg.enabled() {
+            self.stats.batches_flushed += 1;
+            return Fanout::One(stamp, payload);
+        }
+        if self.run.is_empty() {
+            self.first = stamp;
+        }
+        self.run.push(payload);
+        if self.run.len() >= self.cfg.max_batch {
+            self.flush()
+        } else {
+            Fanout::Hold
+        }
+    }
+
+    fn flush(&mut self) -> Fanout<P> {
+        self.deadline = None;
+        self.stats.batches_flushed += 1;
+        Fanout::Run(self.first, std::mem::take(&mut self.run))
+    }
+
+    /// When the pending run wants a tick, given the last time observed.
+    pub(crate) fn next_deadline(&self, now: u64) -> Option<u64> {
+        (!self.run.is_empty()).then(|| self.deadline.unwrap_or_else(|| now.saturating_add(1)))
+    }
+
+    /// Arms the window of a new partial run, or flushes an expired one.
+    pub(crate) fn on_tick(&mut self, now: u64) -> Fanout<P> {
+        if self.run.is_empty() {
+            return Fanout::Hold;
+        }
+        let window_end = now.saturating_add(self.cfg.max_delay_ns);
+        if now >= *self.deadline.get_or_insert(window_end) {
+            self.flush()
+        } else {
+            Fanout::Hold
+        }
+    }
+
+    /// Drops the pending run (restart, view change): stamped-but-unflushed
+    /// items die like in-flight wire frames would have.
+    pub(crate) fn clear(&mut self) {
+        self.run.clear();
+        self.deadline = None;
+    }
+}
+
 /// One delivered broadcast item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery<T> {

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use moc_core::ids::ProcessId;
 
-use crate::{Abcast, BatchConfig, BatchStats, Delivery, Outbox};
+use crate::{Abcast, BatchConfig, BatchStats, Delivery, Fanout, GroupCommit, Outbox};
 
 /// Wire messages of the sequencer protocol.
 #[derive(Debug, Clone)]
@@ -64,19 +64,11 @@ pub struct SequencerAbcast<T> {
     /// counter is volatile, so a restarted sequencer must stop stamping
     /// (see [`Abcast::on_restart`]) instead of silently forking the order.
     halted: bool,
-    /// Group-commit configuration (meaningful only at the sequencer).
-    batch: BatchConfig,
-    /// Stamped-but-unflushed items; `pending[i]` carries stamp
-    /// `pending_first + i` (stamps are consecutive by construction).
-    pending: Vec<(ProcessId, T)>,
-    /// Stamp of `pending[0]`.
-    pending_first: u64,
-    /// Absolute flush time for the current partial batch, once armed.
-    batch_deadline: Option<u64>,
+    /// Group commit of stamped `(origin, item)` pairs (meaningful only at
+    /// the sequencer).
+    group: GroupCommit<(ProcessId, T)>,
     /// Last time observed via `on_tick` (drives deadline arming).
     now: u64,
-    /// Stamping-side batching counters.
-    stats: BatchStats,
     /// Stamps assigned since the last [`SequencerAbcast::take_newly_stamped`]
     /// call. Lets a wrapping layer observe stamp *assignment* (which
     /// happens at submission arrival) independently of fan-out (which
@@ -132,21 +124,20 @@ impl<T> SequencerAbcast<T> {
         }
     }
 
-    /// Fans the pending stamped run out as one `OrderedBatch` frame.
-    fn flush_batch(&mut self, out: &mut Outbox<SequencerMsg<T>>)
+    /// Puts a group-commit outcome on the wire: one frame per process.
+    fn fan_out(fanout: Fanout<(ProcessId, T)>, out: &mut Outbox<SequencerMsg<T>>)
     where
         T: Clone,
     {
-        if self.pending.is_empty() {
-            return;
+        match fanout {
+            Fanout::Hold => {}
+            Fanout::One(seq, (origin, item)) => {
+                out.send_all(SequencerMsg::Ordered { seq, origin, item })
+            }
+            Fanout::Run(first_seq, items) => {
+                out.send_all(SequencerMsg::OrderedBatch { first_seq, items })
+            }
         }
-        let items = std::mem::take(&mut self.pending);
-        self.batch_deadline = None;
-        self.stats.batches_flushed += 1;
-        out.send_all(SequencerMsg::OrderedBatch {
-            first_seq: self.pending_first,
-            items,
-        });
     }
 }
 
@@ -163,12 +154,8 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
             delivered: Vec::new(),
             delivered_count: 0,
             halted: false,
-            batch: BatchConfig::default(),
-            pending: Vec::new(),
-            pending_first: 0,
-            batch_deadline: None,
+            group: GroupCommit::new(),
             now: 0,
-            stats: BatchStats::default(),
             newly_stamped: Vec::new(),
         }
     }
@@ -198,24 +185,8 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
                 }
                 let seq = self.next_to_assign;
                 self.next_to_assign += 1;
-                self.stats.items_stamped += 1;
                 self.newly_stamped.push(seq);
-                if self.batch.enabled() {
-                    // Stamp now, ship later: the item joins the pending
-                    // group-commit run (its stamp is fixed regardless of
-                    // when the run flushes, so the agreed order is
-                    // unaffected by batching).
-                    if self.pending.is_empty() {
-                        self.pending_first = seq;
-                    }
-                    self.pending.push((origin, item));
-                    if self.pending.len() >= self.batch.max_batch {
-                        self.flush_batch(out);
-                    }
-                } else {
-                    self.stats.batches_flushed += 1;
-                    out.send_all(SequencerMsg::Ordered { seq, origin, item });
-                }
+                Self::fan_out(self.group.push(seq, (origin, item)), out);
             }
             SequencerMsg::Ordered { seq, origin, item } => {
                 // A stamp below the delivery frontier is a duplicate of an
@@ -249,36 +220,12 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
     }
 
     fn next_deadline(&self) -> Option<u64> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            // A pending partial batch either has a flush deadline armed,
-            // or wants an immediate tick so one can be armed against the
-            // host's clock (the state machine never reads time itself).
-            Some(
-                self.batch_deadline
-                    .unwrap_or_else(|| self.now.saturating_add(1)),
-            )
-        }
+        self.group.next_deadline(self.now)
     }
 
     fn on_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
         self.now = self.now.max(now_ns);
-        if self.pending.is_empty() {
-            return;
-        }
-        match self.batch_deadline {
-            None => {
-                let d = self.now.saturating_add(self.batch.max_delay_ns);
-                if d <= self.now {
-                    self.flush_batch(out);
-                } else {
-                    self.batch_deadline = Some(d);
-                }
-            }
-            Some(d) if self.now >= d => self.flush_batch(out),
-            Some(_) => {}
-        }
+        Self::fan_out(self.group.on_tick(self.now), out);
     }
 
     fn set_batching(&mut self, cfg: BatchConfig) {
@@ -286,11 +233,11 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
             self.next_to_assign == 0 && self.delivered_count == 0,
             "batching must be configured before any traffic"
         );
-        self.batch = cfg;
+        self.group.configure(cfg);
     }
 
     fn batch_stats(&self) -> BatchStats {
-        self.stats
+        self.group.stats()
     }
 
     fn on_restart(&mut self, _now_ns: u64, _out: &mut Outbox<Self::Msg>) {
@@ -301,10 +248,7 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
         // already stamped; new submissions go unanswered — detectably.
         if self.is_sequencer() {
             self.halted = true;
-            // Stamped-but-unflushed items died with the crash, exactly
-            // like in-flight wire frames would have.
-            self.pending.clear();
-            self.batch_deadline = None;
+            self.group.clear();
         }
     }
 

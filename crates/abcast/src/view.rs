@@ -52,7 +52,7 @@ use std::fmt;
 
 use moc_core::ids::ProcessId;
 
-use crate::{Abcast, BatchConfig, BatchStats, Delivery, Outbox};
+use crate::{Abcast, BatchConfig, BatchStats, Delivery, Fanout, GroupCommit, Outbox};
 
 /// Failover-timing knobs (virtual or real nanoseconds — the protocol
 /// only compares them against the host-provided clock).
@@ -236,17 +236,9 @@ pub struct ViewAbcast<T> {
     backoff_exp: u32,
     watermark: (u64, u64, usize, u64),
     transcript: Vec<String>,
-    /// Group-commit configuration (meaningful only while leading).
-    batch: BatchConfig,
-    /// Stamped-but-unfanned slot run; `fan_pending[i]` binds slot
-    /// `fan_first + i` in the current view (consecutive by construction).
-    fan_pending: Vec<SlotPayload<T>>,
-    /// Slot bound by `fan_pending[0]`.
-    fan_first: u64,
-    /// Absolute flush time for the current partial batch, once armed.
-    batch_deadline: Option<u64>,
-    /// Stamping-side batching counters.
-    batch_stats: BatchStats,
+    /// Group commit of the slot bindings stamped in the current view
+    /// (meaningful only while leading).
+    group: GroupCommit<SlotPayload<T>>,
 }
 
 impl<T: Clone + fmt::Debug> ViewAbcast<T> {
@@ -373,56 +365,29 @@ impl<T: Clone + fmt::Debug> ViewAbcast<T> {
                 payload: payload.clone(),
             },
         );
-        self.batch_stats.items_stamped += 1;
-        if self.batch.enabled() {
-            // Slot assigned now, fan-out deferred: the binding joins the
-            // pending group-commit run. The agreed order is fixed by the
-            // slot number, so batching cannot reorder anything.
-            if self.fan_pending.is_empty() {
-                self.fan_first = slot;
-            }
-            self.fan_pending.push(payload);
-            if self.fan_pending.len() >= self.batch.max_batch {
-                self.flush_fan(out);
-            }
-        } else {
-            self.batch_stats.batches_flushed += 1;
-            for p in 0..self.n {
-                if p != self.me.index() {
-                    out.send(
-                        ProcessId::new(p as u32),
-                        ViewMsg::Ordered {
-                            view: self.view,
-                            slot,
-                            payload: payload.clone(),
-                        },
-                    );
-                }
-            }
-        }
+        let fanout = self.group.push(slot, payload);
+        self.fan_out(fanout, out);
         self.pump(out);
     }
 
-    /// Fans the pending stamped slot run out as one `OrderedBatch` frame
-    /// per follower.
-    fn flush_fan(&mut self, out: &mut Outbox<ViewMsg<T>>) {
-        if self.fan_pending.is_empty() {
-            return;
-        }
-        let payloads = std::mem::take(&mut self.fan_pending);
-        self.batch_deadline = None;
-        self.batch_stats.batches_flushed += 1;
-        for p in 0..self.n {
-            if p != self.me.index() {
-                out.send(
-                    ProcessId::new(p as u32),
-                    ViewMsg::OrderedBatch {
-                        view: self.view,
-                        first_slot: self.fan_first,
-                        payloads: payloads.clone(),
-                    },
-                );
-            }
+    /// Puts a group-commit outcome on the wire: one frame per follower.
+    fn fan_out(&self, fanout: Fanout<SlotPayload<T>>, out: &mut Outbox<ViewMsg<T>>) {
+        let view = self.view;
+        let msg = match fanout {
+            Fanout::Hold => return,
+            Fanout::One(slot, payload) => ViewMsg::Ordered {
+                view,
+                slot,
+                payload,
+            },
+            Fanout::Run(first_slot, payloads) => ViewMsg::OrderedBatch {
+                view,
+                first_slot,
+                payloads,
+            },
+        };
+        for p in (0..self.n).filter(|&p| p != self.me.index()) {
+            out.send(ProcessId::new(p as u32), msg.clone());
         }
     }
 
@@ -431,8 +396,7 @@ impl<T: Clone + fmt::Debug> ViewAbcast<T> {
     /// if the transition loses them anyway they were unacked — thus
     /// undelivered anywhere — and their origins re-propose them.
     fn drop_fan(&mut self) {
-        self.fan_pending.clear();
-        self.batch_deadline = None;
+        self.group.clear();
     }
 
     /// Builds this process's view-change report for `target`.
@@ -702,11 +666,7 @@ impl<T: Clone + fmt::Debug> Abcast<T> for ViewAbcast<T> {
             backoff_exp: 0,
             watermark: (0, 0, 0, 0),
             transcript: Vec::new(),
-            batch: BatchConfig::default(),
-            fan_pending: Vec::new(),
-            fan_first: 0,
-            batch_deadline: None,
-            batch_stats: BatchStats::default(),
+            group: GroupCommit::new(),
         }
     }
 
@@ -846,15 +806,7 @@ impl<T: Clone + fmt::Debug> Abcast<T> for ViewAbcast<T> {
         } else {
             None
         };
-        let flush = if self.fan_pending.is_empty() {
-            None
-        } else {
-            Some(
-                self.batch_deadline
-                    .unwrap_or_else(|| self.now.saturating_add(1)),
-            )
-        };
-        match (suspicion, flush) {
+        match (suspicion, self.group.next_deadline(self.now)) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -864,20 +816,8 @@ impl<T: Clone + fmt::Debug> Abcast<T> for ViewAbcast<T> {
         self.now = self.now.max(now_ns);
         // Group-commit window first: arm it on the first tick after a
         // partial batch appeared, flush it once it expires.
-        if !self.fan_pending.is_empty() {
-            match self.batch_deadline {
-                None => {
-                    let d = self.now.saturating_add(self.batch.max_delay_ns);
-                    if d <= self.now {
-                        self.flush_fan(out);
-                    } else {
-                        self.batch_deadline = Some(d);
-                    }
-                }
-                Some(d) if self.now >= d => self.flush_fan(out),
-                Some(_) => {}
-            }
-        }
+        let fanout = self.group.on_tick(self.now);
+        self.fan_out(fanout, out);
         if !self.business_pending() {
             self.deadline = None;
             return;
@@ -927,11 +867,11 @@ impl<T: Clone + fmt::Debug> Abcast<T> for ViewAbcast<T> {
             self.next_slot == 0 && self.delivered_count == 0 && self.next_oseq == 0,
             "batching must be configured before any traffic"
         );
-        self.batch = cfg;
+        self.group.configure(cfg);
     }
 
     fn batch_stats(&self) -> BatchStats {
-        self.batch_stats
+        self.group.stats()
     }
 
     fn set_failover_timeouts(&mut self, base_ns: u64, max_ns: u64) {

@@ -1951,6 +1951,43 @@ mod tests {
         assert!(res.unwrap().contains("fingerprint"));
     }
 
+    /// Ids that do not fit `u32` are a parse error with the reject exit
+    /// code: an `as u32` read would wrap 4294967296 to object 0 and audit
+    /// the doctored document as if it were the honest one.
+    #[test]
+    fn audit_rejects_ids_outside_u32() {
+        fn emit(cmd: &str) -> String {
+            let (out, code) = dispatch_with_status(
+                &sv(&[cmd, "--workload", "shardable", "--certificate", "-"]),
+                "",
+            );
+            assert_eq!(code, 0, "{out:?}");
+            let out = out.unwrap();
+            out.lines().rfind(|l| l.starts_with('{')).unwrap().into()
+        }
+        fn audit(cert: &str) -> (String, i32) {
+            let (res, code) =
+                dispatch_with_status(&sv(&["audit", "-", "--programs", "shardable"]), cert);
+            (res.unwrap_or_else(|e| e), code)
+        }
+        let cases = [
+            ("shard", "\"shards\":[[0,", "\"shards\":[[4294967296,"),
+            ("commute", "\"cols\":[3,", "\"cols\":[4294967299,"),
+            ("commute", "\"reads\":[0,1]", "\"reads\":[4294967296,1]"),
+        ];
+        for (cmd, honest, wrapped) in cases {
+            let cert = emit(cmd);
+            let (out, code) = audit(&cert);
+            assert_eq!(code, 0, "honest {cmd} certificate: {out}");
+            assert!(out.contains("certificate VALID"), "{out}");
+
+            assert!(cert.contains(honest), "{cmd}: {cert}");
+            let (out, code) = audit(&cert.replacen(honest, wrapped, 1));
+            assert_eq!(code, 1, "{wrapped}: {out}");
+            assert!(out.contains("REJECTED") && out.contains("u32"), "{out}");
+        }
+    }
+
     #[test]
     fn commute_progress_gate_splits_the_workloads() {
         // Disjoint programs commute freely: the gate passes.

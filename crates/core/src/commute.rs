@@ -26,7 +26,7 @@ use std::fmt;
 
 use crate::ids::ObjectId;
 use crate::json::{self, Json};
-use crate::shard::ShardPlan;
+use crate::shard::{objects_json, parse_objects, parse_u32s, ShardPlan};
 
 /// Version tag of the commute-certificate JSON schema.
 pub const COMMUTE_CERT_FORMAT: &str = "moc-commute-cert";
@@ -275,36 +275,6 @@ pub struct CommuteCert {
     pub matrix: CommuteMatrix,
     /// Semantic side conditions (must equal [`COMMUTE_SIDE_CONDITIONS`]).
     pub side_conditions: Vec<String>,
-}
-
-fn objects_json(objs: &[ObjectId]) -> Json {
-    Json::Arr(objs.iter().map(|o| json::num(o.as_u32())).collect())
-}
-
-fn parse_objects(v: &Json, what: &str) -> Result<Vec<ObjectId>, String> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("{what}: expected array"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_u64()
-                .map(|n| ObjectId::new(n as u32))
-                .ok_or_else(|| format!("{what}: expected object id"))
-        })
-        .collect()
-}
-
-fn parse_u32s(v: &Json, what: &str) -> Result<Vec<u32>, String> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("{what}: expected array"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_u64()
-                .map(|n| n as u32)
-                .ok_or_else(|| format!("{what}: expected uint"))
-        })
-        .collect()
 }
 
 impl CommuteCert {

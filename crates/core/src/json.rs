@@ -73,6 +73,13 @@ impl Json {
         self.as_i64().and_then(|v| u64::try_from(v).ok())
     }
 
+    /// The value as a `u32`, if it is an integral number in `u32`'s range —
+    /// the checked read for object, shard and program ids, which a
+    /// silently wrapping `as u32` would let a hostile document alias.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_i64().and_then(|v| u32::try_from(v).ok())
+    }
+
     /// The value as a `usize`, if it is a non-negative integral number.
     pub fn as_usize(&self) -> Option<usize> {
         self.as_i64().and_then(|v| usize::try_from(v).ok())
@@ -412,6 +419,9 @@ mod tests {
         assert_eq!(parse("-7").unwrap().as_u64(), None);
         assert_eq!(parse("-7").unwrap().as_i64(), Some(-7));
         assert_eq!(parse("2.5").unwrap().as_i64(), None);
+        assert_eq!(parse("4294967295").unwrap().as_u32(), Some(u32::MAX));
+        assert_eq!(parse("4294967296").unwrap().as_u32(), None);
+        assert_eq!(parse("-1").unwrap().as_u32(), None);
     }
 
     #[test]

@@ -406,21 +406,28 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn objects_json(objs: &[ObjectId]) -> Json {
+pub(crate) fn objects_json(objs: &[ObjectId]) -> Json {
     Json::Arr(objs.iter().map(|o| json::num(o.as_u32())).collect())
 }
 
-fn parse_objects(v: &Json, what: &str) -> Result<Vec<ObjectId>, String> {
+/// Parses an array of ids; anything outside `u32` is an error, not a wrap.
+pub(crate) fn parse_u32s(v: &Json, what: &str) -> Result<Vec<u32>, String> {
     let arr = v
         .as_arr()
         .ok_or_else(|| format!("{what}: expected array"))?;
     arr.iter()
         .map(|x| {
-            x.as_u64()
-                .map(|n| ObjectId::new(n as u32))
-                .ok_or_else(|| format!("{what}: expected object id"))
+            x.as_u32()
+                .ok_or_else(|| format!("{what}: expected uint in u32 range"))
         })
         .collect()
+}
+
+pub(crate) fn parse_objects(v: &Json, what: &str) -> Result<Vec<ObjectId>, String> {
+    Ok(parse_u32s(v, what)?
+        .into_iter()
+        .map(ObjectId::new)
+        .collect())
 }
 
 impl ShardCert {
@@ -527,7 +534,7 @@ impl ShardCert {
                 };
                 let shard = match get("shard")? {
                     Json::Null => None,
-                    v => Some(v.as_u64().ok_or("shard: expected uint or null")? as u32),
+                    v => Some(v.as_u32().ok_or("shard: expected u32 or null")?),
                 };
                 Ok(ShardProgramEntry {
                     name: get("name")?
@@ -539,16 +546,7 @@ impl ShardCert {
                     reads: parse_objects(get("reads")?, "reads")?,
                     writes: parse_objects(get("writes")?, "writes")?,
                     shard,
-                    spans: get("spans")?
-                        .as_arr()
-                        .ok_or("spans: expected array")?
-                        .iter()
-                        .map(|s| {
-                            s.as_u64()
-                                .map(|v| v as u32)
-                                .ok_or_else(|| "spans: expected uint".to_string())
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
+                    spans: parse_u32s(get("spans")?, "spans")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -565,9 +563,7 @@ impl ShardCert {
                     a: get("a")?.as_usize().ok_or("edge a: expected uint")?,
                     b: get("b")?.as_usize().ok_or("edge b: expected uint")?,
                     object: ObjectId::new(
-                        get("object")?
-                            .as_u64()
-                            .ok_or("edge object: expected uint")? as u32,
+                        get("object")?.as_u32().ok_or("edge object: expected u32")?,
                     ),
                     kind: ShardEdgeKind::from_tag(
                         get("kind")?.as_str().ok_or("edge kind: expected string")?,

@@ -1,18 +1,20 @@
 //! # moc-protocol
 //!
-//! The consistency protocols of Mittal & Garg (1998), Section 5, as pure
-//! state machines over an [`moc_abcast::Abcast`] substrate:
+//! The consistency protocols of Mittal & Garg (1998), Section 5, as one
+//! pure state machine — [`replica::Replica`] — over an
+//! [`moc_abcast::Abcast`] substrate. Update m-operations are atomically
+//! broadcast and applied at delivery (actions A1/A2); what a query does is
+//! the compile-time choice that tells the figures apart:
 //!
-//! * [`MscReplica`] — Figure 4: m-sequential consistency. Update
-//!   m-operations are atomically broadcast and applied at delivery; query
+//! * [`MscReplica`] — Figure 4: m-sequential consistency. Query
 //!   m-operations read the local copy immediately. Theorem 15: every
 //!   execution is m-sequentially consistent.
 //! * [`MlinReplica`] — Figure 6: m-linearizability in a fully
 //!   *asynchronous* system (no clock synchrony, no delay bound — the
-//!   improvement over Attiya–Welch the paper emphasizes). Updates as in
-//!   Figure 4; a query asks every process for its copy and timestamp,
-//!   keeps the maximal-timestamp snapshot, and reads from it once all `n`
-//!   responses arrived. Theorem 20: every execution is m-linearizable.
+//!   improvement over Attiya–Welch the paper emphasizes). A query asks
+//!   every process for its copy and timestamp, keeps the
+//!   maximal-timestamp snapshot, and reads from it once all `n` responses
+//!   arrived. Theorem 20: every execution is m-linearizable.
 //! * [`AggregateReplica`] — the baseline the introduction argues against:
 //!   model multi-methods by one aggregate object, i.e. route *every*
 //!   m-operation (queries included) through atomic broadcast. Correct but
@@ -41,19 +43,15 @@ use moc_core::program::Program;
 use moc_core::value::{Value, Versioned};
 use moc_core::vv::VersionVector;
 
-pub mod aggregate;
 pub mod chaos;
 pub mod harness;
 pub mod host;
-pub mod mlin;
-pub mod msc;
+pub mod replica;
 pub mod store;
 
-pub use aggregate::AggregateReplica;
 pub use chaos::{run_chaos_cluster, ChaosAnomalies, ChaosConfig, ChaosRunReport};
 pub use harness::{run_cluster, ClientScript, ClusterConfig, OpSpec, RunReport};
-pub use mlin::{MlinReplica, QueryScope};
-pub use msc::MscReplica;
+pub use replica::{AggregateReplica, MlinRelevant, MlinReplica, MscReplica, QueryScope};
 pub use store::{ExecRecord, ReplicaStore};
 
 use moc_abcast::Outbox;
@@ -359,7 +357,7 @@ pub type MlinOverSequencer = MlinReplica<moc_abcast::SequencerAbcast<MOperation>
 pub type MlinOverIsis = MlinReplica<moc_abcast::IsisAbcast<MOperation>>;
 /// Convenience alias: Figure 6 over the sequencer with the relevant-objects
 /// query optimization enabled.
-pub type MlinRelevantOverSequencer = mlin::MlinRelevant<moc_abcast::SequencerAbcast<MOperation>>;
+pub type MlinRelevantOverSequencer = MlinRelevant<moc_abcast::SequencerAbcast<MOperation>>;
 /// Convenience alias: the aggregate-object baseline over the sequencer.
 pub type AggregateOverSequencer = AggregateReplica<moc_abcast::SequencerAbcast<MOperation>>;
 /// Convenience alias: the aggregate baseline over the conflict-sharded
