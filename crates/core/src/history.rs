@@ -9,6 +9,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -38,26 +39,41 @@ impl fmt::Display for MOpIdx {
     }
 }
 
-/// Cached per-record derived data.
-#[derive(Debug, Clone)]
-struct RecordMeta {
-    objects: BTreeSet<ObjectId>,
-    wobjects: BTreeSet<ObjectId>,
-    /// External reads resolved to history indices: `(object, writer)` where
-    /// `writer = None` denotes the imaginary initial m-operation.
-    read_sources: Vec<(ObjectId, Option<MOpIdx>)>,
+/// Where one record's rows start in the three flat per-record tables.
+/// Row `i + 1` ends record `i`, so the table has `len() + 1` rows.
+#[derive(Debug, Clone, Copy, Default)]
+struct Rows {
+    objects: usize,
+    wobjects: usize,
+    reads: usize,
 }
 
 /// A validated, well-formed execution history.
+///
+/// The derived data is held per history, not per record: `objects(α)`,
+/// `wobjects(α)` and the resolved external reads of all records lie end to
+/// end in three flat tables, and one table holds every process subhistory.
 #[derive(Debug, Clone)]
 pub struct History {
     num_objects: usize,
     records: Vec<MOpRecord>,
-    by_id: HashMap<MOpId, MOpIdx>,
-    meta: Vec<RecordMeta>,
+    rows: Vec<Rows>,
+    /// Per record, ascending and without repeats.
+    objects: Vec<ObjectId>,
+    /// Per record, ascending and without repeats.
+    wobjects: Vec<ObjectId>,
+    /// External reads resolved to history indices: `(object, writer)` where
+    /// `writer = None` denotes the imaginary initial m-operation.
+    read_sources: Vec<(ObjectId, Option<MOpIdx>)>,
     /// For each object, the m-operations that write it (final writes).
     writers: Vec<Vec<MOpIdx>>,
-    by_process: HashMap<ProcessId, Vec<MOpIdx>>,
+    /// Record indices grouped by process (ascending) and, within a
+    /// process, ascending by sequence number.
+    order: Vec<MOpIdx>,
+    /// `seqs[k]` is the sequence number of record `order[k]`.
+    seqs: Vec<u32>,
+    /// Each process and its run in `order`, ascending by process.
+    runs: Vec<(ProcessId, Range<usize>)>,
 }
 
 impl History {
@@ -69,15 +85,44 @@ impl History {
     /// object, ids collide, a process subhistory is not sequential, a
     /// response precedes its invocation, or a read's recorded writer does
     /// not exist / never writes the object read.
+    ///
+    /// Which of several defects is reported depends on the records alone:
+    /// the first record, in the order given, that repeats an earlier id,
+    /// responds before its invocation or touches an out-of-range object
+    /// (checked in that order); failing that, the overlapping pair of the
+    /// lowest process, then the lowest sequence number; failing that, the
+    /// first read, in record then program order, with a bad writer.
     pub fn new(num_objects: usize, records: Vec<MOpRecord>) -> Result<Self, CoreError> {
-        let mut by_id = HashMap::with_capacity(records.len());
+        let mut keys: Vec<(MOpId, usize)> = records
+            .iter()
+            .enumerate()
+            .map(|(i, rec)| (rec.id, i))
+            .collect();
+        keys.sort_unstable();
+        // Equal ids sort by index, so the later of a pair is the record
+        // that collides.
+        let first_duplicate = keys
+            .windows(2)
+            .filter(|pair| pair[0].0 == pair[1].0)
+            .map(|pair| pair[1].1)
+            .min();
+
+        let mut rows = Vec::with_capacity(records.len() + 1);
+        let mut next = Rows::default();
+        let mut objects = Vec::new();
+        let mut wobjects = Vec::new();
+        let mut writers = vec![Vec::new(); num_objects];
+        // The last record seen to touch each object; for writes, the tail of
+        // the object's writer list says the same.
+        let mut touched = vec![usize::MAX; num_objects];
         for (i, rec) in records.iter().enumerate() {
-            if by_id.insert(rec.id, MOpIdx(i)).is_some() {
+            if first_duplicate == Some(i) {
                 return Err(CoreError::DuplicateMOpId(rec.id));
             }
             if rec.responded_at < rec.invoked_at {
                 return Err(CoreError::ResponseBeforeInvocation(rec.id));
             }
+            rows.push(next);
             for op in &rec.ops {
                 if op.object.index() >= num_objects {
                     return Err(CoreError::ObjectOutOfRange {
@@ -85,48 +130,71 @@ impl History {
                         num_objects,
                     });
                 }
-            }
-        }
-
-        // Per-process sequentiality: order by per-process sequence number
-        // and require response-before-next-invocation.
-        let mut by_process: HashMap<ProcessId, Vec<MOpIdx>> = HashMap::new();
-        for (i, rec) in records.iter().enumerate() {
-            by_process.entry(rec.process()).or_default().push(MOpIdx(i));
-        }
-        for (process, idxs) in by_process.iter_mut() {
-            idxs.sort_by_key(|&MOpIdx(i)| records[i].id.seq);
-            for pair in idxs.windows(2) {
-                let (a, b) = (&records[pair[0].0], &records[pair[1].0]);
-                if b.invoked_at < a.responded_at {
-                    return Err(CoreError::OverlappingProcessOps {
-                        process: *process,
-                        earlier: a.id,
-                        later: b.id,
-                    });
+                if std::mem::replace(&mut touched[op.object.index()], i) != i {
+                    objects.push(op.object);
+                }
+                let writers = &mut writers[op.object.index()];
+                if op.is_write() && writers.last() != Some(&MOpIdx(i)) {
+                    writers.push(MOpIdx(i));
+                    wobjects.push(op.object);
                 }
             }
+            objects[next.objects..].sort_unstable();
+            wobjects[next.wobjects..].sort_unstable();
+            next = Rows {
+                objects: objects.len(),
+                wobjects: wobjects.len(),
+                reads: next.reads + rec.external_reads().count(),
+            };
+        }
+        rows.push(next);
+
+        // Per-process sequentiality: in sequence-number order, each
+        // m-operation responds before the next is invoked.
+        let mut runs: Vec<(ProcessId, Range<usize>)> = Vec::new();
+        for (k, &(id, i)) in keys.iter().enumerate() {
+            match runs.last_mut() {
+                Some((process, run)) if *process == id.process => {
+                    let (a, b) = (&records[keys[k - 1].1], &records[i]);
+                    if b.invoked_at < a.responded_at {
+                        return Err(CoreError::OverlappingProcessOps {
+                            process: id.process,
+                            earlier: a.id,
+                            later: b.id,
+                        });
+                    }
+                    run.end = k + 1;
+                }
+                _ => runs.push((id.process, k..k + 1)),
+            }
         }
 
+        let mut history = History {
+            num_objects,
+            records,
+            rows,
+            objects,
+            wobjects,
+            read_sources: Vec::new(),
+            writers,
+            order: keys.iter().map(|&(_, i)| MOpIdx(i)).collect(),
+            seqs: keys.iter().map(|&(id, _)| id.seq).collect(),
+            runs,
+        };
+
         // Resolve read provenance and validate it.
-        let mut meta = Vec::with_capacity(records.len());
-        for rec in &records {
-            let mut read_sources = Vec::new();
+        let mut read_sources = Vec::with_capacity(next.reads);
+        for rec in &history.records {
             for op in rec.external_reads() {
                 let writer = if op.writer.is_initial() {
                     None
                 } else {
-                    let widx = *by_id.get(&op.writer).ok_or(CoreError::UnknownWriter {
+                    let widx = history.idx_of(op.writer).ok_or(CoreError::UnknownWriter {
                         reader: rec.id,
                         writer: op.writer,
                         object: op.object,
                     })?;
-                    let wrec = &records[widx.0];
-                    if !wrec
-                        .ops
-                        .iter()
-                        .any(|w| w.is_write() && w.object == op.object)
-                    {
+                    if !history.wobjects(widx).contains(&op.object) {
                         return Err(CoreError::ReaderWriterObjectMismatch {
                             reader: rec.id,
                             writer: op.writer,
@@ -137,28 +205,20 @@ impl History {
                 };
                 read_sources.push((op.object, writer));
             }
-            meta.push(RecordMeta {
-                objects: rec.objects(),
-                wobjects: rec.wobjects(),
-                read_sources,
-            });
         }
+        history.read_sources = read_sources;
+        Ok(history)
+    }
 
-        let mut writers = vec![Vec::new(); num_objects];
-        for (i, m) in meta.iter().enumerate() {
-            for &obj in &m.wobjects {
-                writers[obj.index()].push(MOpIdx(i));
-            }
-        }
+    /// Record `idx`'s rows in the flat table whose offsets are `column`.
+    fn rows(&self, idx: MOpIdx, column: fn(&Rows) -> usize) -> Range<usize> {
+        column(&self.rows[idx.0])..column(&self.rows[idx.0 + 1])
+    }
 
-        Ok(History {
-            num_objects,
-            records,
-            by_id,
-            meta,
-            writers,
-            by_process,
-        })
+    /// `process`'s run in `order`.
+    fn run(&self, process: ProcessId) -> Range<usize> {
+        let found = self.runs.binary_search_by_key(&process, |&(p, _)| p);
+        found.map_or(0..0, |r| self.runs[r].1.clone())
     }
 
     /// Number of m-operations in the history.
@@ -192,7 +252,18 @@ impl History {
 
     /// Looks up the index of an m-operation by id.
     pub fn idx_of(&self, id: MOpId) -> Option<MOpIdx> {
-        self.by_id.get(&id).copied()
+        let run = self.run(id.process);
+        let seqs = &self.seqs[run.clone()];
+        // Sequence numbers ascend strictly, so `id.seq` sits no further
+        // into the run than its distance from the first: exactly there
+        // when the run has no gaps, as every run but a sentinel window's.
+        let guess = (id.seq.checked_sub(*seqs.first()?)? as usize).min(seqs.len() - 1);
+        let k = if seqs[guess] == id.seq {
+            guess
+        } else {
+            seqs[..guess].binary_search(&id.seq).ok()?
+        };
+        Some(self.order[run.start + k])
     }
 
     /// Iterates over `(index, record)` pairs.
@@ -202,38 +273,34 @@ impl History {
 
     /// The set of processes appearing in the history.
     pub fn processes(&self) -> BTreeSet<ProcessId> {
-        self.by_process.keys().copied().collect()
+        self.runs.iter().map(|(p, _)| *p).collect()
     }
 
     /// The process subhistory `H|P`, in process order.
     pub fn by_process(&self, process: ProcessId) -> &[MOpIdx] {
-        self.by_process
-            .get(&process)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        &self.order[self.run(process)]
     }
 
-    /// `objects(α)` for the m-operation at `idx`.
-    pub fn objects(&self, idx: MOpIdx) -> &BTreeSet<ObjectId> {
-        &self.meta[idx.0].objects
+    /// `objects(α)` for the m-operation at `idx`, ascending.
+    pub fn objects(&self, idx: MOpIdx) -> &[ObjectId] {
+        &self.objects[self.rows(idx, |r| r.objects)]
     }
 
-    /// `wobjects(α)` for the m-operation at `idx`.
-    pub fn wobjects(&self, idx: MOpIdx) -> &BTreeSet<ObjectId> {
-        &self.meta[idx.0].wobjects
+    /// `wobjects(α)` for the m-operation at `idx`, ascending.
+    pub fn wobjects(&self, idx: MOpIdx) -> &[ObjectId] {
+        &self.wobjects[self.rows(idx, |r| r.wobjects)]
     }
 
     /// The external reads of `idx` resolved to history indices:
     /// `(object, writer)` pairs with `None` for the initial m-operation.
     pub fn read_sources(&self, idx: MOpIdx) -> &[(ObjectId, Option<MOpIdx>)] {
-        &self.meta[idx.0].read_sources
+        &self.read_sources[self.rows(idx, |r| r.reads)]
     }
 
     /// `rfobjects(H, α, β)`: the objects that `alpha` reads from `beta`
     /// (D 4.3 context). `beta = None` denotes the initial m-operation.
     pub fn rfobjects(&self, alpha: MOpIdx, beta: Option<MOpIdx>) -> BTreeSet<ObjectId> {
-        self.meta[alpha.0]
-            .read_sources
+        self.read_sources(alpha)
             .iter()
             .filter(|(_, w)| *w == beta)
             .map(|(o, _)| *o)
@@ -251,9 +318,11 @@ impl History {
         if a == b {
             return false;
         }
-        let (ma, mb) = (&self.meta[a.0], &self.meta[b.0]);
-        ma.wobjects.iter().any(|o| mb.objects.contains(o))
-            || mb.wobjects.iter().any(|o| ma.objects.contains(o))
+        let shares = |w: MOpIdx, o: MOpIdx| {
+            let touched = self.objects(o);
+            self.wobjects(w).iter().any(|x| touched.contains(x))
+        };
+        shares(a, b) || shares(b, a)
     }
 
     /// `interfere(H, α, β, γ)` (D 4.2): distinct m-operations such that
@@ -262,9 +331,8 @@ impl History {
         if alpha == beta || beta == gamma || alpha == gamma {
             return false;
         }
-        let wg = &self.meta[gamma.0].wobjects;
-        self.meta[alpha.0]
-            .read_sources
+        let wg = self.wobjects(gamma);
+        self.read_sources(alpha)
             .iter()
             .any(|&(o, w)| w == Some(beta) && wg.contains(&o))
     }
@@ -276,9 +344,9 @@ impl History {
     /// are reported with `beta = None`.
     pub fn interference_triples(&self) -> Vec<(MOpIdx, Option<MOpIdx>, MOpIdx)> {
         let mut out = Vec::new();
-        for (i, m) in self.meta.iter().enumerate() {
+        for i in 0..self.len() {
             let alpha = MOpIdx(i);
-            for &(obj, writer) in &m.read_sources {
+            for &(obj, writer) in self.read_sources(alpha) {
                 for &gamma in &self.writers[obj.index()] {
                     if gamma == alpha || Some(gamma) == writer {
                         continue;
@@ -295,31 +363,14 @@ impl History {
     /// Whether two histories are *equivalent* (Section 2.2): same process
     /// subhistories and same reads-from relation. Records are matched by id.
     pub fn equivalent(&self, other: &History) -> bool {
-        if self.len() != other.len() || self.num_objects != other.num_objects {
-            return false;
-        }
-        for rec in &self.records {
-            let Some(oidx) = other.idx_of(rec.id) else {
-                return false;
-            };
-            let orec = other.record(oidx);
-            if rec.ops != orec.ops || rec.process() != orec.process() {
-                return false;
-            }
-        }
-        // Same per-process ordering.
-        for (p, idxs) in &self.by_process {
-            let ours: Vec<MOpId> = idxs.iter().map(|&i| self.records[i.0].id).collect();
-            let theirs: Vec<MOpId> = other
-                .by_process(*p)
-                .iter()
-                .map(|&i| other.records[i.0].id)
-                .collect();
-            if ours != theirs {
-                return false;
-            }
-        }
-        true
+        // Equal ids imply equal process subhistories: each side orders a
+        // process's records by sequence number.
+        self.len() == other.len()
+            && self.num_objects == other.num_objects
+            && self.records.iter().all(|rec| {
+                let theirs = other.idx_of(rec.id).map(|idx| other.record(idx));
+                theirs.is_some_and(|theirs| theirs.ops == rec.ops)
+            })
     }
 }
 
@@ -561,6 +612,168 @@ mod tests {
             b.build(),
             Err(CoreError::ResponseBeforeInvocation(_))
         ));
+    }
+
+    /// One overlapping pair in each of six processes: which one is
+    /// reported must not vary from build to build (a `HashMap` walk once
+    /// made it), and it is the lowest process's.
+    #[test]
+    fn overlap_report_is_deterministic() {
+        let build = || {
+            let mut b = HistoryBuilder::new(1);
+            for p in (0..6).rev() {
+                b.mop(pid(p)).at(0, 10).write(oid(0), 1).finish();
+                b.mop(pid(p)).at(5, 15).write(oid(0), 2).finish();
+            }
+            b.build().unwrap_err()
+        };
+        let expected = CoreError::OverlappingProcessOps {
+            process: pid(0),
+            earlier: MOpId::new(pid(0), 0),
+            later: MOpId::new(pid(0), 1),
+        };
+        for _ in 0..40 {
+            assert_eq!(build(), expected);
+        }
+    }
+
+    /// Within a process the overlap with the lowest sequence number wins.
+    #[test]
+    fn overlap_report_is_the_lowest_sequence_number() {
+        let mut b = HistoryBuilder::new(1);
+        for (from, to) in [(0, 10), (20, 30), (25, 40), (35, 50)] {
+            b.mop(pid(3)).at(from, to).write(oid(0), 1).finish();
+        }
+        let mut records = b.records;
+        records.reverse();
+        assert_eq!(
+            History::new(1, records).unwrap_err(),
+            CoreError::OverlappingProcessOps {
+                process: pid(3),
+                earlier: MOpId::new(pid(3), 1),
+                later: MOpId::new(pid(3), 2),
+            }
+        );
+    }
+
+    /// A history with every defect at once, then with the winning defect
+    /// repaired, one after another: each class of error is reported only
+    /// once the classes before it are gone.
+    #[test]
+    fn errors_are_reported_in_the_documented_order() {
+        let (x, y) = (oid(0), oid(1));
+        let id = |p, seq| MOpId::new(pid(p), seq);
+        let rec = |id: MOpId, at: (u64, u64), ops: Vec<CompletedOp>| {
+            ops.into_iter()
+                .fold(MOpRecordBuilder::new(id).at(at.0, at.1), |b, op| b.op(op))
+                .build()
+        };
+        let w = |o, by| CompletedOp::write(o, 1, by, 1);
+        let r = |o, from| CompletedOp::read(o, 1, from, 1);
+        // The later a defect's pass, the earlier its record: a pass over
+        // all records finishes before the next one starts. Within a pass
+        // (ids, times and ranges; overlaps; provenance) the first offending
+        // record is reported.
+        let mut records = vec![
+            rec(id(0, 0), (0, 10), vec![w(x, id(0, 0))]),
+            // Reads from an m-operation that does not exist.
+            rec(id(2, 0), (0, 10), vec![r(x, id(7, 7))]),
+            // Reads `y` from an m-operation that only writes `x`.
+            rec(id(1, 0), (0, 10), vec![r(y, id(0, 0))]),
+            // Invoked before its predecessor responded.
+            rec(id(0, 1), (5, 20), vec![w(x, id(0, 1))]),
+            // Repeats the first record's id.
+            rec(id(0, 0), (30, 40), vec![w(x, id(0, 0))]),
+            // Responds before it is invoked.
+            rec(id(4, 0), (10, 5), vec![w(x, id(4, 0))]),
+            // Touches an object outside the universe.
+            rec(id(3, 0), (0, 10), vec![w(oid(9), id(3, 0))]),
+        ];
+        let report = |records: &[MOpRecord]| History::new(2, records.to_vec()).unwrap_err();
+
+        assert_eq!(report(&records), CoreError::DuplicateMOpId(id(0, 0)));
+        records.remove(4);
+        assert_eq!(
+            report(&records),
+            CoreError::ResponseBeforeInvocation(id(4, 0))
+        );
+        records.remove(4);
+        assert_eq!(
+            report(&records),
+            CoreError::ObjectOutOfRange {
+                object: oid(9),
+                num_objects: 2
+            }
+        );
+        records.remove(4);
+        assert_eq!(
+            report(&records),
+            CoreError::OverlappingProcessOps {
+                process: pid(0),
+                earlier: id(0, 0),
+                later: id(0, 1)
+            }
+        );
+        records.pop();
+        assert_eq!(
+            report(&records),
+            CoreError::UnknownWriter {
+                reader: id(2, 0),
+                writer: id(7, 7),
+                object: x
+            }
+        );
+        records.remove(1);
+        assert_eq!(
+            report(&records),
+            CoreError::ReaderWriterObjectMismatch {
+                reader: id(1, 0),
+                writer: id(0, 0),
+                object: y
+            }
+        );
+        records.pop();
+        assert!(History::new(2, records).is_ok());
+    }
+
+    /// Within the first pass the first offending record wins, whatever
+    /// its defect.
+    #[test]
+    fn an_earlier_record_beats_an_earlier_class() {
+        let mut b = HistoryBuilder::new(1);
+        b.mop(pid(0)).at(0, 10).write(oid(0), 1).finish();
+        b.mop(pid(1)).at(10, 5).write(oid(0), 2).finish();
+        let mut records = b.records;
+        records.push(records[0].clone());
+        assert_eq!(
+            History::new(1, records).unwrap_err(),
+            CoreError::ResponseBeforeInvocation(MOpId::new(pid(1), 0))
+        );
+    }
+
+    #[test]
+    fn lookup_survives_sequence_gaps() {
+        let mut b = HistoryBuilder::new(1);
+        for k in 0..8 {
+            b.mop(pid(2))
+                .at(10 * k, 10 * k + 5)
+                .write(oid(0), 1)
+                .finish();
+        }
+        let records: Vec<MOpRecord> = b
+            .records
+            .into_iter()
+            .filter(|r| [2, 3, 6].contains(&r.id.seq))
+            .collect();
+        let h = History::new(1, records).unwrap();
+        for seq in 0..9 {
+            let found = h.idx_of(MOpId::new(pid(2), seq));
+            let expected = h.records().iter().position(|r| r.id.seq == seq);
+            assert_eq!(found, expected.map(MOpIdx), "seq {seq}");
+        }
+        assert_eq!(h.idx_of(MOpId::new(pid(1), 2)), None);
+        assert_eq!(h.by_process(pid(1)), &[]);
+        assert_eq!(h.by_process(pid(2)), &[MOpIdx(0), MOpIdx(1), MOpIdx(2)]);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! times plus the sequence of completed single-object operations the
 //! m-operation performed and the output values it returned.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -96,29 +95,6 @@ impl MOpRecord {
     /// The issuing process, `proc(α)`.
     pub fn process(&self) -> ProcessId {
         self.id.process
-    }
-
-    /// `objects(α)`: every object this m-operation read or wrote.
-    pub fn objects(&self) -> BTreeSet<ObjectId> {
-        self.ops.iter().map(|op| op.object).collect()
-    }
-
-    /// `wobjects(α)`: the objects this m-operation wrote.
-    pub fn wobjects(&self) -> BTreeSet<ObjectId> {
-        self.ops
-            .iter()
-            .filter(|op| op.is_write())
-            .map(|op| op.object)
-            .collect()
-    }
-
-    /// `robjects(α)`: the objects this m-operation read.
-    pub fn robjects(&self) -> BTreeSet<ObjectId> {
-        self.ops
-            .iter()
-            .filter(|op| op.is_read())
-            .map(|op| op.object)
-            .collect()
     }
 
     /// Whether this m-operation actually performed a write.
@@ -279,11 +255,8 @@ mod tests {
     }
 
     #[test]
-    fn object_sets() {
+    fn classification() {
         let r = sample();
-        assert_eq!(r.objects(), [oid(0), oid(1)].into_iter().collect());
-        assert_eq!(r.wobjects(), [oid(1)].into_iter().collect());
-        assert_eq!(r.robjects(), [oid(0), oid(1)].into_iter().collect());
         assert!(r.is_update());
         assert!(!r.is_query());
     }

@@ -28,7 +28,7 @@
 //! Drivers supply clock, wire and client: the simulator node of
 //! [`crate::harness`] (virtual time; trusted channel for `run_cluster`,
 //! faulty wire for `run_chaos_cluster`; scripted client) and the
-//! `moc-runtime` replica thread (wall clock, router thread, reply
+//! `moc-runtime` replica thread (wall clock, the peers' inboxes, reply
 //! channels).
 
 use std::collections::{HashMap, VecDeque};

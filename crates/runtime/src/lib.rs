@@ -5,12 +5,13 @@
 //! deterministic simulator, here driven by OS threads, crossbeam channels
 //! and wall-clock time.
 //!
-//! Topology: one replica thread per process, plus a network thread that
-//! routes every message and (optionally) applies randomized delivery
-//! delays, reordering messages exactly as the paper's asynchronous channel
-//! model allows. Clients block on [`LiveCluster::invoke`]; per-process
-//! locks enforce the model's sequential-process rule (one outstanding
-//! m-operation per process).
+//! Topology: one replica thread per process and nothing in between. A
+//! replica sends each frame straight into the destination's inbox, stamped
+//! with the time it may be delivered, and the receiver holds an early
+//! frame back until then: optional randomized delays reorder messages
+//! exactly as the paper's asynchronous channel model allows. Clients block
+//! on [`LiveCluster::invoke`]; per-process locks enforce the model's
+//! sequential-process rule (one outstanding m-operation per process).
 //!
 //! Invocation and response events are stamped with nanoseconds since the
 //! cluster epoch, so the history assembled at
@@ -41,14 +42,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use moc_abcast::{LinkConfig, LinkMsg};
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ProcessId};
@@ -65,9 +65,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Salt mixed into the seed for the network thread's fault sampler, so
-/// enabling faults does not perturb the delay stream (mirrors the
-/// simulator's convention).
+/// Salt mixed into the seed for a sender's fault sampler, so enabling
+/// faults does not perturb its delay stream (mirrors the simulator's
+/// convention).
 const FAULT_SEED_SALT: u64 = 0x6d6f_635f_6368_616f;
 
 /// Configuration for a live cluster.
@@ -75,16 +75,18 @@ const FAULT_SEED_SALT: u64 = 0x6d6f_635f_6368_616f;
 pub struct RuntimeConfig {
     /// Size of the shared-object universe.
     pub num_objects: usize,
-    /// Artificial delivery delay injected by the network thread. `None`
-    /// routes messages immediately (still asynchronously).
+    /// Artificial delivery delay the sender stamps on every frame and the
+    /// receiver waits out. `None` delivers on arrival (still
+    /// asynchronously).
     pub artificial_delay: Option<DelayModel>,
-    /// Seed for the delay sampler.
+    /// Seed for the delay and fault samplers (each sender draws from its
+    /// own pair of streams).
     pub seed: u64,
-    /// Probability the network thread silently discards a routed message
-    /// (loopback exempt). The reliable-link sublayer recovers the loss.
+    /// Probability a frame is silently discarded on its way (loopback
+    /// exempt). The reliable-link sublayer recovers the loss.
     pub drop_prob: f64,
-    /// Probability a routed message is delivered twice, with independent
-    /// delays (loopback exempt).
+    /// Probability a frame is delivered twice, with independent delays
+    /// (loopback exempt).
     pub dup_prob: f64,
     /// Reliable-link tuning. Wall-clock defaults (2ms base RTO, 50ms cap)
     /// absorb OS scheduling jitter; spurious retransmissions are made
@@ -146,8 +148,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Makes the network thread drop and/or duplicate messages with the
-    /// given probabilities. The reliable link masks both.
+    /// Makes the network drop and/or duplicate messages with the given
+    /// probabilities. The reliable link masks both.
     pub fn with_faults(mut self, drop_prob: f64, dup_prob: f64) -> Self {
         assert!((0.0..1.0).contains(&drop_prob), "drop_prob in [0, 1)");
         assert!((0.0..=1.0).contains(&dup_prob), "dup_prob in [0, 1]");
@@ -243,11 +245,16 @@ impl std::fmt::Display for Quarantined {
 
 impl std::error::Error for Quarantined {}
 
+/// A frame on its way from `from`, to be processed no earlier than
+/// `deliver_at` (ns since the cluster epoch).
+struct Frame<M> {
+    deliver_at: u64,
+    from: ProcessId,
+    msg: M,
+}
+
 enum Input<M> {
-    Net {
-        from: ProcessId,
-        msg: M,
-    },
+    Net(Frame<M>),
     Invoke {
         program: Arc<Program>,
         args: Vec<Value>,
@@ -256,27 +263,16 @@ enum Input<M> {
     Shutdown,
 }
 
-enum NetCmd<M> {
-    Route {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-    },
-    Shutdown,
-}
-
-/// A running cluster of `n` replica threads plus a network thread.
+/// A running cluster of `n` replica threads.
 ///
 /// Replicas talk through the [`moc_abcast::ReliableLink`] sublayer (inside
 /// each thread's [`ReplicaHost`]): every wire frame
 /// is a [`LinkMsg`], so the protocol state machines see exactly-once,
-/// per-sender-FIFO channels even when the network thread is configured
-/// to drop or duplicate messages.
+/// per-sender-FIFO channels even when the network is configured to drop
+/// or duplicate messages.
 pub struct LiveCluster<R: ReplicaProtocol> {
     inputs: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
-    net_tx: Sender<NetCmd<LinkMsg<R::Msg>>>,
     replica_handles: Vec<JoinHandle<ReplicaExit>>,
-    net_handle: JoinHandle<()>,
     invoke_locks: Vec<Mutex<()>>,
     num_objects: usize,
     /// Per-process containment flags, set by the sentinel thread when a
@@ -299,7 +295,7 @@ where
     R: ReplicaProtocol + Send + 'static,
     R::Msg: Send + 'static,
 {
-    /// Spawns `n` replica threads and the network thread.
+    /// Spawns `n` replica threads.
     pub fn start(n: usize, config: RuntimeConfig) -> Self {
         Self::start_inner(n, config, None)
     }
@@ -318,9 +314,9 @@ where
     fn start_inner(n: usize, config: RuntimeConfig, monitor: Option<MonitorConfig>) -> Self {
         assert!(n > 0, "need at least one process");
         let epoch = Instant::now();
-        let (net_tx, net_rx) = unbounded::<NetCmd<LinkMsg<R::Msg>>>();
-        let mut inputs = Vec::with_capacity(n);
-        let mut replica_handles = Vec::with_capacity(n);
+        let (inputs, inboxes): (Vec<_>, Vec<_>) = (0..n)
+            .map(|_| unbounded::<Input<LinkMsg<R::Msg>>>())
+            .unzip();
         let quarantine: Arc<Vec<AtomicBool>> =
             Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
 
@@ -338,37 +334,23 @@ where
             }
         };
 
-        for p in 0..n {
-            let me = ProcessId::new(p as u32);
-            let (tx, rx) = unbounded::<Input<LinkMsg<R::Msg>>>();
-            inputs.push(tx);
-            let net_tx = net_tx.clone();
-            let sentinel = monitor_tx.clone();
-            replica_handles.push(
+        let replica_handles = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(p, rx)| {
+                let me = ProcessId::new(p as u32);
+                let peers = inputs.clone();
+                let sentinel = monitor_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("replica-{p}"))
-                    .spawn(move || replica_main::<R>(me, n, config, epoch, rx, net_tx, sentinel))
-                    .expect("spawn replica thread"),
-            );
-        }
-
-        let node_inputs = inputs.clone();
-        let faults = NetFaults {
-            delay: config.artificial_delay,
-            drop_prob: config.drop_prob,
-            dup_prob: config.dup_prob,
-            seed: config.seed,
-        };
-        let net_handle = std::thread::Builder::new()
-            .name("network".into())
-            .spawn(move || network_main::<LinkMsg<R::Msg>>(net_rx, node_inputs, faults))
-            .expect("spawn network thread");
+                    .spawn(move || replica_main::<R>(me, config, epoch, rx, peers, sentinel))
+                    .expect("spawn replica thread")
+            })
+            .collect();
 
         LiveCluster {
             inputs,
-            net_tx,
             replica_handles,
-            net_handle,
             invoke_locks: (0..n).map(|_| Mutex::new(())).collect(),
             num_objects: config.num_objects,
             quarantine,
@@ -406,19 +388,9 @@ where
         program: Arc<Program>,
         args: Vec<Value>,
     ) -> Result<Reply, Quarantined> {
-        let _guard = self.invoke_locks[process.index()].lock();
-        if self.quarantined(process) {
-            return Err(Quarantined { process });
-        }
-        let (reply_tx, reply_rx) = bounded(1);
-        self.inputs[process.index()]
-            .send(Input::Invoke {
-                program,
-                args,
-                reply: reply_tx,
-            })
-            .expect("replica thread alive");
-        Ok(reply_rx.recv().expect("replica answers every invocation"))
+        let mut session = self.pipelined(process, 1);
+        session.invoke(program, args)?;
+        Ok(session.next_reply())
     }
 
     /// Opens a pipelined invocation session for `process`: up to `window`
@@ -430,11 +402,14 @@ where
     pub fn pipelined(&self, process: ProcessId, window: usize) -> PipelinedSession<'_, R> {
         assert!(window >= 1, "window must be at least 1");
         let guard = self.invoke_locks[process.index()].lock();
+        let (reply_tx, replies) = unbounded();
         PipelinedSession {
             cluster: self,
             process,
             window,
-            outstanding: VecDeque::new(),
+            reply_tx,
+            replies,
+            outstanding: 0,
             _guard: guard,
         }
     }
@@ -455,13 +430,9 @@ where
     /// sentinel's run summary — rolling certificates, verdict timeline,
     /// any latched violation — when the cluster was started with
     /// [`LiveCluster::start_with_monitor`] (`None` otherwise).
-    pub fn shutdown_with_monitor(self) -> (RuntimeReport, Option<MonitorRunSummary>) {
-        // The network flushes its delay queue, then tells the replicas to
-        // exit; anything a replica sends after that is dropped.
-        self.net_tx
-            .send(NetCmd::Shutdown)
-            .expect("network thread alive");
-        self.net_handle.join().expect("network thread panicked");
+    pub fn shutdown_with_monitor(mut self) -> (RuntimeReport, Option<MonitorRunSummary>) {
+        // Each replica delivers the frames it still holds back, then
+        // exits; anything sent to it after that is dropped.
         for tx in &self.inputs {
             let _ = tx.send(Input::Shutdown);
         }
@@ -470,7 +441,7 @@ where
         let mut link_stats = Vec::new();
         let mut pipeline = Vec::new();
         let mut batch_stats = Vec::new();
-        for h in self.replica_handles {
+        for h in std::mem::take(&mut self.replica_handles) {
             let exit = h.join().expect("replica thread panicked");
             records.extend(exit.records);
             replica_metrics.push(exit.metrics);
@@ -480,9 +451,10 @@ where
         }
         // Every replica-held sender is gone once the threads are joined;
         // dropping ours disconnects the sentinel, which flushes and exits.
-        drop(self.monitor_tx);
+        drop(self.monitor_tx.take());
         let monitor = self
             .monitor_handle
+            .take()
             .map(|h| h.join().expect("sentinel thread panicked"));
         let history =
             History::new(self.num_objects, records).expect("runtime produced an invalid history");
@@ -499,6 +471,17 @@ where
     }
 }
 
+impl<R: ReplicaProtocol> Drop for LiveCluster<R> {
+    /// Replicas hold each other's inboxes, so a cluster dropped without
+    /// [`LiveCluster::shutdown`] would never see them disconnect: tell the
+    /// threads to exit.
+    fn drop(&mut self) {
+        for tx in &self.inputs {
+            let _ = tx.send(Input::Shutdown);
+        }
+    }
+}
+
 /// A window of in-flight invocations for one process, created by
 /// [`LiveCluster::pipelined`]. Replaces the one-at-a-time blocking
 /// [`LiveCluster::invoke`] discipline with a bounded pipeline: new
@@ -506,13 +489,18 @@ where
 /// `window` are outstanding, then each further invocation retires (and
 /// returns) the oldest reply first.
 ///
-/// Replies always come back in invocation order. Dropping the session
-/// drains any outstanding replies, so no invocation is abandoned.
+/// Replies always come back in invocation order (the replica retires
+/// strictly FIFO), so one reply channel serves the whole session.
+/// Dropping the session drains any outstanding replies, so no invocation
+/// is abandoned.
 pub struct PipelinedSession<'a, R: ReplicaProtocol> {
     cluster: &'a LiveCluster<R>,
     process: ProcessId,
     window: usize,
-    outstanding: VecDeque<Receiver<Reply>>,
+    reply_tx: Sender<Reply>,
+    replies: Receiver<Reply>,
+    /// Invocations sent whose reply has not been received.
+    outstanding: usize,
     _guard: parking_lot::MutexGuard<'a, ()>,
 }
 
@@ -535,42 +523,40 @@ where
                 process: self.process,
             });
         }
-        let retired = if self.outstanding.len() >= self.window {
-            let rx = self.outstanding.pop_front().expect("window is full");
-            Some(rx.recv().expect("replica answers every invocation"))
-        } else {
-            None
-        };
-        let (reply_tx, reply_rx) = bounded(1);
+        let retired = (self.outstanding >= self.window).then(|| self.next_reply());
         self.cluster.inputs[self.process.index()]
             .send(Input::Invoke {
                 program,
                 args,
-                reply: reply_tx,
+                reply: self.reply_tx.clone(),
             })
             .expect("replica thread alive");
-        self.outstanding.push_back(reply_rx);
+        self.outstanding += 1;
         Ok(retired)
     }
 
     /// Number of invocations currently awaiting replies.
     pub fn in_flight(&self) -> usize {
-        self.outstanding.len()
+        self.outstanding
     }
 
     /// Blocks for every outstanding reply, in invocation order.
     pub fn drain(&mut self) -> Vec<Reply> {
-        self.outstanding
-            .drain(..)
-            .map(|rx| rx.recv().expect("replica answers every invocation"))
-            .collect()
+        (0..self.outstanding).map(|_| self.next_reply()).collect()
+    }
+
+    fn next_reply(&mut self) -> Reply {
+        self.outstanding -= 1;
+        self.replies
+            .recv()
+            .expect("replica answers every invocation")
     }
 }
 
 impl<R: ReplicaProtocol> Drop for PipelinedSession<'_, R> {
     fn drop(&mut self) {
-        for rx in self.outstanding.drain(..) {
-            let _ = rx.recv();
+        for _ in 0..self.outstanding {
+            let _ = self.replies.recv();
         }
     }
 }
@@ -613,17 +599,93 @@ fn monitor_main(
     mon.into_summary()
 }
 
+/// A replica's sending side of the network: the fate of a frame between
+/// this process and the destination's inbox. Mirrors the simulator's
+/// [`moc_sim::FaultPlan`] probabilities (partition and crash schedules
+/// stay simulator-only, where virtual time makes them reproducible).
+struct Outlet {
+    me: ProcessId,
+    config: RuntimeConfig,
+    delay_rng: StdRng,
+    /// Fault decisions draw from their own stream so turning them on
+    /// does not perturb the delay sampler.
+    fault_rng: StdRng,
+}
+
+impl Outlet {
+    fn new(me: ProcessId, config: RuntimeConfig) -> Self {
+        let stream = config.seed ^ ((u64::from(me.as_u32()) + 1) << 32);
+        Outlet {
+            me,
+            config,
+            delay_rng: StdRng::seed_from_u64(stream),
+            fault_rng: StdRng::seed_from_u64(stream ^ FAULT_SEED_SALT),
+        }
+    }
+
+    /// How many copies of a frame to `to` arrive: none when the network
+    /// drops it, two when it duplicates it. Loopback is a process talking
+    /// to itself: exempt from faults, exactly as in the simulator.
+    fn copies(&mut self, to: ProcessId) -> usize {
+        if to == self.me {
+            1
+        } else if self.fault_rng.gen_bool(self.config.drop_prob) {
+            0
+        } else {
+            1 + usize::from(self.fault_rng.gen_bool(self.config.dup_prob))
+        }
+    }
+
+    /// When a copy sent now may be delivered: at once, or after a sampled
+    /// delay.
+    fn deliver_at(&mut self, now: &impl Fn() -> EventTime) -> u64 {
+        let model = self.config.artificial_delay;
+        model.map_or(0, |m| now().as_nanos() + m.sample(&mut self.delay_rng))
+    }
+}
+
+/// Frames a replica received (or sent itself) ahead of their delivery
+/// time, ordered by deadline; arrival order breaks ties FIFO.
+struct HoldQueue<M> {
+    held: BTreeMap<(u64, u64), Frame<M>>,
+    arrivals: u64,
+}
+
+impl<M> HoldQueue<M> {
+    fn new() -> Self {
+        HoldQueue {
+            held: BTreeMap::new(),
+            arrivals: 0,
+        }
+    }
+
+    fn push(&mut self, frame: Frame<M>) {
+        self.held.insert((frame.deliver_at, self.arrivals), frame);
+        self.arrivals += 1;
+    }
+
+    /// The earliest delivery time held.
+    fn next_deadline(&self) -> Option<u64> {
+        self.held.first_key_value().map(|(&(at, _), _)| at)
+    }
+
+    /// Releases the head if it is due at `now`.
+    fn pop_due(&mut self, now: u64) -> Option<Frame<M>> {
+        let head = self.held.first_entry()?;
+        (head.key().0 <= now).then(|| head.remove())
+    }
+}
+
 /// The thread driver of the shared replica host: supplies the wall clock
-/// (ns since `epoch`), the router thread as the wire, each invocation's
+/// (ns since `epoch`), the peers' inboxes as the wire, each invocation's
 /// reply channel as its token, and the sentinel channel. The host — and
 /// with it the replica — lives and dies on this thread.
 fn replica_main<R: ReplicaProtocol>(
     me: ProcessId,
-    n: usize,
     config: RuntimeConfig,
     epoch: Instant,
     rx: Receiver<Input<LinkMsg<R::Msg>>>,
-    net_tx: Sender<NetCmd<LinkMsg<R::Msg>>>,
+    peers: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
     sentinel: Option<Sender<MonitorEvent>>,
 ) -> ReplicaExit {
     let setup = OrderingSetup {
@@ -633,33 +695,46 @@ fn replica_main<R: ReplicaProtocol>(
     };
     let mut host: ReplicaHost<R, Sender<Reply>> = ReplicaHost::new(
         me,
-        n,
+        peers.len(),
         config.num_objects,
         Some(config.link),
         &setup,
         sentinel.is_some(),
     );
+    let mut outlet = Outlet::new(me, config);
+    let mut hold = HoldQueue::new();
     let mut records = Vec::new();
     let mut dropped_replies = 0u64;
     let now = || EventTime::from_nanos(epoch.elapsed().as_nanos() as u64);
 
     loop {
-        // Wake for the next input or the earliest pending deadline —
-        // link retransmission, failover suspicion, or a group-commit
-        // flush — whichever first.
-        let timeout = match host.next_deadline() {
-            Some(d) => Duration::from_nanos(d.saturating_sub(now().as_nanos())),
-            None => Duration::from_secs(3600),
-        };
-        match rx.recv_timeout(timeout) {
-            Ok(Input::Net { from, msg }) => host.on_wire(from, msg, now()),
-            Ok(Input::Invoke {
-                program,
-                args,
-                reply,
-            }) => host.submit(program, args, reply, now()),
-            Ok(Input::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => host.on_tick(now()),
+        let at = now();
+        if let Some(frame) = hold.pop_due(at.as_nanos()) {
+            host.on_wire(frame.from, frame.msg, at);
+        } else {
+            // Wake for the next input or the earliest pending deadline —
+            // a held frame, link retransmission, failover suspicion, or a
+            // group-commit flush — whichever first.
+            let wake = [host.next_deadline(), hold.next_deadline()];
+            let wake = wake.into_iter().flatten().min();
+            let timeout = wake.map_or(u64::MAX, |d| d.saturating_sub(at.as_nanos()));
+            match rx.recv_timeout(Duration::from_nanos(timeout)) {
+                Ok(Input::Net(frame)) => {
+                    let at = now();
+                    if frame.deliver_at > at.as_nanos() {
+                        hold.push(frame);
+                        continue;
+                    }
+                    host.on_wire(frame.from, frame.msg, at);
+                }
+                Ok(Input::Invoke {
+                    program,
+                    args,
+                    reply,
+                }) => host.submit(program, args, reply, now()),
+                Ok(Input::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => host.on_tick(now()),
+            }
         }
         host.settle(&now);
         if let Some(tx) = &sentinel {
@@ -680,15 +755,37 @@ fn replica_main<R: ReplicaProtocol>(
                 dropped_replies += 1;
             }
         }
-        // After shutdown began the network may be gone — those frames
-        // have no waiting client, so dropping them is safe.
-        for (to, frame) in host.wire.drain(..) {
-            let _ = net_tx.send(NetCmd::Route {
-                from: me,
-                to,
-                msg: frame,
-            });
+        for (to, msg) in host.wire.drain(..) {
+            let copies = outlet.copies(to);
+            let mut deliver = |msg| {
+                let frame = Frame {
+                    deliver_at: outlet.deliver_at(&now),
+                    from: me,
+                    msg,
+                };
+                if to == me {
+                    hold.push(frame);
+                } else {
+                    // A peer that has shut down has no waiting client, so
+                    // a frame it no longer takes is safe to lose.
+                    let _ = peers[to.index()].send(Input::Net(frame));
+                }
+            };
+            // Duplication is the only path that clones the payload; the
+            // primary copy moves.
+            if copies == 2 {
+                deliver(msg.clone());
+            }
+            if copies >= 1 {
+                deliver(msg);
+            }
         }
+    }
+    // No client is waiting any more. What is still held is delivered, in
+    // deadline order, so the counters account for every frame that got
+    // here; nothing it sets off is sent.
+    while let Some(frame) = hold.pop_due(u64::MAX) {
+        host.on_wire(frame.from, frame.msg, now());
     }
     let replica = host.replica();
     ReplicaExit {
@@ -700,104 +797,6 @@ fn replica_main<R: ReplicaProtocol>(
             ..host.metrics()
         },
         batch: replica.batch_stats(),
-    }
-}
-
-/// Fault knobs for the network thread, mirroring the simulator's
-/// [`moc_sim::FaultPlan`] probabilities (schedules such as partitions
-/// and crashes stay simulator-only, where virtual time makes them
-/// reproducible).
-struct NetFaults {
-    delay: Option<DelayModel>,
-    drop_prob: f64,
-    dup_prob: f64,
-    seed: u64,
-}
-
-fn network_main<M: Send + Clone>(
-    rx: Receiver<NetCmd<M>>,
-    nodes: Vec<Sender<Input<M>>>,
-    faults: NetFaults,
-) {
-    let NetFaults {
-        delay,
-        drop_prob,
-        dup_prob,
-        seed,
-    } = faults;
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Fault decisions draw from their own stream so turning them on does
-    // not perturb the delay sampler.
-    let mut fault_rng = StdRng::seed_from_u64(seed ^ FAULT_SEED_SALT);
-    // Delay queue ordered by deadline; seq breaks ties FIFO.
-    let mut heap: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
-    let mut payloads: std::collections::HashMap<u64, (ProcessId, ProcessId, M)> =
-        std::collections::HashMap::new();
-    let mut next_id = 0u64;
-
-    let forward = |nodes: &[Sender<Input<M>>], from: ProcessId, to: ProcessId, msg: M| {
-        let _ = nodes[to.index()].send(Input::Net { from, msg });
-    };
-
-    loop {
-        // Flush everything due.
-        let now = Instant::now();
-        while let Some(Reverse((deadline, id))) = heap.peek().copied() {
-            if deadline > now {
-                break;
-            }
-            heap.pop();
-            let (from, to, msg) = payloads.remove(&id).expect("payload exists");
-            forward(&nodes, from, to, msg);
-        }
-        // Wait for the next command or the next deadline.
-        let timeout = heap
-            .peek()
-            .map(|Reverse((deadline, _))| deadline.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_secs(3600));
-        match rx.recv_timeout(timeout) {
-            Ok(NetCmd::Route { from, to, msg }) => {
-                // Loopback is a process talking to itself: exempt from
-                // faults, exactly as in the simulator.
-                let remote = from != to;
-                if remote && drop_prob > 0.0 && fault_rng.gen_bool(drop_prob) {
-                    continue;
-                }
-                // Duplication is the only path that clones the payload;
-                // the primary copy moves.
-                let dup = if remote && dup_prob > 0.0 && fault_rng.gen_bool(dup_prob) {
-                    Some(msg.clone())
-                } else {
-                    None
-                };
-                for m in dup.into_iter().chain(std::iter::once(msg)) {
-                    match delay {
-                        None => forward(&nodes, from, to, m),
-                        Some(model) => {
-                            let d = Duration::from_nanos(model.sample(&mut rng));
-                            let id = next_id;
-                            next_id += 1;
-                            heap.push(Reverse((Instant::now() + d, id)));
-                            payloads.insert(id, (from, to, m));
-                        }
-                    }
-                }
-            }
-            Ok(NetCmd::Shutdown) => {
-                // Flush the remaining queue immediately, preserving the
-                // scheduled order.
-                let mut rest: Vec<_> = heap.into_sorted_vec();
-                rest.reverse(); // into_sorted_vec on Reverse yields descending deadlines
-                rest.sort_by_key(|Reverse(k)| *k);
-                for Reverse((_, id)) in rest {
-                    let (from, to, msg) = payloads.remove(&id).expect("payload exists");
-                    forward(&nodes, from, to, msg);
-                }
-                return;
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
     }
 }
 
@@ -828,6 +827,97 @@ mod tests {
             .write(ObjectId::new(0), reg(0))
             .ret(vec![reg(0)]);
         Arc::new(b.build().unwrap())
+    }
+
+    fn p(index: u32) -> ProcessId {
+        ProcessId::new(index)
+    }
+
+    /// The hold queue on a clock the test turns by hand.
+    #[test]
+    fn hold_queue_releases_in_deadline_order_and_never_early() {
+        let mut hold = HoldQueue::new();
+        for (deliver_at, msg) in [(300, 'c'), (100, 'a'), (200, 'b'), (200, 'd')] {
+            let from = p(0);
+            hold.push(Frame {
+                deliver_at,
+                from,
+                msg,
+            });
+        }
+        let mut pop = |now| hold.pop_due(now).map(|frame| frame.msg);
+        assert_eq!(pop(99), None, "nothing is released early");
+        assert_eq!(pop(100), Some('a'));
+        assert_eq!(pop(199), None);
+        assert_eq!(pop(250), Some('b'), "equal deadlines: FIFO");
+        assert_eq!(pop(250), Some('d'));
+        assert_eq!(pop(250), None);
+        assert_eq!(hold.next_deadline(), Some(300));
+        // A later arrival with an earlier deadline overtakes; the shutdown
+        // flush (everything is due) releases what is left, in order.
+        hold.push(Frame {
+            deliver_at: 50,
+            from: p(1),
+            msg: 'e',
+        });
+        let flushed: Vec<_> = std::iter::from_fn(|| hold.pop_due(u64::MAX))
+            .map(|frame| (frame.from, frame.msg))
+            .collect();
+        assert_eq!(flushed, [(p(1), 'e'), (p(0), 'c')]);
+        assert_eq!(hold.next_deadline(), None);
+    }
+
+    fn delayed() -> RuntimeConfig {
+        RuntimeConfig::new(1).with_artificial_delay(DelayModel::Uniform {
+            lo: 1_000,
+            hi: 100_000,
+        })
+    }
+
+    #[test]
+    fn fault_decisions_follow_from_seed_and_sender() {
+        let fates = |seed: u64, sender: u32| {
+            let config = RuntimeConfig {
+                seed,
+                ..delayed().with_faults(0.3, 0.3)
+            };
+            let mut outlet = Outlet::new(p(sender), config);
+            (0..200).map(|_| outlet.copies(p(9))).collect::<Vec<_>>()
+        };
+        assert_eq!(fates(7, 0), fates(7, 0));
+        assert_ne!(fates(7, 0), fates(7, 1), "each sender has its own stream");
+        assert_ne!(fates(7, 0), fates(8, 0));
+        for copies in 0..=2 {
+            assert!(fates(7, 0).contains(&copies), "{copies} copies never seen");
+        }
+    }
+
+    #[test]
+    fn loopback_is_never_dropped_or_duplicated() {
+        let config = RuntimeConfig::new(1).with_faults(0.9, 1.0);
+        let mut outlet = Outlet::new(p(1), config);
+        let mut undisturbed = Outlet::new(p(1), config);
+        for _ in 0..200 {
+            assert_eq!(outlet.copies(p(1)), 1);
+            // Nor does it draw from the fault stream.
+            assert_eq!(outlet.copies(p(0)), undisturbed.copies(p(0)));
+        }
+    }
+
+    #[test]
+    fn turning_faults_on_does_not_shift_the_delay_stream() {
+        let delays = |config: RuntimeConfig| {
+            let mut outlet = Outlet::new(p(1), config);
+            (0..200)
+                .map(|_| {
+                    outlet.copies(p(0));
+                    outlet.deliver_at(&|| EventTime::from_nanos(7))
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(delays(delayed()), delays(delayed().with_faults(0.3, 0.3)));
+        assert!(delays(delayed()).iter().all(|&at| at >= 7 + 1_000));
+        assert!(delays(RuntimeConfig::new(1)).iter().all(|&at| at == 0));
     }
 
     #[test]

@@ -68,8 +68,8 @@ fn assert_version_invariants(report: &RunReport) {
 
     // Reads attribute versions to their establishing writers (D 5.1), and
     // P 5.7/P 5.8 hold per record.
-    for rec in h.records() {
-        let wobjects = rec.wobjects();
+    for (idx, rec) in h.iter() {
+        let wobjects = h.wobjects(idx);
         for r in rec.external_reads() {
             if r.writer.is_initial() {
                 assert_eq!(r.version, 0, "{}: initial read has version 0", rec.id);

@@ -72,11 +72,7 @@ fn figure1_relations() {
     let (eta, alpha, beta, delta, mu) = (m(0), m(1), m(2), m(3), m(4));
 
     assert_eq!(h.record(alpha).process(), pid(1));
-    assert_eq!(
-        h.objects(alpha).iter().copied().collect::<Vec<_>>(),
-        vec![x, y, z],
-        "objects(α) = {{x, y, z}}"
-    );
+    assert_eq!(h.objects(alpha), [x, y, z], "objects(α) = {{x, y, z}}");
 
     let po = process_order(&h);
     assert!(po.contains(alpha, beta), "α ~p β");
