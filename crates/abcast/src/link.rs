@@ -363,6 +363,42 @@ impl<M: Clone> ReliableLink<M> {
         }
     }
 
+    /// Drops from `wire` every [`LinkMsg::Ack`] that a later one to the
+    /// same peer supersedes. Acks are cumulative and a peer's frontier
+    /// only advances, so the last ack to a peer says everything the
+    /// earlier ones did: a host that fed several frames before flushing
+    /// `wire` acknowledges once per peer. Every other frame keeps its
+    /// place, and `acks_sent` keeps counting what actually goes out. With
+    /// at most one ack per peer in `wire` (a host that flushes after every
+    /// frame) nothing changes.
+    pub fn coalesce_acks(&mut self, wire: &mut Vec<(ProcessId, LinkMsg<M>)>) {
+        let is_ack = |msg: &LinkMsg<M>| matches!(msg, LinkMsg::Ack { .. });
+        let acks = wire.iter().filter(|(_, msg)| is_ack(msg)).count();
+        if acks < 2 {
+            return;
+        }
+        // Index of the last ack to each peer; clusters are a few processes.
+        let mut last: Vec<(ProcessId, usize)> = Vec::new();
+        for (i, (to, msg)) in wire.iter().enumerate() {
+            if is_ack(msg) {
+                match last.iter_mut().find(|(peer, _)| peer == to) {
+                    Some(slot) => slot.1 = i,
+                    None => last.push((*to, i)),
+                }
+            }
+        }
+        if acks == last.len() {
+            return;
+        }
+        let mut i = 0;
+        wire.retain(|(to, msg)| {
+            let keep = !is_ack(msg) || last.contains(&(*to, i));
+            i += 1;
+            keep
+        });
+        self.stats.acks_sent -= (acks - last.len()) as u64;
+    }
+
     /// Retransmits every overdue unacked frame. Call at (or after) the
     /// time reported by [`ReliableLink::next_deadline`].
     ///
@@ -700,6 +736,122 @@ mod tests {
         assert!(acks.is_empty(), "sabotaged link does not ack");
         a.on_tick(1_000_000, &mut wire);
         assert!(wire.is_empty(), "sabotaged link does not retransmit");
+    }
+
+    /// What is left of `wire`, as `(destination, tag)`: `aN` acks up to N,
+    /// `dN` carries payload N, `r` and `s` are the handshake frames.
+    fn tags(wire: &Wire) -> Vec<(u32, String)> {
+        wire.iter()
+            .map(|(to, m)| {
+                let tag = match m {
+                    LinkMsg::Data { payload, .. } => format!("d{payload}"),
+                    LinkMsg::Ack { upto } => format!("a{upto}"),
+                    LinkMsg::Rejoin => "r".into(),
+                    LinkMsg::Snapshot { .. } => "s".into(),
+                };
+                (to.as_u32(), tag)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn coalescing_keeps_the_last_ack_per_peer_and_everything_else_in_place() {
+        let mut c: ReliableLink<u32> = ReliableLink::new(pid(2), 3, LinkConfig::default());
+        let mut wire: Wire = Vec::new();
+        let data = |seq, payload| LinkMsg::Data { seq, payload };
+        // Three frames from p0 and two from p1, interleaved with this
+        // endpoint's own data, a rejoin answer and a rejoin of its own.
+        c.on_wire(pid(0), data(0, 10), 1, &mut wire);
+        c.send(pid(0), 70, 2, &mut wire);
+        c.on_wire(pid(1), data(0, 20), 3, &mut wire);
+        c.on_wire(pid(0), data(1, 11), 4, &mut wire);
+        c.on_wire(pid(1), LinkMsg::Rejoin, 5, &mut wire);
+        c.on_wire(pid(1), data(1, 21), 6, &mut wire);
+        c.send(pid(1), 71, 7, &mut wire);
+        c.on_wire(pid(0), data(2, 12), 8, &mut wire);
+        wire.push((pid(0), LinkMsg::Rejoin));
+        let pairs = |tags: &[(u32, &str)]| -> Vec<(u32, String)> {
+            tags.iter().map(|&(to, t)| (to, t.to_string())).collect()
+        };
+        assert_eq!(
+            tags(&wire),
+            pairs(&[
+                (0, "a1"),
+                (0, "d70"),
+                (1, "a1"),
+                (0, "a2"),
+                (1, "s"),
+                (1, "a2"),
+                (1, "d71"),
+                (0, "a3"),
+                (0, "r"),
+            ])
+        );
+        assert_eq!(c.stats().acks_sent, 6, "five acks and the snapshot");
+
+        c.coalesce_acks(&mut wire);
+        assert_eq!(
+            tags(&wire),
+            pairs(&[
+                (0, "d70"),
+                (1, "s"),
+                (1, "a2"),
+                (1, "d71"),
+                (0, "a3"),
+                (0, "r")
+            ])
+        );
+        assert_eq!(c.stats().acks_sent, 3, "counts what is left on the wire");
+
+        // Nothing left to fold: a second pass changes nothing.
+        let before = tags(&wire);
+        c.coalesce_acks(&mut wire);
+        assert_eq!((tags(&wire), c.stats().acks_sent), (before, 3));
+    }
+
+    #[test]
+    fn one_coalesced_ack_empties_the_window_and_its_loss_is_recovered() {
+        let cfg = LinkConfig {
+            rto_ns: 100,
+            max_rto_ns: 400,
+            ..LinkConfig::default()
+        };
+        for lose_the_ack in [false, true] {
+            let mut a: ReliableLink<u32> = ReliableLink::new(pid(0), 2, cfg);
+            let mut b: ReliableLink<u32> = ReliableLink::new(pid(1), 2, cfg);
+            let mut wire: Wire = Vec::new();
+            for payload in 0..5 {
+                a.send(pid(1), payload, 0, &mut wire);
+            }
+            let mut acks: Wire = Vec::new();
+            let mut got = Vec::new();
+            for (_, m) in wire.drain(..) {
+                got.extend(b.on_wire(pid(0), m, 5, &mut acks));
+            }
+            assert_eq!(acks.len(), 5, "on_wire still acks every data frame");
+            b.coalesce_acks(&mut acks);
+            assert_eq!(tags(&acks), [(0, "a5".to_string())]);
+            assert_eq!(b.stats().acks_sent, 1);
+
+            if lose_the_ack {
+                // The only ack of the batch is gone: the sender's timer
+                // fires, the duplicates are discarded and re-acked.
+                acks.clear();
+                a.on_tick(a.next_deadline().expect("armed"), &mut wire);
+                assert_eq!(a.stats().retransmissions, 5);
+                for (_, m) in wire.drain(..) {
+                    got.extend(b.on_wire(pid(0), m, 200, &mut acks));
+                }
+                assert_eq!(b.stats().duplicates_discarded, 5);
+                b.coalesce_acks(&mut acks);
+                assert_eq!(tags(&acks), [(0, "a5".to_string())]);
+            }
+            assert_eq!(got, [0, 1, 2, 3, 4], "delivered once, in order");
+            let (_, ack) = acks.pop().expect("one ack");
+            a.on_wire(pid(1), ack, 300, &mut Vec::new());
+            assert_eq!(a.unacked(), 0, "one cumulative ack covers the window");
+            assert_eq!(a.next_deadline(), None);
+        }
     }
 
     #[test]

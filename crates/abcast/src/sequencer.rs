@@ -8,6 +8,7 @@
 //! reorders messages arbitrarily.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use moc_core::ids::ProcessId;
 
@@ -69,13 +70,14 @@ pub struct SequencerAbcast<T> {
     group: GroupCommit<(ProcessId, T)>,
     /// Last time observed via `on_tick` (drives deadline arming).
     now: u64,
-    /// Stamps assigned since the last [`SequencerAbcast::take_newly_stamped`]
-    /// call. Lets a wrapping layer observe stamp *assignment* (which
-    /// happens at submission arrival) independently of fan-out (which
-    /// batching may defer) — the conflict-sharded merge keys its barrier
-    /// broadcasts off this so barrier positions do not move with the
-    /// batch size.
-    newly_stamped: Vec<u64>,
+    /// Where the last [`SequencerAbcast::take_newly_stamped`] call
+    /// stopped: stamps `stamps_taken..next_to_assign` are new since. Lets
+    /// a wrapping layer observe stamp *assignment* (which happens at
+    /// submission arrival) independently of fan-out (which batching may
+    /// defer) — the conflict-sharded merge keys its barrier broadcasts
+    /// off this so barrier positions do not move with the batch size.
+    /// Stamps are consecutive, so a cursor holds them all, taker or not.
+    stamps_taken: u64,
 }
 
 impl<T> SequencerAbcast<T> {
@@ -105,10 +107,12 @@ impl<T> SequencerAbcast<T> {
         self.halted
     }
 
-    /// Drains the stamps this endpoint assigned (as sequencer) since the
-    /// last call, in assignment order.
-    pub fn take_newly_stamped(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.newly_stamped)
+    /// The stamps this endpoint assigned (as sequencer) since the last
+    /// call, in assignment order.
+    pub fn take_newly_stamped(&mut self) -> Range<u64> {
+        let stamped = self.stamps_taken..self.next_to_assign;
+        self.stamps_taken = self.next_to_assign;
+        stamped
     }
 
     fn pump(&mut self) {
@@ -156,7 +160,7 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
             halted: false,
             group: GroupCommit::new(),
             now: 0,
-            newly_stamped: Vec::new(),
+            stamps_taken: 0,
         }
     }
 
@@ -185,7 +189,6 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
                 }
                 let seq = self.next_to_assign;
                 self.next_to_assign += 1;
-                self.newly_stamped.push(seq);
                 Self::fan_out(self.group.push(seq, (origin, item)), out);
             }
             SequencerMsg::Ordered { seq, origin, item } => {
@@ -380,6 +383,49 @@ mod tests {
         // of the agreed order, rebuilt gap-free from stamps).
         follower.on_restart(500_000, &mut out);
         assert!(!follower.is_halted());
+    }
+
+    /// Only the sharded merge takes the new stamps; under a plain sequencer
+    /// nobody does, for the life of the process. The stamps not yet taken
+    /// are a cursor, not a list: ten thousand of them leave the endpoint
+    /// the handful of counters it started as, and a taker that shows up
+    /// late — or after a restart — still sees each stamp exactly once.
+    #[test]
+    fn untaken_stamps_cost_no_memory_and_are_each_taken_once() {
+        let n = 2;
+        let mut seqr: SequencerAbcast<u8> = SequencerAbcast::new(pid(0), n);
+        let mut out = Outbox::new(n);
+        let mut submit = |seqr: &mut SequencerAbcast<u8>, count: usize| {
+            for _ in 0..count {
+                let origin = pid(1);
+                seqr.on_message(origin, SequencerMsg::Submit { origin, item: 7 }, &mut out);
+                out.drain();
+            }
+        };
+        assert_eq!(seqr.take_newly_stamped(), 0..0);
+        submit(&mut seqr, 10_000);
+        // Every field shows in the derived `Debug`, element by element.
+        let state = format!("{seqr:?}");
+        assert!(state.len() < 512, "state grew with the stamps: {state}");
+        assert_eq!(seqr.take_newly_stamped(), 0..10_000);
+        assert_eq!(seqr.take_newly_stamped(), 10_000..10_000, "taken once");
+        submit(&mut seqr, 3);
+        assert_eq!(
+            seqr.take_newly_stamped().collect::<Vec<_>>(),
+            [10_000, 10_001, 10_002]
+        );
+
+        // A restart halts stamping; what was stamped before it is still
+        // reported, and nothing after.
+        submit(&mut seqr, 2);
+        seqr.on_restart(1, &mut Outbox::new(n));
+        submit(&mut seqr, 5);
+        assert_eq!(seqr.take_newly_stamped(), 10_003..10_005);
+        assert_eq!(seqr.take_newly_stamped(), 10_005..10_005);
+
+        // A follower never stamps.
+        let mut follower: SequencerAbcast<u8> = SequencerAbcast::new(pid(1), n);
+        assert!(follower.take_newly_stamped().is_empty());
     }
 
     /// Size-triggered group commit: stamps are assigned per submission,

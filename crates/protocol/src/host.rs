@@ -30,6 +30,14 @@
 //! faulty wire for `run_chaos_cluster`; scripted client) and the
 //! `moc-runtime` replica thread (wall clock, the peers' inboxes, reply
 //! channels).
+//!
+//! How many inputs a settle covers is the driver's choice. The simulator
+//! node settles after each one. The replica thread feeds everything that
+//! arrived while it was busy and settles once, which is its normal case
+//! under load: per-sender FIFO and stamp-at-arrival do not depend on when
+//! the outputs leave, and acknowledgements are cumulative, so a settle
+//! puts one per peer on the wire ([`ReliableLink::coalesce_acks`]) however
+//! many frames of that peer were fed.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -167,7 +175,7 @@ fn record_of(c: Completion, invoked_at: EventTime, responded_at: EventTime) -> M
 /// token, returned in [`Retired`].
 ///
 /// Input methods only queue work. Call [`ReplicaHost::settle`] after
-/// every input (or batch of inputs), then drain the output queues.
+/// every input or batch of inputs, then drain the output queues.
 pub struct ReplicaHost<R: ReplicaProtocol, T> {
     me: ProcessId,
     replica: R,
@@ -334,7 +342,9 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
     /// Retires completions and admits queued invocations until neither
     /// makes progress — admission can complete synchronously (a local
     /// query) and retirement can open the gate for the next admission —
-    /// then frames everything the replica wants sent.
+    /// then frames everything the replica wants sent and folds the
+    /// acknowledgements of the inputs fed since the last settle into one
+    /// per peer.
     ///
     /// Takes the clock rather than a reading: a response event is stamped
     /// after the completion it answers was collected from the replica.
@@ -412,6 +422,10 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
                 None => self.wire.push((to, LinkMsg::Data { seq: 0, payload: m })),
             }
         }
+        // Acknowledge once per peer, however many of its frames were fed.
+        if let Some(link) = &mut self.link {
+            link.coalesce_acks(&mut self.wire);
+        }
     }
 }
 
@@ -423,6 +437,7 @@ mod tests {
     use moc_core::history::History;
     use moc_core::ids::ObjectId;
     use moc_core::program::{arg, reg, ProgramBuilder};
+    use moc_core::value::Versioned;
     use moc_monitor::MonitorConfig;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -458,7 +473,8 @@ mod tests {
     /// per-sender FIFO, which is what lets one process's updates be
     /// stamped in program order), and the virtual clock advances one
     /// tick per input. The token is the operation's index in its
-    /// process's script.
+    /// process's script. `feed_*` hands a host an input and leaves the
+    /// settling to the caller; `submit` and `deliver_one` settle at once.
     struct Loopback {
         hosts: Vec<ReplicaHost<MscOverSequencer, usize>>,
         inflight: Vec<(ProcessId, ProcessId, LinkMsg<Msg>)>,
@@ -502,23 +518,36 @@ mod tests {
             self.feed.append(&mut host.monitor_feed);
         }
 
-        fn submit(&mut self, p: usize, program: Arc<Program>, args: Vec<Value>, token: usize) {
+        fn feed_submit(&mut self, p: usize, program: Arc<Program>, args: Vec<Value>, token: usize) {
             let now = self.tick();
             self.hosts[p].submit(program, args, token, now);
+        }
+
+        fn submit(&mut self, p: usize, program: Arc<Program>, args: Vec<Value>, token: usize) {
+            self.feed_submit(p, program, args, token);
             self.settle(p);
         }
 
-        /// Delivers one randomly chosen in-flight frame, if any.
-        fn deliver_one(&mut self) -> bool {
+        /// Feeds one randomly chosen in-flight frame, if any, to its
+        /// destination, which it returns.
+        fn feed_frame(&mut self) -> Option<usize> {
             if self.inflight.is_empty() {
-                return false;
+                return None;
             }
             let i = self.rng.gen_range(0..self.inflight.len());
             let (from, to, frame) = self.inflight.swap_remove(i);
             let now = self.tick();
             self.hosts[to.index()].on_wire(from, frame, now);
-            self.settle(to.index());
-            true
+            Some(to.index())
+        }
+
+        /// Delivers one randomly chosen in-flight frame, if any.
+        fn deliver_one(&mut self) -> bool {
+            let fed = self.feed_frame();
+            if let Some(to) = fed {
+                self.settle(to);
+            }
+            fed.is_some()
         }
     }
 
@@ -550,37 +579,63 @@ mod tests {
             .collect()
     }
 
+    /// What a loopback run leaves behind.
+    struct Run {
+        /// Retirements, in retirement order.
+        retired: Vec<Retired<usize>>,
+        /// True submit times by `(process, token)`.
+        submitted_at: Vec<Vec<u64>>,
+        metrics: Vec<PipelineMetrics>,
+        /// Every replica's copy of every object, with its version.
+        stores: Vec<Vec<(ObjectId, Versioned)>>,
+    }
+
     /// Closed-loop clients keeping up to `window` m-operations in flight,
-    /// interleaved with deliveries by the seeded shuffle. Returns the
-    /// retirements in retirement order, the true submit times by
-    /// `(process, token)`, and each host's counters.
-    fn run_windowed(
-        seed: u64,
-        window: usize,
-        scripts: &[Vec<Op>],
-    ) -> (Vec<Retired<usize>>, Vec<Vec<u64>>, Vec<PipelineMetrics>) {
+    /// interleaved with deliveries by the seeded shuffle. The hosts are fed
+    /// in bursts of a seeded `1..=max_burst` inputs and settle once per
+    /// burst, as a thread that drains its inbox does; `max_burst` 1 is the
+    /// settle-per-input discipline of the simulator drivers.
+    fn run_windowed(seed: u64, window: usize, max_burst: usize, scripts: &[Vec<Op>]) -> Run {
         let mut net = Loopback::new(seed, LinkConfig::default(), false);
         let mut next = [0usize; N];
         let mut submitted_at: Vec<Vec<u64>> = vec![Vec::new(); N];
         loop {
-            let ready: Vec<usize> = (0..N)
-                .filter(|&p| next[p] < scripts[p].len() && net.hosts[p].in_flight() < window)
-                .collect();
-            if !ready.is_empty() && (net.inflight.is_empty() || net.rng.gen_bool(0.4)) {
-                let p = ready[net.rng.gen_range(0..ready.len())];
-                let (program, args) = match scripts[p][next[p]] {
-                    Op::Write(v) => (write_own(p), vec![v]),
-                    Op::Read => (read_own(p), vec![]),
-                };
-                net.submit(p, program, args, next[p]);
-                submitted_at[p].push(net.now);
-                next[p] += 1;
-            } else if !net.deliver_one() {
+            let mut fed = [false; N];
+            for _ in 0..net.rng.gen_range(1..=max_burst) {
+                let ready: Vec<usize> = (0..N)
+                    .filter(|&p| next[p] < scripts[p].len() && net.hosts[p].in_flight() < window)
+                    .collect();
+                if !ready.is_empty() && (net.inflight.is_empty() || net.rng.gen_bool(0.4)) {
+                    let p = ready[net.rng.gen_range(0..ready.len())];
+                    let (program, args) = match scripts[p][next[p]] {
+                        Op::Write(v) => (write_own(p), vec![v]),
+                        Op::Read => (read_own(p), vec![]),
+                    };
+                    net.feed_submit(p, program, args, next[p]);
+                    submitted_at[p].push(net.now);
+                    next[p] += 1;
+                    fed[p] = true;
+                } else if let Some(to) = net.feed_frame() {
+                    fed[to] = true;
+                }
+            }
+            if fed == [false; N] {
                 break;
             }
+            for p in (0..N).filter(|&p| fed[p]) {
+                net.settle(p);
+            }
         }
-        let metrics = net.hosts.iter().map(|h| h.metrics()).collect();
-        (net.retired, submitted_at, metrics)
+        Run {
+            retired: net.retired,
+            submitted_at,
+            metrics: net.hosts.iter().map(|h| h.metrics()).collect(),
+            stores: net
+                .hosts
+                .iter()
+                .map(|h| h.replica().store().snapshot_full())
+                .collect(),
+        }
     }
 
     proptest! {
@@ -590,11 +645,13 @@ mod tests {
         fn gate_keeps_pipelined_processes_sequential_and_consistent(
             seed in any::<u64>(),
             window in 1usize..=16,
+            max_burst in 1usize..=8,
             ops in 1usize..=12,
             update_pct in 0u32..=100,
         ) {
             let scripts = scripts(seed, ops, update_pct);
-            let (retired, submitted_at, metrics) = run_windowed(seed, window, &scripts);
+            let Run { retired, submitted_at, metrics, stores } =
+                run_windowed(seed, window, max_burst, &scripts);
             prop_assert_eq!(retired.len(), N * ops, "every invocation retired");
             for (p, script) in scripts.iter().enumerate() {
                 let mine: Vec<&Retired<usize>> = retired
@@ -626,9 +683,19 @@ mod tests {
                 prop_assert_eq!(metrics[p].orphan_completions, 0);
             }
             let records: Vec<MOpRecord> = retired.into_iter().map(|r| r.record).collect();
-            let (again, _, _) = run_windowed(seed, window, &scripts);
-            let replay: Vec<MOpRecord> = again.into_iter().map(|r| r.record).collect();
+            let again = run_windowed(seed, window, max_burst, &scripts);
+            let replay: Vec<MOpRecord> = again.retired.into_iter().map(|r| r.record).collect();
             prop_assert_eq!(&records, &replay, "same seed, same records");
+            // However many inputs a settle covers, the replicas end up
+            // with one store, and it holds what settling after every input
+            // leaves: each process's last write in its own object. (Which
+            // write the shared object keeps is the broadcast's choice, and
+            // the two schedules differ.)
+            let per_input = run_windowed(seed, window, 1, &scripts);
+            for store in &stores {
+                prop_assert_eq!(store, &stores[0], "replicas converge");
+                prop_assert_eq!(&store[..N], &per_input.stores[0][..N]);
+            }
             let history = History::new(OBJECTS, records).expect("structurally valid");
             let verdict = check(
                 &history,

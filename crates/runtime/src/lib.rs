@@ -13,6 +13,13 @@
 //! on [`LiveCluster::invoke`]; per-process locks enforce the model's
 //! sequential-process rule (one outstanding m-operation per process).
 //!
+//! A replica thread works per *wake-up*, not per message: when it wakes it
+//! feeds its replica everything that arrived while it was busy — frames,
+//! acknowledgements, invocations — and then settles once: one round of
+//! replies, one acknowledgement per peer, one round of sends. Under load
+//! the batch grows by itself (classic group commit); idle, it is one
+//! message and nothing waits.
+//!
 //! Invocation and response events are stamped with nanoseconds since the
 //! cluster epoch, so the history assembled at
 //! [`LiveCluster::shutdown`] carries a genuine real-time order `~t` and
@@ -43,6 +50,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -341,9 +349,12 @@ where
                 let me = ProcessId::new(p as u32);
                 let peers = inputs.clone();
                 let sentinel = monitor_tx.clone();
+                let now = move || EventTime::from_nanos(epoch.elapsed().as_nanos() as u64);
                 std::thread::Builder::new()
                     .name(format!("replica-{p}"))
-                    .spawn(move || replica_main::<R>(me, config, epoch, rx, peers, sentinel))
+                    .spawn(move || {
+                        ReplicaDriver::<R, _>::new(me, config, now, rx, peers, sentinel).run()
+                    })
                     .expect("spawn replica thread")
             })
             .collect();
@@ -676,73 +687,145 @@ impl<M> HoldQueue<M> {
     }
 }
 
-/// The thread driver of the shared replica host: supplies the wall clock
-/// (ns since `epoch`), the peers' inboxes as the wire, each invocation's
-/// reply channel as its token, and the sentinel channel. The host — and
-/// with it the replica — lives and dies on this thread.
-fn replica_main<R: ReplicaProtocol>(
+/// Most inputs one wake-up takes out of the inbox before it settles. The
+/// vendored channel cannot say how many are waiting, so the drain stops
+/// here to keep the replies of the first from waiting on an inbox that
+/// refills as fast as it empties; what is left is the next wake-up's,
+/// which does not block. Two full pipelines of sixteen fit with room.
+const DRAIN_MAX: usize = 64;
+
+/// The thread driver of the shared replica host: supplies the clock (ns
+/// since the cluster epoch), the peers' inboxes as the wire, each
+/// invocation's reply channel as its token, and the sentinel channel. The
+/// host — and with it the replica — lives and dies on this thread.
+///
+/// The driver works per *wake-up*, not per message: whatever arrived while
+/// the thread was busy is the batch ([`ReplicaDriver::wake_up`]), and the
+/// batch is settled, acknowledged and answered once.
+struct ReplicaDriver<R: ReplicaProtocol, C> {
     me: ProcessId,
-    config: RuntimeConfig,
-    epoch: Instant,
+    host: ReplicaHost<R, Sender<Reply>>,
+    outlet: Outlet,
+    hold: HoldQueue<LinkMsg<R::Msg>>,
     rx: Receiver<Input<LinkMsg<R::Msg>>>,
     peers: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
     sentinel: Option<Sender<MonitorEvent>>,
-) -> ReplicaExit {
-    let setup = OrderingSetup {
-        failover_timeouts: Some(config.failover_timeouts),
-        batching: config.batching,
-        ..OrderingSetup::default()
-    };
-    let mut host: ReplicaHost<R, Sender<Reply>> = ReplicaHost::new(
-        me,
-        peers.len(),
-        config.num_objects,
-        Some(config.link),
-        &setup,
-        sentinel.is_some(),
-    );
-    let mut outlet = Outlet::new(me, config);
-    let mut hold = HoldQueue::new();
-    let mut records = Vec::new();
-    let mut dropped_replies = 0u64;
-    let now = || EventTime::from_nanos(epoch.elapsed().as_nanos() as u64);
+    records: Vec<MOpRecord>,
+    dropped_replies: u64,
+    now: C,
+}
 
-    loop {
-        let at = now();
-        if let Some(frame) = hold.pop_due(at.as_nanos()) {
-            host.on_wire(frame.from, frame.msg, at);
-        } else {
-            // Wake for the next input or the earliest pending deadline —
-            // a held frame, link retransmission, failover suspicion, or a
-            // group-commit flush — whichever first.
-            let wake = [host.next_deadline(), hold.next_deadline()];
-            let wake = wake.into_iter().flatten().min();
-            let timeout = wake.map_or(u64::MAX, |d| d.saturating_sub(at.as_nanos()));
-            match rx.recv_timeout(Duration::from_nanos(timeout)) {
-                Ok(Input::Net(frame)) => {
-                    let at = now();
-                    if frame.deliver_at > at.as_nanos() {
-                        hold.push(frame);
-                        continue;
-                    }
-                    host.on_wire(frame.from, frame.msg, at);
-                }
-                Ok(Input::Invoke {
+impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
+    fn new(
+        me: ProcessId,
+        config: RuntimeConfig,
+        now: C,
+        rx: Receiver<Input<LinkMsg<R::Msg>>>,
+        peers: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
+        sentinel: Option<Sender<MonitorEvent>>,
+    ) -> Self {
+        let setup = OrderingSetup {
+            failover_timeouts: Some(config.failover_timeouts),
+            batching: config.batching,
+            ..OrderingSetup::default()
+        };
+        ReplicaDriver {
+            me,
+            host: ReplicaHost::new(
+                me,
+                peers.len(),
+                config.num_objects,
+                Some(config.link),
+                &setup,
+                sentinel.is_some(),
+            ),
+            outlet: Outlet::new(me, config),
+            hold: HoldQueue::new(),
+            rx,
+            peers,
+            sentinel,
+            records: Vec::new(),
+            dropped_replies: 0,
+            now,
+        }
+    }
+
+    /// Sleeps until an input arrives or the earliest pending deadline — a
+    /// held frame, link retransmission, failover suspicion, or a
+    /// group-commit flush — whichever first, then takes the wake-up.
+    fn run(mut self) -> ReplicaExit {
+        loop {
+            let at = (self.now)().as_nanos();
+            let deadlines = [self.host.next_deadline(), self.hold.next_deadline()];
+            let deadline = deadlines.into_iter().flatten().min();
+            let first = match deadline.map_or(u64::MAX, |d| d.saturating_sub(at)) {
+                0 => None,
+                wait => match self.rx.recv_timeout(Duration::from_nanos(wait)) {
+                    Ok(input) => Some(input),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                },
+            };
+            if self.wake_up(first).is_break() {
+                break;
+            }
+        }
+        self.exit()
+    }
+
+    /// One turn of the crank: feeds the host every held frame that is due,
+    /// then `first` and whatever else is already in the inbox (at most
+    /// [`DRAIN_MAX`] inputs), ticks if a deadline is due, and only then
+    /// settles and sends — once. Breaks, without settling, on `Shutdown`.
+    ///
+    /// The tick does not wait for an idle inbox: `recv_timeout` hands over
+    /// a waiting message before it looks at the clock, so under load a
+    /// timeout never comes. It follows the inputs so that an acknowledgement
+    /// already in the inbox disarms the retransmission it would set off.
+    fn wake_up(&mut self, first: Option<Input<LinkMsg<R::Msg>>>) -> ControlFlow<()> {
+        let mut at = (self.now)();
+        while let Some(frame) = self.hold.pop_due(at.as_nanos()) {
+            self.host.on_wire(frame.from, frame.msg, at);
+        }
+        let mut next = first;
+        for _ in 0..DRAIN_MAX {
+            let Some(input) = next.take().or_else(|| self.rx.try_recv().ok()) else {
+                break;
+            };
+            // Read per input: an invocation is stamped after it was sent.
+            at = (self.now)();
+            match input {
+                Input::Net(frame) if frame.deliver_at > at.as_nanos() => self.hold.push(frame),
+                Input::Net(frame) => self.host.on_wire(frame.from, frame.msg, at),
+                Input::Invoke {
                     program,
                     args,
                     reply,
-                }) => host.submit(program, args, reply, now()),
-                Ok(Input::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => host.on_tick(now()),
+                } => self.host.submit(program, args, reply, at),
+                Input::Shutdown => return ControlFlow::Break(()),
             }
         }
-        host.settle(&now);
-        if let Some(tx) = &sentinel {
-            for ev in host.monitor_feed.drain(..) {
+        if self
+            .host
+            .next_deadline()
+            .is_some_and(|d| d <= at.as_nanos())
+        {
+            self.host.on_tick(at);
+        }
+        self.host.settle(&self.now);
+        self.flush();
+        ControlFlow::Continue(())
+    }
+
+    /// Hands on what a settle left in the host's three queues: sentinel
+    /// observations, replies (and their records), frames.
+    fn flush(&mut self) {
+        if let Some(tx) = &self.sentinel {
+            for ev in self.host.monitor_feed.drain(..) {
                 let _ = tx.send(ev);
             }
         }
-        for r in host.retired.drain(..) {
+        for r in self.host.retired.drain(..) {
             let reply = Reply {
                 id: r.record.id,
                 outputs: r.record.outputs.clone(),
@@ -750,25 +833,25 @@ fn replica_main<R: ReplicaProtocol>(
                 invoked_at: r.invoked_at,
                 responded_at: r.responded_at,
             };
-            records.push(r.record);
+            self.records.push(r.record);
             if r.token.send(reply).is_err() {
-                dropped_replies += 1;
+                self.dropped_replies += 1;
             }
         }
-        for (to, msg) in host.wire.drain(..) {
-            let copies = outlet.copies(to);
+        for (to, msg) in self.host.wire.drain(..) {
+            let copies = self.outlet.copies(to);
             let mut deliver = |msg| {
                 let frame = Frame {
-                    deliver_at: outlet.deliver_at(&now),
-                    from: me,
+                    deliver_at: self.outlet.deliver_at(&self.now),
+                    from: self.me,
                     msg,
                 };
-                if to == me {
-                    hold.push(frame);
+                if to == self.me {
+                    self.hold.push(frame);
                 } else {
                     // A peer that has shut down has no waiting client, so
                     // a frame it no longer takes is safe to lose.
-                    let _ = peers[to.index()].send(Input::Net(frame));
+                    let _ = self.peers[to.index()].send(Input::Net(frame));
                 }
             };
             // Duplication is the only path that clones the payload; the
@@ -781,22 +864,25 @@ fn replica_main<R: ReplicaProtocol>(
             }
         }
     }
-    // No client is waiting any more. What is still held is delivered, in
-    // deadline order, so the counters account for every frame that got
-    // here; nothing it sets off is sent.
-    while let Some(frame) = hold.pop_due(u64::MAX) {
-        host.on_wire(frame.from, frame.msg, now());
-    }
-    let replica = host.replica();
-    ReplicaExit {
-        records,
-        metrics: replica.metrics(),
-        link_stats: host.link_stats(),
-        pipeline: PipelineMetrics {
-            dropped_replies,
-            ..host.metrics()
-        },
-        batch: replica.batch_stats(),
+
+    /// No client is waiting any more. What is still held is delivered, in
+    /// deadline order, so the counters account for every frame that got
+    /// here; nothing it sets off is sent.
+    fn exit(mut self) -> ReplicaExit {
+        while let Some(frame) = self.hold.pop_due(u64::MAX) {
+            self.host.on_wire(frame.from, frame.msg, (self.now)());
+        }
+        let replica = self.host.replica();
+        ReplicaExit {
+            records: self.records,
+            metrics: replica.metrics(),
+            link_stats: self.host.link_stats(),
+            pipeline: PipelineMetrics {
+                dropped_replies: self.dropped_replies,
+                ..self.host.metrics()
+            },
+            batch: replica.batch_stats(),
+        }
     }
 }
 
@@ -918,6 +1004,198 @@ mod tests {
         assert_eq!(delays(delayed()), delays(delayed().with_faults(0.3, 0.3)));
         assert!(delays(delayed()).iter().all(|&at| at >= 7 + 1_000));
         assert!(delays(RuntimeConfig::new(1)).iter().all(|&at| at == 0));
+    }
+
+    type Msc = MscOverSequencer;
+    type Wire = LinkMsg<<Msc as ReplicaProtocol>::Msg>;
+
+    /// One replica of three with no thread under it: the test turns the
+    /// clock, fills the inbox and holds the other end of every peer's.
+    struct ByHand {
+        driver: ReplicaDriver<Msc, Box<dyn Fn() -> EventTime>>,
+        clock: std::rc::Rc<std::cell::Cell<u64>>,
+        inbox: Sender<Input<Wire>>,
+        /// `peers[q]` is what the replica sent `q` (its own entry is `None`:
+        /// frames to itself never leave the thread).
+        peers: Vec<Option<Receiver<Input<Wire>>>>,
+    }
+
+    impl ByHand {
+        fn new(me: u32) -> Self {
+            let (inputs, mut inboxes): (Vec<_>, Vec<_>) = (0..3)
+                .map(|_| {
+                    let (tx, rx) = unbounded::<Input<Wire>>();
+                    (tx, Some(rx))
+                })
+                .unzip();
+            let clock = std::rc::Rc::new(std::cell::Cell::new(1_000));
+            let hand = std::rc::Rc::clone(&clock);
+            let now: Box<dyn Fn() -> EventTime> =
+                Box::new(move || EventTime::from_nanos(hand.get()));
+            let rx = inboxes[me as usize].take().expect("own inbox");
+            let config = RuntimeConfig::new(1);
+            ByHand {
+                driver: ReplicaDriver::new(p(me), config, now, rx, inputs.clone(), None),
+                clock,
+                inbox: inputs[me as usize].clone(),
+                peers: inboxes,
+            }
+        }
+
+        fn invoke(&self, program: Arc<Program>, reply: &Sender<Reply>) {
+            let reply = reply.clone();
+            let args = vec![];
+            let _ = self.inbox.send(Input::Invoke {
+                program,
+                args,
+                reply,
+            });
+        }
+
+        /// Everything the replica has sent `to` so far.
+        fn sent(&self, to: u32) -> Vec<Wire> {
+            let rx = self.peers[to as usize].as_ref().expect("a peer");
+            std::iter::from_fn(|| rx.try_recv().ok())
+                .map(|input| match input {
+                    Input::Net(frame) => frame.msg,
+                    _ => panic!("replicas only send each other frames"),
+                })
+                .collect()
+        }
+    }
+
+    /// The first `count` frames `from` sends the sequencer when its client
+    /// pipelines `count` updates: one `Submit` each.
+    fn submits(from: u32, count: usize) -> Vec<Wire> {
+        let mut host: ReplicaHost<Msc, ()> = ReplicaHost::new(
+            p(from),
+            3,
+            1,
+            Some(LinkConfig::default()),
+            &OrderingSetup::default(),
+            false,
+        );
+        for i in 0..count {
+            host.submit(wx(i as i64), vec![], (), EventTime::ZERO);
+        }
+        host.settle(&|| EventTime::ZERO);
+        assert_eq!(host.wire.len(), count);
+        host.wire.drain(..).map(|(_, frame)| frame).collect()
+    }
+
+    fn acks(frames: &[Wire]) -> Vec<u64> {
+        frames
+            .iter()
+            .filter_map(|m| match m {
+                LinkMsg::Ack { upto } => Some(*upto),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn data_seqs(frames: &[Wire]) -> Vec<u64> {
+        frames
+            .iter()
+            .filter_map(|m| match m {
+                LinkMsg::Data { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The sequencer wakes up to five queries of its own client and five
+    /// submissions from each follower, interleaved. One wake-up takes them
+    /// all, settles once, and so answers the queries in order, stamps the
+    /// ten updates and acknowledges each follower once.
+    #[test]
+    fn one_wake_up_settles_the_whole_inbox_once() {
+        const K: usize = 5;
+        let mut hand = ByHand::new(0);
+        let (reply_tx, replies) = unbounded();
+        let mut from_p1 = submits(1, K).into_iter();
+        let mut from_p2 = submits(2, K).into_iter();
+        for _ in 0..K {
+            hand.invoke(rx(), &reply_tx);
+            for (from, frames) in [(1, &mut from_p1), (2, &mut from_p2)] {
+                let _ = hand.inbox.send(Input::Net(Frame {
+                    deliver_at: 0,
+                    from: p(from),
+                    msg: frames.next().expect("K frames"),
+                }));
+            }
+        }
+        assert!(hand.driver.wake_up(None).is_continue());
+
+        let seqs: Vec<u32> = std::iter::from_fn(|| replies.try_recv().ok())
+            .map(|r: Reply| r.id.seq)
+            .collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4], "replies in invocation order");
+        let stamped: Vec<u64> = (0..2 * K as u64).collect();
+        for follower in [1, 2] {
+            let sent = hand.sent(follower);
+            assert_eq!(acks(&sent), [K as u64], "one cumulative ack per peer");
+            assert_eq!(
+                data_seqs(&sent),
+                stamped,
+                "every stamp fanned out, in order"
+            );
+        }
+        let link = hand.driver.host.link_stats();
+        assert_eq!((link.data_received, link.acks_sent), (2 * K as u64, 2));
+
+        // Its own copies of the ordered frames never left the thread: they
+        // are the next wake-up's, which acknowledges them — to itself — once.
+        assert!(hand.driver.wake_up(None).is_continue());
+        assert_eq!(hand.driver.host.link_stats().acks_sent, 3);
+        let metrics = hand.driver.host.replica().metrics();
+        assert_eq!(metrics.updates_applied, 2 * K as u64);
+        assert_eq!(hand.driver.records.len(), K);
+    }
+
+    #[test]
+    fn shutdown_met_mid_drain_exits_without_settling() {
+        let mut hand = ByHand::new(1);
+        let (reply_tx, replies) = unbounded();
+        hand.invoke(wx(1), &reply_tx);
+        let _ = hand.inbox.send(Input::Shutdown);
+        hand.invoke(wx(2), &reply_tx);
+        assert!(hand.driver.wake_up(None).is_break());
+        assert_eq!(hand.driver.host.in_flight(), 1, "what came first was fed");
+        assert!(hand.sent(0).is_empty(), "but nothing it set off was sent");
+        let exit = hand.driver.exit();
+        assert!(exit.records.is_empty() && replies.try_recv().is_err());
+        assert_eq!(exit.link_stats.data_sent, 0);
+    }
+
+    /// `recv_timeout` hands over a waiting message before it looks at the
+    /// clock, so a loop that ticks on `Timeout` never ticks while the inbox
+    /// keeps refilling. A wake-up ticks whenever a deadline is due.
+    #[test]
+    fn a_due_deadline_ticks_though_the_inbox_never_runs_dry() {
+        let mut hand = ByHand::new(1);
+        let (reply_tx, _replies) = unbounded();
+        hand.invoke(wx(1), &reply_tx);
+        assert!(hand.driver.wake_up(None).is_continue());
+        assert_eq!(data_seqs(&hand.sent(0)), [0], "the submission went out");
+        let deadline = hand.driver.host.next_deadline().expect("unacked");
+        assert_eq!(
+            deadline,
+            hand.clock.get() + hand.driver.outlet.config.link.rto_ns
+        );
+
+        // The retransmission comes due with more in the inbox than one
+        // wake-up takes.
+        hand.clock.set(deadline);
+        for _ in 0..DRAIN_MAX + 5 {
+            hand.invoke(rx(), &reply_tx);
+        }
+        assert!(hand.driver.wake_up(None).is_continue());
+        assert_eq!(hand.driver.host.link_stats().retransmissions, 1);
+        assert_eq!(data_seqs(&hand.sent(0)), [0], "retransmitted");
+        assert!(hand.driver.host.next_deadline().expect("re-armed") > deadline);
+        assert_eq!(hand.driver.host.metrics().invocations, 1 + DRAIN_MAX as u64);
+        let left = std::iter::from_fn(|| hand.driver.rx.try_recv().ok()).count();
+        assert_eq!(left, 5, "the rest is the next wake-up's");
     }
 
     #[test]
