@@ -170,8 +170,8 @@ pub fn audit_document(h: &History, doc: &Json) -> Result<Verdict, String> {
             ] {
                 uint(proof, key)?;
             }
-            // Run metadata recorded since the `--threads auto` default:
-            // optional (older certificates omit it), but nonsensical
+            // Run metadata of certificates written while the search was
+            // multi-threaded: accepted, no longer written, and nonsensical
             // values reject.
             if proof.get("threads").is_some() && uint(proof, "threads")? == 0 {
                 return Err("field \"threads\" must be at least 1".into());

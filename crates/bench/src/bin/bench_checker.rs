@@ -1,16 +1,14 @@
 //! `cargo run -p moc-bench --bin bench_checker --release`
 //!
-//! Times the naive admissibility search against the parallel precedence-
-//! pruned engine (1/2/4/8 threads) and the Theorem 7 fast path on the
-//! generator families, prints the comparison table and writes the
-//! machine-readable results to `BENCH_checker.json` at the repository
-//! root.
+//! Times the naive admissibility search against the precedence-pruned
+//! search and the Theorem 7 fast path on the generator families, prints
+//! the comparison table and writes the machine-readable results to
+//! `BENCH_checker.json` at the repository root.
 //!
 //! `--smoke` instead runs the CI perf gate: the same families under a
 //! small naive budget, with every family's deterministic pruned node
-//! count checked against its golden cap (`CHECKER_NODE_CAPS`) and
-//! thread-count determinism re-asserted. Exits non-zero on regression and
-//! writes nothing.
+//! count checked against its golden cap (`CHECKER_NODE_CAPS`). Exits
+//! non-zero on regression and writes nothing.
 
 use moc_bench::{
     checker_bench_json, checker_bench_table, checker_smoke, experiment_certified_checker,

@@ -611,13 +611,12 @@ pub fn experiment_validation(seed: u64) -> Table {
 
 /// One measured configuration of the certified-checker benchmark behind
 /// `BENCH_checker.json`: the same history decided by the naive search
-/// (under a per-family node budget), the precedence-pruned parallel engine
-/// at several thread counts, and (where the writer order is known sound)
-/// the Theorem 7 fast path.
+/// (under a per-family node budget), the precedence-pruned search, and
+/// (where the writer order is known sound) the Theorem 7 fast path.
 #[derive(Debug, Clone)]
 pub struct CheckerBenchRow {
     /// Family label (`writers-KxM`, `multi-CxK`, `torn-CxK`,
-    /// `shred-CxK`, `poisoned-CxK`).
+    /// `shred-CxK`, `knot-1xK`, `poisoned-CxK`, `synth-*`).
     pub family: String,
     /// History size in m-operations.
     pub m_ops: usize,
@@ -629,9 +628,9 @@ pub struct CheckerBenchRow {
     pub naive: Option<(f64, u64)>,
     /// Node budget the naive search ran under.
     pub naive_budget: u64,
-    /// Pruned-search wall time (ms), single-threaded.
+    /// Pruned-search wall time (ms), best of 3.
     pub pruned_ms: f64,
-    /// Nodes the pruned search expanded (identical at every thread count).
+    /// Nodes the pruned search expanded.
     pub pruned_nodes: u64,
     /// Interaction components the pruned search solved independently.
     pub components: u64,
@@ -639,16 +638,14 @@ pub struct CheckerBenchRow {
     pub peeled: u64,
     /// `~rw` edges forced by the precedence saturation.
     pub forced_edges: u64,
-    /// Transposition-table hits charged on the fold's decision path.
+    /// Transposition-table hits over the searched components.
     pub memo_hits: u64,
-    /// Peak transposition-table occupancy over the decision path.
+    /// Peak transposition-table occupancy over the searched components.
     pub memo_peak: u64,
     /// Theorem 7 fast-path wall time (ms); `None` = not applicable (the
     /// torn/shredded families reuse version numbers across writers, which
     /// the version-based legality scan cannot arbitrate).
     pub fast: Option<f64>,
-    /// Pruned wall time (ms) per thread count, `(threads, ms)`.
-    pub parallel: Vec<(usize, f64)>,
     /// `naive_nodes / max(pruned_nodes, 1)`; `None` when the naive search
     /// was budget-capped (the true ratio is only bounded below).
     pub node_speedup: Option<f64>,
@@ -662,12 +659,12 @@ pub struct CheckerBenchRow {
     /// Nodes the same search expands with symmetry reduction ablated
     /// (`SearchLimits::without_symmetry`) — the PR 5 engine's behavior.
     pub nosym_nodes: u64,
-    /// Wall time (ms) of the ablated search, single-threaded, best of 3.
+    /// Wall time (ms) of the ablated search, best of 3.
     pub nosym_ms: f64,
 }
 
 impl CheckerBenchRow {
-    /// The row as a JSON object (`BENCH_checker.json` version 4 schema).
+    /// The row as a JSON object (`BENCH_checker.json` version 5 schema).
     pub fn to_json(&self) -> Json {
         let naive = match self.naive {
             Some((ms, nodes)) => Json::Obj(vec![
@@ -699,20 +696,6 @@ impl CheckerBenchRow {
                 ]),
             ),
             ("fast".into(), fast),
-            (
-                "parallel".into(),
-                Json::Arr(
-                    self.parallel
-                        .iter()
-                        .map(|&(threads, ms)| {
-                            Json::Obj(vec![
-                                ("threads".into(), num(threads as i64)),
-                                ("ms".into(), Json::Num(ms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             (
                 "node_speedup".into(),
                 self.node_speedup.map_or(Json::Null, Json::Num),
@@ -780,9 +763,9 @@ fn torn_multi_component(components: usize, k: usize, seed: u64) -> History {
 /// the way [`torn_multi_component`] tears component 0: object `2c` from
 /// writer 0, object `2c+1` from writer 1 of component `c`. Each component
 /// is independently inadmissible, so a component-aware search must
-/// exhaustively refute every one of them — the workload whose wall-clock
-/// benefit from the parallel engine comes from fanning disjoint component
-/// refutations out across workers.
+/// exhaustively refute every one of them. With `components == 1` (the
+/// `knot-1xK` family) nothing decomposes and the whole refutation rests on
+/// the transposition table.
 fn shredded_multi_component(components: usize, k: usize, seed: u64) -> History {
     assert!(k >= 2);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -802,9 +785,6 @@ fn shredded_multi_component(components: usize, k: usize, seed: u64) -> History {
     }
     History::new(h.num_objects(), records).expect("shredded history stays well-formed")
 }
-
-/// Thread counts every family's pruned search is timed at.
-pub const BENCH_THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The benchmark families: label, history, whether the Theorem 7 fast path
 /// applies, and an optional per-family naive node budget overriding the
@@ -858,6 +838,14 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
             false,
             big,
         ),
+        // One component: nothing to decompose, so the pruned search must
+        // do no worse than the naive one on the strength of its table.
+        (
+            "knot-1x8".into(),
+            shredded_multi_component(1, 8, 7),
+            false,
+            big,
+        ),
         (
             "poisoned-2x3".into(),
             poisoned_multi_component_history(2, 3, 2, &mut rng),
@@ -899,13 +887,12 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
 }
 
 /// The benchmark behind `BENCH_checker.json`: naive vs the precedence-
-/// pruned parallel engine (at 1/2/4/8 threads) vs the Theorem 7 fast path
-/// over the generator families. `budget` caps the naive search's node
-/// count (per-family overrides apply, see [`checker_families`]).
+/// pruned search vs the Theorem 7 fast path over the generator families.
+/// `budget` caps the naive search's node count (per-family overrides
+/// apply, see [`checker_families`]).
 ///
 /// Wall times are the best of three runs; node counts and verdicts are
-/// deterministic, and the experiment asserts they agree across thread
-/// counts and engines.
+/// deterministic, and the experiment asserts the engines agree.
 ///
 /// The fast path is only timed on families whose index order is a sound
 /// writer order for the plain-relation question (the admissible families,
@@ -956,27 +943,6 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
                 pruned_out.is_admissible(),
                 "{family}: symmetry reduction must not change the verdict"
             );
-        }
-
-        let mut parallel = Vec::new();
-        for threads in BENCH_THREAD_COUNTS {
-            let t_limits = limits.with_threads(threads);
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let start = Instant::now();
-                let (t_out, t_stats) = find_legal_extension_pruned(&h, &rel, t_limits);
-                best = best.min(start.elapsed().as_secs_f64() * 1_000.0);
-                assert_eq!(
-                    t_out.is_admissible(),
-                    pruned_out.is_admissible(),
-                    "{family}: verdict must not depend on thread count"
-                );
-                assert_eq!(
-                    t_stats.nodes, pruned_stats.nodes,
-                    "{family}: node count must not depend on thread count"
-                );
-            }
-            parallel.push((threads, best));
         }
 
         let verdict = match &pruned_out {
@@ -1033,7 +999,6 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
             memo_hits: pruned_stats.memo_hits,
             memo_peak: pruned_stats.memo_peak,
             fast,
-            parallel,
             node_speedup: naive.map(|(_, nodes)| nodes as f64 / pruned_stats.nodes.max(1) as f64),
             wall_speedup: naive.map(|(ms, _)| ms / pruned_ms.max(1e-6)),
             symmetry_skips: pruned_stats.symmetry_skips,
@@ -1047,7 +1012,7 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
 /// Renders the certified-checker rows as a printable table.
 pub fn checker_bench_table(rows: &[CheckerBenchRow]) -> Table {
     let mut t = Table::new(
-        "Certified checker: naive vs parallel pruned engine vs Theorem 7 fast path",
+        "Certified checker: naive vs pruned search vs Theorem 7 fast path",
         &[
             "family",
             "m-ops",
@@ -1062,20 +1027,12 @@ pub fn checker_bench_table(rows: &[CheckerBenchRow]) -> Table {
             "memo hits",
             "memo peak",
             "fast ms",
-            "t2/t4/t8 ms",
             "node speedup",
             "sym skips",
             "nosym nodes",
         ],
     );
     for r in rows {
-        let threaded = r
-            .parallel
-            .iter()
-            .filter(|(threads, _)| *threads > 1)
-            .map(|(_, ms)| format!("{ms:.2}"))
-            .collect::<Vec<_>>()
-            .join("/");
         t.row(vec![
             r.family.clone(),
             r.m_ops.to_string(),
@@ -1096,7 +1053,6 @@ pub fn checker_bench_table(rows: &[CheckerBenchRow]) -> Table {
             r.fast
                 .map(|ms| format!("{ms:.3}"))
                 .unwrap_or_else(|| "n/a".into()),
-            threaded,
             r.node_speedup
                 .map(|s| format!("{s:.1}x"))
                 .unwrap_or_else(|| "-".into()),
@@ -1108,10 +1064,9 @@ pub fn checker_bench_table(rows: &[CheckerBenchRow]) -> Table {
 }
 
 /// Serializes the certified-checker rows as the `BENCH_checker.json`
-/// version 4 document (version 3 plus the `synth-*` stress rows tiled
-/// from synthesized boundary specimens), headlined by the best
-/// completed-naive node speedup among the component families and stamped
-/// with the parallelism the machine actually offered.
+/// version 5 document (version 4 minus the per-thread-count timings, plus
+/// the single-component `knot-1x8` row), headlined by the best
+/// completed-naive node speedup among the component families.
 pub fn checker_bench_json(rows: &[CheckerBenchRow]) -> String {
     let headline = rows
         .iter()
@@ -1128,7 +1083,7 @@ pub fn checker_bench_json(rows: &[CheckerBenchRow]) -> String {
         });
     let mut fields = vec![
         ("bench".into(), jstr("checker")),
-        ("version".into(), num(4)),
+        ("version".into(), num(5)),
         ("cpus".into(), num(bench_cpus())),
         (
             "rows".into(),
@@ -1154,30 +1109,31 @@ pub fn checker_bench_json(rows: &[CheckerBenchRow]) -> String {
     Json::Obj(fields).render()
 }
 
-/// Golden per-family caps on the pruned engine's deterministic node count.
-/// The counts are exactly reproducible (fixed seeds, fixed Zobrist keys),
-/// so the caps hold a little slack only for future *intentional* pruning
-/// improvements — a regression that explores past a cap fails CI.
-pub const CHECKER_NODE_CAPS: [(&str, u64); 12] = [
+/// Golden per-family caps on the pruned search's deterministic node count.
+/// The counts are exactly reproducible (fixed seeds, fixed Zobrist keys);
+/// every cap on a searched family sits below what the per-branch-table
+/// engine this one replaced needed (49, 49, 320, 2 213, 13 625, 322 547
+/// and 368 nodes on the torn, shred, knot and peak rows), so a regression
+/// to that behaviour, or past a cap in any other way, fails CI.
+pub const CHECKER_NODE_CAPS: [(&str, u64); 13] = [
     ("writers-3x3", 50),
     ("multi-2x3", 50),
     ("multi-3x3", 80),
-    ("torn-2x3", 120),
-    ("torn-3x3", 120),
-    ("torn-4x4", 500),
-    ("shred-4x5", 3_000),
-    ("shred-4x6", 20_000),
+    ("torn-2x3", 48),
+    ("torn-3x3", 48),
+    ("torn-4x4", 300),
+    ("shred-4x5", 1_500),
+    ("shred-4x6", 7_500),
+    ("knot-1x8", 100_000),
     ("poisoned-2x3", 0),
-    ("synth-peak0-x4", 500),
+    ("synth-peak0-x4", 350),
     ("synth-lbi0-x4", 120),
     ("synth-cycle0-x4", 0),
 ];
 
 /// CI perf-smoke gate: runs the checker families under a small naive
-/// budget, checks every family's pruned node count against its golden cap,
-/// and re-checks thread-count determinism (which
-/// [`experiment_certified_checker`] asserts internally for 1/2/4/8
-/// threads). Returns the offending families on failure.
+/// budget and checks every family's pruned node count against its golden
+/// cap. Returns the offending families on failure.
 pub fn checker_smoke() -> Result<Vec<CheckerBenchRow>, String> {
     let rows = experiment_certified_checker(200_000);
     let mut failures = Vec::new();
@@ -2466,7 +2422,7 @@ mod tests {
     #[test]
     fn certified_checker_bench_shows_component_speedup() {
         let rows = experiment_certified_checker(20_000_000);
-        assert_eq!(rows.len(), 12);
+        assert_eq!(rows.len(), 13);
         for r in &rows {
             assert_ne!(r.verdict, "budget", "{}: pruned must complete", r.family);
             if let Some((_, naive_nodes)) = r.naive {
@@ -2476,12 +2432,6 @@ mod tests {
                     r.family
                 );
             }
-            assert_eq!(
-                r.parallel.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
-                BENCH_THREAD_COUNTS.to_vec(),
-                "{}: every thread count is timed",
-                r.family
-            );
         }
         // The multi-component separation the family was built for.
         let torn3 = rows.iter().find(|r| r.family == "torn-3x3").unwrap();
@@ -2515,8 +2465,8 @@ mod tests {
             "no torn/shred family shows a symmetry node reduction"
         );
         // The synthesized stress rows behave like their pinned bases:
-        // the cycle tile is refuted statically (zero search nodes, the
-        // zero-search parallel base), the lbi tile stays inadmissible by
+        // the cycle tile is refuted statically (zero search nodes), the
+        // lbi tile stays inadmissible by
         // exhaustion, and the peak tile stays admissible.
         let cycle = rows.iter().find(|r| r.family == "synth-cycle0-x4").unwrap();
         assert_eq!(cycle.verdict, "inadmissible");
@@ -2529,19 +2479,19 @@ mod tests {
         assert_eq!(peak.verdict, "admissible");
         assert!(peak.components >= 4, "tiling multiplies components");
 
-        // The JSON document round-trips and carries the v4 fields.
+        // The JSON document round-trips and carries the v5 fields.
         let doc = moc_core::json::parse(&checker_bench_json(&rows)).unwrap();
         assert_eq!(doc.get("bench").and_then(Json::as_str), Some("checker"));
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(4));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(5));
         assert!(doc.get("cpus").and_then(Json::as_u64).unwrap() >= 1);
         assert_eq!(
             doc.get("rows").and_then(Json::as_arr).map(|a| a.len()),
-            Some(12)
+            Some(13)
         );
         assert!(doc.get("headline").is_some());
         let first = &doc.get("rows").and_then(Json::as_arr).unwrap()[0];
         assert!(first.get("fast").is_some(), "explicit fast cell");
-        assert!(first.get("parallel").is_some(), "parallel timings");
+        assert!(first.get("parallel").is_none(), "v4's per-thread timings");
         let pruned = first.get("pruned").unwrap();
         assert!(pruned.get("memo_hits").is_some());
         assert!(pruned.get("memo_peak").is_some());
@@ -2580,58 +2530,26 @@ mod tests {
         t.row(vec!["1".into(), "2".into()]);
     }
 
+    /// On a single interaction component nothing decomposes, so the pruned
+    /// search has only its forced edges and its transposition table over
+    /// the naive one — and must therefore never expand more nodes.
     #[test]
-    #[ignore = "sizing probe, run manually"]
-    fn probe_shred_sizes() {
-        use moc_checker::find_legal_extension_pruned;
-        let time_best = |f: &dyn Fn() -> (bool, u64)| {
-            let mut best = f64::INFINITY;
-            let mut last = (false, 0);
-            for _ in 0..5 {
-                let start = Instant::now();
-                last = f();
-                best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            }
-            (best, last)
-        };
-        let mut cases: Vec<(String, History)> = Vec::new();
-        for &(c, k) in &[(4usize, 4usize), (4, 5), (4, 6)] {
-            cases.push((format!("shred-{c}x{k}"), shredded_multi_component(c, k, 7)));
-        }
-        for &k in &[7usize, 8] {
-            cases.push((format!("knot-1x{k}"), shredded_multi_component(1, k, 7)));
-        }
-        let mut rng = StdRng::seed_from_u64(42);
-        for &(c, k) in &[(4usize, 6usize), (4, 7)] {
-            cases.push((
-                format!("multi-{c}x{k}"),
-                multi_component_history(c, k, 2, &mut rng),
-            ));
-        }
-        cases.push(("torn-4x4".into(), torn_multi_component(4, 4, 7)));
-        for (name, h) in cases {
+    fn pruned_search_never_explores_more_than_naive_on_one_component() {
+        for k in [7, 8] {
+            let h = shredded_multi_component(1, k, 7);
             let rel = process_order(&h).union(&reads_from(&h));
-            let limits = SearchLimits::with_max_nodes(50_000_000);
-            let (ms, (adm, nodes)) = time_best(&|| {
-                let (out, stats) = find_legal_extension_pruned(&h, &rel, limits);
-                (out.is_admissible(), stats.nodes)
-            });
-            println!("{name}: t1 {ms:.3} ms, nodes {nodes}, admissible {adm}");
-            for threads in [2usize, 4, 8] {
-                let limits = SearchLimits::with_max_nodes(50_000_000).with_threads(threads);
-                let (ms_t, (adm_t, nodes_t)) = time_best(&|| {
-                    let (out, stats) = find_legal_extension_pruned(&h, &rel, limits);
-                    (out.is_admissible(), stats.nodes)
-                });
-                println!("  t{threads}: {ms_t:.3} ms");
-                assert_eq!((adm_t, nodes_t), (adm, nodes), "{name} t{threads}");
-            }
-            let nlimits = SearchLimits::with_max_nodes(2_000_000);
-            let (nms, (nadm, nnodes)) = time_best(&|| {
-                let (out, stats) = moc_checker::find_legal_extension(&h, &rel, nlimits);
-                (out.is_admissible(), stats.nodes)
-            });
-            println!("  naive: {nms:.3} ms, nodes {nnodes}, admissible {nadm}");
+            let limits = SearchLimits::default();
+            let (naive_out, naive) = find_legal_extension(&h, &rel, limits);
+            let (pruned_out, pruned) = find_legal_extension_pruned(&h, &rel, limits);
+            assert_eq!(naive_out, SearchOutcome::NotAdmissible, "knot-1x{k}");
+            assert_eq!(pruned_out, SearchOutcome::NotAdmissible, "knot-1x{k}");
+            assert_eq!(pruned.components, 1, "knot-1x{k}");
+            assert!(
+                pruned.nodes <= naive.nodes,
+                "knot-1x{k}: pruned {} > naive {}",
+                pruned.nodes,
+                naive.nodes
+            );
         }
     }
 }

@@ -30,15 +30,11 @@ pub struct SearchLimits {
     /// configurations. Always sound; disabling it exists only for the
     /// memoization ablation benchmark.
     pub memoize: bool,
-    /// Capacity bound on the transposition table, in entries. When a
-    /// branch's table fills past this bound it is evicted wholesale (a
-    /// generation bump) and the run is reported as memo-saturated in
-    /// [`SearchStats::memo_saturated`].
+    /// Capacity bound on the transposition table, in entries. The table is
+    /// per interaction component; when a component fills it past this
+    /// bound it is evicted wholesale (a generation bump) and the run is
+    /// reported as memo-saturated in [`SearchStats::memo_saturated`].
     pub max_memo_entries: u64,
-    /// Worker threads for the component/branch fan-out of
-    /// [`crate::precedence::pruned_search`]. Verdicts, witnesses and stats
-    /// are identical for every value; this knob only trades wall clock.
-    pub threads: usize,
     /// Whether to apply the commutativity-based symmetry reduction: among
     /// adjacent schedule positions holding *independent* m-operations (no
     /// precedence edge either way, commuting footprints), only the
@@ -50,7 +46,7 @@ pub struct SearchLimits {
 
 impl SearchLimits {
     /// Creates limits with the given node budget and everything else at
-    /// the defaults (memoization on, bounded table, one thread).
+    /// the defaults (memoization on, bounded table, symmetry reduction on).
     pub fn with_max_nodes(max_nodes: u64) -> Self {
         SearchLimits {
             max_nodes,
@@ -70,12 +66,6 @@ impl SearchLimits {
         self
     }
 
-    /// Sets the worker-thread count (0 is clamped to 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Sets the transposition-table capacity bound (clamped to ≥ 16).
     pub fn with_max_memo_entries(mut self, entries: u64) -> Self {
         self.max_memo_entries = entries.max(16);
@@ -89,36 +79,9 @@ impl Default for SearchLimits {
             max_nodes: 50_000_000,
             memoize: true,
             max_memo_entries: 1 << 20,
-            threads: 1,
             symmetry: true,
         }
     }
-}
-
-/// Histories shorter than this search single-threaded under
-/// [`auto_threads`]: the component/branch fan-out's thread spawn and
-/// work-queue overhead dominates any speedup on small instances.
-pub const AUTO_THREADS_MIN_OPS: usize = 32;
-
-/// Upper bound on what [`auto_threads`] resolves to; the branch frontier
-/// rarely keeps more workers busy, and oversubscription only churns the
-/// transposition tables.
-pub const AUTO_THREADS_MAX: usize = 8;
-
-/// Resolves a `threads = auto` request for a history of `history_len`
-/// m-operations: `1` below [`AUTO_THREADS_MIN_OPS`], otherwise the
-/// machine's available parallelism capped at [`AUTO_THREADS_MAX`].
-///
-/// Verdicts, witnesses and stats are identical at every thread count, so
-/// the resolution only trades wall clock; callers that need reproducible
-/// *timing* should pass an explicit count instead.
-pub fn auto_threads(history_len: usize) -> usize {
-    if history_len < AUTO_THREADS_MIN_OPS {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map_or(1, usize::from)
-        .min(AUTO_THREADS_MAX)
 }
 
 /// Statistics from a search run. `components`, `peeled` and `forced_edges`
@@ -138,9 +101,9 @@ pub struct SearchStats {
     /// `~rw` edges the precedence saturation forced beyond the base
     /// relation.
     pub forced_edges: u64,
-    /// Peak transposition-table occupancy over the counted branches.
+    /// Peak transposition-table occupancy over the searched components.
     pub memo_peak: u64,
-    /// Whether any counted branch filled its table past
+    /// Whether any searched component filled its table past
     /// [`SearchLimits::max_memo_entries`] and fell back to generation
     /// eviction. Distinguishes a genuinely exhausted search from a
     /// memo-limited one in exhaustion certificates.
@@ -211,8 +174,13 @@ pub fn find_legal_extension(
     }
 
     let problem = SearchProblem::new(h, &edges);
-    let plan = ComponentPlan::root(&problem);
-    engine::execute(&problem, std::slice::from_ref(&plan), limits)
+    // One component holding every m-operation, nothing peeled.
+    let plan = ComponentPlan {
+        members: (0..n as u32).collect(),
+        peeled_order: Vec::new(),
+        refuted_in_peel: false,
+    };
+    engine::execute(&problem, &[plan], limits)
 }
 
 #[cfg(test)]
@@ -228,14 +196,6 @@ mod tests {
     }
     fn oid(i: u32) -> ObjectId {
         ObjectId::new(i)
-    }
-
-    #[test]
-    fn auto_threads_is_one_below_the_threshold_and_bounded_above() {
-        assert_eq!(auto_threads(0), 1);
-        assert_eq!(auto_threads(AUTO_THREADS_MIN_OPS - 1), 1);
-        let big = auto_threads(10_000);
-        assert!((1..=AUTO_THREADS_MAX).contains(&big));
     }
 
     #[test]

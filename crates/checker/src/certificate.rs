@@ -61,11 +61,8 @@ pub enum Proof {
     Cycle(CycleProof),
     /// Inadmissible by exhaustive (pruned) search; statistics attested.
     Exhaustion {
-        /// Search statistics (identical at every thread count).
+        /// Search statistics.
         stats: SearchStats,
-        /// Worker threads the search actually ran with — run metadata,
-        /// not part of the proof obligation.
-        threads: usize,
     },
 }
 
@@ -192,9 +189,8 @@ fn proof_to_json(proof: &Proof) -> Json {
                 Json::Arr(proof.cycle.iter().map(|&s| json::num(s as i64)).collect()),
             ),
         ]),
-        Proof::Exhaustion { stats, threads } => Json::Obj(vec![
+        Proof::Exhaustion { stats } => Json::Obj(vec![
             ("kind".into(), json::str("exhaustion")),
-            ("threads".into(), json::num(*threads as i64)),
             ("nodes".into(), json::num(stats.nodes as i64)),
             ("memo_hits".into(), json::num(stats.memo_hits as i64)),
             ("memo_peak".into(), json::num(stats.memo_peak as i64)),
@@ -293,16 +289,7 @@ pub fn check_certified(
                     stats.nodes, stats.peeled, stats.components
                 )),
             };
-            Ok((
-                report,
-                bind(
-                    false,
-                    Proof::Exhaustion {
-                        stats,
-                        threads: limits.threads.max(1),
-                    },
-                ),
-            ))
+            Ok((report, bind(false, Proof::Exhaustion { stats })))
         }
         SearchOutcome::LimitExceeded => Err(CheckError::LimitExceeded(stats)),
     }
@@ -443,27 +430,13 @@ mod tests {
         )
         .unwrap();
         assert!(!report.satisfied);
-        let Proof::Exhaustion { stats, threads } = &cert.proof else {
+        let Proof::Exhaustion { stats } = &cert.proof else {
             panic!("expected exhaustion proof");
         };
         assert_eq!(*stats, report.stats);
-        assert_eq!(*threads, 1, "default limits search single-threaded");
         let doc = parse(&cert.to_text()).unwrap();
         let p = doc.get("proof").unwrap();
         assert_eq!(p.get("kind").unwrap().as_str(), Some("exhaustion"));
-        assert_eq!(p.get("threads").unwrap().as_u64(), Some(1));
-
-        // The thread count used is recorded, and it is the only field of
-        // the document that may vary with `SearchLimits::threads`.
-        let (_, c4) = check_certified(
-            &h,
-            Condition::MSequentialConsistency,
-            SearchLimits::default().with_threads(4),
-        )
-        .unwrap();
-        let t4 = c4.to_text();
-        assert!(t4.contains("\"threads\":4"), "{t4}");
-        assert_eq!(cert.to_text().replace("\"threads\":1", "\"threads\":4"), t4);
     }
 
     #[test]

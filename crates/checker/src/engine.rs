@@ -1,4 +1,4 @@
-//! The parallel, allocation-lean admissibility engine.
+//! The allocation-lean admissibility engine.
 //!
 //! Both public searches ([`crate::admissible::find_legal_extension`] and
 //! [`crate::precedence::pruned_search`]) compile their input down to a
@@ -6,6 +6,10 @@
 //! plus a table of Zobrist keys — and a list of [`ComponentPlan`]s, then
 //! hand both to [`execute`]. The engine owns everything from there:
 //!
+//! * **One depth-first search per component.** [`execute`] walks the plans
+//!   in order and searches each from its post-peel state; the first refuted
+//!   component (or the node budget) ends the run, and the witness is the
+//!   concatenation of every component's forced prefix and schedule.
 //! * **Zobrist transposition table.** Search states are pairs of
 //!   (scheduled set, last-writer map). Instead of cloning that pair into a
 //!   `HashSet` per DFS node, the engine maintains a 64-bit Zobrist hash
@@ -13,6 +17,9 @@
 //!   (object, writer) assignment — and memoizes fingerprints in an
 //!   open-addressed table with a configurable capacity bound
 //!   (`SearchLimits::max_memo_entries`) and O(1) generation-based eviction.
+//!   One table serves a whole component (a state refuted under one first
+//!   move is never re-explored under another) and is reset between
+//!   components, whose states cannot coincide.
 //! * **Allocation-lean state.** The scheduled set is a fixed-width
 //!   [`BitSet`], adjacency lives in [`Csr`] arenas, and undo information
 //!   goes through one reusable stack: the DFS hot path performs no heap
@@ -27,36 +34,21 @@
 //!   memoization sound under the skip rule (whose successor set depends on
 //!   the last move), the identity of the last scheduled m-operation is
 //!   folded into the state hash via a third Zobrist key family.
-//! * **Work-stealing parallelism.** Interaction components fan out across a
-//!   `crossbeam::thread::scope`; within a component the top-level branch
-//!   frontier (the legal first moves after forced-prefix peeling) is split
-//!   into per-branch tasks that workers steal from each other. A shared
-//!   atomic node budget, charged as branches complete into the decided
-//!   prefix, plus first-witness-wins cancellation keep the wall clock down.
 //!
 //! ## Determinism
 //!
-//! Verdicts, witnesses and statistics are identical for every thread count.
-//! Each branch task is searched in isolation (own transposition table, own
-//! node counter capped at `max_nodes`), so its result is a pure function of
-//! the problem. The overall result is a deterministic *fold* over those
-//! results in (component, branch) order: the canonical witness comes from
-//! the smallest admissible branch index, and the node budget is charged
-//! cumulatively in fold order — a run is `LimitExceeded` exactly when the
-//! cumulative count crosses `max_nodes`, regardless of which worker
-//! explored what. Cancellation only ever discards branches the fold can no
-//! longer reach (larger branch indices than a found witness, components
-//! past a refutation), so racing workers cannot perturb the outcome.
+//! The search is sequential and candidates are tried in ascending index
+//! order, so verdicts, witnesses and statistics are a pure function of the
+//! problem and the limits. Memoization never changes the outcome, only the
+//! node count: a memo hit prunes a sub-tree that was already explored to
+//! refutation (an admissible sub-tree ends the search on the spot), so the
+//! first witness found is the one the unmemoized search finds.
 //!
 //! The lone theoretical caveat is shared with every Zobrist-keyed checker
 //! (Wing–Gong descendants included): two distinct states may collide in 64
 //! bits. The keys come from a fixed-seed SplitMix64 stream, so a collision
 //! — vanishingly unlikely at reachable node counts — would at least be the
-//! same collision in every run and at every thread count.
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! same collision in every run.
 
 use moc_core::bitset::BitSet;
 use moc_core::csr::{predecessor_csr, Csr};
@@ -67,17 +59,9 @@ use crate::admissible::{SearchLimits, SearchOutcome, SearchStats};
 /// "No writer yet" marker in last-writer maps and read requirements.
 pub(crate) const NONE: u32 = u32::MAX;
 
-/// Branch sentinel: search the whole frontier from the root instead of
-/// forcing a first move (the naive engine's single task).
-pub(crate) const ROOT: u32 = u32::MAX;
-
 /// Fixed seed for the Zobrist key stream: keys must be identical across
-/// runs, processes and thread counts for certificates to be reproducible.
+/// runs and processes for certificates to be reproducible.
 const ZOBRIST_SEED: u64 = 0x6d6f_632d_6571_7531; // "moc-equ1"
-
-/// How often (in nodes) a branch checks for cancellation and flushes its
-/// node count into the shared budget counter. Power of two minus one.
-const CANCEL_CHECK_MASK: u64 = 0x3FF;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -147,7 +131,7 @@ impl ZobristKeys {
 /// and generation-based eviction.
 ///
 /// A slot is live iff its generation tag equals the current generation, so
-/// both eviction (at the capacity bound) and per-branch reuse are O(1)
+/// both eviction (at the capacity bound) and per-component reuse are O(1)
 /// generation bumps — no memset on the hot path. The table starts small
 /// and doubles (rehashing live entries) until the slot count covers
 /// `max_entries` at a ≤ 7/8 load factor; past the bound it evicts instead
@@ -257,7 +241,7 @@ impl TranspositionTable {
         }
     }
 
-    /// Clears the table and its per-branch stats for the next branch.
+    /// Clears the table and its stats for the next component.
     pub(crate) fn reset(&mut self) {
         self.bump_generation();
         self.hits = 0;
@@ -278,7 +262,7 @@ impl TranspositionTable {
     }
 }
 
-/// The immutable, thread-shared compilation of one admissibility question.
+/// The immutable compilation of one admissibility question.
 pub(crate) struct SearchProblem {
     pub(crate) n: usize,
     pub(crate) num_objects: usize,
@@ -374,95 +358,16 @@ fn independence(
     indep
 }
 
-/// One interaction component, compiled to its post-peel start state and
-/// branch frontier. Built by the callers (which own the peeling policy),
-/// executed by [`execute`].
+/// One interaction component: its forced prefix and what is left to
+/// search. Built by the callers (which own the peeling policy), executed
+/// by [`execute`].
 pub(crate) struct ComponentPlan {
     /// Members left to schedule after peeling, ascending.
     pub(crate) members: Vec<u32>,
     /// The forced prefix, in the order it was peeled.
     pub(crate) peeled_order: Vec<u32>,
-    /// Peel steps the fold charges to `SearchStats::peeled`.
-    pub(crate) peeled: u64,
-    /// Scheduled set after the peel (this component's members only).
-    pub(crate) sched: BitSet,
-    /// Last-writer map after the peel.
-    pub(crate) last_writer: Vec<u32>,
-    /// Zobrist hash of (`sched`, `last_writer`).
-    pub(crate) hash: u64,
-    /// Branch frontier: the legal first moves, ascending — or the single
-    /// [`ROOT`] sentinel for an unsplit whole-frontier search.
-    pub(crate) branches: Vec<u32>,
     /// The peel refuted the component (a forced-next op has illegal reads).
     pub(crate) refuted_in_peel: bool,
-}
-
-impl ComponentPlan {
-    /// Builds a component plan by replaying `peeled_order` and then
-    /// enumerating the branch frontier over `members`.
-    pub(crate) fn build(
-        problem: &SearchProblem,
-        peeled_order: Vec<u32>,
-        members: Vec<u32>,
-        refuted_in_peel: bool,
-        peeled: u64,
-    ) -> Self {
-        let mut sched = BitSet::new(problem.n);
-        let mut last_writer = vec![NONE; problem.num_objects];
-        let mut hash = 0u64;
-        for &u in &peeled_order {
-            sched.insert(u as usize);
-            hash ^= problem.keys.op(u as usize);
-            for &o in problem.write_sets.row(u as usize) {
-                hash ^= problem.keys.writer(o, last_writer[o as usize]) ^ problem.keys.writer(o, u);
-                last_writer[o as usize] = u;
-            }
-        }
-        let mut branches = Vec::new();
-        if !refuted_in_peel {
-            for &iu in &members {
-                let i = iu as usize;
-                let ready = problem
-                    .preds
-                    .row(i)
-                    .iter()
-                    .all(|&q| sched.contains(q as usize));
-                let legal = problem
-                    .read_reqs
-                    .row(i)
-                    .iter()
-                    .all(|&(o, w)| last_writer[o as usize] == w);
-                if ready && legal {
-                    branches.push(iu);
-                }
-            }
-        }
-        ComponentPlan {
-            members,
-            peeled_order,
-            peeled,
-            sched,
-            last_writer,
-            hash,
-            branches,
-            refuted_in_peel,
-        }
-    }
-
-    /// The naive engine's plan: every m-operation in one component, one
-    /// unsplit root task, nothing peeled.
-    pub(crate) fn root(problem: &SearchProblem) -> Self {
-        ComponentPlan {
-            members: (0..problem.n as u32).collect(),
-            peeled_order: Vec::new(),
-            peeled: 0,
-            sched: BitSet::new(problem.n),
-            last_writer: vec![NONE; problem.num_objects],
-            hash: 0,
-            branches: vec![ROOT],
-            refuted_in_peel: false,
-        }
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -470,193 +375,9 @@ enum Step {
     Admissible,
     Refuted,
     Limit,
-    Cancelled,
 }
 
-#[derive(Clone, Copy)]
-struct Task {
-    comp: usize,
-    branch: usize,
-    first: u32,
-}
-
-struct BranchResult {
-    step: Step,
-    nodes: u64,
-    memo_hits: u64,
-    memo_peak: u64,
-    memo_saturated: bool,
-    symmetry_skips: u64,
-    /// Schedule of the branch (first move included) when admissible.
-    order: Vec<u32>,
-}
-
-/// Shared coordination state: results, cancellation cuts, abort flag and
-/// the shared node-budget counter.
-struct Board {
-    results: Mutex<Vec<Vec<Option<BranchResult>>>>,
-    /// Per component: branches with index ≥ this are cancelled.
-    cancel_from: Vec<AtomicUsize>,
-    /// Components with index > this are cancelled.
-    comp_stop: AtomicUsize,
-    abort: AtomicBool,
-    /// Total nodes expanded across all workers (observability; the binding
-    /// budget decision is the deterministic fold).
-    spent: AtomicU64,
-}
-
-impl Board {
-    fn new(plans: &[ComponentPlan], comp_stop: usize) -> Self {
-        Board {
-            results: Mutex::new(
-                plans
-                    .iter()
-                    .map(|p| (0..p.branches.len()).map(|_| None).collect())
-                    .collect(),
-            ),
-            cancel_from: plans.iter().map(|_| AtomicUsize::new(usize::MAX)).collect(),
-            comp_stop: AtomicUsize::new(comp_stop),
-            abort: AtomicBool::new(false),
-            spent: AtomicU64::new(0),
-        }
-    }
-
-    fn is_cancelled(&self, comp: usize, branch: usize) -> bool {
-        self.abort.load(Ordering::Relaxed)
-            || comp > self.comp_stop.load(Ordering::Relaxed)
-            || branch >= self.cancel_from[comp].load(Ordering::Relaxed)
-    }
-
-    /// Records a finished branch and updates the cancellation frontier.
-    fn on_done(
-        &self,
-        task: Task,
-        result: BranchResult,
-        plans: &[ComponentPlan],
-        limits: SearchLimits,
-    ) {
-        if result.step == Step::Admissible {
-            // First-witness-wins: branches after an admissible one can
-            // never be the canonical (smallest-index) witness.
-            self.cancel_from[task.comp].fetch_min(task.branch + 1, Ordering::Relaxed);
-        }
-        let mut results = self.results.lock().expect("engine board poisoned");
-        results[task.comp][task.branch] = Some(result);
-        // A component whose branches are all refuted decides the overall
-        // verdict at its index at the latest; later components are moot.
-        if results[task.comp]
-            .iter()
-            .all(|r| matches!(r, Some(b) if b.step == Step::Refuted))
-        {
-            self.comp_stop.fetch_min(task.comp, Ordering::Relaxed);
-        }
-        if fold(plans, &results, limits).outcome.is_some() {
-            self.abort.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Outcome of the deterministic fold over (component, branch) results.
-struct Fold {
-    /// `Some` once every result the decision path needs is present.
-    outcome: Option<SearchOutcome>,
-    nodes: u64,
-    memo_hits: u64,
-    memo_peak: u64,
-    memo_saturated: bool,
-    symmetry_skips: u64,
-    peeled: u64,
-}
-
-fn fold(
-    plans: &[ComponentPlan],
-    results: &[Vec<Option<BranchResult>>],
-    limits: SearchLimits,
-) -> Fold {
-    let mut f = Fold {
-        outcome: None,
-        nodes: 0,
-        memo_hits: 0,
-        memo_peak: 0,
-        memo_saturated: false,
-        symmetry_skips: 0,
-        peeled: 0,
-    };
-    let mut winners: Vec<Option<usize>> = vec![None; plans.len()];
-    for (c, plan) in plans.iter().enumerate() {
-        f.peeled += plan.peeled;
-        if plan.refuted_in_peel {
-            f.outcome = Some(SearchOutcome::NotAdmissible);
-            return f;
-        }
-        if plan.members.is_empty() {
-            continue;
-        }
-        // The component root: one node, exactly like the sequential
-        // search's entry into the component (ROOT tasks count their own).
-        if plan.branches != [ROOT] {
-            f.nodes += 1;
-            if f.nodes > limits.max_nodes {
-                f.outcome = Some(SearchOutcome::LimitExceeded);
-                return f;
-            }
-        }
-        if plan.branches.is_empty() {
-            f.outcome = Some(SearchOutcome::NotAdmissible);
-            return f;
-        }
-        let mut decided = false;
-        for b in 0..plan.branches.len() {
-            let Some(r) = &results[c][b] else {
-                // Outstanding result on the decision path: undecided. The
-                // cumulative count here is always ≤ max_nodes (any excess
-                // already decided the fold at an earlier branch).
-                return f;
-            };
-            f.nodes += r.nodes;
-            f.memo_hits += r.memo_hits;
-            f.memo_peak = f.memo_peak.max(r.memo_peak);
-            f.memo_saturated |= r.memo_saturated;
-            f.symmetry_skips += r.symmetry_skips;
-            if f.nodes > limits.max_nodes {
-                f.outcome = Some(SearchOutcome::LimitExceeded);
-                return f;
-            }
-            match r.step {
-                Step::Admissible => {
-                    winners[c] = Some(b);
-                    decided = true;
-                    break;
-                }
-                Step::Refuted => {}
-                Step::Limit => {
-                    // A branch at its own cap has nodes > max_nodes, so the
-                    // cumulative check above already returned.
-                    f.outcome = Some(SearchOutcome::LimitExceeded);
-                    return f;
-                }
-                Step::Cancelled => unreachable!("cancelled branches are never recorded"),
-            }
-        }
-        if !decided {
-            f.outcome = Some(SearchOutcome::NotAdmissible);
-            return f;
-        }
-    }
-    // Every component admissible: assemble the canonical witness.
-    let mut order: Vec<MOpIdx> = Vec::new();
-    for (c, plan) in plans.iter().enumerate() {
-        order.extend(plan.peeled_order.iter().map(|&u| MOpIdx(u as usize)));
-        if let Some(w) = winners[c] {
-            let r = results[c][w].as_ref().expect("winner recorded");
-            order.extend(r.order.iter().map(|&u| MOpIdx(u as usize)));
-        }
-    }
-    f.outcome = Some(SearchOutcome::Admissible(order));
-    f
-}
-
-/// Per-worker mutable search state, reused across branch tasks.
+/// The mutable search state, reused across components.
 struct SearchContext<'p> {
     p: &'p SearchProblem,
     scheduled: BitSet,
@@ -668,23 +389,10 @@ struct SearchContext<'p> {
     memoize: bool,
     symmetry: bool,
     symmetry_skips: u64,
+    /// Nodes expanded so far, over every component: the budget is global.
     nodes: u64,
     max_nodes: u64,
     remaining: usize,
-}
-
-/// Cancellation scope of one branch task.
-struct CancelCtx<'a> {
-    board: &'a Board,
-    comp: usize,
-    branch: usize,
-}
-
-impl CancelCtx<'_> {
-    #[inline]
-    fn cancelled(&self) -> bool {
-        self.board.is_cancelled(self.comp, self.branch)
-    }
 }
 
 impl<'p> SearchContext<'p> {
@@ -706,20 +414,30 @@ impl<'p> SearchContext<'p> {
         }
     }
 
+    /// Enters `plan`'s post-peel state: its forced prefix scheduled, the
+    /// schedule empty (so the skip rule is inactive at the component
+    /// root), the table cleared.
     fn load(&mut self, plan: &ComponentPlan) {
-        self.scheduled.copy_from(&plan.sched);
-        self.last_writer.copy_from_slice(&plan.last_writer);
+        self.scheduled.clear();
+        self.last_writer.fill(NONE);
+        self.hash = 0;
+        for &u in &plan.peeled_order {
+            self.scheduled.insert(u as usize);
+            self.hash ^= self.p.keys.op(u as usize);
+            for &o in self.p.write_sets.row(u as usize) {
+                let old = self.last_writer[o as usize];
+                self.hash ^= self.p.keys.writer(o, old) ^ self.p.keys.writer(o, u);
+                self.last_writer[o as usize] = u;
+            }
+        }
         self.order.clear();
         self.undo.clear();
-        self.hash = plan.hash;
         self.table.reset();
-        self.symmetry_skips = 0;
-        self.nodes = 0;
         self.remaining = plan.members.len();
     }
 
-    /// Key of the branch-local last scheduled m-operation (0 at the
-    /// branch root, where the skip rule is inactive anyway).
+    /// Key of the last m-operation this component's search scheduled (0 at
+    /// the component root, where the skip rule is inactive anyway).
     #[inline]
     fn last_op_key(&self) -> u64 {
         self.order.last().map_or(0, |&p| self.p.keys.last_op(p))
@@ -759,29 +477,13 @@ impl<'p> SearchContext<'p> {
         }
     }
 
-    fn run_task(&mut self, members: &[u32], first: u32, cancel: &CancelCtx<'_>) -> Step {
-        if first != ROOT {
-            self.schedule(first as usize);
-        }
-        self.dfs(members, cancel)
-    }
-
-    fn dfs(&mut self, members: &[u32], cancel: &CancelCtx<'_>) -> Step {
+    fn dfs(&mut self, members: &[u32]) -> Step {
         if self.remaining == 0 {
             return Step::Admissible;
         }
         self.nodes += 1;
         if self.nodes > self.max_nodes {
             return Step::Limit;
-        }
-        if self.nodes & CANCEL_CHECK_MASK == 0 {
-            cancel
-                .board
-                .spent
-                .fetch_add(CANCEL_CHECK_MASK + 1, Ordering::Relaxed);
-            if cancel.cancelled() {
-                return Step::Cancelled;
-            }
         }
         if self.memoize && self.table.check_and_insert(self.hash) {
             return Step::Refuted;
@@ -825,7 +527,7 @@ impl<'p> SearchContext<'p> {
             }
             let mark = self.undo.len();
             self.schedule(i);
-            match self.dfs(members, cancel) {
+            match self.dfs(members) {
                 Step::Refuted => self.unschedule(i, mark),
                 done => return done,
             }
@@ -834,137 +536,48 @@ impl<'p> SearchContext<'p> {
     }
 }
 
-fn worker_loop(
-    me: usize,
-    queues: &[Mutex<VecDeque<Task>>],
-    board: &Board,
-    plans: &[ComponentPlan],
-    problem: &SearchProblem,
-    limits: SearchLimits,
-) {
-    let mut ctx = SearchContext::new(problem, limits);
-    loop {
-        // Own queue first (front), then steal from the back of others.
-        let mut task = queues[me].lock().expect("task queue").pop_front();
-        if task.is_none() {
-            for other in queues.iter() {
-                task = other.lock().expect("task queue").pop_back();
-                if task.is_some() {
-                    break;
-                }
-            }
-        }
-        let Some(task) = task else { break };
-        if board.is_cancelled(task.comp, task.branch) {
-            continue;
-        }
-        let plan = &plans[task.comp];
-        ctx.load(plan);
-        let cancel = CancelCtx {
-            board,
-            comp: task.comp,
-            branch: task.branch,
-        };
-        let step = ctx.run_task(&plan.members, task.first, &cancel);
-        board
-            .spent
-            .fetch_add(ctx.nodes & CANCEL_CHECK_MASK, Ordering::Relaxed);
-        if step == Step::Cancelled {
-            continue;
-        }
-        let result = BranchResult {
-            step,
-            nodes: ctx.nodes,
-            memo_hits: ctx.table.hits(),
-            memo_peak: ctx.table.peak_occupancy() as u64,
-            memo_saturated: ctx.table.saturated(),
-            symmetry_skips: ctx.symmetry_skips,
-            order: if step == Step::Admissible {
-                ctx.order.clone()
-            } else {
-                Vec::new()
-            },
-        };
-        board.on_done(task, result, plans, limits);
-    }
-}
-
-/// Runs the component plans to a verdict. Returns the engine's share of the
-/// statistics (`nodes`, `memo_hits`, `memo_peak`, `memo_saturated`,
-/// `peeled`); callers fill in `components` and `forced_edges`.
+/// Runs the component plans, in order, to a verdict. Returns the engine's
+/// share of the statistics (`nodes`, `memo_hits`, `memo_peak`,
+/// `memo_saturated`, `symmetry_skips`, `peeled`); callers fill in
+/// `components` and `forced_edges`.
 pub(crate) fn execute(
     problem: &SearchProblem,
     plans: &[ComponentPlan],
     limits: SearchLimits,
 ) -> (SearchOutcome, SearchStats) {
-    // Components at or past the first peel refutation never run: the fold
-    // stops there.
-    let comp_stop = plans
-        .iter()
-        .position(|p| p.refuted_in_peel)
-        .unwrap_or(usize::MAX);
-    let mut tasks = Vec::new();
-    for (c, plan) in plans.iter().enumerate() {
-        if c >= comp_stop && comp_stop != usize::MAX {
-            break;
-        }
-        for (b, &first) in plan.branches.iter().enumerate() {
-            tasks.push(Task {
-                comp: c,
-                branch: b,
-                first,
-            });
-        }
-    }
-
-    let board = Board::new(plans, comp_stop);
-    let threads = limits.threads.max(1).min(tasks.len().max(1));
-    if threads > 1 {
-        // Breadth-first deal order: every component's branch 0 (the likely
-        // canonical winner) before any branch 1, so workers fan out across
-        // components instead of all grinding the first component's
-        // alternatives. Sequentially the fold order itself is waste-free,
-        // so the single-threaded path keeps it.
-        tasks.sort_by_key(|t| (t.branch, t.comp));
-    }
-    let queues: Vec<Mutex<VecDeque<Task>>> = (0..threads)
-        .map(|w| {
-            Mutex::new(
-                tasks
-                    .iter()
-                    .skip(w)
-                    .step_by(threads)
-                    .copied()
-                    .collect::<VecDeque<_>>(),
-            )
-        })
-        .collect();
-
-    if threads <= 1 {
-        worker_loop(0, &queues, &board, plans, problem, limits);
-    } else {
-        crossbeam::thread::scope(|s| {
-            for w in 0..threads {
-                let queues = &queues;
-                let board = &board;
-                s.spawn(move || worker_loop(w, queues, board, plans, problem, limits));
+    let mut ctx = SearchContext::new(problem, limits);
+    let mut stats = SearchStats::default();
+    let mut witness: Vec<u32> = Vec::with_capacity(problem.n);
+    let verdict = 'plans: {
+        for plan in plans {
+            stats.peeled += plan.peeled_order.len() as u64;
+            if plan.refuted_in_peel {
+                break 'plans Step::Refuted;
             }
-        });
-    }
-
-    let results = board.results.into_inner().expect("engine board poisoned");
-    let f = fold(plans, &results, limits);
-    let outcome = f
-        .outcome
-        .expect("every result on the decision path is recorded");
-    let stats = SearchStats {
-        nodes: f.nodes,
-        memo_hits: f.memo_hits,
-        memo_peak: f.memo_peak,
-        memo_saturated: f.memo_saturated,
-        symmetry_skips: f.symmetry_skips,
-        peeled: f.peeled,
-        ..SearchStats::default()
+            witness.extend(&plan.peeled_order);
+            if plan.members.is_empty() {
+                continue;
+            }
+            ctx.load(plan);
+            let step = ctx.dfs(&plan.members);
+            stats.memo_hits += ctx.table.hits();
+            stats.memo_peak = stats.memo_peak.max(ctx.table.peak_occupancy() as u64);
+            stats.memo_saturated |= ctx.table.saturated();
+            match step {
+                Step::Admissible => witness.extend(&ctx.order),
+                stop => break 'plans stop,
+            }
+        }
+        Step::Admissible
+    };
+    stats.nodes = ctx.nodes;
+    stats.symmetry_skips = ctx.symmetry_skips;
+    let outcome = match verdict {
+        Step::Admissible => {
+            SearchOutcome::Admissible(witness.into_iter().map(|u| MOpIdx(u as usize)).collect())
+        }
+        Step::Refuted => SearchOutcome::NotAdmissible,
+        Step::Limit => SearchOutcome::LimitExceeded,
     };
     (outcome, stats)
 }

@@ -57,10 +57,7 @@ pub mod precedence;
 pub mod serializability;
 pub mod witness;
 
-pub use admissible::{
-    auto_threads, find_legal_extension, SearchLimits, SearchOutcome, SearchStats, AUTO_THREADS_MAX,
-    AUTO_THREADS_MIN_OPS,
-};
+pub use admissible::{find_legal_extension, SearchLimits, SearchOutcome, SearchStats};
 pub use causal::{check_m_causal, CausalReport};
 pub use certificate::{check_certified, Certificate, Proof};
 pub use conditions::{check, CheckError, CheckReport, Condition, Strategy};

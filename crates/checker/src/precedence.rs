@@ -606,12 +606,9 @@ pub fn find_legal_extension_pruned(
 /// Like [`find_legal_extension_pruned`], but over a pre-built graph (so
 /// callers that also need certificates saturate only once).
 ///
-/// Execution is delegated to the parallel engine ([`crate::engine`]): each
-/// interaction component is peeled to its forced prefix, its branch
-/// frontier (the legal first moves) becomes work-stealable tasks, and the
-/// deterministic fold over (component, branch) results yields the same
-/// verdict, canonical witness and statistics at every
-/// [`SearchLimits::threads`] setting.
+/// Each interaction component is peeled to its forced prefix here; the
+/// engine ([`crate::engine`]) then searches what is left of each component
+/// in turn.
 pub fn pruned_search(
     h: &History,
     graph: &PrecedenceGraph,
@@ -641,9 +638,8 @@ pub fn pruned_search(
     let comps = graph.interaction_components(h);
     stats.components = comps.len() as u64;
 
-    // Compile each component: peel the forced prefix, then enumerate the
-    // branch frontier. Objects never span components, so each component's
-    // last-writer state is independent of the others.
+    // Peel each component's forced prefix. Objects never span components,
+    // so each component's last-writer state is independent of the others.
     let mut plans = Vec::with_capacity(comps.len());
     for comp in &comps {
         let mut remaining: Vec<usize> = comp.clone();
@@ -678,15 +674,11 @@ pub fn pruned_search(
             }
         }
         remaining.sort_unstable();
-        let members: Vec<u32> = remaining.iter().map(|&u| u as u32).collect();
-        let peeled = peeled_order.len() as u64;
-        plans.push(ComponentPlan::build(
-            &problem,
+        plans.push(ComponentPlan {
+            members: remaining.iter().map(|&u| u as u32).collect(),
             peeled_order,
-            members,
-            refuted,
-            peeled,
-        ));
+            refuted_in_peel: refuted,
+        });
     }
 
     let (outcome, engine_stats) = engine::execute(&problem, &plans, limits);

@@ -38,19 +38,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A parsed command line: positional arguments and `--key value` options.
+/// Private: [`dispatch_with_status`] is the entry point, and it checks the
+/// option names against [`accepted_options`] before any command reads them.
 #[derive(Debug, Default, Clone)]
-pub struct Args {
+struct Args {
     /// Positional arguments after the subcommand.
-    pub positional: Vec<String>,
+    positional: Vec<String>,
     /// `--key value` options (flags map to `"true"`).
-    pub options: HashMap<String, String>,
+    options: HashMap<String, String>,
 }
 
 impl Args {
     /// Parses raw arguments (excluding program name and subcommand).
     /// Options that look like `--flag` followed by another option or
     /// nothing are treated as boolean flags.
-    pub fn parse(raw: &[String]) -> Args {
+    fn parse(raw: &[String]) -> Args {
         let mut args = Args::default();
         let mut i = 0;
         while i < raw.len() {
@@ -75,21 +77,8 @@ impl Args {
         args
     }
 
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key} needs a number")),
-        }
-    }
-
-    fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key} needs a number")),
-        }
-    }
-
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+    /// The numeric option `key`, or `default` when it was not given.
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.options.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key} needs a number")),
@@ -113,15 +102,11 @@ USAGE:
              [--objects M] [--seed S] [--update-frac F] [--k K]
       Generate a synthetic history; print it.
   moc check  <file|-> [--condition sc|lin|normal|causal] [--brute]
-             [--max-nodes N] [--threads N|auto] [--witness] [--minimize]
+             [--max-nodes N] [--witness] [--minimize]
              [--certificate PATH|-]
       Check a history against a consistency condition. --max-nodes caps
-      the search's node budget (default 5000000); --threads fans the
-      component/branch search out across N workers (default auto: 1 below
-      32 m-operations, else the machine's cores capped at 8) — verdicts,
-      witnesses and certificates are identical at every thread count,
-      modulo the recorded thread count in exhaustion proofs. The output
-      ends with a replay line echoing the resolved search flags.
+      the search's node budget (default 5000000). The output ends with a
+      replay line echoing the resolved search flags.
       With --minimize, a violating history is shrunk to its 1-minimal core
       and printed. With --certificate, the verdict's moc-cert proof
       document is written to PATH (or printed with `-`); see
@@ -252,6 +237,41 @@ EXIT CODES:
 
 Histories use the `history v1` text format (moc_core::codec).";
 
+/// The options a subcommand accepts: space-separated names without the
+/// leading `--`. Anything else is a usage error — a misspelt `--max-node`
+/// must not run with the default budget as if nothing had been said.
+/// `audit`, `analyze`, `shard` and `commute` also take what
+/// `workload_programs` reads for the `protocol` / `shardable` sets.
+fn accepted_options(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "run" => "protocol processes ops objects seed update-frac",
+        "gen" => "kind processes ops objects seed update-frac k",
+        "check" => "condition brute max-nodes witness minimize certificate",
+        "audit" => "programs shards processes ops objects seed update-frac",
+        "analyze" => "workload format require shards processes ops objects seed update-frac",
+        "shard" => {
+            "workload format max-shard-size require-composition certificate shards processes \
+             ops objects seed update-frac"
+        }
+        "commute" => {
+            "workload format max-shard-size require-progress certificate shards processes ops \
+             objects seed update-frac"
+        }
+        "chaos" => {
+            "protocol abcast faults workloads seeds seed-base processes ops objects sabotage \
+             batch batch-delay-us"
+        }
+        "load" => {
+            "mode clients ops objects skew update-frac seed batch batch-delay-us window \
+             interval-us"
+        }
+        "monitor" => "condition window max-live-nodes tiles sabotage",
+        "synth" => "smoke seeds seed-base max-nodes out verify list family",
+        "render" => "width",
+        _ => return None,
+    })
+}
+
 /// Dispatches a full command line (without the program name).
 ///
 /// # Errors
@@ -270,48 +290,36 @@ pub fn dispatch_with_status(raw: &[String], stdin: &str) -> (Result<String, Stri
         return (Ok(USAGE.to_string()), 0);
     };
     let args = Args::parse(&raw[1..]);
+    if let Some(allowed) = accepted_options(cmd) {
+        let known = |key: &&String| allowed.split_whitespace().any(|name| name == *key);
+        // The smallest offender, so the message does not depend on the
+        // map's iteration order.
+        if let Some(key) = args.options.keys().filter(|key| !known(key)).min() {
+            let msg = format!("unknown option --{key} for `moc {cmd}` (see `moc help`)");
+            return (Err(msg), 2);
+        }
+    }
+    let clean = |out| (out, 0);
     let result = match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "gen" => cmd_gen(&args),
-        "check" => cmd_check(&args, stdin),
-        "render" => cmd_render(&args, stdin),
-        "analyze" => match cmd_analyze(&args) {
-            Ok((out, code)) => return (Ok(out), code),
-            Err(e) => Err(e),
-        },
-        "audit" => match cmd_audit(&args, stdin) {
-            Ok((out, code)) => return (Ok(out), code),
-            Err(e) => Err(e),
-        },
-        "shard" => match cmd_shard(&args) {
-            Ok((out, code)) => return (Ok(out), code),
-            Err(e) => Err(e),
-        },
-        "commute" => match cmd_commute(&args) {
-            Ok((out, code)) => return (Ok(out), code),
-            Err(e) => Err(e),
-        },
-        "chaos" => match cmd_chaos(&args) {
-            Ok((out, code)) => return (Ok(out), code),
-            Err(e) => Err(e),
-        },
-        "load" => match cmd_load(&args) {
-            Ok((out, code)) => return (Ok(out), code),
-            Err(e) => Err(e),
-        },
-        "monitor" => match cmd_monitor(&args, stdin) {
-            Ok((out, code)) => return (Ok(out), code),
-            Err(e) => Err(e),
-        },
-        "synth" => match cmd_synth(&args) {
-            Ok((out, code)) => return (Ok(out), code),
-            Err(e) => Err(e),
-        },
-        "help" | "--help" | "-h" => return (Ok(USAGE.to_string()), 0),
+        "run" => cmd_run(&args).map(clean),
+        "gen" => cmd_gen(&args).map(clean),
+        "check" => cmd_check(&args, stdin).map(clean),
+        "render" => cmd_render(&args, stdin).map(clean),
+        "analyze" => cmd_analyze(&args),
+        "audit" => cmd_audit(&args, stdin),
+        "shard" => cmd_shard(&args),
+        "commute" => cmd_commute(&args),
+        "chaos" => cmd_chaos(&args),
+        "load" => cmd_load(&args),
+        "monitor" => cmd_monitor(&args, stdin),
+        "synth" => cmd_synth(&args),
+        "help" | "--help" | "-h" => Ok((USAGE.to_string(), 0)),
         other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
     };
-    let code = if result.is_ok() { 0 } else { 2 };
-    (result, code)
+    match result {
+        Ok((out, code)) => (Ok(out), code),
+        Err(e) => (Err(e), 2),
+    }
 }
 
 fn load_history(args: &Args, stdin: &str) -> Result<History, String> {
@@ -328,11 +336,11 @@ fn load_history(args: &Args, stdin: &str) -> Result<History, String> {
 }
 
 fn cmd_run(args: &Args) -> Result<String, String> {
-    let processes = args.get_usize("processes", 3)?;
-    let ops = args.get_usize("ops", 5)?;
-    let objects = args.get_usize("objects", 4)?;
-    let seed = args.get_u64("seed", 0)?;
-    let update_fraction = args.get_f64("update-frac", 0.5)?;
+    let processes = args.get::<usize>("processes", 3)?;
+    let ops = args.get::<usize>("ops", 5)?;
+    let objects = args.get::<usize>("objects", 4)?;
+    let seed = args.get::<u64>("seed", 0)?;
+    let update_fraction = args.get::<f64>("update-frac", 0.5)?;
     let spec = WorkloadSpec {
         processes,
         ops_per_process: ops,
@@ -363,7 +371,7 @@ fn cmd_run(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_gen(args: &Args) -> Result<String, String> {
-    let seed = args.get_u64("seed", 0)?;
+    let seed = args.get::<u64>("seed", 0)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let kind = args
         .options
@@ -371,17 +379,17 @@ fn cmd_gen(args: &Args) -> Result<String, String> {
         .map(String::as_str)
         .unwrap_or("serial");
     let spec = HistorySpec {
-        processes: args.get_usize("processes", 3)?,
-        ops_per_process: args.get_usize("ops", 4)?,
-        num_objects: args.get_usize("objects", 4)?,
-        update_fraction: args.get_f64("update-frac", 0.5)?,
+        processes: args.get::<usize>("processes", 3)?,
+        ops_per_process: args.get::<usize>("ops", 4)?,
+        num_objects: args.get::<usize>("objects", 4)?,
+        update_fraction: args.get::<f64>("update-frac", 0.5)?,
         max_span: 2,
     };
     let h = match kind {
         "serial" => serial_history(&spec, &mut rng),
         "random" => random_history(&spec, &mut rng),
         "writers" => {
-            let k = args.get_usize("k", 3)?;
+            let k = args.get::<usize>("k", 3)?;
             concurrent_writers_history(k, spec.num_objects, &mut rng)
         }
         other => return Err(format!("unknown kind {other:?} (serial|random|writers)")),
@@ -391,23 +399,8 @@ fn cmd_gen(args: &Args) -> Result<String, String> {
 
 fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
     let h = load_history(args, stdin)?;
-    let max_nodes = args.get_u64("max-nodes", 5_000_000)?;
-    let threads = match args.options.get("threads").map(String::as_str) {
-        // Auto (the default): small histories search single-threaded,
-        // larger ones fan out across the machine's cores (capped). The
-        // replay line echoes the resolved numeric count.
-        None | Some("auto") => moc_checker::auto_threads(h.len()),
-        Some(raw) => {
-            let threads: usize = raw.parse().map_err(|_| {
-                format!("--threads must be a positive integer or \"auto\", got {raw:?}")
-            })?;
-            if threads == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            threads
-        }
-    };
-    let limits = SearchLimits::with_max_nodes(max_nodes).with_threads(threads);
+    let max_nodes = args.get::<u64>("max-nodes", 5_000_000)?;
+    let limits = SearchLimits::with_max_nodes(max_nodes);
     let condition_name = args
         .options
         .get("condition")
@@ -419,7 +412,7 @@ fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
         .cloned()
         .unwrap_or_else(|| "-".into());
     let replay = format!(
-        "replay: moc check {source} --condition {condition_name}{} --threads {threads} --max-nodes {max_nodes}\n",
+        "replay: moc check {source} --condition {condition_name}{} --max-nodes {max_nodes}\n",
         if args.flag("brute") { " --brute" } else { "" },
     );
 
@@ -557,20 +550,20 @@ fn workload_programs(
         "demo" => Ok(moc_workload::demo_programs()),
         "disjoint" => Ok(moc_workload::disjoint_programs()),
         "shardable" => Ok(moc_workload::shardable_programs(
-            args.get_usize("shards", 2)?,
+            args.get::<usize>("shards", 2)?,
         )),
         "hub" => Ok(moc_workload::hub_programs()),
         "protocol" => {
             // The program set a `moc run` with the same options would
             // actually issue (one representative per program name).
             let spec = WorkloadSpec {
-                processes: args.get_usize("processes", 3)?,
-                ops_per_process: args.get_usize("ops", 5)?,
-                num_objects: args.get_usize("objects", 4)?,
-                update_fraction: args.get_f64("update-frac", 0.5)?,
+                processes: args.get::<usize>("processes", 3)?,
+                ops_per_process: args.get::<usize>("ops", 5)?,
+                num_objects: args.get::<usize>("objects", 4)?,
+                update_fraction: args.get::<f64>("update-frac", 0.5)?,
                 ..WorkloadSpec::default()
             };
-            let mut rng = StdRng::seed_from_u64(args.get_u64("seed", 0)?);
+            let mut rng = StdRng::seed_from_u64(args.get::<u64>("seed", 0)?);
             let mut seen = std::collections::BTreeSet::new();
             Ok(scripts(&spec, &mut rng)
                 .into_iter()
@@ -738,12 +731,12 @@ fn cmd_shard(args: &Args) -> Result<(String, i32), String> {
     let programs = workload_programs(args, workload)?;
     let refs: Vec<&moc_core::program::Program> = programs.iter().map(|p| p.as_ref()).collect();
     let opts = moc_analyze::ShardOptions {
-        max_shard_size: match args.get_usize("max-shard-size", 0)? {
+        max_shard_size: match args.get::<usize>("max-shard-size", 0)? {
             0 => None,
             n => Some(n),
         },
     };
-    let objects = args.get_usize("objects", 0)?;
+    let objects = args.get::<usize>("objects", 0)?;
     let analysis = moc_analyze::shard_set(&refs, objects, opts);
 
     let mut code = match moc_analyze::max_severity(&analysis.all_findings()) {
@@ -808,12 +801,12 @@ fn cmd_commute(args: &Args) -> Result<(String, i32), String> {
     let programs = workload_programs(args, workload)?;
     let refs: Vec<&moc_core::program::Program> = programs.iter().map(|p| p.as_ref()).collect();
     let opts = moc_analyze::ShardOptions {
-        max_shard_size: match args.get_usize("max-shard-size", 0)? {
+        max_shard_size: match args.get::<usize>("max-shard-size", 0)? {
             0 => None,
             n => Some(n),
         },
     };
-    let objects = args.get_usize("objects", 0)?;
+    let objects = args.get::<usize>("objects", 0)?;
     let analysis = moc_analyze::commute_set_with(&refs, objects, opts);
 
     let mut code = match moc_analyze::max_severity(&analysis.all_findings()) {
@@ -1013,17 +1006,17 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
     use moc_sim::FaultPlan;
     use moc_workload::chaos::{FaultFamily, WorkloadFamily};
 
-    let processes = args.get_usize("processes", 3)?;
-    let ops = args.get_usize("ops", 4)?;
-    let objects = args.get_usize("objects", 4)?;
-    let seeds = args.get_u64("seeds", 5)?;
-    let seed_base = args.get_u64("seed-base", 0)?;
+    let processes = args.get::<usize>("processes", 3)?;
+    let ops = args.get::<usize>("ops", 4)?;
+    let objects = args.get::<usize>("objects", 4)?;
+    let seeds = args.get::<u64>("seeds", 5)?;
+    let seed_base = args.get::<u64>("seed-base", 0)?;
     let sabotage = args.flag("sabotage");
     if processes < 2 {
         return Err("--processes must be at least 2 (faults need a remote hop)".into());
     }
-    let max_batch = args.get_usize("batch", 1)?;
-    let batch_delay_us = args.get_u64("batch-delay-us", 100)?;
+    let max_batch = args.get::<usize>("batch", 1)?;
+    let batch_delay_us = args.get::<u64>("batch-delay-us", 100)?;
     if max_batch == 0 {
         return Err("--batch must be at least 1 (1 = batching off)".into());
     }
@@ -1222,15 +1215,15 @@ fn cmd_load(args: &Args) -> Result<(String, i32), String> {
     use moc_bench::{run_runtime_load_counters, runtime_bench_table, LoadMode, RuntimeLoadSpec};
     use moc_workload::skew::KeySkew;
 
-    let clients = args.get_usize("clients", 4)?;
-    let ops = args.get_usize("ops", 50)?;
-    let objects = args.get_usize("objects", 16)?;
-    let seed = args.get_u64("seed", 42)?;
-    let update_fraction = args.get_f64("update-frac", 0.5)?;
-    let window = args.get_usize("window", 8)?;
-    let max_batch = args.get_usize("batch", 1)?;
-    let batch_delay_us = args.get_u64("batch-delay-us", 100)?;
-    let interval_us = args.get_u64("interval-us", 100)?;
+    let clients = args.get::<usize>("clients", 4)?;
+    let ops = args.get::<usize>("ops", 50)?;
+    let objects = args.get::<usize>("objects", 16)?;
+    let seed = args.get::<u64>("seed", 42)?;
+    let update_fraction = args.get::<f64>("update-frac", 0.5)?;
+    let window = args.get::<usize>("window", 8)?;
+    let max_batch = args.get::<usize>("batch", 1)?;
+    let batch_delay_us = args.get::<u64>("batch-delay-us", 100)?;
+    let interval_us = args.get::<u64>("interval-us", 100)?;
     if clients == 0 || ops == 0 {
         return Err("--clients and --ops must be at least 1".into());
     }
@@ -1360,8 +1353,8 @@ fn cmd_monitor(args: &Args, stdin: &str) -> Result<(String, i32), String> {
         "normal" => Condition::MNormality,
         other => return Err(format!("unknown condition {other:?} (sc|lin|normal)")),
     };
-    let window = args.get_usize("window", 4)?;
-    let tiles = args.get_usize("tiles", 1)?;
+    let window = args.get::<usize>("window", 4)?;
+    let tiles = args.get::<usize>("tiles", 1)?;
     let sabotage = args.flag("sabotage");
     if tiles < 1 {
         return Err("--tiles must be at least 1".into());
@@ -1559,9 +1552,9 @@ fn cmd_synth(args: &Args) -> Result<(String, i32), String> {
         moc_synth::Grammar::smoke()
     } else {
         moc_synth::Grammar {
-            seed_base: args.get_u64("seed-base", 0)?,
-            seeds: args.get_u64("seeds", 256)?,
-            max_nodes: args.get_u64("max-nodes", 200_000)?,
+            seed_base: args.get::<u64>("seed-base", 0)?,
+            seeds: args.get::<u64>("seeds", 256)?,
+            max_nodes: args.get::<u64>("max-nodes", 200_000)?,
             ..moc_synth::Grammar::smoke()
         }
     };
@@ -1583,7 +1576,7 @@ fn cmd_synth(args: &Args) -> Result<(String, i32), String> {
 
 fn cmd_render(args: &Args, stdin: &str) -> Result<String, String> {
     let h = load_history(args, stdin)?;
-    let width = args.get_usize("width", 72)?;
+    let width = args.get::<usize>("width", 72)?;
     Ok(format!(
         "{}\n{}",
         render_timeline(&h, width),
@@ -1715,46 +1708,30 @@ mod tests {
     }
 
     #[test]
-    fn check_threads_flag_and_replay_echo() {
+    fn unknown_options_are_usage_errors() {
         let text = dispatch(&sv(&["gen", "--kind", "writers", "--k", "3"]), "").unwrap();
         let base = dispatch(&sv(&["check", "-", "--condition", "sc"]), &text).unwrap();
-        // Default is `auto`; this history is below the size threshold, so
-        // the replay line echoes the resolved single-threaded count.
         assert!(
-            base.contains("replay: moc check - --condition sc --threads 1 --max-nodes 5000000"),
+            base.contains("replay: moc check - --condition sc --max-nodes 5000000"),
             "{base}"
         );
-        let auto = dispatch(
-            &sv(&["check", "-", "--condition", "sc", "--threads", "auto"]),
-            &text,
-        )
-        .unwrap();
-        assert_eq!(auto, base, "explicit auto matches the default");
-        for threads in ["2", "4", "8"] {
-            let out = dispatch(
-                &sv(&[
-                    "check",
-                    "-",
-                    "--condition",
-                    "sc",
-                    "--threads",
-                    threads,
-                    "--witness",
-                ]),
-                &text,
-            )
-            .unwrap();
-            // Identical verdict and witness at every thread count; the
-            // replay line echoes the effective flags.
-            assert_eq!(
-                base.lines().next().unwrap(),
-                out.lines().next().unwrap(),
-                "t{threads}"
-            );
-            assert!(out.contains(&format!("--threads {threads} ")), "{out}");
+        // A removed option and a misspelt one: neither may run the check
+        // with defaults as if it had been understood.
+        for (bad, value) in [("--threads", "4"), ("--max-node", "10")] {
+            let (res, code) = dispatch_with_status(&sv(&["check", "-", bad, value]), &text);
+            let err = res.unwrap_err();
+            assert_eq!(code, 2, "{err}");
+            assert!(err.contains(bad) && err.contains("moc check"), "{err}");
         }
-        assert!(dispatch(&sv(&["check", "-", "--threads", "0"]), &text).is_err());
-        assert!(dispatch(&sv(&["check", "-", "--threads", "many"]), &text).is_err());
+        // Flag-style (valueless) options go through the same table.
+        let (res, code) = dispatch_with_status(&sv(&["synth", "--lisst"]), "");
+        let err = res.unwrap_err();
+        assert_eq!(code, 2, "{err}");
+        assert!(
+            err.contains("--lisst") && err.contains("moc synth"),
+            "{err}"
+        );
+        assert!(dispatch(&sv(&["synth", "--list"]), "").is_ok());
     }
 
     #[test]

@@ -73,13 +73,6 @@ impl BitSet {
         &self.words
     }
 
-    /// Copies the contents of `other` into `self`. Both sets must share a
-    /// universe width; no allocation happens.
-    pub fn copy_from(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset universe mismatch");
-        self.words.copy_from_slice(&other.words);
-    }
-
     /// Iterates the members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -113,18 +106,6 @@ mod tests {
         assert!(s.remove(64));
         assert!(!s.remove(64));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
-    }
-
-    #[test]
-    fn copy_from_matches_source() {
-        let mut a = BitSet::new(70);
-        a.insert(3);
-        a.insert(69);
-        let mut b = BitSet::new(70);
-        b.insert(10);
-        b.copy_from(&a);
-        assert_eq!(a, b);
-        assert!(!b.contains(10));
     }
 
     #[test]
