@@ -1518,13 +1518,15 @@ pub fn chaos_bench_table(rows: &[ChaosBenchRow]) -> Table {
     t
 }
 
-/// One row of the streaming-sentinel benchmark: a base history tiled
-/// `tiles`-fold and replayed through the monitor as a live event stream.
+/// One row of the streaming-sentinel benchmark: a history (a base history
+/// tiled `tiles`-fold, or one Figure 6 run) replayed through the monitor
+/// as a live event stream.
 #[derive(Debug, Clone)]
 pub struct MonitorBenchRow {
     /// Condition the sentinel decided ("m-SC" / "m-lin").
     pub condition: String,
-    /// Base workload shape ("serial" retiring / "writers" non-retiring).
+    /// Workload shape: "serial" (quiesces every few events), "writers"
+    /// (m-SC, nothing retires) or "figure6" (never quiesces).
     pub workload: String,
     /// Tile multiplier applied to the base history.
     pub tiles: usize,
@@ -1540,6 +1542,12 @@ pub struct MonitorBenchRow {
     pub verdict_p99_ns: u64,
     /// Peak live (unsettled) records the sentinel ever held.
     pub peak_live_nodes: usize,
+    /// Largest window checked, synthesized writers included.
+    pub peak_window: usize,
+    /// Times a record sat a window out waiting for a writer's response.
+    pub deferred: u64,
+    /// Records settled unchecked for unresolvable provenance.
+    pub skipped: u64,
     /// Window checks performed.
     pub windows_checked: u64,
     /// Rolling certificates emitted.
@@ -1568,11 +1576,58 @@ impl MonitorBenchRow {
                 ]),
             ),
             ("peak_live_nodes".into(), num(self.peak_live_nodes as i64)),
+            ("peak_window".into(), num(self.peak_window as i64)),
+            ("deferred".into(), num(self.deferred as i64)),
+            ("skipped".into(), num(self.skipped as i64)),
             ("windows_checked".into(), num(self.windows_checked as i64)),
             ("certs".into(), num(self.certs as i64)),
             ("force_dropped".into(), num(self.force_dropped as i64)),
             ("degraded".into(), Json::Bool(self.degraded)),
         ])
+    }
+}
+
+/// Replays `h` through a sentinel configured by `cfg` and measures it.
+fn monitor_bench_row(
+    condition: &str,
+    workload: &str,
+    tiles: usize,
+    h: &History,
+    cfg: moc_monitor::MonitorConfig,
+) -> MonitorBenchRow {
+    use moc_monitor::{replay, MonitorMode, OnlineMonitor};
+
+    let start = Instant::now();
+    let summary = replay(h, OnlineMonitor::new(h.num_objects(), cfg));
+    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+    let stats = &summary.stats;
+    let events = stats.invocations + stats.completions;
+    // Completion-to-verdict latency in virtual stream time: each record in
+    // a certified window got its verdict when the cert was emitted.
+    let mut verdict_ns: Vec<u64> = Vec::new();
+    for rc in &summary.certs {
+        for r in rc.window().records() {
+            verdict_ns.push(rc.emitted_at_ns.saturating_sub(r.responded_at.as_nanos()));
+        }
+    }
+    verdict_ns.sort_unstable();
+    MonitorBenchRow {
+        condition: condition.to_string(),
+        workload: workload.to_string(),
+        tiles,
+        mops: h.len(),
+        events,
+        ingest_eps: (events as f64 / elapsed) as u64,
+        verdict_p50_ns: percentile(&verdict_ns, 50.0),
+        verdict_p99_ns: percentile(&verdict_ns, 99.0),
+        peak_live_nodes: stats.peak_live_nodes,
+        peak_window: stats.peak_window,
+        deferred: stats.deferred,
+        skipped: stats.skipped,
+        windows_checked: stats.windows_checked,
+        certs: stats.certs_emitted,
+        force_dropped: stats.force_dropped,
+        degraded: matches!(summary.mode, MonitorMode::Degraded { .. }),
     }
 }
 
@@ -1585,7 +1640,7 @@ impl MonitorBenchRow {
 /// sentinel force-drops and degrades instead of growing without bound.
 pub fn experiment_monitor(tile_counts: &[usize]) -> Vec<MonitorBenchRow> {
     use moc_checker::conditions::Condition;
-    use moc_monitor::{replay, MonitorConfig, MonitorMode, OnlineMonitor};
+    use moc_monitor::MonitorConfig;
     use moc_workload::histories::{serial_history, tile_history, HistorySpec};
 
     const WINDOW: usize = 4;
@@ -1627,44 +1682,64 @@ pub fn experiment_monitor(tile_counts: &[usize]) -> Vec<MonitorBenchRow> {
             if let Some(cap) = cap {
                 cfg = cfg.with_max_live_nodes(cap);
             }
-            let start = Instant::now();
-            let summary = replay(&h, OnlineMonitor::new(h.num_objects(), cfg));
-            let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-            let stats = &summary.stats;
-            let events = stats.invocations + stats.completions;
-            // Completion-to-verdict latency in virtual stream time: each
-            // record in a certified window got its verdict when the cert
-            // was emitted.
-            let mut verdict_ns: Vec<u64> = summary
-                .certs
-                .iter()
-                .flat_map(|rc| {
-                    rc.window
-                        .records()
-                        .iter()
-                        .map(|r| rc.emitted_at_ns.saturating_sub(r.responded_at.as_nanos()))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            verdict_ns.sort_unstable();
-            rows.push(MonitorBenchRow {
-                condition: cond_name.to_string(),
-                workload: wl_name.to_string(),
-                tiles,
-                mops: h.len(),
-                events,
-                ingest_eps: (events as f64 / elapsed) as u64,
-                verdict_p50_ns: percentile(&verdict_ns, 50.0),
-                verdict_p99_ns: percentile(&verdict_ns, 99.0),
-                peak_live_nodes: stats.peak_live_nodes,
-                windows_checked: stats.windows_checked,
-                certs: stats.certs_emitted,
-                force_dropped: stats.force_dropped,
-                degraded: matches!(summary.mode, MonitorMode::Degraded { .. }),
-            });
+            rows.push(monitor_bench_row(cond_name, wl_name, tiles, &h, cfg));
         }
     }
     rows
+}
+
+/// E-monitor, the never-quiescent family: Figure 6 runs of `lengths`
+/// m-operations — four always-busy processes, half updates, message delays
+/// uniform 1–10 µs — under the default m-lin sentinel. No window of these
+/// streams is checked at a quiescence point, so whatever retires goes
+/// behind a data-ordered cut. Shape to reproduce: `peak_live_nodes`
+/// follows the window, not the stream, with nothing skipped.
+pub fn experiment_monitor_figure6(lengths: &[usize]) -> Vec<MonitorBenchRow> {
+    use moc_checker::conditions::Condition;
+    use moc_monitor::MonitorConfig;
+
+    let row = |&mops: &usize| {
+        let h = run_protocol::<MlinOverSequencer>(4, mops / 4, 0.5, 7).history;
+        let cfg = MonitorConfig::new(Condition::MLinearizability);
+        monitor_bench_row("m-lin", "figure6", 1, &h, cfg)
+    };
+    lengths.iter().map(row).collect()
+}
+
+/// Live records a never-quiescent stream may hold at its peak, whatever
+/// its length (the 1 000-m-operation stream `verify-stream` replays kept
+/// 997 live before retirement went behind cuts).
+const MONITOR_PEAK_LIVE_CAP: usize = 256;
+
+/// CI gate for the sentinel on never-quiescent streams, on deterministic
+/// counters only: at every length live state stays under
+/// `MONITOR_PEAK_LIVE_CAP`, no record is skipped, and every window
+/// checked is certified. Wall-clock numbers are reported, never gated.
+pub fn monitor_smoke() -> Result<Vec<MonitorBenchRow>, String> {
+    let rows = experiment_monitor_figure6(&[250, 500, 1000, 2000]);
+    let mut failures = Vec::new();
+    for r in &rows {
+        if r.peak_live_nodes > MONITOR_PEAK_LIVE_CAP {
+            failures.push(format!(
+                "{} m-ops: peak live nodes {} > {MONITOR_PEAK_LIVE_CAP}",
+                r.mops, r.peak_live_nodes
+            ));
+        }
+        if r.skipped != 0 {
+            failures.push(format!("{} m-ops: {} skipped", r.mops, r.skipped));
+        }
+        if r.certs != r.windows_checked {
+            failures.push(format!(
+                "{} m-ops: {} of {} windows certified",
+                r.mops, r.certs, r.windows_checked
+            ));
+        }
+    }
+    if failures.is_empty() {
+        Ok(rows)
+    } else {
+        Err(failures.join("\n"))
+    }
 }
 
 /// Renders the monitor rows as a comparison table.
@@ -1681,6 +1756,9 @@ pub fn monitor_bench_table(rows: &[MonitorBenchRow]) -> Table {
             "verdict p50",
             "verdict p99",
             "peak live",
+            "peak window",
+            "deferred",
+            "skipped",
             "checks",
             "certs",
             "dropped",
@@ -1698,6 +1776,9 @@ pub fn monitor_bench_table(rows: &[MonitorBenchRow]) -> Table {
             us(r.verdict_p50_ns as f64),
             us(r.verdict_p99_ns as f64),
             r.peak_live_nodes.to_string(),
+            r.peak_window.to_string(),
+            r.deferred.to_string(),
+            r.skipped.to_string(),
             r.windows_checked.to_string(),
             r.certs.to_string(),
             r.force_dropped.to_string(),
@@ -1714,11 +1795,13 @@ fn bench_cpus() -> i64 {
 
 /// The monitor rows as a machine-readable JSON document
 /// (`BENCH_monitor.json`). Version 2 aligned the envelope with
-/// `BENCH_checker.json` (`bench`/`version`/`cpus` header).
+/// `BENCH_checker.json` (`bench`/`version`/`cpus` header); version 3 added
+/// the never-quiescent `figure6` rows and the `peak_window` / `deferred` /
+/// `skipped` columns.
 pub fn monitor_bench_json(rows: &[MonitorBenchRow]) -> String {
     Json::Obj(vec![
         ("bench".into(), jstr("monitor")),
-        ("version".into(), num(2)),
+        ("version".into(), num(3)),
         ("cpus".into(), num(bench_cpus())),
         (
             "rows".into(),
@@ -2347,6 +2430,26 @@ mod tests {
         assert!(doc.contains("\"bench\": \"monitor\"") || doc.contains("\"bench\":\"monitor\""));
         let s = monitor_bench_table(&rows).to_string();
         assert!(s.contains("E-monitor"));
+    }
+
+    #[test]
+    fn monitor_bench_never_quiescent_stream_retires_behind_cuts() {
+        let rows = experiment_monitor_figure6(&[400]);
+        let r = &rows[0];
+        assert_eq!((r.workload.as_str(), r.mops), ("figure6", 400));
+        assert!(
+            r.windows_checked >= 6,
+            "forced checks, every 64 completions"
+        );
+        assert_eq!(r.certs, r.windows_checked);
+        assert_eq!((r.skipped, r.degraded), (0, false));
+        assert!(
+            r.peak_live_nodes < r.mops / 2 && r.peak_live_nodes <= MONITOR_PEAK_LIVE_CAP,
+            "live state follows the stream: {}",
+            r.peak_live_nodes
+        );
+        assert!(r.peak_window >= r.peak_live_nodes.min(64));
+        assert!(monitor_bench_json(&rows).contains("\"deferred\""));
     }
 
     #[test]

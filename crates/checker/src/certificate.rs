@@ -234,6 +234,23 @@ pub fn check_certified(
     limits: SearchLimits,
 ) -> Result<(CheckReport, Certificate), CheckError> {
     let graph = PrecedenceGraph::for_condition(h, condition);
+    check_certified_on(h, condition, &graph, limits)
+}
+
+/// [`check_certified`] on a graph the caller already saturated with
+/// [`PrecedenceGraph::for_condition`]`(h, condition)` and wants to keep:
+/// the streaming sentinel reads the same `~H+` closure again to decide
+/// what a certified window lets it retire.
+///
+/// # Errors
+///
+/// [`CheckError::LimitExceeded`] if the pruned search exhausts `limits`.
+pub fn check_certified_on(
+    h: &History,
+    condition: Condition,
+    graph: &PrecedenceGraph,
+    limits: SearchLimits,
+) -> Result<(CheckReport, Certificate), CheckError> {
     let bind = |admissible, proof| Certificate {
         condition,
         admissible,
@@ -262,7 +279,7 @@ pub fn check_certified(
         return Ok((report, bind(false, Proof::Cycle(proof))));
     }
 
-    let (outcome, stats) = pruned_search(h, &graph, limits);
+    let (outcome, stats) = pruned_search(h, graph, limits);
     match outcome {
         SearchOutcome::Admissible(order) => {
             let reads = legality_trace(h, &order);

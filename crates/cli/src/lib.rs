@@ -1398,7 +1398,7 @@ fn cmd_monitor(args: &Args, stdin: &str) -> Result<(String, i32), String> {
     // the cert with no access to the monitor's internals.
     let mut audit_rejections = 0u64;
     for rc in &summary.certs {
-        let verdict = match moc_audit::audit(&rc.window, &rc.cert_text) {
+        let verdict = match moc_audit::audit(&rc.window(), &rc.cert_text) {
             Ok(_) => "audit ACCEPTED",
             Err(_) => {
                 audit_rejections += 1;
@@ -1436,12 +1436,13 @@ fn cmd_monitor(args: &Args, stdin: &str) -> Result<(String, i32), String> {
     }
     let _ = writeln!(
         out,
-        "stats: {} completions, {} window check(s), {} cert(s), {} retired, \
+        "stats: {} completions, {} window check(s), {} cert(s), {} retired, {} deferred, \
          {} force-dropped, {} backpressure event(s), peak live nodes {}",
         stats.completions,
         stats.windows_checked,
         stats.certs_emitted,
         stats.retired,
+        stats.deferred,
         stats.force_dropped,
         stats.backpressure_events,
         stats.peak_live_nodes,
@@ -1474,7 +1475,7 @@ fn cmd_monitor(args: &Args, stdin: &str) -> Result<(String, i32), String> {
             v.at_ns, v.detection_latency_ns, v.detail,
         );
         if let Some(rc) = &v.cert {
-            let verdict = match moc_audit::audit(&rc.window, &rc.cert_text) {
+            let verdict = match moc_audit::audit(&rc.window(), &rc.cert_text) {
                 Ok(_) => "audit ACCEPTED",
                 Err(_) => {
                     audit_rejections += 1;

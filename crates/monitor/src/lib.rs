@@ -7,29 +7,66 @@
 //! versioned rolling `moc-cert` certificate at each quiescence point —
 //! while keeping live-graph memory bounded under unbounded traffic.
 //!
-//! ## Windows, retirement and the peeling seam
+//! ## Windows and the one retirement rule
 //!
 //! The batch checker's memory is superlinear in history length (the `~H+`
-//! closure is an n×n relation). The monitor bounds it by *retiring* settled
-//! prefixes, reusing the forced-prefix peeling seam of the pruned search
-//! ([`moc_checker::precedence`]): after a window is certified admissible,
-//! any m-operation ordered by the saturated closure `~H+` before every
-//! other unsettled m-operation can never be reordered by future events'
-//! constraints within the window machinery, so it leaves the live set. For
-//! m-linearizability a quiescence point settles *everything*: every future
-//! invocation follows every current response in real time, so the real-time
-//! base relation alone pins the whole prefix (the quiescence-decomposition
-//! folklore for linearizability).
+//! closure is an n×n relation). The monitor bounds it by *retiring* what a
+//! certified window proves can never be reordered again. The window's
+//! saturated closure `~H+` ([`moc_checker::precedence`]) is a set of
+//! orderings forced in every legal linearization, and under
+//! m-linearizability real time is a second forced order; together they
+//! say when a set `S` of live records is behind a **cut**:
 //!
-//! Retired writers do not vanish: a compact per-writer summary (identity,
-//! event times, writes) is kept so that a later read whose provenance
-//! reaches into the retired region can be re-based — the summary is
-//! synthesized back into the window as a write-only record at its original
-//! event times, keeping [`History::new`]'s read-provenance validation and
-//! the real-time order faithful. Each rolling certificate therefore binds a
-//! self-contained sub-history that the batch checker and the independent
-//! `moc-audit` crate accept unchanged: cross-validation is replaying the
-//! certificate's own window.
+//! * the **stable prefix** is the window's live records that responded
+//!   before the earliest outstanding invocation, before the earliest
+//!   *deferred* record (below) and before the check itself — real time
+//!   puts them ahead of every record the window does not hold, whether in
+//!   flight, held back or still to come;
+//! * `S` is the largest subset of the stable prefix with
+//!   `S × (live ∖ S) ⊆ ~H+` — a greatest fixpoint: drop any `u` some live
+//!   `v` outside is not forced after, repeat — and with **one last writer
+//!   per object** (when an object's writers in `S` have two `~H+`-maximal
+//!   elements those stay live and the fixpoint reruns).
+//!
+//! Every record of `S` then precedes every record that is or ever will be
+//! live, in every legal linearization, and that needs no quiescence: four
+//! always-busy processes never have zero m-operations in flight, yet
+//! everything older than the oldest of them is stable. A quiescence point
+//! is the special case where the stable prefix is the whole window (the
+//! decomposition folklore for linearizability). m-SC and m-normality have
+//! no real time, hence no stable prefix: there `S` is the chain of single
+//! `~H+`-minima the pruned search peels, and a later read re-bases onto a
+//! summary of the retired writer synthesized back at its original times.
+//!
+//! What later windows need from a cut is only its **frontier** — per
+//! object, the last writer behind it. A later read of `x` from the
+//! frontier writer gets that writer synthesized back into the window,
+//! carrying only the writes it is still the frontier of, at event times
+//! pulled before the window's earliest invocation (so the window's own
+//! real-time relation re-states "retired precedes live" without the
+//! records that proved it). A later read of `x` from any *other* retired
+//! writer, or of `x`'s initial value once `x` has a frontier, read a value
+//! that was overwritten behind the cut: a stale read, latched on the spot
+//! without graph work.
+//!
+//! All of that holds for a time-ordered feed. The live runtime's per-thread
+//! feeds interleave out of order — an invocation stamped 95 can arrive
+//! after a record that responded at 100 went behind the cut, and the two
+//! are concurrent — and neither a latch nor a synthesized writer's pulled
+//! times may rest on arrival order. So a completed record is admitted only
+//! if its invocation *timestamp* follows the latest response behind the
+//! cut (process order covers its own process's records); one that does not
+//! is settled unchecked and counted as skipped. A replayed history never
+//! trips the guard, ties between a response and another process's
+//! invocation aside.
+//!
+//! A record that read from a writer whose response has not arrived yet is
+//! **deferred**: it stays live and out of the window until the writer
+//! completes (transitively, for readers of a deferred record). Each
+//! rolling certificate binds the canonical text of a self-contained
+//! sub-history that the batch checker and the independent `moc-audit`
+//! crate accept unchanged: cross-validation is replaying the certificate's
+//! own window.
 //!
 //! ## Bounded memory and degradation
 //!
@@ -42,7 +79,7 @@
 //!   `dropped_prefix` count plus backpressure counters, instead of growing
 //!   without bound.
 //! * The writer-summary map is capped as well; evicting a summary may make
-//!   a later deep-stale read unresolvable, in which case that record is
+//!   a later read's provenance unresolvable, in which case that record is
 //!   skipped (counted, degraded) rather than mis-flagged.
 //!
 //! ## Fail-fast on refutation
@@ -54,20 +91,21 @@
 //! permanent: ingestion stops doing work, so a violation can never be
 //! papered over by later traffic.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use moc_checker::certificate::{check_certified, Certificate, Proof};
+use moc_checker::certificate::{check_certified_on, Certificate, Proof};
 use moc_checker::precedence::PrecedenceGraph;
 use moc_checker::{Condition, SearchLimits};
 use moc_core::codec;
 use moc_core::history::{History, MOpIdx};
-use moc_core::ids::{MOpId, ProcessId};
+use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::mop::{EventTime, MOpRecord};
 use moc_core::op::{CompletedOp, OpKind};
+use moc_core::relations::Relation;
 
 /// When a stream never quiesces, a window check is forced anyway once this
-/// many windows' worth of fresh completions pile up (retirement then uses
-/// peeling only, never the quiescence rule).
+/// many windows' worth of fresh completions pile up.
 const FORCED_CHECK_FACTOR: usize = 4;
 
 /// Writer summaries kept per live-node of budget (see module docs).
@@ -146,15 +184,19 @@ pub struct MonitorStats {
     pub windows_checked: u64,
     /// Rolling certificates emitted (admissible windows).
     pub certs_emitted: u64,
-    /// Records retired through the peeling / quiescence seam (certified
-    /// before leaving the live set).
+    /// Records retired behind a certified cut (certified before leaving
+    /// the live set).
     pub retired: u64,
     /// Records force-dropped at the live-set cap (never certified).
     pub force_dropped: u64,
-    /// Records skipped from a window because their read provenance
-    /// reached beyond the summary horizon (never certified).
+    /// Records skipped from a window because their read provenance could
+    /// not be resolved (never certified).
     pub skipped: u64,
-    /// Reads whose writer had been evicted from the summary map.
+    /// Times a live record was held out of a window because a writer it
+    /// read from had not responded yet (once per window it sat out).
+    pub deferred: u64,
+    /// Reads whose writer is unknown to the stream: never seen, or its
+    /// summary evicted.
     pub provenance_misses: u64,
     /// Writer summaries evicted at the summary cap.
     pub summaries_evicted: u64,
@@ -168,8 +210,8 @@ pub struct MonitorStats {
     pub peak_window: usize,
 }
 
-/// A versioned rolling certificate: one quiescence window's verdict, bound
-/// to a self-contained replayable sub-history.
+/// A versioned rolling certificate: one window's verdict, bound to a
+/// self-contained replayable sub-history.
 #[derive(Debug, Clone)]
 pub struct RollingCert {
     /// Monotone version of this certificate in the stream.
@@ -186,10 +228,19 @@ pub struct RollingCert {
     pub fingerprint: u64,
     /// The verdict.
     pub admissible: bool,
-    /// The `moc-cert` JSON text (audits against `window` unchanged).
+    /// The `moc-cert` JSON text (audits against [`RollingCert::window`]
+    /// unchanged).
     pub cert_text: String,
-    /// The self-contained window the certificate is bound to.
-    pub window: History,
+    /// The self-contained window the certificate is bound to, as the
+    /// canonical text `moc audit` takes ([`moc_core::codec`]).
+    pub window_text: String,
+}
+
+impl RollingCert {
+    /// The window parsed back into a history.
+    pub fn window(&self) -> History {
+        codec::from_text(&self.window_text).expect("the canonical text of a checked window")
+    }
 }
 
 /// One verdict on the live timeline.
@@ -238,17 +289,20 @@ pub struct MonitorRunSummary {
     pub violation: Option<Violation>,
 }
 
-/// Compact memory of a retired writer: enough to re-base a later read's
+/// Compact memory of a settled writer: enough to re-base a later read's
 /// provenance into a window without keeping the full record live.
 #[derive(Debug, Clone)]
 struct WriterSummary {
     invoked: EventTime,
     responded: EventTime,
     writes: Vec<CompletedOp>,
+    /// Retired behind an m-lin cut, so the frontier speaks for its writes
+    /// (not so for a peeled, force-dropped or skipped writer).
+    behind_cut: bool,
 }
 
 impl WriterSummary {
-    fn of(rec: &MOpRecord) -> Option<Self> {
+    fn of(rec: &MOpRecord, behind_cut: bool) -> Option<Self> {
         let writes: Vec<CompletedOp> = rec
             .ops
             .iter()
@@ -262,20 +316,37 @@ impl WriterSummary {
             invoked: rec.invoked_at,
             responded: rec.responded_at,
             writes,
+            behind_cut,
         })
     }
 
-    fn synthesize(&self, id: MOpId) -> MOpRecord {
+    /// The writer as a write-only record: the writes `owned` admits, at
+    /// event times no later than `before`.
+    fn synthesize(
+        &self,
+        id: MOpId,
+        owned: impl Fn(ObjectId) -> bool,
+        before: EventTime,
+    ) -> MOpRecord {
         MOpRecord {
             id,
-            invoked_at: self.invoked,
-            responded_at: self.responded,
-            ops: self.writes.clone(),
+            invoked_at: self.invoked.min(before),
+            responded_at: self.responded.min(before),
+            ops: (self.writes.iter())
+                .filter(|op| owned(op.object))
+                .cloned()
+                .collect(),
             outputs: Vec::new(),
             treated_as: moc_core::mop::MOpClass::Update,
             label: "retired".into(),
         }
     }
+}
+
+/// Why a window could not be built: what a structural [`Violation`] says.
+struct Defect {
+    detail: String,
+    culprit: Option<ProcessId>,
 }
 
 /// The streaming sentinel. Feed it [`OnlineMonitor::on_invoke`] /
@@ -291,8 +362,14 @@ pub struct OnlineMonitor {
     live_ids: BTreeSet<MOpId>,
     /// Completions since the last certified window.
     fresh: usize,
-    /// Outstanding invocations (global quiescence = 0).
-    inflight: u64,
+    /// Outstanding invocations and when each was invoked (global
+    /// quiescence = none).
+    outstanding: BTreeMap<MOpId, u64>,
+    /// Per object, the last writer behind the m-lin cut (see module docs).
+    frontier: Vec<Option<MOpId>>,
+    /// The latest response behind the m-lin cut and the process it belongs
+    /// to (`None` once two processes share it).
+    cut: Option<(EventTime, Option<ProcessId>)>,
     summaries: BTreeMap<MOpId, WriterSummary>,
     summary_order: VecDeque<MOpId>,
     /// Records settled (retired + dropped + skipped) so far.
@@ -313,7 +390,9 @@ impl OnlineMonitor {
             live: Vec::new(),
             live_ids: BTreeSet::new(),
             fresh: 0,
-            inflight: 0,
+            outstanding: BTreeMap::new(),
+            frontier: vec![None; num_objects],
+            cut: None,
             summaries: BTreeMap::new(),
             summary_order: VecDeque::new(),
             settled: 0,
@@ -326,16 +405,16 @@ impl OnlineMonitor {
     }
 
     /// An invocation event entered the system.
-    pub fn on_invoke(&mut self, _id: MOpId, _now_ns: u64) {
+    pub fn on_invoke(&mut self, id: MOpId, now_ns: u64) {
         self.stats.invocations += 1;
-        self.inflight += 1;
+        self.outstanding.insert(id, now_ns);
     }
 
     /// A response event: the m-operation completed with `rec`. Returns the
     /// latched violation, if any (including one this event just triggered).
     pub fn on_complete(&mut self, rec: MOpRecord, now_ns: u64) -> Option<&Violation> {
         self.stats.completions += 1;
-        self.inflight = self.inflight.saturating_sub(1);
+        self.outstanding.remove(&rec.id);
         if self.violation.is_some() {
             // Fail-fast latch: no further bookkeeping or checking.
             return self.violation.as_ref();
@@ -355,6 +434,13 @@ impl OnlineMonitor {
             });
             return self.violation.as_ref();
         }
+        if !self.follows_cut(&rec) {
+            // Arrival order put it after the cut, its timestamps do not:
+            // nothing may rest on arrival order, so it settles unchecked.
+            self.settle_uncertified(&rec);
+            self.stats.skipped += 1;
+            return None;
+        }
         self.live_ids.insert(rec.id);
         self.live.push(rec);
         self.fresh += 1;
@@ -362,11 +448,10 @@ impl OnlineMonitor {
             self.force_drop();
         }
         self.stats.peak_live_nodes = self.stats.peak_live_nodes.max(self.live.len());
-        let quiescent = self.inflight == 0;
-        if (quiescent && self.fresh >= self.cfg.window)
+        if (self.outstanding.is_empty() && self.fresh >= self.cfg.window)
             || self.fresh >= self.cfg.window * FORCED_CHECK_FACTOR
         {
-            self.check_window(now_ns, quiescent);
+            self.check_window(now_ns);
         }
         self.violation.as_ref()
     }
@@ -374,7 +459,7 @@ impl OnlineMonitor {
     /// Checks any remaining fresh completions (end of stream).
     pub fn flush(&mut self, now_ns: u64) -> Option<&Violation> {
         if self.violation.is_none() && self.fresh > 0 {
-            self.check_window(now_ns, self.inflight == 0);
+            self.check_window(now_ns);
         }
         self.violation.as_ref()
     }
@@ -443,13 +528,30 @@ impl OnlineMonitor {
         while self.live.len() > self.cfg.max_live_nodes {
             let rec = self.live.remove(0);
             self.live_ids.remove(&rec.id);
-            if let Some(s) = WriterSummary::of(&rec) {
-                self.remember(rec.id, s);
-            }
+            self.settle_uncertified(&rec);
             self.stats.force_dropped += 1;
-            self.settled += 1;
             self.fresh = self.fresh.min(self.live.len());
         }
+    }
+
+    /// Whether `rec` was invoked after everything behind the cut responded
+    /// (its own process's records precede it in process order anyway).
+    /// True of every record of a time-ordered feed, ties aside: the cut
+    /// only takes records that responded before each invocation known at
+    /// the time. An invocation the feed delivered late fails it.
+    fn follows_cut(&self, rec: &MOpRecord) -> bool {
+        self.cut.is_none_or(|(responded, process)| {
+            rec.invoked_at > responded
+                || (rec.invoked_at == responded && process == Some(rec.id.process))
+        })
+    }
+
+    /// Settles `rec` without a certificate, remembering its writes.
+    fn settle_uncertified(&mut self, rec: &MOpRecord) {
+        if let Some(s) = WriterSummary::of(rec, false) {
+            self.remember(rec.id, s);
+        }
+        self.settled += 1;
     }
 
     fn remember(&mut self, id: MOpId, summary: WriterSummary) {
@@ -464,95 +566,134 @@ impl OnlineMonitor {
         }
     }
 
-    /// Builds the self-contained window history: retained live records
-    /// plus synthesized summaries for every retired writer they read from.
-    /// Live records whose provenance cannot be resolved are settled as
-    /// skipped (degraded). Returns the history and, per window index, the
-    /// originating live index (`None` for synthesized writers).
-    fn window_history(&mut self) -> Result<(History, Vec<Option<usize>>), String> {
-        // Settle records whose read provenance is beyond every horizon.
-        let mut extra: BTreeMap<MOpId, WriterSummary> = BTreeMap::new();
-        let all_live: BTreeSet<MOpId> = self.live_ids.clone();
-        let mut keep = vec![true; self.live.len()];
-        for (i, rec) in self.live.iter().enumerate() {
-            for op in &rec.ops {
-                if op.kind != OpKind::Read || op.writer == MOpId::INITIAL || op.writer == rec.id {
+    /// The frontier writer that overwrote what `op` read, when `op` read a
+    /// value from behind the cut that is not the frontier's: a retired
+    /// writer other than the object's last, or the initial value of an
+    /// object that has a last writer. (No object has one outside m-lin.)
+    fn overwritten_behind_cut(&self, op: &CompletedOp) -> Option<MOpId> {
+        let last = (*self.frontier.get(op.object.index())?)?;
+        let behind = op.writer == MOpId::INITIAL
+            || self.summaries.get(&op.writer).is_some_and(|s| s.behind_cut);
+        (behind && last != op.writer).then_some(last)
+    }
+
+    /// Builds the self-contained window history: the live records whose
+    /// writers have all responded, plus a synthesized summary of every
+    /// settled writer they read from. Live records whose provenance cannot
+    /// be resolved are settled as skipped (degraded); a read of a value
+    /// overwritten behind the cut is a defect. Returns the history and,
+    /// per window index, the originating live index (`None` for
+    /// synthesized writers).
+    fn window_history(&mut self) -> Result<(History, Vec<Option<usize>>), Defect> {
+        // A reader of a writer still in flight waits for it, and a reader
+        // of a waiting record waits with it.
+        let mut deferred: BTreeSet<MOpId> = BTreeSet::new();
+        loop {
+            let waiting = deferred.len();
+            for rec in &self.live {
+                if rec.external_reads().any(|op| {
+                    self.outstanding.contains_key(&op.writer) || deferred.contains(&op.writer)
+                }) {
+                    deferred.insert(rec.id);
+                }
+            }
+            if deferred.len() == waiting {
+                break;
+            }
+        }
+        self.stats.deferred += deferred.len() as u64;
+
+        // Settle records whose read provenance is beyond every horizon,
+        // until none is left (remembering one may evict another's writer).
+        loop {
+            let mut keep = vec![true; self.live.len()];
+            for (i, rec) in self.live.iter().enumerate() {
+                if deferred.contains(&rec.id) {
                     continue;
                 }
-                if !(all_live.contains(&op.writer)
-                    || self.summaries.contains_key(&op.writer)
-                    || extra.contains_key(&op.writer))
-                {
-                    self.stats.provenance_misses += 1;
-                    keep[i] = false;
+                for op in rec.external_reads() {
+                    if let Some(last) = self.overwritten_behind_cut(op) {
+                        return Err(Defect {
+                            detail: format!(
+                                "stale read: {} read {} from {}, which {last} overwrote \
+                                 behind the retired cut",
+                                rec.id, op.object, op.writer
+                            ),
+                            culprit: Some(rec.id.process),
+                        });
+                    } else if !(op.writer == MOpId::INITIAL
+                        || self.live_ids.contains(&op.writer)
+                        || self.summaries.contains_key(&op.writer))
+                    {
+                        self.stats.provenance_misses += 1;
+                        keep[i] = false;
+                    }
                 }
             }
-            if !keep[i] {
-                if let Some(s) = WriterSummary::of(rec) {
-                    extra.insert(rec.id, s);
-                }
+            if keep.iter().all(|&k| k) {
+                break;
             }
-        }
-        let mut retained: Vec<MOpRecord> = Vec::with_capacity(self.live.len());
-        let mut skipped = 0u64;
-        for (i, rec) in std::mem::take(&mut self.live).into_iter().enumerate() {
-            if keep[i] {
-                retained.push(rec);
-            } else {
+            for (i, rec) in std::mem::take(&mut self.live).into_iter().enumerate() {
+                if keep[i] {
+                    self.live.push(rec);
+                    continue;
+                }
                 self.live_ids.remove(&rec.id);
-                skipped += 1;
+                self.settle_uncertified(&rec);
+                self.stats.skipped += 1;
             }
-        }
-        self.stats.skipped += skipped;
-        self.settled += skipped;
-        for (id, s) in extra {
-            self.remember(id, s);
         }
 
-        // Synthesize every retired writer the retained records read from.
+        // Synthesize every settled writer the window's records read from.
+        let windowed = || {
+            let live = self.live.iter().enumerate();
+            live.filter(|(_, rec)| !deferred.contains(&rec.id))
+        };
         let mut needed: BTreeSet<MOpId> = BTreeSet::new();
-        for rec in &retained {
-            for op in &rec.ops {
-                if op.kind == OpKind::Read
-                    && op.writer != MOpId::INITIAL
-                    && op.writer != rec.id
-                    && !self.live_ids.contains(&op.writer)
-                {
+        for (_, rec) in windowed() {
+            for op in rec.external_reads() {
+                if op.writer != MOpId::INITIAL && !self.live_ids.contains(&op.writer) {
                     needed.insert(op.writer);
                 }
             }
         }
-        let mut synth: Vec<MOpRecord> = needed
+        // Frontier writers are pulled before the window's earliest
+        // invocation. Beside a force-dropped or skipped writer, whose place
+        // relative to the cut nothing certified, all keep their own times.
+        let pull = needed.iter().all(|id| self.summaries[id].behind_cut);
+        let before = match windowed().map(|(_, rec)| rec.invoked_at).min() {
+            Some(earliest) if pull => EventTime(earliest.as_nanos().saturating_sub(1)),
+            _ => EventTime(u64::MAX),
+        };
+        let mut records: Vec<MOpRecord> = needed
             .iter()
             .map(|id| {
-                self.summaries
-                    .get(id)
-                    .expect("unresolvable reads were settled above")
-                    .synthesize(*id)
+                let s = &self.summaries[id];
+                let owned = |x: ObjectId| !s.behind_cut || self.frontier[x.index()] == Some(*id);
+                s.synthesize(*id, owned, before)
             })
             .collect();
-        synth.sort_by_key(|r| (r.invoked_at, r.responded_at, r.id));
+        records.sort_by_key(|r| (r.invoked_at, r.responded_at, r.id));
 
-        let mut map: Vec<Option<usize>> = vec![None; synth.len()];
-        let mut records = synth;
-        for (pos, rec) in retained.iter().enumerate() {
+        let mut map: Vec<Option<usize>> = vec![None; records.len()];
+        for (pos, rec) in windowed() {
             map.push(Some(pos));
             records.push(rec.clone());
         }
-        self.live = retained;
         match History::new(self.num_objects, records) {
             Ok(h) => Ok((h, map)),
-            Err(e) => Err(format!("window history rejected: {e:?}")),
+            Err(e) => Err(Defect {
+                detail: format!("window history rejected: {e:?}"),
+                culprit: self.live.last().map(|r| r.id.process),
+            }),
         }
     }
 
-    fn check_window(&mut self, now_ns: u64, quiescent: bool) {
-        self.stats.windows_checked += 1;
+    fn check_window(&mut self, now_ns: u64) {
         let last_response = self.newest_response();
         let (h, map) = match self.window_history() {
             Ok(t) => t,
-            Err(detail) => {
-                let culprit = self.live.last().map(|r| r.id.process);
+            Err(Defect { detail, culprit }) => {
                 self.violation = Some(Violation {
                     at_ns: now_ns,
                     detail,
@@ -563,8 +704,15 @@ impl OnlineMonitor {
                 return;
             }
         };
+        if h.is_empty() {
+            // Every live record is waiting for a writer to respond.
+            return;
+        }
+        self.stats.windows_checked += 1;
         self.stats.peak_window = self.stats.peak_window.max(h.len());
-        let (report, cert) = match check_certified(&h, self.cfg.condition, self.cfg.limits) {
+        let graph = PrecedenceGraph::for_condition(&h, self.cfg.condition);
+        let checked = check_certified_on(&h, self.cfg.condition, &graph, self.cfg.limits);
+        let (report, cert) = match checked {
             Ok(rc) => rc,
             Err(_) => {
                 // Budget exhausted without a verdict: count it, keep the
@@ -581,10 +729,10 @@ impl OnlineMonitor {
             base: self.settled,
             window_len: h.len(),
             emitted_at_ns: now_ns,
-            fingerprint: codec::fingerprint(&h),
+            fingerprint: cert.fingerprint,
             admissible: report.satisfied,
             cert_text: cert.to_text(),
-            window: h.clone(),
+            window_text: codec::to_text(&h),
         };
         self.timeline.push(TimelinePoint {
             at_ns: now_ns,
@@ -595,7 +743,7 @@ impl OnlineMonitor {
         if report.satisfied {
             self.stats.certs_emitted += 1;
             self.certs.push(rolling);
-            self.retire(&h, &map, quiescent);
+            self.retire(&h, &map, graph.closed());
             self.fresh = 0;
         } else {
             let culprit = self.culprit_of(&h, &cert, &map);
@@ -611,50 +759,92 @@ impl OnlineMonitor {
         }
     }
 
-    /// Settles the certified window's forced prefix out of the live set.
-    ///
-    /// Under m-linearizability a quiescence point settles everything: all
-    /// current responses precede (in real time) every future invocation.
-    /// Otherwise the peeling criterion of the pruned search applies: a
-    /// record `u` with `u ~H+ v` for every other window member is a fixed
-    /// prefix of every legal linearization of the window.
-    fn retire(&mut self, h: &History, map: &[Option<usize>], quiescent: bool) {
-        let mut retire_live: Vec<usize> = Vec::new();
-        if quiescent && self.cfg.condition == Condition::MLinearizability {
-            retire_live.extend(map.iter().flatten().copied());
+    /// Settles out of the live set what the certified window puts behind
+    /// a cut: under m-linearizability the stable cut, whose frontier then
+    /// advances; otherwise the peeled prefix (module docs).
+    fn retire(&mut self, h: &History, map: &[Option<usize>], closed: &Relation) {
+        let mlin = self.cfg.condition == Condition::MLinearizability;
+        let cut = if mlin {
+            self.stable_cut(h, map, closed)
         } else {
-            let graph = PrecedenceGraph::for_condition(h, self.cfg.condition);
-            let closed = graph.closed();
-            let mut remaining: Vec<usize> = (0..h.len()).collect();
-            while let Some(pos) = remaining.iter().position(|&u| {
-                remaining
-                    .iter()
-                    .all(|&v| v == u || closed.contains(MOpIdx(u), MOpIdx(v)))
-            }) {
-                let u = remaining.swap_remove(pos);
-                if let Some(li) = map[u] {
-                    retire_live.push(li);
-                }
-            }
-        }
-        if retire_live.is_empty() {
+            peeled_prefix(h.len(), closed)
+        };
+        let retire_set: BTreeSet<usize> = (map.iter().zip(&cut))
+            .filter_map(|(&live, &behind)| live.filter(|_| behind))
+            .collect();
+        if retire_set.is_empty() {
             return;
         }
-        let retire_set: BTreeSet<usize> = retire_live.into_iter().collect();
-        let mut kept = Vec::with_capacity(self.live.len() - retire_set.len());
-        for (i, rec) in std::mem::take(&mut self.live).into_iter().enumerate() {
-            if retire_set.contains(&i) {
-                self.live_ids.remove(&rec.id);
-                if let Some(s) = WriterSummary::of(&rec) {
-                    self.remember(rec.id, s);
+        if mlin {
+            for x in (0..self.num_objects).map(|x| ObjectId::new(x as u32)) {
+                if let [last] = last_writers(h, x, &cut, closed)[..] {
+                    self.frontier[x.index()] = Some(h.record(last).id);
                 }
-                self.stats.retired += 1;
-                self.settled += 1;
-            } else {
-                kept.push(rec);
             }
         }
-        self.live = kept;
+        for (i, rec) in std::mem::take(&mut self.live).into_iter().enumerate() {
+            if !retire_set.contains(&i) {
+                self.live.push(rec);
+                continue;
+            }
+            self.live_ids.remove(&rec.id);
+            if mlin {
+                let newest = (rec.responded_at, Some(rec.id.process));
+                let (at, process) = self.cut.unwrap_or(newest);
+                self.cut = Some(match rec.responded_at.cmp(&at) {
+                    Ordering::Less => (at, process),
+                    Ordering::Equal => (at, process.filter(|&p| p == rec.id.process)),
+                    Ordering::Greater => newest,
+                });
+            }
+            if let Some(s) = WriterSummary::of(&rec, mlin) {
+                self.remember(rec.id, s);
+            }
+            self.stats.retired += 1;
+            self.settled += 1;
+        }
+    }
+
+    /// The m-lin cut of a certified window, per window index: the largest
+    /// set `S` of stable live records with `S × (live ∖ S) ⊆ ~H+` and one
+    /// last writer per object. A record is stable when it responded before
+    /// everything live that the window does not hold was invoked: the
+    /// outstanding invocations and the deferred records. (Whatever is
+    /// invoked later follows it too, or fails `follows_cut`.)
+    fn stable_cut(&self, h: &History, map: &[Option<usize>], closed: &Relation) -> Vec<bool> {
+        let windowed: BTreeSet<usize> = map.iter().flatten().copied().collect();
+        let deferred = (self.live.iter().enumerate())
+            .filter(|(i, _)| !windowed.contains(i))
+            .map(|(_, rec)| rec.invoked_at.as_nanos());
+        let horizon = (self.outstanding.values().copied())
+            .chain(deferred)
+            .fold(u64::MAX, u64::min);
+        let mut cut: Vec<bool> = (h.iter().zip(map))
+            .map(|((_, rec), live)| live.is_some() && rec.responded_at.as_nanos() < horizon)
+            .collect();
+        // Greatest fixpoint: each pass only takes records out.
+        loop {
+            let mut shrunk = false;
+            for u in 0..h.len() {
+                let open = |v: usize| {
+                    map[v].is_some() && !cut[v] && !closed.contains(MOpIdx(u), MOpIdx(v))
+                };
+                if cut[u] && (0..h.len()).any(open) {
+                    cut[u] = false;
+                    shrunk = true;
+                }
+            }
+            for x in (0..h.num_objects()).map(|x| ObjectId::new(x as u32)) {
+                let last = last_writers(h, x, &cut, closed);
+                if last.len() > 1 {
+                    last.iter().for_each(|w| cut[w.0] = false);
+                    shrunk = true;
+                }
+            }
+            if !shrunk {
+                return cut;
+            }
+        }
     }
 
     /// The latest-responding live participant of the refutation core.
@@ -678,6 +868,30 @@ impl OnlineMonitor {
             .max_by_key(|&idx| h.record(idx).responded_at)
             .map(|idx| h.record(idx).id.process)
     }
+}
+
+/// The `~H+`-maximal writers of `x` among the window records in `cut`.
+fn last_writers(h: &History, x: ObjectId, cut: &[bool], closed: &Relation) -> Vec<MOpIdx> {
+    let writers = || h.writers_of(x).iter().copied().filter(|w| cut[w.0]);
+    writers()
+        .filter(|&w| !writers().any(|v| closed.contains(w, v)))
+        .collect()
+}
+
+/// The peeling criterion of the pruned search, per window index: a record
+/// `u` with `u ~H+ v` for every other remaining member is a fixed prefix
+/// of every legal linearization of the window.
+fn peeled_prefix(n: usize, closed: &Relation) -> Vec<bool> {
+    let mut peeled = vec![false; n];
+    let mut remaining: Vec<usize> = (0..n).collect();
+    while let Some(pos) = remaining.iter().position(|&u| {
+        remaining
+            .iter()
+            .all(|&v| v == u || closed.contains(MOpIdx(u), MOpIdx(v)))
+    }) {
+        peeled[remaining.swap_remove(pos)] = true;
+    }
+    peeled
 }
 
 /// Replays a recorded history through a monitor as a live stream: both
@@ -709,6 +923,7 @@ pub fn replay(h: &History, mut mon: OnlineMonitor) -> MonitorRunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moc_checker::certificate::check_certified;
     use moc_core::history::HistoryBuilder;
     use moc_core::ids::ObjectId;
 
@@ -724,20 +939,20 @@ mod tests {
     fn cross_validate(summary: &MonitorRunSummary) {
         for cert in &summary.certs {
             let (report, _) =
-                check_certified(&cert.window, cert.condition, SearchLimits::default())
+                check_certified(&cert.window(), cert.condition, SearchLimits::default())
                     .expect("batch check on a certified window");
             assert_eq!(
                 report.satisfied, cert.admissible,
                 "v{}: streaming and batch verdicts must agree",
                 cert.version
             );
-            moc_audit::audit(&cert.window, &cert.cert_text)
+            moc_audit::audit(&cert.window(), &cert.cert_text)
                 .unwrap_or_else(|e| panic!("v{} failed audit: {e}", cert.version));
         }
         if let Some(v) = &summary.violation {
             if let Some(cert) = &v.cert {
                 assert!(!cert.admissible);
-                moc_audit::audit(&cert.window, &cert.cert_text)
+                moc_audit::audit(&cert.window(), &cert.cert_text)
                     .expect("refutation certificate must audit");
             }
         }
@@ -762,8 +977,157 @@ mod tests {
         assert_eq!(summary.certs.len(), 3, "one cert per quiescence point");
         assert!(summary.stats.retired >= 1, "phase one must retire");
         // Later windows contain the synthesized retired writer.
-        assert!(summary.certs[1].window.len() >= 2);
+        assert!(summary.certs[1].window().len() >= 2);
         cross_validate(&summary);
+    }
+
+    fn mlin(window: usize) -> MonitorConfig {
+        MonitorConfig::new(Condition::MLinearizability).with_window(window)
+    }
+
+    /// `w1(x)1; w2(x)2; r(x)1←w1`, strictly sequential: the read is stale
+    /// whether the writers are still live (window 16: the checker refutes)
+    /// or already behind a cut (windows 1 and 2: the frontier does).
+    #[test]
+    fn stale_read_across_a_retired_cut_latches() {
+        let x = oid(0);
+        let mut b = HistoryBuilder::new(1);
+        let w1 = b.mop(pid(0)).at(0, 10).write(x, 1).finish();
+        b.mop(pid(1)).at(20, 30).write(x, 2).finish();
+        b.mop(pid(2)).at(40, 50).read_from(x, 1, w1).finish();
+        let h = b.build().unwrap();
+        let batch = check_certified(&h, Condition::MLinearizability, SearchLimits::default());
+        assert!(!batch.unwrap().0.satisfied, "the batch checker refutes");
+        for window in [1, 2, 16] {
+            let summary = replay(&h, OnlineMonitor::new(1, mlin(window)));
+            let v = summary.violation.as_ref();
+            let v = v.unwrap_or_else(|| panic!("window {window}: stale read certified"));
+            assert_eq!(v.culprit, Some(pid(2)), "window {window}");
+            if window < 16 {
+                assert!(v.detail.contains("stale read"), "{}", v.detail);
+                assert_eq!(summary.stats.retired, 2, "both writers were behind the cut");
+            }
+            cross_validate(&summary);
+        }
+    }
+
+    /// Once `x` has a last writer behind the cut, its initial value is gone.
+    #[test]
+    fn initial_value_read_after_a_retired_write_latches() {
+        let x = oid(0);
+        let mut b = HistoryBuilder::new(1);
+        b.mop(pid(0)).at(0, 10).write(x, 1).finish();
+        b.mop(pid(1)).at(20, 30).read_init(x).finish();
+        let h = b.build().unwrap();
+        for window in [1, 16] {
+            let summary = replay(&h, OnlineMonitor::new(1, mlin(window)));
+            assert!(summary.violation.is_some(), "window {window}");
+        }
+    }
+
+    /// The converse: a read from the frontier writer certifies, against a
+    /// window that holds the writer synthesized back — and the certificate
+    /// audits against the window parsed from its own text.
+    #[test]
+    fn read_from_the_frontier_writer_certifies() {
+        let x = oid(0);
+        let mut b = HistoryBuilder::new(1);
+        b.mop(pid(0)).at(0, 10).write(x, 1).finish();
+        let w2 = b.mop(pid(1)).at(20, 30).write(x, 2).finish();
+        b.mop(pid(2)).at(40, 50).read_from(x, 2, w2).finish();
+        let h = b.build().unwrap();
+        for window in [1, 2] {
+            let summary = replay(&h, OnlineMonitor::new(1, mlin(window)));
+            assert!(summary.violation.is_none(), "{:?}", summary.violation);
+            assert_eq!(summary.mode, MonitorMode::Healthy);
+            let last = summary.certs.last().unwrap().window();
+            let ids: Vec<MOpId> = last.records().iter().map(|r| r.id).collect();
+            assert_eq!(ids, [w2, MOpId::new(pid(2), 0)], "window {window}");
+            assert_eq!(last.records()[0].label, "retired");
+            cross_validate(&summary);
+        }
+    }
+
+    /// The frontier carries only the writes a writer still owns: `u` writes
+    /// x and y, `v` overwrites x. Behind the cut `u` still speaks for y —
+    /// and comes back without its write of x — but no longer for x.
+    #[test]
+    fn frontier_writer_carries_only_the_writes_it_still_owns() {
+        let (x, y) = (oid(0), oid(1));
+        let stream = |stale: bool| {
+            let mut b = HistoryBuilder::new(2);
+            let u = b.mop(pid(0)).at(0, 10).write(x, 1).write(y, 1).finish();
+            b.mop(pid(1)).at(20, 30).write(x, 2).finish();
+            let read = b.mop(pid(2)).at(40, 50);
+            if stale {
+                read.read_from(x, 1, u)
+            } else {
+                read.read_from(y, 1, u)
+            }
+            .finish();
+            (
+                replay(&b.build().unwrap(), OnlineMonitor::new(2, mlin(1))),
+                u,
+            )
+        };
+        let (fresh, u) = stream(false);
+        assert!(fresh.violation.is_none(), "{:?}", fresh.violation);
+        let last = fresh.certs.last().unwrap().window();
+        assert_eq!(last.records()[0].id, u);
+        let objects: Vec<ObjectId> = last.records()[0].ops.iter().map(|op| op.object).collect();
+        assert_eq!(objects, [y]);
+        cross_validate(&fresh);
+        let (stale, _) = stream(true);
+        assert!(stale
+            .violation
+            .is_some_and(|v| v.detail.contains("stale read")));
+    }
+
+    /// A reader whose writer's response has not arrived yet waits for it,
+    /// live and out of the windows, and holds the cut back meanwhile.
+    #[test]
+    fn reader_of_an_outstanding_writer_is_deferred() {
+        let (x, y) = (oid(0), oid(1));
+        let mut b = HistoryBuilder::new(2);
+        let w = b.mop(pid(0)).at(0, 40).write(x, 1).finish();
+        for reader in 1..4 {
+            let t = 10 + 2 * u64::from(reader);
+            b.mop(pid(reader)).at(t, t + 10).read_from(x, 1, w).finish();
+        }
+        b.mop(pid(4)).at(18, 28).write(y, 1).finish();
+        let summary = replay(&b.build().unwrap(), OnlineMonitor::new(2, mlin(1)));
+        assert!(summary.violation.is_none(), "{:?}", summary.violation);
+        assert_eq!(summary.mode, MonitorMode::Healthy);
+        assert_eq!(summary.stats.skipped, 0);
+        // The fourth completion forces a check while `w` is in flight.
+        assert_eq!(summary.stats.deferred, 3);
+        assert_eq!(summary.certs[0].window_len, 1, "the readers sat it out");
+        assert_eq!(summary.timeline[0].live_nodes, 4, "and stayed live");
+        assert_eq!(summary.certs[1].window_len, 5, "until the writer responded");
+        assert_eq!(summary.stats.retired, 5, "nothing retired ahead of them");
+        cross_validate(&summary);
+    }
+
+    /// A feed that delivers an invocation after something that responded
+    /// later than it went behind the cut: the two are concurrent, so the
+    /// read of the initial value is legal — and nothing may rest on the
+    /// order of arrival. The record settles unchecked, counted.
+    #[test]
+    fn invocation_delivered_behind_the_cut_is_skipped_not_latched() {
+        let x = oid(0);
+        let mut b = HistoryBuilder::new(1);
+        b.mop(pid(0)).at(0, 10).write(x, 1).finish();
+        b.mop(pid(1)).at(5, 20).read_init(x).finish();
+        let h = b.build().unwrap();
+        let (w, r) = (h.records()[0].clone(), h.records()[1].clone());
+        let mut mon = OnlineMonitor::new(1, mlin(1));
+        mon.on_invoke(w.id, 0);
+        mon.on_complete(w, 10);
+        assert_eq!(mon.stats().retired, 1, "quiescent as far as the feed shows");
+        mon.on_invoke(r.id, 5);
+        assert!(mon.on_complete(r, 20).is_none());
+        assert_eq!(mon.mode(), MonitorMode::Degraded { dropped_prefix: 1 });
+        assert_eq!(mon.stats().skipped, 1);
     }
 
     /// The classic SC litmus refutes: fail-fast latch, refutation cert,

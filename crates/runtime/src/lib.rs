@@ -1414,9 +1414,54 @@ mod tests {
         );
         for cert in &summary.certs {
             assert!(cert.admissible);
-            let batch = check(&cert.window, Condition::MLinearizability, Strategy::Auto).unwrap();
+            let batch = check(&cert.window(), Condition::MLinearizability, Strategy::Auto).unwrap();
             assert!(batch.satisfied, "streaming and batch verdicts agree");
         }
+    }
+
+    /// Three always-busy clients under the m-lin sentinel: the replica
+    /// threads' feeds reach it interleaved, not in timestamp order, and it
+    /// retires behind cuts without ever seeing a quiescence point. Whatever
+    /// the interleaving, a clean run must not latch; an m-operation whose
+    /// invocation the feed delivered behind the cut is skipped, counted.
+    #[test]
+    fn busy_mlin_cluster_never_latches_on_feed_order() {
+        let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start_with_monitor(
+            3,
+            RuntimeConfig::new(7),
+            MonitorConfig::new(Condition::MLinearizability).with_window(4),
+        );
+        let cluster = Arc::new(cluster);
+        let clients: Vec<_> = (0..3u32)
+            .map(|p| {
+                let c = Arc::clone(&cluster);
+                std::thread::spawn(move || {
+                    for i in 0..150 {
+                        let program = match i % 3 {
+                            0 => inc(),
+                            1 => rx(),
+                            _ => wx(i64::from(p) * 1000 + i),
+                        };
+                        c.invoke(ProcessId::new(p), program, vec![]);
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
+        let (report, monitor) = cluster.shutdown_with_monitor();
+        let summary = monitor.expect("sentinel attached");
+        assert!(summary.violation.is_none(), "{:?}", summary.violation);
+        assert_eq!(summary.stats.completions, 450, "every completion streamed");
+        let stats = summary.stats;
+        assert!(
+            stats.retired > 225 && stats.peak_live_nodes < 150,
+            "the cut follows the stream: {stats:?}"
+        );
+        let batch = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
+        assert!(batch.satisfied, "{:?}", batch.reason);
     }
 
     /// The sentinel thread end-to-end on a poisoned event stream: the

@@ -134,7 +134,7 @@ fn verify_masked(
             "{tuple}: inadmissible rolling cert v{} on a clean run",
             rc.version
         );
-        let (batch, _) = check_certified(&rc.window, condition, SearchLimits::default())
+        let (batch, _) = check_certified(&rc.window(), condition, SearchLimits::default())
             .unwrap_or_else(|e| {
                 panic!(
                     "{tuple}: batch re-check error on window v{}: {e}",
@@ -146,7 +146,7 @@ fn verify_masked(
             "{tuple}: batch checker disagrees with rolling cert v{}",
             rc.version
         );
-        audit(&rc.window, &rc.cert_text).unwrap_or_else(|e| {
+        audit(&rc.window(), &rc.cert_text).unwrap_or_else(|e| {
             panic!(
                 "{tuple}: auditor rejected rolling cert v{}: {e}",
                 rc.version
@@ -245,7 +245,7 @@ fn sabotaged_link_yields_an_audited_refutation() {
                 panic!("seed {seed}: batch refuted but the sentinel never latched")
             });
             if let Some(rc) = &v.cert {
-                audit(&rc.window, &rc.cert_text).unwrap_or_else(|e| {
+                audit(&rc.window(), &rc.cert_text).unwrap_or_else(|e| {
                     panic!("seed {seed}: sentinel refutation cert rejected: {e}")
                 });
             }
