@@ -622,7 +622,7 @@ fn check_witness(h: &History, condition: Condition, proof: &Json) -> Result<(), 
         .ok_or("witness reads must be an array")?;
     let mut expected = Vec::new();
     for (pos, &alpha) in order.iter().enumerate() {
-        for &(obj, writer) in h.read_sources(alpha) {
+        for (obj, writer) in h.read_sources(alpha) {
             expected.push((
                 pos,
                 obj.index(),
@@ -698,7 +698,7 @@ fn check_cycle(h: &History, condition: Condition, proof: &Json) -> Result<(), St
                 (None, 0, Vec::new())
             }
             "rf" => {
-                let reads = h.read_sources(b).iter().any(|&(_, w)| w == Some(a));
+                let reads = h.read_sources(b).any(|(_, w)| w == Some(a));
                 if !reads {
                     return Err(format!(
                         "edge {idx}: m-operation {to} does not read from {from}"
@@ -755,8 +755,7 @@ fn check_cycle(h: &History, condition: Condition, proof: &Json) -> Result<(), St
                 }
                 let source_matches = h
                     .read_sources(a)
-                    .iter()
-                    .any(|&(o, w)| o == oid && w == beta.map(MOpIdx));
+                    .any(|(o, w)| o == oid && w == beta.map(MOpIdx));
                 if !source_matches {
                     return Err(format!(
                         "edge {idx}: m-operation {from} does not read o{obj} from the named source"

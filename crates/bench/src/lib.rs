@@ -752,7 +752,7 @@ fn torn_multi_component(components: usize, k: usize, seed: u64) -> History {
     let w1 = MOpId::new(ProcessId::new(1), 0);
     let reader = records
         .iter_mut()
-        .find(|r| r.label == "c0reader0")
+        .find(|r| &*r.label == "c0reader0")
         .expect("component 0 has a first reader");
     reader.ops[0] = CompletedOp::read(ObjectId::new(0), 1, w0, 1);
     reader.ops[1] = CompletedOp::read(ObjectId::new(1), 2, w1, 1);
@@ -778,7 +778,7 @@ fn shredded_multi_component(components: usize, k: usize, seed: u64) -> History {
         let label = format!("c{c}reader0");
         let reader = records
             .iter_mut()
-            .find(|r| r.label == label)
+            .find(|r| *r.label == *label)
             .expect("every component has a first reader");
         reader.ops[0] = CompletedOp::read(ObjectId::new((2 * c) as u32), 1, w0, 1);
         reader.ops[1] = CompletedOp::read(ObjectId::new((2 * c + 1) as u32), 2, w1, 1);

@@ -321,7 +321,7 @@ fn legality_trace(h: &History, order: &[MOpIdx]) -> Vec<ReadStep> {
     }
     let mut reads = Vec::new();
     for (pos, &alpha) in order.iter().enumerate() {
-        for &(obj, writer) in h.read_sources(alpha) {
+        for (obj, writer) in h.read_sources(alpha) {
             reads.push(ReadStep {
                 pos,
                 obj,

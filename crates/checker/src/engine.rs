@@ -290,8 +290,7 @@ impl SearchProblem {
         let preds = predecessor_csr(n, edges.iter().copied());
         let read_reqs = Csr::from_fn(n, |i| {
             h.read_sources(MOpIdx(i))
-                .iter()
-                .map(|&(obj, w)| (obj.index() as u32, w.map_or(NONE, |w| w.0 as u32)))
+                .map(|(obj, w)| (obj.index() as u32, w.map_or(NONE, |w| w.0 as u32)))
                 .collect()
         });
         let write_sets = Csr::from_fn(n, |i| {

@@ -98,7 +98,7 @@ impl PrecedenceGraph {
             }
         }
         for (alpha, _) in h.iter() {
-            for &(_, writer) in h.read_sources(alpha) {
+            for (_, writer) in h.read_sources(alpha) {
                 if let Some(beta) = writer {
                     if beta != alpha {
                         edges.push(Edge {
@@ -175,7 +175,7 @@ impl PrecedenceGraph {
         loop {
             let mut added = false;
             for (alpha, _) in h.iter() {
-                for &(obj, writer) in h.read_sources(alpha) {
+                for (obj, writer) in h.read_sources(alpha) {
                     for &gamma in h.writers_of(obj) {
                         if gamma == alpha || Some(gamma) == writer {
                             continue;

@@ -200,7 +200,7 @@ impl Schedule {
                 ops: std::mem::take(&mut ops[t]),
                 outputs: Vec::new(),
                 treated_as: MOpClass::Update,
-                label: format!("T{t}"),
+                label: format!("T{t}").into(),
             });
         }
 
@@ -507,7 +507,7 @@ mod tests {
         // and T∞.
         assert_eq!(h.len(), 3);
         let tinf = h.record(moc_core::history::MOpIdx(2));
-        assert_eq!(tinf.label, "T-inf");
+        assert_eq!(&*tinf.label, "T-inf");
         assert_eq!(tinf.ops.len(), 2);
         // T∞ reads x from T1 and y from T2.
         assert_eq!(tinf.ops[0].writer, MOpId::new(ProcessId::new(0), 0));

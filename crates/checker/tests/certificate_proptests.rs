@@ -77,7 +77,7 @@ fn serial_from_plan(plan: &[Step]) -> History {
             } else {
                 MOpClass::Query
             },
-            label: format!("s{i}"),
+            label: format!("s{i}").into(),
         });
     }
     History::new(OBJECTS, records).expect("serial plan is well-formed")

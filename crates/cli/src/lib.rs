@@ -1328,7 +1328,7 @@ fn splice_sabotage(h: &History) -> Result<History, String> {
         ],
         outputs: vec![0],
         treated_as: MOpClass::Update,
-        label: "sabotage".to_string(),
+        label: "sabotage".into(),
     };
     let mut records = h.records().to_vec();
     records.push(mk(a_id, x, y));

@@ -231,7 +231,7 @@ pub fn from_text(text: &str) -> Result<History, CodecError> {
                         })
                     }
                 };
-                let label = unescape(parse_kv(toks[5], "label", line_no)?);
+                let label = unescape(parse_kv(toks[5], "label", line_no)?).into();
                 records.push(MOpRecord {
                     id,
                     invoked_at: EventTime::from_nanos(inv),

@@ -57,6 +57,12 @@ pub enum CoreError {
         /// The process the record claims.
         recorded: ProcessId,
     },
+    /// The history is too large for the 32-bit offsets and record indices
+    /// of its derived tables.
+    HistoryTooLarge {
+        /// The row count or record index that does not fit.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -100,6 +106,10 @@ impl fmt::Display for CoreError {
             CoreError::ProcessMismatch { mop, recorded } => {
                 write!(f, "m-operation {mop} recorded under process {recorded}")
             }
+            CoreError::HistoryTooLarge { rows } => write!(
+                f,
+                "history too large: {rows} rows do not fit a table indexed in 32 bits"
+            ),
         }
     }
 }

@@ -10,6 +10,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -43,9 +44,135 @@ impl fmt::Display for MOpIdx {
 /// Row `i + 1` ends record `i`, so the table has `len() + 1` rows.
 #[derive(Debug, Clone, Copy, Default)]
 struct Rows {
-    objects: usize,
-    wobjects: usize,
-    reads: usize,
+    objects: u32,
+    wobjects: u32,
+    reads: u32,
+}
+
+/// One external read: the object, and the record index of the m-operation
+/// whose write it observed or one of the two reserved values.
+#[derive(Debug, Clone, Copy)]
+struct ReadRow {
+    object: ObjectId,
+    writer: u32,
+}
+
+/// [`ReadRow::writer`] of a read of the imaginary initial m-operation.
+const INITIAL: u32 = u32::MAX;
+/// [`ReadRow::writer`] of a read whose recorded writer is not in the
+/// history. Only [`History::new`] ever sees one: it rejects the history.
+const NO_SUCH_WRITER: u32 = u32::MAX - 1;
+
+impl ReadRow {
+    fn source(self) -> Option<MOpIdx> {
+        (self.writer != INITIAL).then_some(MOpIdx(self.writer as usize))
+    }
+}
+
+/// `n`, a row offset or a record index, as the flat tables store it.
+fn row(n: usize) -> Result<u32, CoreError> {
+    u32::try_from(n)
+        .ok()
+        .filter(|&narrow| narrow < NO_SUCH_WRITER)
+        .ok_or(CoreError::HistoryTooLarge { rows: n })
+}
+
+/// Every process subhistory, in one table.
+#[derive(Debug, Clone)]
+struct ProcessIndex {
+    /// Record indices grouped by process (ascending) and, within a
+    /// process, ascending by sequence number.
+    order: Vec<MOpIdx>,
+    /// `seqs[k]` is the sequence number of record `order[k]`.
+    seqs: Vec<u32>,
+    /// Each process and its run in `order`, ascending by process.
+    runs: Vec<(ProcessId, Range<usize>)>,
+}
+
+impl ProcessIndex {
+    /// Indexes `records` where they stand, reading nothing of a record
+    /// but its id and `ops.len()`; also returns the sum of the latter.
+    ///
+    /// A stable counting sort groups the records by process; a process's
+    /// run is then sorted by sequence number, ties by record index, only
+    /// if it does not already ascend.
+    fn of(records: &[MOpRecord]) -> (Self, usize) {
+        // While counting, a run's end is the number of records seen.
+        let mut runs: Vec<(ProcessId, Range<usize>)> = Vec::new();
+        let mut total_ops = 0;
+        let mut slot = 0;
+        for rec in records {
+            total_ops += rec.ops.len();
+            slot = Self::slot(&runs, slot, rec.process()).unwrap_or_else(|at| {
+                runs.insert(at, (rec.process(), 0..0));
+                at
+            });
+            runs[slot].1.end += 1;
+        }
+        let mut start = 0;
+        for (_, run) in &mut runs {
+            *run = start..start + run.end;
+            start = run.end;
+        }
+
+        let mut next: Vec<usize> = runs.iter().map(|(_, run)| run.start).collect();
+        let mut order = vec![MOpIdx(0); records.len()];
+        let mut seqs = vec![0; records.len()];
+        for (i, rec) in records.iter().enumerate() {
+            slot = Self::slot(&runs, slot, rec.process()).expect("counted above");
+            order[next[slot]] = MOpIdx(i);
+            seqs[next[slot]] = rec.id.seq;
+            next[slot] += 1;
+        }
+
+        for (_, run) in &runs {
+            let (order, seqs) = (&mut order[run.clone()], &mut seqs[run.clone()]);
+            if !seqs.is_sorted_by(|a, b| a < b) {
+                let mut keys: Vec<(u32, MOpIdx)> = std::iter::zip(&*seqs, &*order)
+                    .map(|(&seq, &idx)| (seq, idx))
+                    .collect();
+                keys.sort_unstable();
+                for (k, (seq, idx)) in keys.into_iter().enumerate() {
+                    (seqs[k], order[k]) = (seq, idx);
+                }
+            }
+        }
+        (ProcessIndex { order, seqs, runs }, total_ops)
+    }
+
+    /// Where `process` sits in `runs`, or where it would be inserted.
+    /// `hint` is tried first: per-process logs laid end to end change
+    /// process once per log.
+    fn slot(
+        runs: &[(ProcessId, Range<usize>)],
+        hint: usize,
+        process: ProcessId,
+    ) -> Result<usize, usize> {
+        match runs.get(hint) {
+            Some(&(p, _)) if p == process => Ok(hint),
+            _ => runs.binary_search_by_key(&process, |&(p, _)| p),
+        }
+    }
+
+    /// `process`'s run in `order`.
+    fn run(&self, process: ProcessId) -> Range<usize> {
+        Self::slot(&self.runs, 0, process).map_or(0..0, |r| self.runs[r].1.clone())
+    }
+
+    fn idx_of(&self, id: MOpId) -> Option<MOpIdx> {
+        let run = self.run(id.process);
+        let seqs = &self.seqs[run.clone()];
+        // Sequence numbers ascend strictly, so `id.seq` sits no further
+        // into the run than its distance from the first: exactly there
+        // when the run has no gaps, as every run but a sentinel window's.
+        let guess = (id.seq.checked_sub(*seqs.first()?)? as usize).min(seqs.len() - 1);
+        let k = if seqs[guess] == id.seq {
+            guess
+        } else {
+            seqs[..guess].binary_search(&id.seq).ok()?
+        };
+        Some(self.order[run.start + k])
+    }
 }
 
 /// A validated, well-formed execution history.
@@ -62,18 +189,11 @@ pub struct History {
     objects: Vec<ObjectId>,
     /// Per record, ascending and without repeats.
     wobjects: Vec<ObjectId>,
-    /// External reads resolved to history indices: `(object, writer)` where
-    /// `writer = None` denotes the imaginary initial m-operation.
-    read_sources: Vec<(ObjectId, Option<MOpIdx>)>,
+    /// Per record, its external reads in program order.
+    reads: Vec<ReadRow>,
     /// For each object, the m-operations that write it (final writes).
     writers: Vec<Vec<MOpIdx>>,
-    /// Record indices grouped by process (ascending) and, within a
-    /// process, ascending by sequence number.
-    order: Vec<MOpIdx>,
-    /// `seqs[k]` is the sequence number of record `order[k]`.
-    seqs: Vec<u32>,
-    /// Each process and its run in `order`, ascending by process.
-    runs: Vec<(ProcessId, Range<usize>)>,
+    index: ProcessIndex,
 }
 
 impl History {
@@ -92,25 +212,39 @@ impl History {
     /// (checked in that order); failing that, the overlapping pair of the
     /// lowest process, then the lowest sequence number; failing that, the
     /// first read, in record then program order, with a bad writer.
+    ///
+    /// The records are indexed where they stand: grouped by process
+    /// without being moved, and a process's run is sorted only if it is
+    /// not already ascending, as a replica's log or a simulator's retire
+    /// order is.
     pub fn new(num_objects: usize, records: Vec<MOpRecord>) -> Result<Self, CoreError> {
-        let mut keys: Vec<(MOpId, usize)> = records
-            .iter()
-            .enumerate()
-            .map(|(i, rec)| (rec.id, i))
-            .collect();
-        keys.sort_unstable();
-        // Equal ids sort by index, so the later of a pair is the record
-        // that collides.
-        let first_duplicate = keys
-            .windows(2)
-            .filter(|pair| pair[0].0 == pair[1].0)
-            .map(|pair| pair[1].1)
-            .min();
+        // Step 1, over the record array alone: the process subhistories,
+        // and the two defects that show between neighbours in one.
+        let (index, total_ops) = ProcessIndex::of(&records);
+        let mut first_duplicate: Option<usize> = None;
+        let mut first_overlap = None;
+        for (_, run) in &index.runs {
+            for k in run.start + 1..run.end {
+                let (a, b) = (index.order[k - 1], index.order[k]);
+                if index.seqs[k - 1] == index.seqs[k] {
+                    // Equal ids are in index order, so the later of a pair
+                    // is the record that collides.
+                    first_duplicate = Some(first_duplicate.map_or(b.0, |first| first.min(b.0)));
+                } else if first_overlap.is_none()
+                    && records[b.0].invoked_at < records[a.0].responded_at
+                {
+                    first_overlap = Some((a, b));
+                }
+            }
+        }
 
+        // Step 2, the one walk over every record's operations: ranges,
+        // the object tables, and each external read resolved on the spot.
         let mut rows = Vec::with_capacity(records.len() + 1);
         let mut next = Rows::default();
-        let mut objects = Vec::new();
-        let mut wobjects = Vec::new();
+        let mut objects = Vec::with_capacity(total_ops);
+        let mut wobjects = Vec::with_capacity(total_ops);
+        let mut reads = Vec::with_capacity(total_ops);
         let mut writers = vec![Vec::new(); num_objects];
         // The last record seen to touch each object; for writes, the tail of
         // the object's writer list says the same.
@@ -133,92 +267,87 @@ impl History {
                 if std::mem::replace(&mut touched[op.object.index()], i) != i {
                     objects.push(op.object);
                 }
-                let writers = &mut writers[op.object.index()];
-                if op.is_write() && writers.last() != Some(&MOpIdx(i)) {
-                    writers.push(MOpIdx(i));
-                    wobjects.push(op.object);
+                if op.is_write() {
+                    let writers = &mut writers[op.object.index()];
+                    if writers.last() != Some(&MOpIdx(i)) {
+                        writers.push(MOpIdx(i));
+                        wobjects.push(op.object);
+                    }
+                } else if op.writer != rec.id {
+                    let writer = if op.writer.is_initial() {
+                        INITIAL
+                    } else {
+                        match index.idx_of(op.writer) {
+                            Some(widx) => row(widx.0)?,
+                            None => NO_SUCH_WRITER,
+                        }
+                    };
+                    reads.push(ReadRow {
+                        object: op.object,
+                        writer,
+                    });
                 }
             }
-            objects[next.objects..].sort_unstable();
-            wobjects[next.wobjects..].sort_unstable();
+            objects[next.objects as usize..].sort_unstable();
+            wobjects[next.wobjects as usize..].sort_unstable();
             next = Rows {
-                objects: objects.len(),
-                wobjects: wobjects.len(),
-                reads: next.reads + rec.external_reads().count(),
+                objects: row(objects.len())?,
+                wobjects: row(wobjects.len())?,
+                reads: row(reads.len())?,
             };
         }
         rows.push(next);
 
-        // Per-process sequentiality: in sequence-number order, each
-        // m-operation responds before the next is invoked.
-        let mut runs: Vec<(ProcessId, Range<usize>)> = Vec::new();
-        for (k, &(id, i)) in keys.iter().enumerate() {
-            match runs.last_mut() {
-                Some((process, run)) if *process == id.process => {
-                    let (a, b) = (&records[keys[k - 1].1], &records[i]);
-                    if b.invoked_at < a.responded_at {
-                        return Err(CoreError::OverlappingProcessOps {
-                            process: id.process,
-                            earlier: a.id,
-                            later: b.id,
-                        });
-                    }
-                    run.end = k + 1;
-                }
-                _ => runs.push((id.process, k..k + 1)),
-            }
+        if let Some((a, b)) = first_overlap {
+            return Err(CoreError::OverlappingProcessOps {
+                process: records[a.0].process(),
+                earlier: records[a.0].id,
+                later: records[b.0].id,
+            });
         }
 
-        let mut history = History {
+        // Step 3, over the flat tables alone: every writer exists and
+        // writes what was read from it.
+        let history = History {
             num_objects,
             records,
             rows,
             objects,
             wobjects,
-            read_sources: Vec::new(),
+            reads,
             writers,
-            order: keys.iter().map(|&(_, i)| MOpIdx(i)).collect(),
-            seqs: keys.iter().map(|&(id, _)| id.seq).collect(),
-            runs,
+            index,
         };
-
-        // Resolve read provenance and validate it.
-        let mut read_sources = Vec::with_capacity(next.reads);
-        for rec in &history.records {
-            for op in rec.external_reads() {
-                let writer = if op.writer.is_initial() {
-                    None
-                } else {
-                    let widx = history.idx_of(op.writer).ok_or(CoreError::UnknownWriter {
-                        reader: rec.id,
-                        writer: op.writer,
-                        object: op.object,
-                    })?;
-                    if !history.wobjects(widx).contains(&op.object) {
-                        return Err(CoreError::ReaderWriterObjectMismatch {
-                            reader: rec.id,
-                            writer: op.writer,
-                            object: op.object,
-                        });
-                    }
-                    Some(widx)
-                };
-                read_sources.push((op.object, writer));
+        for i in 0..history.len() {
+            let own = history.rows(MOpIdx(i), |r| r.reads);
+            for (k, read) in history.reads[own].iter().enumerate() {
+                let writes_it = |w| history.wobjects(w).contains(&read.object);
+                if read.writer == NO_SUCH_WRITER || !read.source().is_none_or(writes_it) {
+                    let rec = &history.records[i];
+                    let op = rec.external_reads().nth(k).expect("one row per read");
+                    let (reader, writer, object) = (rec.id, op.writer, op.object);
+                    return Err(if read.writer == NO_SUCH_WRITER {
+                        CoreError::UnknownWriter {
+                            reader,
+                            writer,
+                            object,
+                        }
+                    } else {
+                        CoreError::ReaderWriterObjectMismatch {
+                            reader,
+                            writer,
+                            object,
+                        }
+                    });
+                }
             }
         }
-        history.read_sources = read_sources;
         Ok(history)
     }
 
     /// Record `idx`'s rows in the flat table whose offsets are `column`.
-    fn rows(&self, idx: MOpIdx, column: fn(&Rows) -> usize) -> Range<usize> {
-        column(&self.rows[idx.0])..column(&self.rows[idx.0 + 1])
-    }
-
-    /// `process`'s run in `order`.
-    fn run(&self, process: ProcessId) -> Range<usize> {
-        let found = self.runs.binary_search_by_key(&process, |&(p, _)| p);
-        found.map_or(0..0, |r| self.runs[r].1.clone())
+    fn rows(&self, idx: MOpIdx, column: fn(&Rows) -> u32) -> Range<usize> {
+        column(&self.rows[idx.0]) as usize..column(&self.rows[idx.0 + 1]) as usize
     }
 
     /// Number of m-operations in the history.
@@ -252,18 +381,7 @@ impl History {
 
     /// Looks up the index of an m-operation by id.
     pub fn idx_of(&self, id: MOpId) -> Option<MOpIdx> {
-        let run = self.run(id.process);
-        let seqs = &self.seqs[run.clone()];
-        // Sequence numbers ascend strictly, so `id.seq` sits no further
-        // into the run than its distance from the first: exactly there
-        // when the run has no gaps, as every run but a sentinel window's.
-        let guess = (id.seq.checked_sub(*seqs.first()?)? as usize).min(seqs.len() - 1);
-        let k = if seqs[guess] == id.seq {
-            guess
-        } else {
-            seqs[..guess].binary_search(&id.seq).ok()?
-        };
-        Some(self.order[run.start + k])
+        self.index.idx_of(id)
     }
 
     /// Iterates over `(index, record)` pairs.
@@ -273,12 +391,12 @@ impl History {
 
     /// The set of processes appearing in the history.
     pub fn processes(&self) -> BTreeSet<ProcessId> {
-        self.runs.iter().map(|(p, _)| *p).collect()
+        self.index.runs.iter().map(|(p, _)| *p).collect()
     }
 
     /// The process subhistory `H|P`, in process order.
     pub fn by_process(&self, process: ProcessId) -> &[MOpIdx] {
-        &self.order[self.run(process)]
+        &self.index.order[self.index.run(process)]
     }
 
     /// `objects(α)` for the m-operation at `idx`, ascending.
@@ -293,17 +411,20 @@ impl History {
 
     /// The external reads of `idx` resolved to history indices:
     /// `(object, writer)` pairs with `None` for the initial m-operation.
-    pub fn read_sources(&self, idx: MOpIdx) -> &[(ObjectId, Option<MOpIdx>)] {
-        &self.read_sources[self.rows(idx, |r| r.reads)]
+    pub fn read_sources(
+        &self,
+        idx: MOpIdx,
+    ) -> impl ExactSizeIterator<Item = (ObjectId, Option<MOpIdx>)> + Clone + '_ {
+        let own = &self.reads[self.rows(idx, |r| r.reads)];
+        own.iter().map(|read| (read.object, read.source()))
     }
 
     /// `rfobjects(H, α, β)`: the objects that `alpha` reads from `beta`
     /// (D 4.3 context). `beta = None` denotes the initial m-operation.
     pub fn rfobjects(&self, alpha: MOpIdx, beta: Option<MOpIdx>) -> BTreeSet<ObjectId> {
         self.read_sources(alpha)
-            .iter()
             .filter(|(_, w)| *w == beta)
-            .map(|(o, _)| *o)
+            .map(|(o, _)| o)
             .collect()
     }
 
@@ -333,8 +454,7 @@ impl History {
         }
         let wg = self.wobjects(gamma);
         self.read_sources(alpha)
-            .iter()
-            .any(|&(o, w)| w == Some(beta) && wg.contains(&o))
+            .any(|(o, w)| w == Some(beta) && wg.contains(&o))
     }
 
     /// All interfering triples `(alpha, beta, gamma)` in the history, i.e.
@@ -346,7 +466,7 @@ impl History {
         let mut out = Vec::new();
         for i in 0..self.len() {
             let alpha = MOpIdx(i);
-            for &(obj, writer) in self.read_sources(alpha) {
+            for (obj, writer) in self.read_sources(alpha) {
                 for &gamma in &self.writers[obj.index()] {
                     if gamma == alpha || Some(gamma) == writer {
                         continue;
@@ -454,7 +574,7 @@ impl<'a> MOpBuilder<'a> {
     }
 
     /// Sets a diagnostic label.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
+    pub fn label(mut self, label: impl Into<Arc<str>>) -> Self {
         self.inner = self.inner.label(label);
         self
     }
@@ -542,8 +662,8 @@ mod tests {
         let h = figure1();
         let alpha = h.idx_of(MOpId::new(pid(1), 0)).unwrap();
         let eta = h.idx_of(MOpId::new(pid(2), 0)).unwrap();
-        let sources = h.read_sources(alpha);
-        assert_eq!(sources, &[(oid(0), Some(eta))]);
+        let sources: Vec<_> = h.read_sources(alpha).collect();
+        assert_eq!(sources, [(oid(0), Some(eta))]);
         assert_eq!(h.rfobjects(alpha, Some(eta)), [oid(0)].into());
     }
 
@@ -774,6 +894,63 @@ mod tests {
         assert_eq!(h.idx_of(MOpId::new(pid(1), 2)), None);
         assert_eq!(h.by_process(pid(1)), &[]);
         assert_eq!(h.by_process(pid(2)), &[MOpIdx(0), MOpIdx(1), MOpIdx(2)]);
+    }
+
+    /// The flat tables index in 32 bits and keep the two highest values
+    /// for "initial" and "no such writer": the last offset that fits is
+    /// accepted unchanged and the first that does not is an error, not a
+    /// wrapped offset.
+    #[test]
+    fn row_conversion_rejects_what_does_not_fit() {
+        let last = (NO_SUCH_WRITER - 1) as usize;
+        assert_eq!(row(0), Ok(0));
+        assert_eq!(row(last), Ok(NO_SUCH_WRITER - 1));
+        for rows in [last + 1, INITIAL as usize, usize::MAX] {
+            assert_eq!(row(rows), Err(CoreError::HistoryTooLarge { rows }));
+        }
+    }
+
+    /// Bytes the derived tables hold, counted by length.
+    fn table_bytes(h: &History) -> usize {
+        use std::mem::size_of_val;
+        let writers: usize = h.writers.iter().map(|w| size_of_val(&w[..])).sum();
+        size_of_val(&h.rows[..])
+            + size_of_val(&h.objects[..])
+            + size_of_val(&h.wobjects[..])
+            + size_of_val(&h.reads[..])
+            + writers
+            + size_of_val(&h.index.order[..])
+            + size_of_val(&h.index.seqs[..])
+    }
+
+    /// The size of what `new` derives, on the two shapes the benchmark
+    /// records: a two-object read-modify-write and a four-object query.
+    #[test]
+    fn derived_tables_stay_under_eighty_bytes_a_record() {
+        const RECORDS: u32 = 10_000;
+        let objects = 64;
+        let mut last_writer = vec![MOpId::INITIAL; objects as usize];
+        let mut b = HistoryBuilder::new(objects as usize);
+        for k in 0..RECORDS {
+            let mut mop = b.mop(pid(k % 2)).at(10 * k as u64, 10 * k as u64 + 5);
+            let id = mop.id;
+            if k % 4 < 2 {
+                for o in [k % objects, (k + 7) % objects] {
+                    mop = mop.read_from(oid(o), 1, last_writer[o as usize]);
+                    mop = mop.write(oid(o), 1);
+                    last_writer[o as usize] = id;
+                }
+            } else {
+                for o in (0..4).map(|j| (k + 5 * j) % objects) {
+                    mop = mop.read_from(oid(o), 1, last_writer[o as usize]);
+                }
+            }
+            mop.finish();
+        }
+        let h = b.build().unwrap();
+        assert_eq!(h.len(), RECORDS as usize);
+        let per_record = table_bytes(&h) as f64 / h.len() as f64;
+        assert!(per_record <= 80.0, "{per_record} bytes per record");
     }
 
     #[test]

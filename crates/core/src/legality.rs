@@ -109,7 +109,7 @@ pub fn sequence_is_legal(h: &History, sequence: &[MOpIdx]) -> bool {
             return false;
         }
         seen[idx.0] = true;
-        for &(obj, writer) in h.read_sources(idx) {
+        for (obj, writer) in h.read_sources(idx) {
             if last_writer[obj.index()] != writer {
                 return false;
             }

@@ -6,6 +6,7 @@
 //! m-operation performed and the output values it returned.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -88,7 +89,7 @@ pub struct MOpRecord {
     /// (conservatively, based on the program's potential write set).
     pub treated_as: MOpClass,
     /// Human-readable label (e.g. the program name), for diagnostics.
-    pub label: String,
+    pub label: Arc<str>,
 }
 
 impl MOpRecord {
@@ -185,7 +186,7 @@ impl MOpRecordBuilder {
                 ops: Vec::new(),
                 outputs: Vec::new(),
                 treated_as: MOpClass::Query,
-                label: String::new(),
+                label: Arc::default(),
             },
         }
     }
@@ -213,7 +214,7 @@ impl MOpRecordBuilder {
     }
 
     /// Sets the label.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
+    pub fn label(mut self, label: impl Into<Arc<str>>) -> Self {
         self.record.label = label.into();
         self
     }

@@ -42,6 +42,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -291,7 +292,7 @@ impl std::error::Error for ProgramError {}
 /// A validated, deterministic m-operation program.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Program {
-    name: String,
+    name: Arc<str>,
     instrs: Vec<Instr>,
 }
 
@@ -307,7 +308,7 @@ impl Program {
     /// `Return`.
     pub fn new(name: impl Into<String>, instrs: Vec<Instr>) -> Result<Self, ProgramError> {
         let p = Program {
-            name: name.into(),
+            name: name.into().into(),
             instrs,
         };
         p.validate()?;
@@ -410,6 +411,12 @@ impl Program {
     /// The program's name (used as the m-operation label in histories).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The name as a history label: every record of the program's
+    /// m-operations shares the one allocation.
+    pub fn label(&self) -> Arc<str> {
+        Arc::clone(&self.name)
     }
 
     /// The instruction stream.
@@ -568,7 +575,7 @@ pub fn execute(
     while pc < program.instrs.len() {
         if steps >= fuel {
             return Err(ProgramError::FuelExhausted {
-                name: program.name.clone(),
+                name: program.name.to_string(),
             });
         }
         steps += 1;

@@ -329,7 +329,7 @@ pub fn process_order(h: &History) -> Relation {
 pub fn reads_from(h: &History) -> Relation {
     let mut rel = Relation::new(h.len());
     for (alpha, _) in h.iter() {
-        for &(_, writer) in h.read_sources(alpha) {
+        for (_, writer) in h.read_sources(alpha) {
             if let Some(beta) = writer {
                 if beta != alpha {
                     rel.add(beta, alpha);

@@ -59,7 +59,7 @@ pub fn render_timeline(h: &History, width: usize) -> String {
             let label = if rec.label.is_empty() {
                 rec.id.to_string()
             } else {
-                rec.label.clone()
+                rec.label.to_string()
             };
             for (i, ch) in label.bytes().enumerate() {
                 let pos = a + 1 + i;

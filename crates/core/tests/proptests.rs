@@ -343,7 +343,7 @@ mod history_props {
                 } else {
                     MOpClass::Query
                 },
-                label: String::new(),
+                label: Default::default(),
             });
         }
         History::new(PROP_OBJECTS as usize, records).expect("serial plan valid")

@@ -1043,7 +1043,7 @@ mod tests {
             let last = summary.certs.last().unwrap().window();
             let ids: Vec<MOpId> = last.records().iter().map(|r| r.id).collect();
             assert_eq!(ids, [w2, MOpId::new(pid(2), 0)], "window {window}");
-            assert_eq!(last.records()[0].label, "retired");
+            assert_eq!(&*last.records()[0].label, "retired");
             cross_validate(&summary);
         }
     }

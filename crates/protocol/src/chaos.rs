@@ -513,7 +513,7 @@ mod tests {
             ops,
             outputs: vec![],
             treated_as: MOpClass::Query,
-            label: "t".to_string(),
+            label: "t".into(),
         };
         let mine_ro = MOpId::new(me, 0);
         let mine_w = MOpId::new(me, 1);

@@ -586,7 +586,7 @@ mod tests {
             .history
             .records()
             .iter()
-            .filter(|r| r.label == "inc")
+            .filter(|r| &*r.label == "inc")
             .flat_map(|r| r.outputs.clone())
             .collect();
         assert_eq!(finals.len(), 20);

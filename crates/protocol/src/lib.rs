@@ -194,7 +194,7 @@ pub struct Completion {
     /// How the protocol classified the m-operation.
     pub treated_as: MOpClass,
     /// The program name, used as the history label.
-    pub label: String,
+    pub label: Arc<str>,
 }
 
 /// Per-replica message-count metrics, split by operation class.

@@ -188,7 +188,7 @@ impl<A: Abcast<MOperation>, F: Figure> Replica<A, F> {
             outputs: rec.outputs,
             ops: rec.ops,
             treated_as: mop.class(),
-            label: mop.program.name().to_string(),
+            label: mop.program.label(),
         });
     }
 

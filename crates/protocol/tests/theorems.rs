@@ -306,13 +306,13 @@ fn mlin_queries_are_fresh() {
             .history
             .records()
             .iter()
-            .find(|r| r.label == "rx")
+            .find(|r| &*r.label == "rx")
             .expect("query recorded");
         let update = report
             .history
             .records()
             .iter()
-            .find(|r| r.label == "wx")
+            .find(|r| &*r.label == "wx")
             .expect("update recorded");
         if update.responded_at < query.invoked_at {
             assert_eq!(

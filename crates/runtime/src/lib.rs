@@ -433,6 +433,11 @@ where
 
     /// Stops the cluster: flushes in-flight messages, joins all threads and
     /// assembles the recorded history.
+    ///
+    /// The history's [`History::records`] are the replicas' logs laid end
+    /// to end, each in the order its replica answered: the longest log
+    /// first (the lowest process among equals), then the others in process
+    /// order.
     pub fn shutdown(self) -> RuntimeReport {
         self.shutdown_with_monitor().0
     }
@@ -447,19 +452,20 @@ where
         for tx in &self.inputs {
             let _ = tx.send(Input::Shutdown);
         }
-        let mut records = Vec::new();
+        let mut logs = Vec::new();
         let mut replica_metrics = Vec::new();
         let mut link_stats = Vec::new();
         let mut pipeline = Vec::new();
         let mut batch_stats = Vec::new();
         for h in std::mem::take(&mut self.replica_handles) {
             let exit = h.join().expect("replica thread panicked");
-            records.extend(exit.records);
+            logs.push(exit.records);
             replica_metrics.push(exit.metrics);
             link_stats.push(exit.link_stats);
             pipeline.push(exit.pipeline);
             batch_stats.push(exit.batch);
         }
+        let records = lay_end_to_end(logs);
         // Every replica-held sender is gone once the threads are joined;
         // dropping ours disconnects the sentinel, which flushes and exits.
         drop(self.monitor_tx.take());
@@ -480,6 +486,20 @@ where
             monitor,
         )
     }
+}
+
+/// The replicas' logs as one array: the longest log (the first of them)
+/// stays where it is and the others are appended to it in process order,
+/// so the busiest replica's records keep the pages they already have.
+fn lay_end_to_end(mut logs: Vec<Vec<MOpRecord>>) -> Vec<MOpRecord> {
+    let total = logs.iter().map(Vec::len).sum::<usize>();
+    let longest = (0..logs.len()).max_by_key(|&p| (logs[p].len(), std::cmp::Reverse(p)));
+    let mut records = longest.map_or_else(Vec::new, |p| std::mem::take(&mut logs[p]));
+    records.reserve_exact(total - records.len());
+    for log in logs {
+        records.extend(log);
+    }
+    records
 }
 
 impl<R: ReplicaProtocol> Drop for LiveCluster<R> {
@@ -1210,6 +1230,39 @@ mod tests {
         assert!(lin.satisfied);
     }
 
+    /// Shutdown appends the shorter logs to the longest: the history holds
+    /// every reply, indexed, in the documented record order.
+    #[test]
+    fn shutdown_lays_unequal_logs_end_to_end_longest_first() {
+        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(3, RuntimeConfig::new(1));
+        let mut replies = Vec::new();
+        for (process, count) in [(0, 2), (1, 5), (2, 5)] {
+            for k in 0..count {
+                replies.push(cluster.invoke(p(process), wx(k), vec![]).id);
+            }
+        }
+        let history = cluster.shutdown().history;
+        assert_eq!(history.len(), replies.len());
+        for id in &replies {
+            let idx = history.idx_of(*id).expect("every reply is recorded");
+            assert_eq!(history.record(idx).id, *id);
+        }
+        for process in 0..3 {
+            let seqs = history.by_process(p(process)).iter();
+            let seqs: Vec<u32> = seqs.map(|&idx| history.record(idx).id.seq).collect();
+            let count = if process == 0 { 2 } else { 5 };
+            assert_eq!(seqs, (0..count).collect::<Vec<u32>>());
+        }
+        // Processes 1 and 2 tie for the longest log: the lower goes first,
+        // then the others in process order.
+        let order: Vec<u32> = history
+            .records()
+            .iter()
+            .map(|r| r.id.process.as_u32())
+            .collect();
+        assert_eq!(order, [1, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2, 2]);
+    }
+
     #[test]
     fn concurrent_clients_preserve_increments() {
         let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(
@@ -1491,7 +1544,7 @@ mod tests {
             ops,
             outputs: vec![],
             treated_as: MOpClass::Update,
-            label: "sb".to_string(),
+            label: "sb".into(),
         };
         let a = mk(
             a_id,

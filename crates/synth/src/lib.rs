@@ -257,7 +257,7 @@ pub fn canonical_key(h: &History) -> String {
             adj[next].push((Tag::PoPrev, i));
         }
         // Reads-from.
-        for &(_, writer) in h.read_sources(moc_core::history::MOpIdx(i)) {
+        for (_, writer) in h.read_sources(moc_core::history::MOpIdx(i)) {
             if let Some(w) = writer {
                 adj[i].push((Tag::RfOut, w.0));
                 adj[w.0].push((Tag::RfIn, i));
@@ -870,7 +870,7 @@ mod tests {
                 ops,
                 outputs: Vec::new(),
                 treated_as: MOpClass::Update,
-                label: String::new(),
+                label: Default::default(),
             };
             let records = vec![
                 rec(w0, vec![CompletedOp::write(o, vals[0], w0, 1)]),

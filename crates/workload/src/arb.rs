@@ -266,7 +266,7 @@ pub fn history(rng: &mut StdRng, bounds: &HistoryBounds) -> History {
                 } else {
                     MOpClass::Query
                 },
-                label: String::new(),
+                label: Default::default(),
             }
         })
         .collect();

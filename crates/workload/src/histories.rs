@@ -253,7 +253,7 @@ pub fn concurrent_writers_history(k: usize, num_objects: usize, rng: &mut StdRng
             ops,
             outputs: Vec::new(),
             treated_as: MOpClass::Update,
-            label: format!("writer{w}"),
+            label: format!("writer{w}").into(),
         });
     }
     // Readers: each snapshots one random writer's values, concurrent with
@@ -273,7 +273,7 @@ pub fn concurrent_writers_history(k: usize, num_objects: usize, rng: &mut StdRng
             ops,
             outputs: Vec::new(),
             treated_as: MOpClass::Query,
-            label: format!("reader{r}"),
+            label: format!("reader{r}").into(),
         });
     }
     History::new(num_objects, records).expect("adversarial construction is well-formed")
@@ -307,7 +307,7 @@ fn component_records(
             ops,
             outputs: Vec::new(),
             treated_as: MOpClass::Update,
-            label: format!("c{c}writer{w}"),
+            label: format!("c{c}writer{w}").into(),
         });
     }
     for r in 0..k {
@@ -325,7 +325,7 @@ fn component_records(
             ops,
             outputs: Vec::new(),
             treated_as: MOpClass::Query,
-            label: format!("c{c}reader{r}"),
+            label: format!("c{c}reader{r}").into(),
         });
     }
 }

@@ -179,7 +179,7 @@ pub fn tiled(h: &History, copies: usize) -> History {
         for r in h.records() {
             let mut rec: MOpRecord = r.clone();
             rec.id = translate_id(r.id, c);
-            rec.label = format!("c{c}{}", r.label);
+            rec.label = format!("c{c}{}", r.label).into();
             for op in &mut rec.ops {
                 op.object = moc_core::ids::ObjectId::new((op.object.index() + c * m) as u32);
                 if op.writer != MOpId::INITIAL {

@@ -17,6 +17,14 @@
 # `bound` in BENCHMARK.json — `within bound` or `BEYOND BOUND` — since that,
 # not the call, is what rejects a change.
 #
+# AB_LAYER="runtime.shutdown_ms core.history_build_ms" adds, per side and
+# pair, one more run of the workload with `--trace 1` and prints each side's
+# median of the per-layer metrics it names under the end-to-end table (a
+# metric the workload does not report prints as `-`), after the median of
+# the operations all of a run's repetitions attempted, for per-operation
+# figures. The traced runs come after the untraced ones and feed nothing
+# above them.
+#
 # Everything is kept under AB_DIR (default $TMPDIR/moc-ab); needs jq.
 set -eu
 
@@ -46,15 +54,15 @@ rm -rf "$dir/parent"
 mkdir -p "$dir/parent"
 git -C "$root" archive "$rev" | tar -x -C "$dir/parent"
 
-# run <side> <workload> <seed> <seconds>: one driver run, its JSON line on
-# stdout.
+# run <side> <workload> <seed> <seconds> [trace=0]: one driver run, its JSON
+# line on stdout.
 run() {
     case $1 in parent) src=$dir/parent ;; *) src=$root ;; esac
     (
         cd "$src"
         target=$dir/target-$1
         eval "set -- $(jq -r '.command | @sh' BENCHMARK.json) \
-            --workload $2 --seed $3 --seconds $4 --trace 0"
+            --workload $2 --seed $3 --seconds $4 --trace ${5:-0}"
         CARGO_TARGET_DIR=$target "$@"
     )
 }
@@ -119,4 +127,26 @@ for workload in $workloads; do
                     pm ? 100 * (cm - pm) / pm : 0, pm ? 100 * spread / pm : 0, call
             }'
         done
+
+    [ -n "${AB_LAYER:-}" ] || continue
+    rm -f "$dir/$workload".*.traced.jsonl
+    i=0
+    while [ "$i" -lt "$pairs" ]; do
+        if [ $((i % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            run "$side" "$workload" $((seed0 + i)) "$seconds" 1 >>"$dir/$workload.$side.traced.jsonl"
+            echo "$workload traced pair $((i + 1))/$pairs $side" >&2
+        done
+        i=$((i + 1))
+    done
+    for metric in attempted $AB_LAYER; do
+        for side in parent change; do
+            jq -rs --arg m "$metric" \
+                'map(if $m == "attempted" then .attempted else .metrics[$m].value end | numbers) | sort |
+                 if length == 0 then "-" else .[(length - 1) / 2 | floor] end' \
+                "$dir/$workload.$side.traced.jsonl" >"$dir/$side.col"
+        done
+        printf '%-32s median of %d traced runs  parent %s  change %s\n' \
+            "$metric" "$pairs" "$(cat "$dir/parent.col")" "$(cat "$dir/change.col")"
+    done
 done

@@ -1,12 +1,16 @@
 //! `History`'s derived tables against a reference computed directly from
-//! the records, on the synthesis grammar's histories and on windows cut
-//! out of them (sequence-number gaps, as the sentinel builds them).
+//! the records, on the synthesis grammar's histories, on windows cut out
+//! of them (sequence-number gaps, as the sentinel builds them), and on the
+//! two layouts a running system hands over: per-process logs laid end to
+//! end (a cluster at shutdown) and records in response order (a simulator).
+//! A hand-built table pins which of two defects `History::new` reports.
 
 use std::collections::BTreeSet;
 
+use moc_core::error::CoreError;
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
-use moc_core::mop::MOpRecord;
+use moc_core::mop::{MOpRecord, MOpRecordBuilder};
 use moc_core::op::CompletedOp;
 use moc_workload::arb::{self, HistoryBounds};
 use proptest::prelude::*;
@@ -42,6 +46,43 @@ fn window(h: &History, keep: u32, order: u64) -> Vec<MOpRecord> {
     records
 }
 
+/// Each process's records together and ascending, the processes in the
+/// order `processes` names them.
+fn logs(records: &[MOpRecord], processes: &[ProcessId]) -> Vec<MOpRecord> {
+    let mut out = Vec::with_capacity(records.len());
+    for &p in processes {
+        let from = out.len();
+        out.extend(records.iter().filter(|r| r.process() == p).cloned());
+        out[from..].sort_by_key(|r| r.id.seq);
+    }
+    out
+}
+
+/// Every order a cluster's shutdown can lay the logs in — each rotation of
+/// the process order, and the longest log first with the others in process
+/// order — and the records in response order.
+fn layouts(records: &[MOpRecord]) -> Vec<Vec<MOpRecord>> {
+    let mut processes: Vec<ProcessId> = records.iter().map(|r| r.process()).collect();
+    processes.sort_unstable();
+    processes.dedup();
+    let mut out = Vec::new();
+    for _ in 0..processes.len() {
+        out.push(logs(records, &processes));
+        processes.rotate_left(1);
+    }
+    let length = |p: ProcessId| records.iter().filter(|r| r.process() == p).count();
+    // The lowest process among the longest, the rest still ascending.
+    if let Some(&longest) = processes.iter().rev().max_by_key(|&&p| length(p)) {
+        processes.retain(|&p| p != longest);
+        processes.insert(0, longest);
+    }
+    out.push(logs(records, &processes));
+    let mut by_response = records.to_vec();
+    by_response.sort_by_key(|r| r.responded_at);
+    out.push(by_response);
+    out
+}
+
 fn set_of(rec: &MOpRecord, writes_only: bool) -> Vec<ObjectId> {
     let set: BTreeSet<ObjectId> = rec
         .ops
@@ -72,7 +113,7 @@ fn check_against_reference(records: Vec<MOpRecord>) {
         let idx = MOpIdx(i);
         assert_eq!(h.objects(idx), &set_of(rec, false)[..]);
         assert_eq!(h.wobjects(idx), &set_of(rec, true)[..]);
-        assert_eq!(h.read_sources(idx), &reads(&records, i)[..]);
+        assert_eq!(h.read_sources(idx).collect::<Vec<_>>(), reads(&records, i));
         assert_eq!(h.idx_of(rec.id), Some(idx));
     }
     for o in (0..BOUNDS.objects as u32).map(ObjectId::new) {
@@ -156,5 +197,176 @@ proptest! {
         let h = arb::history_from_seed(seed, &BOUNDS);
         check_against_reference(h.records().to_vec());
         check_against_reference(window(&h, keep, order));
+        for records in layouts(h.records()) {
+            check_against_reference(records);
+        }
     }
+}
+
+/// Which defect is reported when a history has two, on records grouped by
+/// process and on the same records out of order. Every expectation is what
+/// the key-sorting constructor before this one reported.
+#[test]
+fn the_reported_defect_does_not_depend_on_the_layout() {
+    let (x, y) = (ObjectId::new(0), ObjectId::new(1));
+    let id = |p, seq| MOpId::new(ProcessId::new(p), seq);
+    let rec = |id: MOpId, at: (u64, u64), ops: Vec<CompletedOp>| {
+        ops.into_iter()
+            .fold(MOpRecordBuilder::new(id).at(at.0, at.1), |b, op| b.op(op))
+            .build()
+    };
+    let w = |o, by| CompletedOp::write(o, 1, by, 1);
+    let r = |o, from| CompletedOp::read(o, 1, from, 1);
+    let overlap = |p| CoreError::OverlappingProcessOps {
+        process: ProcessId::new(p),
+        earlier: id(p, 0),
+        later: id(p, 1),
+    };
+    let out_of_range = CoreError::ObjectOutOfRange {
+        object: ObjectId::new(9),
+        num_objects: 2,
+    };
+    let unknown = CoreError::UnknownWriter {
+        reader: id(2, 0),
+        writer: id(7, 7),
+        object: x,
+    };
+    let mismatch = CoreError::ReaderWriterObjectMismatch {
+        reader: id(3, 0),
+        writer: id(0, 0),
+        object: y,
+    };
+
+    // Two records of process 0, the second invoked before the first
+    // responded, and one sound record of process 1.
+    let overlapping = || {
+        vec![
+            rec(id(0, 0), (0, 10), vec![w(x, id(0, 0))]),
+            rec(id(0, 1), (5, 20), vec![w(x, id(0, 1))]),
+            rec(id(1, 0), (0, 10), vec![w(y, id(1, 0))]),
+        ]
+    };
+    let sound = || {
+        vec![
+            rec(id(0, 0), (0, 10), vec![w(x, id(0, 0))]),
+            rec(id(0, 1), (20, 30), vec![w(x, id(0, 1))]),
+            rec(id(1, 0), (0, 10), vec![w(y, id(1, 0))]),
+        ]
+    };
+    let with = |mut records: Vec<MOpRecord>, more: Vec<MOpRecord>| {
+        records.extend(more);
+        records
+    };
+    let repeat = rec(id(1, 0), (30, 40), vec![w(y, id(1, 0))]);
+    let beyond = rec(id(4, 0), (0, 10), vec![w(ObjectId::new(9), id(4, 0))]);
+    let reads_unknown = rec(id(2, 0), (0, 10), vec![r(x, id(7, 7))]);
+    let reads_mismatched = rec(id(3, 0), (0, 10), vec![r(y, id(0, 0))]);
+
+    let rows: Vec<(&str, Vec<MOpRecord>, Result<(), CoreError>)> = vec![
+        (
+            "repeated id beats overlap",
+            with(overlapping(), vec![repeat.clone()]),
+            Err(CoreError::DuplicateMOpId(id(1, 0))),
+        ),
+        (
+            "out-of-range object beats overlap",
+            with(overlapping(), vec![beyond.clone()]),
+            Err(out_of_range.clone()),
+        ),
+        (
+            "overlap beats unknown writer",
+            with(overlapping(), vec![reads_unknown.clone()]),
+            Err(overlap(0)),
+        ),
+        (
+            "overlap beats writer-object mismatch",
+            with(overlapping(), vec![reads_mismatched.clone()]),
+            Err(overlap(0)),
+        ),
+        (
+            "the lower process's overlap beats the higher's",
+            with(
+                overlapping(),
+                vec![
+                    rec(id(5, 1), (5, 20), vec![w(y, id(5, 1))]),
+                    rec(id(5, 0), (0, 10), vec![w(y, id(5, 0))]),
+                ],
+            ),
+            Err(overlap(0)),
+        ),
+        (
+            "a process split into two stretches",
+            vec![
+                rec(id(0, 0), (0, 10), vec![w(x, id(0, 0))]),
+                rec(id(1, 0), (0, 10), vec![r(x, id(0, 2))]),
+                rec(id(0, 1), (20, 30), vec![w(x, id(0, 1))]),
+                rec(id(0, 2), (40, 50), vec![w(x, id(0, 2))]),
+            ],
+            Ok(()),
+        ),
+        (
+            "an overlap across the split",
+            vec![
+                rec(id(0, 0), (0, 10), vec![w(x, id(0, 0))]),
+                rec(id(1, 0), (0, 10), vec![w(y, id(1, 0))]),
+                rec(id(0, 1), (5, 20), vec![w(x, id(0, 1))]),
+            ],
+            Err(overlap(0)),
+        ),
+        (
+            "a descending run",
+            vec![
+                rec(id(0, 3), (60, 70), vec![r(x, id(0, 1))]),
+                rec(id(0, 2), (40, 50), vec![w(y, id(0, 2))]),
+                rec(id(0, 1), (20, 30), vec![w(x, id(0, 1))]),
+                rec(id(0, 0), (0, 10), vec![w(x, id(0, 0))]),
+            ],
+            Ok(()),
+        ),
+        (
+            "a descending run that overlaps",
+            vec![
+                rec(id(0, 2), (40, 50), vec![w(x, id(0, 2))]),
+                rec(id(0, 1), (5, 20), vec![w(x, id(0, 1))]),
+                rec(id(0, 0), (0, 10), vec![w(x, id(0, 0))]),
+            ],
+            Err(overlap(0)),
+        ),
+    ];
+    for (name, records, expected) in rows {
+        let mut reversed = records.clone();
+        reversed.reverse();
+        let mut layouts = layouts(&records);
+        layouts.extend([records, reversed]);
+        for records in layouts {
+            let got = History::new(2, records).map(|_| ());
+            assert_eq!(got, expected, "{name}");
+        }
+    }
+
+    // Among defects of one class the first record, in the order given,
+    // decides: these two change with the layout, and must.
+    let both = |first: &MOpRecord, second: &MOpRecord| {
+        let records = with(sound(), vec![first.clone(), second.clone()]);
+        History::new(2, records).map(|_| ())
+    };
+    assert_eq!(both(&reads_unknown, &reads_mismatched), Err(unknown));
+    assert_eq!(both(&reads_mismatched, &reads_unknown), Err(mismatch));
+    assert_eq!(both(&reads_unknown, &beyond), Err(out_of_range.clone()));
+    let late = rec(id(6, 0), (10, 5), vec![w(x, id(6, 0))]);
+    assert_eq!(both(&beyond, &late), Err(out_of_range));
+    assert_eq!(
+        both(&late, &beyond),
+        Err(CoreError::ResponseBeforeInvocation(id(6, 0)))
+    );
+    // The later of two records with one id is the repeat, wherever the
+    // pair stands.
+    assert_eq!(
+        both(&repeat, &late),
+        Err(CoreError::DuplicateMOpId(id(1, 0)))
+    );
+    assert_eq!(
+        both(&late, &repeat),
+        Err(CoreError::ResponseBeforeInvocation(id(6, 0)))
+    );
 }

@@ -84,13 +84,13 @@ fn msc_counterexamples_are_stale_queries() {
             .history
             .records()
             .iter()
-            .find(|r| r.label == "rx")
+            .find(|r| &*r.label == "rx")
             .expect("reader recorded");
         let writer = v
             .history
             .records()
             .iter()
-            .find(|r| r.label == "w1")
+            .find(|r| &*r.label == "w1")
             .expect("writer recorded");
         assert_eq!(reader.outputs, vec![0], "stale read");
         assert!(

@@ -191,7 +191,7 @@ fn figure5_msc_protocol_trace() {
                 .history
                 .record(report.history.idx_of(*id).unwrap())
                 .label
-                .clone()
+                .to_string()
         })
         .collect();
     assert_eq!(labels, vec!["w1", "w4"]);
@@ -209,7 +209,7 @@ fn figure5_msc_protocol_trace() {
         .history
         .records()
         .iter()
-        .find(|r| r.label == "rx")
+        .find(|r| &*r.label == "rx")
         .unwrap();
     assert_eq!(query.outputs, vec![4]);
     assert_eq!(query.ops[0].version, 2);
@@ -264,13 +264,13 @@ fn figure7_mlin_protocol_trace() {
         .history
         .records()
         .iter()
-        .find(|r| r.label == "gamma")
+        .find(|r| &*r.label == "gamma")
         .unwrap();
     let beta_rec = report
         .history
         .records()
         .iter()
-        .find(|r| r.label == "beta")
+        .find(|r| &*r.label == "beta")
         .unwrap();
     assert!(beta_rec.responded_at < query.invoked_at);
     assert_eq!(query.outputs, vec![4]);
