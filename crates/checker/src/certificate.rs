@@ -234,13 +234,18 @@ pub fn check_certified(
     limits: SearchLimits,
 ) -> Result<(CheckReport, Certificate), CheckError> {
     let graph = PrecedenceGraph::for_condition(h, condition);
-    check_certified_on(h, condition, &graph, limits)
+    check_certified_on(h, condition, &graph, codec::fingerprint(h), limits)
 }
 
 /// [`check_certified`] on a graph the caller already saturated with
-/// [`PrecedenceGraph::for_condition`]`(h, condition)` and wants to keep:
-/// the streaming sentinel reads the same `~H+` closure again to decide
-/// what a certified window lets it retire.
+/// [`PrecedenceGraph::for_condition`]`(h, condition)` and wants to keep,
+/// bound to the [`codec::fingerprint`] of `h` the caller already took: the
+/// streaming sentinel reads the same `~H+` closure again to decide what a
+/// certified window lets it retire, and keeps the window's text.
+///
+/// `fingerprint` must equal `codec::fingerprint(h)`: nothing here renders
+/// `h` to check it (debug builds do), and the auditor rejects a certificate
+/// bound to anything else.
 ///
 /// # Errors
 ///
@@ -249,14 +254,16 @@ pub fn check_certified_on(
     h: &History,
     condition: Condition,
     graph: &PrecedenceGraph,
+    fingerprint: u64,
     limits: SearchLimits,
 ) -> Result<(CheckReport, Certificate), CheckError> {
+    debug_assert_eq!(fingerprint, codec::fingerprint(h));
     let bind = |admissible, proof| Certificate {
         condition,
         admissible,
         ops: h.len(),
         objects: h.num_objects(),
-        fingerprint: codec::fingerprint(h),
+        fingerprint,
         proof,
     };
 

@@ -106,12 +106,13 @@ pub fn to_text(h: &History) -> String {
 /// can verify that a certificate is bound to the history it is presented
 /// with (see `docs/CERTIFICATES.md`).
 pub fn fingerprint(h: &History) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in to_text(h).bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fingerprint_of_text(&to_text(h))
+}
+
+/// [`fingerprint`] of the history whose canonical [`to_text`] is `text`,
+/// for a caller that has rendered it already.
+pub fn fingerprint_of_text(text: &str) -> u64 {
+    crate::shard::fnv1a(text.as_bytes())
 }
 
 fn escape(s: &str) -> String {

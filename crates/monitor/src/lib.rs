@@ -711,7 +711,11 @@ impl OnlineMonitor {
         self.stats.windows_checked += 1;
         self.stats.peak_window = self.stats.peak_window.max(h.len());
         let graph = PrecedenceGraph::for_condition(&h, self.cfg.condition);
-        let checked = check_certified_on(&h, self.cfg.condition, &graph, self.cfg.limits);
+        // Rendered once: the certificate binds to the text the cert keeps.
+        let window_text = codec::to_text(&h);
+        let fingerprint = codec::fingerprint_of_text(&window_text);
+        let checked =
+            check_certified_on(&h, self.cfg.condition, &graph, fingerprint, self.cfg.limits);
         let (report, cert) = match checked {
             Ok(rc) => rc,
             Err(_) => {
@@ -729,10 +733,10 @@ impl OnlineMonitor {
             base: self.settled,
             window_len: h.len(),
             emitted_at_ns: now_ns,
-            fingerprint: cert.fingerprint,
+            fingerprint,
             admissible: report.satisfied,
             cert_text: cert.to_text(),
-            window_text: codec::to_text(&h),
+            window_text,
         };
         self.timeline.push(TimelinePoint {
             at_ns: now_ns,

@@ -3,10 +3,12 @@
 //! checked at a quiescence point and everything the sentinel retires goes
 //! behind a data-ordered cut (docs/MONITOR.md §2).
 
+use moc_checker::certificate::{check_certified, Proof};
 use moc_checker::conditions::{check, Strategy};
-use moc_checker::Condition;
-use moc_core::history::History;
-use moc_core::ids::MOpId;
+use moc_checker::precedence::{Edge, EdgeKind, PrecedenceGraph};
+use moc_checker::{Condition, SearchLimits};
+use moc_core::history::{History, HistoryBuilder};
+use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::op::CompletedOp;
 use moc_monitor::{replay, MonitorConfig, MonitorMode, OnlineMonitor};
 use moc_protocol::{run_cluster, ClusterConfig, MlinOverSequencer};
@@ -194,4 +196,79 @@ fn sentinel_and_batch_checker_agree_on_stale_read_mutants() {
         degraded * 20 <= replays,
         "{degraded} of {replays} replays escaped the comparison by degrading"
     );
+}
+
+/// ROADMAP 4: the m-lin graph holds `~t` as its transitive reduction. On
+/// the 4 × 500 history `verify-batch` checks, that is a few edges per
+/// record and process where the pairs themselves are about n²/2, and each
+/// one is a real-time pair.
+#[test]
+fn real_time_edges_of_a_figure6_history_are_linear_in_its_length() {
+    let h = figure6_stream(2000, 3);
+    let graph = PrecedenceGraph::for_condition(&h, Condition::MLinearizability);
+    let real_time: Vec<&Edge> = (graph.edges().iter())
+        .filter(|e| e.kind == EdgeKind::RealTime)
+        .collect();
+    assert!(
+        real_time.len() <= 2 * 4 * h.len(),
+        "{} real-time edges over {} records",
+        real_time.len(),
+        h.len()
+    );
+    assert!(moc_core::relations::real_time(&h).edge_count() > h.len() * h.len() / 3);
+    for e in real_time {
+        assert!(h.record(e.from).responded_at < h.record(e.to).invoked_at);
+    }
+}
+
+/// The benchmark's negative control (`benchmark/src/verify.rs`): two fresh
+/// processes on two fresh objects, each writing its own and reading the
+/// other as unwritten, overlapping mid-stream.
+fn splice_store_buffering(h: &History) -> History {
+    let horizon = h.records().iter().map(|r| r.responded_at.as_nanos()).max();
+    let t0 = horizon.unwrap_or(0) / 2;
+    let p0 = (h.processes().iter().map(|p| p.as_u32() + 1).max()).unwrap_or(0);
+    let x = ObjectId::new(h.num_objects() as u32);
+    let y = ObjectId::new(h.num_objects() as u32 + 1);
+    let mut gadget = HistoryBuilder::new(h.num_objects() + 2);
+    for (p, own, other) in [(p0, x, y), (p0 + 1, y, x)] {
+        let mop = gadget.mop(ProcessId::new(p)).at(t0, t0 + 10);
+        mop.write(own, 1).read_init(other).finish();
+    }
+    let gadget = gadget.build().expect("the gadget alone is well-formed");
+    let mut records = h.records().to_vec();
+    records.extend(gadget.records().iter().cloned());
+    History::new(h.num_objects() + 2, records).expect("the gadget touches only fresh objects")
+}
+
+/// The gadget is refuted by a `~H+` cycle, by the batch checker and by the
+/// sentinel alike, and either certificate passes the auditor against the
+/// history (the window) it is bound to.
+#[test]
+fn spliced_store_buffering_gadget_is_refuted_with_an_auditable_cycle() {
+    for seed in 0..3 {
+        let clean = figure6_stream(400, seed);
+        let bad = splice_store_buffering(&clean);
+        // The shape `benchmark/src/verify.rs` splices, should the copy drift:
+        // two m-operations more, on two objects more, overlapping.
+        let [a, b] = &bad.records()[clean.len()..] else {
+            panic!("the gadget is two m-operations");
+        };
+        assert_eq!(bad.num_objects(), clean.num_objects() + 2);
+        assert!(a.invoked_at < b.responded_at && b.invoked_at < a.responded_at);
+        let (report, cert) =
+            check_certified(&bad, Condition::MLinearizability, SearchLimits::default())
+                .expect("a verdict");
+        assert!(!report.satisfied, "seed {seed}");
+        assert!(matches!(cert.proof, Proof::Cycle(_)), "seed {seed}");
+        let verdict = moc_audit::audit(&bad, &cert.to_text());
+        assert!(matches!(verdict, Ok(v) if v.is_verified()), "seed {seed}");
+
+        let cfg = MonitorConfig::new(Condition::MLinearizability);
+        let run = replay(&bad, OnlineMonitor::new(bad.num_objects(), cfg));
+        let latched = run.violation.expect("the sentinel latches the gadget");
+        let rolling = latched.cert.expect("a refuted window has a certificate");
+        let verdict = moc_audit::audit(&rolling.window(), &rolling.cert_text);
+        assert!(matches!(verdict, Ok(v) if v.is_verified()), "seed {seed}");
+    }
 }
