@@ -4,9 +4,11 @@
 //! one of the paper-derived tables (experiments E4, E5, E10, E11 and the
 //! query-scope optimization of Section 5.2) as a formatted [`Table`].
 //!
-//! `cargo run -p moc-bench --bin paper_experiments` prints every table;
-//! the Criterion benches in `benches/` cover the wall-clock
-//! micro-benchmarks (checker, interpreter, broadcast, simulator).
+//! `cargo run -p moc-bench --bin paper_experiments` prints every table.
+//! Besides those, the crate keeps the deterministic gates behind the
+//! remaining BENCH files (`bench_checker`, `bench_chaos`, `bench_monitor`),
+//! the runtime smoke gate and the `moc load` harness. Wall-clock
+//! performance is measured by `benchmark/` (see `BENCHMARK.json`).
 
 use std::fmt;
 use std::time::Instant;
@@ -1081,15 +1083,7 @@ pub fn checker_bench_json(rows: &[CheckerBenchRow]) -> String {
                 .unwrap_or(0.0)
                 .total_cmp(&b.node_speedup.unwrap_or(0.0))
         });
-    let mut fields = vec![
-        ("bench".into(), jstr("checker")),
-        ("version".into(), num(5)),
-        ("cpus".into(), num(bench_cpus())),
-        (
-            "rows".into(),
-            Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-        ),
-    ];
+    let mut fields = bench_envelope("checker", 5, rows.iter().map(|r| r.to_json()));
     if let Some(best) = headline {
         fields.push((
             "headline".into(),
@@ -1788,9 +1782,21 @@ pub fn monitor_bench_table(rows: &[MonitorBenchRow]) -> Table {
     t
 }
 
-/// The parallelism stamp shared by every bench document.
-fn bench_cpus() -> i64 {
-    std::thread::available_parallelism().map_or(1, |n| n.get()) as i64
+/// The `bench`/`version`/`cpus`/`rows` header every bench document opens
+/// with, `cpus` being the parallelism the machine offered; a document
+/// appends its own fields after it.
+fn bench_envelope(
+    bench: &str,
+    version: i64,
+    rows: impl Iterator<Item = Json>,
+) -> Vec<(String, Json)> {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get()) as i64;
+    vec![
+        ("bench".into(), jstr(bench)),
+        ("version".into(), num(version)),
+        ("cpus".into(), num(cpus)),
+        ("rows".into(), Json::Arr(rows.collect())),
+    ]
 }
 
 /// The monitor rows as a machine-readable JSON document
@@ -1799,15 +1805,11 @@ fn bench_cpus() -> i64 {
 /// the never-quiescent `figure6` rows and the `peak_window` / `deferred` /
 /// `skipped` columns.
 pub fn monitor_bench_json(rows: &[MonitorBenchRow]) -> String {
-    Json::Obj(vec![
-        ("bench".into(), jstr("monitor")),
-        ("version".into(), num(3)),
-        ("cpus".into(), num(bench_cpus())),
-        (
-            "rows".into(),
-            Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-        ),
-    ])
+    Json::Obj(bench_envelope(
+        "monitor",
+        3,
+        rows.iter().map(|r| r.to_json()),
+    ))
     .render()
 }
 
@@ -1816,20 +1818,12 @@ pub fn monitor_bench_json(rows: &[MonitorBenchRow]) -> String {
 /// aligned the envelope with `BENCH_checker.json`
 /// (`bench`/`version`/`cpus` header).
 pub fn chaos_bench_json(rows: &[ChaosBenchRow], failover: &[FailoverBenchRow]) -> String {
-    Json::Obj(vec![
-        ("bench".into(), jstr("chaos")),
-        ("version".into(), num(3)),
-        ("cpus".into(), num(bench_cpus())),
-        (
-            "rows".into(),
-            Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-        ),
-        (
-            "failover_rows".into(),
-            Json::Arr(failover.iter().map(|r| r.to_json()).collect()),
-        ),
-    ])
-    .render()
+    let mut fields = bench_envelope("chaos", 3, rows.iter().map(|r| r.to_json()));
+    fields.push((
+        "failover_rows".into(),
+        Json::Arr(failover.iter().map(|r| r.to_json()).collect()),
+    ));
+    Json::Obj(fields).render()
 }
 
 /// How a load-harness client issues its operations.
@@ -1884,25 +1878,15 @@ pub struct RuntimeLoadSpec {
     pub window: usize,
 }
 
-/// One row of `BENCH_runtime.json`: a [`RuntimeLoadSpec`] run to
-/// completion, with wall-clock throughput/latency plus the deterministic
-/// transport and pipeline counters the CI smoke gate checks.
+/// One [`RuntimeLoadSpec`] run to completion: the wall-clock throughput
+/// and latency plus the consolidated transport/runtime counters — the
+/// cluster-wide reliable-link totals, the merged replica pipeline metrics
+/// and the merged group-commit batch statistics. `moc load` prints the
+/// row and the counter block from it; the smoke gate reads the counters.
 #[derive(Debug, Clone)]
-pub struct RuntimeBenchRow {
-    /// `closed` or `open`.
-    pub mode: String,
-    /// Client thread count.
-    pub clients: usize,
-    /// Key-skew label (`uniform`, `zipfian`, `normal`).
-    pub skew: String,
-    /// Whether group-commit batching was on.
-    pub batching: bool,
-    /// Whether the clients pipelined (window above 1).
-    pub pipelining: bool,
-    /// Pipeline window used.
-    pub window: usize,
-    /// Total operations completed.
-    pub ops: u64,
+pub struct RuntimeLoadReport {
+    /// The configuration that ran.
+    pub spec: RuntimeLoadSpec,
     /// Aggregate completed operations per wall-clock second.
     pub qps: u64,
     /// Invoke-to-reply latency percentiles (wall-clock ns).
@@ -1911,58 +1895,6 @@ pub struct RuntimeBenchRow {
     pub p99_ns: u64,
     /// 99.9th percentile.
     pub p999_ns: u64,
-    /// Mean items per flushed ordering batch (0 when batching never
-    /// flushed).
-    pub batch_occupancy: f64,
-    /// Deepest replica pipeline observed.
-    pub peak_depth: u64,
-    /// Completions that overtook invocation order (retired FIFO).
-    pub out_of_order: u64,
-    /// Replies with no waiting client — must be zero.
-    pub dropped_replies: u64,
-    /// First-hand link data frames sent cluster-wide.
-    pub data_frames: u64,
-    /// Link-layer retransmissions cluster-wide.
-    pub retransmissions: u64,
-}
-
-impl RuntimeBenchRow {
-    /// The row as a JSON object (`BENCH_runtime.json` version 1 schema).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("mode".into(), jstr(self.mode.clone())),
-            ("clients".into(), num(self.clients as i64)),
-            ("skew".into(), jstr(self.skew.clone())),
-            ("batching".into(), Json::Bool(self.batching)),
-            ("pipelining".into(), Json::Bool(self.pipelining)),
-            ("window".into(), num(self.window as i64)),
-            ("ops".into(), num(self.ops as i64)),
-            ("qps".into(), num(self.qps as i64)),
-            (
-                "latency_ns".into(),
-                Json::Obj(vec![
-                    ("p50".into(), num(self.p50_ns as i64)),
-                    ("p99".into(), num(self.p99_ns as i64)),
-                    ("p999".into(), num(self.p999_ns as i64)),
-                ]),
-            ),
-            ("batch_occupancy".into(), Json::Num(self.batch_occupancy)),
-            ("peak_depth".into(), num(self.peak_depth as i64)),
-            ("out_of_order".into(), num(self.out_of_order as i64)),
-            ("dropped_replies".into(), num(self.dropped_replies as i64)),
-            ("data_frames".into(), num(self.data_frames as i64)),
-            ("retransmissions".into(), num(self.retransmissions as i64)),
-        ])
-    }
-}
-
-/// The consolidated transport/runtime counters of one load run: the
-/// cluster-wide reliable-link totals, the merged replica pipeline
-/// metrics and the merged group-commit batch statistics. `moc load`
-/// prints these as one block so a single command surfaces what the
-/// network and the replicas actually did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RuntimeCounters {
     /// Field-wise sum of every node's [`moc_abcast::LinkStats`].
     pub link: moc_abcast::LinkStats,
     /// Merged per-replica pipeline metrics (sums; peak depth is a max).
@@ -1973,20 +1905,14 @@ pub struct RuntimeCounters {
 
 /// Runs one load-harness configuration against a live
 /// [`moc_runtime::LiveCluster`] of the Figure 4 protocol over the
-/// sequencer broadcast, and reduces it to a [`RuntimeBenchRow`].
+/// sequencer broadcast — the `moc load` entry point.
 ///
 /// Every client thread owns one process via a pipelined session, draws
 /// its keys from its own seed-deterministic skew stream, and records the
 /// true invoke-to-reply time of every operation. The run panics if any
 /// invocation goes unanswered — the harness refuses to report a lossy
 /// run as a result.
-pub fn run_runtime_load(spec: &RuntimeLoadSpec) -> RuntimeBenchRow {
-    run_runtime_load_counters(spec).0
-}
-
-/// [`run_runtime_load`] plus the full [`RuntimeCounters`] the row
-/// condenses — the `moc load` entry point.
-pub fn run_runtime_load_counters(spec: &RuntimeLoadSpec) -> (RuntimeBenchRow, RuntimeCounters) {
+pub fn run_runtime_load_counters(spec: &RuntimeLoadSpec) -> RuntimeLoadReport {
     use moc_runtime::{LiveCluster, RuntimeConfig};
     use moc_workload::skew::{KeyPicker, SkewRng};
     use moc_workload::{query_program, write_program};
@@ -2068,155 +1994,20 @@ pub fn run_runtime_load_counters(spec: &RuntimeLoadSpec) -> (RuntimeBenchRow, Ru
     assert_eq!(lat.len() as u64, total_ops, "every invocation replied");
     assert_eq!(report.history.len() as u64, total_ops, "history complete");
     lat.sort_unstable();
-    let pipe = report.total_pipeline();
-    let link = report.total_link_stats();
-    let batch = report.total_batch_stats();
-    let row = RuntimeBenchRow {
-        mode: spec.mode.label().to_string(),
-        clients: spec.clients,
-        skew: spec.skew.label().to_string(),
-        batching: spec.batching.is_some(),
-        pipelining: spec.window > 1,
-        window: spec.window,
-        ops: total_ops,
+    RuntimeLoadReport {
+        spec: *spec,
         qps: (total_ops as f64 / elapsed) as u64,
         p50_ns: percentile(&lat, 50.0),
         p99_ns: percentile(&lat, 99.0),
         p999_ns: percentile(&lat, 99.9),
-        batch_occupancy: batch.occupancy(),
-        peak_depth: pipe.peak_depth,
-        out_of_order: pipe.out_of_order_completions,
-        dropped_replies: pipe.dropped_replies,
-        data_frames: link.data_sent,
-        retransmissions: link.retransmissions,
-    };
-    (
-        row,
-        RuntimeCounters {
-            link,
-            pipeline: pipe,
-            batch,
-        },
-    )
-}
-
-/// Batching profile used by the bench rows: ordering frames group up to
-/// 16 submissions, flushing a partial batch after 100µs so a trickling
-/// workload is never stalled for long.
-pub const BENCH_BATCH: moc_abcast::BatchConfig = moc_abcast::BatchConfig {
-    max_batch: 16,
-    max_delay_ns: 100_000,
-};
-
-/// Pipeline window used by the bench rows.
-pub const BENCH_WINDOW: usize = 16;
-
-/// E-runtime — end-to-end throughput of the live cluster under every
-/// optimization toggle. Closed-loop rows sweep 1/2/4 clients on uniform
-/// and zipfian key skew, with the full batching×pipelining toggle matrix
-/// at 4 clients; open-loop rows offer a fixed schedule and report the
-/// latency it induces for baseline vs fully optimized. Shape to
-/// reproduce: the fully optimized configuration beats the baseline on
-/// aggregate closed-loop QPS (pipelining overlaps the ordering round
-/// trips; batching amortizes the sequencer's fan-out into multi-item
-/// frames).
-pub fn experiment_runtime(ops_per_client: usize, seed: u64) -> Vec<RuntimeBenchRow> {
-    use moc_workload::skew::KeySkew;
-    let skews = [KeySkew::Uniform, KeySkew::Zipfian { theta: 0.99 }];
-    let base = RuntimeLoadSpec {
-        mode: LoadMode::Closed,
-        clients: 4,
-        ops_per_client,
-        num_objects: 16,
-        skew: KeySkew::Uniform,
-        update_fraction: 0.9,
-        seed,
-        batching: None,
-        window: 1,
-    };
-    let toggle = |on: bool, pipelined: bool| {
-        (
-            if on { Some(BENCH_BATCH) } else { None },
-            if pipelined { BENCH_WINDOW } else { 1 },
-        )
-    };
-    let mut rows = Vec::new();
-    for skew in skews {
-        for clients in [1usize, 2, 4] {
-            // Baseline and fully optimized at every scale; the individual
-            // toggles at the largest.
-            let combos: &[(bool, bool)] = if clients == 4 {
-                &[(false, false), (true, false), (false, true), (true, true)]
-            } else {
-                &[(false, false), (true, true)]
-            };
-            for &(batch_on, pipe_on) in combos {
-                let (batching, window) = toggle(batch_on, pipe_on);
-                rows.push(run_runtime_load(&RuntimeLoadSpec {
-                    mode: LoadMode::Closed,
-                    clients,
-                    skew,
-                    batching,
-                    window,
-                    ..base
-                }));
-            }
-            // Open loop: a 10k ops/s-per-client schedule, baseline vs
-            // optimized.
-            for &(batch_on, pipe_on) in &[(false, false), (true, true)] {
-                let (batching, window) = toggle(batch_on, pipe_on);
-                rows.push(run_runtime_load(&RuntimeLoadSpec {
-                    mode: LoadMode::Open {
-                        interval_ns: 100_000,
-                    },
-                    clients,
-                    skew,
-                    batching,
-                    window,
-                    ..base
-                }));
-            }
-        }
+        link: report.total_link_stats(),
+        pipeline: report.total_pipeline(),
+        batch: report.total_batch_stats(),
     }
-    rows
 }
 
-/// The closed-loop aggregate-QPS speedup of the fully optimized
-/// configuration over the baseline at the largest client count, per
-/// skew profile — the headline number of the runtime bench.
-pub fn runtime_optimized_speedups(rows: &[RuntimeBenchRow]) -> Vec<(String, f64)> {
-    let max_clients = rows
-        .iter()
-        .filter(|r| r.mode == "closed")
-        .map(|r| r.clients)
-        .max()
-        .unwrap_or(0);
-    let mut out = Vec::new();
-    let skews: Vec<String> = {
-        let mut s: Vec<String> = rows.iter().map(|r| r.skew.clone()).collect();
-        s.sort();
-        s.dedup();
-        s
-    };
-    for skew in skews {
-        let find = |batching: bool, pipelining: bool| {
-            rows.iter().find(|r| {
-                r.mode == "closed"
-                    && r.clients == max_clients
-                    && r.skew == skew
-                    && r.batching == batching
-                    && r.pipelining == pipelining
-            })
-        };
-        if let (Some(base), Some(opt)) = (find(false, false), find(true, true)) {
-            out.push((skew.clone(), opt.qps as f64 / base.qps.max(1) as f64));
-        }
-    }
-    out
-}
-
-/// Renders the runtime rows as a comparison table.
-pub fn runtime_bench_table(rows: &[RuntimeBenchRow]) -> Table {
+/// Renders load runs as a comparison table.
+pub fn runtime_bench_table(rows: &[RuntimeLoadReport]) -> Table {
     let mut t = Table::new(
         "E-runtime — live-cluster load: batched stamping and pipelined clients vs the baseline",
         &[
@@ -2237,64 +2028,37 @@ pub fn runtime_bench_table(rows: &[RuntimeBenchRow]) -> Table {
         ],
     );
     for r in rows {
+        let spec = &r.spec;
         t.row(vec![
-            r.mode.clone(),
-            r.clients.to_string(),
-            r.skew.clone(),
-            if r.batching { "on" } else { "off" }.into(),
-            if r.pipelining {
-                format!("w{}", r.window)
+            spec.mode.label().into(),
+            spec.clients.to_string(),
+            spec.skew.label().into(),
+            if spec.batching.is_some() { "on" } else { "off" }.into(),
+            if spec.window > 1 {
+                format!("w{}", spec.window)
             } else {
                 "off".into()
             },
-            r.ops.to_string(),
+            (spec.clients * spec.ops_per_client).to_string(),
             r.qps.to_string(),
             us(r.p50_ns as f64),
             us(r.p99_ns as f64),
             us(r.p999_ns as f64),
-            format!("{:.1}", r.batch_occupancy),
-            r.peak_depth.to_string(),
-            r.out_of_order.to_string(),
-            r.retransmissions.to_string(),
+            format!("{:.1}", r.batch.occupancy()),
+            r.pipeline.peak_depth.to_string(),
+            r.pipeline.out_of_order_completions.to_string(),
+            r.link.retransmissions.to_string(),
         ]);
     }
     t
 }
 
-/// The runtime rows as the `BENCH_runtime.json` version 1 document,
-/// stamped — like every bench document — with the schema version and the
-/// parallelism the machine offered.
-pub fn runtime_bench_json(rows: &[RuntimeBenchRow]) -> String {
-    let mut fields = vec![
-        ("bench".into(), jstr("runtime")),
-        ("version".into(), num(1)),
-        ("cpus".into(), num(bench_cpus())),
-        (
-            "rows".into(),
-            Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-        ),
-    ];
-    let speedups = runtime_optimized_speedups(rows);
-    if !speedups.is_empty() {
-        fields.push((
-            "headline".into(),
-            Json::Obj(
-                speedups
-                    .into_iter()
-                    .map(|(skew, s)| (format!("qps_speedup_{skew}"), Json::Num(s)))
-                    .collect(),
-            ),
-        ));
-    }
-    Json::Obj(fields).render()
-}
-
 /// CI perf-smoke gate for the runtime: three bounded configurations whose
-/// *deterministic* counters must hold — the batched+pipelined row must
-/// group-commit (occupancy above one), every pipelined row must actually
+/// *deterministic* counters must hold — the batched+pipelined run must
+/// group-commit (occupancy above one), every pipelined run must actually
 /// overlap operations (peak depth above one), and no configuration may
-/// drop a reply. Wall-clock numbers are reported but never gated.
-pub fn runtime_smoke() -> Result<Vec<RuntimeBenchRow>, String> {
+/// drop a reply. Wall-clock numbers are never gated.
+pub fn runtime_smoke() -> Result<Vec<RuntimeLoadReport>, String> {
     use moc_workload::skew::KeySkew;
     let base = RuntimeLoadSpec {
         mode: LoadMode::Closed,
@@ -2308,13 +2072,13 @@ pub fn runtime_smoke() -> Result<Vec<RuntimeBenchRow>, String> {
         window: 1,
     };
     let rows = vec![
-        run_runtime_load(&base),
-        run_runtime_load(&RuntimeLoadSpec {
+        run_runtime_load_counters(&base),
+        run_runtime_load_counters(&RuntimeLoadSpec {
             skew: KeySkew::Uniform,
             window: 8,
             ..base
         }),
-        run_runtime_load(&RuntimeLoadSpec {
+        run_runtime_load_counters(&RuntimeLoadSpec {
             clients: 1,
             // The window bounds in-flight submissions, so a batch
             // threshold equal to the window flushes the moment the full
@@ -2328,27 +2092,30 @@ pub fn runtime_smoke() -> Result<Vec<RuntimeBenchRow>, String> {
         }),
     ];
     let mut failures = Vec::new();
+    let batched = |r: &RuntimeLoadReport| r.spec.batching.is_some();
+    let pipelined = |r: &RuntimeLoadReport| r.spec.window > 1;
     for r in &rows {
-        if r.dropped_replies != 0 {
+        let what = format!("{}/{}c", r.spec.mode.label(), r.spec.clients);
+        if r.pipeline.dropped_replies != 0 {
             failures.push(format!(
-                "{}/{}c/batch={} dropped {} replies",
-                r.mode, r.clients, r.batching, r.dropped_replies
+                "{what} dropped {} replies",
+                r.pipeline.dropped_replies
             ));
         }
-        if r.pipelining && r.peak_depth <= 1 {
+        if pipelined(r) && r.pipeline.peak_depth <= 1 {
             failures.push(format!(
-                "{}/{}c window {} never overlapped (peak depth {})",
-                r.mode, r.clients, r.window, r.peak_depth
+                "{what} window {} never overlapped (peak depth {})",
+                r.spec.window, r.pipeline.peak_depth
             ));
         }
-        if r.batching && r.batch_occupancy <= 1.0 {
+        if batched(r) && r.batch.occupancy() <= 1.0 {
             failures.push(format!(
-                "{}/{}c batching never grouped (occupancy {:.2})",
-                r.mode, r.clients, r.batch_occupancy
+                "{what} batching never grouped (occupancy {:.2})",
+                r.batch.occupancy()
             ));
         }
     }
-    if !rows.iter().any(|r| r.batching) || !rows.iter().any(|r| r.pipelining) {
+    if !rows.iter().any(batched) || !rows.iter().any(pipelined) {
         failures.push("smoke matrix must cover batching and pipelining".into());
     }
     if failures.is_empty() {
@@ -2481,7 +2248,6 @@ mod tests {
             ("checker", checker_bench_json(&[])),
             ("chaos", chaos_bench_json(&[], &[])),
             ("monitor", monitor_bench_json(&[])),
-            ("runtime", runtime_bench_json(&[])),
         ];
         for (name, doc) in docs {
             let d = moc_core::json::parse(&doc).expect(name);
@@ -2501,25 +2267,18 @@ mod tests {
         }
     }
 
-    /// The runtime load harness end to end, via the CI smoke gate: the
-    /// deterministic counters (group-commit occupancy, pipeline depth,
-    /// zero dropped replies) must hold on a bounded run.
+    /// The runtime's CI gate (the `runtime-perf` job runs this test): the
+    /// load harness end to end, where the deterministic counters
+    /// (group-commit occupancy, pipeline depth, zero dropped replies,
+    /// every invocation retired) must hold on a bounded run.
     #[test]
     fn runtime_smoke_gate_passes() {
         let rows = runtime_smoke().expect("runtime smoke counters hold");
         assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.ops == r.clients as u64 * 40));
-        let doc = moc_core::json::parse(&runtime_bench_json(&rows)).unwrap();
-        assert_eq!(
-            doc.get("rows").and_then(Json::as_arr).map(|a| a.len()),
-            Some(3)
-        );
-        let first = &doc.get("rows").and_then(Json::as_arr).unwrap()[0];
-        assert!(first
-            .get("latency_ns")
-            .and_then(|l| l.get("p999"))
-            .is_some());
-        assert!(first.get("qps").is_some());
+        for r in &rows {
+            let ops = r.spec.clients as u64 * 40;
+            assert_eq!((r.pipeline.invocations, r.pipeline.retired), (ops, ops));
+        }
     }
 
     #[test]

@@ -85,6 +85,23 @@ impl Args {
         }
     }
 
+    /// [`Args::get`], rejected unless the value lies in `range` — a count
+    /// of processes, objects or clients (`1..`) or a fraction (`0.0..=1.0`,
+    /// which NaN never is) — so a workload generator is never handed a
+    /// value it would panic on.
+    fn get_in<T, R>(&self, key: &str, default: T, range: R) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd,
+        R: std::ops::RangeBounds<T> + std::fmt::Debug,
+    {
+        let v = self.get(key, default)?;
+        if range.contains(&v) {
+            Ok(v)
+        } else {
+            Err(format!("--{key} must lie in {range:?}"))
+        }
+    }
+
     fn flag(&self, key: &str) -> bool {
         self.options.contains_key(key)
     }
@@ -336,11 +353,11 @@ fn load_history(args: &Args, stdin: &str) -> Result<History, String> {
 }
 
 fn cmd_run(args: &Args) -> Result<String, String> {
-    let processes = args.get::<usize>("processes", 3)?;
+    let processes = args.get_in("processes", 3, 1..)?;
     let ops = args.get::<usize>("ops", 5)?;
-    let objects = args.get::<usize>("objects", 4)?;
+    let objects = args.get_in("objects", 4, 1..)?;
     let seed = args.get::<u64>("seed", 0)?;
-    let update_fraction = args.get::<f64>("update-frac", 0.5)?;
+    let update_fraction = args.get_in("update-frac", 0.5, 0.0..=1.0)?;
     let spec = WorkloadSpec {
         processes,
         ops_per_process: ops,
@@ -379,10 +396,10 @@ fn cmd_gen(args: &Args) -> Result<String, String> {
         .map(String::as_str)
         .unwrap_or("serial");
     let spec = HistorySpec {
-        processes: args.get::<usize>("processes", 3)?,
+        processes: args.get_in("processes", 3, 1..)?,
         ops_per_process: args.get::<usize>("ops", 4)?,
-        num_objects: args.get::<usize>("objects", 4)?,
-        update_fraction: args.get::<f64>("update-frac", 0.5)?,
+        num_objects: args.get_in("objects", 4, 1..)?,
+        update_fraction: args.get_in("update-frac", 0.5, 0.0..=1.0)?,
         max_span: 2,
     };
     let h = match kind {
@@ -557,10 +574,10 @@ fn workload_programs(
             // The program set a `moc run` with the same options would
             // actually issue (one representative per program name).
             let spec = WorkloadSpec {
-                processes: args.get::<usize>("processes", 3)?,
+                processes: args.get_in("processes", 3, 1..)?,
                 ops_per_process: args.get::<usize>("ops", 5)?,
-                num_objects: args.get::<usize>("objects", 4)?,
-                update_fraction: args.get::<f64>("update-frac", 0.5)?,
+                num_objects: args.get_in("objects", 4, 1..)?,
+                update_fraction: args.get_in("update-frac", 0.5, 0.0..=1.0)?,
                 ..WorkloadSpec::default()
             };
             let mut rng = StdRng::seed_from_u64(args.get::<u64>("seed", 0)?);
@@ -736,7 +753,9 @@ fn cmd_shard(args: &Args) -> Result<(String, i32), String> {
             n => Some(n),
         },
     };
-    let objects = args.get::<usize>("objects", 0)?;
+    // A lower bound: the pass widens the universe to every object the
+    // programs reference.
+    let objects = args.get_in("objects", 1, 1..)?;
     let analysis = moc_analyze::shard_set(&refs, objects, opts);
 
     let mut code = match moc_analyze::max_severity(&analysis.all_findings()) {
@@ -806,7 +825,7 @@ fn cmd_commute(args: &Args) -> Result<(String, i32), String> {
             n => Some(n),
         },
     };
-    let objects = args.get::<usize>("objects", 0)?;
+    let objects = args.get_in("objects", 1, 1..)?;
     let analysis = moc_analyze::commute_set_with(&refs, objects, opts);
 
     let mut code = match moc_analyze::max_severity(&analysis.all_findings()) {
@@ -1006,15 +1025,13 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
     use moc_sim::FaultPlan;
     use moc_workload::chaos::{FaultFamily, WorkloadFamily};
 
-    let processes = args.get::<usize>("processes", 3)?;
+    // Faults need a remote hop: at least two processes.
+    let processes = args.get_in("processes", 3, 2..)?;
     let ops = args.get::<usize>("ops", 4)?;
-    let objects = args.get::<usize>("objects", 4)?;
+    let objects = args.get_in("objects", 4, 1..)?;
     let seeds = args.get::<u64>("seeds", 5)?;
     let seed_base = args.get::<u64>("seed-base", 0)?;
     let sabotage = args.flag("sabotage");
-    if processes < 2 {
-        return Err("--processes must be at least 2 (faults need a remote hop)".into());
-    }
     let max_batch = args.get::<usize>("batch", 1)?;
     let batch_delay_us = args.get::<u64>("batch-delay-us", 100)?;
     if max_batch == 0 {
@@ -1215,26 +1232,20 @@ fn cmd_load(args: &Args) -> Result<(String, i32), String> {
     use moc_bench::{run_runtime_load_counters, runtime_bench_table, LoadMode, RuntimeLoadSpec};
     use moc_workload::skew::KeySkew;
 
-    let clients = args.get::<usize>("clients", 4)?;
-    let ops = args.get::<usize>("ops", 50)?;
-    let objects = args.get::<usize>("objects", 16)?;
+    let clients = args.get_in("clients", 4, 1..)?;
+    let ops = args.get_in("ops", 50, 1..)?;
+    let objects = args.get_in("objects", 16, 1..)?;
     let seed = args.get::<u64>("seed", 42)?;
-    let update_fraction = args.get::<f64>("update-frac", 0.5)?;
+    let update_fraction = args.get_in("update-frac", 0.5, 0.0..=1.0)?;
     let window = args.get::<usize>("window", 8)?;
     let max_batch = args.get::<usize>("batch", 1)?;
     let batch_delay_us = args.get::<u64>("batch-delay-us", 100)?;
     let interval_us = args.get::<u64>("interval-us", 100)?;
-    if clients == 0 || ops == 0 {
-        return Err("--clients and --ops must be at least 1".into());
-    }
     if window == 0 {
         return Err("--window must be at least 1 (1 = pipelining off)".into());
     }
     if max_batch == 0 {
         return Err("--batch must be at least 1 (1 = batching off)".into());
-    }
-    if !(0.0..=1.0).contains(&update_fraction) {
-        return Err("--update-frac must be in [0, 1]".into());
     }
     let mode = match args
         .options
@@ -1260,7 +1271,7 @@ fn cmd_load(args: &Args) -> Result<(String, i32), String> {
         mode,
         clients,
         ops_per_client: ops,
-        num_objects: objects.max(1),
+        num_objects: objects,
         skew,
         update_fraction,
         seed,
@@ -1270,16 +1281,16 @@ fn cmd_load(args: &Args) -> Result<(String, i32), String> {
         }),
         window,
     };
-    let (row, counters) = run_runtime_load_counters(&spec);
-    let dropped = counters.pipeline.dropped_replies;
-    let mut out = runtime_bench_table(std::slice::from_ref(&row)).to_string();
+    let run = run_runtime_load_counters(&spec);
+    let dropped = run.pipeline.dropped_replies;
+    let mut out = runtime_bench_table(std::slice::from_ref(&run)).to_string();
     out.push('\n');
     out.push_str(&counter_block(
         1,
-        &counters.link,
-        &counters.batch,
-        counters.pipeline.orphan_completions,
-        Some(&counters.pipeline),
+        &run.link,
+        &run.batch,
+        run.pipeline.orphan_completions,
+        Some(&run.pipeline),
     ));
     if dropped > 0 {
         let _ = std::fmt::Write::write_fmt(
@@ -1354,11 +1365,8 @@ fn cmd_monitor(args: &Args, stdin: &str) -> Result<(String, i32), String> {
         other => return Err(format!("unknown condition {other:?} (sc|lin|normal)")),
     };
     let window = args.get::<usize>("window", 4)?;
-    let tiles = args.get::<usize>("tiles", 1)?;
+    let tiles = args.get_in("tiles", 1, 1..)?;
     let sabotage = args.flag("sabotage");
-    if tiles < 1 {
-        return Err("--tiles must be at least 1".into());
-    }
     if sabotage && condition == Condition::MNormality {
         return Err("the --sabotage gadget targets sc|lin (store buffering is m-normal)".into());
     }
@@ -2356,19 +2364,55 @@ mod tests {
         }
     }
 
+    /// Bad flag values are usage errors naming the flag — never a panic
+    /// inside a workload generator or the cluster harness.
     #[test]
     fn load_bad_flags_exit_2() {
-        for bad in [
-            sv(&["load", "--mode", "nope"]),
-            sv(&["load", "--skew", "nope"]),
-            sv(&["load", "--window", "0"]),
-            sv(&["load", "--batch", "0"]),
-            sv(&["load", "--clients", "0"]),
-            sv(&["load", "--update-frac", "1.5"]),
-        ] {
-            let (result, code) = dispatch_with_status(&bad, "");
-            assert!(result.is_err(), "{bad:?}");
-            assert_eq!(code, 2);
+        let cases: &[(&[&str], &str)] = &[
+            (&["load", "--mode", "nope"], "mode"),
+            (&["load", "--skew", "nope"], "skew"),
+            (&["load", "--window", "0"], "--window"),
+            (&["load", "--batch", "0"], "--batch"),
+            (&["load", "--clients", "0"], "--clients"),
+            (&["load", "--ops", "0"], "--ops"),
+            (&["load", "--objects", "0"], "--objects"),
+            (&["load", "--update-frac", "1.5"], "--update-frac"),
+            (&["load", "--update-frac", "NaN"], "--update-frac"),
+            (&["run", "--processes", "0"], "--processes"),
+            (&["run", "--objects", "0"], "--objects"),
+            (&["run", "--update-frac", "2"], "--update-frac"),
+            (&["gen", "--kind", "serial", "--objects", "0"], "--objects"),
+            (&["gen", "--kind", "random", "--objects", "0"], "--objects"),
+            (&["gen", "--processes", "0"], "--processes"),
+            (&["gen", "--update-frac", "-0.5"], "--update-frac"),
+            (
+                &["analyze", "--workload", "protocol", "--objects", "0"],
+                "--objects",
+            ),
+            (
+                &["analyze", "--workload", "protocol", "--update-frac", "2"],
+                "--update-frac",
+            ),
+            (
+                &["shard", "--workload", "protocol", "--objects", "0"],
+                "--objects",
+            ),
+            (
+                &["commute", "--workload", "protocol", "--objects", "0"],
+                "--objects",
+            ),
+            (
+                &["audit", "-", "--programs", "protocol", "--objects", "0"],
+                "--objects",
+            ),
+            (&["chaos", "--processes", "1"], "--processes"),
+            (&["monitor", "-", "--tiles", "0"], "--tiles"),
+        ];
+        for (bad, flag) in cases {
+            let (result, code) = dispatch_with_status(&sv(bad), "");
+            let err = result.expect_err(&format!("{bad:?}"));
+            assert_eq!(code, 2, "{bad:?}");
+            assert!(err.contains(flag), "{bad:?}: {err}");
         }
     }
 

@@ -9,7 +9,7 @@
 //! every cross-shard conflict edge, and a composition verdict stating
 //! which Section 4 constraint classes (OO/WW/WO, Theorem 7) remain
 //! enforceable by *per-shard* sequencing, per the Gotsman–Burckhardt
-//! composition criterion.
+//! composition rule.
 //!
 //! This module owns only the data model and its JSON codec so that the
 //! emitting side (`moc-analyze`) and the independent validator

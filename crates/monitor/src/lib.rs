@@ -882,7 +882,7 @@ fn last_writers(h: &History, x: ObjectId, cut: &[bool], closed: &Relation) -> Ve
         .collect()
 }
 
-/// The peeling criterion of the pruned search, per window index: a record
+/// The peeling rule of the pruned search, per window index: a record
 /// `u` with `u ~H+ v` for every other remaining member is a fixed prefix
 /// of every legal linearization of the window.
 fn peeled_prefix(n: usize, closed: &Relation) -> Vec<bool> {
