@@ -10,15 +10,16 @@
 //! plus the certificate:
 //!
 //! * a **witness** proof is replayed: the order must be a permutation,
-//!   a linear extension of the condition's base relation `~H`, legal under
-//!   the version-replay semantics of D 4.6, and its serialized legality
-//!   trace must match the replay exactly;
+//!   a linear extension of the condition's base relation `~H` (checked by
+//!   one scan of the order, no relation built), legal under the
+//!   version-replay semantics of D 4.6, and its serialized legality trace
+//!   must match the replay exactly;
 //! * a **cycle** proof is checked edge by edge: `po`/`rf` edges against the
-//!   history, `rt` edges only for m-linearizability, `ox` edges only for
-//!   m-normality, and each `~rw` edge against D 4.11 — its interference
-//!   triple must exist and its premise `β ~ γ` must be justified by a
-//!   chain of strictly earlier edges of the same proof; finally the named
-//!   edges must form a closed walk;
+//!   history, `rt` edges (`resp < inv`) only for m-linearizability, `ox`
+//!   edges only for m-normality, and each `~rw` edge against D 4.11 — its
+//!   interference triple must exist and its premise `β ~ γ` must be
+//!   justified by a chain of strictly earlier edges of the same proof;
+//!   finally the named edges must form a closed walk;
 //! * an **exhaustion** proof cannot be independently replayed in
 //!   polynomial time (Theorems 1–2: the problem is NP-complete), so it is
 //!   only *attested*: well-formed, correctly bound, verdict-consistent.
@@ -27,7 +28,7 @@
 //! canonical text encoding; a certificate presented with any other history
 //! is rejected before any proof checking happens.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use moc_core::codec;
 use moc_core::commute::{
@@ -38,7 +39,6 @@ use moc_core::ids::ObjectId;
 use moc_core::json::{self, Json};
 use moc_core::legality::sequence_is_legal;
 use moc_core::program::Program;
-use moc_core::relations::{object_order, process_order, reads_from, real_time, Relation};
 use moc_core::shard::{fingerprint_programs, ShardCert, ShardComposition, ShardEdgeKind};
 
 /// The condition named by a certificate.
@@ -50,17 +50,6 @@ pub enum Condition {
     Lin,
     /// `"normal"` — m-normality: `~H = ~p ∪ ~rf ∪ ~x`.
     Normal,
-}
-
-impl Condition {
-    fn base_relation(self, h: &History) -> Relation {
-        let base = process_order(h).union(&reads_from(h));
-        match self {
-            Condition::Sc => base,
-            Condition::Lin => base.union(&real_time(h)),
-            Condition::Normal => base.union(&object_order(h)),
-        }
-    }
 }
 
 /// A successful audit: how much of the certificate was re-validated.
@@ -601,14 +590,12 @@ fn check_witness(h: &History, condition: Condition, proof: &Json) -> Result<(), 
     }
 
     // Linear extension of the condition's base relation.
-    for (i, j) in condition.base_relation(h).edges() {
-        if position[i.0] >= position[j.0] {
-            return Err(format!(
-                "witness violates ~H: {} must precede {}",
-                h.record(i).id,
-                h.record(j).id
-            ));
-        }
+    if let Some((i, j)) = first_inversion(h, condition, &order, &position) {
+        return Err(format!(
+            "witness violates ~H: {} must precede {}",
+            h.record(i).id,
+            h.record(j).id
+        ));
     }
 
     // Version replay (D 4.6 on total orders).
@@ -653,6 +640,57 @@ fn check_witness(h: &History, condition: Condition, proof: &Json) -> Result<(), 
     Ok(())
 }
 
+/// A pair `(i, j)` of `~H` that `order` places the wrong way round (`j`
+/// first), if any, found by scans in witness order rather than over the
+/// relation's pairs: `~p` by each process's last sequence number, `~rf` by
+/// position, and `~t` (`~x`) by the latest invocation placed so far (on
+/// each object), which a response before it contradicts.
+fn first_inversion(
+    h: &History,
+    condition: Condition,
+    order: &[MOpIdx],
+    position: &[usize],
+) -> Option<(MOpIdx, MOpIdx)> {
+    let mut last_of_process = HashMap::new();
+    // Of the m-operations placed so far (touching each object), the one
+    // invoked last; placing `j` returns it if `j` responds before that.
+    let mut latest: Option<MOpIdx> = None;
+    let mut latest_on: Vec<Option<MOpIdx>> = vec![None; h.num_objects()];
+    let place = |slot: &mut Option<MOpIdx>, j: MOpIdx| match *slot {
+        Some(i) if h.record(j).responded_at < h.record(i).invoked_at => Some(i),
+        Some(i) if h.record(j).invoked_at <= h.record(i).invoked_at => None,
+        _ => {
+            *slot = Some(j);
+            None
+        }
+    };
+    for (pos, &j) in order.iter().enumerate() {
+        let id = h.record(j).id;
+        if let Some(i) = last_of_process.insert(id.process, j) {
+            if h.record(i).id.seq > id.seq {
+                return Some((j, i));
+            }
+        }
+        for (_, writer) in h.read_sources(j) {
+            if let Some(i) = writer.filter(|w| position[w.0] > pos) {
+                return Some((i, j));
+            }
+        }
+        let later = match condition {
+            Condition::Sc => None,
+            Condition::Lin => place(&mut latest, j),
+            Condition::Normal => h
+                .objects(j)
+                .iter()
+                .find_map(|o| place(&mut latest_on[o.index()], j)),
+        };
+        if let Some(i) = later {
+            return Some((j, i));
+        }
+    }
+    None
+}
+
 /// One parsed edge of a cycle proof.
 struct AuditEdge {
     from: usize,
@@ -668,9 +706,8 @@ struct AuditEdge {
 
 fn check_cycle(h: &History, condition: Condition, proof: &Json) -> Result<(), String> {
     let n = h.len();
-    let po = process_order(h);
-    let rt = real_time(h);
-    let ox = object_order(h);
+    // `a` responds before `b` is invoked: `a ~t b`.
+    let responds_before = |a: MOpIdx, b: MOpIdx| h.record(a).responded_at < h.record(b).invoked_at;
 
     let edges_json = field(proof, "edges")?
         .as_arr()
@@ -692,7 +729,8 @@ fn check_cycle(h: &History, condition: Condition, proof: &Json) -> Result<(), St
         let (a, b) = (MOpIdx(from), MOpIdx(to));
         let (beta, obj, via) = match why.as_str() {
             "po" => {
-                if !po.contains(a, b) {
+                let (ia, ib) = (h.record(a).id, h.record(b).id);
+                if ia.process != ib.process || ia.seq >= ib.seq {
                     return Err(format!("edge {idx}: no process order {from} -> {to}"));
                 }
                 (None, 0, Vec::new())
@@ -712,7 +750,7 @@ fn check_cycle(h: &History, condition: Condition, proof: &Json) -> Result<(), St
                         "edge {idx}: real-time edges are only admissible for \"lin\""
                     ));
                 }
-                if !rt.contains(a, b) {
+                if !responds_before(a, b) {
                     return Err(format!("edge {idx}: no real-time order {from} -> {to}"));
                 }
                 (None, 0, Vec::new())
@@ -723,7 +761,8 @@ fn check_cycle(h: &History, condition: Condition, proof: &Json) -> Result<(), St
                         "edge {idx}: object-order edges are only admissible for \"normal\""
                     ));
                 }
-                if !ox.contains(a, b) {
+                let share = h.objects(a).iter().any(|o| h.objects(b).contains(o));
+                if !(share && responds_before(a, b)) {
                     return Err(format!("edge {idx}: no object order {from} -> {to}"));
                 }
                 (None, 0, Vec::new())

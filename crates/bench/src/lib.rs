@@ -14,15 +14,15 @@ use std::fmt;
 use std::time::Instant;
 
 use moc_checker::admissible::{find_legal_extension, SearchLimits, SearchOutcome};
-use moc_checker::fast::check_under_constraint;
-use moc_checker::find_legal_extension_pruned;
+use moc_checker::conditions::{check_with_order, Condition, Strategy};
+use moc_checker::precedence::{pruned_search, PrecedenceGraph};
 use moc_core::constraints::Constraint;
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::json::{num, str as jstr, Json};
 use moc_core::mop::MOpClass;
 use moc_core::op::CompletedOp;
-use moc_core::relations::{process_order, reads_from, real_time, Relation};
+use moc_core::relations::{process_order, reads_from};
 use moc_protocol::{
     run_cluster, AggregateOverSequencer, ClusterConfig, MlinOverSequencer, MlinOverView,
     MlinRelevantOverSequencer, MscOverIsis, MscOverSequencer, MscOverView, ReplicaProtocol,
@@ -265,12 +265,17 @@ pub fn experiment_fast_vs_brute(sizes: &[usize], seed: u64) -> Table {
     );
     for &ops_per_process in sizes {
         let report = run_protocol::<MscOverSequencer>(4, ops_per_process, 0.6, seed);
-        let rel = report.ww_relation();
+        let ww = report.ww_order();
         let start = Instant::now();
-        let fast = check_under_constraint(&report.history, &rel, Constraint::Ww)
-            .expect("protocol history is under WW");
+        let fast = check_with_order(
+            &report.history,
+            Condition::MSequentialConsistency,
+            &ww,
+            Strategy::Constraint(Constraint::Ww),
+        )
+        .expect("protocol history is under WW");
         let fast_ms = start.elapsed().as_secs_f64() * 1_000.0;
-        assert!(fast.is_admissible());
+        assert!(fast.satisfied);
 
         // Brute force on the *plain* relation (no ~ww) — the verification
         // problem the paper proves NP-complete. Cap the budget.
@@ -573,18 +578,15 @@ pub fn experiment_model_checking() -> Table {
 /// their conditions — printed as a PASS table so the experiment output is
 /// self-validating.
 pub fn experiment_validation(seed: u64) -> Table {
-    use moc_checker::conditions::Condition;
     let mut t = Table::new(
         "Validation: protocol executions vs their consistency conditions",
         &["protocol", "condition", "m-ops", "verdict"],
     );
-    let mut add = |report: RunReport, condition: Condition, with_rt: bool| {
-        let mut rel = report.ww_relation();
-        if with_rt {
-            rel = rel.union(&real_time(&report.history));
-        }
-        let verdict = check_under_constraint(&report.history, &rel, Constraint::Ww)
-            .map(|o| if o.is_admissible() { "PASS" } else { "FAIL" })
+    let mut add = |report: RunReport, condition: Condition| {
+        let ww = report.ww_order();
+        let strategy = Strategy::Constraint(Constraint::Ww);
+        let verdict = check_with_order(&report.history, condition, &ww, strategy)
+            .map(|r| if r.satisfied { "PASS" } else { "FAIL" })
             .unwrap_or("ERROR");
         t.row(vec![
             report.protocol.to_string(),
@@ -595,18 +597,15 @@ pub fn experiment_validation(seed: u64) -> Table {
     };
     add(
         run_protocol::<MscOverSequencer>(4, 12, 0.5, seed),
-        moc_checker::Condition::MSequentialConsistency,
-        false,
+        Condition::MSequentialConsistency,
     );
     add(
         run_protocol::<MlinOverSequencer>(4, 12, 0.5, seed),
-        moc_checker::Condition::MLinearizability,
-        true,
+        Condition::MLinearizability,
     );
     add(
         run_protocol::<AggregateOverSequencer>(4, 12, 0.5, seed),
-        moc_checker::Condition::MLinearizability,
-        true,
+        Condition::MLinearizability,
     );
     t
 }
@@ -722,21 +721,17 @@ impl CheckerBenchRow {
     }
 }
 
-/// A sound `~ww` augmentation for the generator families: every pair of
-/// updates ordered by history index (D 4.9 obligates *all* update pairs).
-/// Every generator edge already goes from a lower to a higher index, so
-/// the union stays acyclic.
-fn index_ww_relation(h: &History) -> Relation {
-    let mut rel = process_order(h).union(&reads_from(h));
-    for i in 0..h.len() {
-        for j in (i + 1)..h.len() {
-            let (a, b) = (MOpIdx(i), MOpIdx(j));
-            if !h.wobjects(a).is_empty() && !h.wobjects(b).is_empty() {
-                rel.add(a, b);
-            }
-        }
-    }
-    rel
+/// A sound `~ww` order for the generator families: the updates chained in
+/// history-index order, which orders every pair of them (D 4.9 obligates
+/// *all* update pairs). Every generator edge already goes from a lower to a
+/// higher index, so `~H` stays acyclic.
+fn index_writer_order(h: &History) -> Vec<(MOpIdx, MOpIdx)> {
+    let updates: Vec<MOpIdx> = h
+        .iter()
+        .filter(|&(i, _)| !h.wobjects(i).is_empty())
+        .map(|(i, _)| i)
+        .collect();
+    updates.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
 /// [`multi_component_history`] with component 0's first reader torn: it
@@ -906,6 +901,7 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
     let mut rows = Vec::new();
     for (family, h, fast_applies, naive_budget) in checker_families(budget) {
         let rel = process_order(&h).union(&reads_from(&h));
+        let graph = PrecedenceGraph::for_condition(&h, Condition::MSequentialConsistency);
         let naive_limits = SearchLimits::with_max_nodes(naive_budget);
 
         let start = Instant::now();
@@ -917,7 +913,7 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
         let mut pruned = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let result = find_legal_extension_pruned(&h, &rel, limits);
+            let result = pruned_search(&h, &graph, limits);
             pruned_ms = pruned_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
             pruned = Some(result);
         }
@@ -932,7 +928,7 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
         let mut nosym = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let result = find_legal_extension_pruned(&h, &rel, nosym_limits);
+            let result = pruned_search(&h, &graph, nosym_limits);
             nosym_ms = nosym_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
             nosym = Some(result);
         }
@@ -966,14 +962,15 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
         };
 
         let fast = if fast_applies {
-            let augmented = index_ww_relation(&h);
+            let ww = index_writer_order(&h);
+            let condition = Condition::MSequentialConsistency;
             let start = Instant::now();
-            let fast = check_under_constraint(&h, &augmented, Constraint::Ww)
+            let fast = check_with_order(&h, condition, &ww, Strategy::Constraint(Constraint::Ww))
                 .expect("index order satisfies WW on generator families");
             let ms = start.elapsed().as_secs_f64() * 1_000.0;
             if verdict != "budget" {
                 assert_eq!(
-                    fast.is_admissible(),
+                    fast.satisfied,
                     verdict == "admissible",
                     "{family}: fast path must agree"
                 );
@@ -2402,7 +2399,8 @@ mod tests {
             let rel = process_order(&h).union(&reads_from(&h));
             let limits = SearchLimits::default();
             let (naive_out, naive) = find_legal_extension(&h, &rel, limits);
-            let (pruned_out, pruned) = find_legal_extension_pruned(&h, &rel, limits);
+            let graph = PrecedenceGraph::for_condition(&h, Condition::MSequentialConsistency);
+            let (pruned_out, pruned) = pruned_search(&h, &graph, limits);
             assert_eq!(naive_out, SearchOutcome::NotAdmissible, "knot-1x{k}");
             assert_eq!(pruned_out, SearchOutcome::NotAdmissible, "knot-1x{k}");
             assert_eq!(pruned.components, 1, "knot-1x{k}");

@@ -220,8 +220,9 @@ fn edge_why(kind: &EdgeKind) -> &'static str {
 /// Decides `condition` on `h` via the precedence-graph route and returns
 /// both the report and a certificate for the verdict.
 ///
-/// Unlike [`crate::conditions::check`] this always saturates the `~H+`
-/// graph first: a cycle refutes without search (and *is* the certificate);
+/// The report is the one [`crate::conditions::check`] gives under
+/// [`crate::conditions::Strategy::BruteForce`]`(limits)`: the `~H+` graph is
+/// saturated, a cycle refutes without search (and *is* the certificate);
 /// otherwise the statically-pruned search decides and yields either a
 /// witness or an exhaustion attestation.
 ///
@@ -258,65 +259,74 @@ pub fn check_certified_on(
     limits: SearchLimits,
 ) -> Result<(CheckReport, Certificate), CheckError> {
     debug_assert_eq!(fingerprint, codec::fingerprint(h));
-    let bind = |admissible, proof| Certificate {
+    let (report, core) = decide(h, condition, graph, limits)?;
+    let proof = match (core, &report.witness) {
+        (Some(core), _) => Proof::Cycle(core),
+        (None, Some(order)) => Proof::Witness {
+            order: order.clone(),
+            reads: legality_trace(h, order),
+        },
+        (None, None) => Proof::Exhaustion {
+            stats: report.stats,
+        },
+    };
+    let cert = Certificate {
         condition,
-        admissible,
+        admissible: report.satisfied,
         ops: h.len(),
         objects: h.num_objects(),
         fingerprint,
         proof,
     };
+    Ok((report, cert))
+}
 
-    if let Some(proof) = graph.cycle_proof() {
+/// The verdict over a saturated graph, every route's: a `~H+` cycle refutes
+/// without search, and is returned as the refutation core; otherwise the
+/// statically-pruned search decides.
+///
+/// # Errors
+///
+/// [`CheckError::LimitExceeded`] if the pruned search exhausts `limits`.
+pub(crate) fn decide(
+    h: &History,
+    condition: Condition,
+    graph: &PrecedenceGraph,
+    limits: SearchLimits,
+) -> Result<(CheckReport, Option<CycleProof>), CheckError> {
+    let report = |witness: Option<Vec<MOpIdx>>, stats, reason| CheckReport {
+        condition,
+        satisfied: witness.is_some(),
+        witness,
+        strategy_used: StrategyUsed::BruteForce,
+        stats,
+        reason,
+    };
+    if let Some(core) = graph.cycle_proof() {
         let stats = SearchStats {
             forced_edges: graph.forced_edge_count() as u64,
             ..SearchStats::default()
         };
-        let report = CheckReport {
-            condition,
-            satisfied: false,
-            witness: None,
-            strategy_used: StrategyUsed::BruteForce,
-            stats,
-            reason: Some(format!(
-                "~H+ cycle of length {} refutes admissibility without search",
-                proof.cycle.len()
-            )),
-        };
-        return Ok((report, bind(false, Proof::Cycle(proof))));
+        let reason = format!(
+            "~H+ cycle of length {} refutes admissibility without search",
+            core.cycle.len()
+        );
+        return Ok((report(None, stats, Some(reason)), Some(core)));
     }
-
     let (outcome, stats) = pruned_search(h, graph, limits);
-    match outcome {
-        SearchOutcome::Admissible(order) => {
-            let reads = legality_trace(h, &order);
-            let report = CheckReport {
-                condition,
-                satisfied: true,
-                witness: Some(order.clone()),
-                strategy_used: StrategyUsed::BruteForce,
-                stats,
-                reason: None,
-            };
-            Ok((report, bind(true, Proof::Witness { order, reads })))
-        }
+    let (witness, reason) = match outcome {
+        SearchOutcome::Admissible(order) => (Some(order), None),
         SearchOutcome::NotAdmissible => {
-            let report = CheckReport {
-                condition,
-                satisfied: false,
-                witness: None,
-                strategy_used: StrategyUsed::BruteForce,
-                stats,
-                reason: Some(format!(
-                    "no legal sequential extension exists ({} nodes explored, \
-                     {} peeled, {} components)",
-                    stats.nodes, stats.peeled, stats.components
-                )),
-            };
-            Ok((report, bind(false, Proof::Exhaustion { stats })))
+            let reason = format!(
+                "no legal sequential extension exists ({} nodes explored, \
+                 {} peeled, {} components)",
+                stats.nodes, stats.peeled, stats.components
+            );
+            (None, Some(reason))
         }
-        SearchOutcome::LimitExceeded => Err(CheckError::LimitExceeded(stats)),
-    }
+        SearchOutcome::LimitExceeded => return Err(CheckError::LimitExceeded(stats)),
+    };
+    Ok((report(witness, stats, reason), None))
 }
 
 /// The legality trace of a witness: for every external read (in witness

@@ -11,6 +11,11 @@
 //!
 //! m-normality is less restrictive than m-linearizability: it only orders
 //! non-overlapping m-operations that act on a common object.
+//!
+//! Every strategy decides over one [`PrecedenceGraph`]: `~H` as the edges
+//! of [`PrecedenceGraph::for_condition`], closed once. Theorem 7 reads that
+//! closure; failing it, the graph is saturated and decided exactly as
+//! [`crate::certificate::check_certified`] decides it.
 
 use std::fmt;
 
@@ -20,9 +25,10 @@ use moc_core::constraints::Constraint;
 use moc_core::history::{History, MOpIdx};
 use moc_core::relations::{object_order, process_order, reads_from, real_time, Relation};
 
-use crate::admissible::{SearchLimits, SearchOutcome, SearchStats};
+use crate::admissible::{SearchLimits, SearchStats};
+use crate::certificate::decide;
 use crate::fast::{check_under_constraint, FastError, FastOutcome};
-use crate::precedence::find_legal_extension_pruned;
+use crate::precedence::PrecedenceGraph;
 
 /// A consistency condition for multi-object operation histories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,7 +55,10 @@ impl fmt::Display for Condition {
 }
 
 impl Condition {
-    /// Builds the condition's base relation `~H` over the history.
+    /// Builds the condition's base relation `~H` over the history as a
+    /// dense relation, every pair of it. The checker does not use it: it is
+    /// the definition, kept as the reference the precedence graph's
+    /// closure is tested against.
     pub fn base_relation(self, h: &History) -> Relation {
         let base = process_order(h).union(&reads_from(h));
         match self {
@@ -60,7 +69,8 @@ impl Condition {
     }
 }
 
-/// How to decide admissibility.
+/// How to decide admissibility. Whatever the strategy, a history whose
+/// `~H` is cyclic is refuted by a `~H+` cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
     /// Always run the (worst-case exponential) backtracking search.
@@ -100,8 +110,6 @@ pub enum CheckError {
     /// `Strategy::Constraint` was requested but the history is not under
     /// the constraint.
     ConstraintNotSatisfied(String),
-    /// The history relation is cyclic (malformed input).
-    CyclicRelation,
     /// Internal invariant violation in the fast path.
     Internal(String),
 }
@@ -113,7 +121,6 @@ impl fmt::Display for CheckError {
                 write!(f, "search budget exhausted after {} nodes", s.nodes)
             }
             CheckError::ConstraintNotSatisfied(msg) => f.write_str(msg),
-            CheckError::CyclicRelation => f.write_str("history relation is cyclic"),
             CheckError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
@@ -149,116 +156,71 @@ pub fn check(
     condition: Condition,
     strategy: Strategy,
 ) -> Result<CheckReport, CheckError> {
-    let relation = condition.base_relation(h);
-    check_with_relation(h, condition, &relation, strategy)
+    check_with_order(h, condition, &[], strategy)
 }
 
-/// Like [`check`] but with a caller-supplied relation — used by protocol
-/// validators that know additional ordering (e.g. the atomic-broadcast
-/// order `~ww`), and by the serializability reduction.
-pub fn check_with_relation(
+/// Like [`check`], with `order`: pairs the caller knows to be ordered
+/// besides `~H` — the atomic-broadcast order `~ww` of a protocol run, say —
+/// which join the condition's base edges.
+///
+/// # Errors
+///
+/// See [`check`].
+pub fn check_with_order(
     h: &History,
     condition: Condition,
-    relation: &Relation,
+    order: &[(MOpIdx, MOpIdx)],
     strategy: Strategy,
 ) -> Result<CheckReport, CheckError> {
-    match strategy {
-        Strategy::BruteForce(limits) => brute(h, condition, relation, limits),
-        Strategy::Constraint(c) => fast(h, condition, relation, c).map_err(|e| match e {
-            FastError::ConstraintNotSatisfied(_) => {
-                CheckError::ConstraintNotSatisfied(e.to_string())
-            }
-            FastError::CyclicRelation => CheckError::CyclicRelation,
-            FastError::ExtendedRelationCyclic => CheckError::Internal(e.to_string()),
-        }),
-        Strategy::Auto => {
-            for c in [Constraint::Ww, Constraint::Oo] {
-                match fast(h, condition, relation, c) {
-                    Ok(report) => return Ok(report),
-                    Err(FastError::ConstraintNotSatisfied(_)) => continue,
-                    Err(FastError::CyclicRelation) => return Err(CheckError::CyclicRelation),
-                    Err(e @ FastError::ExtendedRelationCyclic) => {
-                        return Err(CheckError::Internal(e.to_string()))
+    let mut graph = PrecedenceGraph::unsaturated(h, condition, order);
+    let (constraints, limits) = match strategy {
+        Strategy::BruteForce(limits) => (&[][..], limits),
+        Strategy::Constraint(c) | Strategy::Certified(c) => (&[c][..], SearchLimits::default()),
+        Strategy::Auto => (
+            &[Constraint::Ww, Constraint::Oo][..],
+            SearchLimits::default(),
+        ),
+    };
+    // Theorem 7 applies to an acyclic `~H` only; a cyclic one is left to
+    // the `~H+` cycle that refutes it.
+    if graph.closed().is_irreflexive() {
+        for &c in constraints {
+            match check_under_constraint(h, graph.closed(), c) {
+                Ok(outcome) => return Ok(fast_report(condition, c, outcome)),
+                Err(e @ FastError::ConstraintNotSatisfied(_)) => {
+                    if let Strategy::Constraint(_) = strategy {
+                        return Err(CheckError::ConstraintNotSatisfied(e.to_string()));
                     }
                 }
+                Err(e @ FastError::ExtendedRelationCyclic) => {
+                    return Err(CheckError::Internal(e.to_string()))
+                }
             }
-            brute(h, condition, relation, SearchLimits::default())
         }
-        Strategy::Certified(c) => match fast(h, condition, relation, c) {
-            Ok(report) => Ok(report),
-            // The certificate promised the constraint holds; if this
-            // history still violates it, the certificate did not cover it
-            // — degrade gracefully rather than refusing a verdict.
-            Err(FastError::ConstraintNotSatisfied(_)) => {
-                brute(h, condition, relation, SearchLimits::default())
-            }
-            Err(FastError::CyclicRelation) => Err(CheckError::CyclicRelation),
-            Err(e @ FastError::ExtendedRelationCyclic) => Err(CheckError::Internal(e.to_string())),
-        },
     }
+    graph.saturate(h);
+    decide(h, condition, &graph, limits).map(|(report, _)| report)
 }
 
-fn brute(
-    h: &History,
-    condition: Condition,
-    relation: &Relation,
-    limits: SearchLimits,
-) -> Result<CheckReport, CheckError> {
-    // The statically-pruned search (forced ~H+ edges, per-component
-    // decomposition, prefix peeling) — verdict-equivalent to the naive
-    // `find_legal_extension`, exponentially faster on decomposable inputs.
-    let (outcome, stats) = find_legal_extension_pruned(h, relation, limits);
-    match outcome {
-        SearchOutcome::Admissible(witness) => Ok(CheckReport {
-            condition,
-            satisfied: true,
-            witness: Some(witness),
-            strategy_used: StrategyUsed::BruteForce,
-            stats,
-            reason: None,
-        }),
-        SearchOutcome::NotAdmissible => Ok(CheckReport {
-            condition,
-            satisfied: false,
-            witness: None,
-            strategy_used: StrategyUsed::BruteForce,
-            stats,
-            reason: Some(format!(
-                "no legal sequential extension exists ({} nodes explored, {} forced edges)",
-                stats.nodes, stats.forced_edges
-            )),
-        }),
-        SearchOutcome::LimitExceeded => Err(CheckError::LimitExceeded(stats)),
-    }
-}
-
-fn fast(
-    h: &History,
-    condition: Condition,
-    relation: &Relation,
-    constraint: Constraint,
-) -> Result<CheckReport, FastError> {
-    match check_under_constraint(h, relation, constraint)? {
-        FastOutcome::Admissible(witness) => Ok(CheckReport {
-            condition,
-            satisfied: true,
-            witness: Some(witness),
-            strategy_used: StrategyUsed::Constraint(constraint),
-            stats: SearchStats::default(),
-            reason: None,
-        }),
-        FastOutcome::NotAdmissible(bad) => Ok(CheckReport {
-            condition,
-            satisfied: false,
-            witness: None,
-            strategy_used: StrategyUsed::Constraint(constraint),
-            stats: SearchStats::default(),
-            reason: Some(format!(
+fn fast_report(condition: Condition, constraint: Constraint, outcome: FastOutcome) -> CheckReport {
+    let (witness, reason) = match outcome {
+        FastOutcome::Admissible(witness) => (Some(witness), None),
+        FastOutcome::NotAdmissible(bad) => (
+            None,
+            Some(format!(
                 "history is not legal: {} is ordered between {:?} and {} \
                  while overwriting an object read between them",
                 bad.gamma, bad.beta, bad.alpha
             )),
-        }),
+        ),
+    };
+    CheckReport {
+        condition,
+        satisfied: witness.is_some(),
+        witness,
+        strategy_used: StrategyUsed::Constraint(constraint),
+        stats: SearchStats::default(),
+        reason,
     }
 }
 
@@ -424,6 +386,40 @@ mod tests {
             report.stats.nodes + report.stats.peeled > 0,
             "fallback actually did the work"
         );
+    }
+
+    #[test]
+    fn a_cyclic_history_is_refuted_under_every_strategy() {
+        // The first m-operation of p0 reads x from the second: ~p and ~rf
+        // order the pair both ways, so ~H itself is cyclic.
+        let x = oid(0);
+        let mut b = HistoryBuilder::new(1);
+        let second = moc_core::ids::MOpId::new(pid(0), 1);
+        b.mop(pid(0)).at(0, 10).read_from(x, 1, second).finish();
+        b.mop(pid(0)).at(20, 30).write(x, 1).finish();
+        let h = b.build().unwrap();
+        let strategies = [
+            Strategy::BruteForce(SearchLimits::default()),
+            Strategy::Constraint(Constraint::Ww),
+            Strategy::Auto,
+            Strategy::Certified(Constraint::Oo),
+        ];
+        for condition in [
+            Condition::MSequentialConsistency,
+            Condition::MLinearizability,
+            Condition::MNormality,
+        ] {
+            for strategy in strategies {
+                let report = check(&h, condition, strategy)
+                    .unwrap_or_else(|e| panic!("{condition}, {strategy:?}: {e}"));
+                assert!(!report.satisfied, "{condition}, {strategy:?}");
+                assert_eq!(
+                    report.reason.as_deref(),
+                    Some("~H+ cycle of length 2 refutes admissibility without search"),
+                    "{condition}, {strategy:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,24 +6,25 @@
 //! `~H+ = (~H ∪ ~rw)+` (D 4.12), whose irreflexivity is guaranteed by
 //! Lemmas 3 and 4 and whose every linear extension is legal by the proof of
 //! Lemma 5 (P 4.5).
+//!
+//! [`crate::conditions::check_with_order`] runs it over the closure of `~H`
+//! that its precedence graph holds before saturation.
 
 use std::fmt;
 
 use moc_core::constraints::{first_violation, Constraint, UnorderedPair};
 use moc_core::history::{History, MOpIdx};
 use moc_core::legality::{
-    extended_relation, first_illegal_read, sequence_witnesses_admissibility, IllegalRead,
+    first_illegal_read, read_write_precedence, sequence_witnesses_admissibility, IllegalRead,
 };
 use moc_core::relations::Relation;
 
-/// Why the fast path could not run: the precondition of Theorem 7 failed.
+/// Why the fast path gave no verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FastError {
+pub(crate) enum FastError {
     /// The history relation does not satisfy the requested constraint, so
-    /// Theorem 7 does not apply. Fall back to the brute-force search.
+    /// Theorem 7 does not apply. Fall back to the search.
     ConstraintNotSatisfied(UnorderedPair),
-    /// The supplied relation is cyclic — not a valid history relation.
-    CyclicRelation,
     /// Internal invariant violation: the history was legal and under the
     /// constraint, yet `~H+` contained a cycle. By Lemmas 3 and 4 this is
     /// unreachable; reported rather than panicking.
@@ -38,7 +39,6 @@ impl fmt::Display for FastError {
                 "{} requires m-operations {} and {} to be ordered",
                 p.constraint, p.a, p.b
             ),
-            FastError::CyclicRelation => f.write_str("history relation is cyclic"),
             FastError::ExtendedRelationCyclic => {
                 f.write_str("extended relation ~H+ is cyclic (invariant violation)")
             }
@@ -46,11 +46,9 @@ impl fmt::Display for FastError {
     }
 }
 
-impl std::error::Error for FastError {}
-
 /// Outcome of the constraint-based check.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FastOutcome {
+pub(crate) enum FastOutcome {
     /// The history is admissible; the witness is a legal sequential order.
     Admissible(Vec<MOpIdx>),
     /// The history is not legal, hence (Lemma 6 + Theorem 7) not
@@ -58,45 +56,35 @@ pub enum FastOutcome {
     NotAdmissible(IllegalRead),
 }
 
-impl FastOutcome {
-    /// Whether the outcome is a positive witness.
-    pub fn is_admissible(&self) -> bool {
-        matches!(self, FastOutcome::Admissible(_))
-    }
-}
-
-/// Decides admissibility of `(op(H), relation)` assuming `constraint` holds
-/// of the (closure of the) relation, in polynomial time.
+/// Decides admissibility of `(op(H), ~H)` in polynomial time, given `~H`
+/// as `closed`: transitive and irreflexive.
 ///
 /// # Errors
 ///
-/// Returns [`FastError::ConstraintNotSatisfied`] when the precondition
-/// fails — the caller should fall back to
-/// [`crate::admissible::find_legal_extension`] — and
-/// [`FastError::CyclicRelation`] for malformed inputs.
-pub fn check_under_constraint(
+/// [`FastError::ConstraintNotSatisfied`] when `closed` does not satisfy
+/// `constraint` — the caller falls back to the search.
+pub(crate) fn check_under_constraint(
     h: &History,
-    relation: &Relation,
+    closed: &Relation,
     constraint: Constraint,
 ) -> Result<FastOutcome, FastError> {
-    let closed = relation.transitive_closure();
-    if !closed.is_irreflexive() {
-        return Err(FastError::CyclicRelation);
-    }
-    if let Some(pair) = first_violation(constraint, h, &closed) {
+    debug_assert!(closed.is_irreflexive(), "~H must be acyclic");
+    if let Some(pair) = first_violation(constraint, h, closed) {
         return Err(FastError::ConstraintNotSatisfied(pair));
     }
     // Theorem 7: under the constraint, admissible ⇔ legal.
-    if let Some(bad) = first_illegal_read(h, &closed) {
+    if let Some(bad) = first_illegal_read(h, closed) {
         return Ok(FastOutcome::NotAdmissible(bad));
     }
-    // Lemmas 3/4: ~H+ is irreflexive; Lemma 5: any extension is legal.
-    let ext = extended_relation(h, relation);
+    // Lemmas 3/4: ~H+ is irreflexive; Lemma 5: any extension is legal. The
+    // smallest-index-first sort depends only on the closure of what it
+    // sorts, so `~H ∪ ~rw` is sorted as it stands, without closing it.
+    let ext = closed.union(&read_write_precedence(h, closed));
     let Some(order) = ext.topological_sort() else {
         return Err(FastError::ExtendedRelationCyclic);
     };
     debug_assert!(
-        sequence_witnesses_admissibility(h, relation, &order),
+        sequence_witnesses_admissibility(h, closed, &order),
         "Theorem 7 witness failed validation"
     );
     Ok(FastOutcome::Admissible(order))
@@ -108,6 +96,7 @@ mod tests {
     use crate::admissible::{find_legal_extension, SearchLimits};
     use moc_core::history::HistoryBuilder;
     use moc_core::ids::{ObjectId, ProcessId};
+    use moc_core::legality::extended_relation;
     use moc_core::relations::{process_order, reads_from};
 
     fn pid(i: u32) -> ProcessId {
@@ -136,10 +125,14 @@ mod tests {
         (h, rel)
     }
 
+    fn fast(h: &History, rel: &Relation, c: Constraint) -> Result<FastOutcome, FastError> {
+        check_under_constraint(h, &rel.transitive_closure(), c)
+    }
+
     #[test]
     fn figure2_fast_check_admits() {
         let (h, rel) = figure2();
-        let out = check_under_constraint(&h, &rel, Constraint::Ww).unwrap();
+        let out = fast(&h, &rel, Constraint::Ww).unwrap();
         let FastOutcome::Admissible(order) = out else {
             panic!("H1 should be admissible");
         };
@@ -147,21 +140,26 @@ mod tests {
         // The witness must place β before δ (forced by ~rw, cf. Figure 3).
         let pos = |i: usize| order.iter().position(|&x| x == m(i)).unwrap();
         assert!(pos(1) < pos(3), "β must precede δ in any legal extension");
+        // The order the closed extended relation gives, unclosed.
+        assert_eq!(extended_relation(&h, &rel).topological_sort(), Some(order));
     }
 
     #[test]
     fn fast_agrees_with_brute_force_on_figure2() {
         let (h, rel) = figure2();
-        let fast = check_under_constraint(&h, &rel, Constraint::Ww).unwrap();
+        let fast = fast(&h, &rel, Constraint::Ww).unwrap();
         let (brute, _) = find_legal_extension(&h, &rel, SearchLimits::default());
-        assert_eq!(fast.is_admissible(), brute.is_admissible());
+        assert_eq!(
+            matches!(fast, FastOutcome::Admissible(_)),
+            brute.is_admissible()
+        );
     }
 
     #[test]
     fn missing_ww_edges_are_reported() {
         let (h, _) = figure2();
         let rel = process_order(&h).union(&reads_from(&h));
-        let err = check_under_constraint(&h, &rel, Constraint::Ww).unwrap_err();
+        let err = fast(&h, &rel, Constraint::Ww).unwrap_err();
         assert!(matches!(err, FastError::ConstraintNotSatisfied(_)));
     }
 
@@ -175,7 +173,7 @@ mod tests {
         let h = b.build().unwrap();
         let mut rel = Relation::new(2);
         rel.add(m(1), m(0)); // γ before α: α's initial read is stale.
-        let out = check_under_constraint(&h, &rel, Constraint::Ww).unwrap();
+        let out = fast(&h, &rel, Constraint::Ww).unwrap();
         let FastOutcome::NotAdmissible(bad) = out else {
             panic!("should be illegal");
         };
@@ -185,23 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_relation_is_an_error() {
-        let (h, mut rel) = figure2();
-        rel.add(m(3), m(0));
-        assert_eq!(
-            check_under_constraint(&h, &rel, Constraint::Ww),
-            Err(FastError::CyclicRelation)
-        );
-    }
-
-    #[test]
     fn oo_constraint_path() {
         // Order *all* conflicting pairs: add β<δ too (β reads y, δ writes y)
         // and α<β... α,β conflict? α writes y, β reads y: yes — process
         // order already gives α<β. γ conflicts with α (x): α<γ present.
         let (h, mut rel) = figure2();
         rel.add(m(1), m(3));
-        let out = check_under_constraint(&h, &rel, Constraint::Oo).unwrap();
-        assert!(out.is_admissible());
+        let out = fast(&h, &rel, Constraint::Oo).unwrap();
+        assert!(matches!(out, FastOutcome::Admissible(_)));
     }
 }

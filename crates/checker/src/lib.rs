@@ -9,25 +9,31 @@
 //!
 //! * [`conditions`] — the user-facing entry point:
 //!   [`conditions::check`] decides m-sequential consistency,
-//!   m-linearizability or m-normality using a chosen [`conditions::Strategy`].
-//! * [`admissible`] — the general decision procedure: a memoized
-//!   backtracking search for a legal linear extension. Worst-case
-//!   exponential, necessarily so: Theorems 1 and 2 show the problem is
-//!   NP-complete (for m-linearizability, even with a known reads-from
-//!   relation).
-//! * [`fast`] — the polynomial path of Theorem 7: under the OO- or
-//!   WW-constraint, admissibility collapses to legality, and a witness
-//!   falls out of a topological sort of the extended relation `~H+`.
-//! * [`serializability`] — database schedules and the Theorem 2 reduction:
-//!   strict view serializability ⇔ m-linearizability, view serializability
-//!   ⇔ m-sequential consistency, for one-transaction-per-process histories.
-//! * [`precedence`] — the `~rw`/`~H+` precedence graph over arbitrary
-//!   histories: SCC condensation, forced edges, cycle refutation, and the
-//!   statically-pruned search the conditions module now runs by default.
+//!   m-linearizability or m-normality using a chosen [`conditions::Strategy`];
+//!   [`conditions::check_with_order`] takes extra known order (a
+//!   broadcast's `~ww`) as pairs.
+//! * [`precedence`] — the one construction of `~H` every route decides
+//!   over: the condition's edges (`~t` as its transitive reduction), closed
+//!   once, then saturated with `~rw` to `~H+` — SCC condensation, forced
+//!   edges, cycle refutation, and the statically-pruned search.
+//! * The polynomial path of Theorem 7 runs first, over the graph's closure
+//!   of `~H`: under the OO- or WW-constraint, admissibility collapses to
+//!   legality, and a witness falls out of a topological sort of `~H+`.
+//!   Without it, a `~H+` cycle refutes and otherwise the pruned search
+//!   decides — the same function for [`check`] and [`check_certified`].
 //! * [`certificate`] — proof-producing verdicts: every check result
 //!   serializes to a versioned JSON certificate (witness + legality trace,
 //!   `~H+` refutation cycle, or search-exhaustion attestation) that the
 //!   independent `moc-audit` crate re-validates against the raw history.
+//! * [`admissible`] — the naive decision procedure over a dense relation:
+//!   a memoized backtracking search for a legal linear extension, the
+//!   reference the pruned search is tested against. Worst-case
+//!   exponential, necessarily so: Theorems 1 and 2 show the problem is
+//!   NP-complete (for m-linearizability, even with a known reads-from
+//!   relation).
+//! * [`serializability`] — database schedules and the Theorem 2 reduction:
+//!   strict view serializability ⇔ m-linearizability, view serializability
+//!   ⇔ m-sequential consistency, for one-transaction-per-process histories.
 //!
 //! ## Example
 //!
@@ -51,7 +57,7 @@ pub mod causal;
 pub mod certificate;
 pub mod conditions;
 pub(crate) mod engine;
-pub mod fast;
+pub(crate) mod fast;
 pub mod minimize;
 pub mod precedence;
 pub mod serializability;
@@ -60,9 +66,8 @@ pub mod witness;
 pub use admissible::{find_legal_extension, SearchLimits, SearchOutcome, SearchStats};
 pub use causal::{check_m_causal, CausalReport};
 pub use certificate::{check_certified, Certificate, Proof};
-pub use conditions::{check, CheckError, CheckReport, Condition, Strategy};
-pub use fast::{check_under_constraint, FastOutcome};
+pub use conditions::{check, check_with_order, CheckError, CheckReport, Condition, Strategy};
 pub use minimize::{minimize_violation, Minimized};
-pub use precedence::{find_legal_extension_pruned, PrecedenceGraph};
+pub use precedence::PrecedenceGraph;
 pub use serializability::Schedule;
 pub use witness::{is_sequential, make_sequential_history};

@@ -43,7 +43,8 @@ use crate::engine::{self, ComponentPlan, SearchProblem};
 /// Why an edge is in the precedence graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EdgeKind {
-    /// An edge of a caller-supplied relation (provenance unknown).
+    /// A pair the caller knows to be ordered (e.g. the atomic-broadcast
+    /// order `~ww`), handed to [`crate::conditions::check_with_order`].
     Base,
     /// Process order `~p`: same process, consecutive sequence numbers.
     Process,
@@ -83,9 +84,15 @@ pub struct PrecedenceGraph {
     edges: Vec<Edge>,
     /// Number of leading base (`~H`) edges in `edges`; the rest are `~rw`.
     base_edges: usize,
-    /// Transitive closure of the direct edge set — the fixpoint `~H+`.
+    /// The direct edge set.
+    direct: Relation,
+    /// Transitive closure of the direct edge set: `~H` itself until
+    /// [`PrecedenceGraph::saturate`] runs, the fixpoint `~H+` after it.
     /// Every pair in here is forced in every legal linearization.
     closed: Relation,
+    /// `~H` includes `~t`, of which the edges hold only the reduction; the
+    /// pairs that implies are not held as edges.
+    real_time: bool,
 }
 
 impl PrecedenceGraph {
@@ -93,6 +100,19 @@ impl PrecedenceGraph {
     /// (process order and reads-from, plus real-time for m-linearizability
     /// or object order for m-normality). Edges carry auditable reasons.
     pub fn for_condition(h: &History, condition: Condition) -> Self {
+        let mut graph = Self::unsaturated(h, condition, &[]);
+        graph.saturate(h);
+        graph
+    }
+
+    /// The graph of `~H` alone — the condition's base edges plus the pairs
+    /// of `order` as [`EdgeKind::Base`] edges — closed once, before any
+    /// `~rw` edge is derived.
+    pub(crate) fn unsaturated(
+        h: &History,
+        condition: Condition,
+        order: &[(MOpIdx, MOpIdx)],
+    ) -> Self {
         let mut edges = Vec::new();
         for p in h.processes() {
             let idxs = h.by_process(p);
@@ -126,21 +146,16 @@ impl PrecedenceGraph {
                 edges.extend(edges_of(&object_order(h), EdgeKind::ObjectOrder))
             }
         }
-        Self::saturate(h, edges, condition == Condition::MLinearizability)
+        edges.extend(order.iter().map(|&(from, to)| Edge {
+            from,
+            to,
+            kind: EdgeKind::Base,
+        }));
+        Self::from_edges(h.len(), edges, condition == Condition::MLinearizability)
     }
 
-    /// Builds and saturates the graph from an arbitrary base relation
-    /// (edges carry no reasons — use [`PrecedenceGraph::for_condition`]
-    /// when an auditable refutation core may be needed).
-    pub fn from_relation(h: &History, relation: &Relation) -> Self {
-        let edges = edges_of(relation, EdgeKind::Base).collect();
-        Self::saturate(h, edges, false)
-    }
-
-    /// `real_time`: the base relation includes `~t`, of which `base` holds
-    /// only the reduction; the pairs that implies are not held as edges.
-    fn saturate(h: &History, base: Vec<Edge>, real_time: bool) -> Self {
-        let n = h.len();
+    /// The graph over `base` before saturation; `real_time` as the field.
+    fn from_edges(n: usize, base: Vec<Edge>, real_time: bool) -> Self {
         let mut direct = Relation::new(n);
         let mut edges = Vec::new();
         for e in base {
@@ -156,12 +171,22 @@ impl PrecedenceGraph {
                 edges.push(e);
             }
         }
-        let base_edges = edges.len();
+        PrecedenceGraph {
+            n,
+            base_edges: edges.len(),
+            edges,
+            closed: direct.transitive_closure(),
+            direct,
+            real_time,
+        }
+    }
 
-        // Fixpoint: each round closes the graph and adds every ~rw edge
-        // whose premise β ~ γ now holds. Terminates because each round adds
-        // at least one of at most n² edges.
-        let mut closed = direct.transitive_closure();
+    /// Adds every `~rw` edge derivable by iterating D 4.11 to a fixpoint,
+    /// starting from the closure the graph already holds.
+    pub(crate) fn saturate(&mut self, h: &History) {
+        // Each round adds every ~rw edge whose premise β ~ γ now holds, then
+        // closes the graph again. Terminates because each round adds at
+        // least one of at most n² edges.
         loop {
             let mut added = false;
             for (alpha, _) in h.iter() {
@@ -171,19 +196,19 @@ impl PrecedenceGraph {
                             continue;
                         }
                         // No ~rw edge where the pair is ordered already.
-                        if direct.contains(alpha, gamma)
-                            || (real_time
+                        if self.direct.contains(alpha, gamma)
+                            || (self.real_time
                                 && h.record(alpha).responded_at < h.record(gamma).invoked_at)
                         {
                             continue;
                         }
                         let premise = match writer {
                             None => true,
-                            Some(beta) => closed.contains(beta, gamma),
+                            Some(beta) => self.closed.contains(beta, gamma),
                         };
                         if premise {
-                            direct.add(alpha, gamma);
-                            edges.push(Edge {
+                            self.direct.add(alpha, gamma);
+                            self.edges.push(Edge {
                                 from: alpha,
                                 to: gamma,
                                 kind: EdgeKind::ReadWrite { beta: writer, obj },
@@ -196,13 +221,7 @@ impl PrecedenceGraph {
             if !added {
                 break;
             }
-            closed = direct.transitive_closure();
-        }
-        PrecedenceGraph {
-            n,
-            edges,
-            base_edges,
-            closed,
+            self.closed = self.direct.transitive_closure();
         }
     }
 
@@ -322,9 +341,9 @@ impl PrecedenceGraph {
     pub fn cycle_proof(&self) -> Option<CycleProof> {
         let mut cycle = self.find_cycle_edges()?;
         // A run split across the ends of the cycle is turned to the front.
-        let real_time = |eid: &usize| self.edges[*eid].kind == EdgeKind::RealTime;
-        if real_time(&cycle[0]) {
-            let wrapped = cycle.iter().rev().take_while(|eid| real_time(eid)).count();
+        let is_rt = |eid: &usize| self.edges[*eid].kind == EdgeKind::RealTime;
+        if is_rt(&cycle[0]) {
+            let wrapped = cycle.iter().rev().take_while(|eid| is_rt(eid)).count();
             cycle.rotate_right(wrapped);
         }
         let cycle = self.steps(&cycle);
@@ -580,22 +599,11 @@ impl UnionFind {
     }
 }
 
-/// The statically-pruned admissibility search: saturates the precedence
-/// graph over `relation`, refutes on a `~H+` cycle, then searches each
-/// independent component separately with forced-prefix peeling. Returns the
-/// same verdict as [`crate::admissible::find_legal_extension`] on every
-/// input (witnesses may differ; both are valid).
-pub fn find_legal_extension_pruned(
-    h: &History,
-    relation: &Relation,
-    limits: SearchLimits,
-) -> (SearchOutcome, SearchStats) {
-    let graph = PrecedenceGraph::from_relation(h, relation);
-    pruned_search(h, &graph, limits)
-}
-
-/// Like [`find_legal_extension_pruned`], but over a pre-built graph (so
-/// callers that also need certificates saturate only once).
+/// The statically-pruned admissibility search over a saturated graph:
+/// refutes on a `~H+` cycle, then searches each independent component
+/// separately with forced-prefix peeling. Returns the same verdict as
+/// [`crate::admissible::find_legal_extension`] over the graph's base
+/// relation on every input (witnesses may differ; both are valid).
 ///
 /// Each interaction component is peeled to its forced prefix here; the
 /// engine ([`crate::engine`]) then searches what is left of each component
@@ -705,7 +713,18 @@ mod tests {
         MOpIdx(i)
     }
 
-    /// Figure 2's H1 (α, β on P1; γ, δ on P2; WW edges α<γ<δ).
+    /// Figure 2's WW edges α<γ<δ.
+    const FIGURE2_WW: [(MOpIdx, MOpIdx); 2] = [(MOpIdx(0), MOpIdx(2)), (MOpIdx(2), MOpIdx(3))];
+
+    /// The saturated m-SC graph with `order` among its base edges.
+    fn sc_graph(h: &History, order: &[(MOpIdx, MOpIdx)]) -> PrecedenceGraph {
+        let mut g = PrecedenceGraph::unsaturated(h, Condition::MSequentialConsistency, order);
+        g.saturate(h);
+        g
+    }
+
+    /// Figure 2's H1 (α, β on P1; γ, δ on P2), with `~p ∪ ~rf` and the WW
+    /// edges as a dense relation, the reference.
     fn figure2() -> (History, Relation) {
         let x = oid(0);
         let y = oid(1);
@@ -716,8 +735,7 @@ mod tests {
         b.mop(pid(2)).at(30, 40).write(y, 3).finish();
         let h = b.build().unwrap();
         let mut rel = process_order(&h).union(&reads_from(&h));
-        rel.add(m(0), m(2));
-        rel.add(m(2), m(3));
+        FIGURE2_WW.iter().for_each(|&(a, b)| rel.add(a, b));
         (h, rel)
     }
 
@@ -737,8 +755,8 @@ mod tests {
 
     #[test]
     fn figure2_derives_the_figure3_forced_edge() {
-        let (h, rel) = figure2();
-        let g = PrecedenceGraph::from_relation(&h, &rel);
+        let (h, _) = figure2();
+        let g = sc_graph(&h, &FIGURE2_WW);
         // β ~rw δ: δ writes y, which β reads from α, and α ~H δ.
         assert!(g.closed().contains(m(1), m(3)));
         assert!(g.forced_edge_count() >= 1);
@@ -749,8 +767,8 @@ mod tests {
 
     #[test]
     fn litmus_cycle_is_refuted_without_search() {
-        let (h, rel) = litmus();
-        let g = PrecedenceGraph::from_relation(&h, &rel);
+        let (h, _) = litmus();
+        let g = sc_graph(&h, &[]);
         let cycle = g.find_cycle_edges().expect("litmus has a ~H+ cycle");
         assert!(cycle.len() >= 2);
         // The cycle is a closed walk over the graph's edges.
@@ -765,8 +783,8 @@ mod tests {
 
     #[test]
     fn cycle_proof_justifies_rw_premises() {
-        let (h, rel) = litmus();
-        let g = PrecedenceGraph::from_relation(&h, &rel);
+        let (h, _) = litmus();
+        let g = sc_graph(&h, &[]);
         let proof = g.cycle_proof().expect("cyclic");
         assert!(!proof.cycle.is_empty());
         for (slot, pe) in proof.edges.iter().enumerate() {
@@ -798,7 +816,7 @@ mod tests {
         b.mop(pid(3)).at(20, 30).read_from(oid(1), 5, w1).finish();
         let h = b.build().unwrap();
         let rel = process_order(&h).union(&reads_from(&h));
-        let g = PrecedenceGraph::from_relation(&h, &rel);
+        let g = sc_graph(&h, &[]);
         let comps = g.interaction_components(&h);
         assert_eq!(comps, vec![vec![0, 1], vec![2, 3]]);
         let (out, stats) = pruned_search(&h, &g, SearchLimits::default());
@@ -812,9 +830,10 @@ mod tests {
 
     #[test]
     fn pruned_agrees_with_naive_on_figure2_and_litmus() {
-        for (h, rel) in [figure2(), litmus()] {
+        for ((h, rel), order) in [(figure2(), &FIGURE2_WW[..]), (litmus(), &[])] {
             let (naive, _) = find_legal_extension(&h, &rel, SearchLimits::default());
-            let (pruned, _) = find_legal_extension_pruned(&h, &rel, SearchLimits::default());
+            let g = sc_graph(&h, order);
+            let (pruned, _) = pruned_search(&h, &g, SearchLimits::default());
             assert_eq!(naive.is_admissible(), pruned.is_admissible());
             if let Some(w) = pruned.witness() {
                 assert!(sequence_witnesses_admissibility(&h, &rel, w));
@@ -845,7 +864,9 @@ mod tests {
     fn all_pairs_graph(h: &History) -> PrecedenceGraph {
         let mut edges = program_edges(h);
         edges.extend(edges_of(&real_time(h), EdgeKind::RealTime));
-        PrecedenceGraph::saturate(h, edges, false)
+        let mut g = PrecedenceGraph::from_edges(h.len(), edges, false);
+        g.saturate(h);
+        g
     }
 
     fn certify(h: &History, g: &PrecedenceGraph) -> (CheckReport, Certificate) {
@@ -981,7 +1002,8 @@ mod tests {
     #[test]
     fn empty_history_is_trivially_admissible() {
         let h = HistoryBuilder::new(1).build().unwrap();
-        let (out, _) = find_legal_extension_pruned(&h, &Relation::new(0), SearchLimits::default());
+        let g = sc_graph(&h, &[]);
+        let (out, _) = pruned_search(&h, &g, SearchLimits::default());
         assert_eq!(out, SearchOutcome::Admissible(vec![]));
     }
 }

@@ -12,7 +12,6 @@
 use moc_core::history::{History, MOpIdx};
 use moc_core::legality::sequence_is_legal;
 use moc_core::mop::EventTime;
-use moc_core::relations::{real_time, Relation};
 
 /// Errors from witness materialization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,9 +74,17 @@ pub fn make_sequential_history(h: &History, schedule: &[MOpIdx]) -> Result<Histo
 /// Checks the sequentiality of a history: all m-operations non-overlapping
 /// and totally ordered by real time (the serial histories produced by
 /// [`make_sequential_history`] satisfy this by construction).
+///
+/// With the m-operations sorted by invocation, that is each responding
+/// before the next is invoked: the neighbours' order chains to every pair.
 pub fn is_sequential(h: &History) -> bool {
-    let rt: Relation = real_time(h);
-    rt.is_total_order()
+    let mut intervals: Vec<_> = h
+        .records()
+        .iter()
+        .map(|rec| (rec.invoked_at, rec.responded_at))
+        .collect();
+    intervals.sort_unstable();
+    intervals.windows(2).all(|w| w[0].1 < w[1].0)
 }
 
 #[cfg(test)]
@@ -206,11 +213,13 @@ mod tests {
 
         // The precedence analysis derives exactly the missing constraint:
         // β ~rw δ is forced, so every witness places β before δ.
-        use moc_core::relations::{process_order, reads_from};
-        let mut rel = process_order(&h).union(&reads_from(&h));
-        rel.add(MOpIdx(0), MOpIdx(2));
-        rel.add(MOpIdx(2), MOpIdx(3));
-        let g = crate::precedence::PrecedenceGraph::from_relation(&h, &rel);
+        let ww = [(MOpIdx(0), MOpIdx(2)), (MOpIdx(2), MOpIdx(3))];
+        let mut g = crate::precedence::PrecedenceGraph::unsaturated(
+            &h,
+            Condition::MSequentialConsistency,
+            &ww,
+        );
+        g.saturate(&h);
         assert!(g.closed().contains(MOpIdx(1), MOpIdx(3)));
         let (out, _) =
             crate::precedence::pruned_search(&h, &g, crate::admissible::SearchLimits::default());

@@ -6,13 +6,14 @@
 //!   *independent* auditor (`moc-audit` imports only `moc-core`).
 //! * Guaranteed-invalid mutations of a valid certificate — fingerprint
 //!   tampering, a version bump, a verdict flip, a duplicated witness
-//!   entry — are all rejected.
+//!   entry, a legal witness with a `~p`, `~t` or `~x` pair swapped — are
+//!   all rejected.
 
 use moc_checker::admissible::{find_legal_extension, SearchLimits, SearchOutcome};
 use moc_checker::certificate::check_certified;
 use moc_checker::conditions::Condition;
-use moc_checker::find_legal_extension_pruned;
-use moc_core::history::History;
+use moc_checker::precedence::{pruned_search, PrecedenceGraph};
+use moc_core::history::{History, HistoryBuilder};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::json::{self, Json};
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
@@ -164,7 +165,8 @@ proptest! {
         let rel = process_order(&h).union(&reads_from(&h));
         let limits = SearchLimits::with_max_nodes(300_000);
         let (naive, _) = find_legal_extension(&h, &rel, limits);
-        let (pruned, _) = find_legal_extension_pruned(&h, &rel, limits);
+        let graph = PrecedenceGraph::for_condition(&h, Condition::MSequentialConsistency);
+        let (pruned, _) = pruned_search(&h, &graph, limits);
         if !matches!(naive, SearchOutcome::LimitExceeded)
             && !matches!(pruned, SearchOutcome::LimitExceeded)
         {
@@ -250,6 +252,65 @@ proptest! {
             dup[0] = dup[order.len() - 1].clone();
             let bad = set_field(&doc, &["proof", "order"], Json::Arr(dup));
             prop_assert!(moc_audit::audit(&h, &bad.render()).is_err());
+        }
+    }
+}
+
+/// The witness of `h` under `condition` with its first two entries
+/// swapped, through the auditor.
+fn audit_swapped_witness(h: &History, condition: Condition) -> Result<(), String> {
+    let (_, cert) = check_certified(h, condition, SearchLimits::default()).unwrap();
+    let doc = json::parse(&cert.to_text()).unwrap();
+    let mut order = doc
+        .get("proof")
+        .and_then(|p| p.get("order"))
+        .and_then(Json::as_arr)
+        .expect("admissible: a witness")
+        .to_vec();
+    order.swap(0, 1);
+    let bad = set_field(&doc, &["proof", "order"], Json::Arr(order));
+    moc_audit::audit(h, &bad.render()).map(|_| ())
+}
+
+/// Two m-operations, one after the other in real time, that replay
+/// legally in either order: both read the initial x, or (`writes`) each
+/// writes an object of its own; on one process or on two.
+fn back_to_back(writes: bool, one_process: bool) -> History {
+    let (x, y) = (ObjectId::new(0), ObjectId::new(1));
+    let mut b = HistoryBuilder::new(2);
+    let second = ProcessId::new(u32::from(!one_process));
+    for (p, own, at) in [(ProcessId::new(0), x, 0), (second, y, 20)] {
+        let m = b.mop(p).at(at, at + 10);
+        if writes {
+            m.write(own, 1).finish();
+        } else {
+            m.read_init(x).finish();
+        }
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn legal_witnesses_swapped_across_process_real_time_or_object_order_are_rejected() {
+    use Condition::{MLinearizability, MNormality};
+    // (writes, one process, the conditions whose `~H` orders the pair):
+    // `~p` under all three, `~t` alone, and `~x`.
+    let cases = [
+        (false, true, &CONDITIONS[..]),
+        (true, false, &[MLinearizability][..]),
+        (false, false, &[MNormality, MLinearizability][..]),
+    ];
+    for (writes, one_process, ordering) in cases {
+        let h = back_to_back(writes, one_process);
+        for condition in CONDITIONS {
+            let verdict = audit_swapped_witness(&h, condition);
+            let what = format!("writes {writes}, one process {one_process}, {condition}");
+            if ordering.contains(&condition) {
+                let err = verdict.expect_err(&what);
+                assert!(err.contains("witness violates ~H"), "{what}: {err}");
+            } else {
+                verdict.unwrap_or_else(|e| panic!("{what}: the pair is unordered: {e}"));
+            }
         }
     }
 }

@@ -8,9 +8,9 @@
 //! * On real-time-total histories (every pair ordered), the Theorem 7
 //!   fast path agrees with the brute force under the OO-constraint.
 
-use moc_checker::admissible::{find_legal_extension, SearchLimits, SearchOutcome};
-use moc_checker::fast::check_under_constraint;
-use moc_checker::precedence::find_legal_extension_pruned;
+use moc_checker::admissible::{find_legal_extension, SearchLimits, SearchOutcome, SearchStats};
+use moc_checker::conditions::{check, Condition, Strategy as CheckStrategy, StrategyUsed};
+use moc_checker::precedence::{pruned_search, PrecedenceGraph};
 use moc_checker::witness::{is_sequential, make_sequential_history};
 use moc_core::constraints::Constraint;
 use moc_core::history::History;
@@ -18,7 +18,7 @@ use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::legality::sequence_witnesses_admissibility;
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
-use moc_core::relations::{process_order, reads_from, real_time};
+use moc_core::relations::{process_order, reads_from, real_time, Relation};
 use proptest::prelude::*;
 
 /// One step of a serial execution plan: which process acts, which objects
@@ -120,6 +120,13 @@ fn scramble(h: &History, choices: &[u8]) -> History {
     History::new(h.num_objects(), records).expect("scramble keeps well-formedness")
 }
 
+/// The pruned search over the m-SC graph, in the naive search's shape
+/// (`rel` is the m-SC base relation it closes over).
+fn pruned(h: &History, _rel: &Relation, limits: SearchLimits) -> (SearchOutcome, SearchStats) {
+    let graph = PrecedenceGraph::for_condition(h, Condition::MSequentialConsistency);
+    pruned_search(h, &graph, limits)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -143,9 +150,11 @@ proptest! {
 
         // Real-time-total serial histories satisfy OO; the fast path must
         // agree (it always accepts here).
-        let fast = check_under_constraint(&h, &rel, Constraint::Oo)
+        let oo = Constraint::Oo;
+        let fast = check(&h, Condition::MLinearizability, CheckStrategy::Constraint(oo))
             .expect("serial history is under OO via real time");
-        prop_assert!(fast.is_admissible());
+        prop_assert!(fast.satisfied);
+        prop_assert_eq!(fast.strategy_used, StrategyUsed::Constraint(oo));
     }
 
     #[test]
@@ -182,7 +191,7 @@ proptest! {
         let h = scramble(&serial_from_plan(&plan), &choices);
         let rel = process_order(&h).union(&reads_from(&h));
         let limits = SearchLimits::with_max_nodes(200_000);
-        for search in [find_legal_extension, find_legal_extension_pruned] {
+        for search in [find_legal_extension, pruned] {
             let (with_memo, memo_stats) = search(&h, &rel, limits);
             let (without, plain_stats) = search(&h, &rel, limits.without_memo());
             // Compare outcomes when both finished within budget.

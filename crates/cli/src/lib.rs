@@ -2459,6 +2459,44 @@ mod tests {
         assert!(out.contains("no drift"), "{out}");
     }
 
+    /// Every fixture history gets a verdict under every condition, and
+    /// where the fast path does not decide, `moc check` prints what the
+    /// certified route prints: one graph, one decision.
+    #[test]
+    fn check_agrees_with_certificate_on_every_fixture() {
+        let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+        let mut files = vec![format!("{fixtures}/golden_history.txt")];
+        for entry in std::fs::read_dir(format!("{fixtures}/synth")).unwrap() {
+            let path = entry.unwrap().path().display().to_string();
+            if path.ends_with(".history.txt") {
+                files.push(path);
+            }
+        }
+        files.sort();
+        assert_eq!(files.len(), 13);
+        let cert = std::env::temp_dir().join(format!("moc-one-path-{}.json", std::process::id()));
+        let cert = cert.display().to_string();
+        let mut searched = 0;
+        for file in &files {
+            for condition in ["sc", "lin", "normal"] {
+                let plain = sv(&["check", file, "--condition", condition]);
+                let (out, code) = dispatch_with_status(&plain, "");
+                let out = out.unwrap_or_else(|e| panic!("{file} {condition}: {e}"));
+                assert_eq!(code, 0, "{file} {condition}: {out}");
+                if out.lines().next().unwrap().contains("(fast path") {
+                    continue;
+                }
+                searched += 1;
+                let certified = [&plain[..], &sv(&["--certificate", &cert])].concat();
+                let (certified_out, code) = dispatch_with_status(&certified, "");
+                assert_eq!(code, 0, "{file} {condition}");
+                assert_eq!(out, certified_out.unwrap(), "{file} {condition}");
+            }
+        }
+        let _ = std::fs::remove_file(&cert);
+        assert!(searched >= 30, "{searched} of 39 pairs searched");
+    }
+
     #[test]
     fn synth_verify_missing_corpus_errors() {
         let (result, code) =

@@ -25,12 +25,11 @@
 //! `~t` because it linearizes the actual event order of the schedule.
 
 use moc_abcast::Outbox;
-use moc_checker::conditions::{check_with_relation, Condition, Strategy};
+use moc_checker::conditions::{check_with_order, Condition, Strategy};
 use moc_core::constraints::Constraint;
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ProcessId};
 use moc_core::mop::{EventTime, MOpRecord};
-use moc_core::relations::{process_order, reads_from, real_time, Relation};
 use moc_protocol::{Completion, MOperation, OpSpec, ReplicaProtocol};
 
 /// Limits for an exploration run.
@@ -435,31 +434,21 @@ where
                 .all(|(p, pend)| pend.is_none() || s.crashed == Some(p)),
             "quiescent schedule left a live operation pending"
         );
-        let delivery_log = s.replicas[0].delivery_log().to_vec();
         let history =
             History::new(self.num_objects, s.records).expect("schedule produced a valid history");
-        let mut rel = base_relation(&history, self.condition);
-        for pair in delivery_log.windows(2) {
-            if let (Some(a), Some(b)) = (history.idx_of(pair[0]), history.idx_of(pair[1])) {
-                rel.add(a, b);
-            }
-        }
-        let verdict = check_with_relation(
+        let order: Vec<_> = s.replicas[0]
+            .delivery_log()
+            .windows(2)
+            .filter_map(|w| Some((history.idx_of(w[0])?, history.idx_of(w[1])?)))
+            .collect();
+        // The delivery order puts these protocols under WW; a schedule that
+        // leaves it short (a crashed P0's log) is decided by the search.
+        let verdict = check_with_order(
             &history,
             self.condition,
-            &rel,
-            Strategy::Constraint(Constraint::Ww),
-        )
-        .or_else(|_| {
-            // Not under WW with the hint (shouldn't happen for these
-            // protocols) — fall back to the plain relation and search.
-            check_with_relation(
-                &history,
-                self.condition,
-                &base_relation(&history, self.condition),
-                Strategy::Auto,
-            )
-        });
+            &order,
+            Strategy::Certified(Constraint::Ww),
+        );
         match verdict {
             Ok(report) if report.satisfied => {}
             Ok(report) => self.violations.push(Violation {
@@ -471,15 +460,6 @@ where
                 reason: Some(format!("checker error: {e}")),
             }),
         }
-    }
-}
-
-fn base_relation(h: &History, condition: Condition) -> Relation {
-    let base = process_order(h).union(&reads_from(h));
-    match condition {
-        Condition::MSequentialConsistency => base,
-        Condition::MLinearizability => base.union(&real_time(h)),
-        Condition::MNormality => base.union(&moc_core::relations::object_order(h)),
     }
 }
 

@@ -274,14 +274,6 @@ impl ChaosRunReport {
             .iter()
             .fold(LinkStats::default(), |a, s| a.merge(s))
     }
-
-    /// The relation `~p ∪ ~rf ∪ ~ww` over the recorded history (see
-    /// [`crate::harness::RunReport::ww_relation`]). `None` when the
-    /// history is invalid.
-    pub fn ww_relation(&self) -> Option<moc_core::relations::Relation> {
-        let h = self.history.as_ref().ok()?;
-        Some(harness::ww_relation(h, &self.update_order))
-    }
 }
 
 /// Runs protocol `R` over `scripts` (one per process) on the

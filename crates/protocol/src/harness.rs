@@ -20,11 +20,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use moc_abcast::{LinkConfig, LinkMsg};
-use moc_core::history::History;
+use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{MOpId, ProcessId};
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::program::Program;
-use moc_core::relations::Relation;
 use moc_core::value::Value;
 use moc_monitor::OnlineMonitor;
 use moc_sim::{Context, NetworkConfig, Node, RunStats, TimerId, World};
@@ -156,12 +155,14 @@ impl RunReport {
         self.sim.messages_sent
     }
 
-    /// The relation `~p ∪ ~rf ∪ ~ww` over the recorded history: the base
-    /// m-sequential-consistency relation extended with the broadcast order.
-    /// By construction it satisfies the WW-constraint, so Theorem 7's
-    /// polynomial checker applies to it.
-    pub fn ww_relation(&self) -> Relation {
-        ww_relation(&self.history, &self.update_order)
+    /// The broadcast order `~ww` over the recorded history, as the pairs
+    /// of consecutive updates in [`Self::update_order`]. Handed to
+    /// `moc_checker::check_with_order`, it puts the history under the
+    /// WW-constraint, so Theorem 7's polynomial checker applies to it.
+    pub fn ww_order(&self) -> Vec<(MOpIdx, MOpIdx)> {
+        let idx = |id| self.history.idx_of(id);
+        let pair = |w: &[MOpId]| Some((idx(w[0])?, idx(w[1])?));
+        self.update_order.windows(2).filter_map(pair).collect()
     }
 }
 
@@ -183,18 +184,6 @@ pub(crate) fn percentile_latency(
     xs.sort_unstable();
     let rank = ((p / 100.0) * (xs.len() - 1) as f64).round() as usize;
     Some(xs[rank.min(xs.len() - 1)])
-}
-
-/// `~p ∪ ~rf` over `history`, plus the broadcast order `update_order`.
-pub(crate) fn ww_relation(history: &History, update_order: &[MOpId]) -> Relation {
-    use moc_core::relations::{process_order, reads_from};
-    let mut rel = process_order(history).union(&reads_from(history));
-    for pair in update_order.windows(2) {
-        if let (Some(a), Some(b)) = (history.idx_of(pair[0]), history.idx_of(pair[1])) {
-            rel.add(a, b);
-        }
-    }
-    rel
 }
 
 /// The simulator driver of the replica host: supplies what the host

@@ -4,11 +4,10 @@
 
 use std::sync::Arc;
 
-use moc_checker::conditions::{check_with_relation, Condition, Strategy as CheckStrategy};
+use moc_checker::conditions::{check_with_order, Condition, Strategy as CheckStrategy};
 use moc_core::constraints::Constraint;
 use moc_core::ids::ObjectId;
 use moc_core::program::{arg, imm, reg, CmpOp, ProgramBuilder};
-use moc_core::relations::real_time;
 use moc_protocol::{
     run_cluster, ClientScript, ClusterConfig, MlinOverSequencer, MscOverIsis, OpSpec,
     ReplicaProtocol, RunReport,
@@ -121,11 +120,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let report = run::<MscOverIsis>(&ops, delay, seed);
-        let rel = report.ww_relation();
-        let verdict = check_with_relation(
+        let verdict = check_with_order(
             &report.history,
             Condition::MSequentialConsistency,
-            &rel,
+            &report.ww_order(),
             CheckStrategy::Constraint(Constraint::Ww),
         ).expect("protocol histories are under WW");
         prop_assert!(verdict.satisfied, "{:?}", verdict.reason);
@@ -144,11 +142,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let report = run::<MlinOverSequencer>(&ops, delay, seed);
-        let rel = report.ww_relation().union(&real_time(&report.history));
-        let verdict = check_with_relation(
+        let verdict = check_with_order(
             &report.history,
             Condition::MLinearizability,
-            &rel,
+            &report.ww_order(),
             CheckStrategy::Constraint(Constraint::Ww),
         ).expect("protocol histories are under WW");
         prop_assert!(verdict.satisfied, "{:?}", verdict.reason);

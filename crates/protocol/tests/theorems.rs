@@ -15,11 +15,10 @@
 
 use std::sync::Arc;
 
-use moc_checker::conditions::{check, check_with_relation, Condition, Strategy};
+use moc_checker::conditions::{check, check_with_order, Condition, Strategy};
 use moc_core::constraints::Constraint;
 use moc_core::ids::ObjectId;
 use moc_core::program::{arg, imm, reg, CmpOp, Program, ProgramBuilder};
-use moc_core::relations::real_time;
 use moc_protocol::{
     run_cluster, AggregateOverSequencer, ClientScript, ClusterConfig, MlinOverIsis,
     MlinOverSequencer, MscOverIsis, MscOverSequencer, OpSpec, ReplicaProtocol, RunReport,
@@ -144,14 +143,10 @@ fn run<R: ReplicaProtocol + 'static>(seed: u64, network: NetworkConfig) -> RunRe
 /// the brute-force searcher on the plain base relation.
 fn assert_satisfies(report: &RunReport, condition: Condition) {
     // Fast path: base relation ∪ ~ww satisfies the WW-constraint.
-    let mut rel = report.ww_relation();
-    if condition == Condition::MLinearizability {
-        rel = rel.union(&real_time(&report.history));
-    }
-    let fast = check_with_relation(
+    let fast = check_with_order(
         &report.history,
         condition,
-        &rel,
+        &report.ww_order(),
         Strategy::Constraint(Constraint::Ww),
     )
     .unwrap_or_else(|e| panic!("{}: fast check errored: {e}", report.protocol));

@@ -355,11 +355,9 @@ mod tests {
     use moc_checker::conditions::Condition;
     use moc_checker::{check_certified, SearchLimits};
 
-    // `check_certified` rather than `check(.., Strategy::Auto)`: free
-    // provenance can make the closed base relation itself cyclic, which
-    // the certified path refutes statically while the plain fast path
-    // reports as a `CyclicRelation` error. This is also the entry point
-    // the synthesis pipeline classifies with.
+    // `check_certified`, the entry point the synthesis pipeline classifies
+    // with. Free provenance can make the closed base relation itself
+    // cyclic; every route refutes that statically, by a `~H+` cycle.
     fn is_inadmissible(h: &History) -> bool {
         let (report, _) = check_certified(
             h,

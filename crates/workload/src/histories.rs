@@ -565,9 +565,7 @@ mod tests {
         let report = check(&h, Condition::MSequentialConsistency, Strategy::Auto).unwrap();
         assert!(!report.satisfied, "stale reader must be inadmissible");
         // The precedence graph alone refutes it: a ~H+ cycle exists.
-        use moc_core::relations::{process_order, reads_from};
-        let rel = process_order(&h).union(&reads_from(&h));
-        let g = moc_checker::PrecedenceGraph::from_relation(&h, &rel);
+        let g = moc_checker::PrecedenceGraph::for_condition(&h, Condition::MSequentialConsistency);
         assert!(g.cycle_proof().is_some(), "cycle must be forced statically");
     }
 

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example checker_tour`
 
-use moc_checker::conditions::{check_with_relation, Condition, Strategy};
+use moc_checker::conditions::{check, check_with_order, Condition, Strategy};
 use moc_checker::serializability::{Action, Schedule};
 use moc_checker::SearchLimits;
 use moc_core::constraints::Constraint;
@@ -46,9 +46,9 @@ fn main() {
     }
 
     let (a, be, g, d) = (MOpIdx(0), MOpIdx(1), MOpIdx(2), MOpIdx(3));
+    let ww = [(a, g), (g, d)]; // α < γ < δ
     let mut rel = process_order(&h1).union(&reads_from(&h1));
-    rel.add(a, g); // ww: α < γ
-    rel.add(g, d); // ww: γ < δ
+    ww.iter().for_each(|&(i, j)| rel.add(i, j));
 
     // ── Figure 3: the extension S1 = α γ δ β is not legal ───────────────
     let s1 = [a, g, d, be];
@@ -71,17 +71,17 @@ fn main() {
     assert!(sequence_is_legal(&h1, &witness));
 
     // ── Theorem 7 fast path vs brute force ───────────────────────────────
-    let fast = check_with_relation(
+    let fast = check_with_order(
         &h1,
         Condition::MSequentialConsistency,
-        &rel,
+        &ww,
         Strategy::Constraint(Constraint::Ww),
     )
     .expect("H1 is under the WW-constraint");
-    let brute = check_with_relation(
+    let brute = check_with_order(
         &h1,
         Condition::MSequentialConsistency,
-        &rel,
+        &ww,
         Strategy::BruteForce(SearchLimits::default()),
     )
     .expect("within budget");
@@ -134,10 +134,9 @@ fn main() {
         .read_init(x)
         .finish();
     let bad = b.build().expect("well-formed");
-    let verdict = check_with_relation(
+    let verdict = check(
         &bad,
         Condition::MSequentialConsistency,
-        &process_order(&bad).union(&reads_from(&bad)),
         Strategy::BruteForce(SearchLimits::default()),
     )
     .expect("within budget");

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use moc_checker::conditions::{check, check_with_relation, Condition, Strategy};
+use moc_checker::conditions::{check, check_with_order, Condition, Strategy};
 use moc_core::constraints::{satisfies, Constraint};
 use moc_core::history::{HistoryBuilder, MOpIdx};
 use moc_core::ids::{ObjectId, ProcessId};
@@ -139,10 +139,10 @@ fn figure2_and_3_ww_history() {
     assert!(sequence_is_legal(&h1, &witness));
 
     // Theorem 7: admissible (fast) agrees with admissible (search).
-    let fast = check_with_relation(
+    let fast = check_with_order(
         &h1,
         Condition::MSequentialConsistency,
-        &rel,
+        &[(alpha, gamma), (gamma, delta)],
         Strategy::Constraint(Constraint::Ww),
     )
     .unwrap();

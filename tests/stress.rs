@@ -2,9 +2,8 @@
 //! Theorem 7 checker (the brute-force search would not scale to these
 //! history sizes — which is exactly the paper's point).
 
-use moc_checker::fast::{check_under_constraint, FastOutcome};
+use moc_checker::conditions::{check_with_order, Condition, Strategy, StrategyUsed};
 use moc_core::constraints::Constraint;
-use moc_core::relations::real_time;
 use moc_protocol::{run_cluster, ClusterConfig, MlinOverSequencer, MscOverIsis, RunReport};
 use moc_sim::{DelayModel, NetworkConfig};
 use moc_workload::{scripts, WorkloadSpec};
@@ -24,23 +23,23 @@ fn big_spec() -> WorkloadSpec {
     }
 }
 
-fn assert_fast_admissible(report: &RunReport, with_real_time: bool) {
-    let mut rel = report.ww_relation();
-    if with_real_time {
-        rel = rel.union(&real_time(&report.history));
-    }
-    let outcome = check_under_constraint(&report.history, &rel, Constraint::Ww)
-        .expect("protocol histories satisfy the WW-constraint");
-    match outcome {
-        FastOutcome::Admissible(_) => {}
-        FastOutcome::NotAdmissible(bad) => {
-            panic!(
-                "{}: history of {} ops not admissible: {bad:?}",
-                report.protocol,
-                report.history.len()
-            );
-        }
-    }
+fn assert_fast_admissible(report: &RunReport, condition: Condition) {
+    let ww = Constraint::Ww;
+    let outcome = check_with_order(
+        &report.history,
+        condition,
+        &report.ww_order(),
+        Strategy::Constraint(ww),
+    )
+    .expect("protocol histories satisfy the WW-constraint");
+    assert_eq!(outcome.strategy_used, StrategyUsed::Constraint(ww));
+    assert!(
+        outcome.satisfied,
+        "{}: history of {} ops not admissible: {:?}",
+        report.protocol,
+        report.history.len(),
+        outcome.reason
+    );
 }
 
 #[test]
@@ -53,7 +52,7 @@ fn msc_isis_240_operations() {
     );
     let report = run_cluster::<MscOverIsis>(&config, s);
     assert_eq!(report.history.len(), spec.total_ops());
-    assert_fast_admissible(&report, false);
+    assert_fast_admissible(&report, Condition::MSequentialConsistency);
 }
 
 #[test]
@@ -66,7 +65,7 @@ fn mlin_sequencer_240_operations() {
     );
     let report = run_cluster::<MlinOverSequencer>(&config, s);
     assert_eq!(report.history.len(), spec.total_ops());
-    assert_fast_admissible(&report, true);
+    assert_fast_admissible(&report, Condition::MLinearizability);
 }
 
 #[test]
@@ -82,7 +81,7 @@ fn query_heavy_and_update_heavy_mixes() {
         let s = scripts(&spec, &mut rng);
         let config = ClusterConfig::new(spec.num_objects, seed);
         let report = run_cluster::<MlinOverSequencer>(&config, s);
-        assert_fast_admissible(&report, true);
+        assert_fast_admissible(&report, Condition::MLinearizability);
         // The latency split matches the protocol structure: updates pay
         // broadcast latency, queries pay one round trip; both nonzero.
         use moc_core::mop::MOpClass;

@@ -9,12 +9,11 @@
 //! frequently fails and both checkers must reject).
 
 use moc_checker::admissible::{find_legal_extension, SearchLimits};
-use moc_checker::fast::{check_under_constraint, FastOutcome};
+use moc_checker::conditions::{check_with_order, Condition, Strategy, StrategyUsed};
 use moc_core::constraints::{satisfies, Constraint};
-use moc_core::history::History;
+use moc_core::history::{History, MOpIdx};
 use moc_core::ids::MOpId;
 use moc_core::op::CompletedOp;
-use moc_core::relations::{process_order, reads_from, real_time, Relation};
 use moc_protocol::{run_cluster, ClusterConfig, MlinOverIsis, MscOverSequencer};
 use moc_sim::{DelayModel, NetworkConfig};
 use moc_workload::histories::{serial_history, HistorySpec};
@@ -22,23 +21,28 @@ use moc_workload::{scripts, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Runs both checkers under the WW-constraint and asserts agreement.
-/// Returns the (shared) verdict.
-fn agree(h: &History, rel: &Relation) -> bool {
-    let fast = check_under_constraint(h, rel, Constraint::Ww)
+/// Runs both checkers under the WW-constraint — Theorem 7 over `~H` and
+/// `order`, the naive search over the same relation built densely — and
+/// asserts agreement. Returns the (shared) verdict.
+fn agree(h: &History, condition: Condition, order: &[(MOpIdx, MOpIdx)]) -> bool {
+    let ww = Constraint::Ww;
+    let fast = check_with_order(h, condition, order, Strategy::Constraint(ww))
         .expect("relation must satisfy the WW-constraint");
-    let (brute, _) = find_legal_extension(h, rel, SearchLimits::default());
+    assert_eq!(fast.strategy_used, StrategyUsed::Constraint(ww));
+    let mut rel = condition.base_relation(h);
+    order.iter().for_each(|&(a, b)| rel.add(a, b));
+    let (brute, _) = find_legal_extension(h, &rel, SearchLimits::default());
     assert_eq!(
-        fast.is_admissible(),
+        fast.satisfied,
         brute.is_admissible(),
         "Theorem 7 violated: fast and brute-force checkers disagree"
     );
-    if let FastOutcome::Admissible(witness) = &fast {
+    if let Some(witness) = &fast.witness {
         assert!(moc_core::legality::sequence_witnesses_admissibility(
-            h, rel, witness
+            h, &rel, witness
         ));
     }
-    fast.is_admissible()
+    fast.satisfied
 }
 
 #[test]
@@ -57,8 +61,11 @@ fn agreement_on_protocol_histories() {
             NetworkConfig::with_delay(DelayModel::Uniform { lo: 10, hi: 20_000 }),
         );
         let report = run_cluster::<MscOverSequencer>(&config, s);
-        let rel = report.ww_relation();
-        assert!(agree(&report.history, &rel), "protocol history admissible");
+        let condition = Condition::MSequentialConsistency;
+        assert!(
+            agree(&report.history, condition, &report.ww_order()),
+            "protocol history admissible"
+        );
     }
 }
 
@@ -75,13 +82,11 @@ fn agreement_on_serial_histories_under_real_time() {
             ..HistorySpec::default()
         };
         let h = serial_history(&spec, &mut rng);
-        let rel = process_order(&h)
-            .union(&reads_from(&h))
-            .union(&real_time(&h));
-        let closed = rel.transitive_closure();
+        let lin = Condition::MLinearizability;
+        let closed = lin.base_relation(&h).transitive_closure();
         assert!(satisfies(Constraint::Ww, &h, &closed));
         assert!(satisfies(Constraint::Oo, &h, &closed));
-        assert!(agree(&h, &rel), "serial history admissible");
+        assert!(agree(&h, lin, &[]), "serial history admissible");
     }
 }
 
@@ -139,20 +144,20 @@ fn agreement_on_scrambled_ww_histories() {
         let scrambled = History::new(h.num_objects(), records).unwrap();
 
         // WW edges: serial order restricted to updates.
-        let mut rel = process_order(&scrambled).union(&reads_from(&scrambled));
         let updates: Vec<_> = scrambled
             .iter()
             .filter(|(_, r)| r.is_update())
             .map(|(i, _)| i)
             .collect();
-        for pair in updates.windows(2) {
-            rel.add(pair[0], pair[1]);
-        }
+        let ww: Vec<_> = updates.windows(2).map(|w| (w[0], w[1])).collect();
+        let sc = Condition::MSequentialConsistency;
+        let mut rel = sc.base_relation(&scrambled);
+        ww.iter().for_each(|&(a, b)| rel.add(a, b));
         // Scrambling can create a cyclic relation (a later update reading
         // from an even-later one); those are trivially inadmissible and
         // outside Theorem 7's scope.
         if rel.transitive_closure().is_irreflexive() {
-            if agree(&scrambled, &rel) {
+            if agree(&scrambled, sc, &ww) {
                 accepted += 1;
             } else {
                 rejected += 1;
@@ -177,7 +182,7 @@ fn mlin_histories_agree_under_real_time_and_ww() {
         let s = scripts(&spec, &mut rng);
         let config = ClusterConfig::new(spec.num_objects, seed);
         let report = run_cluster::<MlinOverIsis>(&config, s);
-        let rel = report.ww_relation().union(&real_time(&report.history));
-        assert!(agree(&report.history, &rel));
+        let lin = Condition::MLinearizability;
+        assert!(agree(&report.history, lin, &report.ww_order()));
     }
 }
