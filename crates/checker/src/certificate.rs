@@ -20,10 +20,11 @@
 //! history's canonical text encoding ([`moc_core::codec::fingerprint`]), so
 //! a certificate cannot be replayed against a different history.
 
-use moc_core::codec;
+use std::fmt::Write as _;
+
+use moc_core::codec::{self, push_i64, push_u64};
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::ObjectId;
-use moc_core::json::{self, Json};
 
 use crate::admissible::{SearchLimits, SearchOutcome, SearchStats};
 use crate::conditions::{CheckError, CheckReport, Condition, StrategyUsed};
@@ -93,117 +94,102 @@ pub fn condition_tag(condition: Condition) -> &'static str {
 }
 
 impl Certificate {
-    /// Serializes the certificate to its JSON document model.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("format".into(), json::str(FORMAT)),
-            ("version".into(), json::num(VERSION as i64)),
-            ("condition".into(), json::str(condition_tag(self.condition))),
-            (
-                "verdict".into(),
-                json::str(if self.admissible {
-                    "admissible"
-                } else {
-                    "inadmissible"
-                }),
-            ),
-            (
-                "history".into(),
-                Json::Obj(vec![
-                    ("ops".into(), json::num(self.ops as i64)),
-                    ("objects".into(), json::num(self.objects as i64)),
-                    (
-                        "fnv1a".into(),
-                        json::str(format!("{:016x}", self.fingerprint)),
-                    ),
-                ]),
-            ),
-            ("proof".into(), proof_to_json(&self.proof)),
-        ])
-    }
-
-    /// Serializes the certificate to compact JSON text.
+    /// Serializes the certificate to compact JSON text: the `moc-cert`
+    /// document, written field by field in schema order (every key and
+    /// string value is plain ASCII, so nothing needs escaping).
     pub fn to_text(&self) -> String {
-        self.to_json().render()
+        let mut out = String::new();
+        out.push_str("{\"format\":\"");
+        out.push_str(FORMAT);
+        out.push_str("\",\"version\":");
+        push_u64(&mut out, VERSION);
+        out.push_str(",\"condition\":\"");
+        out.push_str(condition_tag(self.condition));
+        out.push_str(if self.admissible {
+            "\",\"verdict\":\"admissible\""
+        } else {
+            "\",\"verdict\":\"inadmissible\""
+        });
+        out.push_str(",\"history\":{\"ops\":");
+        push_u64(&mut out, self.ops as u64);
+        field(&mut out, "objects", self.objects as u64);
+        let _ = write!(out, ",\"fnv1a\":\"{:016x}\"}}", self.fingerprint);
+        out.push_str(",\"proof\":");
+        match &self.proof {
+            Proof::Witness { order, reads } => {
+                out.push_str("{\"kind\":\"witness\",\"order\":");
+                list(&mut out, order.iter().map(|m| m.0));
+                out.push_str(",\"reads\":[");
+                for (i, r) in reads.iter().enumerate() {
+                    out.push_str(if i == 0 { "{\"pos\":" } else { ",{\"pos\":" });
+                    push_u64(&mut out, r.pos as u64);
+                    field(&mut out, "obj", r.obj.index() as u64);
+                    out.push_str(",\"from\":");
+                    push_i64(&mut out, r.from.map_or(-1, |p| p as i64));
+                    out.push('}');
+                }
+                out.push(']');
+            }
+            Proof::Cycle(proof) => {
+                out.push_str("{\"kind\":\"cycle\",\"edges\":[");
+                for (i, pe) in proof.edges.iter().enumerate() {
+                    out.push_str(if i == 0 { "{\"from\":" } else { ",{\"from\":" });
+                    push_u64(&mut out, pe.edge.from.0 as u64);
+                    field(&mut out, "to", pe.edge.to.0 as u64);
+                    out.push_str(",\"why\":\"");
+                    out.push_str(edge_why(&pe.edge.kind));
+                    out.push('"');
+                    if let EdgeKind::ReadWrite { beta, obj } = &pe.edge.kind {
+                        out.push_str(",\"beta\":");
+                        push_i64(&mut out, beta.map_or(-1, |b| b.0 as i64));
+                        field(&mut out, "obj", obj.index() as u64);
+                        out.push_str(",\"via\":");
+                        list(&mut out, pe.via.iter().copied());
+                    }
+                    out.push('}');
+                }
+                out.push_str("],\"cycle\":");
+                list(&mut out, proof.cycle.iter().copied());
+            }
+            Proof::Exhaustion { stats } => {
+                out.push_str("{\"kind\":\"exhaustion\"");
+                field(&mut out, "nodes", stats.nodes);
+                field(&mut out, "memo_hits", stats.memo_hits);
+                field(&mut out, "memo_peak", stats.memo_peak);
+                out.push_str(if stats.memo_saturated {
+                    ",\"memo_saturated\":true"
+                } else {
+                    ",\"memo_saturated\":false"
+                });
+                field(&mut out, "components", stats.components);
+                field(&mut out, "peeled", stats.peeled);
+                field(&mut out, "forced_edges", stats.forced_edges);
+                field(&mut out, "symmetry_skips", stats.symmetry_skips);
+            }
+        }
+        out.push_str("}}");
+        out
     }
 }
 
-fn proof_to_json(proof: &Proof) -> Json {
-    match proof {
-        Proof::Witness { order, reads } => Json::Obj(vec![
-            ("kind".into(), json::str("witness")),
-            (
-                "order".into(),
-                Json::Arr(order.iter().map(|m| json::num(m.0 as i64)).collect()),
-            ),
-            (
-                "reads".into(),
-                Json::Arr(
-                    reads
-                        .iter()
-                        .map(|r| {
-                            Json::Obj(vec![
-                                ("pos".into(), json::num(r.pos as i64)),
-                                ("obj".into(), json::num(r.obj.index() as i64)),
-                                ("from".into(), json::num(r.from.map_or(-1, |p| p as i64))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Proof::Cycle(proof) => Json::Obj(vec![
-            ("kind".into(), json::str("cycle")),
-            (
-                "edges".into(),
-                Json::Arr(
-                    proof
-                        .edges
-                        .iter()
-                        .map(|pe| {
-                            let mut fields = vec![
-                                ("from".into(), json::num(pe.edge.from.0 as i64)),
-                                ("to".into(), json::num(pe.edge.to.0 as i64)),
-                                ("why".into(), json::str(edge_why(&pe.edge.kind))),
-                            ];
-                            if let EdgeKind::ReadWrite { beta, obj } = &pe.edge.kind {
-                                fields.push((
-                                    "beta".into(),
-                                    json::num(beta.map_or(-1, |b| b.0 as i64)),
-                                ));
-                                fields.push(("obj".into(), json::num(obj.index() as i64)));
-                                fields.push((
-                                    "via".into(),
-                                    Json::Arr(
-                                        pe.via.iter().map(|&s| json::num(s as i64)).collect(),
-                                    ),
-                                ));
-                            }
-                            Json::Obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "cycle".into(),
-                Json::Arr(proof.cycle.iter().map(|&s| json::num(s as i64)).collect()),
-            ),
-        ]),
-        Proof::Exhaustion { stats } => Json::Obj(vec![
-            ("kind".into(), json::str("exhaustion")),
-            ("nodes".into(), json::num(stats.nodes as i64)),
-            ("memo_hits".into(), json::num(stats.memo_hits as i64)),
-            ("memo_peak".into(), json::num(stats.memo_peak as i64)),
-            ("memo_saturated".into(), Json::Bool(stats.memo_saturated)),
-            ("components".into(), json::num(stats.components as i64)),
-            ("peeled".into(), json::num(stats.peeled as i64)),
-            ("forced_edges".into(), json::num(stats.forced_edges as i64)),
-            (
-                "symmetry_skips".into(),
-                json::num(stats.symmetry_skips as i64),
-            ),
-        ]),
+/// Appends `,"key":value`.
+fn field(out: &mut String, key: &str, value: u64) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    push_u64(out, value);
+}
+
+/// Appends `[a,b,…]`.
+fn list(out: &mut String, items: impl Iterator<Item = usize>) {
+    out.push('[');
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, item as u64);
     }
+    out.push(']');
 }
 
 fn edge_why(kind: &EdgeKind) -> &'static str {
@@ -354,7 +340,147 @@ mod tests {
     use super::*;
     use moc_core::history::HistoryBuilder;
     use moc_core::ids::ProcessId;
-    use moc_core::json::parse;
+    use moc_core::json::{self, parse, Json};
+    use moc_workload::arb::{self, HistoryBounds};
+
+    /// The rendering this module used to do, kept as the reference: the
+    /// certificate as a `Json` tree, rendered by the JSON writer.
+    fn reference_text(cert: &Certificate) -> String {
+        let proof = match &cert.proof {
+            Proof::Witness { order, reads } => Json::Obj(vec![
+                ("kind".into(), json::str("witness")),
+                (
+                    "order".into(),
+                    Json::Arr(order.iter().map(|m| json::num(m.0 as i64)).collect()),
+                ),
+                (
+                    "reads".into(),
+                    Json::Arr(
+                        reads
+                            .iter()
+                            .map(|r| {
+                                Json::Obj(vec![
+                                    ("pos".into(), json::num(r.pos as i64)),
+                                    ("obj".into(), json::num(r.obj.index() as i64)),
+                                    ("from".into(), json::num(r.from.map_or(-1, |p| p as i64))),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+            Proof::Cycle(proof) => Json::Obj(vec![
+                ("kind".into(), json::str("cycle")),
+                (
+                    "edges".into(),
+                    Json::Arr(
+                        proof
+                            .edges
+                            .iter()
+                            .map(|pe| {
+                                let mut fields = vec![
+                                    ("from".into(), json::num(pe.edge.from.0 as i64)),
+                                    ("to".into(), json::num(pe.edge.to.0 as i64)),
+                                    ("why".into(), json::str(edge_why(&pe.edge.kind))),
+                                ];
+                                if let EdgeKind::ReadWrite { beta, obj } = &pe.edge.kind {
+                                    fields.push((
+                                        "beta".into(),
+                                        json::num(beta.map_or(-1, |b| b.0 as i64)),
+                                    ));
+                                    fields.push(("obj".into(), json::num(obj.index() as i64)));
+                                    fields.push((
+                                        "via".into(),
+                                        Json::Arr(
+                                            pe.via.iter().map(|&s| json::num(s as i64)).collect(),
+                                        ),
+                                    ));
+                                }
+                                Json::Obj(fields)
+                            })
+                            .collect(),
+                    ),
+                ),
+                (
+                    "cycle".into(),
+                    Json::Arr(proof.cycle.iter().map(|&s| json::num(s as i64)).collect()),
+                ),
+            ]),
+            Proof::Exhaustion { stats } => Json::Obj(vec![
+                ("kind".into(), json::str("exhaustion")),
+                ("nodes".into(), json::num(stats.nodes as i64)),
+                ("memo_hits".into(), json::num(stats.memo_hits as i64)),
+                ("memo_peak".into(), json::num(stats.memo_peak as i64)),
+                ("memo_saturated".into(), Json::Bool(stats.memo_saturated)),
+                ("components".into(), json::num(stats.components as i64)),
+                ("peeled".into(), json::num(stats.peeled as i64)),
+                ("forced_edges".into(), json::num(stats.forced_edges as i64)),
+                (
+                    "symmetry_skips".into(),
+                    json::num(stats.symmetry_skips as i64),
+                ),
+            ]),
+        };
+        Json::Obj(vec![
+            ("format".into(), json::str(FORMAT)),
+            ("version".into(), json::num(VERSION as i64)),
+            ("condition".into(), json::str(condition_tag(cert.condition))),
+            (
+                "verdict".into(),
+                json::str(if cert.admissible {
+                    "admissible"
+                } else {
+                    "inadmissible"
+                }),
+            ),
+            (
+                "history".into(),
+                Json::Obj(vec![
+                    ("ops".into(), json::num(cert.ops as i64)),
+                    ("objects".into(), json::num(cert.objects as i64)),
+                    (
+                        "fnv1a".into(),
+                        json::str(format!("{:016x}", cert.fingerprint)),
+                    ),
+                ]),
+            ),
+            ("proof".into(), proof),
+        ])
+        .render()
+    }
+
+    #[test]
+    fn text_matches_the_json_tree_rendering_for_every_proof_kind() {
+        let bounds = HistoryBounds {
+            processes: 4,
+            mops_per_process: 5,
+            objects: 3,
+            max_span: 3,
+            update_fraction: 0.5,
+        };
+        let mut kinds = [0usize; 3];
+        let hand_built = [stale_read(), litmus(), mixed_versions()];
+        let grammar = (0..300).map(|seed| arb::history_from_seed(seed, &bounds));
+        for (k, h) in hand_built.into_iter().chain(grammar).enumerate() {
+            for c in [
+                Condition::MSequentialConsistency,
+                Condition::MLinearizability,
+                Condition::MNormality,
+            ] {
+                let (_, cert) = check_certified(&h, c, SearchLimits::default()).unwrap();
+                assert_eq!(cert.to_text(), reference_text(&cert), "history {k}, {c}");
+                kinds[match cert.proof {
+                    Proof::Witness { .. } => 0,
+                    Proof::Cycle(_) => 1,
+                    Proof::Exhaustion { .. } => 2,
+                }] += 1;
+            }
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 0),
+            "witness/cycle/exhaustion: {kinds:?}"
+        );
+    }
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)

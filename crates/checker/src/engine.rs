@@ -313,7 +313,11 @@ impl SearchProblem {
     }
 }
 
-/// Builds the pairwise independence matrix (see [`SearchProblem::indep`]).
+/// Builds the independence matrix (see [`SearchProblem::indep`]) from
+/// per-object masks: `i` depends on `j` when an edge relates them, when `j`
+/// touches an object `i` writes, or when `j` writes an object `i` reads (an
+/// object both write falls under the first). Row `i` is the complement of
+/// that union and `{i}`: O(n · footprint · n/64), not a test per pair.
 /// Footprints here are the *history's* concrete footprints — external read
 /// requirements plus write sets — so the reduction is exact, not an
 /// over-approximation.
@@ -324,35 +328,31 @@ fn independence(
     write_sets: &Csr<u32>,
     edges: &[(u32, u32)],
 ) -> Vec<BitSet> {
-    let mut touch: Vec<BitSet> = (0..n).map(|_| BitSet::new(num_objects)).collect();
-    let mut writes: Vec<BitSet> = (0..n).map(|_| BitSet::new(num_objects)).collect();
+    let mut touchers: Vec<BitSet> = (0..num_objects).map(|_| BitSet::new(n)).collect();
+    let mut writers = touchers.clone();
     for i in 0..n {
         for &(o, _) in read_reqs.row(i) {
-            touch[i].insert(o as usize);
+            touchers[o as usize].insert(i);
         }
         for &o in write_sets.row(i) {
-            touch[i].insert(o as usize);
-            writes[i].insert(o as usize);
+            touchers[o as usize].insert(i);
+            writers[o as usize].insert(i);
         }
     }
-    let mut related: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    for &(a, b) in edges {
-        related[a as usize].insert(b as usize);
-        related[b as usize].insert(a as usize);
-    }
-    let disjoint =
-        |a: &BitSet, b: &BitSet| a.words().iter().zip(b.words()).all(|(&x, &y)| x & y == 0);
     let mut indep: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    for i in 0..n {
-        for j in i + 1..n {
-            if !related[i].contains(j)
-                && disjoint(&writes[i], &touch[j])
-                && disjoint(&writes[j], &touch[i])
-            {
-                indep[i].insert(j);
-                indep[j].insert(i);
-            }
+    for &(a, b) in edges {
+        indep[a as usize].insert(b as usize);
+        indep[b as usize].insert(a as usize);
+    }
+    for (i, row) in indep.iter_mut().enumerate() {
+        row.insert(i);
+        for &o in write_sets.row(i) {
+            row.union_with(&touchers[o as usize]);
         }
+        for &(o, _) in read_reqs.row(i) {
+            row.union_with(&writers[o as usize]);
+        }
+        row.complement();
     }
     indep
 }
@@ -584,6 +584,107 @@ pub(crate) fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conditions::Condition;
+    use crate::precedence::PrecedenceGraph;
+    use moc_workload::arb::{self, HistoryBounds};
+
+    /// The matrix this module used to build, kept as the reference: every
+    /// pair tested, two footprint intersections each.
+    fn independence_pairwise(
+        num_objects: usize,
+        n: usize,
+        read_reqs: &Csr<(u32, u32)>,
+        write_sets: &Csr<u32>,
+        edges: &[(u32, u32)],
+    ) -> Vec<BitSet> {
+        let mut touch: Vec<BitSet> = (0..n).map(|_| BitSet::new(num_objects)).collect();
+        let mut writes: Vec<BitSet> = (0..n).map(|_| BitSet::new(num_objects)).collect();
+        for i in 0..n {
+            for &(o, _) in read_reqs.row(i) {
+                touch[i].insert(o as usize);
+            }
+            for &o in write_sets.row(i) {
+                touch[i].insert(o as usize);
+                writes[i].insert(o as usize);
+            }
+        }
+        let mut related: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+        for &(a, b) in edges {
+            related[a as usize].insert(b as usize);
+            related[b as usize].insert(a as usize);
+        }
+        let disjoint =
+            |a: &BitSet, b: &BitSet| a.words().iter().zip(b.words()).all(|(&x, &y)| x & y == 0);
+        let mut indep: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+        for i in 0..n {
+            for j in i + 1..n {
+                if !related[i].contains(j)
+                    && disjoint(&writes[i], &touch[j])
+                    && disjoint(&writes[j], &touch[i])
+                {
+                    indep[i].insert(j);
+                    indep[j].insert(i);
+                }
+            }
+        }
+        indep
+    }
+
+    /// Random footprints and edges at widths around the word boundary: the
+    /// tail word is where a mask bug hides.
+    #[test]
+    fn independence_matches_the_pairwise_reference_at_word_boundaries() {
+        let mut state = 0x696e_6465_7065_6e64u64;
+        let mut next = move |bound: usize| splitmix64(&mut state) as usize % bound;
+        for n in [1, 63, 64, 65, 130] {
+            for round in 0..12 {
+                let objects = 1 + next(6);
+                let mut footprint = |len: usize| -> Vec<u32> {
+                    let mut objs: Vec<u32> = (0..len).map(|_| next(objects) as u32).collect();
+                    objs.sort_unstable();
+                    objs.dedup();
+                    objs
+                };
+                let reads: Vec<Vec<u32>> = (0..n).map(|_| footprint(round % 3)).collect();
+                let writes: Vec<Vec<u32>> = (0..n).map(|_| footprint(round % 2 + 1)).collect();
+                let read_reqs = Csr::from_fn(n, |i| reads[i].iter().map(|&o| (o, NONE)).collect());
+                let write_sets = Csr::from_rows(&writes);
+                let edges: Vec<(u32, u32)> = (0..next(3 * n + 1))
+                    .map(|_| (next(n) as u32, next(n) as u32))
+                    .collect();
+                assert_eq!(
+                    independence(objects, n, &read_reqs, &write_sets, &edges),
+                    independence_pairwise(objects, n, &read_reqs, &write_sets, &edges),
+                    "n {n}, round {round}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn independence_matches_the_pairwise_reference_on_grammar_histories() {
+        let bounds = HistoryBounds {
+            processes: 5,
+            mops_per_process: 15,
+            objects: 5,
+            max_span: 3,
+            update_fraction: 0.5,
+        };
+        let mut independent = 0;
+        for seed in 0..120 {
+            let h = arb::history_from_seed(seed, &bounds);
+            let graph = PrecedenceGraph::for_condition(&h, Condition::MSequentialConsistency);
+            let edges: Vec<(u32, u32)> = (graph.edges().iter())
+                .map(|e| (e.from.0 as u32, e.to.0 as u32))
+                .collect();
+            let p = SearchProblem::new(&h, &edges);
+            let reference =
+                independence_pairwise(p.num_objects, p.n, &p.read_reqs, &p.write_sets, &edges);
+            assert_eq!(p.indep, reference, "seed {seed}");
+            independent += p.indep.iter().map(BitSet::count).sum::<usize>();
+        }
+        assert!(independent > 0, "no independent pair to compare");
+    }
 
     #[test]
     fn zobrist_keys_are_deterministic_and_distinct() {

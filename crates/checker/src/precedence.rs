@@ -31,6 +31,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use moc_core::bitset::BitSet;
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::ObjectId;
 use moc_core::mop::EventTime;
@@ -639,46 +640,10 @@ pub fn pruned_search(
 
     // Peel each component's forced prefix. Objects never span components,
     // so each component's last-writer state is independent of the others.
-    let mut plans = Vec::with_capacity(comps.len());
-    for comp in &comps {
-        let mut remaining: Vec<usize> = comp.clone();
-        let mut peeled_order: Vec<u32> = Vec::new();
-        let mut last_writer: Vec<u32> = vec![engine::NONE; h.num_objects()];
-        let mut refuted = false;
-
-        // Forced-prefix peeling: an element ordered (in ~H+) before every
-        // other remaining member must come next in every witness — schedule
-        // it without search, or refute if its reads cannot be legal.
-        while let Some(pos) = remaining.iter().position(|&u| {
-            remaining
-                .iter()
-                .all(|&v| v == u || graph.closed.contains(MOpIdx(u), MOpIdx(v)))
-        }) {
-            let u = remaining.swap_remove(pos);
-            if !problem
-                .read_reqs
-                .row(u)
-                .iter()
-                .all(|&(obj, w)| last_writer[obj as usize] == w)
-            {
-                refuted = true;
-                break;
-            }
-            for &o in problem.write_sets.row(u) {
-                last_writer[o as usize] = u as u32;
-            }
-            peeled_order.push(u as u32);
-            if remaining.is_empty() {
-                break;
-            }
-        }
-        remaining.sort_unstable();
-        plans.push(ComponentPlan {
-            members: remaining.iter().map(|&u| u as u32).collect(),
-            peeled_order,
-            refuted_in_peel: refuted,
-        });
-    }
+    let mut left = BitSet::new(n);
+    let plans: Vec<ComponentPlan> = (comps.iter())
+        .map(|comp| peel(comp, &graph.closed, &problem, &mut left))
+        .collect();
 
     let (outcome, engine_stats) = engine::execute(&problem, &plans, limits);
     stats.nodes = engine_stats.nodes;
@@ -688,6 +653,48 @@ pub fn pruned_search(
     stats.symmetry_skips = engine_stats.symmetry_skips;
     stats.peeled = engine_stats.peeled;
     (outcome, stats)
+}
+
+/// Forced-prefix peeling of one component: an element ordered (in `~H+`)
+/// before every other remaining member must come next in every witness —
+/// schedule it without search, or refute if its reads cannot be legal.
+/// `left` holds the remaining members as a mask; it is empty on entry and
+/// on return.
+fn peel(
+    comp: &[usize],
+    closed: &Relation,
+    problem: &SearchProblem,
+    left: &mut BitSet,
+) -> ComponentPlan {
+    let mut remaining = comp.to_vec();
+    comp.iter().for_each(|&u| _ = left.insert(u));
+    let mut peeled_order: Vec<u32> = Vec::new();
+    let mut last_writer: Vec<u32> = vec![engine::NONE; problem.num_objects];
+    let mut refuted = false;
+    while let Some(pos) = (remaining.iter()).position(|&u| closed.precedes_all(MOpIdx(u), left)) {
+        let u = remaining.swap_remove(pos);
+        left.remove(u);
+        if !problem
+            .read_reqs
+            .row(u)
+            .iter()
+            .all(|&(obj, w)| last_writer[obj as usize] == w)
+        {
+            refuted = true;
+            break;
+        }
+        for &o in problem.write_sets.row(u) {
+            last_writer[o as usize] = u as u32;
+        }
+        peeled_order.push(u as u32);
+    }
+    remaining.iter().for_each(|&u| _ = left.remove(u));
+    remaining.sort_unstable();
+    ComponentPlan {
+        members: remaining.iter().map(|&u| u as u32).collect(),
+        peeled_order,
+        refuted_in_peel: refuted,
+    }
 }
 
 #[cfg(test)]
@@ -701,7 +708,11 @@ mod tests {
     use moc_core::legality::sequence_witnesses_admissibility;
     use moc_core::mop::EventTime;
     use moc_core::relations::{process_order, reads_from, real_time};
+    use moc_protocol::{run_cluster, ClusterConfig, MlinOverSequencer};
     use moc_workload::arb::{self, HistoryBounds};
+    use moc_workload::{scripts, WorkloadSpec};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -997,6 +1008,101 @@ mod tests {
             assert_eq!(rt, vec![(0, 3), (1, 3)], "a and b before d, nothing else");
             assert_eq!(assert_same_as_all_pairs(&h, "by hand"), !stale);
         }
+    }
+
+    /// The peel this module used to run, kept as the reference: each
+    /// candidate tested against every remaining member, pair by pair.
+    fn peel_pairwise(comp: &[usize], closed: &Relation, problem: &SearchProblem) -> ComponentPlan {
+        let mut remaining: Vec<usize> = comp.to_vec();
+        let mut peeled_order: Vec<u32> = Vec::new();
+        let mut last_writer: Vec<u32> = vec![engine::NONE; problem.num_objects];
+        let mut refuted = false;
+        while let Some(pos) = remaining.iter().position(|&u| {
+            remaining
+                .iter()
+                .all(|&v| v == u || closed.contains(MOpIdx(u), MOpIdx(v)))
+        }) {
+            let u = remaining.swap_remove(pos);
+            if !problem
+                .read_reqs
+                .row(u)
+                .iter()
+                .all(|&(obj, w)| last_writer[obj as usize] == w)
+            {
+                refuted = true;
+                break;
+            }
+            for &o in problem.write_sets.row(u) {
+                last_writer[o as usize] = u as u32;
+            }
+            peeled_order.push(u as u32);
+            if remaining.is_empty() {
+                break;
+            }
+        }
+        remaining.sort_unstable();
+        ComponentPlan {
+            members: remaining.iter().map(|&u| u as u32).collect(),
+            peeled_order,
+            refuted_in_peel: refuted,
+        }
+    }
+
+    /// A Figure 6 run of `mops` m-operations over `processes` always-busy
+    /// processes on the deterministic simulator, half of them updates.
+    fn figure6(processes: usize, mops: usize, seed: u64) -> History {
+        let spec = WorkloadSpec {
+            processes,
+            ops_per_process: mops / processes,
+            update_fraction: 0.5,
+            ..WorkloadSpec::default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = ClusterConfig::new(spec.num_objects, seed);
+        run_cluster::<MlinOverSequencer>(&config, scripts(&spec, &mut rng)).history
+    }
+
+    /// Rows of 100 to 240 records span two to four words. Four concurrent
+    /// processes stop the peel early; one process peels all the way down.
+    #[test]
+    fn peel_matches_the_pairwise_reference_on_figure6_histories() {
+        let mut peeled = 0;
+        let runs = [
+            (4, 100, 1),
+            (4, 160, 2),
+            (4, 240, 3),
+            (1, 130, 5),
+            (1, 200, 7),
+        ];
+        for (processes, mops, seed) in runs {
+            let h = figure6(processes, mops, seed);
+            for condition in [
+                Condition::MSequentialConsistency,
+                Condition::MLinearizability,
+                Condition::MNormality,
+            ] {
+                let graph = PrecedenceGraph::for_condition(&h, condition);
+                if graph.find_cycle_edges().is_some() {
+                    continue;
+                }
+                let edges: Vec<(u32, u32)> = (graph.edges().iter())
+                    .map(|e| (e.from.0 as u32, e.to.0 as u32))
+                    .collect();
+                let problem = SearchProblem::new(&h, &edges);
+                let mut left = BitSet::new(h.len());
+                for comp in graph.interaction_components(&h) {
+                    let plan = peel(&comp, graph.closed(), &problem, &mut left);
+                    let reference = peel_pairwise(&comp, graph.closed(), &problem);
+                    let what = format!("{mops} m-ops, seed {seed}, {condition}");
+                    assert_eq!(plan.peeled_order, reference.peeled_order, "{what}");
+                    assert_eq!(plan.members, reference.members, "{what}");
+                    assert_eq!(plan.refuted_in_peel, reference.refuted_in_peel, "{what}");
+                    assert_eq!(left.count(), 0, "{what}");
+                    peeled += plan.peeled_order.len();
+                }
+            }
+        }
+        assert!(peeled > 3 * 330, "{peeled} peeled");
     }
 
     #[test]

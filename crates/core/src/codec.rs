@@ -16,9 +16,10 @@
 //! * `@<version>` is the object version read/established.
 //!
 //! [`to_text`] and [`from_text`] round-trip exactly ([`History`] equality
-//! up to record order is preserved because order is kept verbatim).
-
-use std::fmt::Write as _;
+//! up to record order is preserved because order is kept verbatim), labels
+//! aside: a label's spaces are written as `_` and an empty label as `-`, an
+//! escape that is render-idempotent but not a round trip (`a_b` parses back
+//! as `a b`, which renders as `a_b` again).
 
 use crate::error::CoreError;
 use crate::history::History;
@@ -56,49 +57,91 @@ impl std::error::Error for CodecError {}
 
 /// Serializes a history to the text format.
 pub fn to_text(h: &History) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "history v1");
-    let _ = writeln!(out, "objects {}", h.num_objects());
+    let lines: usize = h.records().iter().map(|r| r.ops.len() + 1).sum();
+    let mut out = String::with_capacity(32 + 40 * lines);
+    out.push_str("history v1\nobjects ");
+    push_u64(&mut out, h.num_objects() as u64);
     for rec in h.records() {
-        let _ = writeln!(
-            out,
-            "mop {} inv={} resp={} class={} label={}",
-            rec.id,
-            rec.invoked_at.as_nanos(),
-            rec.responded_at.as_nanos(),
-            rec.treated_as,
-            escape(&rec.label),
-        );
-        for op in &rec.ops {
-            match op.kind {
-                OpKind::Write => {
-                    let _ = writeln!(
-                        out,
-                        "  w o{} {} @{}",
-                        op.object.index(),
-                        op.value,
-                        op.version
-                    );
-                }
-                OpKind::Read => {
-                    let _ = writeln!(
-                        out,
-                        "  r o{} {} from={} @{}",
-                        op.object.index(),
-                        op.value,
-                        op.writer,
-                        op.version
-                    );
-                }
+        out.push_str("\nmop ");
+        push_mop_id(&mut out, rec.id);
+        out.push_str(" inv=");
+        push_u64(&mut out, rec.invoked_at.as_nanos());
+        out.push_str(" resp=");
+        push_u64(&mut out, rec.responded_at.as_nanos());
+        out.push_str(match rec.treated_as {
+            MOpClass::Update => " class=update label=",
+            MOpClass::Query => " class=query label=",
+        });
+        if rec.label.is_empty() {
+            out.push('-');
+        }
+        for (i, word) in rec.label.split(' ').enumerate() {
+            if i > 0 {
+                out.push('_');
             }
+            out.push_str(word);
+        }
+        for op in &rec.ops {
+            out.push_str(match op.kind {
+                OpKind::Write => "\n  w o",
+                OpKind::Read => "\n  r o",
+            });
+            push_u64(&mut out, op.object.index() as u64);
+            out.push(' ');
+            push_i64(&mut out, op.value);
+            if op.kind == OpKind::Read {
+                out.push_str(" from=");
+                push_mop_id(&mut out, op.writer);
+            }
+            out.push_str(" @");
+            push_u64(&mut out, op.version);
         }
         if !rec.outputs.is_empty() {
-            let outputs: Vec<String> = rec.outputs.iter().map(|v| v.to_string()).collect();
-            let _ = writeln!(out, "  outputs {}", outputs.join(" "));
+            out.push_str("\n  outputs");
+            for &v in &rec.outputs {
+                out.push(' ');
+                push_i64(&mut out, v);
+            }
         }
     }
-    let _ = writeln!(out, "end");
+    out.push_str("\nend\n");
     out
+}
+
+/// Appends the decimal digits of `v`: the one integer writer behind
+/// [`to_text`] and the checker's certificate text.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// [`push_u64`] for a signed value: `-` first when it is negative.
+pub fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// `P<process>#<seq>`, or `init` for the initial m-operation.
+fn push_mop_id(out: &mut String, id: MOpId) {
+    if id.is_initial() {
+        out.push_str("init");
+    } else {
+        out.push('P');
+        push_u64(out, u64::from(id.process.as_u32()));
+        out.push('#');
+        push_u64(out, u64::from(id.seq));
+    }
 }
 
 /// A stable 64-bit fingerprint of a history: FNV-1a over its canonical
@@ -113,14 +156,6 @@ pub fn fingerprint(h: &History) -> u64 {
 /// for a caller that has rendered it already.
 pub fn fingerprint_of_text(text: &str) -> u64 {
     crate::shard::fnv1a(text.as_bytes())
-}
-
-fn escape(s: &str) -> String {
-    if s.is_empty() {
-        "-".to_string()
-    } else {
-        s.replace(' ', "_")
-    }
 }
 
 fn unescape(s: &str) -> String {

@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use crate::bitset::BitSet;
 use crate::history::{History, MOpIdx};
 
 /// A binary relation over `n` m-operations, stored as a dense bit matrix.
@@ -58,6 +59,25 @@ impl Relation {
         self.bits[base + j.0 / 64] & (1u64 << (j.0 % 64)) != 0
     }
 
+    /// The successors of `i` as bit words, least-significant index first;
+    /// bits at and above `n` in the last word are clear.
+    pub fn row(&self, i: MOpIdx) -> &[u64] {
+        let base = i.0 * self.words_per_row;
+        &self.bits[base..base + self.words_per_row]
+    }
+
+    /// Whether `i` is related to every member of `set` other than itself:
+    /// `set ⊆ row(i) ∪ {i}`, a word at a time. The peeling test of the
+    /// pruned search and the sentinel.
+    pub fn precedes_all(&self, i: MOpIdx, set: &BitSet) -> bool {
+        let own = (i.0 / 64, 1u64 << (i.0 % 64));
+        let mut pairs = self.row(i).iter().zip(set.words()).enumerate();
+        pairs.all(|(k, (&row, &word))| {
+            let others = if k == own.0 { word & !own.1 } else { word };
+            others & !row == 0
+        })
+    }
+
     /// Whether `i` and `j` are ordered one way or the other.
     pub fn ordered(&self, i: MOpIdx, j: MOpIdx) -> bool {
         self.contains(i, j) || self.contains(j, i)
@@ -97,9 +117,7 @@ impl Relation {
 
     /// Iterates over the successors of `i`.
     pub fn successors(&self, i: MOpIdx) -> impl Iterator<Item = MOpIdx> + '_ {
-        let base = i.0 * self.words_per_row;
-        let row = &self.bits[base..base + self.words_per_row];
-        row.iter().enumerate().flat_map(|(w, &word)| {
+        self.row(i).iter().enumerate().flat_map(|(w, &word)| {
             BitIter {
                 word,
                 offset: w * 64,

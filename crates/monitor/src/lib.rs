@@ -97,6 +97,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use moc_checker::certificate::{check_certified_on, Certificate, Proof};
 use moc_checker::precedence::PrecedenceGraph;
 use moc_checker::{Condition, SearchLimits};
+use moc_core::bitset::BitSet;
 use moc_core::codec;
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
@@ -768,22 +769,19 @@ impl OnlineMonitor {
     /// advances; otherwise the peeled prefix (module docs).
     fn retire(&mut self, h: &History, map: &[Option<usize>], closed: &Relation) {
         let mlin = self.cfg.condition == Condition::MLinearizability;
+        let writers = if mlin { writer_masks(h) } else { Vec::new() };
         let cut = if mlin {
-            self.stable_cut(h, map, closed)
+            self.stable_cut(h, map, closed, &writers)
         } else {
             peeled_prefix(h.len(), closed)
         };
-        let retire_set: BTreeSet<usize> = (map.iter().zip(&cut))
-            .filter_map(|(&live, &behind)| live.filter(|_| behind))
-            .collect();
+        let retire_set: BTreeSet<usize> = cut.iter().filter_map(|i| map[i]).collect();
         if retire_set.is_empty() {
             return;
         }
-        if mlin {
-            for x in (0..self.num_objects).map(|x| ObjectId::new(x as u32)) {
-                if let [last] = last_writers(h, x, &cut, closed)[..] {
-                    self.frontier[x.index()] = Some(h.record(last).id);
-                }
+        for (x, of_x) in writers.iter().enumerate() {
+            if let [last] = last_writers(of_x, &cut, closed)[..] {
+                self.frontier[x] = Some(h.record(last).id);
             }
         }
         for (i, rec) in std::mem::take(&mut self.live).into_iter().enumerate() {
@@ -815,7 +813,13 @@ impl OnlineMonitor {
     /// everything live that the window does not hold was invoked: the
     /// outstanding invocations and the deferred records. (Whatever is
     /// invoked later follows it too, or fails `follows_cut`.)
-    fn stable_cut(&self, h: &History, map: &[Option<usize>], closed: &Relation) -> Vec<bool> {
+    fn stable_cut(
+        &self,
+        h: &History,
+        map: &[Option<usize>],
+        closed: &Relation,
+        writers: &[BitSet],
+    ) -> BitSet {
         let windowed: BTreeSet<usize> = map.iter().flatten().copied().collect();
         let deferred = (self.live.iter().enumerate())
             .filter(|(i, _)| !windowed.contains(i))
@@ -823,25 +827,31 @@ impl OnlineMonitor {
         let horizon = (self.outstanding.values().copied())
             .chain(deferred)
             .fold(u64::MAX, u64::min);
-        let mut cut: Vec<bool> = (h.iter().zip(map))
-            .map(|((_, rec), live)| live.is_some() && rec.responded_at.as_nanos() < horizon)
-            .collect();
+        let (mut live, mut cut) = (BitSet::new(h.len()), BitSet::new(h.len()));
+        for ((i, rec), _) in h.iter().zip(map).filter(|(_, m)| m.is_some()) {
+            live.insert(i.0);
+            if rec.responded_at.as_nanos() < horizon {
+                cut.insert(i.0);
+            }
+        }
         // Greatest fixpoint: each pass only takes records out.
         loop {
             let mut shrunk = false;
             for u in 0..h.len() {
-                let open = |v: usize| {
-                    map[v].is_some() && !cut[v] && !closed.contains(MOpIdx(u), MOpIdx(v))
-                };
-                if cut[u] && (0..h.len()).any(open) {
-                    cut[u] = false;
+                // Some live `v` outside the cut is not forced after `u`.
+                let words = live.words().iter().zip(cut.words());
+                let mut open = words
+                    .zip(closed.row(MOpIdx(u)))
+                    .map(|((l, c), r)| l & !c & !r);
+                if cut.contains(u) && open.any(|w| w != 0) {
+                    cut.remove(u);
                     shrunk = true;
                 }
             }
-            for x in (0..h.num_objects()).map(|x| ObjectId::new(x as u32)) {
-                let last = last_writers(h, x, &cut, closed);
+            for of_x in writers {
+                let last = last_writers(of_x, &cut, closed);
                 if last.len() > 1 {
-                    last.iter().for_each(|w| cut[w.0] = false);
+                    last.iter().for_each(|w| _ = cut.remove(w.0));
                     shrunk = true;
                 }
             }
@@ -874,26 +884,41 @@ impl OnlineMonitor {
     }
 }
 
-/// The `~H+`-maximal writers of `x` among the window records in `cut`.
-fn last_writers(h: &History, x: ObjectId, cut: &[bool], closed: &Relation) -> Vec<MOpIdx> {
-    let writers = || h.writers_of(x).iter().copied().filter(|w| cut[w.0]);
-    writers()
-        .filter(|&w| !writers().any(|v| closed.contains(w, v)))
+/// Per object, the window's writers of it as a mask over window indices.
+fn writer_masks(h: &History) -> Vec<BitSet> {
+    let objects = (0..h.num_objects()).map(|x| ObjectId::new(x as u32));
+    let mask = |x| {
+        let mut of_x = BitSet::new(h.len());
+        h.writers_of(x).iter().for_each(|w| _ = of_x.insert(w.0));
+        of_x
+    };
+    objects.map(mask).collect()
+}
+
+/// The `~H+`-maximal writers among `writers ∩ cut`: those none of the
+/// others is forced after.
+fn last_writers(writers: &BitSet, cut: &BitSet, closed: &Relation) -> Vec<MOpIdx> {
+    let in_cut = writers.iter().filter(|&w| cut.contains(w)).map(MOpIdx);
+    in_cut
+        .filter(|&w| {
+            let mut later = (closed.row(w).iter().zip(writers.words()).zip(cut.words()))
+                .map(|((r, of_x), c)| r & of_x & c);
+            later.all(|word| word == 0)
+        })
         .collect()
 }
 
 /// The peeling rule of the pruned search, per window index: a record
 /// `u` with `u ~H+ v` for every other remaining member is a fixed prefix
 /// of every legal linearization of the window.
-fn peeled_prefix(n: usize, closed: &Relation) -> Vec<bool> {
-    let mut peeled = vec![false; n];
+fn peeled_prefix(n: usize, closed: &Relation) -> BitSet {
+    let (mut peeled, mut left) = (BitSet::new(n), BitSet::new(n));
+    left.complement();
     let mut remaining: Vec<usize> = (0..n).collect();
-    while let Some(pos) = remaining.iter().position(|&u| {
-        remaining
-            .iter()
-            .all(|&v| v == u || closed.contains(MOpIdx(u), MOpIdx(v)))
-    }) {
-        peeled[remaining.swap_remove(pos)] = true;
+    while let Some(pos) = (remaining.iter()).position(|&u| closed.precedes_all(MOpIdx(u), &left)) {
+        let u = remaining.swap_remove(pos);
+        left.remove(u);
+        peeled.insert(u);
     }
     peeled
 }
@@ -930,6 +955,10 @@ mod tests {
     use moc_checker::certificate::check_certified;
     use moc_core::history::HistoryBuilder;
     use moc_core::ids::ObjectId;
+    use moc_protocol::{run_cluster, ClusterConfig, MlinOverSequencer};
+    use moc_workload::{scripts, WorkloadSpec};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -987,6 +1016,160 @@ mod tests {
 
     fn mlin(window: usize) -> MonitorConfig {
         MonitorConfig::new(Condition::MLinearizability).with_window(window)
+    }
+
+    /// The cut this crate used to compute, kept as the reference: the same
+    /// greatest fixpoint, every pair tested through `contains`.
+    fn stable_cut_pairwise(
+        mon: &OnlineMonitor,
+        h: &History,
+        map: &[Option<usize>],
+        closed: &Relation,
+    ) -> Vec<bool> {
+        let windowed: BTreeSet<usize> = map.iter().flatten().copied().collect();
+        let deferred = (mon.live.iter().enumerate())
+            .filter(|(i, _)| !windowed.contains(i))
+            .map(|(_, rec)| rec.invoked_at.as_nanos());
+        let horizon = (mon.outstanding.values().copied())
+            .chain(deferred)
+            .fold(u64::MAX, u64::min);
+        let mut cut: Vec<bool> = (h.iter().zip(map))
+            .map(|((_, rec), live)| live.is_some() && rec.responded_at.as_nanos() < horizon)
+            .collect();
+        loop {
+            let mut shrunk = false;
+            for u in 0..h.len() {
+                let open = |v: usize| {
+                    map[v].is_some() && !cut[v] && !closed.contains(MOpIdx(u), MOpIdx(v))
+                };
+                if cut[u] && (0..h.len()).any(open) {
+                    cut[u] = false;
+                    shrunk = true;
+                }
+            }
+            for x in (0..h.num_objects()).map(|x| ObjectId::new(x as u32)) {
+                let last = last_writers_pairwise(h, x, &cut, closed);
+                if last.len() > 1 {
+                    last.iter().for_each(|w| cut[w.0] = false);
+                    shrunk = true;
+                }
+            }
+            if !shrunk {
+                return cut;
+            }
+        }
+    }
+
+    fn last_writers_pairwise(
+        h: &History,
+        x: ObjectId,
+        cut: &[bool],
+        closed: &Relation,
+    ) -> Vec<MOpIdx> {
+        let writers = || h.writers_of(x).iter().copied().filter(|w| cut[w.0]);
+        writers()
+            .filter(|&w| !writers().any(|v| closed.contains(w, v)))
+            .collect()
+    }
+
+    fn peeled_prefix_pairwise(n: usize, closed: &Relation) -> Vec<bool> {
+        let mut peeled = vec![false; n];
+        let mut remaining: Vec<usize> = (0..n).collect();
+        while let Some(pos) = remaining.iter().position(|&u| {
+            remaining
+                .iter()
+                .all(|&v| v == u || closed.contains(MOpIdx(u), MOpIdx(v)))
+        }) {
+            peeled[remaining.swap_remove(pos)] = true;
+        }
+        peeled
+    }
+
+    fn bools(set: &BitSet) -> Vec<bool> {
+        (0..set.universe()).map(|i| set.contains(i)).collect()
+    }
+
+    /// A Figure 6 run of `mops` m-operations over `processes` always-busy
+    /// processes on the deterministic simulator, half of them updates.
+    fn figure6(processes: usize, mops: usize, seed: u64) -> History {
+        let spec = WorkloadSpec {
+            processes,
+            ops_per_process: mops / processes,
+            update_fraction: 0.5,
+            ..WorkloadSpec::default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = ClusterConfig::new(spec.num_objects, seed);
+        run_cluster::<MlinOverSequencer>(&config, scripts(&spec, &mut rng)).history
+    }
+
+    /// The stable cut, its last writers and the m-SC peel against the
+    /// pairwise references, on windows of Figure 6 streams taken while
+    /// invocations are outstanding: no window is ever due, so the live set
+    /// grows past 64 records and each row spans several words.
+    #[test]
+    fn cut_and_peel_match_the_pairwise_references_on_wide_windows() {
+        let (mut compared, mut cut_sizes, mut peeled) = (0, 0, 0);
+        for (processes, mops, seed) in [(4, 240, 1), (4, 320, 2), (3, 240, 3), (1, 160, 4)] {
+            let h = figure6(processes, mops, seed);
+            let mut mon = OnlineMonitor::new(h.num_objects(), mlin(1 << 40));
+            let mut events: Vec<(u64, u8, usize)> = Vec::new();
+            for (i, rec) in h.records().iter().enumerate() {
+                events.push((rec.invoked_at.as_nanos(), 1, i));
+                events.push((rec.responded_at.as_nanos(), 0, i));
+            }
+            events.sort_unstable_by_key(|&(t, k, i)| (t, k, h.records()[i].id));
+            for (k, &(t, kind, i)) in events.iter().enumerate() {
+                let rec = &h.records()[i];
+                if kind == 1 {
+                    mon.on_invoke(rec.id, t);
+                } else {
+                    mon.on_complete(rec.clone(), t);
+                }
+                if k % 37 != 36 {
+                    continue;
+                }
+                let Ok((w, map)) = mon.window_history() else {
+                    panic!("seed {seed}: a Figure 6 window is well formed");
+                };
+                if w.len() <= 64 {
+                    continue;
+                }
+                let what = format!("seed {seed}, event {k}, {} records", w.len());
+                let lin = PrecedenceGraph::for_condition(&w, Condition::MLinearizability);
+                let closed = lin.closed();
+                assert!(closed.is_irreflexive(), "{what}");
+                let writers = writer_masks(&w);
+                let cut = mon.stable_cut(&w, &map, closed, &writers);
+                let reference = stable_cut_pairwise(&mon, &w, &map, closed);
+                assert_eq!(bools(&cut), reference, "{what}");
+                for (x, of_x) in writers.iter().enumerate() {
+                    let x_id = ObjectId::new(x as u32);
+                    let last = last_writers_pairwise(&w, x_id, &reference, closed);
+                    assert_eq!(last_writers(of_x, &cut, closed), last, "{what}, o{x}");
+                }
+                for graph in [
+                    lin,
+                    PrecedenceGraph::for_condition(&w, Condition::MSequentialConsistency),
+                ] {
+                    if graph.closed().is_irreflexive() {
+                        let prefix = peeled_prefix(w.len(), graph.closed());
+                        assert_eq!(
+                            bools(&prefix),
+                            peeled_prefix_pairwise(w.len(), graph.closed()),
+                            "{what}"
+                        );
+                        peeled += prefix.count();
+                    }
+                }
+                compared += 1;
+                cut_sizes += cut.count();
+            }
+        }
+        assert!(
+            compared >= 20 && cut_sizes > 0 && peeled > 0,
+            "{compared} / {cut_sizes} / {peeled}"
+        );
     }
 
     /// `w1(x)1; w2(x)2; r(x)1←w1`, strictly sequential: the read is stale

@@ -741,9 +741,10 @@ pub fn load_corpus(dir: &Path) -> Result<Corpus, String> {
 
 /// Re-runs the hunt for a checked-in corpus and diffs the result against
 /// it: same specimens (name, seed, verdict, fingerprint), regenerated
-/// history files byte-identical, fresh node counts within the pinned
-/// caps, and every checked-in certificate accepted by the independent
-/// auditor against the regenerated history. Returns the mismatches.
+/// history and certificate files byte-identical, fresh node counts within
+/// the pinned caps, and every checked-in certificate accepted by the
+/// independent auditor against the regenerated history. Returns the
+/// mismatches.
 pub fn verify_corpus(dir: &Path) -> Result<Vec<String>, String> {
     let corpus = load_corpus(dir)?;
     let report = hunt(&corpus.grammar);
@@ -798,6 +799,9 @@ pub fn verify_corpus(dir: &Path) -> Result<Vec<String>, String> {
         let cert_path = dir.join(&e.cert_file);
         match std::fs::read_to_string(&cert_path) {
             Ok(cert) => {
+                if cert != s.cert {
+                    problems.push(format!("{}: certificate differs from regeneration", e.name));
+                }
                 if let Err(err) = moc_audit::audit(&s.history, &cert) {
                     problems.push(format!(
                         "{}: checked-in certificate fails audit: {err}",

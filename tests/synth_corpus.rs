@@ -35,6 +35,33 @@ fn corpus_regenerates_without_drift() {
     );
 }
 
+/// The gate pins certificate bytes, not only their audit: a copy of the
+/// corpus with one certificate re-spaced — still valid JSON, still
+/// accepted by the auditor — fails verification, naming that specimen.
+#[test]
+fn a_respaced_certificate_fails_the_corpus_gate() {
+    let copy = std::env::temp_dir().join(format!("moc-synth-respaced-{}", std::process::id()));
+    std::fs::create_dir_all(&copy).unwrap();
+    for entry in std::fs::read_dir(corpus_dir()).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+    }
+    let e = &load_corpus(&copy).unwrap().entries[0];
+    let cert = std::fs::read_to_string(copy.join(&e.cert_file)).unwrap();
+    let respaced = cert.replacen("\"format\":", "\"format\": ", 1);
+    assert_ne!(respaced, cert);
+    let hist = std::fs::read_to_string(copy.join(&e.history_file)).unwrap();
+    moc_audit::audit_texts(&hist, &respaced).expect("re-spacing keeps the certificate valid");
+    std::fs::write(copy.join(&e.cert_file), respaced).unwrap();
+
+    let problems = verify_corpus(&copy).expect("corpus manifest loads");
+    std::fs::remove_dir_all(&copy).unwrap();
+    assert_eq!(
+        problems,
+        [format!("{}: certificate differs from regeneration", e.name)]
+    );
+}
+
 /// The manifest and the named-family registry are two views of the same
 /// hunt: they must agree on names, seeds, categories and replay lines,
 /// and the fingerprints must match registry regeneration.
