@@ -184,45 +184,77 @@ impl PrecedenceGraph {
 
     /// Adds every `~rw` edge derivable by iterating D 4.11 to a fixpoint,
     /// starting from the closure the graph already holds.
+    ///
+    /// Each round adds every `α ~rw γ` whose premise `β ~H+ γ` held of the
+    /// closure as the round found it, and closes the graph over each `α`'s
+    /// new edges as it goes (`Relation::add_closed`). `~H+` only grows and
+    /// an ordered pair stays ordered, so a candidate whose premise held a
+    /// round earlier was decided then: round one asks all of `~H+` (and the
+    /// reads of initial values, which have no premise), every later round
+    /// only the pairs the round before added to it (semi-naive
+    /// evaluation). The candidates of a read are one word expression,
+    /// `writers(x) ∩ premises(β) ∖ (direct(α) ∪ later(α))` with `later` the
+    /// records real time puts after `α`, read off in ascending order: edges
+    /// come out in the order in which a rescan of every pair in every round
+    /// derives them. Terminates because each round adds at least one of at
+    /// most n² edges.
     pub(crate) fn saturate(&mut self, h: &History) {
-        // Each round adds every ~rw edge whose premise β ~ γ now holds, then
-        // closes the graph again. Terminates because each round adds at
-        // least one of at most n² edges.
-        loop {
-            let mut added = false;
+        let writers = writer_masks(h);
+        let later = self.real_time.then(|| LaterInRealTime::new(h));
+        let words = self.n.div_ceil(64);
+        let (mut candidates, mut targets) = (vec![0u64; words], vec![0u64; words]);
+        // The pairs a round takes its premises from, held apart from
+        // `closed`, which grows while the round runs.
+        let mut premises = self.closed.clone();
+        for round in 1.. {
+            let derived = self.edges.len();
+            let mut gained = Relation::new(self.n);
             for (alpha, _) in h.iter() {
+                let after = later.as_ref().map(|later| later.of(alpha));
+                targets.fill(0);
                 for (obj, writer) in h.read_sources(alpha) {
-                    for &gamma in h.writers_of(obj) {
-                        if gamma == alpha || Some(gamma) == writer {
-                            continue;
+                    let premise = match writer {
+                        None if round == 1 => None,
+                        None => continue,
+                        Some(beta) => Some(premises.row(beta)),
+                    };
+                    // No ~rw edge where the pair is ordered already.
+                    let ordered = self.direct.row(alpha);
+                    let of_x = writers[obj.index()].words();
+                    for (k, c) in candidates.iter_mut().enumerate() {
+                        *c = of_x[k] & !ordered[k];
+                        if let Some(premise) = premise {
+                            *c &= premise[k];
                         }
-                        // No ~rw edge where the pair is ordered already.
-                        if self.direct.contains(alpha, gamma)
-                            || (self.real_time
-                                && h.record(alpha).responded_at < h.record(gamma).invoked_at)
-                        {
-                            continue;
+                        if let Some(after) = after {
+                            *c &= !after[k];
                         }
-                        let premise = match writer {
-                            None => true,
-                            Some(beta) => self.closed.contains(beta, gamma),
-                        };
-                        if premise {
+                    }
+                    for u in std::iter::once(alpha).chain(writer) {
+                        candidates[u.0 / 64] &= !(1u64 << (u.0 % 64));
+                    }
+                    for (k, mut word) in candidates.iter().copied().enumerate() {
+                        targets[k] |= word;
+                        while word != 0 {
+                            let gamma = MOpIdx(k * 64 + word.trailing_zeros() as usize);
+                            word &= word - 1;
                             self.direct.add(alpha, gamma);
                             self.edges.push(Edge {
                                 from: alpha,
                                 to: gamma,
                                 kind: EdgeKind::ReadWrite { beta: writer, obj },
                             });
-                            added = true;
                         }
                     }
                 }
+                if targets.iter().any(|&word| word != 0) {
+                    self.closed.add_closed(alpha, &targets, &mut gained);
+                }
             }
-            if !added {
+            if self.edges.len() == derived {
                 break;
             }
-            self.closed = self.direct.transitive_closure();
+            premises = gained;
         }
     }
 
@@ -475,6 +507,55 @@ fn real_time_reduction(h: &History, edges: &mut Vec<Edge>) {
             to,
             kind: EdgeKind::RealTime,
         }));
+    }
+}
+
+/// Per object, the history's writers of it as a mask over its indices.
+pub fn writer_masks(h: &History) -> Vec<BitSet> {
+    let objects = (0..h.num_objects()).map(|x| ObjectId::new(x as u32));
+    let mask = |x| {
+        let mut of_x = BitSet::new(h.len());
+        h.writers_of(x).iter().for_each(|w| _ = of_x.insert(w.0));
+        of_x
+    };
+    objects.map(mask).collect()
+}
+
+/// For each record α, the records real time puts after it — invoked after
+/// `resp(α)` — as a bit mask. Each is a suffix of the records sorted by
+/// invocation, so one mask per suffix serves every α.
+struct LaterInRealTime {
+    words: usize,
+    /// Suffix `k` of the invocation order at `k * words`; the last is empty.
+    suffixes: Vec<u64>,
+    /// Per record, the suffix that follows its response.
+    first: Vec<usize>,
+}
+
+impl LaterInRealTime {
+    fn new(h: &History) -> Self {
+        let (n, words) = (h.len(), h.len().div_ceil(64));
+        let mut by_invocation: Vec<_> = h.iter().map(|(i, rec)| (rec.invoked_at, i.0)).collect();
+        by_invocation.sort_unstable();
+        let mut suffixes = vec![0u64; (n + 1) * words];
+        for (k, &(_, i)) in by_invocation.iter().enumerate().rev() {
+            let (head, tail) = suffixes.split_at_mut((k + 1) * words);
+            let suffix = &mut head[k * words..];
+            suffix.copy_from_slice(&tail[..words]);
+            suffix[i / 64] |= 1u64 << (i % 64);
+        }
+        let first = h
+            .iter()
+            .map(|(_, rec)| by_invocation.partition_point(|&(inv, _)| inv <= rec.responded_at));
+        LaterInRealTime {
+            words,
+            suffixes,
+            first: first.collect(),
+        }
+    }
+
+    fn of(&self, alpha: MOpIdx) -> &[u64] {
+        &self.suffixes[self.first[alpha.0] * self.words..][..self.words]
     }
 }
 
@@ -1103,6 +1184,148 @@ mod tests {
             }
         }
         assert!(peeled > 3 * 330, "{peeled} peeled");
+    }
+
+    /// The saturation this module used to run, kept as the reference: every
+    /// round tests every (read, writer) pair against the closure the round
+    /// found, then closes the whole graph again from nothing.
+    fn saturate_by_rounds(g: &mut PrecedenceGraph, h: &History) {
+        loop {
+            let mut added = false;
+            for (alpha, _) in h.iter() {
+                for (obj, writer) in h.read_sources(alpha) {
+                    for &gamma in h.writers_of(obj) {
+                        if gamma == alpha || Some(gamma) == writer {
+                            continue;
+                        }
+                        if g.direct.contains(alpha, gamma)
+                            || (g.real_time
+                                && h.record(alpha).responded_at < h.record(gamma).invoked_at)
+                        {
+                            continue;
+                        }
+                        let premise = match writer {
+                            None => true,
+                            Some(beta) => g.closed.contains(beta, gamma),
+                        };
+                        if premise {
+                            g.direct.add(alpha, gamma);
+                            g.edges.push(Edge {
+                                from: alpha,
+                                to: gamma,
+                                kind: EdgeKind::ReadWrite { beta: writer, obj },
+                            });
+                            added = true;
+                        }
+                    }
+                }
+            }
+            if !added {
+                break;
+            }
+            g.closed = g.direct.transitive_closure();
+        }
+    }
+
+    /// Saturates the graph of `~H` (plus `order`) both ways and holds
+    /// everything that leaves the graph to the reference. Returns the
+    /// `~rw` edge count and whether the graph is cyclic.
+    fn assert_saturates_as_by_rounds(
+        h: &History,
+        condition: Condition,
+        order: &[(MOpIdx, MOpIdx)],
+        what: &str,
+    ) -> (usize, bool) {
+        let mut new = PrecedenceGraph::unsaturated(h, condition, order);
+        let mut old = new.clone();
+        new.saturate(h);
+        saturate_by_rounds(&mut old, h);
+        assert_eq!(
+            new.edges(),
+            old.edges(),
+            "{what}: edges in derivation order"
+        );
+        assert_eq!(new.closed(), old.closed(), "{what}: ~H+");
+        assert_eq!(new.forced_edge_count(), old.forced_edge_count(), "{what}");
+        let (core, reference) = (new.cycle_proof(), old.cycle_proof());
+        assert_eq!(
+            format!("{core:?}"),
+            format!("{reference:?}"),
+            "{what}: core"
+        );
+        (new.forced_edge_count(), core.is_some())
+    }
+
+    const CONDITIONS: [Condition; 3] = [
+        Condition::MSequentialConsistency,
+        Condition::MLinearizability,
+        Condition::MNormality,
+    ];
+
+    #[test]
+    fn saturation_matches_the_round_based_reference_on_grammar_histories() {
+        let (mut forced, mut cyclic) = (0, 0);
+        for seed in 0..300 {
+            let h = arb::history_from_seed(seed, &GRAMMAR);
+            for condition in CONDITIONS {
+                let what = format!("seed {seed}, {condition}");
+                let (edges, cycle) = assert_saturates_as_by_rounds(&h, condition, &[], &what);
+                forced += edges;
+                cyclic += usize::from(cycle);
+            }
+            let tied = with_ties(&h);
+            let what = format!("tied seed {seed}");
+            assert_saturates_as_by_rounds(&tied, Condition::MLinearizability, &[], &what);
+        }
+        assert!(
+            forced > 3000 && (300..880).contains(&cyclic),
+            "{forced} / {cyclic}"
+        );
+    }
+
+    /// The `check_with_order` route: m-SC over `~p ∪ ~rf` and a caller's
+    /// order, here each object's writers chained in index order (as an
+    /// atomic broadcast orders updates) or against it.
+    #[test]
+    fn saturation_matches_the_round_based_reference_with_caller_order() {
+        let (mut forced, mut cyclic) = (0, 0);
+        for seed in 0..300 {
+            let h = arb::history_from_seed(seed, &GRAMMAR);
+            let mut order = Vec::new();
+            for x in (0..h.num_objects()).map(|x| ObjectId::new(x as u32)) {
+                for w in h.writers_of(x).windows(2) {
+                    order.push(if seed % 2 == 0 {
+                        (w[0], w[1])
+                    } else {
+                        (w[1], w[0])
+                    });
+                }
+            }
+            let what = format!("seed {seed}, {} order pairs", order.len());
+            let condition = Condition::MSequentialConsistency;
+            let (edges, cycle) = assert_saturates_as_by_rounds(&h, condition, &order, &what);
+            forced += edges;
+            cyclic += usize::from(cycle);
+        }
+        assert!(
+            forced > 1000 && (10..290).contains(&cyclic),
+            "{forced} / {cyclic}"
+        );
+    }
+
+    /// Rows of 60 to 200 records: premises, writer masks and real-time
+    /// suffixes across the 64-bit word boundary.
+    #[test]
+    fn saturation_matches_the_round_based_reference_on_figure6_histories() {
+        let mut forced = 0;
+        for (processes, mops, seed) in [(4, 60, 1), (4, 100, 2), (3, 150, 3), (4, 200, 4)] {
+            let h = figure6(processes, mops, seed);
+            for condition in CONDITIONS {
+                let what = format!("{mops} m-ops, seed {seed}, {condition}");
+                forced += assert_saturates_as_by_rounds(&h, condition, &[], &what).0;
+            }
+        }
+        assert!(forced > 2000, "{forced}");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! process index can never be confused with an object index, and so that an
 //! m-operation identifier carries its issuing process.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -145,6 +147,41 @@ impl fmt::Display for MOpId {
     }
 }
 
+/// A deterministic hasher for ids made of one or two 32-bit numbers, such
+/// as [`MOpId`]: it packs them into one word and finishes with the
+/// SplitMix64 mix, which is a bijection, so distinct ids never share a
+/// hash. Unlike the standard library's keyed SipHash it costs a couple of
+/// multiplications, and it is no defence against keys chosen to collide in
+/// a table's buckets: at worst such a stream makes [`IdMap`] and [`IdSet`]
+/// slow, never wrong. Nothing may depend on their iteration order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.0 = self.0.rotate_left(32) ^ u64::from(i);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// A hash map keyed by [`MOpId`] under the [`IdHasher`].
+pub type IdMap<V> = HashMap<MOpId, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash set of [`MOpId`]s under the [`IdHasher`].
+pub type IdSet = HashSet<MOpId, BuildHasherDefault<IdHasher>>;
+
 /// Identifier of a query round issued by the m-linearizability protocol
 /// (Figure 6, actions A3–A6): the querying process plus a local counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -200,6 +237,20 @@ mod tests {
         let a = MOpId::new(ProcessId::new(0), 5);
         let b = MOpId::new(ProcessId::new(1), 0);
         assert!(a < b);
+    }
+
+    #[test]
+    fn distinct_ids_hash_apart() {
+        use std::hash::BuildHasher;
+        let hash = |id: MOpId| BuildHasherDefault::<IdHasher>::default().hash_one(id);
+        let ids = (0..64).flat_map(|p| (0..256).map(move |s| MOpId::new(ProcessId::new(p), s)));
+        let mut hashes: Vec<u64> = ids.clone().map(hash).collect();
+        hashes.push(hash(MOpId::INITIAL));
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), 64 * 256 + 1);
+        let set: IdSet = ids.collect();
+        assert!(set.contains(&MOpId::new(ProcessId::new(63), 255)));
     }
 
     #[test]

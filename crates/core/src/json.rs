@@ -173,6 +173,7 @@ impl std::error::Error for JsonError {}
 /// Returns [`JsonError`] on malformed input.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -186,6 +187,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -329,12 +331,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // The run up to the next quote or backslash, copied as
+                    // one slice: both are ASCII, so neither ends the run
+                    // inside a multi-byte character.
+                    let rest =
+                        (self.text.get(self.pos..)).ok_or_else(|| self.err("invalid UTF-8"))?;
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -411,6 +415,28 @@ mod tests {
         assert_eq!(arr[0].as_i64(), Some(1));
         assert_eq!(arr[1], Json::Num(2.5));
         assert_eq!(arr[2].as_str(), Some("A"));
+    }
+
+    /// A long string of one-, two-, three- and four-byte characters with
+    /// escapes between them. The scanner once re-validated the rest of the
+    /// input for every character it consumed, quadratic in the document.
+    #[test]
+    fn parses_a_long_mixed_string() {
+        let (mut doc, mut expected) = (String::from("[\""), String::new());
+        for k in 0..20_000 {
+            doc.push_str("x\u{e9}\u{20ac}\u{1f600}\\n\\\"\\u00e9\\\\");
+            expected.push_str("x\u{e9}\u{20ac}\u{1f600}\n\"\u{e9}\\");
+            if k % 1000 == 0 {
+                doc.push_str(" plain ascii run ");
+                expected.push_str(" plain ascii run ");
+            }
+        }
+        doc.push_str("\",\"\u{1f600}\"]");
+        let parsed = parse(&doc).unwrap();
+        let items = parsed.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(expected.as_str()));
+        assert_eq!(items[1].as_str(), Some("\u{1f600}"));
+        assert!(parse(&doc[..doc.len() - 2]).is_err(), "cut inside a string");
     }
 
     #[test]

@@ -92,15 +92,15 @@
 //! papered over by later traffic.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use moc_checker::certificate::{check_certified_on, Certificate, Proof};
-use moc_checker::precedence::PrecedenceGraph;
+use moc_checker::precedence::{writer_masks, PrecedenceGraph};
 use moc_checker::{Condition, SearchLimits};
 use moc_core::bitset::BitSet;
 use moc_core::codec;
 use moc_core::history::{History, MOpIdx};
-use moc_core::ids::{MOpId, ObjectId, ProcessId};
+use moc_core::ids::{IdMap, IdSet, MOpId, ObjectId, ProcessId};
 use moc_core::mop::{EventTime, MOpRecord};
 use moc_core::op::{CompletedOp, OpKind};
 use moc_core::relations::Relation;
@@ -359,19 +359,19 @@ pub struct OnlineMonitor {
     cfg: MonitorConfig,
     num_objects: usize,
     /// Unsettled records, in completion order.
-    live: Vec<MOpRecord>,
-    live_ids: BTreeSet<MOpId>,
+    live: VecDeque<MOpRecord>,
+    live_ids: IdSet,
     /// Completions since the last certified window.
     fresh: usize,
     /// Outstanding invocations and when each was invoked (global
     /// quiescence = none).
-    outstanding: BTreeMap<MOpId, u64>,
+    outstanding: IdMap<u64>,
     /// Per object, the last writer behind the m-lin cut (see module docs).
     frontier: Vec<Option<MOpId>>,
     /// The latest response behind the m-lin cut and the process it belongs
     /// to (`None` once two processes share it).
     cut: Option<(EventTime, Option<ProcessId>)>,
-    summaries: BTreeMap<MOpId, WriterSummary>,
+    summaries: IdMap<WriterSummary>,
     summary_order: VecDeque<MOpId>,
     /// Records settled (retired + dropped + skipped) so far.
     settled: u64,
@@ -388,13 +388,13 @@ impl OnlineMonitor {
         OnlineMonitor {
             cfg,
             num_objects,
-            live: Vec::new(),
-            live_ids: BTreeSet::new(),
+            live: VecDeque::new(),
+            live_ids: IdSet::default(),
             fresh: 0,
-            outstanding: BTreeMap::new(),
+            outstanding: IdMap::default(),
             frontier: vec![None; num_objects],
             cut: None,
-            summaries: BTreeMap::new(),
+            summaries: IdMap::default(),
             summary_order: VecDeque::new(),
             settled: 0,
             version: 0,
@@ -443,7 +443,7 @@ impl OnlineMonitor {
             return None;
         }
         self.live_ids.insert(rec.id);
-        self.live.push(rec);
+        self.live.push_back(rec);
         self.fresh += 1;
         if self.live.len() > self.cfg.max_live_nodes {
             self.force_drop();
@@ -527,7 +527,7 @@ impl OnlineMonitor {
     fn force_drop(&mut self) {
         self.stats.backpressure_events += 1;
         while self.live.len() > self.cfg.max_live_nodes {
-            let rec = self.live.remove(0);
+            let rec = self.live.pop_front().expect("the live set is over its cap");
             self.live_ids.remove(&rec.id);
             self.settle_uncertified(&rec);
             self.stats.force_dropped += 1;
@@ -588,7 +588,7 @@ impl OnlineMonitor {
     fn window_history(&mut self) -> Result<(History, Vec<Option<usize>>), Defect> {
         // A reader of a writer still in flight waits for it, and a reader
         // of a waiting record waits with it.
-        let mut deferred: BTreeSet<MOpId> = BTreeSet::new();
+        let mut deferred = IdSet::default();
         loop {
             let waiting = deferred.len();
             for rec in &self.live {
@@ -636,7 +636,7 @@ impl OnlineMonitor {
             }
             for (i, rec) in std::mem::take(&mut self.live).into_iter().enumerate() {
                 if keep[i] {
-                    self.live.push(rec);
+                    self.live.push_back(rec);
                     continue;
                 }
                 self.live_ids.remove(&rec.id);
@@ -650,7 +650,7 @@ impl OnlineMonitor {
             let live = self.live.iter().enumerate();
             live.filter(|(_, rec)| !deferred.contains(&rec.id))
         };
-        let mut needed: BTreeSet<MOpId> = BTreeSet::new();
+        let mut needed = IdSet::default();
         for (_, rec) in windowed() {
             for op in rec.external_reads() {
                 if op.writer != MOpId::INITIAL && !self.live_ids.contains(&op.writer) {
@@ -685,7 +685,7 @@ impl OnlineMonitor {
             Ok(h) => Ok((h, map)),
             Err(e) => Err(Defect {
                 detail: format!("window history rejected: {e:?}"),
-                culprit: self.live.last().map(|r| r.id.process),
+                culprit: self.live.back().map(|r| r.id.process),
             }),
         }
     }
@@ -775,8 +775,11 @@ impl OnlineMonitor {
         } else {
             peeled_prefix(h.len(), closed)
         };
-        let retire_set: BTreeSet<usize> = cut.iter().filter_map(|i| map[i]).collect();
-        if retire_set.is_empty() {
+        let mut retire_set = vec![false; self.live.len()];
+        cut.iter()
+            .filter_map(|i| map[i])
+            .for_each(|i| retire_set[i] = true);
+        if !retire_set.contains(&true) {
             return;
         }
         for (x, of_x) in writers.iter().enumerate() {
@@ -785,8 +788,8 @@ impl OnlineMonitor {
             }
         }
         for (i, rec) in std::mem::take(&mut self.live).into_iter().enumerate() {
-            if !retire_set.contains(&i) {
-                self.live.push(rec);
+            if !retire_set[i] {
+                self.live.push_back(rec);
                 continue;
             }
             self.live_ids.remove(&rec.id);
@@ -820,9 +823,10 @@ impl OnlineMonitor {
         closed: &Relation,
         writers: &[BitSet],
     ) -> BitSet {
-        let windowed: BTreeSet<usize> = map.iter().flatten().copied().collect();
+        let mut windowed = BitSet::new(self.live.len());
+        map.iter().flatten().for_each(|&i| _ = windowed.insert(i));
         let deferred = (self.live.iter().enumerate())
-            .filter(|(i, _)| !windowed.contains(i))
+            .filter(|&(i, _)| !windowed.contains(i))
             .map(|(_, rec)| rec.invoked_at.as_nanos());
         let horizon = (self.outstanding.values().copied())
             .chain(deferred)
@@ -882,17 +886,6 @@ impl OnlineMonitor {
             .max_by_key(|&idx| h.record(idx).responded_at)
             .map(|idx| h.record(idx).id.process)
     }
-}
-
-/// Per object, the window's writers of it as a mask over window indices.
-fn writer_masks(h: &History) -> Vec<BitSet> {
-    let objects = (0..h.num_objects()).map(|x| ObjectId::new(x as u32));
-    let mask = |x| {
-        let mut of_x = BitSet::new(h.len());
-        h.writers_of(x).iter().for_each(|w| _ = of_x.insert(w.0));
-        of_x
-    };
-    objects.map(mask).collect()
 }
 
 /// The `~H+`-maximal writers among `writers ∩ cut`: those none of the
@@ -959,6 +952,7 @@ mod tests {
     use moc_workload::{scripts, WorkloadSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)

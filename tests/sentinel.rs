@@ -10,6 +10,7 @@ use moc_checker::{Condition, SearchLimits};
 use moc_core::history::{History, HistoryBuilder};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::op::CompletedOp;
+use moc_core::shard::fnv1a;
 use moc_monitor::{replay, MonitorConfig, MonitorMode, OnlineMonitor};
 use moc_protocol::{run_cluster, ClusterConfig, MlinOverSequencer};
 use moc_sim::{DelayModel, NetworkConfig};
@@ -218,6 +219,73 @@ fn real_time_edges_of_a_figure6_history_are_linear_in_its_length() {
     assert!(moc_core::relations::real_time(&h).edge_count() > h.len() * h.len() / 3);
     for e in real_time {
         assert!(h.record(e.from).responded_at < h.record(e.to).invoked_at);
+    }
+}
+
+/// What a run leaves that a faster sentinel must not move: windows
+/// checked, certificates emitted, peak live set, peak window, and the
+/// FNV-1a of every certified window's text and certificate, concatenated.
+type Pinned = (u64, u64, usize, usize, u64);
+
+/// The sentinel's output, pinned byte for byte: the three histories a
+/// `verify-stream` repetition at seed 41 replays (seeds 123–125) under
+/// m-lin, and a 200-record stream each under m-SC and m-normality, all at
+/// the default configuration. Assembling, saturating, checking or retiring
+/// a window differently fails here the moment one byte of one certificate
+/// or one counter moves.
+#[test]
+fn sentinel_output_is_pinned() {
+    let runs: [(Condition, usize, u64, Pinned); 5] = [
+        (
+            Condition::MLinearizability,
+            1000,
+            123,
+            (17, 17, 109, 113, 6428012725163632549),
+        ),
+        (
+            Condition::MLinearizability,
+            1000,
+            124,
+            (17, 17, 128, 135, 10340819400196568292),
+        ),
+        (
+            Condition::MLinearizability,
+            1000,
+            125,
+            (17, 17, 98, 103, 3163199608277239531),
+        ),
+        (
+            Condition::MSequentialConsistency,
+            200,
+            123,
+            (4, 4, 200, 200, 17487759927041760473),
+        ),
+        (
+            Condition::MNormality,
+            200,
+            124,
+            (4, 4, 200, 200, 4462988288410247952),
+        ),
+    ];
+    for (condition, mops, seed, pinned) in runs {
+        let h = figure6_stream(mops, seed);
+        let cfg = MonitorConfig::new(condition);
+        let run = replay(&h, OnlineMonitor::new(h.num_objects(), cfg));
+        assert!(run.violation.is_none(), "{condition}, seed {seed}");
+        let mut text = String::new();
+        for cert in &run.certs {
+            text.push_str(&cert.window_text);
+            text.push_str(&cert.cert_text);
+        }
+        let s = run.stats;
+        let got = (
+            s.windows_checked,
+            s.certs_emitted,
+            s.peak_live_nodes,
+            s.peak_window,
+            fnv1a(text.as_bytes()),
+        );
+        assert_eq!(got, pinned, "{condition}, {mops} m-ops, seed {seed}");
     }
 }
 
