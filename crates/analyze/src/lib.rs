@@ -245,15 +245,18 @@ impl ShardAnalysis {
             };
             out.push_str(&format!(
                 "program {}: {} | {}\n",
-                p.name,
-                if p.update { "update" } else { "query" },
+                p.claim.name,
+                if p.claim.update { "update" } else { "query" },
                 place
             ));
         }
         for e in &self.cert.cross_edges {
             out.push_str(&format!(
                 "cross edge {} ~ {}: {} on {}\n",
-                self.cert.programs[e.a].name, self.cert.programs[e.b].name, e.kind, e.object
+                self.cert.programs[e.a].claim.name,
+                self.cert.programs[e.b].claim.name,
+                e.kind,
+                e.object
             ));
         }
         let c = &self.cert.composition;
@@ -283,12 +286,12 @@ impl MoverAnalysis {
     pub fn render_human(&self) -> String {
         let mut out = String::new();
         for p in &self.cert.programs {
-            let reads: BTreeSet<ObjectId> = p.reads.iter().copied().collect();
-            let writes: BTreeSet<ObjectId> = p.writes.iter().copied().collect();
+            let reads: BTreeSet<ObjectId> = p.claim.reads.iter().copied().collect();
+            let writes: BTreeSet<ObjectId> = p.claim.writes.iter().copied().collect();
             out.push_str(&format!(
                 "program {}: {} | {} | reads {{{}}} writes {{{}}}\n",
-                p.name,
-                if p.update { "update" } else { "query" },
+                p.claim.name,
+                if p.claim.update { "update" } else { "query" },
                 p.class,
                 objects_human(&reads),
                 objects_human(&writes),
@@ -301,11 +304,11 @@ impl MoverAnalysis {
                 .matrix
                 .row(i)
                 .iter()
-                .map(|&j| self.cert.programs[j as usize].name.as_str())
+                .map(|&j| self.cert.programs[j as usize].claim.name.as_str())
                 .collect();
             out.push_str(&format!(
                 "commutes {}: {}\n",
-                self.cert.programs[i].name,
+                self.cert.programs[i].claim.name,
                 if partners.is_empty() {
                     "∅".to_string()
                 } else {

@@ -86,19 +86,15 @@ pub fn commute_set_with(
         .map(|p| p.spans.clone())
         .collect();
 
-    // The commute entries reuse the shard pass's claimed (refined)
-    // footprints verbatim, so the two certificates of one configuration
-    // can never disagree about what a program may touch.
+    // The commute entries reuse the shard pass's claims verbatim, so the
+    // two certificates of one configuration can never disagree about
+    // what a program may touch.
     let mut entries: Vec<CommuteProgramEntry> = shard
         .cert
         .programs
         .iter()
         .map(|p| CommuteProgramEntry {
-            name: p.name.clone(),
-            update: p.update,
-            refined: p.refined,
-            reads: p.reads.clone(),
-            writes: p.writes.clone(),
+            claim: p.claim.clone(),
             class: MoverClass::NonMover, // placeholder, assigned below
         })
         .collect();
@@ -109,11 +105,7 @@ pub fn commute_set_with(
 
     let mut findings = Vec::new();
     let n = entries.len();
-    let distinct_commuting = (0..n)
-        .map(|i| matrix.row(i).iter().filter(|&&j| (j as usize) > i).count())
-        .sum::<usize>();
-
-    if n >= 2 && distinct_commuting == 0 {
+    if n >= 2 && matrix.num_distinct_commuting_pairs() == 0 {
         findings.push(Finding::new(
             Lint::AllPairsConflict,
             "",
@@ -129,7 +121,7 @@ pub fn commute_set_with(
         if e.class == MoverClass::ReadOnly && programs[i].is_potential_update() {
             findings.push(Finding::new(
                 Lint::ReadOnlyProgramInGlobalOrder,
-                e.name.clone(),
+                e.claim.name.clone(),
                 None,
                 "read-only after refinement but syntactically an update: the protocol \
                  would stamp it into the global broadcast order; the commute \
@@ -156,7 +148,7 @@ pub fn commute_set_with(
                     format!(
                         "programs '{}' and '{}' commute, yet one straddles shards: \
                          the cross-shard barrier between them is unnecessary",
-                        entries[i].name, entries[j].name
+                        entries[i].claim.name, entries[j].claim.name
                     ),
                 ));
             }
@@ -274,7 +266,7 @@ mod tests {
         assert!(dead.is_potential_update());
         let a = commute_set(&[&dead], 2);
         assert_eq!(a.cert.programs[0].class, MoverClass::ReadOnly);
-        assert!(a.cert.programs[0].refined);
+        assert!(a.cert.programs[0].claim.refined);
         assert!(a
             .findings
             .iter()

@@ -29,6 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use moc_core::claim::ProgramClaim;
 use moc_core::ids::ObjectId;
 use moc_core::program::Program;
 use moc_core::shard::{
@@ -294,11 +295,13 @@ pub fn shard_set(programs: &[&Program], num_objects: usize, opts: ShardOptions) 
                 || s.may_write != prog.potential_writes()
                 || s.is_update() != prog.is_potential_update();
             ShardProgramEntry {
-                name: s.name.clone(),
-                update: s.is_update(),
-                refined,
-                reads: s.may_read.iter().copied().collect(),
-                writes: s.may_write.iter().copied().collect(),
+                claim: ProgramClaim {
+                    name: s.name.clone(),
+                    update: s.is_update(),
+                    refined,
+                    reads: s.may_read.iter().copied().collect(),
+                    writes: s.may_write.iter().copied().collect(),
+                },
                 shard: if spans.len() == 1 {
                     Some(spans[0])
                 } else {
@@ -346,17 +349,17 @@ pub fn shard_set(programs: &[&Program], num_objects: usize, opts: ShardOptions) 
                 .join(", ");
             findings.push(Finding::new(
                 Lint::ProgramStraddlesShards,
-                entry.name.clone(),
+                entry.claim.name.clone(),
                 None,
                 format!(
                     "footprint spans shards {{{spans}}}: every instance falls back \
                      to the global order"
                 ),
             ));
-            if !entry.update {
+            if !entry.claim.update {
                 findings.push(Finding::new(
                     Lint::QueryPinsTwoShards,
-                    entry.name.clone(),
+                    entry.claim.name.clone(),
                     None,
                     format!(
                         "query reads across shards {{{spans}}}: OO cannot be \

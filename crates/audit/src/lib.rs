@@ -30,6 +30,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use moc_core::claim::ProgramClaim;
 use moc_core::codec;
 use moc_core::commute::{
     derive_class, CommuteCert, CommuteMatrix, MoverClass, COMMUTE_SIDE_CONDITIONS,
@@ -39,7 +40,7 @@ use moc_core::ids::ObjectId;
 use moc_core::json::{self, Json};
 use moc_core::legality::sequence_is_legal;
 use moc_core::program::Program;
-use moc_core::shard::{fingerprint_programs, ShardCert, ShardComposition, ShardEdgeKind};
+use moc_core::shard::{fingerprint_programs, ShardCert, ShardComposition};
 
 /// The condition named by a certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,23 +230,7 @@ pub struct ShardVerdict {
 /// with the first reason found.
 pub fn audit_shard(programs: &[&Program], cert_text: &str) -> Result<ShardVerdict, String> {
     let cert = ShardCert::parse(cert_text)?;
-
-    // Binding: computed from exactly this program set, in this order.
-    let expected_fp = fingerprint_programs(programs);
-    if cert.programs_fp != expected_fp {
-        return Err(format!(
-            "program-set fingerprint mismatch: certificate is bound to {:016x}, \
-             input set fingerprints to {expected_fp:016x}",
-            cert.programs_fp
-        ));
-    }
-    if cert.programs.len() != programs.len() {
-        return Err(format!(
-            "certificate lists {} programs, input set has {}",
-            cert.programs.len(),
-            programs.len()
-        ));
-    }
+    check_binding(programs, cert.programs_fp, cert.programs.len())?;
 
     // Partition well-formedness: every object in exactly one shard,
     // shard ids dense.
@@ -254,47 +239,18 @@ pub fn audit_shard(programs: &[&Program], cert_text: &str) -> Result<ShardVerdic
     let mut single_shard_programs = 0usize;
     let mut refined_attested = false;
     for (i, entry) in cert.programs.iter().enumerate() {
-        let prog = programs[i];
-        let fail = |msg: String| Err(format!("program {i} ({}): {msg}", entry.name));
-        if entry.name != prog.name() {
-            return fail(format!(
-                "name mismatch (input program is {:?})",
-                prog.name()
-            ));
-        }
-        for (what, claim) in [("reads", &entry.reads), ("writes", &entry.writes)] {
-            if !claim.windows(2).all(|w| w[0] < w[1]) {
-                return fail(format!("claimed {what} must be strictly ascending"));
-            }
-        }
-        let claim_r: BTreeSet<ObjectId> = entry.reads.iter().copied().collect();
-        let claim_w: BTreeSet<ObjectId> = entry.writes.iter().copied().collect();
-        // Soundness: refinement may only shrink the syntactic footprint.
-        if !claim_r.is_subset(&prog.potential_reads()) {
-            return fail("claimed read footprint exceeds the syntactic one".into());
-        }
-        if !claim_w.is_subset(&prog.potential_writes()) {
-            return fail("claimed write footprint exceeds the syntactic one".into());
-        }
-        if entry.refined {
-            refined_attested = true;
-        } else if claim_r != prog.potential_reads() || claim_w != prog.potential_writes() {
-            return fail(
-                "claims differ from the syntactic footprint but are not marked refined".into(),
-            );
-        }
-        if entry.update == claim_w.is_empty() {
-            return fail("update flag contradicts the claimed write footprint".into());
-        }
-        // Footprint closure: bounds-check, then the spans recomputed
-        // from the claimed footprint must match the entry.
-        let mut spans: Vec<u32> = Vec::new();
-        for &o in claim_r.union(&claim_w) {
-            if o.index() >= cert.num_objects {
-                return fail(format!("object {o} outside the certificate's universe"));
-            }
-            spans.push(plan.shard_of(o));
-        }
+        let claim = &entry.claim;
+        check_claim(i, claim, programs[i], cert.num_objects)?;
+        refined_attested |= claim.refined;
+        let fail = |msg: String| Err(format!("program {i} ({}): {msg}", claim.name));
+        // Footprint closure: the spans recomputed from the claimed
+        // footprint must match the entry.
+        let mut spans: Vec<u32> = claim
+            .reads
+            .iter()
+            .chain(&claim.writes)
+            .map(|&o| plan.shard_of(o))
+            .collect();
         spans.sort_unstable();
         spans.dedup();
         if spans != entry.spans {
@@ -335,7 +291,7 @@ pub fn audit_shard(programs: &[&Program], cert_text: &str) -> Result<ShardVerdic
             if !(straddles(i) || straddles(j)) {
                 continue;
             }
-            let (p, q) = (&cert.programs[i], &cert.programs[j]);
+            let (p, q) = (&cert.programs[i].claim, &cert.programs[j].claim);
             let (wi, wj) = (objs(&p.writes), objs(&q.writes));
             let ww: BTreeSet<ObjectId> = wi.intersection(&wj).copied().collect();
             let mut rw: BTreeSet<ObjectId> = wi.intersection(&objs(&q.reads)).copied().collect();
@@ -355,24 +311,20 @@ pub fn audit_shard(programs: &[&Program], cert_text: &str) -> Result<ShardVerdic
                 "cross edge {k}: program indices out of order or range"
             ));
         }
-        let kind = match e.kind {
-            ShardEdgeKind::Ww => "ww",
-            ShardEdgeKind::Rw => "rw",
-        };
-        if !listed.insert((e.a, e.b, e.object, kind)) {
+        if !listed.insert((e.a, e.b, e.object, e.kind.tag())) {
             return Err(format!("cross edge {k} is listed twice"));
         }
     }
     if let Some((a, b, o, kind)) = expected.difference(&listed).next() {
         return Err(format!(
             "silently dropped cross-shard conflict: {} ~ {} on object {o} ({kind})",
-            cert.programs[*a].name, cert.programs[*b].name
+            cert.programs[*a].claim.name, cert.programs[*b].claim.name
         ));
     }
     if let Some((a, b, o, kind)) = listed.difference(&expected).next() {
         return Err(format!(
             "fabricated cross-shard edge: {} ~ {} on object {o} ({kind})",
-            cert.programs[*a].name, cert.programs[*b].name
+            cert.programs[*a].claim.name, cert.programs[*b].claim.name
         ));
     }
 
@@ -431,63 +383,12 @@ pub struct CommuteVerdict {
 /// with the first reason found.
 pub fn audit_commute(programs: &[&Program], cert_text: &str) -> Result<CommuteVerdict, String> {
     let cert = CommuteCert::parse(cert_text)?;
-
-    // Binding: computed from exactly this program set, in this order.
-    let expected_fp = fingerprint_programs(programs);
-    if cert.programs_fp != expected_fp {
-        return Err(format!(
-            "program-set fingerprint mismatch: certificate is bound to {:016x}, \
-             input set fingerprints to {expected_fp:016x}",
-            cert.programs_fp
-        ));
-    }
-    if cert.programs.len() != programs.len() {
-        return Err(format!(
-            "certificate lists {} programs, input set has {}",
-            cert.programs.len(),
-            programs.len()
-        ));
-    }
+    check_binding(programs, cert.programs_fp, cert.programs.len())?;
 
     let mut refined_attested = false;
     for (i, entry) in cert.programs.iter().enumerate() {
-        let prog = programs[i];
-        let fail = |msg: String| Err(format!("program {i} ({}): {msg}", entry.name));
-        if entry.name != prog.name() {
-            return fail(format!(
-                "name mismatch (input program is {:?})",
-                prog.name()
-            ));
-        }
-        for (what, claim) in [("reads", &entry.reads), ("writes", &entry.writes)] {
-            if !claim.windows(2).all(|w| w[0] < w[1]) {
-                return fail(format!("claimed {what} must be strictly ascending"));
-            }
-        }
-        let claim_r: BTreeSet<ObjectId> = entry.reads.iter().copied().collect();
-        let claim_w: BTreeSet<ObjectId> = entry.writes.iter().copied().collect();
-        // Soundness: refinement may only shrink the syntactic footprint.
-        if !claim_r.is_subset(&prog.potential_reads()) {
-            return fail("claimed read footprint exceeds the syntactic one".into());
-        }
-        if !claim_w.is_subset(&prog.potential_writes()) {
-            return fail("claimed write footprint exceeds the syntactic one".into());
-        }
-        if entry.refined {
-            refined_attested = true;
-        } else if claim_r != prog.potential_reads() || claim_w != prog.potential_writes() {
-            return fail(
-                "claims differ from the syntactic footprint but are not marked refined".into(),
-            );
-        }
-        if entry.update == claim_w.is_empty() {
-            return fail("update flag contradicts the claimed write footprint".into());
-        }
-        for &o in claim_r.union(&claim_w) {
-            if o.index() >= cert.num_objects {
-                return fail(format!("object {o} outside the certificate's universe"));
-            }
-        }
+        check_claim(i, &entry.claim, programs[i], cert.num_objects)?;
+        refined_attested |= entry.claim.refined;
     }
 
     // Matrix: structurally well-formed, then byte-for-byte equal to the
@@ -503,13 +404,13 @@ pub fn audit_commute(programs: &[&Program], cert_text: &str) -> Result<CommuteVe
                 if claimed && !actual {
                     return Err(format!(
                         "fabricated commutation: {} ~ {} conflict on the claimed footprints",
-                        cert.programs[i].name, cert.programs[j].name
+                        cert.programs[i].claim.name, cert.programs[j].claim.name
                     ));
                 }
                 if actual && !claimed {
                     return Err(format!(
                         "silently dropped commutation: {} ~ {} commute on the claimed footprints",
-                        cert.programs[i].name, cert.programs[j].name
+                        cert.programs[i].claim.name, cert.programs[j].claim.name
                     ));
                 }
             }
@@ -525,7 +426,7 @@ pub fn audit_commute(programs: &[&Program], cert_text: &str) -> Result<CommuteVe
         if entry.class != actual {
             return Err(format!(
                 "program {i} ({}): mover class claims {} but footprints derive {}",
-                entry.name, entry.class, actual
+                entry.claim.name, entry.class, actual
             ));
         }
         match actual {
@@ -552,6 +453,69 @@ pub fn audit_commute(programs: &[&Program], cert_text: &str) -> Result<CommuteVe
         non_movers,
         refined_attested,
     })
+}
+
+/// A program-set certificate's binding: computed from exactly this
+/// program set, in this order.
+fn check_binding(programs: &[&Program], programs_fp: u64, listed: usize) -> Result<(), String> {
+    let expected_fp = fingerprint_programs(programs);
+    if programs_fp != expected_fp {
+        return Err(format!(
+            "program-set fingerprint mismatch: certificate is bound to {programs_fp:016x}, \
+             input set fingerprints to {expected_fp:016x}"
+        ));
+    }
+    if listed != programs.len() {
+        return Err(format!(
+            "certificate lists {listed} programs, input set has {}",
+            programs.len()
+        ));
+    }
+    Ok(())
+}
+
+/// Checks program `i`'s claim against the program itself, in order: its
+/// name, ascending lists, soundness (refinement may only shrink the
+/// syntactic footprint, and unrefined claims equal it), the update flag
+/// against the claimed writes, and the universe bounds.
+fn check_claim(
+    i: usize,
+    claim: &ProgramClaim,
+    prog: &Program,
+    num_objects: usize,
+) -> Result<(), String> {
+    let fail = |msg: String| Err(format!("program {i} ({}): {msg}", claim.name));
+    if claim.name != prog.name() {
+        return fail(format!(
+            "name mismatch (input program is {:?})",
+            prog.name()
+        ));
+    }
+    for (what, list) in [("reads", &claim.reads), ("writes", &claim.writes)] {
+        if !list.windows(2).all(|w| w[0] < w[1]) {
+            return fail(format!("claimed {what} must be strictly ascending"));
+        }
+    }
+    let claim_r: BTreeSet<ObjectId> = claim.reads.iter().copied().collect();
+    let claim_w: BTreeSet<ObjectId> = claim.writes.iter().copied().collect();
+    if !claim_r.is_subset(&prog.potential_reads()) {
+        return fail("claimed read footprint exceeds the syntactic one".into());
+    }
+    if !claim_w.is_subset(&prog.potential_writes()) {
+        return fail("claimed write footprint exceeds the syntactic one".into());
+    }
+    if !claim.refined && (claim_r != prog.potential_reads() || claim_w != prog.potential_writes()) {
+        return fail(
+            "claims differ from the syntactic footprint but are not marked refined".into(),
+        );
+    }
+    if claim.update == claim_w.is_empty() {
+        return fail("update flag contradicts the claimed write footprint".into());
+    }
+    if let Some(o) = claim_r.union(&claim_w).find(|o| o.index() >= num_objects) {
+        return fail(format!("object {o} outside the certificate's universe"));
+    }
+    Ok(())
 }
 
 fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
@@ -1059,11 +1023,23 @@ mod tests {
     }
 }
 
+/// The unrefined claim an honest analyzer makes for `p`.
+#[cfg(test)]
+fn syntactic_claim(p: &Program) -> ProgramClaim {
+    ProgramClaim {
+        name: p.name().to_string(),
+        update: p.is_potential_update(),
+        refined: false,
+        reads: p.potential_reads().into_iter().collect(),
+        writes: p.potential_writes().into_iter().collect(),
+    }
+}
+
 #[cfg(test)]
 mod shard_tests {
     use super::*;
     use moc_core::program::{imm, reg, Program, ProgramBuilder};
-    use moc_core::shard::{ShardCrossEdge, ShardProgramEntry};
+    use moc_core::shard::{ShardCrossEdge, ShardEdgeKind, ShardProgramEntry};
 
     fn oid(i: u32) -> ObjectId {
         ObjectId::new(i)
@@ -1089,11 +1065,7 @@ mod shard_tests {
 
     fn entry(p: &Program, shard: Option<u32>, spans: &[u32]) -> ShardProgramEntry {
         ShardProgramEntry {
-            name: p.name().to_string(),
-            update: p.is_potential_update(),
-            refined: false,
-            reads: p.potential_reads().into_iter().collect(),
-            writes: p.potential_writes().into_iter().collect(),
+            claim: syntactic_claim(p),
             shard,
             spans: spans.to_vec(),
         }
@@ -1241,22 +1213,22 @@ mod shard_tests {
 
         // Shrunken claim without the refined flag rejects.
         let mut c = cert.clone();
-        c.programs[0].writes = vec![oid(0)];
+        c.programs[0].claim.writes = vec![oid(0)];
         let err = audit_shard(&refs, &c.to_json()).unwrap_err();
         assert!(err.contains("not marked refined"), "{err}");
 
         // With the flag, a sound shrink is attested (spans still check).
         let mut c = cert.clone();
-        c.programs[0].writes = vec![oid(0)];
-        c.programs[0].refined = true;
+        c.programs[0].claim.writes = vec![oid(0)];
+        c.programs[0].claim.refined = true;
         let v = audit_shard(&refs, &c.to_json()).unwrap();
         assert!(v.refined_attested);
 
         // An inflated claim rejects even when marked refined.
         let mut c = cert.clone();
-        c.programs[1].writes = vec![oid(0)];
-        c.programs[1].update = true;
-        c.programs[1].refined = true;
+        c.programs[1].claim.writes = vec![oid(0)];
+        c.programs[1].claim.update = true;
+        c.programs[1].claim.refined = true;
         let err = audit_shard(&refs, &c.to_json()).unwrap_err();
         assert!(err.contains("exceeds the syntactic"), "{err}");
     }
@@ -1314,11 +1286,7 @@ mod commute_tests {
         let mut programs: Vec<CommuteProgramEntry> = progs
             .iter()
             .map(|p| CommuteProgramEntry {
-                name: p.name().to_string(),
-                update: p.is_potential_update(),
-                refined: false,
-                reads: p.potential_reads().into_iter().collect(),
-                writes: p.potential_writes().into_iter().collect(),
+                claim: syntactic_claim(p),
                 class: MoverClass::NonMover,
             })
             .collect();
@@ -1363,7 +1331,7 @@ mod commute_tests {
         // Pretend the conflicting wq has no writes *for matrix purposes
         // only*: the listed matrix gains pairs its footprints refute.
         let mut forged = cert.programs.clone();
-        forged[1].writes.clear();
+        forged[1].claim.writes.clear();
         cert.matrix = CommuteMatrix::derive(&forged);
         let err = audit_commute(&refs, &cert.to_json()).unwrap_err();
         assert!(err.contains("fabricated commutation"), "{err}");
@@ -1376,7 +1344,7 @@ mod commute_tests {
         // Derive the matrix from footprints with an extra conflict: the
         // listed matrix now *misses* pairs the real footprints admit.
         let mut forged = cert.programs.clone();
-        forged[2].writes = vec![oid(0), oid(5)];
+        forged[2].claim.writes = vec![oid(0), oid(5)];
         cert.matrix = CommuteMatrix::derive(&forged);
         let err = audit_commute(&refs, &cert.to_json()).unwrap_err();
         assert!(err.contains("silently dropped commutation"), "{err}");
@@ -1422,15 +1390,15 @@ mod commute_tests {
 
         // Shrunken claim without the refined flag rejects.
         let mut c = cert.clone();
-        c.programs[4].reads.clear();
+        c.programs[4].claim.reads.clear();
         let err = audit_commute(&refs, &c.to_json()).unwrap_err();
         assert!(err.contains("not marked refined"), "{err}");
 
         // With the flag, a sound shrink is attested — but the matrix
         // and classes must be recomputed over the shrunken footprints.
         let mut c = cert.clone();
-        c.programs[4].reads.clear();
-        c.programs[4].refined = true;
+        c.programs[4].claim.reads.clear();
+        c.programs[4].claim.refined = true;
         for i in 0..c.programs.len() {
             c.programs[i].class = derive_class(&c.programs, i);
         }
@@ -1440,8 +1408,8 @@ mod commute_tests {
 
         // An inflated claim rejects even when marked refined.
         let mut c = cert;
-        c.programs[2].writes = vec![oid(4), oid(5)];
-        c.programs[2].refined = true;
+        c.programs[2].claim.writes = vec![oid(4), oid(5)];
+        c.programs[2].claim.refined = true;
         let err = audit_commute(&refs, &c.to_json()).unwrap_err();
         assert!(err.contains("exceeds the syntactic"), "{err}");
     }

@@ -1,18 +1,22 @@
-//! Property tests for the `moc-commute-cert` pipeline.
+//! Property tests for the program-set certificate pipelines
+//! (`moc-shard-cert` and `moc-commute-cert`).
 //!
 //! Random straight-line program sets exercise the contract between the
-//! analyzer (`moc_analyze::commute_set`) and the independent auditor
-//! (`moc_audit::audit_commute`, which imports only `moc-core`):
+//! analyzer (`moc_analyze::shard_set`, `moc_analyze::commute_set`) and the
+//! independent auditor (`moc_audit::audit_shard`,
+//! `moc_audit::audit_commute`, which import only `moc-core`):
 //!
-//! * every certificate the analyzer emits is accepted, and the audit
-//!   verdict's census matches the certificate;
+//! * every certificate of either family the analyzer emits is accepted,
+//!   and the audit verdict's census matches the certificate;
 //! * programs with an empty write footprint are always classed
 //!   read-only, and read-only programs commute with everything;
-//! * guaranteed-invalid mutations — fingerprint tampering, a version
-//!   bump, a mover-class flip, an emptied matrix, a side-condition
-//!   edit — are all rejected.
+//! * guaranteed-invalid mutations are all rejected — for commute
+//!   certificates fingerprint tampering, a version bump, a mover-class
+//!   flip, an emptied matrix and a side-condition edit; for shard
+//!   certificates a moved object, a dropped cross edge, a flipped
+//!   composition verdict and a version bump.
 
-use moc_analyze::commute_set;
+use moc_analyze::{commute_set, shard_set, ShardOptions};
 use moc_core::commute::MoverClass;
 use moc_core::ids::ObjectId;
 use moc_core::json::{self, Json};
@@ -37,6 +41,12 @@ fn step() -> impl Strategy<Value = Step> {
 
 fn program_set() -> impl Strategy<Value = Vec<Vec<Step>>> {
     vec(vec(step(), 0..4), 1..5)
+}
+
+/// A shard-size cap; `None` keeps the interaction components whole, a
+/// small cap splits them and makes straddling programs.
+fn cap() -> impl Strategy<Value = Option<usize>> {
+    prop_oneof![Just(None), (1..3usize).prop_map(Some)]
 }
 
 fn build(name: &str, steps: &[Step]) -> Program {
@@ -98,7 +108,71 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn emitted_certificates_pass_the_independent_audit(sets in program_set()) {
+    fn emitted_shard_certificates_pass_the_independent_audit(
+        sets in program_set(),
+        max_shard_size in cap(),
+    ) {
+        let programs = build_set(&sets);
+        let refs: Vec<&Program> = programs.iter().collect();
+        let cert = shard_set(&refs, UNIVERSE as usize, ShardOptions { max_shard_size }).cert;
+
+        let v = moc_audit::audit_shard(&refs, &cert.to_json())
+            .expect("analyzer-emitted certificate must audit");
+        prop_assert_eq!(v.num_shards as usize, cert.shards.len());
+        let single = cert.programs.iter().filter(|e| e.shard.is_some()).count();
+        prop_assert_eq!(v.single_shard_programs, single);
+        prop_assert_eq!(v.cross_edges, cert.cross_edges.len());
+    }
+
+    #[test]
+    fn mutated_shard_certificates_are_rejected(
+        sets in program_set(),
+        max_shard_size in cap(),
+    ) {
+        let programs = build_set(&sets);
+        let refs: Vec<&Program> = programs.iter().collect();
+        let cert = shard_set(&refs, UNIVERSE as usize, ShardOptions { max_shard_size }).cert;
+        let rejects = |bad: &str| moc_audit::audit_shard(&refs, bad).is_err();
+
+        // Moved object: an object of a single-shard program changes
+        // shard, so the program's footprint no longer closes in its own
+        // (or the shard it left is empty, and the ids are not dense).
+        let closed = cert.programs.iter().find_map(|e| {
+            let first = e.claim.reads.iter().chain(&e.claim.writes).min()?;
+            Some((e.shard?, *first))
+        });
+        if let Some((s, o)) = closed {
+            let mut moved = cert.clone();
+            moved.shards[s as usize].retain(|&x| x != o);
+            let to = (s as usize + 1) % moved.shards.len();
+            if to == s as usize {
+                moved.shards.push(vec![o]);
+            } else {
+                moved.shards[to].push(o);
+                moved.shards[to].sort_unstable();
+            }
+            prop_assert!(rejects(&moved.to_json()));
+        }
+
+        // Dropped cross edge: the auditor recomputes the full edge set.
+        if !cert.cross_edges.is_empty() {
+            let mut dropped = cert.clone();
+            dropped.cross_edges.pop();
+            prop_assert!(rejects(&dropped.to_json()));
+        }
+
+        // Flipped composition verdict: re-derived from the certificate.
+        let mut flipped = cert.clone();
+        flipped.composition.oo = !flipped.composition.oo;
+        prop_assert!(rejects(&flipped.to_json()));
+
+        // Version bump: unknown format versions are refused.
+        let doc = json::parse(&cert.to_json()).unwrap();
+        prop_assert!(rejects(&set_field(&doc, &["version"], Json::Num(2.0)).render()));
+    }
+
+    #[test]
+    fn emitted_commute_certificates_pass_the_independent_audit(sets in program_set()) {
         let programs = build_set(&sets);
         let refs: Vec<&Program> = programs.iter().collect();
         let analysis = commute_set(&refs, UNIVERSE as usize);
@@ -131,7 +205,7 @@ proptest! {
         for (i, entry) in cert.programs.iter().enumerate() {
             prop_assert_eq!(
                 entry.class == MoverClass::ReadOnly,
-                entry.writes.is_empty(),
+                entry.claim.writes.is_empty(),
                 "read-only iff the write footprint is empty"
             );
             if entry.class == MoverClass::ReadOnly {
@@ -140,7 +214,7 @@ proptest! {
                     // self-pair), but a query still conflicts with
                     // writers of its read set — read-only is not
                     // both-mover.
-                    if other.writes.is_empty() {
+                    if other.claim.writes.is_empty() {
                         prop_assert!(
                             cert.matrix.commutes(i, j),
                             "read-only programs must commute with each other"
@@ -152,7 +226,7 @@ proptest! {
     }
 
     #[test]
-    fn mutated_certificates_are_rejected(sets in program_set()) {
+    fn mutated_commute_certificates_are_rejected(sets in program_set()) {
         let programs = build_set(&sets);
         let refs: Vec<&Program> = programs.iter().collect();
         let cert = commute_set(&refs, UNIVERSE as usize).cert;

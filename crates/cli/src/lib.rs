@@ -477,22 +477,13 @@ fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
     } else {
         Strategy::Auto
     };
-    let mut cert_text = None;
-    let report = match args.options.get("certificate") {
+    let (report, cert) = if args.flag("certificate") {
         // Proof-producing route: always decides via the precedence graph.
-        Some(dest) => {
-            let (report, cert) =
-                check_certified(&h, condition, limits).map_err(|e| e.to_string())?;
-            let text = cert.to_text();
-            if dest == "-" {
-                cert_text = Some(text);
-            } else {
-                std::fs::write(dest, text + "\n")
-                    .map_err(|e| format!("cannot write {dest}: {e}"))?;
-            }
-            report
-        }
-        None => check(&h, condition, strategy).map_err(|e| e.to_string())?,
+        let (report, cert) = check_certified(&h, condition, limits).map_err(|e| e.to_string())?;
+        (report, Some(cert))
+    } else {
+        let report = check(&h, condition, strategy).map_err(|e| e.to_string())?;
+        (report, None)
     };
     let mut out = format!(
         "{condition}: {}",
@@ -549,11 +540,52 @@ fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
         }
     }
     out.push_str(&replay);
-    if let Some(text) = cert_text {
-        out.push_str(&text);
-        out.push('\n');
+    if let Some(cert) = cert {
+        write_certificate(args, || cert.to_text(), &mut out)?;
     }
     Ok(out)
+}
+
+/// Delivers the certificate `--certificate PATH|-` asks for, if any: for
+/// `-` appended to the command's output, otherwise written to PATH.
+fn write_certificate(
+    args: &Args,
+    text: impl FnOnce() -> String,
+    out: &mut String,
+) -> Result<(), String> {
+    let Some(dest) = args.options.get("certificate") else {
+        return Ok(());
+    };
+    let text = text() + "\n";
+    if dest == "-" {
+        out.push_str(&text);
+        Ok(())
+    } else {
+        std::fs::write(dest, text).map_err(|e| format!("cannot write {dest}: {e}"))
+    }
+}
+
+/// Exit code 1 when the findings include an Error-severity one.
+fn severity_code(findings: &[moc_analyze::Finding]) -> i32 {
+    i32::from(moc_analyze::max_severity(findings) == Some(Severity::Error))
+}
+
+/// A report in `--format human|json` (the JSON document on one line).
+fn format_report(
+    args: &Args,
+    human: impl FnOnce() -> String,
+    json: impl FnOnce() -> String,
+) -> Result<String, String> {
+    match args
+        .options
+        .get("format")
+        .map(String::as_str)
+        .unwrap_or("human")
+    {
+        "human" => Ok(human()),
+        "json" => Ok(json() + "\n"),
+        other => Err(format!("unknown format {other:?} (human|json)")),
+    }
 }
 
 /// Resolves a named workload to its program set (shared by `analyze`,
@@ -718,28 +750,17 @@ fn cmd_analyze(args: &Args) -> Result<(String, i32), String> {
     }
     let refs: Vec<&moc_core::program::Program> = programs.iter().map(|p| p.as_ref()).collect();
     let set = moc_analyze::analyze_set(&refs, &required);
-    let code = match moc_analyze::max_severity(&set.all_findings()) {
-        Some(Severity::Error) => 1,
-        _ => 0,
-    };
-    let out = match args
-        .options
-        .get("format")
-        .map(String::as_str)
-        .unwrap_or("human")
-    {
-        "human" => set.render_human(),
-        "json" => {
-            let mut j = set.render_json();
-            j.push('\n');
-            j
-        }
-        other => return Err(format!("unknown format {other:?} (human|json)")),
-    };
+    let code = severity_code(&set.all_findings());
+    let out = format_report(args, || set.render_human(), || set.render_json())?;
     Ok((out, code))
 }
 
-fn cmd_shard(args: &Args) -> Result<(String, i32), String> {
+/// What `shard` and `commute` share: `pass` run over the `--workload`'s
+/// programs with `--max-shard-size` and the `--objects` lower bound.
+fn program_set_pass<A>(
+    args: &Args,
+    pass: fn(&[&moc_core::program::Program], usize, moc_analyze::ShardOptions) -> A,
+) -> Result<A, String> {
     let workload = args
         .options
         .get("workload")
@@ -756,12 +777,12 @@ fn cmd_shard(args: &Args) -> Result<(String, i32), String> {
     // A lower bound: the pass widens the universe to every object the
     // programs reference.
     let objects = args.get_in("objects", 1, 1..)?;
-    let analysis = moc_analyze::shard_set(&refs, objects, opts);
+    Ok(pass(&refs, objects, opts))
+}
 
-    let mut code = match moc_analyze::max_severity(&analysis.all_findings()) {
-        Some(Severity::Error) => 1,
-        _ => 0,
-    };
+fn cmd_shard(args: &Args) -> Result<(String, i32), String> {
+    let analysis = program_set_pass(args, moc_analyze::shard_set)?;
+    let mut code = severity_code(&analysis.all_findings());
     let mut unenforced = Vec::new();
     if let Some(list) = args.options.get("require-composition") {
         for tok in list.split(',') {
@@ -776,108 +797,39 @@ fn cmd_shard(args: &Args) -> Result<(String, i32), String> {
             }
         }
     }
-    let format = args
-        .options
-        .get("format")
-        .map(String::as_str)
-        .unwrap_or("human");
-    let mut out = match format {
-        "human" => {
-            let mut o = analysis.render_human();
-            for tok in &unenforced {
-                let _ = std::fmt::Write::write_fmt(
-                    &mut o,
-                    format_args!("required composition class {tok} is NOT enforced per-shard\n"),
-                );
-            }
-            o
+    let human = || {
+        let mut o = analysis.render_human();
+        for tok in &unenforced {
+            o.push_str(&format!(
+                "required composition class {tok} is NOT enforced per-shard\n"
+            ));
         }
-        "json" => {
-            let mut j = analysis.render_json();
-            j.push('\n');
-            j
-        }
-        other => return Err(format!("unknown format {other:?} (human|json)")),
+        o
     };
-    if let Some(dest) = args.options.get("certificate") {
-        let text = analysis.cert.to_json();
-        if dest == "-" {
-            out.push_str(&text);
-            out.push('\n');
-        } else {
-            std::fs::write(dest, text + "\n").map_err(|e| format!("cannot write {dest}: {e}"))?;
-        }
-    }
+    let mut out = format_report(args, human, || analysis.render_json())?;
+    write_certificate(args, || analysis.cert.to_json(), &mut out)?;
     Ok((out, code))
 }
 
 fn cmd_commute(args: &Args) -> Result<(String, i32), String> {
-    let workload = args
-        .options
-        .get("workload")
-        .map(String::as_str)
-        .unwrap_or("demo");
-    let programs = workload_programs(args, workload)?;
-    let refs: Vec<&moc_core::program::Program> = programs.iter().map(|p| p.as_ref()).collect();
-    let opts = moc_analyze::ShardOptions {
-        max_shard_size: match args.get::<usize>("max-shard-size", 0)? {
-            0 => None,
-            n => Some(n),
-        },
-    };
-    let objects = args.get_in("objects", 1, 1..)?;
-    let analysis = moc_analyze::commute_set_with(&refs, objects, opts);
-
-    let mut code = match moc_analyze::max_severity(&analysis.all_findings()) {
-        Some(Severity::Error) => 1,
-        _ => 0,
-    };
+    let analysis = program_set_pass(args, moc_analyze::commute_set_with)?;
+    let mut code = severity_code(&analysis.all_findings());
     // "Progress" means a *distinct* commuting pair — the same notion
     // MOC0012 lints on (self-pairs don't let anything reorder).
-    let distinct_commuting: usize = (0..analysis.cert.programs.len())
-        .map(|i| {
-            analysis
-                .cert
-                .matrix
-                .row(i)
-                .iter()
-                .filter(|&&j| (j as usize) > i)
-                .count()
-        })
-        .sum();
-    let progress_missing = args.flag("require-progress") && distinct_commuting == 0;
+    let progress_missing =
+        args.flag("require-progress") && analysis.cert.matrix.num_distinct_commuting_pairs() == 0;
     if progress_missing {
         code = 1;
     }
-    let format = args
-        .options
-        .get("format")
-        .map(String::as_str)
-        .unwrap_or("human");
-    let mut out = match format {
-        "human" => {
-            let mut o = analysis.render_human();
-            if progress_missing {
-                o.push_str("required commutation progress is ABSENT: no distinct pair commutes\n");
-            }
-            o
+    let human = || {
+        let mut o = analysis.render_human();
+        if progress_missing {
+            o.push_str("required commutation progress is ABSENT: no distinct pair commutes\n");
         }
-        "json" => {
-            let mut j = analysis.render_json();
-            j.push('\n');
-            j
-        }
-        other => return Err(format!("unknown format {other:?} (human|json)")),
+        o
     };
-    if let Some(dest) = args.options.get("certificate") {
-        let text = analysis.cert.to_json();
-        if dest == "-" {
-            out.push_str(&text);
-            out.push('\n');
-        } else {
-            std::fs::write(dest, text + "\n").map_err(|e| format!("cannot write {dest}: {e}"))?;
-        }
-    }
+    let mut out = format_report(args, human, || analysis.render_json())?;
+    write_certificate(args, || analysis.cert.to_json(), &mut out)?;
     Ok((out, code))
 }
 

@@ -19,19 +19,23 @@
 //! As with [`crate::shard`], this module owns only the data model and its
 //! JSON codec so the emitter (`moc-analyze`) and the independent
 //! validator (`moc-audit`) share one schema without sharing analysis
-//! code.
+//! code; the envelope and program claims live in [`crate::claim`].
 
 use std::collections::BTreeSet;
 use std::fmt;
 
+use crate::claim::{
+    conflicts, entry_field, field, parse_programs, parse_u32s, Family, ProgramClaim,
+};
 use crate::ids::ObjectId;
 use crate::json::{self, Json};
-use crate::shard::{objects_json, parse_objects, parse_u32s, ShardPlan};
+use crate::shard::ShardPlan;
 
-/// Version tag of the commute-certificate JSON schema.
-pub const COMMUTE_CERT_FORMAT: &str = "moc-commute-cert";
-/// Current schema version.
-pub const COMMUTE_CERT_VERSION: u64 = 1;
+const COMMUTE_CERT: Family = Family {
+    format: "moc-commute-cert",
+    version: 1,
+    noun: "commute",
+};
 
 /// The side conditions under which the certificate's commutation claims
 /// are valid, tied to the register semantics of the m-operation DSL. The
@@ -114,51 +118,27 @@ impl fmt::Display for MoverClass {
 /// refined) footprint the matrix was computed from, plus its class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommuteProgramEntry {
-    /// Program name (unique within a certificate).
-    pub name: String,
-    /// Whether the program is classified as an update.
-    pub update: bool,
-    /// Whether the claimed footprint/classification is refined below the
-    /// syntactic one (attested, not re-derived, by the auditor).
-    pub refined: bool,
-    /// Claimed read footprint (sorted, deduplicated).
-    pub reads: Vec<ObjectId>,
-    /// Claimed write footprint (sorted, deduplicated).
-    pub writes: Vec<ObjectId>,
+    /// The program's footprint claim.
+    pub claim: ProgramClaim,
     /// The program's mover class within this configuration.
     pub class: MoverClass,
-}
-
-/// Whether two footprint claims commute: neither side may write an
-/// object the other may touch (the exact negation of the conflict-graph
-/// rule of [`crate::shard::conflicts`]).
-pub fn footprints_commute(p: &CommuteProgramEntry, q: &CommuteProgramEntry) -> bool {
-    let writes = |e: &CommuteProgramEntry| e.writes.iter().copied().collect::<BTreeSet<_>>();
-    let touches = |e: &CommuteProgramEntry| {
-        e.reads
-            .iter()
-            .chain(e.writes.iter())
-            .copied()
-            .collect::<BTreeSet<_>>()
-    };
-    writes(p).intersection(&touches(q)).next().is_none()
-        && writes(q).intersection(&touches(p)).next().is_none()
 }
 
 /// Derives the mover class of program `i` from the full matrix rows.
 /// Only off-diagonal pairs matter; the diagonal self-pair is a property
 /// of concurrent instances, not of the program's place among the others.
 pub fn derive_class(entries: &[CommuteProgramEntry], i: usize) -> MoverClass {
-    if entries[i].writes.is_empty() {
+    let claim = &entries[i].claim;
+    if claim.writes.is_empty() {
         return MoverClass::ReadOnly;
     }
     let mut conflicts_update = false;
     let mut conflicts_query = false;
     for (j, q) in entries.iter().enumerate() {
-        if j == i || footprints_commute(&entries[i], q) {
+        if j == i || !conflicts(claim, &q.claim) {
             continue;
         }
-        if q.update {
+        if q.claim.update {
             conflicts_update = true;
         } else {
             conflicts_query = true;
@@ -193,7 +173,7 @@ impl CommuteMatrix {
         offsets.push(0u32);
         for p in entries {
             for (j, q) in entries.iter().enumerate() {
-                if footprints_commute(p, q) {
+                if !conflicts(&p.claim, &q.claim) {
                     cols.push(j as u32);
                 }
             }
@@ -202,8 +182,7 @@ impl CommuteMatrix {
         CommuteMatrix { offsets, cols }
     }
 
-    /// Number of rows (programs).
-    pub fn num_rows(&self) -> usize {
+    fn num_rows(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
 
@@ -227,8 +206,17 @@ impl CommuteMatrix {
             .sum()
     }
 
+    /// Number of commuting pairs `i < j`: what a reordering can exploit
+    /// (two instances of one program commuting lets nothing move).
+    pub fn num_distinct_commuting_pairs(&self) -> usize {
+        (0..self.num_rows())
+            .map(|i| self.row(i).iter().filter(|&&j| j as usize > i).count())
+            .sum()
+    }
+
     /// Structural well-formedness: monotone offsets covering `cols`,
-    /// ascending in-range rows, and symmetry.
+    /// ascending in-range rows, and symmetry. A row is sliced only once
+    /// its end is known to lie inside `cols`.
     pub fn validate(&self, n: usize) -> Result<(), String> {
         if self.offsets.len() != n + 1 || self.offsets[0] != 0 {
             return Err("matrix offsets must have n+1 entries starting at 0".into());
@@ -237,7 +225,11 @@ impl CommuteMatrix {
             return Err("matrix offsets must cover the column arena".into());
         }
         for i in 0..n {
-            if self.offsets[i] > self.offsets[i + 1] {
+            // An end past the arena means a later offset falls back to
+            // the last one: not monotone either.
+            if self.offsets[i] > self.offsets[i + 1]
+                || self.offsets[i + 1] as usize > self.cols.len()
+            {
                 return Err("matrix offsets must be monotone".into());
             }
             let row = self.row(i);
@@ -284,102 +276,51 @@ impl CommuteCert {
             .programs
             .iter()
             .map(|p| {
-                Json::Obj(vec![
-                    ("name".to_string(), json::str(p.name.clone())),
-                    ("update".to_string(), Json::Bool(p.update)),
-                    ("refined".to_string(), Json::Bool(p.refined)),
-                    ("reads".to_string(), objects_json(&p.reads)),
-                    ("writes".to_string(), objects_json(&p.writes)),
-                    ("class".to_string(), json::str(p.class.tag())),
-                ])
+                let mut fields = p.claim.fields();
+                fields.push(("class".to_string(), json::str(p.class.tag())));
+                Json::Obj(fields)
             })
             .collect();
+        let ids = |v: &[u32]| Json::Arr(v.iter().map(|&o| json::num(o)).collect());
         let matrix = Json::Obj(vec![
-            (
-                "offsets".to_string(),
-                Json::Arr(self.matrix.offsets.iter().map(|&o| json::num(o)).collect()),
-            ),
-            (
-                "cols".to_string(),
-                Json::Arr(self.matrix.cols.iter().map(|&c| json::num(c)).collect()),
-            ),
+            ("offsets".to_string(), ids(&self.matrix.offsets)),
+            ("cols".to_string(), ids(&self.matrix.cols)),
         ]);
-        Json::Obj(vec![
-            ("format".to_string(), json::str(COMMUTE_CERT_FORMAT)),
-            (
-                "version".to_string(),
-                json::num(COMMUTE_CERT_VERSION as u32),
-            ),
-            (
-                "num_objects".to_string(),
-                json::num(self.num_objects as u32),
-            ),
-            (
-                "programs_fingerprint".to_string(),
-                json::str(format!("{:016x}", self.programs_fp)),
-            ),
-            ("programs".to_string(), Json::Arr(programs)),
-            ("matrix".to_string(), matrix),
-            (
-                "side_conditions".to_string(),
-                Json::Arr(
-                    self.side_conditions
-                        .iter()
-                        .map(|s| json::str(s.clone()))
-                        .collect(),
+        COMMUTE_CERT.render(
+            self.num_objects,
+            self.programs_fp,
+            vec![
+                ("programs".to_string(), Json::Arr(programs)),
+                ("matrix".to_string(), matrix),
+                (
+                    "side_conditions".to_string(),
+                    Json::Arr(
+                        self.side_conditions
+                            .iter()
+                            .map(|s| json::str(s.clone()))
+                            .collect(),
+                    ),
                 ),
-            ),
-        ])
-        .render()
+            ],
+        )
     }
 
     /// Parses a certificate document, checking format and version tags.
     /// Structural parse only — semantic validation is the auditor's job.
     pub fn parse(text: &str) -> Result<CommuteCert, String> {
-        let doc = json::parse(text).map_err(|e| format!("malformed JSON: {e:?}"))?;
-        let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing field '{key}'"));
-        let format = field("format")?.as_str().ok_or("format: expected string")?;
-        if format != COMMUTE_CERT_FORMAT {
-            return Err(format!("not a commute certificate (format '{format}')"));
-        }
-        let version = field("version")?.as_u64().ok_or("version: expected uint")?;
-        if version != COMMUTE_CERT_VERSION {
-            return Err(format!("unsupported commute-cert version {version}"));
-        }
-        let num_objects = field("num_objects")?
-            .as_usize()
-            .ok_or("num_objects: expected uint")?;
-        let fp_hex = field("programs_fingerprint")?
-            .as_str()
-            .ok_or("programs_fingerprint: expected string")?;
-        let programs_fp = u64::from_str_radix(fp_hex, 16)
-            .map_err(|_| "programs_fingerprint: expected hex u64".to_string())?;
-        let programs = field("programs")?
-            .as_arr()
-            .ok_or("programs: expected array")?
-            .iter()
-            .map(|p| {
-                let get = |key: &str| {
-                    p.get(key)
-                        .ok_or_else(|| format!("program entry missing '{key}'"))
-                };
-                Ok(CommuteProgramEntry {
-                    name: get("name")?
+        let (doc, num_objects, programs_fp) = COMMUTE_CERT.parse(text)?;
+        let programs = parse_programs(&doc, |p| {
+            Ok(CommuteProgramEntry {
+                claim: ProgramClaim::parse(p)?,
+                class: MoverClass::from_tag(
+                    entry_field(p, "class")?
                         .as_str()
-                        .ok_or("name: expected string")?
-                        .to_string(),
-                    update: get("update")?.as_bool().ok_or("update: expected bool")?,
-                    refined: get("refined")?.as_bool().ok_or("refined: expected bool")?,
-                    reads: parse_objects(get("reads")?, "reads")?,
-                    writes: parse_objects(get("writes")?, "writes")?,
-                    class: MoverClass::from_tag(
-                        get("class")?.as_str().ok_or("class: expected string")?,
-                    )
-                    .ok_or("class: expected a mover-class tag")?,
-                })
+                        .ok_or("class: expected string")?,
+                )
+                .ok_or("class: expected a mover-class tag")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let m = field("matrix")?;
+        })?;
+        let m = field(&doc, "matrix")?;
         let matrix = CommuteMatrix {
             offsets: parse_u32s(
                 m.get("offsets").ok_or("matrix missing 'offsets'")?,
@@ -387,7 +328,7 @@ impl CommuteCert {
             )?,
             cols: parse_u32s(m.get("cols").ok_or("matrix missing 'cols'")?, "matrix cols")?,
         };
-        let side_conditions = field("side_conditions")?
+        let side_conditions = field(&doc, "side_conditions")?
             .as_arr()
             .ok_or("side_conditions: expected array")?
             .iter()
@@ -414,18 +355,17 @@ impl CommuteCert {
         let num_shards = plan.num_shards() as usize;
         let mut touch: Vec<BTreeSet<ObjectId>> = vec![BTreeSet::new(); num_shards];
         let mut write: Vec<BTreeSet<ObjectId>> = vec![BTreeSet::new(); num_shards];
-        for p in &self.programs {
+        for ProgramClaim { reads, writes, .. } in self.programs.iter().map(|p| &p.claim) {
             let mut spans = BTreeSet::new();
-            for o in p.reads.iter().chain(p.writes.iter()) {
+            for o in reads.iter().chain(writes) {
                 if o.index() < plan.num_objects() {
                     spans.insert(plan.shard_of(*o));
                 }
             }
             for &s in &spans {
                 let s = s as usize;
-                touch[s].extend(p.reads.iter().copied());
-                touch[s].extend(p.writes.iter().copied());
-                write[s].extend(p.writes.iter().copied());
+                touch[s].extend(reads.iter().chain(writes).copied());
+                write[s].extend(writes.iter().copied());
             }
         }
         CommutePlan {
@@ -496,25 +436,15 @@ mod tests {
         class: MoverClass,
     ) -> CommuteProgramEntry {
         CommuteProgramEntry {
-            name: name.to_string(),
-            update,
-            refined: false,
-            reads: reads.iter().map(|&i| oid(i)).collect(),
-            writes: writes.iter().map(|&i| oid(i)).collect(),
+            claim: ProgramClaim {
+                name: name.to_string(),
+                update,
+                refined: false,
+                reads: reads.iter().map(|&i| oid(i)).collect(),
+                writes: writes.iter().map(|&i| oid(i)).collect(),
+            },
             class,
         }
-    }
-
-    #[test]
-    fn commutation_is_the_negation_of_conflict() {
-        let w0 = entry("w0", true, &[], &[0], MoverClass::NonMover);
-        let w1 = entry("w1", true, &[], &[1], MoverClass::NonMover);
-        let q0 = entry("q0", false, &[0], &[], MoverClass::ReadOnly);
-        assert!(footprints_commute(&w0, &w1));
-        assert!(!footprints_commute(&w0, &q0));
-        assert!(footprints_commute(&w1, &q0));
-        assert!(!footprints_commute(&w0, &w0), "self WW pins instances");
-        assert!(footprints_commute(&q0, &q0), "read-only self-commutes");
     }
 
     #[test]
@@ -535,7 +465,7 @@ mod tests {
             entry("w-x", true, &[], &[4], MoverClass::LeftMover),
         ];
         for (i, e) in entries.iter().enumerate() {
-            assert_eq!(derive_class(&entries, i), e.class, "{}", e.name);
+            assert_eq!(derive_class(&entries, i), e.class, "{}", e.claim.name);
         }
     }
 
@@ -554,6 +484,7 @@ mod tests {
         assert!(m.commutes(2, 2), "query self-pair commutes");
         // Pairs i <= j: (0,1), (0,2), (1,2), (2,2).
         assert_eq!(m.num_commuting_pairs(), 4);
+        assert_eq!(m.num_distinct_commuting_pairs(), 3);
     }
 
     #[test]
@@ -583,6 +514,15 @@ mod tests {
             cols: vec![2, 1, 2, 0],
         };
         assert!(unsorted.validate(3).is_err());
+        // A row ending past the arena whose last offset still covers it.
+        let overrun = CommuteMatrix {
+            offsets: vec![0, 13, 8, 8, 8, 8, 8],
+            cols: vec![0; 8],
+        };
+        assert_eq!(
+            overrun.validate(6).unwrap_err(),
+            "matrix offsets must be monotone"
+        );
     }
 
     fn sample_cert() -> CommuteCert {

@@ -66,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
+pub mod claim;
 pub mod codec;
 pub mod commute;
 pub mod constraints;

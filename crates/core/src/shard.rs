@@ -13,19 +13,25 @@
 //!
 //! This module owns only the data model and its JSON codec so that the
 //! emitting side (`moc-analyze`) and the independent validator
-//! (`moc-audit`) share one schema without sharing any analysis code.
+//! (`moc-audit`) share one schema without sharing any analysis code; the
+//! envelope and program claims it shares with `moc-commute-cert` live in
+//! [`crate::claim`].
 
-use std::collections::BTreeSet;
 use std::fmt;
 
+use crate::claim::{
+    conflicts, entry_field, field, objects_json, parse_objects, parse_programs, parse_u32s, Family,
+    ProgramClaim,
+};
 use crate::ids::ObjectId;
 use crate::json::{self, Json};
 use crate::program::Program;
 
-/// Version tag of the shard-certificate JSON schema.
-pub const SHARD_CERT_FORMAT: &str = "moc-shard-cert";
-/// Current schema version.
-pub const SHARD_CERT_VERSION: u64 = 1;
+const SHARD_CERT: Family = Family {
+    format: "moc-shard-cert",
+    version: 1,
+    noun: "shard",
+};
 
 /// How a sharded broadcast routes an m-operation whose footprint spans
 /// shards.
@@ -211,19 +217,8 @@ impl fmt::Display for ShardEdgeKind {
 /// One program's entry in a shard certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardProgramEntry {
-    /// Program name (names must be unique within a certificate).
-    pub name: String,
-    /// Whether the program is classified as an update.
-    pub update: bool,
-    /// Whether the claimed footprint/classification is *refined* below
-    /// the syntactic one (reachability analysis). Refined claims are
-    /// attested, not re-derived, by the auditor — mirroring how
-    /// exhaustion proofs are attested in `moc-cert` documents.
-    pub refined: bool,
-    /// Claimed read footprint (sorted, deduplicated).
-    pub reads: Vec<ObjectId>,
-    /// Claimed write footprint (sorted, deduplicated).
-    pub writes: Vec<ObjectId>,
+    /// The program's footprint claim.
+    pub claim: ProgramClaim,
     /// `Some(s)` when the whole footprint is closed within shard `s`;
     /// `None` for a cross-shard (straddling) program.
     pub shard: Option<u32>,
@@ -302,7 +297,7 @@ impl ShardComposition {
             let mut found = false;
             'outer: for (i, p) in programs.iter().enumerate() {
                 for q in &programs[i..] {
-                    if (p.update && q.update) || !conflicts(p, q) {
+                    if (p.claim.update && q.claim.update) || !conflicts(&p.claim, &q.claim) {
                         continue;
                     }
                     found = true;
@@ -334,22 +329,6 @@ impl ShardComposition {
             _ => None,
         }
     }
-}
-
-/// Whether two program entries conflict: a shared object that at least
-/// one of them may write (the conflict-graph rule, restated over claimed
-/// footprints).
-pub fn conflicts(p: &ShardProgramEntry, q: &ShardProgramEntry) -> bool {
-    let writes = |e: &ShardProgramEntry| e.writes.iter().copied().collect::<BTreeSet<_>>();
-    let touches = |e: &ShardProgramEntry| {
-        e.reads
-            .iter()
-            .chain(e.writes.iter())
-            .copied()
-            .collect::<BTreeSet<_>>()
-    };
-    writes(p).intersection(&touches(q)).next().is_some()
-        || writes(q).intersection(&touches(p)).next().is_some()
 }
 
 /// A versioned shard certificate: the partition plus its proof
@@ -406,30 +385,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-pub(crate) fn objects_json(objs: &[ObjectId]) -> Json {
-    Json::Arr(objs.iter().map(|o| json::num(o.as_u32())).collect())
-}
-
-/// Parses an array of ids; anything outside `u32` is an error, not a wrap.
-pub(crate) fn parse_u32s(v: &Json, what: &str) -> Result<Vec<u32>, String> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("{what}: expected array"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_u32()
-                .ok_or_else(|| format!("{what}: expected uint in u32 range"))
-        })
-        .collect()
-}
-
-pub(crate) fn parse_objects(v: &Json, what: &str) -> Result<Vec<ObjectId>, String> {
-    Ok(parse_u32s(v, what)?
-        .into_iter()
-        .map(ObjectId::new)
-        .collect())
-}
-
 impl ShardCert {
     /// Serializes the certificate to its canonical JSON document.
     pub fn to_json(&self) -> String {
@@ -437,17 +392,8 @@ impl ShardCert {
             .programs
             .iter()
             .map(|p| {
-                let mut fields = vec![
-                    ("name".to_string(), json::str(p.name.clone())),
-                    ("update".to_string(), Json::Bool(p.update)),
-                    ("refined".to_string(), Json::Bool(p.refined)),
-                    ("reads".to_string(), objects_json(&p.reads)),
-                    ("writes".to_string(), objects_json(&p.writes)),
-                ];
-                match p.shard {
-                    Some(s) => fields.push(("shard".to_string(), json::num(s))),
-                    None => fields.push(("shard".to_string(), Json::Null)),
-                }
+                let mut fields = p.claim.fields();
+                fields.push(("shard".to_string(), p.shard.map_or(Json::Null, json::num)));
                 fields.push((
                     "spans".to_string(),
                     Json::Arr(p.spans.iter().map(|&s| json::num(s)).collect()),
@@ -474,83 +420,43 @@ impl ShardCert {
             ("msc".to_string(), json::str(self.composition.msc.clone())),
             ("mlin".to_string(), json::str(self.composition.mlin.clone())),
         ]);
-        Json::Obj(vec![
-            ("format".to_string(), json::str(SHARD_CERT_FORMAT)),
-            ("version".to_string(), json::num(SHARD_CERT_VERSION as u32)),
-            (
-                "num_objects".to_string(),
-                json::num(self.num_objects as u32),
-            ),
-            (
-                "programs_fingerprint".to_string(),
-                json::str(format!("{:016x}", self.programs_fp)),
-            ),
-            (
-                "shards".to_string(),
-                Json::Arr(self.shards.iter().map(|s| objects_json(s)).collect()),
-            ),
-            ("programs".to_string(), Json::Arr(programs)),
-            ("cross_edges".to_string(), Json::Arr(edges)),
-            ("composition".to_string(), composition),
-        ])
-        .render()
+        SHARD_CERT.render(
+            self.num_objects,
+            self.programs_fp,
+            vec![
+                (
+                    "shards".to_string(),
+                    Json::Arr(self.shards.iter().map(|s| objects_json(s)).collect()),
+                ),
+                ("programs".to_string(), Json::Arr(programs)),
+                ("cross_edges".to_string(), Json::Arr(edges)),
+                ("composition".to_string(), composition),
+            ],
+        )
     }
 
     /// Parses a certificate document, checking format and version tags.
     /// Structural parse only — semantic validation is the auditor's job.
     pub fn parse(text: &str) -> Result<ShardCert, String> {
-        let doc = json::parse(text).map_err(|e| format!("malformed JSON: {e:?}"))?;
-        let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing field '{key}'"));
-        let format = field("format")?.as_str().ok_or("format: expected string")?;
-        if format != SHARD_CERT_FORMAT {
-            return Err(format!("not a shard certificate (format '{format}')"));
-        }
-        let version = field("version")?.as_u64().ok_or("version: expected uint")?;
-        if version != SHARD_CERT_VERSION {
-            return Err(format!("unsupported shard-cert version {version}"));
-        }
-        let num_objects = field("num_objects")?
-            .as_usize()
-            .ok_or("num_objects: expected uint")?;
-        let fp_hex = field("programs_fingerprint")?
-            .as_str()
-            .ok_or("programs_fingerprint: expected string")?;
-        let programs_fp = u64::from_str_radix(fp_hex, 16)
-            .map_err(|_| "programs_fingerprint: expected hex u64".to_string())?;
-        let shards = field("shards")?
+        let (doc, num_objects, programs_fp) = SHARD_CERT.parse(text)?;
+        let shards = field(&doc, "shards")?
             .as_arr()
             .ok_or("shards: expected array")?
             .iter()
             .map(|s| parse_objects(s, "shard"))
             .collect::<Result<Vec<_>, _>>()?;
-        let programs = field("programs")?
-            .as_arr()
-            .ok_or("programs: expected array")?
-            .iter()
-            .map(|p| {
-                let get = |key: &str| {
-                    p.get(key)
-                        .ok_or_else(|| format!("program entry missing '{key}'"))
-                };
-                let shard = match get("shard")? {
-                    Json::Null => None,
-                    v => Some(v.as_u32().ok_or("shard: expected u32 or null")?),
-                };
-                Ok(ShardProgramEntry {
-                    name: get("name")?
-                        .as_str()
-                        .ok_or("name: expected string")?
-                        .to_string(),
-                    update: get("update")?.as_bool().ok_or("update: expected bool")?,
-                    refined: get("refined")?.as_bool().ok_or("refined: expected bool")?,
-                    reads: parse_objects(get("reads")?, "reads")?,
-                    writes: parse_objects(get("writes")?, "writes")?,
-                    shard,
-                    spans: parse_u32s(get("spans")?, "spans")?,
-                })
+        let programs = parse_programs(&doc, |p| {
+            let shard = match entry_field(p, "shard")? {
+                Json::Null => None,
+                v => Some(v.as_u32().ok_or("shard: expected u32 or null")?),
+            };
+            Ok(ShardProgramEntry {
+                claim: ProgramClaim::parse(p)?,
+                shard,
+                spans: parse_u32s(entry_field(p, "spans")?, "spans")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let cross_edges = field("cross_edges")?
+        })?;
+        let cross_edges = field(&doc, "cross_edges")?
             .as_arr()
             .ok_or("cross_edges: expected array")?
             .iter()
@@ -572,7 +478,7 @@ impl ShardCert {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let comp = field("composition")?;
+        let comp = field(&doc, "composition")?;
         let cget = |key: &str| {
             comp.get(key)
                 .ok_or_else(|| format!("composition missing '{key}'"))
@@ -607,7 +513,17 @@ impl ShardCert {
     }
 
     /// The plan the certificate describes, rebuilt from the shard lists.
+    /// A total, disjoint partition lists each object exactly once, so a
+    /// universe the lists do not add up to is refused before anything is
+    /// allocated for it.
     pub fn plan(&self) -> Result<ShardPlan, String> {
+        let listed: usize = self.shards.iter().map(Vec::len).sum();
+        if listed != self.num_objects {
+            return Err(format!(
+                "the shards list {listed} object ids for a universe of {} objects",
+                self.num_objects
+            ));
+        }
         let mut shard_of = vec![u32::MAX; self.num_objects];
         for (s, objs) in self.shards.iter().enumerate() {
             for o in objs {
@@ -620,9 +536,8 @@ impl ShardCert {
                 shard_of[o.index()] = s as u32;
             }
         }
-        if let Some(missing) = shard_of.iter().position(|&s| s == u32::MAX) {
-            return Err(format!("object {missing} assigned to no shard"));
-        }
+        // With as many ids as objects, in range and none twice, every
+        // object is assigned.
         ShardPlan::new(shard_of)
     }
 }
@@ -662,28 +577,28 @@ mod tests {
         assert!(ShardPlan::new(vec![1, 0, 1]).is_ok());
     }
 
-    fn entry(name: &str, update: bool, reads: &[u32], writes: &[u32]) -> ShardProgramEntry {
-        ShardProgramEntry {
+    fn claim(
+        name: &str,
+        update: bool,
+        refined: bool,
+        reads: &[u32],
+        writes: &[u32],
+    ) -> ProgramClaim {
+        ProgramClaim {
             name: name.to_string(),
             update,
-            refined: false,
+            refined,
             reads: reads.iter().map(|&i| oid(i)).collect(),
             writes: writes.iter().map(|&i| oid(i)).collect(),
-            shard: Some(0),
-            spans: vec![0],
         }
     }
 
-    #[test]
-    fn conflict_rule_needs_a_write_on_a_shared_object() {
-        let q1 = entry("q1", false, &[0], &[]);
-        let q2 = entry("q2", false, &[0], &[]);
-        let w = entry("w", true, &[], &[0]);
-        let w_other = entry("w2", true, &[], &[1]);
-        assert!(!conflicts(&q1, &q2), "read-read never conflicts");
-        assert!(conflicts(&q1, &w));
-        assert!(conflicts(&w, &w));
-        assert!(!conflicts(&w, &w_other));
+    fn entry(name: &str, update: bool, reads: &[u32], writes: &[u32]) -> ShardProgramEntry {
+        ShardProgramEntry {
+            claim: claim(name, update, false, reads, writes),
+            shard: Some(0),
+            spans: vec![0],
+        }
     }
 
     #[test]
@@ -720,20 +635,12 @@ mod tests {
     fn cert_json_round_trips() {
         let programs = vec![
             ShardProgramEntry {
-                name: "rmw".into(),
-                update: true,
-                refined: false,
-                reads: vec![oid(0)],
-                writes: vec![oid(0)],
+                claim: claim("rmw", true, false, &[0], &[0]),
                 shard: Some(0),
                 spans: vec![0],
             },
             ShardProgramEntry {
-                name: "bridge".into(),
-                update: true,
-                refined: true,
-                reads: vec![oid(0), oid(1)],
-                writes: vec![oid(1)],
+                claim: claim("bridge", true, true, &[0, 1], &[1]),
                 shard: None,
                 spans: vec![0, 1],
             },
@@ -766,6 +673,27 @@ mod tests {
         assert!(ShardCert::parse("{}").is_err());
         assert!(ShardCert::parse("{\"format\":\"moc-cert\",\"version\":1}").is_err());
         assert!(ShardCert::parse("not json").is_err());
+    }
+
+    #[test]
+    fn plan_refuses_a_universe_the_shards_do_not_add_up_to() {
+        let mut cert = ShardCert {
+            num_objects: 2,
+            programs_fp: 0,
+            shards: vec![vec![oid(0)], vec![oid(1)]],
+            programs: vec![],
+            cross_edges: vec![],
+            composition: ShardComposition::derive(2, &[], &[]),
+        };
+        assert!(cert.plan().is_ok());
+        // `usize::MAX` would abort a check that allocated first.
+        for n in [1, 3, usize::MAX] {
+            cert.num_objects = n;
+            assert!(cert.plan().unwrap_err().contains("universe"));
+        }
+        cert.num_objects = 2;
+        cert.shards = vec![vec![oid(0), oid(0)]];
+        assert!(cert.plan().unwrap_err().contains("two shards"));
     }
 
     #[test]

@@ -777,7 +777,7 @@ fn fabricated_commute_cert_is_caught() {
     let cross = doctored
         .programs
         .iter_mut()
-        .find(|p| p.name == "x-w")
+        .find(|p| p.claim.name == "x-w")
         .expect("the cross writer is in the certificate");
     assert_eq!(cross.class, MoverClass::NonMover);
     cross.class = MoverClass::BothMover;
