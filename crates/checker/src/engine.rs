@@ -23,7 +23,9 @@
 //! * **Allocation-lean state.** The scheduled set is a fixed-width
 //!   [`BitSet`], adjacency lives in [`Csr`] arenas, and undo information
 //!   goes through one reusable stack: the DFS hot path performs no heap
-//!   allocation.
+//!   allocation. Compiling the problem allocates per table, not per row:
+//!   the rows are appended into their arenas, and the independence matrix
+//!   is one block of bit rows ([`BitRows`]).
 //! * **Commutativity symmetry reduction.** From the history's concrete
 //!   footprints the problem precomputes a pairwise *independence* matrix
 //!   (no relation edge either way, commuting footprints). The DFS then
@@ -262,6 +264,48 @@ impl TranspositionTable {
     }
 }
 
+/// A matrix of bits in one block: row `i` is a set over `0..width`, held in
+/// the words from `i * words` on. One allocation where a [`BitSet`] per row
+/// (per record, per object) takes one each.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    /// `rows` empty rows over `0..width`.
+    pub(crate) fn new(rows: usize, width: usize) -> Self {
+        let words = width.div_ceil(64);
+        BitRows {
+            words,
+            bits: vec![0; rows * words],
+        }
+    }
+
+    /// Row `i` as words, least-significant index first.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..][..self.words]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.bits[i * self.words..][..self.words]
+    }
+
+    /// Adds `j` to row `i`.
+    #[inline]
+    pub(crate) fn insert(&mut self, i: usize, j: usize) {
+        self.bits[i * self.words + j / 64] |= 1u64 << (j % 64);
+    }
+
+    /// Whether row `i` holds `j`.
+    #[inline]
+    pub(crate) fn contains(&self, i: usize, j: usize) -> bool {
+        self.bits[i * self.words + j / 64] & (1u64 << (j % 64)) != 0
+    }
+}
+
 /// The immutable compilation of one admissibility question.
 pub(crate) struct SearchProblem {
     pub(crate) n: usize,
@@ -272,33 +316,36 @@ pub(crate) struct SearchProblem {
     pub(crate) read_reqs: Csr<(u32, u32)>,
     /// Objects written per m-operation.
     pub(crate) write_sets: Csr<u32>,
-    /// Pairwise independence for the symmetry reduction: `indep[i]`
-    /// contains `j` iff `i != j`, no direct relation edge connects them in
+    /// Pairwise independence for the symmetry reduction: row `i` holds
+    /// `j` iff `i != j`, no direct relation edge connects them in
     /// either direction, and their footprints commute (disjoint writes,
     /// neither writing what the other reads). Swapping an adjacent
     /// independent pair in a schedule preserves both legality and the
     /// resulting last-writer state, so only the ascending order of such a
     /// pair needs exploring.
-    pub(crate) indep: Vec<BitSet>,
+    pub(crate) indep: BitRows,
     pub(crate) keys: ZobristKeys,
 }
 
 impl SearchProblem {
-    /// Compiles `h` and a relation edge list into CSR form plus keys.
+    /// Compiles `h` and a relation edge list into CSR form plus keys. The
+    /// history's read and write tables are copied row by row into arenas
+    /// sized from them.
     pub(crate) fn new(h: &History, edges: &[(u32, u32)]) -> Self {
         let n = h.len();
         let preds = predecessor_csr(n, edges.iter().copied());
-        let read_reqs = Csr::from_fn(n, |i| {
-            h.read_sources(MOpIdx(i))
-                .map(|(obj, w)| (obj.index() as u32, w.map_or(NONE, |w| w.0 as u32)))
-                .collect()
-        });
-        let write_sets = Csr::from_fn(n, |i| {
-            h.wobjects(MOpIdx(i))
-                .iter()
-                .map(|o| o.index() as u32)
-                .collect()
-        });
+        let reads = (0..n).map(|i| h.read_sources(MOpIdx(i)).len()).sum();
+        let mut read_reqs = Csr::with_capacity(n, reads);
+        let writes = (0..n).map(|i| h.wobjects(MOpIdx(i)).len()).sum();
+        let mut write_sets = Csr::with_capacity(n, writes);
+        for i in (0..n).map(MOpIdx) {
+            let source = |w: Option<MOpIdx>| w.map_or(NONE, |w| w.0 as u32);
+            read_reqs.push_row(
+                h.read_sources(i)
+                    .map(|(o, w)| (o.index() as u32, source(w))),
+            );
+            write_sets.push_row(h.wobjects(i).iter().map(|o| o.index() as u32));
+        }
         let indep = independence(h.num_objects(), n, &read_reqs, &write_sets, edges);
         let keys = ZobristKeys::new(n, h.num_objects());
         SearchProblem {
@@ -317,7 +364,8 @@ impl SearchProblem {
 /// per-object masks: `i` depends on `j` when an edge relates them, when `j`
 /// touches an object `i` writes, or when `j` writes an object `i` reads (an
 /// object both write falls under the first). Row `i` is the complement of
-/// that union and `{i}`: O(n · footprint · n/64), not a test per pair.
+/// that union and `{i}`: O(n · footprint · n/64), not a test per pair, in
+/// three blocks of rows.
 /// Footprints here are the *history's* concrete footprints — external read
 /// requirements plus write sets — so the reduction is exact, not an
 /// over-approximation.
@@ -327,32 +375,38 @@ fn independence(
     read_reqs: &Csr<(u32, u32)>,
     write_sets: &Csr<u32>,
     edges: &[(u32, u32)],
-) -> Vec<BitSet> {
-    let mut touchers: Vec<BitSet> = (0..num_objects).map(|_| BitSet::new(n)).collect();
-    let mut writers = touchers.clone();
+) -> BitRows {
+    let mut touchers = BitRows::new(num_objects, n);
+    let mut writers = BitRows::new(num_objects, n);
     for i in 0..n {
         for &(o, _) in read_reqs.row(i) {
-            touchers[o as usize].insert(i);
+            touchers.insert(o as usize, i);
         }
         for &o in write_sets.row(i) {
-            touchers[o as usize].insert(i);
-            writers[o as usize].insert(i);
+            touchers.insert(o as usize, i);
+            writers.insert(o as usize, i);
         }
     }
-    let mut indep: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+    let mut indep = BitRows::new(n, n);
     for &(a, b) in edges {
-        indep[a as usize].insert(b as usize);
-        indep[b as usize].insert(a as usize);
+        indep.insert(a as usize, b as usize);
+        indep.insert(b as usize, a as usize);
     }
-    for (i, row) in indep.iter_mut().enumerate() {
-        row.insert(i);
+    let union = |row: &mut [u64], with: &[u64]| row.iter_mut().zip(with).for_each(|(a, b)| *a |= b);
+    let tail = n % 64;
+    for i in 0..n {
+        indep.insert(i, i);
+        let row = indep.row_mut(i);
         for &o in write_sets.row(i) {
-            row.union_with(&touchers[o as usize]);
+            union(row, touchers.row(o as usize));
         }
         for &(o, _) in read_reqs.row(i) {
-            row.union_with(&writers[o as usize]);
+            union(row, writers.row(o as usize));
         }
-        row.complement();
+        row.iter_mut().for_each(|w| *w = !*w);
+        if let Some(last) = row.last_mut().filter(|_| tail > 0) {
+            *last &= (1u64 << tail) - 1;
+        }
     }
     indep
 }
@@ -519,7 +573,7 @@ impl<'p> SearchContext<'p> {
                 continue;
             }
             if let Some(p) = last {
-                if iu < p && self.p.indep[p as usize].contains(i) {
+                if iu < p && self.p.indep.contains(p as usize, i) {
                     self.symmetry_skips += 1;
                     continue;
                 }
@@ -588,6 +642,27 @@ mod tests {
     use crate::precedence::PrecedenceGraph;
     use moc_workload::arb::{self, HistoryBounds};
 
+    /// The per-row-vector constructors `Csr` offered before rows were
+    /// appended into its arena in place, for the tests that build their
+    /// footprints that way.
+    trait FromRows<T>: Sized {
+        fn from_fn(n: usize, row: impl FnMut(usize) -> Vec<T>) -> Self;
+        fn from_rows(rows: &[Vec<T>]) -> Self
+        where
+            T: Clone,
+        {
+            Self::from_fn(rows.len(), |i| rows[i].clone())
+        }
+    }
+
+    impl<T> FromRows<T> for Csr<T> {
+        fn from_fn(n: usize, mut row: impl FnMut(usize) -> Vec<T>) -> Self {
+            let mut csr = Csr::with_capacity(n, 0);
+            (0..n).for_each(|i| csr.push_row(row(i)));
+            csr
+        }
+    }
+
     /// The matrix this module used to build, kept as the reference: every
     /// pair tested, two footprint intersections each.
     fn independence_pairwise(
@@ -596,7 +671,7 @@ mod tests {
         read_reqs: &Csr<(u32, u32)>,
         write_sets: &Csr<u32>,
         edges: &[(u32, u32)],
-    ) -> Vec<BitSet> {
+    ) -> BitRows {
         let mut touch: Vec<BitSet> = (0..n).map(|_| BitSet::new(num_objects)).collect();
         let mut writes: Vec<BitSet> = (0..n).map(|_| BitSet::new(num_objects)).collect();
         for i in 0..n {
@@ -615,15 +690,15 @@ mod tests {
         }
         let disjoint =
             |a: &BitSet, b: &BitSet| a.words().iter().zip(b.words()).all(|(&x, &y)| x & y == 0);
-        let mut indep: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+        let mut indep = BitRows::new(n, n);
         for i in 0..n {
             for j in i + 1..n {
                 if !related[i].contains(j)
                     && disjoint(&writes[i], &touch[j])
                     && disjoint(&writes[j], &touch[i])
                 {
-                    indep[i].insert(j);
-                    indep[j].insert(i);
+                    indep.insert(i, j);
+                    indep.insert(j, i);
                 }
             }
         }
@@ -681,7 +756,12 @@ mod tests {
             let reference =
                 independence_pairwise(p.num_objects, p.n, &p.read_reqs, &p.write_sets, &edges);
             assert_eq!(p.indep, reference, "seed {seed}");
-            independent += p.indep.iter().map(BitSet::count).sum::<usize>();
+            independent += p
+                .indep
+                .bits
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>();
         }
         assert!(independent > 0, "no independent pair to compare");
     }

@@ -32,6 +32,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use moc_core::bitset::BitSet;
+use moc_core::csr::{predecessor_csr, Csr};
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::ObjectId;
 use moc_core::mop::EventTime;
@@ -39,7 +40,7 @@ use moc_core::relations::{object_order, tarjan_scc, Relation};
 
 use crate::admissible::{SearchLimits, SearchOutcome, SearchStats};
 use crate::conditions::Condition;
-use crate::engine::{self, ComponentPlan, SearchProblem};
+use crate::engine::{self, BitRows, ComponentPlan, SearchProblem};
 
 /// Why an edge is in the precedence graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,8 +116,7 @@ impl PrecedenceGraph {
         order: &[(MOpIdx, MOpIdx)],
     ) -> Self {
         let mut edges = Vec::new();
-        for p in h.processes() {
-            let idxs = h.by_process(p);
+        for idxs in h.subhistories() {
             for w in idxs.windows(2) {
                 edges.push(Edge {
                     from: w[0],
@@ -156,22 +156,16 @@ impl PrecedenceGraph {
     }
 
     /// The graph over `base` before saturation; `real_time` as the field.
-    fn from_edges(n: usize, base: Vec<Edge>, real_time: bool) -> Self {
+    /// A repeated pair keeps its first edge.
+    fn from_edges(n: usize, mut edges: Vec<Edge>, real_time: bool) -> Self {
         let mut direct = Relation::new(n);
-        let mut edges = Vec::new();
-        for e in base {
-            if e.from == e.to {
-                // A reflexive base edge is already a (degenerate) cycle;
-                // keep it so cycle detection reports it.
-                direct.add(e.from, e.to);
-                edges.push(e);
-                continue;
-            }
-            if !direct.contains(e.from, e.to) {
-                direct.add(e.from, e.to);
-                edges.push(e);
-            }
-        }
+        edges.retain(|e| {
+            // A reflexive base edge is already a (degenerate) cycle; every
+            // copy is kept so cycle detection reports it.
+            let fresh = e.from == e.to || !direct.contains(e.from, e.to);
+            direct.add(e.from, e.to);
+            fresh
+        });
         PrecedenceGraph {
             n,
             base_edges: edges.len(),
@@ -204,11 +198,11 @@ impl PrecedenceGraph {
         let words = self.n.div_ceil(64);
         let (mut candidates, mut targets) = (vec![0u64; words], vec![0u64; words]);
         // The pairs a round takes its premises from, held apart from
-        // `closed`, which grows while the round runs.
-        let mut premises = self.closed.clone();
+        // `closed`, which grows while the round runs, and the pairs it adds
+        // to `closed`: the next round's premises.
+        let (mut premises, mut gained) = (self.closed.clone(), Relation::new(self.n));
         for round in 1.. {
             let derived = self.edges.len();
-            let mut gained = Relation::new(self.n);
             for (alpha, _) in h.iter() {
                 let after = later.as_ref().map(|later| later.of(alpha));
                 targets.fill(0);
@@ -220,7 +214,7 @@ impl PrecedenceGraph {
                     };
                     // No ~rw edge where the pair is ordered already.
                     let ordered = self.direct.row(alpha);
-                    let of_x = writers[obj.index()].words();
+                    let of_x = writers.row(obj.index());
                     for (k, c) in candidates.iter_mut().enumerate() {
                         *c = of_x[k] & !ordered[k];
                         if let Some(premise) = premise {
@@ -254,7 +248,8 @@ impl PrecedenceGraph {
             if self.edges.len() == derived {
                 break;
             }
-            premises = gained;
+            std::mem::swap(&mut premises, &mut gained);
+            gained.clear();
         }
     }
 
@@ -291,30 +286,25 @@ impl PrecedenceGraph {
     /// topological order; a component with more than one member (or a
     /// self-loop) certifies that no legal linearization exists.
     pub fn condensation(&self) -> Condensation {
-        let succs = self.adjacency();
-        let mut comps = tarjan_scc(self.n, |v| succs[v as usize].iter().copied());
-        comps.reverse(); // Tarjan emits reverse-topological.
+        let succs = self.successors();
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        tarjan_scc(
+            self.n,
+            |v| succs.row(v as usize).iter().copied(),
+            |comp| members.push(comp.iter().map(|&v| v as usize).collect()),
+        );
+        members.reverse(); // Tarjan emits reverse-topological.
         let mut comp_of = vec![0usize; self.n];
-        for (c, members) in comps.iter().enumerate() {
-            for &v in members {
-                comp_of[v as usize] = c;
-            }
+        for (c, comp) in members.iter().enumerate() {
+            comp.iter().for_each(|&v| comp_of[v] = c);
         }
-        Condensation {
-            comp_of,
-            members: comps
-                .into_iter()
-                .map(|ms| ms.into_iter().map(|v| v as usize).collect())
-                .collect(),
-        }
+        Condensation { comp_of, members }
     }
 
-    fn adjacency(&self) -> Vec<Vec<u32>> {
-        let mut succs = vec![Vec::new(); self.n];
-        for e in &self.edges {
-            succs[e.from.0].push(e.to.0 as u32);
-        }
-        succs
+    /// The edges' targets, grouped by source in edge order.
+    fn successors(&self) -> Csr<u32> {
+        let reversed = self.edges.iter().map(|e| (e.to.0 as u32, e.from.0 as u32));
+        predecessor_csr(self.n, reversed)
     }
 
     /// An inadmissibility core: a cycle of the saturated graph as edge ids
@@ -462,13 +452,21 @@ impl PrecedenceGraph {
                 }
             }
         }
-        let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        // A root is its component's least member, so the roots in
+        // ascending order are the components ordered by least member, and
+        // each root comes before the rest of its members. `slot` holds a
+        // root's size until the root is reached, its component after.
+        let mut slot = vec![0usize; self.n];
+        (0..self.n).for_each(|v| slot[uf.find(v)] += 1);
+        let mut comps: Vec<Vec<usize>> = Vec::new();
         for v in 0..self.n {
-            by_root.entry(uf.find(v)).or_default().push(v);
+            let root = uf.find(v);
+            if root == v {
+                comps.push(Vec::with_capacity(slot[v]));
+                slot[v] = comps.len() - 1;
+            }
+            comps[slot[root]].push(v);
         }
-        // BTreeMap keyed by root ≠ sorted by min member; normalize.
-        let mut comps: Vec<Vec<usize>> = by_root.into_values().collect();
-        comps.sort_by_key(|ms| ms[0]);
         comps
     }
 }
@@ -510,15 +508,15 @@ fn real_time_reduction(h: &History, edges: &mut Vec<Edge>) {
     }
 }
 
-/// Per object, the history's writers of it as a mask over its indices.
-pub fn writer_masks(h: &History) -> Vec<BitSet> {
-    let objects = (0..h.num_objects()).map(|x| ObjectId::new(x as u32));
-    let mask = |x| {
-        let mut of_x = BitSet::new(h.len());
-        h.writers_of(x).iter().for_each(|w| _ = of_x.insert(w.0));
-        of_x
-    };
-    objects.map(mask).collect()
+/// Per object, the history's writers of it as a row of bits over its
+/// indices.
+fn writer_masks(h: &History) -> BitRows {
+    let mut masks = BitRows::new(h.num_objects(), h.len());
+    for x in 0..h.num_objects() {
+        let writers = h.writers_of(ObjectId::new(x as u32));
+        writers.iter().for_each(|w| masks.insert(x, w.0));
+    }
+    masks
 }
 
 /// For each record α, the records real time puts after it — invoked after
@@ -644,8 +642,10 @@ pub fn adjacency_has_cycle(succs: &[Vec<u32>]) -> bool {
     {
         return true;
     }
-    let comps = tarjan_scc(succs.len(), |v| succs[v as usize].iter().copied());
-    comps.iter().any(|c| c.len() > 1)
+    let mut cyclic = false;
+    let of = |v: u32| succs[v as usize].iter().copied();
+    tarjan_scc(succs.len(), of, |comp| cyclic |= comp.len() > 1);
+    cyclic
 }
 
 struct UnionFind {
@@ -937,7 +937,9 @@ mod tests {
     fn tarjan_finds_components_and_cycles() {
         // 0 -> 1 -> 2 -> 0 cycle, 3 isolated, 4 -> 3 edge.
         let succs = vec![vec![1], vec![2], vec![0], vec![], vec![3u32]];
-        let comps = tarjan_scc(succs.len(), |v| succs[v as usize].iter().copied());
+        let mut comps: Vec<Vec<u32>> = Vec::new();
+        let of = |v: u32| succs[v as usize].iter().copied();
+        tarjan_scc(succs.len(), of, |comp| comps.push(comp.to_vec()));
         assert!(comps.contains(&vec![0, 1, 2]));
         assert!(adjacency_has_cycle(&succs));
         let dag = vec![vec![1], vec![2], vec![], vec![2u32]];

@@ -32,6 +32,14 @@ use crate::op::{CompletedOp, OpKind};
 pub enum CodecError {
     /// The header line is missing or names an unsupported version.
     BadHeader(String),
+    /// The `objects` line declares more objects than 32-bit object ids
+    /// can name.
+    TooManyObjects {
+        /// 1-based line number.
+        line: usize,
+        /// The declared count.
+        count: u64,
+    },
     /// A line could not be parsed.
     BadLine {
         /// 1-based line number.
@@ -47,6 +55,12 @@ impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CodecError::BadHeader(h) => write!(f, "bad header: {h:?}"),
+            CodecError::TooManyObjects { line, count } => {
+                write!(
+                    f,
+                    "line {line}: {count} objects do not fit 32-bit object ids"
+                )
+            }
             CodecError::BadLine { line, reason } => write!(f, "line {line}: {reason}"),
             CodecError::Invalid(e) => write!(f, "invalid history: {e}"),
         }
@@ -215,7 +229,7 @@ pub fn from_text(text: &str) -> Result<History, CodecError> {
     let (ln, objects_line) = lines
         .next()
         .ok_or(CodecError::BadHeader("missing objects line".into()))?;
-    let num_objects: usize = objects_line
+    let count: u64 = objects_line
         .trim()
         .strip_prefix("objects ")
         .and_then(|s| s.parse().ok())
@@ -223,6 +237,10 @@ pub fn from_text(text: &str) -> Result<History, CodecError> {
             line: ln + 1,
             reason: "expected `objects <n>`".into(),
         })?;
+    let num_objects = u32::try_from(count).map_err(|_| CodecError::TooManyObjects {
+        line: ln + 1,
+        count,
+    })? as usize;
 
     let mut records: Vec<MOpRecord> = Vec::new();
     for (i, raw) in lines {
@@ -404,6 +422,24 @@ mod tests {
         assert!(matches!(from_text(bad), Err(CodecError::BadLine { .. })));
         let bad = "history v1\nobjects 1\nwhat o0\nend\n";
         assert!(matches!(from_text(bad), Err(CodecError::BadLine { .. })));
+    }
+
+    /// An object count 32-bit ids cannot name is a typed error before any
+    /// table is sized by it; the largest that fits is read as written.
+    #[test]
+    fn rejects_object_counts_past_32_bits() {
+        for count in [1u64 << 32, 1_000_000_000_000, u64::MAX] {
+            let text = format!("history v1\nobjects {count}\nend\n");
+            assert_eq!(
+                from_text(&text).unwrap_err(),
+                CodecError::TooManyObjects { line: 2, count }
+            );
+        }
+        let text = "history v1\nobjects 18446744073709551616\nend\n";
+        assert!(matches!(
+            from_text(text),
+            Err(CodecError::BadLine { line: 2, .. })
+        ));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! write sets for every DFS node. Storing them as `Vec<Vec<_>>` scatters
 //! each row in its own heap allocation; a [`Csr`] packs all rows into one
 //! arena (`data`) indexed by an offsets table, so row access is a pair of
-//! loads with no pointer chasing and construction is the only allocation.
+//! loads with no pointer chasing. Rows are appended straight into the
+//! arena ([`Csr::push_row`]), so a CSR sized up front costs two
+//! allocations however many rows it holds.
 
 /// Rows of `T` packed back-to-back, addressed through an offsets table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,36 +16,22 @@ pub struct Csr<T> {
 }
 
 impl<T> Csr<T> {
-    /// Builds a CSR with `n` rows, where row `i` holds the items yielded by
-    /// `row(i)` in order.
-    pub fn from_fn(n: usize, mut row: impl FnMut(usize) -> Vec<T>) -> Self {
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut data = Vec::new();
+    /// An empty CSR with room for `rows` rows holding `items` items in
+    /// all; [`Csr::push_row`] appends them.
+    pub fn with_capacity(rows: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        for i in 0..n {
-            data.extend(row(i));
-            let end = u32::try_from(data.len()).expect("CSR arena fits in u32 offsets");
-            offsets.push(end);
+        Csr {
+            offsets,
+            data: Vec::with_capacity(items),
         }
-        Csr { offsets, data }
     }
 
-    /// Builds a CSR from per-row vectors.
-    pub fn from_rows(rows: &[Vec<T>]) -> Self
-    where
-        T: Clone,
-    {
-        Self::from_fn(rows.len(), |i| rows[i].clone())
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of stored items across all rows.
-    pub fn num_items(&self) -> usize {
-        self.data.len()
+    /// Appends a row holding `items`, in order.
+    pub fn push_row(&mut self, items: impl IntoIterator<Item = T>) {
+        self.data.extend(items);
+        let end = u32::try_from(self.data.len()).expect("CSR arena fits in u32 offsets");
+        self.offsets.push(end);
     }
 
     /// Row `i` as a slice.
@@ -83,14 +71,65 @@ pub fn predecessor_csr(n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone
 mod tests {
     use super::*;
 
+    /// The constructor this module used to offer, kept as the reference:
+    /// each row collected into a vector of its own, then copied over.
+    fn from_fn<T>(n: usize, mut row: impl FnMut(usize) -> Vec<T>) -> Csr<T> {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut data = Vec::new();
+        offsets.push(0);
+        for i in 0..n {
+            data.extend(row(i));
+            let end = u32::try_from(data.len()).expect("CSR arena fits in u32 offsets");
+            offsets.push(end);
+        }
+        Csr { offsets, data }
+    }
+
     #[test]
-    fn from_fn_packs_rows() {
-        let c = Csr::from_fn(3, |i| vec![i as u32; i]);
-        assert_eq!(c.num_rows(), 3);
+    fn push_row_packs_rows() {
+        let mut c = Csr::with_capacity(3, 3);
+        (0..3).for_each(|i| c.push_row(vec![i as u32; i]));
         assert_eq!(c.row(0), &[] as &[u32]);
         assert_eq!(c.row(1), &[1]);
         assert_eq!(c.row(2), &[2, 2]);
-        assert_eq!(c.num_items(), 3);
+        assert_eq!((c.offsets.len(), c.data.len()), (4, 3));
+    }
+
+    /// Rows appended in place against per-row vectors and the reference
+    /// built from them, with the capacity guessed right, short and zero:
+    /// empty rows, long rows, pairs as items.
+    #[test]
+    fn push_row_equals_per_row_vectors() {
+        let mut state = 0x6373_725f_726f_7773u64;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for case in 0..200 {
+            let n = next(70);
+            let rows: Vec<Vec<(u32, u32)>> = (0..n)
+                .map(|_| {
+                    let len = [0, 1, 3, 40][next(4)];
+                    (0..next(len + 1))
+                        .map(|_| (next(9) as u32, next(99) as u32))
+                        .collect()
+                })
+                .collect();
+            let items: usize = rows.iter().map(Vec::len).sum();
+            let mut c = Csr::with_capacity(n, [items, items / 2, 0][case % 3]);
+            rows.iter().for_each(|row| c.push_row(row.iter().copied()));
+            assert_eq!(c, from_fn(n, |i| rows[i].clone()), "case {case}");
+            assert_eq!(
+                (c.offsets.len(), c.data.len()),
+                (n + 1, items),
+                "case {case}"
+            );
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(c.row(i), row.as_slice(), "case {case}, row {i}");
+            }
+        }
     }
 
     #[test]
@@ -102,14 +141,5 @@ mod tests {
         let mut r2 = c.row(2).to_vec();
         r2.sort_unstable();
         assert_eq!(r2, vec![0, 1]);
-    }
-
-    #[test]
-    fn from_rows_matches_inputs() {
-        let rows = vec![vec![(1u32, 2u32)], vec![], vec![(3, 4), (5, 6)]];
-        let c = Csr::from_rows(&rows);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(c.row(i), r.as_slice());
-        }
     }
 }

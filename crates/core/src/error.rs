@@ -63,6 +63,12 @@ pub enum CoreError {
         /// The row count or record index that does not fit.
         rows: usize,
     },
+    /// The tables a history keeps per object could not be allocated for
+    /// the declared object universe.
+    ObjectTablesTooLarge {
+        /// Number of objects the history was declared with.
+        num_objects: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -109,6 +115,10 @@ impl fmt::Display for CoreError {
             CoreError::HistoryTooLarge { rows } => write!(
                 f,
                 "history too large: {rows} rows do not fit a table indexed in 32 bits"
+            ),
+            CoreError::ObjectTablesTooLarge { num_objects } => write!(
+                f,
+                "cannot allocate the per-object tables of {num_objects} objects"
             ),
         }
     }

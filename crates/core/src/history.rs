@@ -77,6 +77,16 @@ fn row(n: usize) -> Result<u32, CoreError> {
         .ok_or(CoreError::HistoryTooLarge { rows: n })
 }
 
+/// A table of one `value` per object, or the error that names the object
+/// count when the allocator cannot hold it.
+fn per_object<T: Clone>(num_objects: usize, value: T) -> Result<Vec<T>, CoreError> {
+    let mut table = Vec::new();
+    (table.try_reserve_exact(num_objects))
+        .map_err(|_| CoreError::ObjectTablesTooLarge { num_objects })?;
+    table.resize(num_objects, value);
+    Ok(table)
+}
+
 /// Every process subhistory, in one table.
 #[derive(Debug, Clone)]
 struct ProcessIndex {
@@ -204,11 +214,13 @@ impl History {
     /// Returns a [`CoreError`] if any record references an out-of-range
     /// object, ids collide, a process subhistory is not sequential, a
     /// response precedes its invocation, or a read's recorded writer does
-    /// not exist / never writes the object read.
+    /// not exist / never writes the object read, or if the tables kept per
+    /// object cannot be allocated for `num_objects` objects.
     ///
-    /// Which of several defects is reported depends on the records alone:
-    /// the first record, in the order given, that repeats an earlier id,
-    /// responds before its invocation or touches an out-of-range object
+    /// Which of several defects is reported depends on the records alone,
+    /// once the per-object tables are allocated: the first record, in the
+    /// order given, that repeats an earlier id, responds before its
+    /// invocation or touches an out-of-range object
     /// (checked in that order); failing that, the overlapping pair of the
     /// lowest process, then the lowest sequence number; failing that, the
     /// first read, in record then program order, with a bad writer.
@@ -245,10 +257,10 @@ impl History {
         let mut objects = Vec::with_capacity(total_ops);
         let mut wobjects = Vec::with_capacity(total_ops);
         let mut reads = Vec::with_capacity(total_ops);
-        let mut writers = vec![Vec::new(); num_objects];
+        let mut writers = per_object(num_objects, Vec::new())?;
         // The last record seen to touch each object; for writes, the tail of
         // the object's writer list says the same.
-        let mut touched = vec![usize::MAX; num_objects];
+        let mut touched = per_object(num_objects, usize::MAX)?;
         for (i, rec) in records.iter().enumerate() {
             if first_duplicate == Some(i) {
                 return Err(CoreError::DuplicateMOpId(rec.id));
@@ -370,6 +382,13 @@ impl History {
         &self.records
     }
 
+    /// Takes the history apart into its records, in construction order:
+    /// how a caller that handed its records to [`History::new`] gets them
+    /// back without a copy.
+    pub fn into_records(self) -> Vec<MOpRecord> {
+        self.records
+    }
+
     /// The record at `idx`.
     ///
     /// # Panics
@@ -392,6 +411,17 @@ impl History {
     /// The set of processes appearing in the history.
     pub fn processes(&self) -> BTreeSet<ProcessId> {
         self.index.runs.iter().map(|(p, _)| *p).collect()
+    }
+
+    /// Every process subhistory `H|P` in process order, ascending by
+    /// process: [`History::by_process`] of each of [`History::processes`],
+    /// read off the index without building the set.
+    pub fn subhistories(&self) -> impl Iterator<Item = &[MOpIdx]> {
+        let order = &self.index.order;
+        self.index
+            .runs
+            .iter()
+            .map(move |(_, run)| &order[run.clone()])
     }
 
     /// The process subhistory `H|P`, in process order.
@@ -653,6 +683,8 @@ mod tests {
         assert_eq!(h.num_objects(), 3);
         assert_eq!(h.processes().len(), 3);
         assert_eq!(h.by_process(pid(1)).len(), 2);
+        let subhistories = h.processes().into_iter().map(|p| h.by_process(p));
+        assert!(h.subhistories().eq(subhistories));
         let eta = h.idx_of(MOpId::new(pid(2), 0)).unwrap();
         assert_eq!(h.record(eta).notation(), "P2#0 = w(x)1");
     }
@@ -907,6 +939,19 @@ mod tests {
         assert_eq!(row(last), Ok(NO_SUCH_WRITER - 1));
         for rows in [last + 1, INITIAL as usize, usize::MAX] {
             assert_eq!(row(rows), Err(CoreError::HistoryTooLarge { rows }));
+        }
+    }
+
+    /// An object universe the allocator cannot hold tables for is a typed
+    /// error, not an abort: sized past `isize::MAX` bytes, the request is
+    /// refused before any memory is asked for.
+    #[test]
+    fn unallocatable_object_tables_are_an_error() {
+        for num_objects in [usize::MAX, usize::MAX / 16] {
+            assert_eq!(
+                History::new(num_objects, Vec::new()).unwrap_err(),
+                CoreError::ObjectTablesTooLarge { num_objects }
+            );
         }
     }
 

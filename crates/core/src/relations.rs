@@ -97,6 +97,11 @@ impl Relation {
         out
     }
 
+    /// Removes every pair, keeping the storage.
+    pub fn clear(&mut self) {
+        self.bits.fill(0);
+    }
+
     /// Merges `other` into `self`.
     pub fn union_in_place(&mut self, other: &Relation) {
         assert_eq!(self.n, other.n, "relation size mismatch");
@@ -145,7 +150,7 @@ impl Relation {
         let mut closed = vec![false; self.n];
         let mut row = vec![0u64; wpr];
         let succs = |v: u32| self.successors(MOpIdx(v as usize)).map(|w| w.0 as u32);
-        for members in tarjan_scc(self.n, succs) {
+        tarjan_scc(self.n, succs, |members| {
             row.fill(0);
             for w in members.iter().flat_map(|&m| succs(m)).map(|w| w as usize) {
                 // One already in the row came with a row that covers its own.
@@ -157,11 +162,11 @@ impl Relation {
                     }
                 }
             }
-            for m in members {
+            for &m in members {
                 out.bits[m as usize * wpr..][..wpr].copy_from_slice(&row);
                 closed[m as usize] = true;
             }
-        }
+        });
         out
     }
 
@@ -174,6 +179,10 @@ impl Relation {
     /// way, from empty, is [`Relation::transitive_closure`]'s, cycles
     /// included.
     ///
+    /// What `i` lacks is gathered on the stack when the rows are at most
+    /// 512 elements long (a sentinel window's), so that growing the closure
+    /// allocates nothing; a longer row gathers it on the heap.
+    ///
     /// # Panics
     ///
     /// Panics if `i` is out of range, `targets` is not one row long, or the
@@ -183,29 +192,46 @@ impl Relation {
         assert_eq!(targets.len(), self.words_per_row, "not a row");
         assert_eq!(self.n, gained.n, "relation size mismatch");
         let wpr = self.words_per_row;
-        // What `i` lacks. A `j` it has came with its successors, and a row
-        // that reaches `i` has all `i` has: the rest, as (word, bits), is
-        // usually a word or two of a long row, or nothing.
-        let mut lacks = vec![0u64; wpr];
-        for j in (BitIter::words(targets)).filter(|&j| !self.contains(i, MOpIdx(j))) {
+        let mut small = ([0u64; 8], [0usize; 8]);
+        let mut large = (Vec::new(), Vec::new());
+        let (lacks, at) = if wpr <= small.0.len() {
+            (&mut small.0[..wpr], &mut small.1[..wpr])
+        } else {
+            large.0.resize(wpr, 0);
+            large.1.resize(wpr, 0);
+            (&mut large.0[..], &mut large.1[..])
+        };
+        // What `i` lacks. A `j` it has came with its successors, as did one
+        // an earlier `j` brought, and a row that reaches `i` has all `i`
+        // has: the rest, as words `lacks[..m]` at `at[..m]`, is usually a
+        // word or two of a long row, or nothing.
+        for j in BitIter::words(targets) {
+            let bit = 1u64 << (j % 64);
+            if self.contains(i, MOpIdx(j)) || lacks[j / 64] & bit != 0 {
+                continue;
+            }
             lacks
                 .iter_mut()
                 .zip(self.row(MOpIdx(j)))
                 .for_each(|(l, r)| *l |= r);
-            lacks[j / 64] |= 1u64 << (j % 64);
+            lacks[j / 64] |= bit;
         }
-        let lacks: Vec<(usize, u64)> = (lacks.iter().zip(self.row(i)).enumerate())
-            .map(|(k, (l, own))| (k, l & !own))
-            .filter(|&(_, bits)| bits != 0)
-            .collect();
-        if lacks.is_empty() {
+        let mut m = 0;
+        for k in 0..wpr {
+            let bits = lacks[k] & !self.bits[i.0 * wpr + k];
+            if bits != 0 {
+                (lacks[m], at[m]) = (bits, k);
+                m += 1;
+            }
+        }
+        if m == 0 {
             return;
         }
         for u in 0..self.n {
             if u != i.0 && !self.contains(MOpIdx(u), i) {
                 continue;
             }
-            for &(k, bits) in &lacks {
+            for (&k, &bits) in at[..m].iter().zip(&lacks[..m]) {
                 let own = &mut self.bits[u * wpr + k];
                 gained.bits[u * wpr + k] |= bits & !*own;
                 *own |= bits;
@@ -385,13 +411,17 @@ impl Iterator for BitIter {
 }
 
 /// Tarjan's strongly-connected components of the digraph on `0..n` whose
-/// successors `succs` yields, iterative (no recursion), components emitted
-/// in reverse topological order, each ascending.
+/// successors `succs` yields, iterative (no recursion), each handed to
+/// `component` in reverse topological order, ascending.
+///
+/// A component is handed over where it lies, on top of Tarjan's stack
+/// (sorted there, then popped): finding every component costs the five
+/// tables the search keeps, whatever their number.
 ///
 /// This is the workspace's one shared cycle-detection kernel: the closure
 /// above, the admissibility search, the condensation and the
 /// refutation-core extraction all go through it.
-pub fn tarjan_scc<I>(n: usize, succs: impl Fn(u32) -> I) -> Vec<Vec<u32>>
+pub fn tarjan_scc<I>(n: usize, succs: impl Fn(u32) -> I, mut component: impl FnMut(&[u32]))
 where
     I: Iterator<Item = u32>,
 {
@@ -401,7 +431,6 @@ where
     let mut on_stack = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0u32;
-    let mut comps = Vec::new();
 
     // Explicit DFS frames: (vertex, its successors not yet looked at).
     let mut frames = Vec::new();
@@ -432,24 +461,24 @@ where
                     if lowlink[v] == index[v] {
                         // `v` roots a component: it and all above it.
                         let first = stack.iter().rposition(|&u| u as usize == v);
-                        let mut comp = stack.split_off(first.expect("tarjan stack"));
+                        let first = first.expect("tarjan stack");
+                        let comp = &mut stack[first..];
                         comp.iter().for_each(|&w| on_stack[w as usize] = false);
                         comp.sort_unstable();
-                        comps.push(comp);
+                        component(comp);
+                        stack.truncate(first);
                     }
                 }
             }
         }
     }
-    comps
 }
 
 /// Process order `~p`: α before β iff both are issued by the same process
 /// and α's per-process sequence number is smaller (Section 2.1).
 pub fn process_order(h: &History) -> Relation {
     let mut rel = Relation::new(h.len());
-    for p in h.processes() {
-        let idxs = h.by_process(p);
+    for idxs in h.subhistories() {
         for (a, &i) in idxs.iter().enumerate() {
             for &j in &idxs[a + 1..] {
                 rel.add(i, j);
@@ -658,6 +687,89 @@ mod tests {
             cyclic += usize::from(!closed.is_irreflexive());
         }
         assert!(cyclic > 80 && no_ops > 100, "{cyclic} / {no_ops}");
+    }
+
+    /// The Tarjan this crate used to run, kept as the reference: each
+    /// component split off the stack into a vector of its own.
+    fn tarjan_scc_vecs<I>(n: usize, succs: impl Fn(u32) -> I) -> Vec<Vec<u32>>
+    where
+        I: Iterator<Item = u32>,
+    {
+        const UNSET: u32 = u32::MAX;
+        let mut index = vec![UNSET; n];
+        let mut lowlink = vec![0u32; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut next_index = 0u32;
+        let mut comps = Vec::new();
+        let mut frames = Vec::new();
+        for root in 0..n as u32 {
+            let mut enter = (index[root as usize] == UNSET).then_some(root);
+            loop {
+                if let Some(v) = enter.take() {
+                    index[v as usize] = next_index;
+                    lowlink[v as usize] = next_index;
+                    next_index += 1;
+                    stack.push(v);
+                    on_stack[v as usize] = true;
+                    frames.push((v as usize, succs(v)));
+                }
+                let Some((v, rest)) = frames.last_mut() else {
+                    break;
+                };
+                let v = *v;
+                match rest.next().map(|w| w as usize) {
+                    Some(w) if index[w] == UNSET => enter = Some(w as u32),
+                    Some(w) if on_stack[w] => lowlink[v] = lowlink[v].min(index[w]),
+                    Some(_) => {}
+                    None => {
+                        frames.pop();
+                        if let Some(&(parent, _)) = frames.last() {
+                            lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                        }
+                        if lowlink[v] == index[v] {
+                            let first = stack.iter().rposition(|&u| u as usize == v);
+                            let mut comp = stack.split_off(first.expect("tarjan stack"));
+                            comp.iter().for_each(|&w| on_stack[w as usize] = false);
+                            comp.sort_unstable();
+                            comps.push(comp);
+                        }
+                    }
+                }
+            }
+        }
+        comps
+    }
+
+    /// Components handed over in place against the split-off reference, on
+    /// random digraphs from forests to one big cycle, self-loops included:
+    /// the same components in the same order, members ascending.
+    #[test]
+    fn tarjan_in_place_equals_the_split_off_reference() {
+        let mut state = 0x7461_726a_616e_2121u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (mut cyclic, mut components) = (0, 0);
+        for case in 0..400 {
+            let n = [1, 2, 5, 17, 63, 64, 65, 130][case % 8];
+            let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for _ in 0..next() as usize % (3 * n + 1) {
+                succs[next() as usize % n].push((next() as usize % n) as u32);
+            }
+            let of = |v: u32| succs[v as usize].iter().copied();
+            let mut emitted: Vec<Vec<u32>> = Vec::new();
+            tarjan_scc(n, of, |comp| emitted.push(comp.to_vec()));
+            assert_eq!(emitted, tarjan_scc_vecs(n, of), "case {case}: {succs:?}");
+            assert!(emitted.iter().all(|c| c.is_sorted()), "case {case}");
+            cyclic += usize::from(emitted.iter().any(|c| c.len() > 1));
+            components += emitted.len();
+        }
+        assert!(cyclic > 100 && components > 4000, "{cyclic} / {components}");
     }
 
     #[test]

@@ -95,7 +95,7 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use moc_checker::certificate::{check_certified_on, Certificate, Proof};
-use moc_checker::precedence::{writer_masks, PrecedenceGraph};
+use moc_checker::precedence::PrecedenceGraph;
 use moc_checker::{Condition, SearchLimits};
 use moc_core::bitset::BitSet;
 use moc_core::codec;
@@ -344,6 +344,22 @@ impl WriterSummary {
     }
 }
 
+/// Moves `rec` out of its slot, leaving a stand-in with its identity, times,
+/// class and label: what the live set keeps of a record lent to a window.
+/// Neither side allocates.
+fn take_record(rec: &mut MOpRecord) -> MOpRecord {
+    let stand_in = MOpRecord {
+        id: rec.id,
+        invoked_at: rec.invoked_at,
+        responded_at: rec.responded_at,
+        ops: Vec::new(),
+        outputs: Vec::new(),
+        treated_as: rec.treated_as,
+        label: rec.label.clone(),
+    };
+    std::mem::replace(rec, stand_in)
+}
+
 /// Why a window could not be built: what a structural [`Violation`] says.
 struct Defect {
     detail: String,
@@ -555,6 +571,28 @@ impl OnlineMonitor {
         self.settled += 1;
     }
 
+    /// Takes the live records at the positions `out` holds out of the live
+    /// set, in completion order, handing each to `settle` first. The rest
+    /// keep their order and the set its storage.
+    fn settle_live(
+        &mut self,
+        out: impl Fn(usize) -> bool,
+        mut settle: impl FnMut(&mut Self, &MOpRecord),
+    ) {
+        let mut live = std::mem::take(&mut self.live);
+        let mut pos = 0;
+        live.retain(|rec| {
+            pos += 1;
+            if !out(pos - 1) {
+                return true;
+            }
+            self.live_ids.remove(&rec.id);
+            settle(self, rec);
+            false
+        });
+        self.live = live;
+    }
+
     fn remember(&mut self, id: MOpId, summary: WriterSummary) {
         if self.summaries.insert(id, summary).is_none() {
             self.summary_order.push_back(id);
@@ -585,6 +623,12 @@ impl OnlineMonitor {
     /// overwritten behind the cut is a defect. Returns the history and,
     /// per window index, the originating live index (`None` for
     /// synthesized writers).
+    ///
+    /// The window's live records are moved into it, not copied: their
+    /// slots in `live` hold stand-ins ([`take_record`]) until
+    /// [`OnlineMonitor::restore`] puts them back. A window the history
+    /// rejects keeps them: the defect latches, and of the live set only its
+    /// size is read again.
     fn window_history(&mut self) -> Result<(History, Vec<Option<usize>>), Defect> {
         // A reader of a writer still in flight waits for it, and a reader
         // of a waiting record waits with it.
@@ -634,15 +678,13 @@ impl OnlineMonitor {
             if keep.iter().all(|&k| k) {
                 break;
             }
-            for (i, rec) in std::mem::take(&mut self.live).into_iter().enumerate() {
-                if keep[i] {
-                    self.live.push_back(rec);
-                    continue;
-                }
-                self.live_ids.remove(&rec.id);
-                self.settle_uncertified(&rec);
-                self.stats.skipped += 1;
-            }
+            self.settle_live(
+                |pos| !keep[pos],
+                |mon, rec| {
+                    mon.settle_uncertified(rec);
+                    mon.stats.skipped += 1;
+                },
+            );
         }
 
         // Synthesize every settled writer the window's records read from.
@@ -666,20 +708,23 @@ impl OnlineMonitor {
             Some(earliest) if pull => EventTime(earliest.as_nanos().saturating_sub(1)),
             _ => EventTime(u64::MAX),
         };
-        let mut records: Vec<MOpRecord> = needed
-            .iter()
-            .map(|id| {
-                let s = &self.summaries[id];
-                let owned = |x: ObjectId| !s.behind_cut || self.frontier[x.index()] == Some(*id);
-                s.synthesize(*id, owned, before)
-            })
-            .collect();
+        // Deferred records are live, never skipped: the rest is windowed.
+        let len = needed.len() + self.live.len() - deferred.len();
+        let mut records: Vec<MOpRecord> = Vec::with_capacity(len);
+        records.extend(needed.iter().map(|id| {
+            let s = &self.summaries[id];
+            let owned = |x: ObjectId| !s.behind_cut || self.frontier[x.index()] == Some(*id);
+            s.synthesize(*id, owned, before)
+        }));
         records.sort_by_key(|r| (r.invoked_at, r.responded_at, r.id));
 
-        let mut map: Vec<Option<usize>> = vec![None; records.len()];
-        for (pos, rec) in windowed() {
-            map.push(Some(pos));
-            records.push(rec.clone());
+        let mut map: Vec<Option<usize>> = Vec::with_capacity(len);
+        map.resize(records.len(), None);
+        for (pos, rec) in self.live.iter_mut().enumerate() {
+            if !deferred.contains(&rec.id) {
+                map.push(Some(pos));
+                records.push(take_record(rec));
+            }
         }
         match History::new(self.num_objects, records) {
             Ok(h) => Ok((h, map)),
@@ -687,6 +732,15 @@ impl OnlineMonitor {
                 detail: format!("window history rejected: {e:?}"),
                 culprit: self.live.back().map(|r| r.id.process),
             }),
+        }
+    }
+
+    /// Puts the live records a window borrowed back in their slots.
+    fn restore(&mut self, h: History, map: &[Option<usize>]) {
+        for (rec, slot) in h.into_records().into_iter().zip(map) {
+            if let Some(pos) = *slot {
+                self.live[pos] = rec;
+            }
         }
     }
 
@@ -705,18 +759,35 @@ impl OnlineMonitor {
                 return;
             }
         };
+        let retiring = self.check(&h, &map, now_ns, last_response);
+        self.restore(h, &map);
+        if let Some(retiring) = retiring {
+            self.retire(&retiring);
+        }
+    }
+
+    /// Decides the window `h` and emits its certificate or latches its
+    /// violation. Returns, for a certified window, the live positions its
+    /// cut puts behind it, if any.
+    fn check(
+        &mut self,
+        h: &History,
+        map: &[Option<usize>],
+        now_ns: u64,
+        last_response: u64,
+    ) -> Option<BitSet> {
         if h.is_empty() {
             // Every live record is waiting for a writer to respond.
-            return;
+            return None;
         }
         self.stats.windows_checked += 1;
         self.stats.peak_window = self.stats.peak_window.max(h.len());
-        let graph = PrecedenceGraph::for_condition(&h, self.cfg.condition);
+        let graph = PrecedenceGraph::for_condition(h, self.cfg.condition);
         // Rendered once: the certificate binds to the text the cert keeps.
-        let window_text = codec::to_text(&h);
+        let window_text = codec::to_text(h);
         let fingerprint = codec::fingerprint_of_text(&window_text);
         let checked =
-            check_certified_on(&h, self.cfg.condition, &graph, fingerprint, self.cfg.limits);
+            check_certified_on(h, self.cfg.condition, &graph, fingerprint, self.cfg.limits);
         let (report, cert) = match checked {
             Ok(rc) => rc,
             Err(_) => {
@@ -724,7 +795,7 @@ impl OnlineMonitor {
                 // window live, and let the cap backstop memory.
                 self.stats.check_errors += 1;
                 self.fresh = 0;
-                return;
+                return None;
             }
         };
         self.version += 1;
@@ -748,10 +819,10 @@ impl OnlineMonitor {
         if report.satisfied {
             self.stats.certs_emitted += 1;
             self.certs.push(rolling);
-            self.retire(&h, &map, graph.closed());
             self.fresh = 0;
+            self.cut_of(h, map, graph.closed())
         } else {
-            let culprit = self.culprit_of(&h, &cert, &map);
+            let culprit = self.culprit_of(h, &cert, map);
             self.violation = Some(Violation {
                 at_ns: now_ns,
                 detail: report
@@ -761,53 +832,64 @@ impl OnlineMonitor {
                 detection_latency_ns: now_ns.saturating_sub(last_response),
                 cert: Some(rolling),
             });
+            None
         }
     }
 
-    /// Settles out of the live set what the certified window puts behind
-    /// a cut: under m-linearizability the stable cut, whose frontier then
-    /// advances; otherwise the peeled prefix (module docs).
-    fn retire(&mut self, h: &History, map: &[Option<usize>], closed: &Relation) {
+    /// What the certified window puts behind a cut, as live positions:
+    /// under m-linearizability the stable cut, whose frontier advances
+    /// here; otherwise the peeled prefix (module docs). `None` when the cut
+    /// holds no live record.
+    fn cut_of(&mut self, h: &History, map: &[Option<usize>], closed: &Relation) -> Option<BitSet> {
         let mlin = self.cfg.condition == Condition::MLinearizability;
-        let writers = if mlin { writer_masks(h) } else { Vec::new() };
         let cut = if mlin {
-            self.stable_cut(h, map, closed, &writers)
+            self.stable_cut(h, map, closed)
         } else {
             peeled_prefix(h.len(), closed)
         };
-        let mut retire_set = vec![false; self.live.len()];
+        let mut retiring = BitSet::new(self.live.len());
         cut.iter()
             .filter_map(|i| map[i])
-            .for_each(|i| retire_set[i] = true);
-        if !retire_set.contains(&true) {
-            return;
+            .for_each(|pos| _ = retiring.insert(pos));
+        if retiring.count() == 0 {
+            return None;
         }
-        for (x, of_x) in writers.iter().enumerate() {
-            if let [last] = last_writers(of_x, &cut, closed)[..] {
-                self.frontier[x] = Some(h.record(last).id);
+        if mlin {
+            let mut of_x = BitSet::new(h.len());
+            for x in (0..h.num_objects()).map(|x| ObjectId::new(x as u32)) {
+                writers_in(h, x, &cut, &mut of_x);
+                let mut last = maximal(&of_x, closed);
+                if let (Some(w), None) = (last.next(), last.next()) {
+                    self.frontier[x.index()] = Some(h.record(w).id);
+                }
             }
         }
-        for (i, rec) in std::mem::take(&mut self.live).into_iter().enumerate() {
-            if !retire_set[i] {
-                self.live.push_back(rec);
-                continue;
-            }
-            self.live_ids.remove(&rec.id);
-            if mlin {
-                let newest = (rec.responded_at, Some(rec.id.process));
-                let (at, process) = self.cut.unwrap_or(newest);
-                self.cut = Some(match rec.responded_at.cmp(&at) {
-                    Ordering::Less => (at, process),
-                    Ordering::Equal => (at, process.filter(|&p| p == rec.id.process)),
-                    Ordering::Greater => newest,
-                });
-            }
-            if let Some(s) = WriterSummary::of(&rec, mlin) {
-                self.remember(rec.id, s);
-            }
-            self.stats.retired += 1;
-            self.settled += 1;
-        }
+        Some(retiring)
+    }
+
+    /// Settles the live records at the positions `retiring` holds as
+    /// retired behind the certified cut.
+    fn retire(&mut self, retiring: &BitSet) {
+        let mlin = self.cfg.condition == Condition::MLinearizability;
+        self.settle_live(
+            |pos| retiring.contains(pos),
+            |mon, rec| {
+                if mlin {
+                    let newest = (rec.responded_at, Some(rec.id.process));
+                    let (at, process) = mon.cut.unwrap_or(newest);
+                    mon.cut = Some(match rec.responded_at.cmp(&at) {
+                        Ordering::Less => (at, process),
+                        Ordering::Equal => (at, process.filter(|&p| p == rec.id.process)),
+                        Ordering::Greater => newest,
+                    });
+                }
+                if let Some(s) = WriterSummary::of(rec, mlin) {
+                    mon.remember(rec.id, s);
+                }
+                mon.stats.retired += 1;
+                mon.settled += 1;
+            },
+        );
     }
 
     /// The m-lin cut of a certified window, per window index: the largest
@@ -816,13 +898,7 @@ impl OnlineMonitor {
     /// everything live that the window does not hold was invoked: the
     /// outstanding invocations and the deferred records. (Whatever is
     /// invoked later follows it too, or fails `follows_cut`.)
-    fn stable_cut(
-        &self,
-        h: &History,
-        map: &[Option<usize>],
-        closed: &Relation,
-        writers: &[BitSet],
-    ) -> BitSet {
+    fn stable_cut(&self, h: &History, map: &[Option<usize>], closed: &Relation) -> BitSet {
         let mut windowed = BitSet::new(self.live.len());
         map.iter().flatten().for_each(|&i| _ = windowed.insert(i));
         let deferred = (self.live.iter().enumerate())
@@ -839,6 +915,7 @@ impl OnlineMonitor {
             }
         }
         // Greatest fixpoint: each pass only takes records out.
+        let mut of_x = BitSet::new(h.len());
         loop {
             let mut shrunk = false;
             for u in 0..h.len() {
@@ -852,10 +929,10 @@ impl OnlineMonitor {
                     shrunk = true;
                 }
             }
-            for of_x in writers {
-                let last = last_writers(of_x, &cut, closed);
-                if last.len() > 1 {
-                    last.iter().for_each(|w| _ = cut.remove(w.0));
+            for x in (0..h.num_objects()).map(|x| ObjectId::new(x as u32)) {
+                writers_in(h, x, &cut, &mut of_x);
+                if maximal(&of_x, closed).nth(1).is_some() {
+                    maximal(&of_x, closed).for_each(|w| _ = cut.remove(w.0));
                     shrunk = true;
                 }
             }
@@ -888,17 +965,22 @@ impl OnlineMonitor {
     }
 }
 
-/// The `~H+`-maximal writers among `writers ∩ cut`: those none of the
+/// Sets `of_x` to the writers of `x` in `cut`.
+fn writers_in(h: &History, x: ObjectId, cut: &BitSet, of_x: &mut BitSet) {
+    of_x.clear();
+    for w in h.writers_of(x).iter().filter(|w| cut.contains(w.0)) {
+        of_x.insert(w.0);
+    }
+}
+
+/// The `~H+`-maximal members of `writers`, ascending: those none of the
 /// others is forced after.
-fn last_writers(writers: &BitSet, cut: &BitSet, closed: &Relation) -> Vec<MOpIdx> {
-    let in_cut = writers.iter().filter(|&w| cut.contains(w)).map(MOpIdx);
-    in_cut
-        .filter(|&w| {
-            let mut later = (closed.row(w).iter().zip(writers.words()).zip(cut.words()))
-                .map(|((r, of_x), c)| r & of_x & c);
-            later.all(|word| word == 0)
-        })
-        .collect()
+fn maximal<'a>(writers: &'a BitSet, closed: &'a Relation) -> impl Iterator<Item = MOpIdx> + 'a {
+    let last = |&w: &MOpIdx| {
+        let later = closed.row(w).iter().zip(writers.words());
+        later.map(|(r, of_x)| r & of_x).all(|word| word == 0)
+    };
+    writers.iter().map(MOpIdx).filter(last)
 }
 
 /// The peeling rule of the pruned search, per window index: a record
@@ -1100,7 +1182,8 @@ mod tests {
     /// The stable cut, its last writers and the m-SC peel against the
     /// pairwise references, on windows of Figure 6 streams taken while
     /// invocations are outstanding: no window is ever due, so the live set
-    /// grows past 64 records and each row spans several words.
+    /// grows past 64 records and each row spans several words. Each window
+    /// gives its records back to the live set as they were.
     #[test]
     fn cut_and_peel_match_the_pairwise_references_on_wide_windows() {
         let (mut compared, mut cut_sizes, mut peeled) = (0, 0, 0);
@@ -1123,24 +1206,28 @@ mod tests {
                 if k % 37 != 36 {
                     continue;
                 }
+                let live: Vec<MOpRecord> = mon.live.iter().cloned().collect();
                 let Ok((w, map)) = mon.window_history() else {
                     panic!("seed {seed}: a Figure 6 window is well formed");
                 };
                 if w.len() <= 64 {
+                    mon.restore(w, &map);
+                    assert!(mon.live.iter().eq(&live), "seed {seed}, event {k}");
                     continue;
                 }
                 let what = format!("seed {seed}, event {k}, {} records", w.len());
                 let lin = PrecedenceGraph::for_condition(&w, Condition::MLinearizability);
                 let closed = lin.closed();
                 assert!(closed.is_irreflexive(), "{what}");
-                let writers = writer_masks(&w);
-                let cut = mon.stable_cut(&w, &map, closed, &writers);
+                let cut = mon.stable_cut(&w, &map, closed);
                 let reference = stable_cut_pairwise(&mon, &w, &map, closed);
                 assert_eq!(bools(&cut), reference, "{what}");
-                for (x, of_x) in writers.iter().enumerate() {
-                    let x_id = ObjectId::new(x as u32);
-                    let last = last_writers_pairwise(&w, x_id, &reference, closed);
-                    assert_eq!(last_writers(of_x, &cut, closed), last, "{what}, o{x}");
+                let mut of_x = BitSet::new(w.len());
+                for x in (0..w.num_objects()).map(|x| ObjectId::new(x as u32)) {
+                    let last = last_writers_pairwise(&w, x, &reference, closed);
+                    writers_in(&w, x, &cut, &mut of_x);
+                    let got: Vec<MOpIdx> = maximal(&of_x, closed).collect();
+                    assert_eq!(got, last, "{what}, {x}");
                 }
                 for graph in [
                     lin,
@@ -1158,6 +1245,8 @@ mod tests {
                 }
                 compared += 1;
                 cut_sizes += cut.count();
+                mon.restore(w, &map);
+                assert!(mon.live.iter().eq(&live), "{what}");
             }
         }
         assert!(

@@ -9,6 +9,7 @@ use moc_checker::precedence::{Edge, EdgeKind, PrecedenceGraph};
 use moc_checker::{Condition, SearchLimits};
 use moc_core::history::{History, HistoryBuilder};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
+use moc_core::mop::MOpRecord;
 use moc_core::op::CompletedOp;
 use moc_core::shard::fnv1a;
 use moc_monitor::{replay, MonitorConfig, MonitorMode, OnlineMonitor};
@@ -42,15 +43,20 @@ fn figure6_stream(mops: usize, seed: u64) -> History {
 /// `moc_monitor::replay`, but the monitor survives the flush so the test
 /// can look at what is still live.
 fn stream(h: &History, cfg: MonitorConfig) -> OnlineMonitor {
-    let mut events: Vec<(u64, u8, usize)> = Vec::with_capacity(2 * h.len());
-    for (i, rec) in h.records().iter().enumerate() {
+    stream_records(h.records(), h.num_objects(), cfg)
+}
+
+/// [`stream`] over records no [`History`] need accept.
+fn stream_records(records: &[MOpRecord], num_objects: usize, cfg: MonitorConfig) -> OnlineMonitor {
+    let mut events: Vec<(u64, u8, usize)> = Vec::with_capacity(2 * records.len());
+    for (i, rec) in records.iter().enumerate() {
         events.push((rec.invoked_at.as_nanos(), 1, i));
         events.push((rec.responded_at.as_nanos(), 0, i));
     }
-    events.sort_unstable_by_key(|&(t, k, i)| (t, k, h.records()[i].id));
-    let mut mon = OnlineMonitor::new(h.num_objects(), cfg);
+    events.sort_unstable_by_key(|&(t, k, i)| (t, k, records[i].id));
+    let mut mon = OnlineMonitor::new(num_objects, cfg);
     for &(t, kind, i) in &events {
-        let rec = &h.records()[i];
+        let rec = &records[i];
         if kind == 1 {
             mon.on_invoke(rec.id, t);
         } else {
@@ -338,5 +344,85 @@ fn spliced_store_buffering_gadget_is_refuted_with_an_auditable_cycle() {
         let rolling = latched.cert.expect("a refuted window has a certificate");
         let verdict = moc_audit::audit(&rolling.window(), &rolling.cert_text);
         assert!(matches!(verdict, Ok(v) if v.is_verified()), "seed {seed}");
+    }
+}
+
+/// What a latched run leaves: the violation's time, culprit, detection
+/// latency and the FNV-1a of its detail and of its certificate (version,
+/// window length, fingerprint, window and certificate text; 0 without
+/// one), then the live set's size, the FNV-1a of the counters and the
+/// timeline's length and FNV-1a (both as `{:?}` prints them).
+type Latched = (u64, Option<u32>, u64, u64, u64, usize, u64, usize, u64);
+
+fn latched(mon: &OnlineMonitor) -> Latched {
+    let v = mon.violation().expect("the run latches");
+    let cert = v.cert.as_ref().map_or(0, |c| {
+        let text = format!("{} {} {} ", c.version, c.window_len, c.fingerprint);
+        fnv1a((text + &c.window_text + &c.cert_text).as_bytes())
+    });
+    let timeline = mon.timeline();
+    (
+        v.at_ns,
+        v.culprit.map(|p| p.as_u32()),
+        v.detection_latency_ns,
+        fnv1a(v.detail.as_bytes()),
+        cert,
+        mon.live_nodes(),
+        fnv1a(format!("{:?}", mon.stats()).as_bytes()),
+        timeline.len(),
+        fnv1a(format!("{timeline:?}").as_bytes()),
+    )
+}
+
+/// A window's live records are lent to it and given back, not copied: a
+/// run that latches leaves the violation, the live set's size, every
+/// counter and the timeline exactly as when the window held copies. Three
+/// ways to latch, at the default m-lin configuration: a stale read the
+/// frontier catches (the first such stale-read mutant of a 200-record
+/// stream), the store-buffering gadget the checker refutes, and a window
+/// `History::new` rejects (the first write past record 100 re-pointed
+/// beyond the object universe), which latches with its records still lent.
+#[test]
+fn latched_runs_are_pinned() {
+    let cfg = || MonitorConfig::new(Condition::MLinearizability);
+    let clean = figure6_stream(200, 0);
+    let stale = (stale_read_sites(&clean).into_iter())
+        .filter_map(|site| stale_read_mutant(&clean, site))
+        .map(|h| stream(&h, cfg()))
+        .find(|mon| {
+            mon.violation()
+                .is_some_and(|v| v.detail.contains("stale read"))
+        })
+        .expect("a stale-read mutant the frontier catches");
+    let gadget = stream(&splice_store_buffering(&figure6_stream(400, 0)), cfg());
+    let mut records = clean.records().to_vec();
+    let mut ops = records[100..].iter_mut().flat_map(|rec| rec.ops.iter_mut());
+    let write = ops.find(|op| op.is_write());
+    write.expect("a write past record 100").object = ObjectId::new(clean.num_objects() as u32);
+    let rejected = stream_records(&records, clean.num_objects(), cfg());
+    let detail = rejected.violation().map(|v| v.detail.as_str());
+    assert!(
+        detail.is_some_and(|d| d.starts_with("window history rejected")),
+        "{detail:?}"
+    );
+
+    #[rustfmt::skip]
+    let runs: [(&str, &OnlineMonitor, Latched); 3] = [
+        ("stale read", &stale, (631815, Some(1), 1, 11098324332573399689, 0, 17,
+            5717402206384923678, 3, 11195649040131469412)),
+        ("store buffering", &gadget, (679734, Some(4), 0, 15785285997131256726,
+            2598919392821552275, 70, 8446977518954805376, 4, 3287618288437555285)),
+        ("rejected window", &rejected, (170682, Some(1), 0, 1483718809003147757, 0, 64,
+            16822939470104607658, 0, 675868731199239589)),
+    ];
+    for (what, mon, pinned) in runs {
+        let detail = mon.violation().map(|v| v.detail.clone());
+        assert_eq!(
+            latched(mon),
+            pinned,
+            "{what}: {detail:?}, {:?}, {:?}",
+            mon.stats(),
+            mon.timeline().last()
+        );
     }
 }
