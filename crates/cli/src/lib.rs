@@ -1260,6 +1260,10 @@ fn cmd_load(args: &Args) -> Result<(String, i32), String> {
 /// reading the other as unwritten, with overlapping intervals mid-stream.
 /// Inadmissible under m-SC and m-lin no matter what the host history
 /// does — the sentinel must latch it.
+///
+/// The processes are the two lowest the history does not use (never the
+/// initial m-operation's, `u32::MAX`); the objects are the two past the
+/// universe, an error if object ids cannot name them.
 fn splice_sabotage(h: &History) -> Result<History, String> {
     use moc_core::mop::{EventTime, MOpClass, MOpRecord};
     use moc_core::{MOpId, ObjectId, ProcessId};
@@ -1270,17 +1274,17 @@ fn splice_sabotage(h: &History) -> Result<History, String> {
         .map(|r| r.responded_at.as_nanos())
         .max()
         .unwrap_or(0);
-    let next_process = h
-        .records()
-        .iter()
-        .map(|r| r.id.process.index() + 1)
-        .max()
-        .unwrap_or(0) as u32;
+    let used = h.processes();
+    let mut fresh = (0..u32::MAX)
+        .map(ProcessId::new)
+        .filter(|p| !used.contains(p));
+    let (Some(a), Some(b)) = (fresh.next(), fresh.next()) else {
+        return Err("the --sabotage gadget needs two unused process ids".into());
+    };
     let t0 = horizon / 2;
-    let x = ObjectId::new(h.num_objects() as u32);
-    let y = ObjectId::new(h.num_objects() as u32 + 1);
-    let a_id = MOpId::new(ProcessId::new(next_process), 0);
-    let b_id = MOpId::new(ProcessId::new(next_process + 1), 0);
+    let (x, y) = gadget_objects(h.num_objects())?;
+    let a_id = MOpId::new(a, 0);
+    let b_id = MOpId::new(b, 0);
     let mk = |id: MOpId, own: ObjectId, other: ObjectId| MOpRecord {
         id,
         invoked_at: EventTime::from_nanos(t0),
@@ -1298,6 +1302,22 @@ fn splice_sabotage(h: &History) -> Result<History, String> {
     records.push(mk(b_id, y, x));
     History::new(h.num_objects() + 2, records)
         .map_err(|e| format!("sabotage splice broke the history: {e}"))
+}
+
+/// The two objects just past a universe of `num_objects`, or the error
+/// that says 32-bit object ids cannot name them.
+fn gadget_objects(num_objects: usize) -> Result<(moc_core::ObjectId, moc_core::ObjectId), String> {
+    use moc_core::ObjectId;
+
+    let x = u32::try_from(num_objects)
+        .ok()
+        .filter(|&x| x < u32::MAX)
+        .ok_or_else(|| {
+            format!(
+                "the --sabotage gadget needs two fresh objects past a universe of {num_objects}"
+            )
+        })?;
+    Ok((ObjectId::new(x), ObjectId::new(x + 1)))
 }
 
 fn cmd_monitor(args: &Args, stdin: &str) -> Result<(String, i32), String> {
@@ -2544,5 +2564,82 @@ mod tests {
         );
         assert!(result.unwrap_err().contains("sabotage"));
         assert_eq!(code, 2);
+    }
+
+    /// A one-update, one-query history whose writer is process `p`.
+    fn writer_then_reader(p: &str) -> String {
+        format!(
+            "history v1\nobjects 2\nmop {p}#0 inv=0 resp=10 class=update label=a\n  w o0 1 @1\n\
+             mop P0#0 inv=20 resp=30 class=query label=b\n  r o0 1 from={p}#0 @1\nend\n"
+        )
+    }
+
+    /// The initial m-operation's process is not a process a history may
+    /// use: reading from it was once taken for reading the initial value,
+    /// and a linearizable history was refuted.
+    #[test]
+    fn check_refuses_the_reserved_process() {
+        let (result, code) =
+            dispatch_with_status(&sv(&["check", "-"]), &writer_then_reader("P4294967295"));
+        let err = result.unwrap_err();
+        assert_eq!(code, 2, "{err}");
+        assert!(
+            err.contains("reserved for the initial m-operation"),
+            "{err}"
+        );
+        for condition in ["lin", "sc", "normal"] {
+            let out = dispatch(
+                &sv(&["check", "-", "--condition", condition]),
+                &writer_then_reader("P4294967294"),
+            )
+            .unwrap();
+            assert!(out.contains("SATISFIED"), "{condition}: {out}");
+        }
+    }
+
+    /// The gadget takes the two lowest processes the history leaves free
+    /// and never wraps: a history on the highest usable process, one with
+    /// a gap, and one whose universe leaves no room for two more objects.
+    #[test]
+    fn sabotage_gadget_takes_free_processes_and_fresh_objects() {
+        let only_top =
+            "history v1\nobjects 1\nmop P4294967294#0 inv=0 resp=10 class=update label=a\n  \
+                        w o0 1 @1\nmop P4294967294#1 inv=20 resp=30 class=query label=b\n  \
+                        r o0 1 from=P4294967294#0 @1\nend\n";
+        let gapped = &writer_then_reader("P2");
+        for (text, gadget) in [(only_top, ["P0#0", "P1#0"]), (gapped, ["P1#0", "P3#0"])] {
+            let h = from_text(text).unwrap();
+            let spliced = to_text(&splice_sabotage(&h).unwrap());
+            for id in gadget {
+                assert!(spliced.contains(&format!("mop {id} ")), "{id}: {spliced}");
+            }
+            let (out, code) = dispatch_with_status(
+                &sv(&[
+                    "monitor",
+                    "-",
+                    "--condition",
+                    "sc",
+                    "--window",
+                    "4",
+                    "--sabotage",
+                ]),
+                text,
+            );
+            let out = out.unwrap();
+            assert_eq!(code, 0, "{out}");
+            assert!(out.contains("SABOTAGE CONFIRMED"), "{out}");
+        }
+        let last = u32::MAX - 1;
+        assert_eq!(
+            gadget_objects(last as usize),
+            Ok((
+                moc_core::ObjectId::new(last),
+                moc_core::ObjectId::new(u32::MAX)
+            ))
+        );
+        for full in [u32::MAX as usize, u32::MAX as usize + 1] {
+            let err = gadget_objects(full).unwrap_err();
+            assert!(err.contains("two fresh objects"), "{err}");
+        }
     }
 }

@@ -12,7 +12,9 @@
 //! ```
 //!
 //! * one `mop` header per m-operation, indented operation lines below it;
-//! * objects are `o<index>`; writers are `P<process>#<seq>` or `init`;
+//! * objects are `o<index>`; writers are `P<process>#<seq>` or `init`,
+//!   the one spelling of the initial m-operation: its process,
+//!   `P4294967295`, is refused in an id or a `from=`;
 //! * `@<version>` is the object version read/established.
 //!
 //! [`to_text`] and [`from_text`] round-trip exactly ([`History`] equality
@@ -40,6 +42,12 @@ pub enum CodecError {
         /// The declared count.
         count: u64,
     },
+    /// An m-operation id names the process reserved for the initial
+    /// m-operation, which the format writes only as `init`.
+    ReservedProcess {
+        /// 1-based line number.
+        line: usize,
+    },
     /// A line could not be parsed.
     BadLine {
         /// 1-based line number.
@@ -61,6 +69,11 @@ impl std::fmt::Display for CodecError {
                     "line {line}: {count} objects do not fit 32-bit object ids"
                 )
             }
+            CodecError::ReservedProcess { line } => write!(
+                f,
+                "line {line}: process P{} is reserved for the initial m-operation, written `init`",
+                u32::MAX
+            ),
             CodecError::BadLine { line, reason } => write!(f, "line {line}: {reason}"),
             CodecError::Invalid(e) => write!(f, "invalid history: {e}"),
         }
@@ -190,10 +203,14 @@ fn parse_mop_id(s: &str, line: usize) -> Result<MOpId, CodecError> {
     };
     let rest = s.strip_prefix('P').ok_or_else(bad)?;
     let (p, q) = rest.split_once('#').ok_or_else(bad)?;
-    Ok(MOpId::new(
+    let id = MOpId::new(
         ProcessId::new(p.parse().map_err(|_| bad())?),
         q.parse().map_err(|_| bad())?,
-    ))
+    );
+    if id.is_initial() {
+        return Err(CodecError::ReservedProcess { line });
+    }
+    Ok(id)
 }
 
 fn parse_object(s: &str, line: usize) -> Result<ObjectId, CodecError> {
@@ -440,6 +457,33 @@ mod tests {
             from_text(text),
             Err(CodecError::BadLine { line: 2, .. })
         ));
+    }
+
+    /// The initial m-operation's process is written `init` and nothing
+    /// else: as a record id or a writer it is refused, while the process
+    /// below it reads as written.
+    #[test]
+    fn rejects_the_reserved_process() {
+        let text = |id: &str, from: &str| {
+            format!(
+                "history v1\nobjects 2\nmop {id} inv=0 resp=10 class=update label=a\n  w o0 1 @1\n\
+                 mop P0#0 inv=20 resp=30 class=query label=b\n  r o0 1 from={from} @1\nend\n"
+            )
+        };
+        for (id, from, line) in [
+            ("P4294967295#0", "P4294967295#0", 3),
+            ("P4294967294#0", "P4294967295#0", 6),
+            ("P4294967294#0", "P4294967295#3", 6),
+        ] {
+            assert_eq!(
+                from_text(&text(id, from)).unwrap_err(),
+                CodecError::ReservedProcess { line },
+                "{id} {from}"
+            );
+        }
+        let h = from_text(&text("P4294967294#0", "P4294967294#0")).unwrap();
+        assert_eq!(h.len(), 2);
+        assert!(to_text(&h).contains("from=P4294967294#0"));
     }
 
     #[test]

@@ -16,6 +16,9 @@ pub enum CoreError {
     },
     /// Two m-operations carry the same identifier.
     DuplicateMOpId(MOpId),
+    /// A recorded m-operation carries the process reserved for the
+    /// imaginary initial m-operation ([`MOpId::is_initial`]).
+    ReservedMOpId(MOpId),
     /// A process subhistory is not sequential: an m-operation was invoked
     /// before the previous one on the same process responded (violates
     /// well-formedness, P 4.2).
@@ -82,6 +85,11 @@ impl fmt::Display for CoreError {
                 "object {object} out of range for a universe of {num_objects} objects"
             ),
             CoreError::DuplicateMOpId(id) => write!(f, "duplicate m-operation id {id}"),
+            CoreError::ReservedMOpId(id) => write!(
+                f,
+                "m-operation id {}#{} uses the process reserved for the initial m-operation",
+                id.process, id.seq
+            ),
             CoreError::OverlappingProcessOps {
                 process,
                 earlier,

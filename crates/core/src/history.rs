@@ -212,23 +212,26 @@ impl History {
     /// # Errors
     ///
     /// Returns a [`CoreError`] if any record references an out-of-range
-    /// object, ids collide, a process subhistory is not sequential, a
+    /// object, ids collide, a record carries the initial m-operation's
+    /// reserved process, a process subhistory is not sequential, a
     /// response precedes its invocation, or a read's recorded writer does
     /// not exist / never writes the object read, or if the tables kept per
     /// object cannot be allocated for `num_objects` objects.
     ///
     /// Which of several defects is reported depends on the records alone,
     /// once the per-object tables are allocated: the first record, in the
-    /// order given, that repeats an earlier id, responds before its
-    /// invocation or touches an out-of-range object
-    /// (checked in that order); failing that, the overlapping pair of the
-    /// lowest process, then the lowest sequence number; failing that, the
-    /// first read, in record then program order, with a bad writer.
+    /// order given, that repeats an earlier id, carries the reserved
+    /// process, responds before its invocation or touches an out-of-range
+    /// object (checked in that order); failing that, the overlapping pair
+    /// of the lowest process, then the lowest sequence number; failing
+    /// that, the first read, in record then program order, with a bad
+    /// writer.
     ///
     /// The records are indexed where they stand: grouped by process
     /// without being moved, and a process's run is sorted only if it is
     /// not already ascending, as a replica's log or a simulator's retire
-    /// order is.
+    /// order is. A writer is looked up, and checked to write the object
+    /// read, once per run of reads that name it for one object.
     pub fn new(num_objects: usize, records: Vec<MOpRecord>) -> Result<Self, CoreError> {
         // Step 1, over the record array alone: the process subhistories,
         // and the two defects that show between neighbours in one.
@@ -261,9 +264,15 @@ impl History {
         // The last record seen to touch each object; for writes, the tail of
         // the object's writer list says the same.
         let mut touched = per_object(num_objects, usize::MAX)?;
+        // The writer the last read of each object named, and its row: a
+        // read that names the same writer again is not looked up again.
+        let mut named = per_object(num_objects, (MOpId::INITIAL, INITIAL))?;
         for (i, rec) in records.iter().enumerate() {
             if first_duplicate == Some(i) {
                 return Err(CoreError::DuplicateMOpId(rec.id));
+            }
+            if rec.id.is_initial() {
+                return Err(CoreError::ReservedMOpId(rec.id));
             }
             if rec.responded_at < rec.invoked_at {
                 return Err(CoreError::ResponseBeforeInvocation(rec.id));
@@ -286,17 +295,21 @@ impl History {
                         wobjects.push(op.object);
                     }
                 } else if op.writer != rec.id {
-                    let writer = if op.writer.is_initial() {
-                        INITIAL
-                    } else {
-                        match index.idx_of(op.writer) {
-                            Some(widx) => row(widx.0)?,
-                            None => NO_SUCH_WRITER,
-                        }
-                    };
+                    let last = &mut named[op.object.index()];
+                    if last.0 != op.writer {
+                        let writer = if op.writer.is_initial() {
+                            INITIAL
+                        } else {
+                            match index.idx_of(op.writer) {
+                                Some(widx) => row(widx.0)?,
+                                None => NO_SUCH_WRITER,
+                            }
+                        };
+                        *last = (op.writer, writer);
+                    }
                     reads.push(ReadRow {
                         object: op.object,
-                        writer,
+                        writer: last.1,
                     });
                 }
             }
@@ -319,7 +332,11 @@ impl History {
         }
 
         // Step 3, over the flat tables alone: every writer exists and
-        // writes what was read from it.
+        // writes what was read from it. The table of last toucher becomes,
+        // per object, the writer last found to write it: a read of a pair
+        // that validated once validates again, so it is skipped.
+        let mut validated = touched;
+        validated.fill(usize::MAX);
         let history = History {
             num_objects,
             records,
@@ -333,6 +350,10 @@ impl History {
         for i in 0..history.len() {
             let own = history.rows(MOpIdx(i), |r| r.reads);
             for (k, read) in history.reads[own].iter().enumerate() {
+                let last = &mut validated[read.object.index()];
+                if *last == read.writer as usize {
+                    continue;
+                }
                 let writes_it = |w| history.wobjects(w).contains(&read.object);
                 if read.writer == NO_SUCH_WRITER || !read.source().is_none_or(writes_it) {
                     let rec = &history.records[i];
@@ -352,6 +373,7 @@ impl History {
                         }
                     });
                 }
+                *last = read.writer as usize;
             }
         }
         Ok(history)
@@ -996,6 +1018,408 @@ mod tests {
         assert_eq!(h.len(), RECORDS as usize);
         let per_record = table_bytes(&h) as f64 / h.len() as f64;
         assert!(per_record <= 80.0, "{per_record} bytes per record");
+    }
+
+    /// [`History::new`] as it stood before the per-object memos: every
+    /// read looked up with `idx_of` on its own and validated on its own.
+    /// The reserved-id check is its one addition, so that the two must
+    /// report the same error for every input.
+    fn new_per_read(num_objects: usize, records: Vec<MOpRecord>) -> Result<History, CoreError> {
+        let (index, total_ops) = ProcessIndex::of(&records);
+        let mut first_duplicate: Option<usize> = None;
+        let mut first_overlap = None;
+        for (_, run) in &index.runs {
+            for k in run.start + 1..run.end {
+                let (a, b) = (index.order[k - 1], index.order[k]);
+                if index.seqs[k - 1] == index.seqs[k] {
+                    first_duplicate = Some(first_duplicate.map_or(b.0, |first| first.min(b.0)));
+                } else if first_overlap.is_none()
+                    && records[b.0].invoked_at < records[a.0].responded_at
+                {
+                    first_overlap = Some((a, b));
+                }
+            }
+        }
+
+        let mut rows = Vec::with_capacity(records.len() + 1);
+        let mut next = Rows::default();
+        let mut objects = Vec::with_capacity(total_ops);
+        let mut wobjects = Vec::with_capacity(total_ops);
+        let mut reads = Vec::with_capacity(total_ops);
+        let mut writers = per_object(num_objects, Vec::new())?;
+        let mut touched = per_object(num_objects, usize::MAX)?;
+        for (i, rec) in records.iter().enumerate() {
+            if first_duplicate == Some(i) {
+                return Err(CoreError::DuplicateMOpId(rec.id));
+            }
+            if rec.id.is_initial() {
+                return Err(CoreError::ReservedMOpId(rec.id));
+            }
+            if rec.responded_at < rec.invoked_at {
+                return Err(CoreError::ResponseBeforeInvocation(rec.id));
+            }
+            rows.push(next);
+            for op in &rec.ops {
+                if op.object.index() >= num_objects {
+                    return Err(CoreError::ObjectOutOfRange {
+                        object: op.object,
+                        num_objects,
+                    });
+                }
+                if std::mem::replace(&mut touched[op.object.index()], i) != i {
+                    objects.push(op.object);
+                }
+                if op.is_write() {
+                    let writers = &mut writers[op.object.index()];
+                    if writers.last() != Some(&MOpIdx(i)) {
+                        writers.push(MOpIdx(i));
+                        wobjects.push(op.object);
+                    }
+                } else if op.writer != rec.id {
+                    let writer = if op.writer.is_initial() {
+                        INITIAL
+                    } else {
+                        match index.idx_of(op.writer) {
+                            Some(widx) => row(widx.0)?,
+                            None => NO_SUCH_WRITER,
+                        }
+                    };
+                    reads.push(ReadRow {
+                        object: op.object,
+                        writer,
+                    });
+                }
+            }
+            objects[next.objects as usize..].sort_unstable();
+            wobjects[next.wobjects as usize..].sort_unstable();
+            next = Rows {
+                objects: row(objects.len())?,
+                wobjects: row(wobjects.len())?,
+                reads: row(reads.len())?,
+            };
+        }
+        rows.push(next);
+
+        if let Some((a, b)) = first_overlap {
+            return Err(CoreError::OverlappingProcessOps {
+                process: records[a.0].process(),
+                earlier: records[a.0].id,
+                later: records[b.0].id,
+            });
+        }
+
+        let history = History {
+            num_objects,
+            records,
+            rows,
+            objects,
+            wobjects,
+            reads,
+            writers,
+            index,
+        };
+        for i in 0..history.len() {
+            let own = history.rows(MOpIdx(i), |r| r.reads);
+            for (k, read) in history.reads[own].iter().enumerate() {
+                let writes_it = |w| history.wobjects(w).contains(&read.object);
+                if read.writer == NO_SUCH_WRITER || !read.source().is_none_or(writes_it) {
+                    let rec = &history.records[i];
+                    let op = rec.external_reads().nth(k).expect("one row per read");
+                    let (reader, writer, object) = (rec.id, op.writer, op.object);
+                    return Err(if read.writer == NO_SUCH_WRITER {
+                        CoreError::UnknownWriter {
+                            reader,
+                            writer,
+                            object,
+                        }
+                    } else {
+                        CoreError::ReaderWriterObjectMismatch {
+                            reader,
+                            writer,
+                            object,
+                        }
+                    });
+                }
+            }
+        }
+        Ok(history)
+    }
+
+    /// `new` and [`new_per_read`] on the same records: the same error, or
+    /// histories that answer every query the same.
+    fn assert_same_as_per_read(num_objects: usize, records: &[MOpRecord]) {
+        let got = History::new(num_objects, records.to_vec());
+        let want = new_per_read(num_objects, records.to_vec());
+        let (h, r) = match (got, want) {
+            (Ok(h), Ok(r)) => (h, r),
+            (got, want) => {
+                assert_eq!(got.err(), want.err(), "{records:?}");
+                return;
+            }
+        };
+        for (idx, rec) in h.iter() {
+            assert_eq!(h.objects(idx), r.objects(idx));
+            assert_eq!(h.wobjects(idx), r.wobjects(idx));
+            assert!(h.read_sources(idx).eq(r.read_sources(idx)), "{rec:?}");
+            assert_eq!(h.idx_of(rec.id), r.idx_of(rec.id));
+            let next = MOpId::new(rec.process(), rec.id.seq + 1);
+            assert_eq!(h.idx_of(next), r.idx_of(next));
+        }
+        for o in (0..num_objects as u32).map(oid) {
+            assert_eq!(h.writers_of(o), r.writers_of(o));
+        }
+        assert_eq!(h.processes(), r.processes());
+        for p in h.processes() {
+            assert_eq!(h.by_process(p), r.by_process(p));
+        }
+    }
+
+    /// SplitMix64, the generator of the differential test below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded well-formed history, the per-process logs laid end to end
+    /// as a cluster's shutdown hands them over: each m-operation touches
+    /// up to three objects, an update writes some of them, and a read
+    /// names the object's latest writer so far (so one writer is named by
+    /// runs of reads), any writer of it, or the initial m-operation.
+    fn seeded_records(seed: u64, processes: u32, per_process: u32, objects: u32) -> Vec<MOpRecord> {
+        let mut state = seed;
+        let mut below = |n: u32| (splitmix(&mut state) % u64::from(n)) as u32;
+        let mut shapes = Vec::new();
+        for p in 0..processes {
+            for seq in 0..per_process {
+                let id = MOpId::new(pid(p), seq);
+                let mut ops: Vec<(ObjectId, bool)> = Vec::new();
+                for _ in 0..=below(3) {
+                    let o = oid(below(objects));
+                    if !ops.iter().any(|&(x, _)| x == o) {
+                        ops.push((o, below(3) == 0));
+                    }
+                }
+                shapes.push((id, ops));
+            }
+        }
+        let mut writers: Vec<Vec<MOpId>> = vec![Vec::new(); objects as usize];
+        for (id, ops) in &shapes {
+            for &(o, write) in ops {
+                if write {
+                    writers[o.index()].push(*id);
+                }
+            }
+        }
+        let mut latest: Vec<MOpId> = vec![MOpId::INITIAL; objects as usize];
+        shapes
+            .into_iter()
+            .map(|(id, ops)| {
+                let t = 100 * u64::from(id.seq);
+                let mut b = MOpRecordBuilder::new(id).at(t, t + 50);
+                for (o, write) in ops {
+                    let cands: Vec<MOpId> = writers[o.index()]
+                        .iter()
+                        .copied()
+                        .filter(|&w| w != id)
+                        .collect();
+                    b = b.op(if write {
+                        latest[o.index()] = id;
+                        CompletedOp::write(o, 1, id, 1)
+                    } else if cands.is_empty() || below(4) == 0 {
+                        CompletedOp::read(o, 0, MOpId::INITIAL, 0)
+                    } else if below(3) > 0 && latest[o.index()] != id {
+                        CompletedOp::read(o, 1, latest[o.index()], 1)
+                    } else {
+                        let w = cands[below(cands.len() as u32) as usize];
+                        CompletedOp::read(o, 1, w, 1)
+                    });
+                }
+                b.build()
+            })
+            .collect()
+    }
+
+    /// Where each external read sits, `(record, op)`, in walk order, with
+    /// whether the read before it of the same object named the same writer.
+    fn read_sites(records: &[MOpRecord], objects: usize) -> Vec<(usize, usize, bool)> {
+        let mut last = vec![None; objects];
+        let mut out = Vec::new();
+        for (i, rec) in records.iter().enumerate() {
+            for (j, op) in rec.ops.iter().enumerate() {
+                if op.is_read() && op.writer != rec.id {
+                    let before = last[op.object.index()].replace(op.writer);
+                    out.push((i, j, before == Some(op.writer)));
+                }
+            }
+        }
+        out
+    }
+
+    /// The mutations the memos could get wrong, each applied to a copy of
+    /// `records`: an unknown writer; the second read of a repeated
+    /// (object, writer) run moved to an object that writer does not
+    /// write; a fresh process reading one object from writer A, then B,
+    /// then A again (B once a writer of it, once not); a record renamed to
+    /// the reserved process; and one seeded rewrite of any read.
+    fn mutants(records: &[MOpRecord], objects: u32, seed: u64) -> Vec<Vec<MOpRecord>> {
+        let mut out = Vec::new();
+        let sites = read_sites(records, objects as usize);
+        let written = |id: MOpId, o: ObjectId| {
+            records
+                .iter()
+                .any(|r| r.id == id && r.ops.iter().any(|op| op.is_write() && op.object == o))
+        };
+        if let Some(&(i, j, _)) = sites.first() {
+            let mut m = records.to_vec();
+            let op = &mut m[i].ops[j];
+            *op = CompletedOp::read(op.object, 1, MOpId::new(pid(99), 7), 1);
+            out.push(m);
+        }
+        if let Some(&(i, j, _)) = sites.iter().find(|s| s.2) {
+            let writer = records[i].ops[j].writer;
+            if let Some(o) = (0..objects).map(oid).find(|&o| !written(writer, o)) {
+                let mut m = records.to_vec();
+                m[i].ops[j] = CompletedOp::read(o, 1, writer, 1);
+                out.push(m);
+            }
+        }
+        let all_writers: Vec<(ObjectId, MOpId)> = records
+            .iter()
+            .flat_map(|r| r.ops.iter().filter(|op| op.is_write()))
+            .map(|op| (op.object, op.writer))
+            .collect();
+        if let Some(&(o, a)) = all_writers.first() {
+            let other = all_writers.iter().find(|&&(x, w)| x == o && w != a);
+            let stranger = records.iter().map(|r| r.id).find(|&id| !written(id, o));
+            for b in [other.map(|&(_, w)| w), stranger].into_iter().flatten() {
+                let mut m = records.to_vec();
+                for (seq, w) in [a, b, a].into_iter().enumerate() {
+                    let id = MOpId::new(pid(98), seq as u32);
+                    let t = 1_000_000 + 100 * seq as u64;
+                    let read = CompletedOp::read(o, 1, w, 1);
+                    m.push(MOpRecordBuilder::new(id).at(t, t + 50).op(read).build());
+                }
+                out.push(m);
+            }
+        }
+        if let Some(last) = records.last() {
+            let mut m = records.to_vec();
+            let reserved = MOpId::new(pid(u32::MAX), last.id.seq);
+            let rec = m.last_mut().expect("not empty");
+            rec.id = reserved;
+            for op in rec.ops.iter_mut().filter(|op| op.is_write()) {
+                op.writer = reserved;
+            }
+            out.push(m);
+        }
+        if !sites.is_empty() {
+            let mut state = seed ^ 0x5EED;
+            let mut m = records.to_vec();
+            let (i, j, _) = sites[(splitmix(&mut state) % sites.len() as u64) as usize];
+            let victim = &records[(splitmix(&mut state) % records.len() as u64) as usize];
+            let object = oid((splitmix(&mut state) % u64::from(objects)) as u32);
+            let op = &mut m[i].ops[j];
+            *op = match splitmix(&mut state) % 3 {
+                0 => CompletedOp::read(op.object, 1, victim.id, 1),
+                1 => CompletedOp::read(object, 1, op.writer, 1),
+                _ => CompletedOp::read(op.object, 0, MOpId::INITIAL, 0),
+            };
+            out.push(m);
+        }
+        out
+    }
+
+    /// The memoised constructor against [`new_per_read`] on seeded
+    /// histories in three layouts (per-process logs laid end to end,
+    /// interleaved by sequence number, reversed), two long runtime-shaped
+    /// logs, and the mutants of each.
+    #[test]
+    fn memoised_resolution_matches_the_per_read_reference() {
+        for seed in 0..400u64 {
+            let mut state = seed;
+            let processes = 1 + (splitmix(&mut state) % 4) as u32;
+            let per_process = 1 + (splitmix(&mut state) % 8) as u32;
+            let objects = 1 + (splitmix(&mut state) % 5) as u32;
+            let logs = seeded_records(seed, processes, per_process, objects);
+            let mut interleaved = logs.clone();
+            interleaved.sort_by_key(|r| (r.id.seq, r.id.process));
+            let mut reversed = logs.clone();
+            reversed.reverse();
+            let runtime = seeded_records(seed, 2, 60, 4);
+            for (records, objects) in [
+                (logs, objects),
+                (interleaved, objects),
+                (reversed, objects),
+                (runtime, 4),
+            ] {
+                assert_same_as_per_read(objects as usize, &records);
+                for mutant in mutants(&records, objects, seed) {
+                    assert_same_as_per_read(objects as usize, &mutant);
+                }
+            }
+        }
+    }
+
+    /// Each error the mutants aim at is reached: the differential test
+    /// above is not comparing two successes only.
+    #[test]
+    fn the_mutants_reach_every_read_error() {
+        let records = seeded_records(7, 2, 60, 4);
+        let errors: Vec<Option<CoreError>> = mutants(&records, 4, 7)
+            .into_iter()
+            .map(|m| History::new(4, m).err())
+            .collect();
+        let reached = |pick: fn(&CoreError) -> bool| errors.iter().flatten().any(pick);
+        assert!(reached(|e| matches!(e, CoreError::UnknownWriter { .. })));
+        assert!(reached(|e| matches!(
+            e,
+            CoreError::ReaderWriterObjectMismatch { .. }
+        )));
+        assert!(reached(|e| matches!(e, CoreError::ReservedMOpId(_))));
+        assert!(errors.iter().any(Option::is_none), "A, B, A validates");
+    }
+
+    /// A record carrying the initial m-operation's process is rejected,
+    /// in step 2 after a repeated id and before a response that precedes
+    /// its invocation; a read naming that process is a read of the
+    /// initial value, as before.
+    #[test]
+    fn rejects_the_reserved_process() {
+        let reserved = MOpId::new(pid(u32::MAX), 0);
+        let rec = |id: MOpId, at: (u64, u64)| {
+            MOpRecordBuilder::new(id)
+                .at(at.0, at.1)
+                .op(CompletedOp::write(oid(0), 1, id, 1))
+                .build()
+        };
+        let reader = MOpRecordBuilder::new(MOpId::new(pid(0), 0))
+            .at(20, 30)
+            .op(CompletedOp::read(oid(0), 1, reserved, 1))
+            .build();
+        assert_eq!(
+            History::new(1, vec![rec(reserved, (0, 10)), reader.clone()]).unwrap_err(),
+            CoreError::ReservedMOpId(reserved)
+        );
+        assert_eq!(
+            History::new(1, vec![rec(reserved, (10, 5))]).unwrap_err(),
+            CoreError::ReservedMOpId(reserved)
+        );
+        let p0 = MOpId::new(pid(0), 0);
+        assert_eq!(
+            History::new(
+                1,
+                vec![rec(p0, (0, 10)), rec(p0, (20, 30)), rec(reserved, (0, 1))]
+            )
+            .unwrap_err(),
+            CoreError::DuplicateMOpId(p0)
+        );
+        let h = History::new(1, vec![reader]).unwrap();
+        assert!(h.read_sources(MOpIdx(0)).eq([(oid(0), None)]));
+        let shown = CoreError::ReservedMOpId(reserved).to_string();
+        assert!(shown.contains("P4294967295#0"), "{shown}");
     }
 
     #[test]

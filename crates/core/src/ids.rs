@@ -102,7 +102,8 @@ impl From<u32> for ObjectId {
 /// The paper assumes an *imaginary initial m-operation* that writes every
 /// object before any real operation executes; it is represented by the
 /// distinguished value [`MOpId::INITIAL`], which never appears as the id of a
-/// recorded m-operation.
+/// recorded m-operation: [`crate::History::new`] rejects a record whose id
+/// carries its process.
 ///
 /// ```
 /// use moc_core::ids::{MOpId, ProcessId};

@@ -455,9 +455,10 @@ impl Program {
         s
     }
 
-    /// Whether the protocol must treat this m-operation as an update.
+    /// Whether the protocol must treat this m-operation as an update: the
+    /// program has a `Write` instruction.
     pub fn is_potential_update(&self) -> bool {
-        !self.potential_writes().is_empty()
+        self.instrs.iter().any(|i| matches!(i, Instr::Write { .. }))
     }
 
     /// One more than the highest argument position referenced — the number

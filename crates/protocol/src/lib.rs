@@ -89,12 +89,14 @@ const ANALYZE_LIMIT: usize = 4096;
 /// program runs as a local query. The refinement is sound — the refined
 /// `may_write` still over-approximates every dynamic write set — and for
 /// oversized programs we conservatively fall back to the syntactic rule.
+///
+/// A program without a `Write` instruction is a query without analysis:
+/// the refined `may_write` only ever holds objects of reachable `Write`
+/// instructions, so the analyzer could only say the same.
 fn classify(program: &Program) -> MOpClass {
-    let update = if program.instrs().len() > ANALYZE_LIMIT {
-        program.is_potential_update()
-    } else {
-        moc_analyze::analyze_program(program).summary.is_update()
-    };
+    let update = program.is_potential_update()
+        && (program.instrs().len() > ANALYZE_LIMIT
+            || moc_analyze::analyze_program(program).summary.is_update());
     if update {
         MOpClass::Update
     } else {

@@ -10,8 +10,10 @@
 //! with the time it may be delivered, and the receiver holds an early
 //! frame back until then: optional randomized delays reorder messages
 //! exactly as the paper's asynchronous channel model allows. Clients block
-//! on [`LiveCluster::invoke`]; per-process locks enforce the model's
-//! sequential-process rule (one outstanding m-operation per process).
+//! on [`LiveCluster::invoke`], or keep a window of m-operations in flight
+//! through a session from [`LiveCluster::pipelined`]. A per-process lock
+//! makes the invoking thread the process's sole thread of control, and the
+//! replica keeps the process's program order.
 //!
 //! A replica thread works per *wake-up*, not per message: when it wakes it
 //! feeds its replica everything that arrived while it was busy — frames,

@@ -3,7 +3,10 @@
 //! of them (sequence-number gaps, as the sentinel builds them), and on the
 //! two layouts a running system hands over: per-process logs laid end to
 //! end (a cluster at shutdown) and records in response order (a simulator).
-//! A hand-built table pins which of two defects `History::new` reports.
+//! A hand-built table pins which of two defects `History::new` reports,
+//! and mutated reads on the grammar's histories (unknown writers, runs of
+//! one writer broken up, the reserved process) must report the defect a
+//! reference reading the records directly finds.
 
 use std::collections::BTreeSet;
 
@@ -189,6 +192,100 @@ fn check_against_reference(records: Vec<MOpRecord>) {
     }
 }
 
+/// What `History::new` must report for well-formed records with at most
+/// bad ids and bad reads in them: the first record carrying the initial
+/// m-operation's process; failing that, the first read, in record then
+/// program order, whose writer is not a record or does not write the
+/// object read.
+fn read_defect(records: &[MOpRecord]) -> Result<(), CoreError> {
+    if let Some(rec) = records.iter().find(|r| r.id.is_initial()) {
+        return Err(CoreError::ReservedMOpId(rec.id));
+    }
+    for rec in records {
+        for op in rec.external_reads().filter(|op| !op.writer.is_initial()) {
+            let (reader, writer, object) = (rec.id, op.writer, op.object);
+            match records.iter().find(|r| r.id == writer) {
+                None => {
+                    return Err(CoreError::UnknownWriter {
+                        reader,
+                        writer,
+                        object,
+                    })
+                }
+                Some(w) if !set_of(w, true).contains(&object) => {
+                    return Err(CoreError::ReaderWriterObjectMismatch {
+                        reader,
+                        writer,
+                        object,
+                    })
+                }
+                Some(_) => {}
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `records` with the reads `History::new` resolves once per (object,
+/// writer) run disturbed, one mutation per copy: a read of an unknown
+/// writer; the second read of a repeated run moved to another object; a
+/// fresh process reading one object from writer A, then B, then A again;
+/// and the last record renamed to the initial m-operation's process.
+fn mutants(records: &[MOpRecord]) -> Vec<Vec<MOpRecord>> {
+    let mut sites = Vec::new();
+    let mut last = [None; BOUNDS.objects];
+    for (i, rec) in records.iter().enumerate() {
+        for (j, op) in rec.ops.iter().enumerate() {
+            if op.is_read() && op.writer != rec.id {
+                let repeated = last[op.object.index()].replace(op.writer) == Some(op.writer);
+                sites.push((i, j, repeated));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    if let Some(&(i, j, _)) = sites.last() {
+        let mut m = records.to_vec();
+        let object = m[i].ops[j].object;
+        m[i].ops[j] = CompletedOp::read(object, 1, MOpId::new(ProcessId::new(77), 3), 1);
+        out.push(m);
+    }
+    if let Some(&(i, j, _)) = sites.iter().find(|s| s.2) {
+        let mut m = records.to_vec();
+        let op = m[i].ops[j];
+        let object = ObjectId::new((op.object.index() as u32 + 1) % BOUNDS.objects as u32);
+        m[i].ops[j] = CompletedOp::read(object, 1, op.writer, 1);
+        out.push(m);
+    }
+    let writes: Vec<(ObjectId, MOpId)> = records
+        .iter()
+        .flat_map(|r| r.ops.iter().filter(|op| op.is_write()))
+        .map(|op| (op.object, op.writer))
+        .collect();
+    for &(object, a) in writes.iter().take(3) {
+        for &(_, b) in writes.iter().filter(|&&(_, b)| b != a).take(2) {
+            let mut m = records.to_vec();
+            for (seq, writer) in [a, b, a].into_iter().enumerate() {
+                let id = MOpId::new(ProcessId::new(66), seq as u32);
+                let t = 10_000 + 100 * seq as u64;
+                let read = CompletedOp::read(object, 1, writer, 1);
+                m.push(MOpRecordBuilder::new(id).at(t, t + 10).op(read).build());
+            }
+            out.push(m);
+        }
+    }
+    if let Some(rec) = records.last() {
+        let mut m = records.to_vec();
+        let reserved = MOpId::new(ProcessId::new(u32::MAX), rec.id.seq);
+        let renamed = m.last_mut().expect("not empty");
+        renamed.id = reserved;
+        for op in renamed.ops.iter_mut().filter(|op| op.is_write()) {
+            op.writer = reserved;
+        }
+        out.push(m);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -199,6 +296,26 @@ proptest! {
         check_against_reference(window(&h, keep, order));
         for records in layouts(h.records()) {
             check_against_reference(records);
+        }
+    }
+
+    /// Mutated reads on the grammar's histories and on every shutdown
+    /// layout of them: the error reported is the reference's, and a
+    /// mutant the reference accepts builds the reference's tables.
+    #[test]
+    fn read_defects_match_the_records(seed in any::<u64>()) {
+        let h = arb::history_from_seed(seed, &BOUNDS);
+        let mut originals = layouts(h.records());
+        originals.push(h.records().to_vec());
+        for records in originals {
+            for mutant in mutants(&records) {
+                let expected = read_defect(&mutant);
+                let got = History::new(BOUNDS.objects, mutant.clone()).map(|_| ());
+                prop_assert_eq!(&got, &expected);
+                if expected.is_ok() {
+                    check_against_reference(mutant);
+                }
+            }
         }
     }
 }
