@@ -20,13 +20,20 @@
 //! consistency, different processes may serialize concurrent updates in
 //! different orders — which is exactly what the classic two-writers /
 //! two-readers litmus exploits.
+//!
+//! Each sub-history is decided as m-sequential consistency by
+//! [`check_with_order`]. Its own `~p ∪ ~rf` misses only the causality
+//! through the queries it drops: a query of another process `r` reading
+//! from `w` orders `w` before `r`'s next update `u`, and `(w, u)` goes in
+//! as extra order. `w = u` is a causal cycle, and the reflexive edge
+//! refutes. Every causal cycle holds a `~rf` edge out of an update, which
+//! every sub-history keeps, so a cyclic history serializes for no process.
 
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::ProcessId;
-use moc_core::relations::{process_order, reads_from, Relation};
 
-use crate::admissible::{find_legal_extension, SearchLimits, SearchOutcome, SearchStats};
-use crate::conditions::CheckError;
+use crate::admissible::{SearchLimits, SearchStats};
+use crate::conditions::{check_with_order, CheckError, CheckReport, Condition, Strategy};
 
 /// Per-process verdicts of the m-causal-consistency check.
 #[derive(Debug, Clone)]
@@ -48,22 +55,87 @@ pub struct CausalReport {
 /// Returns [`CheckError::LimitExceeded`] if any per-process search
 /// exhausts its budget.
 pub fn check_m_causal(h: &History, limits: SearchLimits) -> Result<CausalReport, CheckError> {
-    let causal = process_order(h).union(&reads_from(h)).transitive_closure();
-    if !causal.is_irreflexive() {
-        // Cyclic causality can never serialize.
-        return Ok(CausalReport {
-            satisfied: false,
-            per_process: h.processes().into_iter().map(|p| (p, None)).collect(),
-            stats: SearchStats::default(),
-        });
-    }
-
-    let mut per_process = Vec::new();
-    let mut total_stats = SearchStats::default();
-    let mut satisfied = true;
-
+    let through_queries = query_mediated_pairs(h);
+    let (mut per_process, mut stats) = (Vec::new(), SearchStats::default());
     for p in h.processes() {
-        // Sub-history: all updates + Pi's own m-operations.
+        // Sub-history: all updates + Pi's own m-operations, indexed where
+        // they stand: `sub`'s k-th record is `h`'s `keep[k]`.
+        let keep: Vec<MOpIdx> = h
+            .iter()
+            .filter(|(_, r)| r.is_update() || r.process() == p)
+            .map(|(i, _)| i)
+            .collect();
+        let records = keep.iter().map(|&i| h.record(i).clone()).collect();
+        let sub = History::new(h.num_objects(), records)
+            .map_err(|e| CheckError::Internal(format!("sub-history of {p}: {e}")))?;
+        // Both ends of a pair are updates, which every sub-history keeps.
+        let at = |i: MOpIdx| MOpIdx(keep.partition_point(|&k| k < i));
+        let order: Vec<_> = through_queries
+            .iter()
+            .filter(|&&(r, _, _)| r != p)
+            .map(|&(_, w, u)| (at(w), at(u)))
+            .collect();
+        let strategy = Strategy::BruteForce(limits);
+        let decided = check_with_order(&sub, Condition::MSequentialConsistency, &order, strategy);
+        if let Ok(CheckReport { stats: s, .. }) | Err(CheckError::LimitExceeded(s)) = &decided {
+            stats.nodes += s.nodes;
+            stats.memo_hits += s.memo_hits;
+        }
+        let witness = match decided {
+            Err(CheckError::LimitExceeded(_)) => return Err(CheckError::LimitExceeded(stats)),
+            decided => decided?.witness,
+        };
+        per_process.push((
+            p,
+            witness.map(|w| w.into_iter().map(|i| keep[i.0]).collect()),
+        ));
+    }
+    let satisfied = per_process.iter().all(|(_, w)| w.is_some());
+    Ok(CausalReport {
+        satisfied,
+        per_process,
+        stats,
+    })
+}
+
+/// The causal pairs that run through queries, as `(r, w, u)`: a query of
+/// process `r` reads from `w`, and `u` is `r`'s next update after it.
+fn query_mediated_pairs(h: &History) -> Vec<(ProcessId, MOpIdx, MOpIdx)> {
+    let mut pairs = Vec::new();
+    for idxs in h.subhistories() {
+        let mut next_update = None;
+        for &q in idxs.iter().rev() {
+            let record = h.record(q);
+            if record.is_update() {
+                next_update = Some(q);
+            } else if let Some(u) = next_update {
+                let writers = h.read_sources(q).filter_map(|(_, w)| w);
+                pairs.extend(writers.map(|w| (record.process(), w, u)));
+            }
+        }
+    }
+    pairs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admissible::{find_legal_extension, SearchOutcome};
+    use crate::conditions::check;
+    use moc_core::history::HistoryBuilder;
+    use moc_core::ids::ObjectId;
+    use moc_core::legality::sequence_witnesses_admissibility;
+    use moc_core::relations::{process_order, reads_from, Relation};
+    use moc_workload::arb::{history_from_seed, HistoryBounds};
+
+    /// The sub-history of `p` (all updates plus `p`'s own m-operations,
+    /// with their indices in `h`) and `causal` restricted to it, pair by
+    /// pair.
+    fn restricted(
+        h: &History,
+        causal: &Relation,
+        p: ProcessId,
+    ) -> (Vec<MOpIdx>, History, Relation) {
         let keep: Vec<MOpIdx> = h
             .iter()
             .filter(|(_, r)| r.is_update() || r.process() == p)
@@ -72,9 +144,6 @@ pub fn check_m_causal(h: &History, limits: SearchLimits) -> Result<CausalReport,
         let sub_records: Vec<_> = keep.iter().map(|&i| h.record(i).clone()).collect();
         let sub = History::new(h.num_objects(), sub_records)
             .expect("sub-history of a valid history is valid");
-
-        // Restrict the causality order to the kept operations, mapping to
-        // sub-history indices (records keep their ids).
         let mut rel = Relation::new(sub.len());
         for (si, &oi) in keep.iter().enumerate() {
             for (sj, &oj) in keep.iter().enumerate() {
@@ -83,37 +152,154 @@ pub fn check_m_causal(h: &History, limits: SearchLimits) -> Result<CausalReport,
                 }
             }
         }
+        (keep, sub, rel)
+    }
 
-        let (outcome, stats) = find_legal_extension(&sub, &rel, limits);
-        total_stats.nodes += stats.nodes;
-        total_stats.memo_hits += stats.memo_hits;
-        match outcome {
-            SearchOutcome::Admissible(w) => {
-                // Map the witness back to original indices.
-                per_process.push((p, Some(w.into_iter().map(|i| keep[i.0]).collect())));
-            }
-            SearchOutcome::NotAdmissible => {
-                satisfied = false;
-                per_process.push((p, None));
-            }
-            SearchOutcome::LimitExceeded => {
-                return Err(CheckError::LimitExceeded(total_stats));
+    /// The definition, decided the naive way: the whole history's
+    /// `(~p ∪ ~rf)+`, an early refutation when it is cyclic, and per
+    /// process the dense restriction handed to [`find_legal_extension`].
+    /// [`check_m_causal`] is tested against it.
+    fn check_m_causal_by_closure(
+        h: &History,
+        limits: SearchLimits,
+    ) -> Result<CausalReport, CheckError> {
+        let causal = process_order(h).union(&reads_from(h)).transitive_closure();
+        if !causal.is_irreflexive() {
+            // Cyclic causality can never serialize.
+            return Ok(CausalReport {
+                satisfied: false,
+                per_process: h.processes().into_iter().map(|p| (p, None)).collect(),
+                stats: SearchStats::default(),
+            });
+        }
+
+        let mut per_process = Vec::new();
+        let mut total_stats = SearchStats::default();
+        let mut satisfied = true;
+
+        for p in h.processes() {
+            let (keep, sub, rel) = restricted(h, &causal, p);
+            let (outcome, stats) = find_legal_extension(&sub, &rel, limits);
+            total_stats.nodes += stats.nodes;
+            total_stats.memo_hits += stats.memo_hits;
+            match outcome {
+                SearchOutcome::Admissible(w) => {
+                    // Map the witness back to original indices.
+                    per_process.push((p, Some(w.into_iter().map(|i| keep[i.0]).collect())));
+                }
+                SearchOutcome::NotAdmissible => {
+                    satisfied = false;
+                    per_process.push((p, None));
+                }
+                SearchOutcome::LimitExceeded => {
+                    return Err(CheckError::LimitExceeded(total_stats));
+                }
             }
         }
+        Ok(CausalReport {
+            satisfied,
+            per_process,
+            stats: total_stats,
+        })
     }
-    Ok(CausalReport {
-        satisfied,
-        per_process,
-        stats: total_stats,
-    })
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::conditions::{check, Condition, Strategy};
-    use moc_core::history::HistoryBuilder;
-    use moc_core::ids::ObjectId;
+    /// Per-process verdicts and the `Some`/`None` pattern agree with the
+    /// closure reference on `moc-workload::arb` histories, and every
+    /// witness extends the reference's restricted closure legally. The
+    /// sweep reaches violated histories and histories whose processes
+    /// disagree, so it is not vacuous.
+    #[test]
+    fn precedence_graph_agrees_with_the_closure_reference() {
+        let bounds = [
+            HistoryBounds::default(),
+            HistoryBounds {
+                processes: 4,
+                mops_per_process: 3,
+                objects: 3,
+                max_span: 2,
+                update_fraction: 0.5,
+            },
+            HistoryBounds {
+                processes: 3,
+                mops_per_process: 4,
+                objects: 2,
+                max_span: 2,
+                update_fraction: 0.4,
+            },
+            HistoryBounds {
+                processes: 4,
+                mops_per_process: 2,
+                objects: 4,
+                max_span: 3,
+                update_fraction: 0.7,
+            },
+        ];
+        let limits = SearchLimits::default();
+        let (mut violated, mut mixed) = (0, 0);
+        for bounds in &bounds {
+            for seed in 0..3_000 {
+                let h = history_from_seed(seed, bounds);
+                let new = check_m_causal(&h, limits).unwrap();
+                let old = check_m_causal_by_closure(&h, limits).unwrap();
+                let pattern = |r: &CausalReport| -> Vec<(ProcessId, bool)> {
+                    r.per_process
+                        .iter()
+                        .map(|(p, w)| (*p, w.is_some()))
+                        .collect()
+                };
+                assert_eq!(new.satisfied, old.satisfied, "{bounds:?} seed {seed}");
+                assert_eq!(pattern(&new), pattern(&old), "{bounds:?} seed {seed}");
+                let causal = process_order(&h)
+                    .union(&reads_from(&h))
+                    .transitive_closure();
+                for (p, witness) in &new.per_process {
+                    let Some(witness) = witness else { continue };
+                    let (keep, sub, rel) = restricted(&h, &causal, *p);
+                    let at: Vec<MOpIdx> = witness
+                        .iter()
+                        .map(|i| MOpIdx(keep.binary_search(i).unwrap()))
+                        .collect();
+                    assert!(
+                        sequence_witnesses_admissibility(&sub, &rel, &at),
+                        "{bounds:?} seed {seed}: {p}'s witness"
+                    );
+                }
+                violated += usize::from(!new.satisfied);
+                let somes = new.per_process.iter().filter(|(_, w)| w.is_some()).count();
+                mixed += usize::from(somes > 0 && somes < new.per_process.len());
+            }
+        }
+        assert!(
+            violated > 1_000 && mixed > 500,
+            "{violated} violated, {mixed} mixed"
+        );
+    }
+
+    /// The causality that runs through a dropped query: P1's read of x
+    /// orders P0's write before P1's write of y, which P2 reads before it
+    /// reads the initial x. P2's sub-history drops P1's query, so only the
+    /// query-mediated pair keeps `w(x)1` before `w(y)1`; without it P2
+    /// would serialize `w(y)1, r(y), r(x)0, w(x)1`.
+    #[test]
+    fn causality_through_a_dropped_query_binds() {
+        let x = oid(0);
+        let y = oid(1);
+        let mut b = HistoryBuilder::new(2);
+        let wx = b.mop(pid(0)).at(0, 10).write(x, 1).finish();
+        b.mop(pid(1)).at(20, 30).read_from(x, 1, wx).finish();
+        let wy = b.mop(pid(1)).at(40, 50).write(y, 1).finish();
+        b.mop(pid(2)).at(60, 70).read_from(y, 1, wy).finish();
+        b.mop(pid(2)).at(80, 90).read_init(x).finish();
+        let h = b.build().unwrap();
+        let causal = check_m_causal(&h, SearchLimits::default()).unwrap();
+        assert!(!causal.satisfied);
+        let verdicts: Vec<_> = causal
+            .per_process
+            .iter()
+            .map(|(p, w)| (p.index(), w.is_some()))
+            .collect();
+        assert_eq!(verdicts, [(0, true), (1, true), (2, false)]);
+    }
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)

@@ -19,8 +19,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use moc_core::constraints::Constraint;
 use moc_core::history::{History, MOpIdx};
 use moc_core::relations::{object_order, process_order, reads_from, real_time, Relation};
@@ -31,7 +29,7 @@ use crate::fast::{check_under_constraint, FastError, FastOutcome};
 use crate::precedence::PrecedenceGraph;
 
 /// A consistency condition for multi-object operation histories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Condition {
     /// All m-operations appear to execute atomically in some sequential
     /// order consistent with each process's own order.

@@ -1,10 +1,11 @@
 //! The allocation-lean admissibility engine.
 //!
-//! Both public searches ([`crate::admissible::find_legal_extension`] and
-//! [`crate::precedence::pruned_search`]) compile their input down to a
-//! [`SearchProblem`] — CSR adjacency, CSR read requirements and write sets,
-//! plus a table of Zobrist keys — and a list of [`ComponentPlan`]s, then
-//! hand both to [`execute`]. The engine owns everything from there:
+//! Both public searches ([`crate::precedence::pruned_search`], behind every
+//! verdict, and [`crate::admissible::find_legal_extension`], the naive
+//! reference) compile their input down to a [`SearchProblem`] — CSR
+//! adjacency, CSR read requirements and write sets, plus Zobrist keys — and
+//! a list of [`ComponentPlan`]s, then hand both to [`execute`], which owns
+//! everything from there:
 //!
 //! * **One depth-first search per component.** [`execute`] walks the plans
 //!   in order and searches each from its post-peel state; the first refuted

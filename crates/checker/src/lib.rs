@@ -27,13 +27,15 @@
 //!   independent `moc-audit` crate re-validates against the raw history.
 //! * [`admissible`] — the naive decision procedure over a dense relation:
 //!   a memoized backtracking search for a legal linear extension, the
-//!   reference the pruned search is tested against. Worst-case
-//!   exponential, necessarily so: Theorems 1 and 2 show the problem is
-//!   NP-complete (for m-linearizability, even with a known reads-from
-//!   relation).
+//!   reference the pruned search is tested against and the bench's naive
+//!   baseline, on no verdict path. Worst-case exponential, necessarily so:
+//!   Theorems 1 and 2 show the problem is NP-complete (for
+//!   m-linearizability, even with a known reads-from relation).
 //! * [`serializability`] — database schedules and the Theorem 2 reduction:
 //!   strict view serializability ⇔ m-linearizability, view serializability
-//!   ⇔ m-sequential consistency, for one-transaction-per-process histories.
+//!   ⇔ m-sequential consistency, for one-transaction-per-process histories,
+//!   each decided as that condition by [`conditions::check_with_order`], as
+//!   is each process's sub-history of [`causal`] m-causal consistency.
 //!
 //! ## Example
 //!

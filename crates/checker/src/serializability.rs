@@ -15,18 +15,17 @@
 //! unwritten entity become reads of the initial value), and `T∞` becomes an
 //! explicit final m-operation invoked after every other event.
 
-use serde::{Deserialize, Serialize};
-
-use moc_core::history::History;
+use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
-use moc_core::relations::{reads_from, real_time, Relation};
+use moc_core::relations::Relation;
 
-use crate::admissible::{find_legal_extension, SearchLimits, SearchOutcome};
+use crate::admissible::SearchLimits;
+use crate::conditions::{check, check_with_order, CheckReport, Condition, Strategy};
 
 /// A read or write action of some transaction, in schedule order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActionKind {
     /// The transaction reads the entity.
     Read,
@@ -35,7 +34,7 @@ pub enum ActionKind {
 }
 
 /// One action of a database schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Action {
     /// Index of the issuing transaction (`0..num_transactions`).
     pub txn: usize,
@@ -67,7 +66,7 @@ impl Action {
 
 /// A totally-ordered database schedule over `num_entities` entities and
 /// `num_transactions` transactions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     num_entities: usize,
     num_transactions: usize,
@@ -239,13 +238,7 @@ impl Schedule {
     ///
     /// Worst-case exponential (the problem is NP-complete).
     pub fn is_view_serializable(&self, limits: SearchLimits) -> Option<bool> {
-        let h = self.to_history();
-        let rel = self.view_relation(&h);
-        match find_legal_extension(&h, &rel, limits).0 {
-            SearchOutcome::Admissible(_) => Some(true),
-            SearchOutcome::NotAdmissible => Some(false),
-            SearchOutcome::LimitExceeded => None,
-        }
+        view_check(&self.to_history(), limits).map(|report| report.satisfied)
     }
 
     /// Whether the schedule is *strict view serializable*: view equivalent
@@ -256,13 +249,9 @@ impl Schedule {
     /// Worst-case exponential (Theorem 2: NP-complete even with the
     /// reads-from relation known).
     pub fn is_strict_view_serializable(&self, limits: SearchLimits) -> Option<bool> {
-        let h = self.to_history();
-        let rel = reads_from(&h).union(&real_time(&h));
-        match find_legal_extension(&h, &rel, limits).0 {
-            SearchOutcome::Admissible(_) => Some(true),
-            SearchOutcome::NotAdmissible => Some(false),
-            SearchOutcome::LimitExceeded => None,
-        }
+        let strategy = Strategy::BruteForce(limits);
+        let report = check(&self.to_history(), Condition::MLinearizability, strategy);
+        report.ok().map(|report| report.satisfied)
     }
 
     /// A serialization order of the transactions if one exists (view
@@ -270,34 +259,26 @@ impl Schedule {
     /// `num_transactions` standing for `T∞`.
     pub fn serialization_witness(&self, limits: SearchLimits) -> Option<Vec<usize>> {
         let h = self.to_history();
-        let rel = self.view_relation(&h);
-        match find_legal_extension(&h, &rel, limits).0 {
-            SearchOutcome::Admissible(w) => Some(
-                w.into_iter()
-                    .map(|idx| h.record(idx).process().index())
-                    .collect(),
-            ),
-            _ => None,
-        }
+        let witness = view_check(&h, limits)?.witness?;
+        Some(
+            witness
+                .iter()
+                .map(|&i| h.record(i).process().index())
+                .collect(),
+        )
     }
+}
 
-    /// The relation for view serializability: reads-from, plus `T∞` pinned
-    /// after every transaction (the augmented schedule's final transaction
-    /// must stay final in any view-equivalent serial schedule; real time,
-    /// which enforces this for the strict variant, is deliberately absent
-    /// here).
-    fn view_relation(&self, h: &History) -> Relation {
-        let mut rel = reads_from(h);
-        let tinf = h
-            .idx_of(MOpId::new(ProcessId::new(self.num_transactions as u32), 0))
-            .expect("T∞ is always present");
-        for (i, _) in h.iter() {
-            if i != tinf {
-                rel.add(i, tinf);
-            }
-        }
-        rel
-    }
+/// m-sequential consistency of the constructed history `h` with `T∞`
+/// pinned after every transaction, which must stay final in any
+/// view-equivalent serial schedule (real time, which enforces this for the
+/// strict variant, is absent here). `None` when the search runs out.
+fn view_check(h: &History, limits: SearchLimits) -> Option<CheckReport> {
+    // `to_history` builds T∞ last.
+    let tinf = MOpIdx(h.len() - 1);
+    let tinf_last: Vec<_> = (0..tinf.0).map(|i| (MOpIdx(i), tinf)).collect();
+    let strategy = Strategy::BruteForce(limits);
+    check_with_order(h, Condition::MSequentialConsistency, &tinf_last, strategy).ok()
 }
 
 /// Builds the classic "conflict matters" relation: a [`Relation`] over the
@@ -335,12 +316,133 @@ pub fn is_conflict_serializable(s: &Schedule) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admissible::{find_legal_extension, SearchOutcome};
+    use moc_core::relations::{reads_from, real_time};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn e(i: u32) -> ObjectId {
         ObjectId::new(i)
     }
     fn limits() -> SearchLimits {
         SearchLimits::default()
+    }
+
+    /// The reduction decided the naive way, as dense relations handed to
+    /// [`find_legal_extension`]: view serializability over `~rf` plus `T∞`
+    /// last, strict view serializability over `~rf ∪ ~t`. The [`Schedule`]
+    /// methods are tested against these.
+    mod by_dense_relation {
+        use super::*;
+
+        pub fn is_view_serializable(s: &Schedule, limits: SearchLimits) -> Option<bool> {
+            let h = s.to_history();
+            let rel = view_relation(s, &h);
+            match find_legal_extension(&h, &rel, limits).0 {
+                SearchOutcome::Admissible(_) => Some(true),
+                SearchOutcome::NotAdmissible => Some(false),
+                SearchOutcome::LimitExceeded => None,
+            }
+        }
+
+        pub fn is_strict_view_serializable(s: &Schedule, limits: SearchLimits) -> Option<bool> {
+            let h = s.to_history();
+            let rel = reads_from(&h).union(&real_time(&h));
+            match find_legal_extension(&h, &rel, limits).0 {
+                SearchOutcome::Admissible(_) => Some(true),
+                SearchOutcome::NotAdmissible => Some(false),
+                SearchOutcome::LimitExceeded => None,
+            }
+        }
+
+        pub fn serialization_witness(s: &Schedule, limits: SearchLimits) -> Option<Vec<usize>> {
+            let h = s.to_history();
+            let rel = view_relation(s, &h);
+            match find_legal_extension(&h, &rel, limits).0 {
+                SearchOutcome::Admissible(w) => Some(
+                    w.into_iter()
+                        .map(|idx| h.record(idx).process().index())
+                        .collect(),
+                ),
+                _ => None,
+            }
+        }
+
+        /// Reads-from, plus `T∞` pinned after every transaction.
+        fn view_relation(s: &Schedule, h: &History) -> Relation {
+            let mut rel = reads_from(h);
+            let tinf = h
+                .idx_of(MOpId::new(ProcessId::new(s.num_transactions as u32), 0))
+                .expect("T∞ is always present");
+            for (i, _) in h.iter() {
+                if i != tinf {
+                    rel.add(i, tinf);
+                }
+            }
+            rel
+        }
+    }
+
+    /// A seeded random schedule: up to 3 entities, 4 transactions and 9
+    /// actions, each a read or a write of any entity by any transaction.
+    fn random_schedule(seed: u64) -> Schedule {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let entities = rng.gen_range(1..=3);
+        let transactions = rng.gen_range(1..=4);
+        let actions = (0..rng.gen_range(1..=9))
+            .map(|_| {
+                let txn = rng.gen_range(0..transactions);
+                let entity = e(rng.gen_range(0..entities) as u32);
+                if rng.gen_bool(0.5) {
+                    Action::read(txn, entity)
+                } else {
+                    Action::write(txn, entity)
+                }
+            })
+            .collect();
+        Schedule::new(entities, transactions, actions).unwrap()
+    }
+
+    /// View and strict verdicts agree with the dense reference on random
+    /// schedules, and every view witness is a serial order ending in `T∞`
+    /// exactly when the reference has one. Both verdicts come out each
+    /// way, so the sweep is not vacuous.
+    #[test]
+    fn precedence_graph_agrees_with_the_dense_reference() {
+        let (mut view, mut strict) = (0, 0);
+        let total = 20_000;
+        for seed in 0..total {
+            let s = random_schedule(seed);
+            let is_view = s.is_view_serializable(limits());
+            let is_strict = s.is_strict_view_serializable(limits());
+            assert_eq!(
+                is_view,
+                by_dense_relation::is_view_serializable(&s, limits()),
+                "seed {seed}: {s:?}"
+            );
+            assert_eq!(
+                is_strict,
+                by_dense_relation::is_strict_view_serializable(&s, limits()),
+                "seed {seed}: {s:?}"
+            );
+            let witness = s.serialization_witness(limits());
+            let reference = by_dense_relation::serialization_witness(&s, limits());
+            assert_eq!(witness.is_some(), reference.is_some(), "seed {seed}: {s:?}");
+            assert_eq!(
+                witness.is_some(),
+                is_view == Some(true),
+                "seed {seed}: {s:?}"
+            );
+            if let Some(w) = witness {
+                assert_eq!(w.last(), Some(&s.num_transactions()), "seed {seed}: {w:?}");
+            }
+            view += usize::from(is_view == Some(true));
+            strict += usize::from(is_strict == Some(true));
+        }
+        assert!(
+            strict <= view && view < total as usize && strict > 0,
+            "{view} view, {strict} strict"
+        );
     }
 
     /// r1(x) w2(x) w1(x): the lost-update anomaly. Not serializable in any

@@ -127,7 +127,9 @@ USAGE:
       With --minimize, a violating history is shrunk to its 1-minimal core
       and printed. With --certificate, the verdict's moc-cert proof
       document is written to PATH (or printed with `-`); see
-      docs/CERTIFICATES.md and docs/CHECKER-PERF.md.
+      docs/CERTIFICATES.md and docs/CHECKER-PERF.md. --condition causal
+      prints a verdict per process and refuses --witness, --minimize and
+      --certificate.
   moc audit  <history-file|-> <cert-file>
       Independently re-validate a moc-cert certificate against a history:
       replay the witness, or check the ~H+ refutation cycle edge by edge.
@@ -434,6 +436,12 @@ fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
     );
 
     if condition_name == "causal" {
+        // Only the verdict: there is no causal certificate, single witness
+        // or minimizer to give.
+        let unsupported = ["certificate", "witness", "minimize"];
+        if let Some(flag) = unsupported.into_iter().find(|flag| args.flag(flag)) {
+            return Err(format!("--{flag} is not supported with --condition causal"));
+        }
         let report = check_m_causal(&h, limits).map_err(|e| e.to_string())?;
         let mut out = format!(
             "m-causal consistency: {} ({} m-operations, {} nodes explored)\n",
@@ -1614,6 +1622,34 @@ mod tests {
         assert!(sc.contains("SATISFIED"), "{sc}");
         let causal = dispatch(&sv(&["check", "-", "--condition", "causal"]), &text).unwrap();
         assert!(causal.contains("SATISFIED"), "{causal}");
+    }
+
+    /// `--certificate`, `--witness` and `--minimize` have nothing to give
+    /// under `--condition causal`: each is a usage error, not a verdict that
+    /// silently ignores it. `--brute` and `--max-nodes` stay accepted.
+    #[test]
+    fn causal_rejects_the_flags_it_cannot_honour() {
+        let text = dispatch(&sv(&["gen", "--kind", "writers", "--k", "2"]), "").unwrap();
+        for flag in [&["--certificate", "-"][..], &["--witness"], &["--minimize"]] {
+            let mut cmd = sv(&["check", "-", "--condition", "causal"]);
+            cmd.extend(sv(flag));
+            let (result, code) = dispatch_with_status(&cmd, &text);
+            assert_eq!(code, 2, "{flag:?}");
+            let expected = format!("{} is not supported with --condition causal", flag[0]);
+            assert_eq!(result.unwrap_err(), expected);
+        }
+        let cmd = sv(&[
+            "check",
+            "-",
+            "--condition",
+            "causal",
+            "--brute",
+            "--max-nodes",
+            "1000",
+        ]);
+        let (result, code) = dispatch_with_status(&cmd, &text);
+        assert_eq!(code, 0);
+        assert!(result.unwrap().contains("m-causal consistency: "));
     }
 
     #[test]
