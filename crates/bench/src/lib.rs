@@ -13,6 +13,7 @@
 use std::fmt;
 use std::time::Instant;
 
+use moc_abcast::IsisAbcast;
 use moc_checker::admissible::{find_legal_extension, SearchLimits, SearchOutcome};
 use moc_checker::conditions::{check_with_order, Condition, Strategy};
 use moc_checker::precedence::{pruned_search, PrecedenceGraph};
@@ -24,9 +25,9 @@ use moc_core::mop::MOpClass;
 use moc_core::op::CompletedOp;
 use moc_core::relations::{process_order, reads_from};
 use moc_protocol::{
-    run_cluster, AggregateOverSequencer, ClusterConfig, MlinOverSequencer, MlinOverView,
-    MlinRelevantOverSequencer, MscOverIsis, MscOverSequencer, MscOverView, ReplicaProtocol,
-    RunReport,
+    run_cluster, AggregateOverSequencer, ClusterConfig, MOperation, MlinOverSequencer,
+    MlinOverView, MlinRelevantOverSequencer, MscOverSequencer, MscOverView, MscReplica,
+    ReplicaProtocol, RunReport,
 };
 use moc_sim::{DelayModel, NetworkConfig};
 use moc_workload::histories::{
@@ -379,7 +380,7 @@ pub fn experiment_abcast(ns: &[usize], ops_per_process: usize, seed: u64) -> Tab
             "sequencer",
         );
         add(
-            run_protocol::<MscOverIsis>(n, ops_per_process, 1.0, seed),
+            run_protocol::<MscReplica<IsisAbcast<MOperation>>>(n, ops_per_process, 1.0, seed),
             "isis",
         );
     }

@@ -12,8 +12,10 @@
 //! $ moc render history.txt
 //! ```
 //!
-//! Commands are implemented as library functions returning their output,
-//! so they are unit-testable; `src/bin/moc.rs` is a thin wrapper.
+//! Each subcommand is one row of a command table: its options, each
+//! declared once as a flag or a value, and a handler returning its output
+//! and exit code. Parsing, unknown-option rejection, the stdin decision
+//! and `moc help` all read the row; `src/bin/moc.rs` is a thin wrapper.
 
 use std::collections::HashMap;
 
@@ -37,213 +39,217 @@ use moc_workload::{scripts, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A parsed command line: positional arguments and `--key value` options.
-/// Private: [`dispatch_with_status`] is the entry point, and it checks the
-/// option names against [`accepted_options`] before any command reads them.
-#[derive(Debug, Default, Clone)]
-struct Args {
-    /// Positional arguments after the subcommand.
-    positional: Vec<String>,
-    /// `--key value` options (flags map to `"true"`).
-    options: HashMap<String, String>,
+/// A command's output and exit code, or a usage error (exit code 2).
+type Outcome = Result<(String, i32), String>;
+
+/// One `moc` subcommand: what `moc help` prints about it and its handler.
+struct Subcommand {
+    name: &'static str,
+    /// The positional arguments as the synopsis shows them.
+    positional: &'static str,
+    run: fn(&Args, &str) -> Outcome,
+    /// `name=HINT` takes a value, a bare `name` is a flag.
+    options: &'static str,
+    /// The prose under the synopsis, wrapped as it is printed.
+    about: &'static str,
 }
 
-impl Args {
-    /// Parses raw arguments (excluding program name and subcommand).
-    /// Options that look like `--flag` followed by another option or
-    /// nothing are treated as boolean flags.
-    fn parse(raw: &[String]) -> Args {
-        let mut args = Args::default();
-        let mut i = 0;
-        while i < raw.len() {
-            let a = &raw[i];
-            if let Some(key) = a.strip_prefix("--") {
-                let value = raw.get(i + 1).filter(|v| !v.starts_with("--"));
-                match value {
-                    Some(v) => {
-                        args.options.insert(key.to_string(), v.clone());
-                        i += 2;
-                    }
-                    None => {
-                        args.options.insert(key.to_string(), "true".into());
-                        i += 1;
-                    }
-                }
+impl Subcommand {
+    /// Each declared option: its name and, for a valued one, its hint.
+    fn declared_options(&self) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
+        let decl = |d: &'static str| d.split_once('=').map_or((d, None), |(n, h)| (n, Some(h)));
+        self.options.split_whitespace().map(decl)
+    }
+
+    /// The synopsis: the positional text, then every option, wrapped at 74
+    /// columns under a 13-column indent. A word that does not fit moves to
+    /// the next line whole; one no line can hold breaks after each `|`.
+    fn synopsis(&self) -> String {
+        let options = self.declared_options().map(|(name, hint)| match hint {
+            Some(hint) => format!("[--{name} {hint}]"),
+            None => format!("[--{name}]"),
+        });
+        let words = self.positional.split_whitespace().map(String::from);
+        let (mut lines, mut line) = (Vec::new(), format!("  moc {:<6}", self.name));
+        for word in words.chain(options) {
+            let pieces: Vec<&str> = if 13 + word.len() <= 74 {
+                vec![&word]
             } else {
-                args.positional.push(a.clone());
-                i += 1;
+                word.split_inclusive('|').collect()
+            };
+            let mut sep = " ";
+            for piece in pieces {
+                if line.len() + sep.len() + piece.len() > 74 {
+                    lines.push(std::mem::replace(&mut line, " ".repeat(13)));
+                    sep = "";
+                }
+                line += sep;
+                line += piece;
+                sep = "";
             }
         }
-        args
-    }
-
-    /// The numeric option `key`, or `default` when it was not given.
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key} needs a number")),
-        }
-    }
-
-    /// [`Args::get`], rejected unless the value lies in `range` — a count
-    /// of processes, objects or clients (`1..`) or a fraction (`0.0..=1.0`,
-    /// which NaN never is) — so a workload generator is never handed a
-    /// value it would panic on.
-    fn get_in<T, R>(&self, key: &str, default: T, range: R) -> Result<T, String>
-    where
-        T: std::str::FromStr + PartialOrd,
-        R: std::ops::RangeBounds<T> + std::fmt::Debug,
-    {
-        let v = self.get(key, default)?;
-        if range.contains(&v) {
-            Ok(v)
-        } else {
-            Err(format!("--{key} must lie in {range:?}"))
-        }
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.options.contains_key(key)
+        lines.push(line);
+        lines.join("\n").trim_end().to_string()
     }
 }
 
-/// Usage text for `moc help`.
-pub const USAGE: &str = "\
-moc — multi-object operation histories: generate, run, render, check
+/// Every subcommand, in the order `moc help` lists them.
+#[rustfmt::skip]
+const COMMANDS: &[Subcommand] = &[
+    Subcommand { name: "run", positional: "", run: cmd_run,
+        options: "protocol=msc|mlin|aggregate processes=N ops=K objects=M seed=S update-frac=F",
+        about: "Run a simulated cluster workload; print its history." },
+    Subcommand { name: "gen", positional: "", run: cmd_gen,
+        options: "kind=serial|random|writers processes=N ops=K objects=M seed=S update-frac=F k=K",
+        about: "Generate a synthetic history; print it." },
+    Subcommand { name: "check", positional: "<file|->", run: cmd_check,
+        options: "condition=sc|lin|normal|causal brute max-nodes=N witness minimize \
+        certificate=PATH|-",
+        about: "\
+Check a history against a consistency condition. --max-nodes caps
+the search's node budget (default 5000000). The output ends with a
+replay line echoing the resolved search flags.
+With --minimize, a violating history is shrunk to its 1-minimal core
+and printed. With --certificate, the verdict's moc-cert proof
+document is written to PATH (or printed with `-`); see
+docs/CERTIFICATES.md and docs/CHECKER-PERF.md. --condition causal
+prints a verdict per process and refuses --witness, --minimize and
+--certificate." },
+    Subcommand { name: "audit", run: cmd_audit,
+        positional: "<history-file|-> <cert-file> | <cert-file|->",
+        options: "programs=demo|disjoint|protocol|shardable|hub shards=N processes=N ops=K \
+        objects=M seed=S update-frac=F",
+        about: "\
+Independently re-validate a moc-cert certificate against a history:
+replay the witness, or check the ~H+ refutation cycle edge by edge.
+With --programs, re-validate a program-set certificate against the
+named workload instead (--shards and the workload options as for
+`moc analyze`), dispatching on its format tag. moc-shard-cert:
+fingerprint binding, partition well-formedness, footprint closure,
+cross-shard edge coverage (a dropped or fabricated edge rejects) and
+the composition verdict. moc-commute-cert: fingerprint binding,
+footprint bounds, full matrix recomputation (a fabricated or dropped
+commutation rejects) and every mover class re-derived." },
+    Subcommand { name: "commute", positional: "", run: cmd_commute,
+        options: "workload=demo|disjoint|protocol|shardable|hub format=human|json \
+        max-shard-size=N shards=N objects=M certificate=PATH|- require-progress processes=N \
+        ops=K seed=S update-frac=F",
+        about: "\
+Run the commutativity & mover pass: derive the pairwise commutation
+matrix from the refined may/must footprints, classify every program
+read-only / left- / right- / both- / non-mover (Lipton), lint the
+configuration (MOC0012 all-pairs-conflict, MOC0013 read-only in
+global order, MOC0014 commuting pair straddles shards) and emit a
+versioned moc-commute-cert document (re-validatable with
+`moc audit --programs`). --require-progress exits 1 when no
+distinct pair commutes (MOC0012 territory: nothing for the
+symmetry-pruned checker or the delivery fast path to exploit).
+See docs/ANALYZER.md." },
+    Subcommand { name: "chaos", positional: "", run: cmd_chaos,
+        options: "protocol=msc|mlin|both abcast=fixed|view faults=none|lossy|lossy-dup|\
+        partition|crash|storm|leader-crash-quiet|leader-crash-burst|leader-crash-repeat|all|\
+        leader-crash|LIST workloads=mixed|read-heavy|write-heavy|hot-spot|all|LIST seeds=N \
+        seed-base=S processes=N ops=K objects=M sabotage batch=N batch-delay-us=U",
+        about: "\
+Sweep seeds × fault plans × workloads through the protocols on the
+fault-injecting simulator (reliable-link sublayer on the wire),
+checking every run's history with a certificate and re-validating
+each certificate with the independent auditor. Failing runs print a
+replay command. --abcast picks the total-order layer: the fixed
+sequencer or the view-based failover broadcast (the only one that
+survives the leader-crash fault families; under `fixed` those
+families are a negative control and must FAIL detectably, never
+hang). `--faults all` keeps its historical meaning (the six
+original families); `leader-crash` selects the three coordinator-
+crash families. With --sabotage the link's dedup/retransmission are
+disabled and the sweep must instead find an audited refutation.
+--batch N turns on group-commit stamping in the ordering layer
+(N submissions per ordering frame, partial batches flushed after
+--batch-delay-us, default 100): the sweep must stay just as clean,
+and the consolidated transport/runtime counter block printed after
+the sweep shows the frames it saved. See docs/CHAOS.md and
+docs/RUNTIME-PERF.md." },
+    Subcommand { name: "load", positional: "", run: cmd_load,
+        options: "mode=closed|open clients=N ops=K objects=M skew=uniform|zipfian|normal \
+        update-frac=F seed=S batch=N batch-delay-us=U window=W interval-us=U",
+        about: "\
+Drive a live thread-per-process cluster (Figure 4 protocol over
+the sequencer broadcast) with N client threads released from one
+barrier: closed loop (next op as soon as the pipeline window
+admits it) or open loop (one op per --interval-us, default 100).
+Keys come from the named seed-deterministic skew stream; --batch
+enables group-commit stamping and --window > 1 enables client
+pipelining. Prints the throughput/latency row and the same
+consolidated transport/runtime counter block as `moc chaos`.
+Exits 1 if any reply was dropped. See docs/RUNTIME-PERF.md." },
+    Subcommand { name: "monitor", positional: "<file|->", run: cmd_monitor,
+        options: "condition=sc|lin|normal window=N max-live-nodes=N tiles=K sabotage",
+        about: "\
+Replay a history through the streaming consistency sentinel as a
+live event stream: incremental window checks at quiescence points,
+a rolling certificate per window (each one self-audited on the
+spot), retirement of settled prefixes, and a hard bound on live
+state — crossing --max-live-nodes force-drops the oldest live
+records and reports Degraded instead of growing without bound
+(the peak-vs-cap self-check exits 1 if the bound ever slipped).
+--tiles K stretches the stream K-fold (object/time-shifted copies)
+to exercise bounded memory on long streams. --sabotage splices an
+inadmissible store-buffering gadget mid-stream as a negative
+control: the sentinel must latch it (exit 0 on detection, 1 on a
+miss). See docs/MONITOR.md." },
+    Subcommand { name: "synth", positional: "", run: cmd_synth,
+        options: "smoke seeds=N seed-base=S max-nodes=N out=DIR verify=DIR list family=NAME",
+        about: "\
+Grammar-driven adversarial synthesis: enumerate the shared
+moc-workload history grammar, dedupe isomorphic candidates
+(Weisfeiler–Leman canonicalization over the commute/conflict
+structure), classify each through the analyzer and the certified
+checker, and select boundary specimens — legal-but-inadmissible
+histories, configurations one conflict edge from the Theorem 7
+fast path, pruned-engine node maxima and static ~H+ cycles.
+--smoke runs the pinned corpus grammar (256 seeds, bounded);
+--out writes the survivors as a golden corpus (manifest, history
+files, certificates); --verify re-hunts and diffs against a
+checked-in corpus, exiting 1 on any drift; --list prints the
+pinned registry families; --family NAME prints one pinned
+family's history (the replay entry point). See docs/SYNTH.md." },
+    Subcommand { name: "render", positional: "<file|->", run: cmd_render,
+        options: "width=N", about: "Draw the history as per-process timelines plus a listing." },
+    Subcommand { name: "analyze", positional: "", run: cmd_analyze,
+        options: "workload=demo|disjoint|protocol|shardable|hub format=human|json \
+        require=oo,ww,wo processes=N ops=K objects=M seed=S update-frac=F shards=N",
+        about: "\
+Statically analyze a workload's program set: lints, refined
+read/write sets, conflict graph and constraint certificates." },
+    Subcommand { name: "shard", positional: "", run: cmd_shard,
+        options: "workload=demo|disjoint|protocol|shardable|hub format=human|json \
+        max-shard-size=N shards=N require-composition=oo,ww,wo certificate=PATH|- objects=M \
+        processes=N ops=K seed=S update-frac=F",
+        about: "\
+Run the shardability pass: partition the object universe along the
+static conflict graph, enumerate every cross-shard conflict edge,
+and emit a versioned moc-shard-cert document (re-validatable with
+`moc audit --programs`). --max-shard-size splits oversized
+components (greedy min-cut, at the cost of straddling programs);
+--require-composition exits 1 unless the named constraint classes
+stay enforced under per-shard sequencing. See docs/ANALYZER.md." },
+    Subcommand { name: "help", positional: "", run: |_, _| Ok((usage(), 0)),
+        options: "", about: "Print this text." },
+];
 
-USAGE:
-  moc run    [--protocol msc|mlin|aggregate] [--processes N] [--ops K]
-             [--objects M] [--seed S] [--update-frac F]
-      Run a simulated cluster workload; print its history.
-  moc gen    [--kind serial|random|writers] [--processes N] [--ops K]
-             [--objects M] [--seed S] [--update-frac F] [--k K]
-      Generate a synthetic history; print it.
-  moc check  <file|-> [--condition sc|lin|normal|causal] [--brute]
-             [--max-nodes N] [--witness] [--minimize]
-             [--certificate PATH|-]
-      Check a history against a consistency condition. --max-nodes caps
-      the search's node budget (default 5000000). The output ends with a
-      replay line echoing the resolved search flags.
-      With --minimize, a violating history is shrunk to its 1-minimal core
-      and printed. With --certificate, the verdict's moc-cert proof
-      document is written to PATH (or printed with `-`); see
-      docs/CERTIFICATES.md and docs/CHECKER-PERF.md. --condition causal
-      prints a verdict per process and refuses --witness, --minimize and
-      --certificate.
-  moc audit  <history-file|-> <cert-file>
-      Independently re-validate a moc-cert certificate against a history:
-      replay the witness, or check the ~H+ refutation cycle edge by edge.
-  moc audit  <cert-file|-> --programs demo|disjoint|protocol|
-             shardable|hub [--shards N]
-      Re-validate a program-set certificate against the named workload,
-      dispatching on its format tag. moc-shard-cert: fingerprint binding,
-      partition well-formedness, footprint closure, cross-shard edge
-      coverage (a dropped or fabricated edge rejects) and the composition
-      verdict. moc-commute-cert: fingerprint binding, footprint bounds,
-      full matrix recomputation (a fabricated or dropped commutation
-      rejects) and every mover class re-derived.
-  moc commute [--workload demo|disjoint|protocol|shardable|hub]
-             [--format human|json] [--max-shard-size N] [--shards N]
-             [--objects M] [--certificate PATH|-] [--require-progress]
-      Run the commutativity & mover pass: derive the pairwise commutation
-      matrix from the refined may/must footprints, classify every program
-      read-only / left- / right- / both- / non-mover (Lipton), lint the
-      configuration (MOC0012 all-pairs-conflict, MOC0013 read-only in
-      global order, MOC0014 commuting pair straddles shards) and emit a
-      versioned moc-commute-cert document (re-validatable with
-      `moc audit --programs`). --require-progress exits 1 when no
-      distinct pair commutes (MOC0012 territory: nothing for the
-      symmetry-pruned checker or the delivery fast path to exploit).
-      See docs/ANALYZER.md.
-  moc chaos  [--protocol msc|mlin|both] [--abcast fixed|view]
-             [--faults none|lossy|lossy-dup|partition|crash|storm|
-             leader-crash-quiet|leader-crash-burst|leader-crash-repeat|
-             all|leader-crash|LIST] [--workloads mixed|read-heavy|
-             write-heavy|hot-spot|all|LIST] [--seeds N] [--seed-base S]
-             [--processes N] [--ops K] [--objects M] [--sabotage]
-             [--batch N] [--batch-delay-us U]
-      Sweep seeds × fault plans × workloads through the protocols on the
-      fault-injecting simulator (reliable-link sublayer on the wire),
-      checking every run's history with a certificate and re-validating
-      each certificate with the independent auditor. Failing runs print a
-      replay command. --abcast picks the total-order layer: the fixed
-      sequencer or the view-based failover broadcast (the only one that
-      survives the leader-crash fault families; under `fixed` those
-      families are a negative control and must FAIL detectably, never
-      hang). `--faults all` keeps its historical meaning (the six
-      original families); `leader-crash` selects the three coordinator-
-      crash families. With --sabotage the link's dedup/retransmission are
-      disabled and the sweep must instead find an audited refutation.
-      --batch N turns on group-commit stamping in the ordering layer
-      (N submissions per ordering frame, partial batches flushed after
-      --batch-delay-us, default 100): the sweep must stay just as clean,
-      and the consolidated transport/runtime counter block printed after
-      the sweep shows the frames it saved. See docs/CHAOS.md and
-      docs/RUNTIME-PERF.md.
-  moc load   [--mode closed|open] [--clients N] [--ops K] [--objects M]
-             [--skew uniform|zipfian|normal] [--update-frac F] [--seed S]
-             [--batch N] [--batch-delay-us U] [--window W]
-             [--interval-us U]
-      Drive a live thread-per-process cluster (Figure 4 protocol over
-      the sequencer broadcast) with N client threads released from one
-      barrier: closed loop (next op as soon as the pipeline window
-      admits it) or open loop (one op per --interval-us, default 100).
-      Keys come from the named seed-deterministic skew stream; --batch
-      enables group-commit stamping and --window > 1 enables client
-      pipelining. Prints the throughput/latency row and the same
-      consolidated transport/runtime counter block as `moc chaos`.
-      Exits 1 if any reply was dropped. See docs/RUNTIME-PERF.md.
-  moc monitor <file|-> [--condition sc|lin|normal] [--window N]
-             [--max-live-nodes N] [--tiles K] [--sabotage]
-      Replay a history through the streaming consistency sentinel as a
-      live event stream: incremental window checks at quiescence points,
-      a rolling certificate per window (each one self-audited on the
-      spot), retirement of settled prefixes, and a hard bound on live
-      state — crossing --max-live-nodes force-drops the oldest live
-      records and reports Degraded instead of growing without bound
-      (the peak-vs-cap self-check exits 1 if the bound ever slipped).
-      --tiles K stretches the stream K-fold (object/time-shifted copies)
-      to exercise bounded memory on long streams. --sabotage splices an
-      inadmissible store-buffering gadget mid-stream as a negative
-      control: the sentinel must latch it (exit 0 on detection, 1 on a
-      miss). See docs/MONITOR.md.
-  moc synth  [--smoke] [--seeds N] [--seed-base S] [--max-nodes N]
-             [--out DIR] [--verify DIR] [--list] [--family NAME]
-      Grammar-driven adversarial synthesis: enumerate the shared
-      moc-workload history grammar, dedupe isomorphic candidates
-      (Weisfeiler–Leman canonicalization over the commute/conflict
-      structure), classify each through the analyzer and the certified
-      checker, and select boundary specimens — legal-but-inadmissible
-      histories, configurations one conflict edge from the Theorem 7
-      fast path, pruned-engine node maxima and static ~H+ cycles.
-      --smoke runs the pinned corpus grammar (256 seeds, bounded);
-      --out writes the survivors as a golden corpus (manifest, history
-      files, certificates); --verify re-hunts and diffs against a
-      checked-in corpus, exiting 1 on any drift; --list prints the
-      pinned registry families; --family NAME prints one pinned
-      family's history (the replay entry point). See docs/SYNTH.md.
-  moc render <file|-> [--width N]
-      Draw the history as per-process timelines plus a listing.
-  moc analyze [--workload demo|disjoint|protocol|shardable|hub]
-             [--format human|json] [--require oo,ww,wo] [--processes N]
-             [--ops K] [--objects M] [--seed S] [--update-frac F]
-             [--shards N]
-      Statically analyze a workload's program set: lints, refined
-      read/write sets, conflict graph and constraint certificates.
-  moc shard  [--workload demo|disjoint|protocol|shardable|hub]
-             [--format human|json] [--max-shard-size N] [--shards N]
-             [--require-composition oo,ww,wo] [--certificate PATH|-]
-             [--objects M]
-      Run the shardability pass: partition the object universe along the
-      static conflict graph, enumerate every cross-shard conflict edge,
-      and emit a versioned moc-shard-cert document (re-validatable with
-      `moc audit --programs`). --max-shard-size splits oversized
-      components (greedy min-cut, at the cost of straddling programs);
-      --require-composition exits 1 unless the named constraint classes
-      stay enforced under per-shard sequencing. See docs/ANALYZER.md.
-  moc help
-      Print this text.
-
+/// The `moc help` text: each row's synopsis and prose, then exit codes.
+fn usage() -> String {
+    let mut out = String::from(
+        "moc — multi-object operation histories: generate, run, render, check\n\nUSAGE:\n",
+    );
+    for cmd in COMMANDS {
+        out += &cmd.synopsis();
+        for line in cmd.about.lines() {
+            out += &format!("\n      {line}");
+        }
+        out += "\n";
+    }
+    out + "
 EXIT CODES:
   0  clean (no Error-severity findings; certificate valid; chaos sweep
      passed; sentinel healthy — or, under --sabotage, the planted
@@ -254,86 +260,128 @@ EXIT CODES:
      --sabotage: the planted violation was missed)
   2  invalid input or usage
 
-Histories use the `history v1` text format (moc_core::codec).";
-
-/// The options a subcommand accepts: space-separated names without the
-/// leading `--`. Anything else is a usage error — a misspelt `--max-node`
-/// must not run with the default budget as if nothing had been said.
-/// `audit`, `analyze`, `shard` and `commute` also take what
-/// `workload_programs` reads for the `protocol` / `shardable` sets.
-fn accepted_options(cmd: &str) -> Option<&'static str> {
-    Some(match cmd {
-        "run" => "protocol processes ops objects seed update-frac",
-        "gen" => "kind processes ops objects seed update-frac k",
-        "check" => "condition brute max-nodes witness minimize certificate",
-        "audit" => "programs shards processes ops objects seed update-frac",
-        "analyze" => "workload format require shards processes ops objects seed update-frac",
-        "shard" => {
-            "workload format max-shard-size require-composition certificate shards processes \
-             ops objects seed update-frac"
-        }
-        "commute" => {
-            "workload format max-shard-size require-progress certificate shards processes ops \
-             objects seed update-frac"
-        }
-        "chaos" => {
-            "protocol abcast faults workloads seeds seed-base processes ops objects sabotage \
-             batch batch-delay-us"
-        }
-        "load" => {
-            "mode clients ops objects skew update-frac seed batch batch-delay-us window \
-             interval-us"
-        }
-        "monitor" => "condition window max-live-nodes tiles sabotage",
-        "synth" => "smoke seeds seed-base max-nodes out verify list family",
-        "render" => "width",
-        _ => return None,
-    })
+Histories use the `history v1` text format (moc_core::codec)."
 }
 
-/// Dispatches a full command line (without the program name).
-///
-/// # Errors
-///
-/// Returns a user-facing error message.
-pub fn dispatch(raw: &[String], stdin: &str) -> Result<String, String> {
-    dispatch_with_status(raw, stdin).0
+/// A command line parsed against its subcommand's row. Handlers read
+/// options only through the typed accessors, which assert (in debug
+/// builds) that the row declares the name with that kind.
+struct Args {
+    cmd: &'static Subcommand,
+    positional: Vec<String>,
+    /// Each given option under its declared name; a flag maps to "".
+    options: HashMap<&'static str, String>,
 }
 
-/// Like [`dispatch`], but also returns the process exit code per the
-/// contract in [`USAGE`]: `0` clean, `1` the report contains
-/// Error-severity findings, `2` invalid input or usage. `Err` always
-/// pairs with `2`.
-pub fn dispatch_with_status(raw: &[String], stdin: &str) -> (Result<String, String>, i32) {
-    let Some(cmd) = raw.first() else {
-        return (Ok(USAGE.to_string()), 0);
-    };
-    let args = Args::parse(&raw[1..]);
-    if let Some(allowed) = accepted_options(cmd) {
-        let known = |key: &&String| allowed.split_whitespace().any(|name| name == *key);
-        // The smallest offender, so the message does not depend on the
-        // map's iteration order.
-        if let Some(key) = args.options.keys().filter(|key| !known(key)).min() {
-            let msg = format!("unknown option --{key} for `moc {cmd}` (see `moc help`)");
-            return (Err(msg), 2);
+impl Args {
+    /// Parses the words after the subcommand. A flag never takes the next
+    /// word; a valued option takes it unless it is another `--option`; an
+    /// undeclared option is an error. A repeated option keeps its last value.
+    fn parse(cmd: &'static Subcommand, raw: &[String]) -> Result<Args, String> {
+        let (mut positional, mut options, moc) = (Vec::new(), HashMap::new(), cmd.name);
+        let mut words = raw.iter();
+        while let Some(word) = words.next() {
+            let Some(key) = word.strip_prefix("--") else {
+                positional.push(word.clone());
+                continue;
+            };
+            let Some((name, hint)) = cmd.declared_options().find(|&(name, _)| name == key) else {
+                return Err(format!(
+                    "unknown option --{key} for `moc {moc}` (see `moc help`)"
+                ));
+            };
+            let value = match hint {
+                None => String::new(),
+                Some(hint) => match words.next().filter(|v| !v.starts_with("--")) {
+                    Some(v) => v.clone(),
+                    None => return Err(format!("--{name} needs a value ({hint}) for `moc {moc}`")),
+                },
+            };
+            options.insert(name, value);
+        }
+        Ok(Args {
+            cmd,
+            positional,
+            options,
+        })
+    }
+
+    /// Option `name` as given, asserting (in debug builds) that the
+    /// running row declares it valued or as a flag.
+    fn given(&self, name: &str, valued: bool) -> Option<&str> {
+        debug_assert!(
+            self.cmd
+                .declared_options()
+                .any(|(n, h)| n == name && h.is_some() == valued),
+            "`moc {}` reads --{name}, which its row does not declare that way",
+            self.cmd.name,
+        );
+        self.options.get(name).map(String::as_str)
+    }
+
+    /// The value of option `name`, if it was given.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.given(name, true)
+    }
+
+    /// Whether flag `name` was given.
+    fn flag(&self, name: &str) -> bool {
+        self.given(name, false).is_some()
+    }
+
+    /// The numeric option `name`, or `default` when it was not given.
+    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("--{name} needs a number")),
         }
     }
-    let clean = |out| (out, 0);
-    let result = match cmd.as_str() {
-        "run" => cmd_run(&args).map(clean),
-        "gen" => cmd_gen(&args).map(clean),
-        "check" => cmd_check(&args, stdin).map(clean),
-        "render" => cmd_render(&args, stdin).map(clean),
-        "analyze" => cmd_analyze(&args),
-        "audit" => cmd_audit(&args, stdin),
-        "shard" => cmd_shard(&args),
-        "commute" => cmd_commute(&args),
-        "chaos" => cmd_chaos(&args),
-        "load" => cmd_load(&args),
-        "monitor" => cmd_monitor(&args, stdin),
-        "synth" => cmd_synth(&args),
-        "help" | "--help" | "-h" => Ok((USAGE.to_string(), 0)),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+
+    /// [`Args::get`], rejected unless the value lies in `range` — a count
+    /// of processes, objects or clients (`1..`) or a fraction (`0.0..=1.0`,
+    /// which NaN never is) — so a workload generator is never handed a
+    /// value it would panic on.
+    fn get_in<T, R>(&self, name: &str, default: T, range: R) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd,
+        R: std::ops::RangeBounds<T> + std::fmt::Debug,
+    {
+        let v = self.get(name, default)?;
+        if range.contains(&v) {
+            Ok(v)
+        } else {
+            Err(format!("--{name} must lie in {range:?}"))
+        }
+    }
+}
+
+/// The row named `name` (`--help` and `-h` name `help`).
+fn subcommand(name: &str) -> Option<&'static Subcommand> {
+    let help = matches!(name, "--help" | "-h");
+    COMMANDS
+        .iter()
+        .find(|cmd| cmd.name == name || help && cmd.name == "help")
+}
+
+/// Whether a command line reads stdin: a positional argument of a known
+/// subcommand is `-`; an option's value (`--certificate -`) is not.
+pub fn reads_stdin(raw: &[String]) -> bool {
+    raw.split_first()
+        .and_then(|(name, rest)| Args::parse(subcommand(name)?, rest).ok())
+        .is_some_and(|args| args.positional.iter().any(|p| p == "-"))
+}
+
+/// Dispatches a full command line (without the program name): its output
+/// and exit code, `0` clean, `1` Error-severity findings (or a rejection,
+/// a failed sweep, a latched sentinel), `2` invalid input or usage. `Err`
+/// always pairs with `2`.
+pub fn dispatch_with_status(raw: &[String], stdin: &str) -> (Result<String, String>, i32) {
+    let result = match raw.split_first() {
+        None => Ok((usage(), 0)),
+        Some((name, rest)) => match subcommand(name) {
+            Some(cmd) => Args::parse(cmd, rest).and_then(|args| (cmd.run)(&args, stdin)),
+            None => Err(format!("unknown command {name:?}\n\n{}", usage())),
+        },
     };
     match result {
         Ok((out, code)) => (Ok(out), code),
@@ -354,7 +402,7 @@ fn load_history(args: &Args, stdin: &str) -> Result<History, String> {
     from_text(&text).map_err(|e| format!("cannot parse {source}: {e}"))
 }
 
-fn cmd_run(args: &Args) -> Result<String, String> {
+fn cmd_run(args: &Args, _stdin: &str) -> Outcome {
     let processes = args.get_in("processes", 3, 1..)?;
     let ops = args.get::<usize>("ops", 5)?;
     let objects = args.get_in("objects", 4, 1..)?;
@@ -375,28 +423,20 @@ fn cmd_run(args: &Args) -> Result<String, String> {
             hi: 20_000,
         },
     ));
-    let protocol = args
-        .options
-        .get("protocol")
-        .map(String::as_str)
-        .unwrap_or("mlin");
+    let protocol = args.value("protocol").unwrap_or("mlin");
     let history = match protocol {
         "msc" => run_cluster::<MscOverSequencer>(&config, s).history,
         "mlin" => run_cluster::<MlinOverSequencer>(&config, s).history,
         "aggregate" => run_cluster::<AggregateOverSequencer>(&config, s).history,
         other => return Err(format!("unknown protocol {other:?} (msc|mlin|aggregate)")),
     };
-    Ok(to_text(&history))
+    Ok((to_text(&history), 0))
 }
 
-fn cmd_gen(args: &Args) -> Result<String, String> {
+fn cmd_gen(args: &Args, _stdin: &str) -> Outcome {
     let seed = args.get::<u64>("seed", 0)?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let kind = args
-        .options
-        .get("kind")
-        .map(String::as_str)
-        .unwrap_or("serial");
+    let kind = args.value("kind").unwrap_or("serial");
     let spec = HistorySpec {
         processes: args.get_in("processes", 3, 1..)?,
         ops_per_process: args.get::<usize>("ops", 4)?,
@@ -413,18 +453,14 @@ fn cmd_gen(args: &Args) -> Result<String, String> {
         }
         other => return Err(format!("unknown kind {other:?} (serial|random|writers)")),
     };
-    Ok(to_text(&h))
+    Ok((to_text(&h), 0))
 }
 
-fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
+fn cmd_check(args: &Args, stdin: &str) -> Outcome {
     let h = load_history(args, stdin)?;
     let max_nodes = args.get::<u64>("max-nodes", 5_000_000)?;
     let limits = SearchLimits::with_max_nodes(max_nodes);
-    let condition_name = args
-        .options
-        .get("condition")
-        .map(String::as_str)
-        .unwrap_or("lin");
+    let condition_name = args.value("condition").unwrap_or("lin");
     let source = args
         .positional
         .first()
@@ -438,9 +474,12 @@ fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
     if condition_name == "causal" {
         // Only the verdict: there is no causal certificate, single witness
         // or minimizer to give.
-        let unsupported = ["certificate", "witness", "minimize"];
-        if let Some(flag) = unsupported.into_iter().find(|flag| args.flag(flag)) {
-            return Err(format!("--{flag} is not supported with --condition causal"));
+        let certificate = args.value("certificate").map(|_| "certificate");
+        let flags = ["witness", "minimize"]
+            .into_iter()
+            .find(|flag| args.flag(flag));
+        if let Some(name) = certificate.or(flags) {
+            return Err(format!("--{name} is not supported with --condition causal"));
         }
         let report = check_m_causal(&h, limits).map_err(|e| e.to_string())?;
         let mut out = format!(
@@ -467,7 +506,7 @@ fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
             );
         }
         out.push_str(&replay);
-        return Ok(out);
+        return Ok((out, 0));
     }
 
     let condition = match condition_name {
@@ -485,7 +524,7 @@ fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
     } else {
         Strategy::Auto
     };
-    let (report, cert) = if args.flag("certificate") {
+    let (report, cert) = if args.value("certificate").is_some() {
         // Proof-producing route: always decides via the precedence graph.
         let (report, cert) = check_certified(&h, condition, limits).map_err(|e| e.to_string())?;
         (report, Some(cert))
@@ -551,7 +590,7 @@ fn cmd_check(args: &Args, stdin: &str) -> Result<String, String> {
     if let Some(cert) = cert {
         write_certificate(args, || cert.to_text(), &mut out)?;
     }
-    Ok(out)
+    Ok((out, 0))
 }
 
 /// Delivers the certificate `--certificate PATH|-` asks for, if any: for
@@ -561,7 +600,7 @@ fn write_certificate(
     text: impl FnOnce() -> String,
     out: &mut String,
 ) -> Result<(), String> {
-    let Some(dest) = args.options.get("certificate") else {
+    let Some(dest) = args.value("certificate") else {
         return Ok(());
     };
     let text = text() + "\n";
@@ -584,12 +623,7 @@ fn format_report(
     human: impl FnOnce() -> String,
     json: impl FnOnce() -> String,
 ) -> Result<String, String> {
-    match args
-        .options
-        .get("format")
-        .map(String::as_str)
-        .unwrap_or("human")
-    {
+    match args.value("format").unwrap_or("human") {
         "human" => Ok(human()),
         "json" => Ok(json() + "\n"),
         other => Err(format!("unknown format {other:?} (human|json)")),
@@ -635,12 +669,12 @@ fn workload_programs(
     }
 }
 
-fn cmd_audit(args: &Args, stdin: &str) -> Result<(String, i32), String> {
+fn cmd_audit(args: &Args, stdin: &str) -> Outcome {
     // Program-set certificate mode: `moc audit <cert-file|-> --programs
     // <workload>` re-validates a moc-shard-cert or moc-commute-cert
     // document (dispatched on its format tag) against the named
     // workload's program set (no history involved).
-    if let Some(workload) = args.options.get("programs").cloned() {
+    if let Some(workload) = args.value("programs") {
         let cert_path = args
             .positional
             .first()
@@ -651,7 +685,7 @@ fn cmd_audit(args: &Args, stdin: &str) -> Result<(String, i32), String> {
             std::fs::read_to_string(cert_path)
                 .map_err(|e| format!("cannot read {cert_path}: {e}"))?
         };
-        let programs = workload_programs(args, &workload)?;
+        let programs = workload_programs(args, workload)?;
         let refs: Vec<&moc_core::program::Program> = programs.iter().map(|p| p.as_ref()).collect();
         let format = moc_core::json::parse(&cert_text)
             .map_err(|e| format!("cannot parse {cert_path}: {e}"))?
@@ -738,15 +772,11 @@ fn cmd_audit(args: &Args, stdin: &str) -> Result<(String, i32), String> {
     }
 }
 
-fn cmd_analyze(args: &Args) -> Result<(String, i32), String> {
-    let workload = args
-        .options
-        .get("workload")
-        .map(String::as_str)
-        .unwrap_or("demo");
+fn cmd_analyze(args: &Args, _stdin: &str) -> Outcome {
+    let workload = args.value("workload").unwrap_or("demo");
     let programs = workload_programs(args, workload)?;
     let mut required = Vec::new();
-    if let Some(list) = args.options.get("require") {
+    if let Some(list) = args.value("require") {
         for tok in list.split(',') {
             required.push(match tok.trim() {
                 "oo" => moc_core::constraints::Constraint::Oo,
@@ -769,11 +799,7 @@ fn program_set_pass<A>(
     args: &Args,
     pass: fn(&[&moc_core::program::Program], usize, moc_analyze::ShardOptions) -> A,
 ) -> Result<A, String> {
-    let workload = args
-        .options
-        .get("workload")
-        .map(String::as_str)
-        .unwrap_or("demo");
+    let workload = args.value("workload").unwrap_or("demo");
     let programs = workload_programs(args, workload)?;
     let refs: Vec<&moc_core::program::Program> = programs.iter().map(|p| p.as_ref()).collect();
     let opts = moc_analyze::ShardOptions {
@@ -788,11 +814,11 @@ fn program_set_pass<A>(
     Ok(pass(&refs, objects, opts))
 }
 
-fn cmd_shard(args: &Args) -> Result<(String, i32), String> {
+fn cmd_shard(args: &Args, _stdin: &str) -> Outcome {
     let analysis = program_set_pass(args, moc_analyze::shard_set)?;
     let mut code = severity_code(&analysis.all_findings());
     let mut unenforced = Vec::new();
-    if let Some(list) = args.options.get("require-composition") {
+    if let Some(list) = args.value("require-composition") {
         for tok in list.split(',') {
             let tok = tok.trim();
             match analysis.cert.composition.enforced(tok) {
@@ -819,7 +845,7 @@ fn cmd_shard(args: &Args) -> Result<(String, i32), String> {
     Ok((out, code))
 }
 
-fn cmd_commute(args: &Args) -> Result<(String, i32), String> {
+fn cmd_commute(args: &Args, _stdin: &str) -> Outcome {
     let analysis = program_set_pass(args, moc_analyze::commute_set_with)?;
     let mut code = severity_code(&analysis.all_findings());
     // "Progress" means a *distinct* commuting pair — the same notion
@@ -980,7 +1006,7 @@ fn counter_block(
     out
 }
 
-fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
+fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
     use moc_protocol::chaos::{ChaosConfig, LinkConfig};
     use moc_sim::FaultPlan;
     use moc_workload::chaos::{FaultFamily, WorkloadFamily};
@@ -1002,28 +1028,18 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
         max_delay_ns: batch_delay_us.saturating_mul(1_000),
     });
 
-    let protocols: Vec<&str> = match args
-        .options
-        .get("protocol")
-        .map(String::as_str)
-        .unwrap_or("both")
-    {
+    let protocols: Vec<&str> = match args.value("protocol").unwrap_or("both") {
         "msc" => vec!["msc"],
         "mlin" => vec!["mlin"],
         "both" => vec!["msc", "mlin"],
         other => return Err(format!("unknown protocol {other:?} (msc|mlin|both)")),
     };
-    let abcast = match args
-        .options
-        .get("abcast")
-        .map(String::as_str)
-        .unwrap_or("fixed")
-    {
+    let abcast = match args.value("abcast").unwrap_or("fixed") {
         "fixed" => "fixed",
         "view" => "view",
         other => return Err(format!("unknown abcast {other:?} (fixed|view)")),
     };
-    let families: Vec<FaultFamily> = match args.options.get("faults").map(String::as_str) {
+    let families: Vec<FaultFamily> = match args.value("faults") {
         None | Some("all") => FaultFamily::ALL.to_vec(),
         Some("leader-crash") => FaultFamily::LEADER_CRASH.to_vec(),
         Some(list) => list
@@ -1034,7 +1050,7 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
             })
             .collect::<Result<_, _>>()?,
     };
-    let workloads: Vec<WorkloadFamily> = match args.options.get("workloads").map(String::as_str) {
+    let workloads: Vec<WorkloadFamily> = match args.value("workloads") {
         None | Some("mixed") => vec![WorkloadFamily::Mixed],
         Some("all") => WorkloadFamily::ALL.to_vec(),
         Some(list) => list
@@ -1188,7 +1204,7 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
     Ok((out, if failures.is_empty() { 0 } else { 1 }))
 }
 
-fn cmd_load(args: &Args) -> Result<(String, i32), String> {
+fn cmd_load(args: &Args, _stdin: &str) -> Outcome {
     use moc_bench::{run_runtime_load_counters, runtime_bench_table, LoadMode, RuntimeLoadSpec};
     use moc_workload::skew::KeySkew;
 
@@ -1207,23 +1223,14 @@ fn cmd_load(args: &Args) -> Result<(String, i32), String> {
     if max_batch == 0 {
         return Err("--batch must be at least 1 (1 = batching off)".into());
     }
-    let mode = match args
-        .options
-        .get("mode")
-        .map(String::as_str)
-        .unwrap_or("closed")
-    {
+    let mode = match args.value("mode").unwrap_or("closed") {
         "closed" => LoadMode::Closed,
         "open" => LoadMode::Open {
             interval_ns: interval_us.saturating_mul(1_000).max(1),
         },
         other => return Err(format!("unknown mode {other:?} (closed|open)")),
     };
-    let skew_name = args
-        .options
-        .get("skew")
-        .map(String::as_str)
-        .unwrap_or("uniform");
+    let skew_name = args.value("skew").unwrap_or("uniform");
     let skew = KeySkew::parse(skew_name)
         .ok_or_else(|| format!("unknown skew {skew_name:?} (uniform|zipfian|normal)"))?;
 
@@ -1328,17 +1335,12 @@ fn gadget_objects(num_objects: usize) -> Result<(moc_core::ObjectId, moc_core::O
     Ok((ObjectId::new(x), ObjectId::new(x + 1)))
 }
 
-fn cmd_monitor(args: &Args, stdin: &str) -> Result<(String, i32), String> {
+fn cmd_monitor(args: &Args, stdin: &str) -> Outcome {
     use moc_monitor::{replay, MonitorConfig, MonitorMode, OnlineMonitor};
     use moc_workload::histories::tile_history;
     use std::fmt::Write as _;
 
-    let condition = match args
-        .options
-        .get("condition")
-        .map(String::as_str)
-        .unwrap_or("sc")
-    {
+    let condition = match args.value("condition").unwrap_or("sc") {
         "sc" => Condition::MSequentialConsistency,
         "lin" => Condition::MLinearizability,
         "normal" => Condition::MNormality,
@@ -1360,12 +1362,9 @@ fn cmd_monitor(args: &Args, stdin: &str) -> Result<(String, i32), String> {
     }
 
     let mut cfg = MonitorConfig::new(condition).with_window(window);
-    let cap = match args.options.get("max-live-nodes") {
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| "--max-live-nodes needs a number".to_string())?;
-            cfg = cfg.with_max_live_nodes(n);
+    let cap = match args.value("max-live-nodes") {
+        Some(_) => {
+            cfg = cfg.with_max_live_nodes(args.get("max-live-nodes", 0)?);
             Some(cfg.max_live_nodes)
         }
         None => None,
@@ -1491,9 +1490,9 @@ fn cmd_monitor(args: &Args, stdin: &str) -> Result<(String, i32), String> {
     Ok((out, i32::from(!clean)))
 }
 
-fn cmd_synth(args: &Args) -> Result<(String, i32), String> {
+fn cmd_synth(args: &Args, _stdin: &str) -> Outcome {
     // Replay one pinned registry family.
-    if let Some(name) = args.options.get("family") {
+    if let Some(name) = args.value("family") {
         let family = moc_workload::synth::SynthFamily::by_name(name)
             .ok_or_else(|| format!("unknown synth family {name:?}; try `moc synth --list`"))?;
         return Ok((moc_core::codec::to_text(&family.history()), 0));
@@ -1523,7 +1522,7 @@ fn cmd_synth(args: &Args) -> Result<(String, i32), String> {
         return Ok((out, 0));
     }
     // Verify a checked-in corpus against a fresh hunt.
-    if let Some(dir) = args.options.get("verify") {
+    if let Some(dir) = args.value("verify") {
         let problems = moc_synth::verify_corpus(std::path::Path::new(dir))?;
         if problems.is_empty() {
             return Ok((format!("synth corpus {dir}: verified, no drift\n"), 0));
@@ -1549,7 +1548,7 @@ fn cmd_synth(args: &Args) -> Result<(String, i32), String> {
     };
     let report = moc_synth::hunt(&grammar);
     let mut out = moc_synth::render_report(&report);
-    if let Some(dir) = args.options.get("out") {
+    if let Some(dir) = args.value("out") {
         moc_synth::write_corpus(std::path::Path::new(dir), &report)
             .map_err(|e| format!("writing corpus to {dir}: {e}"))?;
         let _ = std::fmt::Write::write_fmt(
@@ -1563,14 +1562,11 @@ fn cmd_synth(args: &Args) -> Result<(String, i32), String> {
     Ok((out, 0))
 }
 
-fn cmd_render(args: &Args, stdin: &str) -> Result<String, String> {
+fn cmd_render(args: &Args, stdin: &str) -> Outcome {
     let h = load_history(args, stdin)?;
     let width = args.get::<usize>("width", 72)?;
-    Ok(format!(
-        "{}\n{}",
-        render_timeline(&h, width),
-        render_listing(&h)
-    ))
+    let out = format!("{}\n{}", render_timeline(&h, width), render_listing(&h));
+    Ok((out, 0))
 }
 
 #[cfg(test)]
@@ -1579,6 +1575,10 @@ mod tests {
 
     fn sv(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn dispatch(raw: &[String], stdin: &str) -> Result<String, String> {
+        dispatch_with_status(raw, stdin).0
     }
 
     #[test]
@@ -1749,6 +1749,23 @@ mod tests {
             "{err}"
         );
         assert!(dispatch(&sv(&["synth", "--list"]), "").is_ok());
+        // Every row declares each option once and rejects the rest.
+        for cmd in COMMANDS {
+            let mut names: Vec<_> = cmd.declared_options().map(|(name, _)| name).collect();
+            let declared = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(
+                names.len(),
+                declared,
+                "`moc {}` declares an option twice",
+                cmd.name
+            );
+            let (res, code) = dispatch_with_status(&sv(&[cmd.name, "--no-such-option"]), "");
+            let err = res.unwrap_err();
+            assert_eq!(code, 2, "{err}");
+            assert!(err.contains("unknown option --no-such-option"), "{err}");
+        }
     }
 
     #[test]
@@ -2513,13 +2530,110 @@ mod tests {
         assert_eq!(code, 2);
     }
 
+    /// A row for the parsing tests: a positional, two flags and a value.
+    static TEST_ROW: Subcommand = Subcommand {
+        name: "test",
+        positional: "<file>",
+        options: "flag key=V tail",
+        about: "",
+        run: |_, _| Ok((String::new(), 0)),
+    };
+
     #[test]
     fn args_parsing_rules() {
-        let a = Args::parse(&sv(&["file.txt", "--flag", "--key", "v", "--tail"]));
+        let a = Args::parse(
+            &TEST_ROW,
+            &sv(&["file.txt", "--flag", "--key", "v", "--tail"]),
+        )
+        .unwrap();
         assert_eq!(a.positional, vec!["file.txt"]);
         assert!(a.flag("flag"));
         assert!(a.flag("tail"));
-        assert_eq!(a.options.get("key").unwrap(), "v");
+        assert_eq!(a.value("key"), Some("v"));
+        // A flag never takes the next word; the last value of a repeated
+        // option wins.
+        let a = Args::parse(&TEST_ROW, &sv(&["--flag", "f", "--key", "1", "--key", "2"])).unwrap();
+        assert_eq!(a.positional, vec!["f"]);
+        assert!(a.flag("flag") && !a.flag("tail"));
+        assert_eq!(a.value("key"), Some("2"));
+        // A valued option needs a value, which is never another option.
+        for words in [&["--key"][..], &["--key", "--flag"]] {
+            let err = Args::parse(&TEST_ROW, &sv(words)).err().unwrap();
+            assert_eq!(err, "--key needs a value (V) for `moc test`");
+        }
+        let err = Args::parse(&TEST_ROW, &sv(&["--nope"])).err().unwrap();
+        assert_eq!(err, "unknown option --nope for `moc test` (see `moc help`)");
+    }
+
+    /// A history file for the tests that pass one by name.
+    fn history_file(tag: &str) -> String {
+        let text = dispatch(&sv(&["gen", "--kind", "writers", "--k", "2"]), "").unwrap();
+        let path = std::env::temp_dir().join(format!("moc-{tag}-{}.txt", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        path.display().to_string()
+    }
+
+    #[test]
+    fn a_flag_does_not_take_the_next_word() {
+        let file = history_file("flag");
+        let (out, code) = dispatch_with_status(&sv(&["check", "--brute", &file]), "");
+        let out = out.unwrap();
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("SATISFIED (search,"), "{out}");
+        assert!(out.contains(" --brute --max-nodes"), "{out}");
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn a_valued_option_needs_a_value() {
+        let file = history_file("valued");
+        for tail in [&["--certificate"][..], &["--certificate", "--brute"]] {
+            let cmd = [&sv(&["check", &file])[..], &sv(tail)].concat();
+            let (result, code) = dispatch_with_status(&cmd, "");
+            assert_eq!(code, 2, "{tail:?}: {result:?}");
+            let err = result.unwrap_err();
+            assert_eq!(err, "--certificate needs a value (PATH|-) for `moc check`");
+            assert!(
+                !std::path::Path::new("true").exists(),
+                "a file named `true`"
+            );
+        }
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn only_a_positional_dash_reads_stdin() {
+        let cases: &[(&[&str], bool)] = &[
+            (&["check", "-"], true),
+            (&["check", "-", "--certificate", "-"], true),
+            (&["check", "h.txt", "--certificate", "-"], false),
+            (&["check", "--brute", "-"], true),
+            (&["audit", "h.txt", "-"], true),
+            (&["audit", "-", "--programs", "demo"], true),
+            (&["shard", "--certificate", "-"], false),
+            (&["run", "--seed", "1"], false),
+            (&["check", "-", "--no-such-option"], false),
+            (&["frobnicate", "-"], false),
+            (&[], false),
+        ];
+        for &(words, stdin) in cases {
+            assert_eq!(reads_stdin(&sv(words)), stdin, "{words:?}");
+        }
+    }
+
+    /// The whole `moc help` text. Every synopsis is generated from its
+    /// row, so a change to an option declaration shows here.
+    #[test]
+    fn help_is_pinned() {
+        let (out, code) = dispatch_with_status(&sv(&["help"]), "");
+        assert_eq!(code, 0);
+        let out = out.unwrap();
+        assert_eq!(
+            out,
+            include_str!("../tests/help.txt"),
+            "moc help now reads:\n{out}"
+        );
+        assert_eq!(dispatch(&[], "").unwrap(), out);
     }
 
     #[test]

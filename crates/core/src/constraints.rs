@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::history::{History, MOpIdx};
 use crate::relations::Relation;
 
 /// The execution constraints of Section 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Constraint {
     /// D 4.8 — any pair of *conflicting* m-operations is ordered.
     Oo,

@@ -12,8 +12,6 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::ids::{MOpId, ObjectId, ProcessId};
 use crate::mop::{EventTime, MOpRecord, MOpRecordBuilder};
@@ -24,7 +22,7 @@ use crate::value::Value;
 ///
 /// All relation machinery ([`crate::relations::Relation`]) works over these
 /// indices rather than [`MOpId`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MOpIdx(pub usize);
 
 impl MOpIdx {

@@ -8,8 +8,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a sequential thread of control (the paper's `P_1 … P_n`).
 ///
 /// Processes are numbered densely from zero, so a `ProcessId` doubles as an
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(p.to_string(), "P3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(u32);
 
 impl ProcessId {
@@ -57,7 +55,7 @@ impl From<u32> for ProcessId {
 ///
 /// Objects are numbered densely from zero so that a [`crate::vv::VersionVector`]
 /// can dedicate one slot per object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(u32);
 
 impl ObjectId {
@@ -111,7 +109,7 @@ impl From<u32> for ObjectId {
 /// assert!(!alpha.is_initial());
 /// assert!(MOpId::INITIAL.is_initial());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MOpId {
     /// The issuing process.
     pub process: ProcessId,
@@ -185,7 +183,7 @@ pub type IdSet = HashSet<MOpId, BuildHasherDefault<IdHasher>>;
 
 /// Identifier of a query round issued by the m-linearizability protocol
 /// (Figure 6, actions A3–A6): the querying process plus a local counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId {
     /// The process that issued the query m-operation.
     pub process: ProcessId,

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{MOpId, ObjectId, ProcessId};
 use crate::op::{CompletedOp, OpKind};
 use crate::value::Value;
@@ -20,9 +18,7 @@ use crate::value::Value;
 /// In the simulator this is virtual time in nanoseconds; in the live thread
 /// runtime it is nanoseconds since a cluster-wide epoch. Only the order of
 /// event times matters to the model.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EventTime(pub u64);
 
 impl EventTime {
@@ -55,7 +51,7 @@ impl fmt::Display for EventTime {
 /// (e.g. a failed DCAS). [`MOpRecord::treated_as`] records the protocol's
 /// classification, while [`MOpRecord::is_update`] reports the actual
 /// behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MOpClass {
     /// Performs no write operation.
     Query,
@@ -73,7 +69,7 @@ impl fmt::Display for MOpClass {
 }
 
 /// The record of one executed m-operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MOpRecord {
     /// Identifier (issuing process + per-process sequence number).
     pub id: MOpId,

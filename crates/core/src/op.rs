@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{MOpId, ObjectId};
 use crate::value::Value;
 
 /// Whether an operation reads or writes its object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A read operation `r(x)v`.
     Read,
@@ -32,7 +30,7 @@ impl fmt::Display for OpKind {
 }
 
 /// A completed single-object operation within an m-operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompletedOp {
     /// Read or write.
     pub kind: OpKind,

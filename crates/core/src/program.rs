@@ -4,7 +4,7 @@
 //! read and write operations on shared objects". We realize this as a small
 //! register machine ([`Program`]) whose only side effects are
 //! [`Instr::Read`] and [`Instr::Write`] on shared objects. Programs are
-//! plain data (serde-serializable), so the Section 5 protocols can
+//! plain data, so the Section 5 protocols can
 //! atomically broadcast an update m-operation and *re-execute it
 //! deterministically on every replica* — exactly the paper's execution
 //! model.
@@ -44,8 +44,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::ObjectId;
 use crate::value::Value;
 
@@ -58,7 +56,7 @@ pub const DEFAULT_FUEL: u64 = 100_000;
 
 /// An operand: a register, an immediate constant, or an invocation argument
 /// (`arg` in the paper's `α(arg, res)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// General-purpose register.
     Reg(u8),
@@ -100,7 +98,7 @@ impl fmt::Display for Operand {
 }
 
 /// Binary arithmetic operators (wrapping semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
     /// Wrapping addition.
     Add,
@@ -127,7 +125,7 @@ impl BinaryOp {
 }
 
 /// Comparison operators for conditional jumps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -159,7 +157,7 @@ impl CmpOp {
 }
 
 /// One instruction of an m-operation program.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// Read shared object `object` into register `dst`.
     Read {
@@ -290,7 +288,7 @@ impl fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// A validated, deterministic m-operation program.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     name: Arc<str>,
     instrs: Vec<Instr>,
@@ -1001,19 +999,6 @@ mod tests {
         let p = b.build().unwrap();
         assert!(!p.is_potential_update());
         assert!(p.potential_writes().is_empty());
-    }
-
-    #[test]
-    fn programs_are_serializable() {
-        let p = dcas();
-        let json = serde_json_like(&p);
-        assert!(json.contains("dcas"));
-    }
-
-    // serde-compatible smoke without pulling serde_json: use the Debug
-    // representation which covers all fields.
-    fn serde_json_like(p: &Program) -> String {
-        format!("{p:?}")
     }
 
     #[test]

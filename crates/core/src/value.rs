@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::MOpId;
 
 /// The value stored in a shared object.
@@ -25,7 +23,7 @@ pub type Value = i64;
 /// [`crate::vv::VersionVector`]: the paper's protocols increment `ts[x]`
 /// exactly once per m-operation that writes `x` (actions A2 of Figures 4 and
 /// 6), so a `(object, version)` pair uniquely names a write event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Versioned {
     /// The stored value.
     pub value: Value,

@@ -12,8 +12,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::ObjectId;
 
 /// A vector timestamp with one version counter per shared object.
@@ -30,7 +28,7 @@ use crate::ids::ObjectId;
 /// b.bump(ObjectId::new(1));
 /// assert!(!a.leq(&b) && !b.leq(&a)); // incomparable
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VersionVector(Vec<u64>);
 
 impl VersionVector {

@@ -351,12 +351,8 @@ pub(crate) fn split_channel_logs(log: &[MOpId], channels: Option<Vec<u32>>) -> V
 
 /// Convenience alias: Figure 4 over the fixed-sequencer broadcast.
 pub type MscOverSequencer = MscReplica<moc_abcast::SequencerAbcast<MOperation>>;
-/// Convenience alias: Figure 4 over ISIS broadcast.
-pub type MscOverIsis = MscReplica<moc_abcast::IsisAbcast<MOperation>>;
 /// Convenience alias: Figure 6 over the fixed-sequencer broadcast.
 pub type MlinOverSequencer = MlinReplica<moc_abcast::SequencerAbcast<MOperation>>;
-/// Convenience alias: Figure 6 over ISIS broadcast.
-pub type MlinOverIsis = MlinReplica<moc_abcast::IsisAbcast<MOperation>>;
 /// Convenience alias: Figure 6 over the sequencer with the relevant-objects
 /// query optimization enabled.
 pub type MlinRelevantOverSequencer = MlinRelevant<moc_abcast::SequencerAbcast<MOperation>>;

@@ -112,32 +112,37 @@ impl ReplicaStore {
 
     /// Non-panicking variant of [`ReplicaStore::apply`]. On error the store
     /// is left unchanged.
+    ///
+    /// The program runs in place, so an apply costs the m-operation's
+    /// footprint, not the object universe: each object's value before its
+    /// first write goes to an undo log, which a fault restores and a
+    /// success bumps the versions from.
     pub fn try_apply(&mut self, mop: &MOperation) -> Result<ExecRecord, ProgramError> {
         let mut ctx = RecordingContext {
-            values: self.values.clone(),
+            values: &mut self.values,
             ts: &self.ts,
             mop,
             ops: Vec::new(),
-            written: vec![false; self.values.len()],
+            undo: Vec::new(),
         };
-        let outcome = execute(&mop.program, &mop.args, &mut ctx, DEFAULT_FUEL)?;
-        // Commit: install final values and bump versions once per written
-        // object (A2: ∀x ∈ wobjects(α): ts[x]++).
-        let RecordingContext {
-            values,
-            ops,
-            written,
-            ..
-        } = ctx;
-        self.values = values;
-        for (i, was_written) in written.iter().enumerate() {
-            if *was_written {
-                let obj = ObjectId::new(i as u32);
-                let version = self.ts.bump(obj);
-                let v = &mut self.values[i];
-                v.version = version;
-                v.writer = mop.id;
+        let outcome = execute(&mop.program, &mop.args, &mut ctx, DEFAULT_FUEL);
+        let RecordingContext { ops, undo, .. } = ctx;
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                for (obj, before) in undo {
+                    self.values[obj.index()] = before;
+                }
+                return Err(e);
             }
+        };
+        // Commit: bump versions once per written object (A2: ∀x ∈
+        // wobjects(α): ts[x]++); the final values are already installed.
+        for (obj, _) in undo {
+            let version = self.ts.bump(obj);
+            let v = &mut self.values[obj.index()];
+            v.version = version;
+            v.writer = mop.id;
         }
         Ok(ExecRecord {
             ops,
@@ -146,29 +151,32 @@ impl ReplicaStore {
     }
 }
 
-/// Records provenance while a program executes against a store copy.
+/// Records provenance while a program executes against the store in
+/// place.
 struct RecordingContext<'a> {
-    values: Vec<Versioned>,
+    values: &'a mut [Versioned],
     ts: &'a VersionVector,
     mop: &'a MOperation,
     ops: Vec<CompletedOp>,
-    written: Vec<bool>,
+    /// Each written object with its state before the m-operation's first
+    /// write to it, in first-write order.
+    undo: Vec<(ObjectId, Versioned)>,
+}
+
+impl RecordingContext<'_> {
+    fn written(&self, object: ObjectId) -> bool {
+        self.undo.iter().any(|&(o, _)| o == object)
+    }
 }
 
 impl MContext for RecordingContext<'_> {
     fn read(&mut self, object: ObjectId) -> Value {
-        let i = object.index();
-        let op = if self.written[i] {
+        let v = self.values[object.index()];
+        let op = if self.written(object) {
             // Internal read of this m-operation's own pending write: the
             // anticipated version is the current one plus one.
-            CompletedOp::read(
-                object,
-                self.values[i].value,
-                self.mop.id,
-                self.ts.get(object) + 1,
-            )
+            CompletedOp::read(object, v.value, self.mop.id, self.ts.get(object) + 1)
         } else {
-            let v = self.values[i];
             CompletedOp::read(object, v.value, v.writer, v.version)
         };
         self.ops.push(op);
@@ -177,8 +185,10 @@ impl MContext for RecordingContext<'_> {
 
     fn write(&mut self, object: ObjectId, value: Value) {
         let i = object.index();
+        if !self.written(object) {
+            self.undo.push((object, self.values[i]));
+        }
         self.values[i].value = value;
-        self.written[i] = true;
         self.ops.push(CompletedOp::write(
             object,
             value,
@@ -326,5 +336,23 @@ mod tests {
         let mut s = ReplicaStore::new(1);
         assert!(s.try_apply(&m).is_err());
         assert_eq!(s.get(oid(0)), Versioned::INITIAL, "store unchanged");
+    }
+
+    /// A fault after a write undoes it: the program runs in place, so the
+    /// undo log, not a copy, keeps the store unchanged.
+    #[test]
+    fn a_fault_after_a_write_leaves_the_store_unchanged() {
+        let mut b = ProgramBuilder::new("write-then-fault");
+        b.write(oid(0), imm(7))
+            .write(oid(1), imm(8))
+            .write(oid(0), imm(9))
+            .write(oid(1), arg(0))
+            .ret(vec![]);
+        let m = MOperation::new(mid(0, 0), Arc::new(b.build().unwrap()), vec![]);
+        let mut s = ReplicaStore::new(3);
+        s.apply(&MOperation::new(mid(1, 0), write_xy(), vec![1, 2]));
+        let before = s.clone();
+        assert!(s.try_apply(&m).is_err());
+        assert_eq!(s, before, "values, writers and versions unchanged");
     }
 }

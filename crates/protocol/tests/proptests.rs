@@ -4,12 +4,13 @@
 
 use std::sync::Arc;
 
+use moc_abcast::IsisAbcast;
 use moc_checker::conditions::{check_with_order, Condition, Strategy as CheckStrategy};
 use moc_core::constraints::Constraint;
 use moc_core::ids::ObjectId;
 use moc_core::program::{arg, imm, reg, CmpOp, ProgramBuilder};
 use moc_protocol::{
-    run_cluster, ClientScript, ClusterConfig, MlinOverSequencer, MscOverIsis, OpSpec,
+    run_cluster, ClientScript, ClusterConfig, MOperation, MlinOverSequencer, MscReplica, OpSpec,
     ReplicaProtocol, RunReport,
 };
 use moc_sim::{DelayModel, NetworkConfig};
@@ -119,7 +120,7 @@ proptest! {
         delay in delay_strategy(),
         seed in any::<u64>(),
     ) {
-        let report = run::<MscOverIsis>(&ops, delay, seed);
+        let report = run::<MscReplica<IsisAbcast<MOperation>>>(&ops, delay, seed);
         let verdict = check_with_order(
             &report.history,
             Condition::MSequentialConsistency,
@@ -165,7 +166,7 @@ proptest! {
             .map(|&k| vec![OpShape::Increment(0); k])
             .collect();
         let total: usize = per_proc.iter().sum();
-        let report = run::<MscOverIsis>(&ops, delay, seed);
+        let report = run::<MscReplica<IsisAbcast<MOperation>>>(&ops, delay, seed);
         for store in &report.final_stores {
             prop_assert_eq!(store.get(oid(0)).value, total as i64);
         }

@@ -15,13 +15,15 @@
 
 use std::sync::Arc;
 
+use moc_abcast::IsisAbcast;
 use moc_checker::conditions::{check, check_with_order, Condition, Strategy};
 use moc_core::constraints::Constraint;
 use moc_core::ids::ObjectId;
 use moc_core::program::{arg, imm, reg, CmpOp, Program, ProgramBuilder};
 use moc_protocol::{
-    run_cluster, AggregateOverSequencer, ClientScript, ClusterConfig, MlinOverIsis,
-    MlinOverSequencer, MscOverIsis, MscOverSequencer, OpSpec, ReplicaProtocol, RunReport,
+    run_cluster, AggregateOverSequencer, ClientScript, ClusterConfig, MOperation,
+    MlinOverSequencer, MlinReplica, MscOverSequencer, MscReplica, OpSpec, ReplicaProtocol,
+    RunReport,
 };
 use moc_sim::{DelayModel, NetworkConfig};
 use rand::rngs::StdRng;
@@ -188,7 +190,7 @@ fn theorem15_msc_sequencer_is_m_sequentially_consistent() {
 fn theorem15_msc_isis_is_m_sequentially_consistent() {
     for (i, network) in networks().into_iter().enumerate() {
         for seed in 0..5u64 {
-            let report = run::<MscOverIsis>(seed * 17 + i as u64, network);
+            let report = run::<MscReplica<IsisAbcast<MOperation>>>(seed * 17 + i as u64, network);
             assert_satisfies(&report, Condition::MSequentialConsistency);
             assert_replicas_converged(&report);
         }
@@ -213,7 +215,7 @@ fn theorem20_mlin_sequencer_is_m_linearizable() {
 fn theorem20_mlin_isis_is_m_linearizable() {
     for (i, network) in networks().into_iter().enumerate() {
         for seed in 0..5u64 {
-            let report = run::<MlinOverIsis>(seed * 7 + i as u64, network);
+            let report = run::<MlinReplica<IsisAbcast<MOperation>>>(seed * 7 + i as u64, network);
             assert_satisfies(&report, Condition::MLinearizability);
             assert_replicas_converged(&report);
         }

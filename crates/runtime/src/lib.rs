@@ -911,10 +911,11 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moc_abcast::IsisAbcast;
     use moc_checker::conditions::{check, Condition, Strategy};
     use moc_core::ids::ObjectId;
     use moc_core::program::{imm, reg, ProgramBuilder};
-    use moc_protocol::{MlinOverSequencer, MscOverIsis, MscOverSequencer};
+    use moc_protocol::{MOperation, MlinOverSequencer, MscOverSequencer, MscReplica};
 
     fn wx(val: i64) -> Arc<Program> {
         let mut b = ProgramBuilder::new("wx");
@@ -1727,7 +1728,8 @@ mod tests {
 
     #[test]
     fn isis_backend_works_live() {
-        let cluster: LiveCluster<MscOverIsis> = LiveCluster::start(3, RuntimeConfig::new(2));
+        let cluster: LiveCluster<MscReplica<IsisAbcast<MOperation>>> =
+            LiveCluster::start(3, RuntimeConfig::new(2));
         for i in 0..5 {
             cluster.invoke(ProcessId::new((i % 3) as u32), wx(i as i64), vec![]);
         }

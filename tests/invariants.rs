@@ -19,10 +19,11 @@
 
 use std::collections::HashMap;
 
+use moc_abcast::IsisAbcast;
 use moc_core::ids::{MOpId, ObjectId};
 use moc_protocol::{
-    run_cluster, ClusterConfig, MlinOverSequencer, MscOverIsis, MscOverSequencer, ReplicaProtocol,
-    RunReport,
+    run_cluster, ClusterConfig, MOperation, MlinOverSequencer, MscOverSequencer, MscReplica,
+    ReplicaProtocol, RunReport,
 };
 use moc_sim::{DelayModel, NetworkConfig};
 use moc_workload::{scripts, WorkloadSpec};
@@ -126,7 +127,7 @@ fn msc_sequencer_version_invariants() {
 #[test]
 fn msc_isis_version_invariants() {
     for seed in 0..6 {
-        assert_version_invariants(&run::<MscOverIsis>(seed));
+        assert_version_invariants(&run::<MscReplica<IsisAbcast<MOperation>>>(seed));
     }
 }
 

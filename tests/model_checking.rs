@@ -3,11 +3,12 @@
 
 use std::sync::Arc;
 
+use moc_abcast::IsisAbcast;
 use moc_checker::conditions::Condition;
 use moc_core::ids::ObjectId;
 use moc_core::program::{imm, reg, ProgramBuilder};
 use moc_mc::{explore, ExploreLimits};
-use moc_protocol::{AggregateOverSequencer, MscOverIsis, MscOverSequencer, OpSpec};
+use moc_protocol::{AggregateOverSequencer, MOperation, MscOverSequencer, MscReplica, OpSpec};
 
 fn wx(v: i64) -> OpSpec {
     let mut b = ProgramBuilder::new(format!("w{v}"));
@@ -42,7 +43,7 @@ fn msc_two_by_two_exhaustive() {
 #[test]
 fn msc_over_isis_exhaustive() {
     // ISIS has more messages per broadcast, so keep the config minimal.
-    let result = explore::<MscOverIsis>(
+    let result = explore::<MscReplica<IsisAbcast<MOperation>>>(
         1,
         vec![vec![wx(1)], vec![rx()]],
         Condition::MSequentialConsistency,

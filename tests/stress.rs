@@ -2,9 +2,12 @@
 //! Theorem 7 checker (the brute-force search would not scale to these
 //! history sizes — which is exactly the paper's point).
 
+use moc_abcast::IsisAbcast;
 use moc_checker::conditions::{check_with_order, Condition, Strategy, StrategyUsed};
 use moc_core::constraints::Constraint;
-use moc_protocol::{run_cluster, ClusterConfig, MlinOverSequencer, MscOverIsis, RunReport};
+use moc_protocol::{
+    run_cluster, ClusterConfig, MOperation, MlinOverSequencer, MscReplica, RunReport,
+};
 use moc_sim::{DelayModel, NetworkConfig};
 use moc_workload::{scripts, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -50,7 +53,7 @@ fn msc_isis_240_operations() {
     let config = ClusterConfig::new(spec.num_objects, 1001).with_network(
         NetworkConfig::with_delay(DelayModel::Uniform { lo: 50, hi: 50_000 }),
     );
-    let report = run_cluster::<MscOverIsis>(&config, s);
+    let report = run_cluster::<MscReplica<IsisAbcast<MOperation>>>(&config, s);
     assert_eq!(report.history.len(), spec.total_ops());
     assert_fast_admissible(&report, Condition::MSequentialConsistency);
 }

@@ -8,13 +8,14 @@
 //! histories with deliberately scrambled read provenance (where legality
 //! frequently fails and both checkers must reject).
 
+use moc_abcast::IsisAbcast;
 use moc_checker::admissible::{find_legal_extension, SearchLimits};
 use moc_checker::conditions::{check_with_order, Condition, Strategy, StrategyUsed};
 use moc_core::constraints::{satisfies, Constraint};
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::MOpId;
 use moc_core::op::CompletedOp;
-use moc_protocol::{run_cluster, ClusterConfig, MlinOverIsis, MscOverSequencer};
+use moc_protocol::{run_cluster, ClusterConfig, MOperation, MlinReplica, MscOverSequencer};
 use moc_sim::{DelayModel, NetworkConfig};
 use moc_workload::histories::{serial_history, HistorySpec};
 use moc_workload::{scripts, WorkloadSpec};
@@ -181,7 +182,7 @@ fn mlin_histories_agree_under_real_time_and_ww() {
         let mut rng = StdRng::seed_from_u64(seed);
         let s = scripts(&spec, &mut rng);
         let config = ClusterConfig::new(spec.num_objects, seed);
-        let report = run_cluster::<MlinOverIsis>(&config, s);
+        let report = run_cluster::<MlinReplica<IsisAbcast<MOperation>>>(&config, s);
         let lin = Condition::MLinearizability;
         assert!(agree(&report.history, lin, &report.ww_order()));
     }
