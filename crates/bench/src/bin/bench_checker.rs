@@ -1,9 +1,11 @@
 //! `cargo run -p moc-bench --bin bench_checker --release`
 //!
-//! Times the naive admissibility search against the precedence-pruned
-//! search and the Theorem 7 fast path on the generator families, prints
-//! the comparison table and writes the machine-readable results to
-//! `BENCH_checker.json` at the repository root.
+//! Runs the naive admissibility search, the precedence-pruned search and
+//! the Theorem 7 fast path on the generator families, prints the
+//! comparison table (node counts and verdicts, no timings) and writes the
+//! machine-readable results to `BENCH_checker.json` at the repository
+//! root. The file is seed-deterministic: regenerating it reproduces it
+//! byte for byte.
 //!
 //! `--smoke` instead runs the CI perf gate: the same families under a
 //! small naive budget, with every family's deterministic pruned node

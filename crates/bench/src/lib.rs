@@ -7,11 +7,13 @@
 //! `cargo run -p moc-bench --bin paper_experiments` prints every table.
 //! Besides those, the crate keeps the deterministic gates behind the
 //! remaining BENCH files (`bench_checker`, `bench_chaos`, `bench_monitor`),
-//! the runtime smoke gate and the `moc load` harness. Wall-clock
-//! performance is measured by `benchmark/` (see `BENCHMARK.json`).
+//! the runtime smoke gate and the `moc load` harness. Every table and BENCH
+//! file holds seed-deterministic counts and virtual-time figures only, so a
+//! regeneration is byte-identical; the `moc load` harness is the one
+//! wall-clock reader. Wall-clock performance is measured by `benchmark/`
+//! (see `BENCHMARK.json`).
 
 use std::fmt;
-use std::time::Instant;
 
 use moc_abcast::IsisAbcast;
 use moc_checker::admissible::{find_legal_extension, SearchLimits, SearchOutcome};
@@ -224,50 +226,54 @@ pub fn experiment_baseline(query_fracs: &[f64], ops_per_process: usize, seed: u6
     t
 }
 
+/// `yes` / `no` / `budget`: a search outcome as an experiment table cell.
+fn outcome_cell(outcome: &SearchOutcome) -> String {
+    match outcome {
+        SearchOutcome::Admissible(_) => "yes",
+        SearchOutcome::NotAdmissible => "no",
+        SearchOutcome::LimitExceeded => "budget",
+    }
+    .into()
+}
+
 /// E4 — brute-force verification cost on the adversarial
 /// concurrent-writers family (Theorems 1 and 2 in action). Shape: nodes
-/// explored grow combinatorially with k; the wall time follows.
+/// explored grow combinatorially with k. The count is the cost measure;
+/// wall-clock cost is `benchmark/`'s to measure.
 pub fn experiment_checker_scaling(ks: &[usize]) -> Table {
     let mut t = Table::new(
         "E4: brute-force admissibility search on k writers + k readers",
-        &["k", "m-ops", "nodes explored", "wall ms", "admissible"],
+        &["k", "m-ops", "nodes explored", "admissible"],
     );
     for &k in ks {
         let mut rng = StdRng::seed_from_u64(k as u64);
         let h = concurrent_writers_history(k, 3, &mut rng);
         let rel = process_order(&h).union(&reads_from(&h));
-        let start = Instant::now();
         let (outcome, stats) =
             find_legal_extension(&h, &rel, SearchLimits::with_max_nodes(20_000_000));
-        let elapsed = start.elapsed().as_secs_f64() * 1_000.0;
         t.row(vec![
             k.to_string(),
             h.len().to_string(),
             stats.nodes.to_string(),
-            format!("{elapsed:.2}"),
-            match outcome {
-                SearchOutcome::Admissible(_) => "yes".into(),
-                SearchOutcome::NotAdmissible => "no".into(),
-                SearchOutcome::LimitExceeded => "budget".into(),
-            },
+            outcome_cell(&outcome),
         ]);
     }
     t
 }
 
 /// E5 — the Theorem 7 polynomial path vs brute force on protocol-generated
-/// histories. Shape: the fast path scales smoothly with history size; the
-/// brute force (without the ~ww hint) blows up and is skipped beyond small
-/// sizes.
+/// histories. The fast path is one legality scan along the protocol's own
+/// writer order, with no search, and every history passes it (asserted).
+/// The brute force (without the ~ww hint) searches; the table records its
+/// node count and outcome under a 3 000 000-node budget.
 pub fn experiment_fast_vs_brute(sizes: &[usize], seed: u64) -> Table {
     let mut t = Table::new(
         "E5: Theorem 7 fast path vs brute-force search (msc histories)",
-        &["m-ops", "fast ms", "brute ms", "brute nodes"],
+        &["m-ops", "brute nodes", "brute"],
     );
     for &ops_per_process in sizes {
         let report = run_protocol::<MscOverSequencer>(4, ops_per_process, 0.6, seed);
         let ww = report.ww_order();
-        let start = Instant::now();
         let fast = check_with_order(
             &report.history,
             Condition::MSequentialConsistency,
@@ -275,27 +281,20 @@ pub fn experiment_fast_vs_brute(sizes: &[usize], seed: u64) -> Table {
             Strategy::Constraint(Constraint::Ww),
         )
         .expect("protocol history is under WW");
-        let fast_ms = start.elapsed().as_secs_f64() * 1_000.0;
         assert!(fast.satisfied);
 
         // Brute force on the *plain* relation (no ~ww) — the verification
         // problem the paper proves NP-complete. Cap the budget.
         let plain = process_order(&report.history).union(&reads_from(&report.history));
-        let start = Instant::now();
         let (outcome, stats) = find_legal_extension(
             &report.history,
             &plain,
             SearchLimits::with_max_nodes(3_000_000),
         );
-        let brute_ms = start.elapsed().as_secs_f64() * 1_000.0;
         t.row(vec![
             report.history.len().to_string(),
-            format!("{fast_ms:.2}"),
-            match outcome {
-                SearchOutcome::LimitExceeded => format!(">{brute_ms:.0} (budget)"),
-                _ => format!("{brute_ms:.2}"),
-            },
             stats.nodes.to_string(),
+            outcome_cell(&outcome),
         ]);
     }
     t
@@ -611,10 +610,11 @@ pub fn experiment_validation(seed: u64) -> Table {
     t
 }
 
-/// One measured configuration of the certified-checker benchmark behind
+/// One configuration of the certified-checker benchmark behind
 /// `BENCH_checker.json`: the same history decided by the naive search
 /// (under a per-family node budget), the precedence-pruned search, and
-/// (where the writer order is known sound) the Theorem 7 fast path.
+/// (where the writer order is known sound) the Theorem 7 fast path. Every
+/// field is a seed-deterministic count or verdict.
 #[derive(Debug, Clone)]
 pub struct CheckerBenchRow {
     /// Family label (`writers-KxM`, `multi-CxK`, `torn-CxK`,
@@ -625,13 +625,11 @@ pub struct CheckerBenchRow {
     /// The pruned engine's verdict (`admissible` / `inadmissible` /
     /// `budget`); the naive search, when it completes, must agree.
     pub verdict: String,
-    /// Naive-search wall time (ms) and DFS nodes, or `None` when the
-    /// naive search exceeded [`Self::naive_budget`].
-    pub naive: Option<(f64, u64)>,
+    /// Naive-search DFS nodes, or `None` when the naive search exceeded
+    /// [`Self::naive_budget`].
+    pub naive: Option<u64>,
     /// Node budget the naive search ran under.
     pub naive_budget: u64,
-    /// Pruned-search wall time (ms), best of 3.
-    pub pruned_ms: f64,
     /// Nodes the pruned search expanded.
     pub pruned_nodes: u64,
     /// Interaction components the pruned search solved independently.
@@ -644,15 +642,14 @@ pub struct CheckerBenchRow {
     pub memo_hits: u64,
     /// Peak transposition-table occupancy over the searched components.
     pub memo_peak: u64,
-    /// Theorem 7 fast-path wall time (ms); `None` = not applicable (the
-    /// torn/shredded families reuse version numbers across writers, which
-    /// the version-based legality scan cannot arbitrate).
-    pub fast: Option<f64>,
+    /// The Theorem 7 fast path's verdict (`true` = admissible); `None` =
+    /// not applicable (the torn/shredded families reuse version numbers
+    /// across writers, which the version-based legality scan cannot
+    /// arbitrate).
+    pub fast: Option<bool>,
     /// `naive_nodes / max(pruned_nodes, 1)`; `None` when the naive search
     /// was budget-capped (the true ratio is only bounded below).
     pub node_speedup: Option<f64>,
-    /// `naive_ms / pruned_ms`; `None` when naive was budget-capped.
-    pub wall_speedup: Option<f64>,
     /// Commutativity skips the default (symmetry-on) search charged:
     /// extension steps refused because a provably-independent lower-index
     /// m-operation was schedulable (the canonical representative covers
@@ -661,23 +658,14 @@ pub struct CheckerBenchRow {
     /// Nodes the same search expands with symmetry reduction ablated
     /// (`SearchLimits::without_symmetry`) — the PR 5 engine's behavior.
     pub nosym_nodes: u64,
-    /// Wall time (ms) of the ablated search, best of 3.
-    pub nosym_ms: f64,
 }
 
 impl CheckerBenchRow {
-    /// The row as a JSON object (`BENCH_checker.json` version 5 schema).
+    /// The row as a JSON object (`BENCH_checker.json` version 6 schema).
     pub fn to_json(&self) -> Json {
         let naive = match self.naive {
-            Some((ms, nodes)) => Json::Obj(vec![
-                ("ms".into(), Json::Num(ms)),
-                ("nodes".into(), num(nodes as i64)),
-            ]),
+            Some(nodes) => Json::Obj(vec![("nodes".into(), num(nodes as i64))]),
             None => jstr("budget"),
-        };
-        let fast = match self.fast {
-            Some(ms) => Json::Obj(vec![("ms".into(), Json::Num(ms))]),
-            None => jstr("n/a"),
         };
         Json::Obj(vec![
             ("family".into(), jstr(self.family.clone())),
@@ -688,7 +676,6 @@ impl CheckerBenchRow {
             (
                 "pruned".into(),
                 Json::Obj(vec![
-                    ("ms".into(), Json::Num(self.pruned_ms)),
                     ("nodes".into(), num(self.pruned_nodes as i64)),
                     ("components".into(), num(self.components as i64)),
                     ("peeled".into(), num(self.peeled as i64)),
@@ -697,21 +684,16 @@ impl CheckerBenchRow {
                     ("memo_peak".into(), num(self.memo_peak as i64)),
                 ]),
             ),
-            ("fast".into(), fast),
+            ("fast".into(), jstr(fast_cell(self.fast))),
             (
                 "node_speedup".into(),
                 self.node_speedup.map_or(Json::Null, Json::Num),
-            ),
-            (
-                "wall_speedup".into(),
-                self.wall_speedup.map_or(Json::Null, Json::Num),
             ),
             (
                 "symmetry".into(),
                 Json::Obj(vec![
                     ("skips".into(), num(self.symmetry_skips as i64)),
                     ("nodes_without".into(), num(self.nosym_nodes as i64)),
-                    ("ms_without".into(), Json::Num(self.nosym_ms)),
                     (
                         "node_reduction".into(),
                         Json::Num(self.nosym_nodes as f64 / self.pruned_nodes.max(1) as f64),
@@ -719,6 +701,16 @@ impl CheckerBenchRow {
                 ]),
             ),
         ])
+    }
+}
+
+/// `admissible` / `inadmissible` / `n/a`: the fast path's verdict as a
+/// table cell and a `BENCH_checker.json` value.
+fn fast_cell(fast: Option<bool>) -> &'static str {
+    match fast {
+        Some(true) => "admissible",
+        Some(false) => "inadmissible",
+        None => "n/a",
     }
 }
 
@@ -889,10 +881,10 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
 /// `budget` caps the naive search's node count (per-family overrides
 /// apply, see [`checker_families`]).
 ///
-/// Wall times are the best of three runs; node counts and verdicts are
-/// deterministic, and the experiment asserts the engines agree.
+/// Each search runs once: node counts and verdicts are deterministic, and
+/// the experiment asserts the engines agree.
 ///
-/// The fast path is only timed on families whose index order is a sound
+/// The fast path only runs on families whose index order is a sound
 /// writer order for the plain-relation question (the admissible families,
 /// and the poisoned one, where the stale read is illegal under *any*
 /// writer order); the torn/shredded families reuse version numbers across
@@ -905,35 +897,16 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
         let graph = PrecedenceGraph::for_condition(&h, Condition::MSequentialConsistency);
         let naive_limits = SearchLimits::with_max_nodes(naive_budget);
 
-        let start = Instant::now();
         let (naive_out, naive_stats) = find_legal_extension(&h, &rel, naive_limits);
-        let naive_ms = start.elapsed().as_secs_f64() * 1_000.0;
 
         let limits = SearchLimits::with_max_nodes(budget);
-        let mut pruned_ms = f64::INFINITY;
-        let mut pruned = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let result = pruned_search(&h, &graph, limits);
-            pruned_ms = pruned_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
-            pruned = Some(result);
-        }
-        let (pruned_out, pruned_stats) = pruned.expect("three timed runs");
+        let (pruned_out, pruned_stats) = pruned_search(&h, &graph, limits);
 
         // Symmetry ablation: the same pruned search with the
         // commutativity-aware reduction disabled (the pre-symmetry
         // engine). Verdicts must agree; the node delta is the measured
         // value of the commute certificate inside the checker.
-        let nosym_limits = limits.without_symmetry();
-        let mut nosym_ms = f64::INFINITY;
-        let mut nosym = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let result = pruned_search(&h, &graph, nosym_limits);
-            nosym_ms = nosym_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
-            nosym = Some(result);
-        }
-        let (nosym_out, nosym_stats) = nosym.expect("three timed runs");
+        let (nosym_out, nosym_stats) = pruned_search(&h, &graph, limits.without_symmetry());
         if !matches!(nosym_out, SearchOutcome::LimitExceeded)
             && !matches!(pruned_out, SearchOutcome::LimitExceeded)
         {
@@ -962,13 +935,11 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
             }
         };
 
-        let fast = if fast_applies {
+        let fast = fast_applies.then(|| {
             let ww = index_writer_order(&h);
             let condition = Condition::MSequentialConsistency;
-            let start = Instant::now();
             let fast = check_with_order(&h, condition, &ww, Strategy::Constraint(Constraint::Ww))
                 .expect("index order satisfies WW on generator families");
-            let ms = start.elapsed().as_secs_f64() * 1_000.0;
             if verdict != "budget" {
                 assert_eq!(
                     fast.satisfied,
@@ -976,14 +947,12 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
                     "{family}: fast path must agree"
                 );
             }
-            Some(ms)
-        } else {
-            None
-        };
+            fast.satisfied
+        });
 
         let naive = match naive_out {
             SearchOutcome::LimitExceeded => None,
-            _ => Some((naive_ms, naive_stats.nodes)),
+            _ => Some(naive_stats.nodes),
         };
         rows.push(CheckerBenchRow {
             family,
@@ -991,7 +960,6 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
             verdict: verdict.into(),
             naive,
             naive_budget,
-            pruned_ms,
             pruned_nodes: pruned_stats.nodes,
             components: pruned_stats.components,
             peeled: pruned_stats.peeled,
@@ -999,11 +967,9 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
             memo_hits: pruned_stats.memo_hits,
             memo_peak: pruned_stats.memo_peak,
             fast,
-            node_speedup: naive.map(|(_, nodes)| nodes as f64 / pruned_stats.nodes.max(1) as f64),
-            wall_speedup: naive.map(|(ms, _)| ms / pruned_ms.max(1e-6)),
+            node_speedup: naive.map(|nodes| nodes as f64 / pruned_stats.nodes.max(1) as f64),
             symmetry_skips: pruned_stats.symmetry_skips,
             nosym_nodes: nosym_stats.nodes,
-            nosym_ms,
         });
     }
     rows
@@ -1017,16 +983,14 @@ pub fn checker_bench_table(rows: &[CheckerBenchRow]) -> Table {
             "family",
             "m-ops",
             "verdict",
-            "naive ms",
             "naive nodes",
-            "pruned ms",
             "pruned nodes",
             "comps",
             "peeled",
             "rw edges",
             "memo hits",
             "memo peak",
-            "fast ms",
+            "fast",
             "node speedup",
             "sym skips",
             "nosym nodes",
@@ -1038,21 +1002,15 @@ pub fn checker_bench_table(rows: &[CheckerBenchRow]) -> Table {
             r.m_ops.to_string(),
             r.verdict.clone(),
             r.naive
-                .map(|(ms, _)| format!("{ms:.3}"))
-                .unwrap_or_else(|| "budget".into()),
-            r.naive
-                .map(|(_, nodes)| nodes.to_string())
+                .map(|nodes| nodes.to_string())
                 .unwrap_or_else(|| format!(">{}", r.naive_budget)),
-            format!("{:.3}", r.pruned_ms),
             r.pruned_nodes.to_string(),
             r.components.to_string(),
             r.peeled.to_string(),
             r.forced_edges.to_string(),
             r.memo_hits.to_string(),
             r.memo_peak.to_string(),
-            r.fast
-                .map(|ms| format!("{ms:.3}"))
-                .unwrap_or_else(|| "n/a".into()),
+            fast_cell(r.fast).into(),
             r.node_speedup
                 .map(|s| format!("{s:.1}x"))
                 .unwrap_or_else(|| "-".into()),
@@ -1064,8 +1022,8 @@ pub fn checker_bench_table(rows: &[CheckerBenchRow]) -> Table {
 }
 
 /// Serializes the certified-checker rows as the `BENCH_checker.json`
-/// version 5 document (version 4 minus the per-thread-count timings, plus
-/// the single-component `knot-1x8` row), headlined by the best
+/// version 6 document (version 5 minus its wall-clock fields: `fast` holds
+/// the fast path's verdict, no longer its time), headlined by the best
 /// completed-naive node speedup among the component families.
 pub fn checker_bench_json(rows: &[CheckerBenchRow]) -> String {
     let headline = rows
@@ -1081,7 +1039,7 @@ pub fn checker_bench_json(rows: &[CheckerBenchRow]) -> String {
                 .unwrap_or(0.0)
                 .total_cmp(&b.node_speedup.unwrap_or(0.0))
         });
-    let mut fields = bench_envelope("checker", 5, rows.iter().map(|r| r.to_json()));
+    let mut fields = bench_envelope("checker", 6, rows.iter().map(|r| r.to_json()));
     if let Some(best) = headline {
         fields.push((
             "headline".into(),
@@ -1090,10 +1048,6 @@ pub fn checker_bench_json(rows: &[CheckerBenchRow]) -> String {
                 (
                     "node_speedup".into(),
                     best.node_speedup.map_or(Json::Null, Json::Num),
-                ),
-                (
-                    "wall_speedup".into(),
-                    best.wall_speedup.map_or(Json::Null, Json::Num),
                 ),
             ]),
         ));
@@ -1526,8 +1480,6 @@ pub struct MonitorBenchRow {
     pub mops: usize,
     /// Events ingested (invocations + completions).
     pub events: u64,
-    /// Wall-clock ingest rate, events per second.
-    pub ingest_eps: u64,
     /// Median completion-to-verdict latency in virtual stream time (ns).
     pub verdict_p50_ns: u64,
     /// 99th-percentile completion-to-verdict latency (ns).
@@ -1559,7 +1511,6 @@ impl MonitorBenchRow {
             ("tiles".into(), num(self.tiles as i64)),
             ("mops".into(), num(self.mops as i64)),
             ("events".into(), num(self.events as i64)),
-            ("ingest_events_per_s".into(), num(self.ingest_eps as i64)),
             (
                 "verdict_ns".into(),
                 Json::Obj(vec![
@@ -1579,7 +1530,8 @@ impl MonitorBenchRow {
     }
 }
 
-/// Replays `h` through a sentinel configured by `cfg` and measures it.
+/// Replays `h` through a sentinel configured by `cfg` and reads its
+/// counters.
 fn monitor_bench_row(
     condition: &str,
     workload: &str,
@@ -1589,9 +1541,7 @@ fn monitor_bench_row(
 ) -> MonitorBenchRow {
     use moc_monitor::{replay, MonitorMode, OnlineMonitor};
 
-    let start = Instant::now();
     let summary = replay(h, OnlineMonitor::new(h.num_objects(), cfg));
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
     let stats = &summary.stats;
     let events = stats.invocations + stats.completions;
     // Completion-to-verdict latency in virtual stream time: each record in
@@ -1609,7 +1559,6 @@ fn monitor_bench_row(
         tiles,
         mops: h.len(),
         events,
-        ingest_eps: (events as f64 / elapsed) as u64,
         verdict_p50_ns: percentile(&verdict_ns, 50.0),
         verdict_p99_ns: percentile(&verdict_ns, 99.0),
         peak_live_nodes: stats.peak_live_nodes,
@@ -1706,7 +1655,7 @@ const MONITOR_PEAK_LIVE_CAP: usize = 256;
 /// CI gate for the sentinel on never-quiescent streams, on deterministic
 /// counters only: at every length live state stays under
 /// `MONITOR_PEAK_LIVE_CAP`, no record is skipped, and every window
-/// checked is certified. Wall-clock numbers are reported, never gated.
+/// checked is certified.
 pub fn monitor_smoke() -> Result<Vec<MonitorBenchRow>, String> {
     let rows = experiment_monitor_figure6(&[250, 500, 1000, 2000]);
     let mut failures = Vec::new();
@@ -1744,7 +1693,6 @@ pub fn monitor_bench_table(rows: &[MonitorBenchRow]) -> Table {
             "tiles",
             "mops",
             "events",
-            "ingest ev/s",
             "verdict p50",
             "verdict p99",
             "peak live",
@@ -1764,7 +1712,6 @@ pub fn monitor_bench_table(rows: &[MonitorBenchRow]) -> Table {
             r.tiles.to_string(),
             r.mops.to_string(),
             r.events.to_string(),
-            r.ingest_eps.to_string(),
             us(r.verdict_p50_ns as f64),
             us(r.verdict_p99_ns as f64),
             r.peak_live_nodes.to_string(),
@@ -1780,32 +1727,29 @@ pub fn monitor_bench_table(rows: &[MonitorBenchRow]) -> Table {
     t
 }
 
-/// The `bench`/`version`/`cpus`/`rows` header every bench document opens
-/// with, `cpus` being the parallelism the machine offered; a document
-/// appends its own fields after it.
+/// The `bench`/`version`/`rows` header every bench document opens with; a
+/// document appends its own fields after it. Nothing in a document depends
+/// on the machine that wrote it, so a regenerated file is byte-identical.
 fn bench_envelope(
     bench: &str,
     version: i64,
     rows: impl Iterator<Item = Json>,
 ) -> Vec<(String, Json)> {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get()) as i64;
     vec![
         ("bench".into(), jstr(bench)),
         ("version".into(), num(version)),
-        ("cpus".into(), num(cpus)),
         ("rows".into(), Json::Arr(rows.collect())),
     ]
 }
 
 /// The monitor rows as a machine-readable JSON document
-/// (`BENCH_monitor.json`). Version 2 aligned the envelope with
-/// `BENCH_checker.json` (`bench`/`version`/`cpus` header); version 3 added
-/// the never-quiescent `figure6` rows and the `peak_window` / `deferred` /
-/// `skipped` columns.
+/// (`BENCH_monitor.json`). Version 3 added the never-quiescent `figure6`
+/// rows and the `peak_window` / `deferred` / `skipped` columns; version 4
+/// dropped the wall-clock `ingest_events_per_s` and the `cpus` stamp.
 pub fn monitor_bench_json(rows: &[MonitorBenchRow]) -> String {
     Json::Obj(bench_envelope(
         "monitor",
-        3,
+        4,
         rows.iter().map(|r| r.to_json()),
     ))
     .render()
@@ -1813,10 +1757,10 @@ pub fn monitor_bench_json(rows: &[MonitorBenchRow]) -> String {
 
 /// The chaos and failover rows as a machine-readable JSON document
 /// (`BENCH_chaos.json`). Version 2 added `failover_rows`; version 3
-/// aligned the envelope with `BENCH_checker.json`
-/// (`bench`/`version`/`cpus` header).
+/// aligned the envelope with `BENCH_checker.json`; version 4 dropped the
+/// `cpus` stamp.
 pub fn chaos_bench_json(rows: &[ChaosBenchRow], failover: &[FailoverBenchRow]) -> String {
-    let mut fields = bench_envelope("chaos", 3, rows.iter().map(|r| r.to_json()));
+    let mut fields = bench_envelope("chaos", 4, rows.iter().map(|r| r.to_json()));
     fields.push((
         "failover_rows".into(),
         Json::Arr(failover.iter().map(|r| r.to_json()).collect()),
@@ -1915,6 +1859,7 @@ pub fn run_runtime_load_counters(spec: &RuntimeLoadSpec) -> RuntimeLoadReport {
     use moc_workload::skew::{KeyPicker, SkewRng};
     use moc_workload::{query_program, write_program};
     use std::sync::Barrier;
+    use std::time::Instant;
 
     assert!(spec.clients > 0 && spec.ops_per_client > 0 && spec.window >= 1);
     let mut cfg = RuntimeConfig::new(spec.num_objects);
@@ -2233,13 +2178,14 @@ mod tests {
         let doc = chaos_bench_json(&[], &rows);
         assert!(doc.contains("\"failover_rows\""), "{doc}");
         assert!(
-            doc.contains("\"version\": 3") || doc.contains("\"version\":3"),
+            doc.contains("\"version\": 4") || doc.contains("\"version\":4"),
             "{doc}"
         );
     }
 
-    /// Every bench document shares the `bench`/`version`/`cpus`/`rows`
-    /// envelope, so downstream tooling can dispatch on one schema.
+    /// Every bench document shares the `bench`/`version`/`rows` envelope,
+    /// so downstream tooling can dispatch on one schema; none carries a
+    /// machine stamp.
     #[test]
     fn bench_json_envelopes_share_schema() {
         let docs = [
@@ -2254,10 +2200,7 @@ mod tests {
                 d.get("version").and_then(Json::as_u64).unwrap_or(0) >= 1,
                 "{name}: missing version"
             );
-            assert!(
-                d.get("cpus").and_then(Json::as_u64).unwrap_or(0) >= 1,
-                "{name}: missing cpus"
-            );
+            assert!(d.get("cpus").is_none(), "{name}: machine stamp");
             assert!(
                 d.get("rows").and_then(Json::as_arr).is_some(),
                 "{name}: missing rows"
@@ -2285,7 +2228,7 @@ mod tests {
         assert_eq!(rows.len(), 13);
         for r in &rows {
             assert_ne!(r.verdict, "budget", "{}: pruned must complete", r.family);
-            if let Some((_, naive_nodes)) = r.naive {
+            if let Some(naive_nodes) = r.naive {
                 assert!(
                     r.pruned_nodes <= naive_nodes,
                     "{}: pruning never explores more",
@@ -2339,18 +2282,21 @@ mod tests {
         assert_eq!(peak.verdict, "admissible");
         assert!(peak.components >= 4, "tiling multiplies components");
 
-        // The JSON document round-trips and carries the v5 fields.
+        // The JSON document round-trips and carries the v6 fields.
         let doc = moc_core::json::parse(&checker_bench_json(&rows)).unwrap();
         assert_eq!(doc.get("bench").and_then(Json::as_str), Some("checker"));
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(5));
-        assert!(doc.get("cpus").and_then(Json::as_u64).unwrap() >= 1);
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(6));
         assert_eq!(
             doc.get("rows").and_then(Json::as_arr).map(|a| a.len()),
             Some(13)
         );
         assert!(doc.get("headline").is_some());
         let first = &doc.get("rows").and_then(Json::as_arr).unwrap()[0];
-        assert!(first.get("fast").is_some(), "explicit fast cell");
+        assert_eq!(
+            first.get("fast").and_then(Json::as_str),
+            Some("admissible"),
+            "writers-3x3: the fast path's verdict"
+        );
         assert!(first.get("parallel").is_none(), "v4's per-thread timings");
         let pruned = first.get("pruned").unwrap();
         assert!(pruned.get("memo_hits").is_some());

@@ -1,9 +1,10 @@
 //! `moc check` on hostile histories — an `objects` header no table can be
-//! sized by, a record of the reserved process — run as a process of its
-//! own under a 4 GB address-space limit: each is a typed error and exit
-//! code 2, never an allocator abort (134) or a capacity-overflow panic
-//! (101). The CI "Hostile header gate" and "Hostile id gate" run the same
-//! commands against the release binary.
+//! sized by, a record of the reserved process, an operation line cut
+//! short — run as a process of its own under a 4 GB address-space limit:
+//! each is a typed error and exit code 2, never an allocator abort (134)
+//! or a capacity-overflow or out-of-bounds panic (101). The CI "Hostile
+//! header gate" and "Hostile id gate" run the same commands against the
+//! release binary.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -11,9 +12,15 @@ use std::process::{Command, Stdio};
 /// Runs `moc check -` on `history` under `ulimit -v 4000000`; returns the
 /// exit code and what it printed on stderr.
 fn check_limited(history: &str) -> (Option<i32>, String) {
-    let script = "ulimit -v 4000000 && exec \"$0\" check -";
+    moc_limited(&["check", "-"], history)
+}
+
+/// Runs `moc ARGS` with `history` on stdin under `ulimit -v 4000000`.
+fn moc_limited(args: &[&str], history: &str) -> (Option<i32>, String) {
+    let script = "ulimit -v 4000000 && exec \"$0\" \"$@\"";
     let mut child = Command::new("sh")
         .args(["-c", script, env!("CARGO_BIN_EXE_moc")])
+        .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -68,4 +75,32 @@ fn the_reserved_process_exits_2() {
     );
     let (code, stderr) = check_limited(&history("P4294967294"));
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+/// A read line without its `from=` and a bare `w` are parse errors naming
+/// the line, exit code 2 from every command that reads a history; they
+/// once indexed past the line's tokens and exited 101.
+#[test]
+fn truncated_operation_lines_exit_2() {
+    let cert = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/golden_cert.json"
+    );
+    let mop = "history v1\nobjects 1\nmop P0#0 inv=0 resp=1 class=update label=a\n";
+    for op in ["  r o0 0", "  w"] {
+        let history = format!("{mop}{op}\nend\n");
+        for args in [
+            &["check", "-"][..],
+            &["audit", "-", cert],
+            &["monitor", "-"],
+        ] {
+            let (code, stderr) = moc_limited(args, &history);
+            assert_eq!(code, Some(2), "moc {} on {op:?}: {stderr}", args[0]);
+            assert!(
+                stderr.contains("line 4"),
+                "moc {} on {op:?}: {stderr}",
+                args[0]
+            );
+        }
+    }
 }

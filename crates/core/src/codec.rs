@@ -318,7 +318,7 @@ pub fn from_text(text: &str) -> Result<History, CodecError> {
                     line: line_no,
                     reason: "operation before any mop header".into(),
                 })?;
-                let object = parse_object(toks[1], line_no)?;
+                let object = parse_object(toks.get(1).copied().unwrap_or(""), line_no)?;
                 let value: i64 =
                     toks.get(2)
                         .and_then(|s| s.parse().ok())
@@ -331,7 +331,8 @@ pub fn from_text(text: &str) -> Result<History, CodecError> {
                     rec.ops
                         .push(CompletedOp::write(object, value, rec.id, version));
                 } else {
-                    let writer = parse_mop_id(parse_kv(toks[3], "from", line_no)?, line_no)?;
+                    let from = parse_kv(toks.get(3).copied().unwrap_or(""), "from", line_no)?;
+                    let writer = parse_mop_id(from, line_no)?;
                     let version = parse_version(toks.get(4), line_no)?;
                     rec.ops
                         .push(CompletedOp::read(object, value, writer, version));
@@ -439,6 +440,17 @@ mod tests {
         assert!(matches!(from_text(bad), Err(CodecError::BadLine { .. })));
         let bad = "history v1\nobjects 1\nwhat o0\nend\n";
         assert!(matches!(from_text(bad), Err(CodecError::BadLine { .. })));
+        // Operation lines cut short, a read without its `from=` and a bare
+        // `w`, are typed errors, never an out-of-bounds panic.
+        let mop = "history v1\nobjects 1\nmop P0#0 inv=0 resp=1 class=update label=a\n";
+        for op in ["  r o0 0", "  w"] {
+            let bad = format!("{mop}{op}\nend\n");
+            let err = from_text(&bad);
+            assert!(
+                matches!(err, Err(CodecError::BadLine { line: 4, .. })),
+                "{op:?}: {err:?}"
+            );
+        }
     }
 
     /// An object count 32-bit ids cannot name is a typed error before any
