@@ -2143,7 +2143,7 @@ mod tests {
     }
 
     #[test]
-    fn monitor_bench_never_quiescent_stream_retires_behind_cuts() {
+    fn monitor_bench_never_quiescent_stream_retires_at_cuts() {
         let rows = experiment_monitor_figure6(&[400]);
         let r = &rows[0];
         assert_eq!((r.workload.as_str(), r.mops), ("figure6", 400));

@@ -1413,24 +1413,26 @@ fn cmd_monitor(args: &Args, stdin: &str) -> Outcome {
         MonitorMode::Healthy => {
             let _ = writeln!(out, "mode: healthy (full coverage)");
         }
-        MonitorMode::Degraded { dropped_prefix } => {
+        MonitorMode::Degraded { .. } => {
             let _ = writeln!(
                 out,
-                "mode: DEGRADED — force-dropped {dropped_prefix} oldest live record(s) at the cap; \
-                 verdicts cover the retained suffix only",
+                "mode: DEGRADED — {} oldest live record(s) force-dropped at the cap, {} skipped \
+                 for unresolvable provenance; verdicts cover the rest only",
+                stats.force_dropped, stats.skipped,
             );
         }
     }
     let _ = writeln!(
         out,
         "stats: {} completions, {} window check(s), {} cert(s), {} retired, {} deferred, \
-         {} force-dropped, {} backpressure event(s), peak live nodes {}",
+         {} force-dropped, {} skipped, {} backpressure event(s), peak live nodes {}",
         stats.completions,
         stats.windows_checked,
         stats.certs_emitted,
         stats.retired,
         stats.deferred,
         stats.force_dropped,
+        stats.skipped,
         stats.backpressure_events,
         stats.peak_live_nodes,
     );
@@ -2672,11 +2674,31 @@ mod tests {
         assert!(out.contains("SABOTAGE CONFIRMED"), "{out}");
     }
 
+    /// A query that reads from a writer invoked after it responded: the
+    /// writer is unknown when the query is checked, so the query is
+    /// skipped, and the DEGRADED line says skipped, not force-dropped.
+    #[test]
+    fn monitor_degraded_line_tells_skipped_from_force_dropped() {
+        let text = "history v1\nobjects 1\n\
+                    mop P0#0 inv=0 resp=10 class=query label=r\n  r o0 1 from=P1#0 @1\n\
+                    mop P1#0 inv=20 resp=30 class=update label=w\n  w o0 1 @1\nend\n";
+        let (out, code) = dispatch_with_status(
+            &sv(&["monitor", "-", "--condition", "sc", "--window", "1"]),
+            text,
+        );
+        let out = out.unwrap();
+        assert_eq!(code, 0, "{out}");
+        assert!(
+            out.contains("DEGRADED — 0 oldest live record(s) force-dropped at the cap, 1 skipped"),
+            "{out}"
+        );
+        assert!(out.contains("0 force-dropped, 1 skipped"), "{out}");
+    }
+
     #[test]
     fn monitor_tiled_stream_stays_bounded_and_degrades() {
-        // Concurrent-writer tiles never fully retire under m-SC's
-        // closed-relation peeling, so a long tiled stream presses on the
-        // cap: the sentinel must degrade, never grow past the bound.
+        // Nothing retires under m-SC, so a long tiled stream presses on
+        // the cap: the sentinel must degrade, never grow past the bound.
         let text = dispatch(&sv(&["gen", "--kind", "writers", "--k", "3"]), "").unwrap();
         let (out, code) = dispatch_with_status(
             &sv(&[

@@ -15,6 +15,7 @@ use moc_core::shard::fnv1a;
 use moc_monitor::{replay, MonitorConfig, MonitorMode, OnlineMonitor};
 use moc_protocol::{run_cluster, ClusterConfig, MlinOverSequencer};
 use moc_sim::{DelayModel, NetworkConfig};
+use moc_workload::arb::{history_from_seed, HistoryBounds};
 use moc_workload::{scripts, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -138,11 +139,11 @@ fn stale_read_mutant(h: &History, (r, o): (usize, usize)) -> Option<History> {
 
 /// ROADMAP 4(c): the window-by-window verdict is an independent derivation
 /// of the batch verdict. On the clean stream and on stale-read mutants of
-/// it, a run that ends `Healthy` latches exactly when the batch checker
-/// refutes under m-lin (windows 1, 4 and 16), and never latches on a
-/// history the batch checker accepts under m-SC or m-normality (which
-/// re-check their whole unretired prefix per window, so: fewer histories,
-/// no window of 1).
+/// it, under every condition and at windows 1, 4 and 16, a run that ends
+/// `Healthy` latches exactly when the batch checker refutes, and no run
+/// latches on a history the batch checker accepts. m-SC and m-normality
+/// retire nothing, so each of their windows re-checks the whole stream:
+/// they take every fourth history only.
 #[test]
 fn sentinel_and_batch_checker_agree_on_stale_read_mutants() {
     let (mut replays, mut refuted, mut degraded) = (0, 0, 0);
@@ -162,24 +163,22 @@ fn sentinel_and_batch_checker_agree_on_stale_read_mutants() {
             .filter_map(|&site| stale_read_mutant(&clean, site))
             .collect();
         for (n, h) in std::iter::once(&clean).chain(&mutants).enumerate() {
-            let plans: &[(Condition, &[usize])] = &[
-                (Condition::MLinearizability, &[1, 4, 16]),
-                (Condition::MSequentialConsistency, &[4, 16]),
-                (Condition::MNormality, &[4, 16]),
+            let conditions = [
+                Condition::MLinearizability,
+                Condition::MSequentialConsistency,
+                Condition::MNormality,
             ];
-            for &(condition, windows) in &plans[..if n % 4 == 0 { 3 } else { 1 }] {
+            for condition in &conditions[..if n % 4 == 0 { 3 } else { 1 }] {
+                let condition = *condition;
                 let batch = check(h, condition, Strategy::Auto).expect("a batch verdict");
                 refuted += u64::from(!batch.satisfied);
-                for &window in windows {
+                for window in [1, 4, 16] {
                     let cfg = MonitorConfig::new(condition).with_window(window);
                     let run = replay(h, OnlineMonitor::new(h.num_objects(), cfg));
                     replays += 1;
-                    if run.mode != MonitorMode::Healthy {
-                        degraded += 1;
-                        continue;
-                    }
                     let latched = run.violation.is_some();
-                    let agree = if condition == Condition::MLinearizability {
+                    degraded += u64::from(run.mode != MonitorMode::Healthy);
+                    let agree = if run.mode == MonitorMode::Healthy {
                         latched != batch.satisfied
                     } else {
                         !latched || !batch.satisfied
@@ -202,6 +201,48 @@ fn sentinel_and_batch_checker_agree_on_stale_read_mutants() {
     assert!(
         degraded * 20 <= replays,
         "{degraded} of {replays} replays escaped the comparison by degrading"
+    );
+}
+
+/// The sentinel against the batch checker on small arbitrary histories
+/// (overlapping intervals, free read provenance), under every condition
+/// at windows 1, 2 and 4: a run that ends `Healthy` latches exactly when
+/// the batch checker refutes, and no run latches on an admissible history,
+/// `Degraded` runs included.
+#[test]
+fn sentinel_and_batch_checker_agree_on_arbitrary_histories() {
+    let seeds = if cfg!(debug_assertions) { 1000 } else { 4000 };
+    let bounds = HistoryBounds::default();
+    let conditions = [
+        Condition::MLinearizability,
+        Condition::MSequentialConsistency,
+        Condition::MNormality,
+    ];
+    let (mut refuted, mut healthy_refuted) = (0, 0);
+    for seed in 0..seeds {
+        let h = history_from_seed(seed, &bounds);
+        for condition in conditions {
+            let batch = check(&h, condition, Strategy::Auto).expect("a batch verdict");
+            refuted += u64::from(!batch.satisfied);
+            for window in [1, 2, 4] {
+                let cfg = MonitorConfig::new(condition).with_window(window);
+                let run = replay(&h, OnlineMonitor::new(h.num_objects(), cfg));
+                let latched = run.violation.is_some();
+                let healthy = run.mode == MonitorMode::Healthy;
+                healthy_refuted += u64::from(healthy && !batch.satisfied);
+                assert!(
+                    !(latched && batch.satisfied) && (!healthy || latched != batch.satisfied),
+                    "seed {seed}, {condition}, window {window}, {:?}: sentinel {:?}, batch {:?}",
+                    run.mode,
+                    run.violation.map(|v| v.detail),
+                    batch.reason
+                );
+            }
+        }
+    }
+    assert!(
+        refuted > 0 && healthy_refuted > 0,
+        "{refuted} refuted, {healthy_refuted} refuted and Healthy: the test is vacuous"
     );
 }
 
@@ -409,11 +450,11 @@ fn latched_runs_are_pinned() {
     #[rustfmt::skip]
     let runs: [(&str, &OnlineMonitor, Latched); 3] = [
         ("stale read", &stale, (631815, Some(1), 1, 11098324332573399689, 0, 17,
-            5717402206384923678, 3, 11195649040131469412)),
+            17973604267357335739, 3, 11195649040131469412)),
         ("store buffering", &gadget, (679734, Some(4), 0, 15785285997131256726,
-            2598919392821552275, 70, 8446977518954805376, 4, 3287618288437555285)),
+            2598919392821552275, 70, 11178017789399536431, 4, 3287618288437555285)),
         ("rejected window", &rejected, (170682, Some(1), 0, 1483718809003147757, 0, 64,
-            16822939470104607658, 0, 675868731199239589)),
+            4502662828554495177, 0, 675868731199239589)),
     ];
     for (what, mon, pinned) in runs {
         let detail = mon.violation().map(|v| v.detail.clone());
