@@ -412,17 +412,19 @@ mod tests {
         let y = oid(1);
         let a_id = moc_core::ids::MOpId::new(pid(0), 0);
         let c_id = moc_core::ids::MOpId::new(pid(1), 0);
+        use moc_core::inline::InlineList;
         use moc_core::mop::{EventTime, MOpClass, MOpRecord};
         use moc_core::op::CompletedOp;
         let a = MOpRecord {
             id: a_id,
             invoked_at: EventTime::from_nanos(0),
             responded_at: EventTime::from_nanos(10),
-            ops: vec![
+            ops: [
                 CompletedOp::read(y, 5, c_id, 1),
                 CompletedOp::write(x, 4, a_id, 1),
-            ],
-            outputs: vec![],
+            ]
+            .into(),
+            outputs: InlineList::new(),
             treated_as: MOpClass::Update,
             label: "a".into(),
         };
@@ -430,11 +432,12 @@ mod tests {
             id: c_id,
             invoked_at: EventTime::from_nanos(0),
             responded_at: EventTime::from_nanos(10),
-            ops: vec![
+            ops: [
                 CompletedOp::read(x, 4, a_id, 1),
                 CompletedOp::write(y, 5, c_id, 1),
-            ],
-            outputs: vec![],
+            ]
+            .into(),
+            outputs: InlineList::new(),
             treated_as: MOpClass::Update,
             label: "c".into(),
         };

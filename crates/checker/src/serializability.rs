@@ -17,6 +17,7 @@
 
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
+use moc_core::inline::InlineList;
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
 use moc_core::relations::Relation;
@@ -196,8 +197,8 @@ impl Schedule {
                 // Scale positions so invocation and response never collide.
                 invoked_at: EventTime::from_nanos(first * 10),
                 responded_at: EventTime::from_nanos(last_pos[t] * 10 + 5),
-                ops: std::mem::take(&mut ops[t]),
-                outputs: Vec::new(),
+                ops: std::mem::take(&mut ops[t]).into(),
+                outputs: InlineList::new(),
                 treated_as: MOpClass::Update,
                 label: format!("T{t}").into(),
             });
@@ -206,7 +207,7 @@ impl Schedule {
         // T∞: reads every entity from its final writer, after everything.
         let horizon = (self.actions.len() as u64) * 10 + 100;
         let tinf_id = MOpId::new(ProcessId::new(self.num_transactions as u32), 0);
-        let tinf_ops: Vec<CompletedOp> = (0..self.num_entities)
+        let tinf_ops: InlineList<CompletedOp> = (0..self.num_entities)
             .map(|e| {
                 let obj = ObjectId::new(e as u32);
                 CompletedOp::read(
@@ -222,7 +223,7 @@ impl Schedule {
             invoked_at: EventTime::from_nanos(horizon),
             responded_at: EventTime::from_nanos(horizon + 5),
             ops: tinf_ops,
-            outputs: Vec::new(),
+            outputs: InlineList::new(),
             treated_as: MOpClass::Query,
             label: "T-inf".into(),
         });

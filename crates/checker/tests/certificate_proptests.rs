@@ -15,6 +15,7 @@ use moc_checker::conditions::Condition;
 use moc_checker::precedence::{pruned_search, PrecedenceGraph};
 use moc_core::history::{History, HistoryBuilder};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
+use moc_core::inline::InlineList;
 use moc_core::json::{self, Json};
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
@@ -53,7 +54,7 @@ fn serial_from_plan(plan: &[Step]) -> History {
         let p = ProcessId::new(step.process as u32);
         let id = MOpId::new(p, seq[step.process as usize]);
         seq[step.process as usize] += 1;
-        let mut ops = Vec::new();
+        let mut ops = InlineList::new();
         for &o in &step.objects {
             let obj = ObjectId::new(o as u32);
             if step.write {
@@ -72,7 +73,7 @@ fn serial_from_plan(plan: &[Step]) -> History {
             invoked_at: EventTime::from_nanos(t),
             responded_at: EventTime::from_nanos(t + 5),
             ops,
-            outputs: Vec::new(),
+            outputs: InlineList::new(),
             treated_as: if step.write {
                 MOpClass::Update
             } else {

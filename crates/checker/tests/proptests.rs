@@ -15,6 +15,7 @@ use moc_checker::witness::{is_sequential, make_sequential_history};
 use moc_core::constraints::Constraint;
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
+use moc_core::inline::InlineList;
 use moc_core::legality::sequence_witnesses_admissibility;
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
@@ -56,7 +57,7 @@ fn serial_from_plan(plan: &[Step]) -> History {
         let p = ProcessId::new(step.process as u32);
         let id = MOpId::new(p, seq[step.process as usize]);
         seq[step.process as usize] += 1;
-        let mut ops = Vec::new();
+        let mut ops = InlineList::new();
         for &o in &step.objects {
             let obj = ObjectId::new(o as u32);
             if step.write {
@@ -75,7 +76,7 @@ fn serial_from_plan(plan: &[Step]) -> History {
             invoked_at: EventTime::from_nanos(t),
             responded_at: EventTime::from_nanos(t + 5),
             ops,
-            outputs: Vec::new(),
+            outputs: InlineList::new(),
             treated_as: if step.write {
                 MOpClass::Update
             } else {

@@ -1304,11 +1304,12 @@ fn splice_sabotage(h: &History) -> Result<History, String> {
         id,
         invoked_at: EventTime::from_nanos(t0),
         responded_at: EventTime::from_nanos(t0 + 10),
-        ops: vec![
+        ops: [
             moc_core::op::CompletedOp::write(own, 1, id, 1),
             moc_core::op::CompletedOp::read(other, 0, MOpId::INITIAL, 0),
-        ],
-        outputs: vec![0],
+        ]
+        .into(),
+        outputs: [0].into(),
         treated_as: MOpClass::Update,
         label: "sabotage".into(),
     };

@@ -26,6 +26,7 @@
 use crate::error::CoreError;
 use crate::history::History;
 use crate::ids::{MOpId, ObjectId, ProcessId};
+use crate::inline::InlineList;
 use crate::mop::{EventTime, MOpClass, MOpRecord};
 use crate::op::{CompletedOp, OpKind};
 
@@ -307,8 +308,8 @@ pub fn from_text(text: &str) -> Result<History, CodecError> {
                     id,
                     invoked_at: EventTime::from_nanos(inv),
                     responded_at: EventTime::from_nanos(resp),
-                    ops: Vec::new(),
-                    outputs: Vec::new(),
+                    ops: InlineList::new(),
+                    outputs: InlineList::new(),
                     treated_as: class,
                     label,
                 });

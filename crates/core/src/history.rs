@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use crate::error::CoreError;
 use crate::ids::{MOpId, ObjectId, ProcessId};
+use crate::inline::InlineList;
 use crate::mop::{EventTime, MOpRecord, MOpRecordBuilder};
 use crate::op::CompletedOp;
 use crate::value::Value;
@@ -630,7 +631,7 @@ impl<'a> MOpBuilder<'a> {
     }
 
     /// Sets output values.
-    pub fn outputs(mut self, outputs: Vec<Value>) -> Self {
+    pub fn outputs(mut self, outputs: impl Into<InlineList<Value>>) -> Self {
         self.inner = self.inner.outputs(outputs);
         self
     }
@@ -1016,6 +1017,15 @@ mod tests {
         assert_eq!(h.len(), RECORDS as usize);
         let per_record = table_bytes(&h) as f64 / h.len() as f64;
         assert!(per_record <= 80.0, "{per_record} bytes per record");
+    }
+
+    /// A record keeps four operations and four outputs in place: one
+    /// fixed-size block of at most 224 bytes, where the two `Vec`s it
+    /// replaced cost 96 bytes plus a heap block each.
+    #[test]
+    fn a_record_stays_at_or_under_224_bytes() {
+        let size = std::mem::size_of::<MOpRecord>();
+        assert!(size <= 224, "MOpRecord is {size} bytes");
     }
 
     /// [`History::new`] as it stood before the per-object memos: every

@@ -30,6 +30,8 @@
 //! * [`bitset`], [`csr`] — fixed-width bitsets and compressed sparse row
 //!   adjacency, the allocation-lean layouts behind the checker's search
 //!   engine.
+//! * [`inline`] — the list a record keeps its operations and outputs in:
+//!   in place up to four items, so a small m-operation owns no heap block.
 //! * [`codec`], [`json`] — the `history v1` text format plus a minimal
 //!   JSON codec for the checker/auditor certificate pipeline.
 //!
@@ -74,6 +76,7 @@ pub mod csr;
 pub mod error;
 pub mod history;
 pub mod ids;
+pub mod inline;
 pub mod json;
 pub mod legality;
 pub mod mop;
@@ -89,6 +92,7 @@ pub use commute::{CommuteCert, CommuteMatrix, CommutePlan, MoverClass};
 pub use error::CoreError;
 pub use history::History;
 pub use ids::{MOpId, ObjectId, ProcessId};
+pub use inline::InlineList;
 pub use mop::MOpRecord;
 pub use op::{CompletedOp, OpKind};
 pub use program::Program;

@@ -9,6 +9,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::ids::{MOpId, ObjectId, ProcessId};
+use crate::inline::InlineList;
 use crate::op::{CompletedOp, OpKind};
 use crate::value::Value;
 
@@ -69,6 +70,10 @@ impl fmt::Display for MOpClass {
 }
 
 /// The record of one executed m-operation.
+///
+/// `ops` and `outputs` keep up to [`crate::inline::INLINE`] items in
+/// place, so the record of a small m-operation is one fixed-size block
+/// with no heap block of its own (the label is shared with its program).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MOpRecord {
     /// Identifier (issuing process + per-process sequence number).
@@ -78,9 +83,9 @@ pub struct MOpRecord {
     /// Real time of the response event.
     pub responded_at: EventTime,
     /// The completed operations, in program order.
-    pub ops: Vec<CompletedOp>,
+    pub ops: InlineList<CompletedOp>,
     /// Output values returned by the m-operation (`res` in `α(arg, res)`).
-    pub outputs: Vec<Value>,
+    pub outputs: InlineList<Value>,
     /// How the protocol that executed this m-operation classified it
     /// (conservatively, based on the program's potential write set).
     pub treated_as: MOpClass,
@@ -179,8 +184,8 @@ impl MOpRecordBuilder {
                 id,
                 invoked_at: EventTime::ZERO,
                 responded_at: EventTime::ZERO,
-                ops: Vec::new(),
-                outputs: Vec::new(),
+                ops: InlineList::new(),
+                outputs: InlineList::new(),
                 treated_as: MOpClass::Query,
                 label: Arc::default(),
             },
@@ -204,8 +209,8 @@ impl MOpRecordBuilder {
     }
 
     /// Sets the output values.
-    pub fn outputs(mut self, outputs: Vec<Value>) -> Self {
-        self.record.outputs = outputs;
+    pub fn outputs(mut self, outputs: impl Into<InlineList<Value>>) -> Self {
+        self.record.outputs = outputs.into();
         self
     }
 

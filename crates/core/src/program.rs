@@ -45,6 +45,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::ids::ObjectId;
+use crate::inline::InlineList;
 use crate::value::Value;
 
 /// Number of general-purpose registers available to a program.
@@ -534,7 +535,7 @@ impl MContext for VecContext {
 pub struct ExecOutcome {
     /// The values returned by the program's `Return`. Validation rejects
     /// programs with fall-through paths, so a `Return` always runs.
-    pub outputs: Vec<Value>,
+    pub outputs: InlineList<Value>,
     /// Instructions executed.
     pub steps: u64,
 }
@@ -610,16 +611,19 @@ pub fn execute(
                 }
             }
             Instr::Return { outputs } => {
-                let outputs = outputs
-                    .iter()
-                    .map(|o| eval(&regs, o))
-                    .collect::<Result<Vec<_>, _>>()?;
-                return Ok(ExecOutcome { outputs, steps });
+                let mut values = InlineList::with_capacity(outputs.len());
+                for o in outputs {
+                    values.push(eval(&regs, o)?);
+                }
+                return Ok(ExecOutcome {
+                    outputs: values,
+                    steps,
+                });
             }
         }
     }
     Ok(ExecOutcome {
-        outputs: Vec::new(),
+        outputs: InlineList::new(),
         steps,
     })
 }

@@ -5,6 +5,7 @@ use std::collections::BTreeSet;
 
 use moc_core::history::MOpIdx;
 use moc_core::ids::ObjectId;
+use moc_core::inline::InlineList;
 use moc_core::program::{
     execute, BinaryOp, CmpOp, Instr, MContext, Operand, Program, VecContext, NUM_REGS,
 };
@@ -318,7 +319,7 @@ mod history_props {
                 seq[step.process as usize],
             );
             seq[step.process as usize] += 1;
-            let mut ops = Vec::new();
+            let mut ops = InlineList::new();
             for &o in &step.objects {
                 let obj = ObjectId::new(o as u32);
                 if step.write {
@@ -337,7 +338,7 @@ mod history_props {
                 invoked_at: EventTime::from_nanos(t),
                 responded_at: EventTime::from_nanos(t + 5),
                 ops,
-                outputs: Vec::new(),
+                outputs: InlineList::new(),
                 treated_as: if step.write {
                     MOpClass::Update
                 } else {

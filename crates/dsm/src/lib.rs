@@ -230,6 +230,7 @@ impl Dsm {
     pub fn snapshot(&self, process: ProcessId, objects: &[ObjectId]) -> Vec<Value> {
         self.invoke(process, methods::read_many(objects), vec![])
             .outputs
+            .to_vec()
     }
 
     /// Atomic m-register assignment: writes `value_i` to `object_i`, all

@@ -223,7 +223,7 @@ mod tests {
     fn run(p: &Program, args: &[i64], values: Vec<i64>) -> (Vec<i64>, Vec<i64>) {
         let mut ctx = VecContext { values };
         let out = execute(p, args, &mut ctx, DEFAULT_FUEL).unwrap();
-        (out.outputs, ctx.values)
+        (out.outputs.to_vec(), ctx.values)
     }
 
     #[test]

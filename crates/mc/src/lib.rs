@@ -363,15 +363,10 @@ where
             s.pending[p] = Some(pending);
             return;
         }
-        s.records.push(MOpRecord {
-            id: c.id,
-            invoked_at: EventTime::from_nanos(pending.invoked_step * 10),
-            responded_at: EventTime::from_nanos(s.step * 10 + 5),
-            ops: c.ops,
-            outputs: c.outputs,
-            treated_as: c.treated_as,
-            label: c.label,
-        });
+        s.records.push(c.into_record(
+            EventTime::from_nanos(pending.invoked_step * 10),
+            EventTime::from_nanos(s.step * 10 + 5),
+        ));
     }
 
     fn dfs(&mut self, s: State<R>, depth: usize) {

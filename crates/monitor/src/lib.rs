@@ -104,6 +104,7 @@ use moc_core::bitset::BitSet;
 use moc_core::codec;
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{IdMap, IdSet, MOpId, ObjectId, ProcessId};
+use moc_core::inline::InlineList;
 use moc_core::mop::{EventTime, MOpRecord};
 use moc_core::op::{CompletedOp, OpKind};
 use moc_core::relations::Relation;
@@ -325,7 +326,7 @@ impl WriterSummary {
                 .filter(|op| owned(op.object))
                 .cloned()
                 .collect(),
-            outputs: Vec::new(),
+            outputs: InlineList::new(),
             treated_as: moc_core::mop::MOpClass::Update,
             label: "retired".into(),
         }
@@ -340,8 +341,8 @@ fn take_record(rec: &mut MOpRecord) -> MOpRecord {
         id: rec.id,
         invoked_at: rec.invoked_at,
         responded_at: rec.responded_at,
-        ops: Vec::new(),
-        outputs: Vec::new(),
+        ops: InlineList::new(),
+        outputs: InlineList::new(),
         treated_as: rec.treated_as,
         label: rec.label.clone(),
     };
@@ -1495,8 +1496,8 @@ mod tests {
                 id,
                 invoked_at: EventTime(t),
                 responded_at: EventTime(t + 10),
-                ops: vec![CompletedOp::write(x, i64::from(i), id, u64::from(i) + 1)],
-                outputs: vec![],
+                ops: [CompletedOp::write(x, i64::from(i), id, u64::from(i) + 1)].into(),
+                outputs: InlineList::new(),
                 treated_as: moc_core::mop::MOpClass::Update,
                 label: "w".into(),
             };

@@ -502,8 +502,8 @@ mod tests {
             id,
             invoked_at: EventTime::from_nanos(0),
             responded_at: EventTime::from_nanos(1),
-            ops,
-            outputs: vec![],
+            ops: ops.into(),
+            outputs: Default::default(),
             treated_as: MOpClass::Query,
             label: "t".into(),
         };

@@ -158,18 +158,6 @@ struct Inflight<T> {
     token: T,
 }
 
-fn record_of(c: Completion, invoked_at: EventTime, responded_at: EventTime) -> MOpRecord {
-    MOpRecord {
-        id: c.id,
-        invoked_at,
-        responded_at,
-        ops: c.ops,
-        outputs: c.outputs,
-        treated_as: c.treated_as,
-        label: c.label,
-    }
-}
-
 /// One process's replica, its invocation pipeline and its end of the
 /// channel (see the module docs). `T` is the driver's per-invocation
 /// token, returned in [`Retired`].
@@ -360,7 +348,7 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
                         // A re-completion of a settled id latches the
                         // sentinel's duplicate-completion violation.
                         let at = clock();
-                        let record = Box::new(record_of(c, at, at));
+                        let record = Box::new(c.into_record(at, at));
                         self.monitor_feed
                             .push(MonitorEvent::Complete(record, at.as_nanos()));
                     }
@@ -381,7 +369,7 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
                 let invoked_rec = p.invoked_at.max(self.last_retired);
                 let responded_rec = responded_at.max(invoked_rec);
                 self.last_retired = responded_rec;
-                let record = record_of(c, invoked_rec, responded_rec);
+                let record = c.into_record(invoked_rec, responded_rec);
                 if self.monitored {
                     self.monitor_feed.push(MonitorEvent::Complete(
                         Box::new(record.clone()),

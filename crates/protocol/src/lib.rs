@@ -37,7 +37,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use moc_core::ids::{MOpId, ProcessId, QueryId};
-use moc_core::mop::MOpClass;
+use moc_core::inline::InlineList;
+use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
 use moc_core::program::Program;
 use moc_core::value::{Value, Versioned};
@@ -189,14 +190,30 @@ pub struct Completion {
     /// The m-operation that completed.
     pub id: MOpId,
     /// Values returned by the program.
-    pub outputs: Vec<Value>,
+    pub outputs: InlineList<Value>,
     /// The completed operations, with read provenance, as executed at the
     /// issuing replica.
-    pub ops: Vec<CompletedOp>,
+    pub ops: InlineList<CompletedOp>,
     /// How the protocol classified the m-operation.
     pub treated_as: MOpClass,
     /// The program name, used as the history label.
     pub label: Arc<str>,
+}
+
+impl Completion {
+    /// The history record of this completion, with its invocation and
+    /// response events. A move: nothing is copied to the heap.
+    pub fn into_record(self, invoked_at: EventTime, responded_at: EventTime) -> MOpRecord {
+        MOpRecord {
+            id: self.id,
+            invoked_at,
+            responded_at,
+            ops: self.ops,
+            outputs: self.outputs,
+            treated_as: self.treated_as,
+            label: self.label,
+        }
+    }
 }
 
 /// Per-replica message-count metrics, split by operation class.

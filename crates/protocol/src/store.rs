@@ -9,6 +9,7 @@
 //! `x` that `β` wrote iff `ts(finish(β))[x] = ts(start(α))[x]`).
 
 use moc_core::ids::ObjectId;
+use moc_core::inline::InlineList;
 use moc_core::op::CompletedOp;
 use moc_core::program::{execute, MContext, ProgramError, DEFAULT_FUEL};
 use moc_core::value::{Value, Versioned};
@@ -16,13 +17,15 @@ use moc_core::vv::VersionVector;
 
 use crate::MOperation;
 
-/// The result of applying an m-operation to a store.
+/// The result of applying an m-operation to a store. An m-operation of up
+/// to [`moc_core::inline::INLINE`] operations and outputs records without
+/// a heap block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecRecord {
     /// Completed operations in program order, with provenance.
-    pub ops: Vec<CompletedOp>,
+    pub ops: InlineList<CompletedOp>,
     /// The program's return values.
-    pub outputs: Vec<Value>,
+    pub outputs: InlineList<Value>,
 }
 
 /// One process's copy of every shared object, with versions (`X` and `ts`
@@ -122,8 +125,8 @@ impl ReplicaStore {
             values: &mut self.values,
             ts: &self.ts,
             mop,
-            ops: Vec::new(),
-            undo: Vec::new(),
+            ops: InlineList::new(),
+            undo: InlineList::new(),
         };
         let outcome = execute(&mop.program, &mop.args, &mut ctx, DEFAULT_FUEL);
         let RecordingContext { ops, undo, .. } = ctx;
@@ -157,10 +160,10 @@ struct RecordingContext<'a> {
     values: &'a mut [Versioned],
     ts: &'a VersionVector,
     mop: &'a MOperation,
-    ops: Vec<CompletedOp>,
+    ops: InlineList<CompletedOp>,
     /// Each written object with its state before the m-operation's first
     /// write to it, in first-write order.
-    undo: Vec<(ObjectId, Versioned)>,
+    undo: InlineList<(ObjectId, Versioned)>,
 }
 
 impl RecordingContext<'_> {

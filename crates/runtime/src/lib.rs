@@ -62,6 +62,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use moc_abcast::{LinkConfig, LinkMsg};
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ProcessId};
+use moc_core::inline::InlineList;
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::program::Program;
 use moc_core::value::Value;
@@ -181,8 +182,8 @@ impl RuntimeConfig {
 pub struct Reply {
     /// The m-operation's identity.
     pub id: MOpId,
-    /// Program outputs.
-    pub outputs: Vec<Value>,
+    /// Program outputs, in place up to [`moc_core::inline::INLINE`].
+    pub outputs: InlineList<Value>,
     /// Protocol classification.
     pub treated_as: MOpClass,
     /// Invocation event (ns since cluster epoch).
@@ -1540,25 +1541,25 @@ mod tests {
         let y = ObjectId::new(1);
         let a_id = MOpId::new(ProcessId::new(0), 0);
         let b_id = MOpId::new(ProcessId::new(1), 0);
-        let mk = |id: MOpId, ops: Vec<CompletedOp>| MOpRecord {
+        let mk = |id: MOpId, ops: [CompletedOp; 2]| MOpRecord {
             id,
             invoked_at: EventTime::from_nanos(0),
             responded_at: EventTime::from_nanos(10),
-            ops,
-            outputs: vec![],
+            ops: ops.into(),
+            outputs: InlineList::new(),
             treated_as: MOpClass::Update,
             label: "sb".into(),
         };
         let a = mk(
             a_id,
-            vec![
+            [
                 CompletedOp::write(x, 1, a_id, 1),
                 CompletedOp::read(y, 0, MOpId::INITIAL, 0),
             ],
         );
         let b = mk(
             b_id,
-            vec![
+            [
                 CompletedOp::write(y, 1, b_id, 1),
                 CompletedOp::read(x, 0, MOpId::INITIAL, 0),
             ],

@@ -867,19 +867,19 @@ mod tests {
             let w1 = MOpId::new(ProcessId::new(procs[1]), 0);
             let r0 = MOpId::new(ProcessId::new(procs[2]), 0);
             let o = ObjectId::new(obj);
-            let rec = |id, ops| MOpRecord {
+            let rec = |id, op| MOpRecord {
                 id,
                 invoked_at: EventTime::from_nanos(0),
                 responded_at: EventTime::from_nanos(100),
-                ops,
-                outputs: Vec::new(),
+                ops: [op].into(),
+                outputs: Default::default(),
                 treated_as: MOpClass::Update,
                 label: Default::default(),
             };
             let records = vec![
-                rec(w0, vec![CompletedOp::write(o, vals[0], w0, 1)]),
-                rec(w1, vec![CompletedOp::write(o, vals[1], w1, 2)]),
-                rec(r0, vec![CompletedOp::read(o, vals[0], w0, 1)]),
+                rec(w0, CompletedOp::write(o, vals[0], w0, 1)),
+                rec(w1, CompletedOp::write(o, vals[1], w1, 2)),
+                rec(r0, CompletedOp::read(o, vals[0], w0, 1)),
             ];
             History::new((obj + 1) as usize, records).unwrap()
         };

@@ -14,6 +14,7 @@
 
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
+use moc_core::inline::InlineList;
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
 use moc_core::program::{BinaryOp, CmpOp, Instr, Operand, Program, NUM_REGS};
@@ -254,13 +255,13 @@ pub fn history(rng: &mut StdRng, bounds: &HistoryBounds) -> History {
                         }
                     }
                 })
-                .collect::<Vec<_>>();
+                .collect::<InlineList<_>>();
             MOpRecord {
                 id: s.id,
                 invoked_at: EventTime::from_nanos(s.invoked),
                 responded_at: EventTime::from_nanos(s.responded),
                 ops,
-                outputs: Vec::new(),
+                outputs: InlineList::new(),
                 treated_as: if s.write_mask.iter().any(|&w| w) {
                     MOpClass::Update
                 } else {
@@ -320,7 +321,10 @@ pub fn shrink_history(h: &History) -> Vec<History> {
         }
         for j in 0..records[i].ops.len() {
             let mut cand = records.to_vec();
-            cand[i].ops.remove(j);
+            cand[i].ops = (records[i].ops.iter().enumerate())
+                .filter(|&(k, _)| k != j)
+                .map(|(_, &op)| op)
+                .collect();
             if let Ok(smaller) = History::new(h.num_objects(), cand) {
                 out.push(smaller);
             }

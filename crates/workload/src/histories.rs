@@ -28,6 +28,7 @@
 
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
+use moc_core::inline::InlineList;
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
 use rand::rngs::StdRng;
@@ -96,7 +97,7 @@ pub fn serial_history(spec: &HistorySpec, rng: &mut StdRng) -> History {
 
         let objs = distinct_objects(spec, rng);
         let is_update = rng.gen_bool(spec.update_fraction.clamp(0.0, 1.0));
-        let mut ops = Vec::new();
+        let mut ops = InlineList::new();
         for &o in &objs {
             if is_update && rng.gen_bool(0.7) {
                 let (_, _, ver) = store[o.index()];
@@ -118,7 +119,7 @@ pub fn serial_history(spec: &HistorySpec, rng: &mut StdRng) -> History {
             invoked_at: EventTime::from_nanos(invoked),
             responded_at: EventTime::from_nanos(responded),
             ops,
-            outputs: Vec::new(),
+            outputs: InlineList::new(),
             treated_as: if is_update {
                 MOpClass::Update
             } else {
@@ -207,13 +208,13 @@ pub fn random_history(spec: &HistorySpec, rng: &mut StdRng) -> History {
                         }
                     }
                 })
-                .collect::<Vec<_>>();
+                .collect::<InlineList<_>>();
             MOpRecord {
                 id: s.id,
                 invoked_at: EventTime::from_nanos(s.invoked),
                 responded_at: EventTime::from_nanos(s.responded),
                 ops,
-                outputs: Vec::new(),
+                outputs: InlineList::new(),
                 treated_as: if s.write_mask.iter().any(|&w| w) {
                     MOpClass::Update
                 } else {
@@ -251,7 +252,7 @@ pub fn concurrent_writers_history(k: usize, num_objects: usize, rng: &mut StdRng
             invoked_at: EventTime::from_nanos(0),
             responded_at: EventTime::from_nanos(1_000),
             ops,
-            outputs: Vec::new(),
+            outputs: InlineList::new(),
             treated_as: MOpClass::Update,
             label: format!("writer{w}").into(),
         });
@@ -271,7 +272,7 @@ pub fn concurrent_writers_history(k: usize, num_objects: usize, rng: &mut StdRng
             invoked_at: EventTime::from_nanos(0),
             responded_at: EventTime::from_nanos(1_000),
             ops,
-            outputs: Vec::new(),
+            outputs: InlineList::new(),
             treated_as: MOpClass::Query,
             label: format!("reader{r}").into(),
         });
@@ -305,7 +306,7 @@ fn component_records(
             invoked_at: EventTime::from_nanos(0),
             responded_at: EventTime::from_nanos(1_000),
             ops,
-            outputs: Vec::new(),
+            outputs: InlineList::new(),
             treated_as: MOpClass::Update,
             label: format!("c{c}writer{w}").into(),
         });
@@ -323,7 +324,7 @@ fn component_records(
             invoked_at: EventTime::from_nanos(0),
             responded_at: EventTime::from_nanos(1_000),
             ops,
-            outputs: Vec::new(),
+            outputs: InlineList::new(),
             treated_as: MOpClass::Query,
             label: format!("c{c}reader{r}").into(),
         });
@@ -380,8 +381,8 @@ pub fn poisoned_multi_component_history(
         id: MOpId::new(pid, 0),
         invoked_at: EventTime::from_nanos(0),
         responded_at: EventTime::from_nanos(100),
-        ops: vec![CompletedOp::read(x, 1, w0, 1)],
-        outputs: Vec::new(),
+        ops: [CompletedOp::read(x, 1, w0, 1)].into(),
+        outputs: InlineList::new(),
         treated_as: MOpClass::Query,
         label: "fresh".into(),
     });
@@ -389,8 +390,8 @@ pub fn poisoned_multi_component_history(
         id: MOpId::new(pid, 1),
         invoked_at: EventTime::from_nanos(200),
         responded_at: EventTime::from_nanos(300),
-        ops: vec![CompletedOp::read(x, 0, MOpId::INITIAL, 0)],
-        outputs: Vec::new(),
+        ops: [CompletedOp::read(x, 0, MOpId::INITIAL, 0)].into(),
+        outputs: InlineList::new(),
         treated_as: MOpClass::Query,
         label: "stale".into(),
     });

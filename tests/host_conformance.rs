@@ -84,7 +84,7 @@ where
 {
     fn invoke(&mut self, p: usize, program: Arc<Program>, args: Vec<Value>) {
         let reply = self.cluster.invoke(ProcessId::new(p as u32), program, args);
-        self.outputs[p].push(reply.outputs);
+        self.outputs[p].push(reply.outputs.to_vec());
     }
 
     fn drain(&mut self, p: usize) -> Vec<Vec<Value>> {
@@ -105,7 +105,11 @@ where
     }
 
     fn drain(&mut self, p: usize) -> Vec<Vec<Value>> {
-        self.0[p].drain().into_iter().map(|r| r.outputs).collect()
+        self.0[p]
+            .drain()
+            .into_iter()
+            .map(|r| r.outputs.to_vec())
+            .collect()
     }
 }
 
