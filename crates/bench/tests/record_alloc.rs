@@ -6,7 +6,8 @@
 //! operations and outputs (`rmw2`, `q4`) must cost nothing: apply, record,
 //! clone, move and drop never touch the allocator. A 32-object snapshot
 //! spills each of its two lists exactly once, and dropping the record frees
-//! exactly those two blocks.
+//! exactly those two blocks. A program is classified once: a second
+//! m-operation of the same `Arc` costs nothing either.
 //!
 //! Run it in release, as CI does:
 //! `cargo test -q --release -p moc-bench --test record_alloc`.
@@ -14,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::mop::{EventTime, MOpRecord};
@@ -178,4 +180,28 @@ fn a_32_object_snapshot_spills_each_list_exactly_once() {
 
     let ((), heap) = counted(|| drop(record));
     assert_eq!(heap, Heap { frees: 2, ..NONE });
+}
+
+/// The class is decided once per `Program`: the first `rmw2` m-operation
+/// runs the analyzer, and every later one of the same `Arc` — `rmw2` or
+/// `q4` — is created without a single allocator call.
+#[test]
+fn a_program_is_classified_once() {
+    let p = ProcessId::new(0);
+    for (program, update) in [
+        (rmw_program(&objects(0..2)), true),
+        (query_program(&objects(0..4)), false),
+    ] {
+        let first = MOperation::new(MOpId::new(p, 0), Arc::clone(&program), Vec::new());
+        assert_eq!(first.is_update(), update, "{}", program.name());
+        let (second, heap) = counted(|| {
+            black_box(MOperation::new(
+                MOpId::new(p, 1),
+                Arc::clone(&program),
+                Vec::new(),
+            ))
+        });
+        assert_eq!(heap, NONE, "{}", program.name());
+        assert_eq!(second.class(), first.class());
+    }
 }

@@ -98,74 +98,154 @@ struct ProcessIndex {
     runs: Vec<(ProcessId, Range<usize>)>,
 }
 
-impl ProcessIndex {
-    /// Indexes `records` where they stand, reading nothing of a record
-    /// but its id and `ops.len()`; also returns the sum of the latter.
-    ///
-    /// A stable counting sort groups the records by process; a process's
-    /// run is then sorted by sequence number, ties by record index, only
-    /// if it does not already ascend.
-    fn of(records: &[MOpRecord]) -> (Self, usize) {
-        // While counting, a run's end is the number of records seen.
-        let mut runs: Vec<(ProcessId, Range<usize>)> = Vec::new();
-        let mut total_ops = 0;
-        let mut slot = 0;
-        for rec in records {
-            total_ops += rec.ops.len();
-            slot = Self::slot(&runs, slot, rec.process()).unwrap_or_else(|at| {
-                runs.insert(at, (rec.process(), 0..0));
-                at
-            });
-            runs[slot].1.end += 1;
-        }
-        let mut start = 0;
-        for (_, run) in &mut runs {
-            *run = start..start + run.end;
-            start = run.end;
-        }
+/// One process's records as they arrive.
+#[derive(Debug)]
+struct ProcessLog {
+    process: ProcessId,
+    /// `(record index, sequence number)` of each record, in arrival order.
+    entries: Vec<(u32, u32)>,
+    /// The response time of the last record to arrive.
+    last_responded: EventTime,
+    /// Whether the sequence numbers have strictly ascended so far. While
+    /// they do, `entries` is already the process subhistory and repeats
+    /// no id, and `overlap` is its first overlapping pair.
+    ascending: bool,
+    /// The position in `entries` of the later record of the first pair of
+    /// neighbours that overlap.
+    overlap: Option<usize>,
+}
 
-        let mut next: Vec<usize> = runs.iter().map(|(_, run)| run.start).collect();
-        let mut order = vec![MOpIdx(0); records.len()];
-        let mut seqs = vec![0; records.len()];
+/// The process subhistories of a history as it is recorded, one record at
+/// a time.
+#[derive(Debug, Default)]
+struct ProcessLogs {
+    /// Ascending by process.
+    logs: Vec<ProcessLog>,
+    /// Where the last record's process sits in `logs`: a recorder hands
+    /// over one process's records in runs.
+    hint: usize,
+    /// The number of operations of every record so far.
+    total_ops: usize,
+}
+
+/// The two defects that show between neighbours in a process subhistory.
+#[derive(Debug, Default)]
+struct Neighbours {
+    /// The first record, in the order given, that repeats an earlier id.
+    duplicate: Option<usize>,
+    /// The overlapping pair of the lowest process, then the lowest
+    /// sequence number.
+    overlap: Option<(MOpIdx, MOpIdx)>,
+}
+
+impl ProcessLogs {
+    /// `records` pushed in the order given, where they stand.
+    fn of(records: &[MOpRecord]) -> Self {
+        let mut logs = ProcessLogs::default();
         for (i, rec) in records.iter().enumerate() {
-            slot = Self::slot(&runs, slot, rec.process()).expect("counted above");
-            order[next[slot]] = MOpIdx(i);
-            seqs[next[slot]] = rec.id.seq;
-            next[slot] += 1;
+            logs.push(i, rec);
         }
+        logs
+    }
 
-        for (_, run) in &runs {
-            let (order, seqs) = (&mut order[run.clone()], &mut seqs[run.clone()]);
-            if !seqs.is_sorted_by(|a, b| a < b) {
-                let mut keys: Vec<(u32, MOpIdx)> = std::iter::zip(&*seqs, &*order)
-                    .map(|(&seq, &idx)| (seq, idx))
-                    .collect();
-                keys.sort_unstable();
-                for (k, (seq, idx)) in keys.into_iter().enumerate() {
-                    (seqs[k], order[k]) = (seq, idx);
+    /// Adds `rec`, the record at index `idx`, reading nothing of it but
+    /// its id, its two times and `ops.len()`. The index is kept as a
+    /// `u32`: [`HistoryLog::finish`] refuses a history whose indices do
+    /// not fit before it reads one.
+    fn push(&mut self, idx: usize, rec: &MOpRecord) {
+        self.total_ops += rec.ops.len();
+        let process = rec.process();
+        let slot = match self.logs.get(self.hint) {
+            Some(log) if log.process == process => self.hint,
+            _ => {
+                (self.logs.binary_search_by_key(&process, |log| log.process)).unwrap_or_else(|at| {
+                    let log = ProcessLog {
+                        process,
+                        entries: Vec::new(),
+                        last_responded: EventTime::ZERO,
+                        ascending: true,
+                        overlap: None,
+                    };
+                    self.logs.insert(at, log);
+                    at
+                })
+            }
+        };
+        self.hint = slot;
+        let log = &mut self.logs[slot];
+        if let Some(&(_, last)) = log.entries.last() {
+            if rec.id.seq <= last {
+                log.ascending = false;
+            } else if log.overlap.is_none() && rec.invoked_at < log.last_responded {
+                log.overlap = Some(log.entries.len());
+            }
+        }
+        log.last_responded = rec.responded_at;
+        log.entries.push((idx as u32, rec.id.seq));
+    }
+
+    /// The process index of the pushed `records`, and the defects between
+    /// neighbours. A process whose records did not arrive in sequence order
+    /// is sorted by sequence number, ties by record index, and scanned for
+    /// both defects; the push found them in every other.
+    fn index(self, records: &[MOpRecord]) -> (ProcessIndex, Neighbours) {
+        let len = records.len();
+        let mut index = ProcessIndex {
+            order: Vec::with_capacity(len),
+            seqs: Vec::with_capacity(len),
+            runs: Vec::with_capacity(self.logs.len()),
+        };
+        let mut found = Neighbours::default();
+        for mut log in self.logs {
+            if !log.ascending {
+                log.entries.sort_unstable_by_key(|&(idx, seq)| (seq, idx));
+            }
+            let start = index.order.len();
+            let entries = log.entries.iter();
+            index
+                .order
+                .extend(entries.map(|&(idx, _)| MOpIdx(idx as usize)));
+            index.seqs.extend(log.entries.iter().map(|&(_, seq)| seq));
+            index.runs.push((log.process, start..index.order.len()));
+            if log.ascending {
+                if found.overlap.is_none() {
+                    let at = log.overlap.map(|k| start + k);
+                    found.overlap = at.map(|k| (index.order[k - 1], index.order[k]));
+                }
+                continue;
+            }
+            for k in start + 1..index.order.len() {
+                let (a, b) = (index.order[k - 1], index.order[k]);
+                if index.seqs[k - 1] == index.seqs[k] {
+                    // Equal ids are in index order, so the later of a pair
+                    // is the record that collides.
+                    found.duplicate = Some(found.duplicate.map_or(b.0, |first| first.min(b.0)));
+                } else if found.overlap.is_none()
+                    && records[b.0].invoked_at < records[a.0].responded_at
+                {
+                    found.overlap = Some((a, b));
                 }
             }
         }
-        (ProcessIndex { order, seqs, runs }, total_ops)
+        (index, found)
     }
+}
 
-    /// Where `process` sits in `runs`, or where it would be inserted.
-    /// `hint` is tried first: per-process logs laid end to end change
-    /// process once per log.
-    fn slot(
-        runs: &[(ProcessId, Range<usize>)],
-        hint: usize,
-        process: ProcessId,
-    ) -> Result<usize, usize> {
-        match runs.get(hint) {
-            Some(&(p, _)) if p == process => Ok(hint),
-            _ => runs.binary_search_by_key(&process, |&(p, _)| p),
-        }
+impl ProcessIndex {
+    /// Indexes `records` where they stand, as [`History::new`] does: each
+    /// pushed in the order given. Also returns the sum of their
+    /// `ops.len()`.
+    #[cfg(test)]
+    fn of(records: &[MOpRecord]) -> (Self, usize) {
+        let logs = ProcessLogs::of(records);
+        let total_ops = logs.total_ops;
+        (logs.index(records).0, total_ops)
     }
 
     /// `process`'s run in `order`.
     fn run(&self, process: ProcessId) -> Range<usize> {
-        Self::slot(&self.runs, 0, process).map_or(0..0, |r| self.runs[r].1.clone())
+        let slot = self.runs.binary_search_by_key(&process, |&(p, _)| p);
+        slot.map_or(0..0, |r| self.runs[r].1.clone())
     }
 
     fn idx_of(&self, id: MOpId) -> Option<MOpIdx> {
@@ -206,7 +286,10 @@ pub struct History {
 }
 
 impl History {
-    /// Validates `records` and builds a history over `num_objects` objects.
+    /// Validates `records` and builds a history over `num_objects` objects:
+    /// the records pushed into a [`HistoryLog`] in the order given, where
+    /// they stand, and the log finished. There is no other way to build a
+    /// history.
     ///
     /// # Errors
     ///
@@ -225,32 +308,24 @@ impl History {
     /// of the lowest process, then the lowest sequence number; failing
     /// that, the first read, in record then program order, with a bad
     /// writer.
-    ///
-    /// The records are indexed where they stand: grouped by process
-    /// without being moved, and a process's run is sorted only if it is
-    /// not already ascending, as a replica's log or a simulator's retire
-    /// order is. A writer is looked up, and checked to write the object
-    /// read, once per run of reads that name it for one object.
     pub fn new(num_objects: usize, records: Vec<MOpRecord>) -> Result<Self, CoreError> {
-        // Step 1, over the record array alone: the process subhistories,
-        // and the two defects that show between neighbours in one.
-        let (index, total_ops) = ProcessIndex::of(&records);
-        let mut first_duplicate: Option<usize> = None;
-        let mut first_overlap = None;
-        for (_, run) in &index.runs {
-            for k in run.start + 1..run.end {
-                let (a, b) = (index.order[k - 1], index.order[k]);
-                if index.seqs[k - 1] == index.seqs[k] {
-                    // Equal ids are in index order, so the later of a pair
-                    // is the record that collides.
-                    first_duplicate = Some(first_duplicate.map_or(b.0, |first| first.min(b.0)));
-                } else if first_overlap.is_none()
-                    && records[b.0].invoked_at < records[a.0].responded_at
-                {
-                    first_overlap = Some((a, b));
-                }
-            }
-        }
+        HistoryLog::indexed(records).finish(num_objects)
+    }
+
+    /// [`HistoryLog::finish`]. A writer is looked up, and checked to write
+    /// the object read, once per run of reads that name it for one object.
+    fn from_log(log: HistoryLog, num_objects: usize) -> Result<Self, CoreError> {
+        let HistoryLog { records, processes } = log;
+        // The index holds every record's index as a `u32`.
+        row(records.len())?;
+        // Step 1 was the pushes: the process subhistories, and the two
+        // defects that show between neighbours in one.
+        let total_ops = processes.total_ops;
+        let (index, neighbours) = processes.index(&records);
+        let Neighbours {
+            duplicate: first_duplicate,
+            overlap: first_overlap,
+        } = neighbours;
 
         // Step 2, the one walk over every record's operations: ranges,
         // the object tables, and each external read resolved on the spot.
@@ -542,6 +617,62 @@ impl History {
                 let theirs = other.idx_of(rec.id).map(|idx| other.record(idx));
                 theirs.is_some_and(|theirs| theirs.ops == rec.ops)
             })
+    }
+}
+
+/// A history as it is recorded: its records in the order they arrive, and
+/// every process subhistory indexed as each record is pushed.
+/// [`HistoryLog::finish`] validates it into a [`History`].
+///
+/// A recorder that pushes each process's records in sequence order, as a
+/// replica retires them or a simulator responds, leaves nothing to sort:
+/// the push already checked each record against the one before it for a
+/// repeated id and an overlap. Records of a process that arrive out of
+/// order are sorted and checked when the log is finished.
+#[derive(Debug, Default)]
+pub struct HistoryLog {
+    records: Vec<MOpRecord>,
+    processes: ProcessLogs,
+}
+
+impl HistoryLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends `record` and indexes it under its process.
+    pub fn push(&mut self, record: MOpRecord) {
+        self.processes.push(self.records.len(), &record);
+        self.records.push(record);
+    }
+
+    /// `records` pushed in the order given, without moving one.
+    fn indexed(records: Vec<MOpRecord>) -> Self {
+        HistoryLog {
+            processes: ProcessLogs::of(&records),
+            records,
+        }
+    }
+
+    /// Number of records pushed.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Returns `true` if no record was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Validates the records and builds a history over `num_objects`
+    /// objects; its records are in the order they were pushed.
+    ///
+    /// # Errors
+    ///
+    /// As [`History::new`] on the records in the order they were pushed.
+    pub fn finish(self, num_objects: usize) -> Result<History, CoreError> {
+        History::from_log(self, num_objects)
     }
 }
 
@@ -1191,8 +1322,8 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// A seeded well-formed history, the per-process logs laid end to end
-    /// as a cluster's shutdown hands them over: each m-operation touches
+    /// A seeded well-formed history, the per-process logs laid end to end,
+    /// one process after another: each m-operation touches
     /// up to three objects, an update writes some of them, and a read
     /// names the object's latest writer so far (so one writer is named by
     /// runs of reads), any writer of it, or the initial m-operation.

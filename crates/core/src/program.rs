@@ -42,10 +42,12 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use crate::ids::ObjectId;
 use crate::inline::InlineList;
+use crate::mop::MOpClass;
 use crate::value::Value;
 
 /// Number of general-purpose registers available to a program.
@@ -289,10 +291,37 @@ impl fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// A validated, deterministic m-operation program.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Program {
     name: Arc<str>,
     instrs: Vec<Instr>,
+    /// The protocol class, decided on first use ([`Program::class_with`]).
+    /// A memo, not part of the program: `==`, `Hash` and `{:?}` skip it.
+    class: OnceLock<MOpClass>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.instrs == other.instrs
+    }
+}
+
+impl Eq for Program {}
+
+impl Hash for Program {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
+        self.instrs.hash(state);
+    }
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("name", &self.name)
+            .field("instrs", &self.instrs)
+            .finish()
+    }
 }
 
 impl Program {
@@ -309,6 +338,7 @@ impl Program {
         let p = Program {
             name: name.into().into(),
             instrs,
+            class: OnceLock::new(),
         };
         p.validate()?;
         Ok(p)
@@ -452,6 +482,14 @@ impl Program {
         let mut s = self.potential_writes();
         s.extend(self.potential_reads());
         s
+    }
+
+    /// The class the protocols handle the program's m-operations as:
+    /// `decide(self)` on the first call, the memo of that answer after, so
+    /// that a decision as costly as the analyzer is made once per program.
+    /// Every caller must pass the same `decide`.
+    pub fn class_with(&self, decide: impl FnOnce(&Self) -> MOpClass) -> MOpClass {
+        *self.class.get_or_init(|| decide(self))
     }
 
     /// Whether the protocol must treat this m-operation as an update: the
@@ -844,6 +882,40 @@ mod tests {
         assert_eq!(ctx.values, vec![0, 9], "failed DCAS must not write");
         // Yet the static classification is 'update'.
         assert!(p.is_potential_update());
+    }
+
+    /// The class memo is invisible: a program's `{:?}`, hash and `==` are
+    /// the same before its class is decided, after, and on a clone.
+    #[test]
+    fn the_class_memo_is_not_part_of_the_program() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |p: &Program| {
+            let mut h = DefaultHasher::new();
+            p.hash(&mut h);
+            h.finish()
+        };
+        let fresh = dcas();
+        let p = dcas();
+        let (debug, hashed) = (format!("{p:?}"), hash(&p));
+        assert!(debug.starts_with("Program { name: \"dcas\", instrs: [Read {"));
+
+        let mut decided = 0;
+        for _ in 0..2 {
+            let class = p.class_with(|_| {
+                decided += 1;
+                MOpClass::Update
+            });
+            assert_eq!(class, MOpClass::Update);
+        }
+        assert_eq!(decided, 1, "decided once, then read from the memo");
+        let copy = p.clone();
+        assert_eq!(copy.class_with(|_| MOpClass::Query), MOpClass::Update);
+        for q in [&p, &copy] {
+            assert_eq!(format!("{q:?}"), debug);
+            assert_eq!(hash(q), hashed);
+            assert_eq!(q, &fresh);
+            assert_eq!(&fresh, q);
+        }
     }
 
     #[test]

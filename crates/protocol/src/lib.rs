@@ -94,15 +94,21 @@ const ANALYZE_LIMIT: usize = 4096;
 /// A program without a `Write` instruction is a query without analysis:
 /// the refined `may_write` only ever holds objects of reachable `Write`
 /// instructions, so the analyzer could only say the same.
+///
+/// The class is a property of the program, so it is decided once per
+/// `Program` and kept there ([`Program::class_with`]): every later
+/// m-operation of the same `Arc` reads it.
 fn classify(program: &Program) -> MOpClass {
-    let update = program.is_potential_update()
-        && (program.instrs().len() > ANALYZE_LIMIT
-            || moc_analyze::analyze_program(program).summary.is_update());
-    if update {
-        MOpClass::Update
-    } else {
-        MOpClass::Query
-    }
+    program.class_with(|program| {
+        let update = program.is_potential_update()
+            && (program.instrs().len() > ANALYZE_LIMIT
+                || moc_analyze::analyze_program(program).summary.is_update());
+        if update {
+            MOpClass::Update
+        } else {
+            MOpClass::Query
+        }
+    })
 }
 
 impl MOperation {

@@ -60,10 +60,10 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use moc_abcast::{LinkConfig, LinkMsg};
-use moc_core::history::History;
+use moc_core::history::{History, HistoryLog};
 use moc_core::ids::{MOpId, ProcessId};
 use moc_core::inline::InlineList;
-use moc_core::mop::{EventTime, MOpClass, MOpRecord};
+use moc_core::mop::{EventTime, MOpClass};
 use moc_core::program::Program;
 use moc_core::value::Value;
 use moc_monitor::OnlineMonitor;
@@ -285,6 +285,8 @@ pub struct LiveCluster<R: ReplicaProtocol> {
     inputs: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
     replica_handles: Vec<JoinHandle<ReplicaExit>>,
     invoke_locks: Vec<Mutex<()>>,
+    /// Every replica's records, pushed as the replica answers them.
+    log: Arc<Mutex<HistoryLog>>,
     num_objects: usize,
     /// Per-process containment flags, set by the sentinel thread when a
     /// violation latches. All-false without a monitor attached.
@@ -294,7 +296,6 @@ pub struct LiveCluster<R: ReplicaProtocol> {
 }
 
 struct ReplicaExit {
-    records: Vec<MOpRecord>,
     metrics: moc_protocol::ReplicaMetrics,
     link_stats: moc_abcast::LinkStats,
     pipeline: PipelineMetrics,
@@ -330,6 +331,7 @@ where
             .unzip();
         let quarantine: Arc<Vec<AtomicBool>> =
             Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
+        let log = Arc::new(Mutex::new(HistoryLog::new()));
 
         let (monitor_tx, monitor_handle) = match monitor {
             None => (None, None),
@@ -352,11 +354,12 @@ where
                 let me = ProcessId::new(p as u32);
                 let peers = inputs.clone();
                 let sentinel = monitor_tx.clone();
+                let log = Arc::clone(&log);
                 let now = move || EventTime::from_nanos(epoch.elapsed().as_nanos() as u64);
                 std::thread::Builder::new()
                     .name(format!("replica-{p}"))
                     .spawn(move || {
-                        ReplicaDriver::<R, _>::new(me, config, now, rx, peers, sentinel).run()
+                        ReplicaDriver::<R, _>::new(me, config, now, rx, peers, sentinel, log).run()
                     })
                     .expect("spawn replica thread")
             })
@@ -366,6 +369,7 @@ where
             inputs,
             replica_handles,
             invoke_locks: (0..n).map(|_| Mutex::new(())).collect(),
+            log,
             num_objects: config.num_objects,
             quarantine,
             monitor_tx,
@@ -435,12 +439,13 @@ where
     }
 
     /// Stops the cluster: flushes in-flight messages, joins all threads and
-    /// assembles the recorded history.
+    /// finishes the recorded history.
     ///
-    /// The history's [`History::records`] are the replicas' logs laid end
-    /// to end, each in the order its replica answered: the longest log
-    /// first (the lowest process among equals), then the others in process
-    /// order.
+    /// The history's [`History::records`] are in the order the replicas
+    /// answered them: each replica pushes what it retired into one shared
+    /// [`HistoryLog`] just before it replies, so every process's records
+    /// ascend and the processes interleave. The log indexed each record as it came;
+    /// shutdown only builds the object tables and validates.
     pub fn shutdown(self) -> RuntimeReport {
         self.shutdown_with_monitor().0
     }
@@ -455,20 +460,19 @@ where
         for tx in &self.inputs {
             let _ = tx.send(Input::Shutdown);
         }
-        let mut logs = Vec::new();
         let mut replica_metrics = Vec::new();
         let mut link_stats = Vec::new();
         let mut pipeline = Vec::new();
         let mut batch_stats = Vec::new();
         for h in std::mem::take(&mut self.replica_handles) {
             let exit = h.join().expect("replica thread panicked");
-            logs.push(exit.records);
             replica_metrics.push(exit.metrics);
             link_stats.push(exit.link_stats);
             pipeline.push(exit.pipeline);
             batch_stats.push(exit.batch);
         }
-        let records = lay_end_to_end(logs);
+        // The replicas are joined: nothing pushes any more.
+        let log = std::mem::take(&mut *self.log.lock());
         // Every replica-held sender is gone once the threads are joined;
         // dropping ours disconnects the sentinel, which flushes and exits.
         drop(self.monitor_tx.take());
@@ -476,8 +480,9 @@ where
             .monitor_handle
             .take()
             .map(|h| h.join().expect("sentinel thread panicked"));
-        let history =
-            History::new(self.num_objects, records).expect("runtime produced an invalid history");
+        let history = log
+            .finish(self.num_objects)
+            .expect("runtime produced an invalid history");
         (
             RuntimeReport {
                 history,
@@ -489,20 +494,6 @@ where
             monitor,
         )
     }
-}
-
-/// The replicas' logs as one array: the longest log (the first of them)
-/// stays where it is and the others are appended to it in process order,
-/// so the busiest replica's records keep the pages they already have.
-fn lay_end_to_end(mut logs: Vec<Vec<MOpRecord>>) -> Vec<MOpRecord> {
-    let total = logs.iter().map(Vec::len).sum::<usize>();
-    let longest = (0..logs.len()).max_by_key(|&p| (logs[p].len(), std::cmp::Reverse(p)));
-    let mut records = longest.map_or_else(Vec::new, |p| std::mem::take(&mut logs[p]));
-    records.reserve_exact(total - records.len());
-    for log in logs {
-        records.extend(log);
-    }
-    records
 }
 
 impl<R: ReplicaProtocol> Drop for LiveCluster<R> {
@@ -733,7 +724,10 @@ struct ReplicaDriver<R: ReplicaProtocol, C> {
     rx: Receiver<Input<LinkMsg<R::Msg>>>,
     peers: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
     sentinel: Option<Sender<MonitorEvent>>,
-    records: Vec<MOpRecord>,
+    /// The cluster's history, shared by every replica thread.
+    log: Arc<Mutex<HistoryLog>>,
+    /// One flush's replies, held while their records are logged.
+    answers: Vec<(Sender<Reply>, Reply)>,
     dropped_replies: u64,
     now: C,
 }
@@ -746,6 +740,7 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
         rx: Receiver<Input<LinkMsg<R::Msg>>>,
         peers: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
         sentinel: Option<Sender<MonitorEvent>>,
+        log: Arc<Mutex<HistoryLog>>,
     ) -> Self {
         let setup = OrderingSetup {
             failover_timeouts: Some(config.failover_timeouts),
@@ -767,7 +762,8 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
             rx,
             peers,
             sentinel,
-            records: Vec::new(),
+            log,
+            answers: Vec::new(),
             dropped_replies: 0,
             now,
         }
@@ -841,23 +837,31 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
     }
 
     /// Hands on what a settle left in the host's three queues: sentinel
-    /// observations, replies (and their records), frames.
+    /// observations, replies (and their records), frames. The records
+    /// enter the shared log under one lock, and only then do their replies
+    /// go out: a client never holds a reply whose record is not logged.
     fn flush(&mut self) {
         if let Some(tx) = &self.sentinel {
             for ev in self.host.monitor_feed.drain(..) {
                 let _ = tx.send(ev);
             }
         }
-        for r in self.host.retired.drain(..) {
-            let reply = Reply {
-                id: r.record.id,
-                outputs: r.record.outputs.clone(),
-                treated_as: r.record.treated_as,
-                invoked_at: r.invoked_at,
-                responded_at: r.responded_at,
-            };
-            self.records.push(r.record);
-            if r.token.send(reply).is_err() {
+        if !self.host.retired.is_empty() {
+            let mut log = self.log.lock();
+            for r in self.host.retired.drain(..) {
+                let reply = Reply {
+                    id: r.record.id,
+                    outputs: r.record.outputs.clone(),
+                    treated_as: r.record.treated_as,
+                    invoked_at: r.invoked_at,
+                    responded_at: r.responded_at,
+                };
+                log.push(r.record);
+                self.answers.push((r.token, reply));
+            }
+        }
+        for (token, reply) in self.answers.drain(..) {
+            if token.send(reply).is_err() {
                 self.dropped_replies += 1;
             }
         }
@@ -897,7 +901,6 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
         }
         let replica = self.host.replica();
         ReplicaExit {
-            records: self.records,
             metrics: replica.metrics(),
             link_stats: self.host.link_stats(),
             pipeline: PipelineMetrics {
@@ -915,6 +918,7 @@ mod tests {
     use moc_abcast::IsisAbcast;
     use moc_checker::conditions::{check, Condition, Strategy};
     use moc_core::ids::ObjectId;
+    use moc_core::mop::MOpRecord;
     use moc_core::program::{imm, reg, ProgramBuilder};
     use moc_protocol::{MOperation, MlinOverSequencer, MscOverSequencer, MscReplica};
 
@@ -1042,6 +1046,8 @@ mod tests {
         /// `peers[q]` is what the replica sent `q` (its own entry is `None`:
         /// frames to itself never leave the thread).
         peers: Vec<Option<Receiver<Input<Wire>>>>,
+        /// The log the replica pushes its records into.
+        log: Arc<Mutex<HistoryLog>>,
     }
 
     impl ByHand {
@@ -1058,11 +1064,14 @@ mod tests {
                 Box::new(move || EventTime::from_nanos(hand.get()));
             let rx = inboxes[me as usize].take().expect("own inbox");
             let config = RuntimeConfig::new(1);
+            let log = Arc::new(Mutex::new(HistoryLog::new()));
+            let shared = Arc::clone(&log);
             ByHand {
-                driver: ReplicaDriver::new(p(me), config, now, rx, inputs.clone(), None),
+                driver: ReplicaDriver::new(p(me), config, now, rx, inputs.clone(), None, shared),
                 clock,
                 inbox: inputs[me as usize].clone(),
                 peers: inboxes,
+                log,
             }
         }
 
@@ -1173,7 +1182,7 @@ mod tests {
         assert_eq!(hand.driver.host.link_stats().acks_sent, 3);
         let metrics = hand.driver.host.replica().metrics();
         assert_eq!(metrics.updates_applied, 2 * K as u64);
-        assert_eq!(hand.driver.records.len(), K);
+        assert_eq!(hand.log.lock().len(), K);
     }
 
     #[test]
@@ -1187,7 +1196,7 @@ mod tests {
         assert_eq!(hand.driver.host.in_flight(), 1, "what came first was fed");
         assert!(hand.sent(0).is_empty(), "but nothing it set off was sent");
         let exit = hand.driver.exit();
-        assert!(exit.records.is_empty() && replies.try_recv().is_err());
+        assert!(hand.log.lock().is_empty() && replies.try_recv().is_err());
         assert_eq!(exit.link_stats.data_sent, 0);
     }
 
@@ -1234,37 +1243,74 @@ mod tests {
         assert!(lin.satisfied);
     }
 
-    /// Shutdown appends the shorter logs to the longest: the history holds
-    /// every reply, indexed, in the documented record order.
+    /// The history holds every reply once, in the order the replicas
+    /// answered: each process's records ascend, and a process the client
+    /// turned to later comes later.
     #[test]
-    fn shutdown_lays_unequal_logs_end_to_end_longest_first() {
+    fn shutdown_keeps_the_order_the_replicas_answered() {
         let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(3, RuntimeConfig::new(1));
         let mut replies = Vec::new();
-        for (process, count) in [(0, 2), (1, 5), (2, 5)] {
+        for (process, count) in [(1, 3), (0, 2), (2, 4), (1, 2)] {
             for k in 0..count {
                 replies.push(cluster.invoke(p(process), wx(k), vec![]).id);
             }
         }
         let history = cluster.shutdown().history;
-        assert_eq!(history.len(), replies.len());
-        for id in &replies {
-            let idx = history.idx_of(*id).expect("every reply is recorded");
-            assert_eq!(history.record(idx).id, *id);
-        }
+        let recorded: Vec<MOpId> = history.records().iter().map(|r| r.id).collect();
+        assert_eq!(recorded, replies, "one record per reply, in answer order");
         for process in 0..3 {
             let seqs = history.by_process(p(process)).iter();
             let seqs: Vec<u32> = seqs.map(|&idx| history.record(idx).id.seq).collect();
-            let count = if process == 0 { 2 } else { 5 };
+            let count = [2, 5, 4][process as usize];
             assert_eq!(seqs, (0..count).collect::<Vec<u32>>());
         }
-        // Processes 1 and 2 tie for the longest log: the lower goes first,
-        // then the others in process order.
-        let order: Vec<u32> = history
-            .records()
-            .iter()
-            .map(|r| r.id.process.as_u32())
-            .collect();
-        assert_eq!(order, [1, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2, 2]);
+    }
+
+    /// Three pipelined clients, one per process, keep their windows full at
+    /// once; every replica pushes into the one log as it answers. The
+    /// history holds every reply once, each process's records ascend in
+    /// the log as they were answered, and it is m-sequentially consistent.
+    #[test]
+    fn pipelined_clients_share_one_log() {
+        const PER_CLIENT: usize = 60;
+        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(3, RuntimeConfig::new(1));
+        let answered: Vec<Vec<MOpId>> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..3)
+                .map(|process| {
+                    let cluster = &cluster;
+                    s.spawn(move || {
+                        let mut session = cluster.pipelined(p(process), 8);
+                        let mut ids = Vec::new();
+                        for k in 0..PER_CLIENT {
+                            let program = if k % 3 == 2 { rx() } else { inc() };
+                            let reply = session.invoke(program, vec![]).expect("not quarantined");
+                            ids.extend(reply.map(|r| r.id));
+                        }
+                        ids.extend(session.drain().into_iter().map(|r| r.id));
+                        ids
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let history = cluster.shutdown().history;
+        assert_eq!(history.len(), 3 * PER_CLIENT);
+        for (process, ids) in answered.iter().enumerate() {
+            let logged: Vec<MOpId> = history
+                .records()
+                .iter()
+                .map(|r| r.id)
+                .filter(|id| id.process == p(process as u32))
+                .collect();
+            assert_eq!(
+                &logged, ids,
+                "process {process}: the log is its answer order"
+            );
+            let seqs: Vec<u32> = logged.iter().map(|id| id.seq).collect();
+            assert_eq!(seqs, (0..PER_CLIENT as u32).collect::<Vec<u32>>());
+        }
+        let sc = check(&history, Condition::MSequentialConsistency, Strategy::Auto).unwrap();
+        assert!(sc.satisfied);
     }
 
     #[test]
