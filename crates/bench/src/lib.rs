@@ -6,12 +6,11 @@
 //!
 //! `cargo run -p moc-bench --bin paper_experiments` prints every table.
 //! Besides those, the crate keeps the deterministic gates behind the
-//! remaining BENCH files (`bench_checker`, `bench_chaos`, `bench_monitor`),
-//! the runtime smoke gate and the `moc load` harness. Every table and BENCH
-//! file holds seed-deterministic counts and virtual-time figures only, so a
-//! regeneration is byte-identical; the `moc load` harness is the one
-//! wall-clock reader. Wall-clock performance is measured by `benchmark/`
-//! (see `BENCHMARK.json`).
+//! remaining BENCH files (`bench_checker`, `bench_chaos`, `bench_monitor`).
+//! Every table and BENCH file holds seed-deterministic counts and
+//! virtual-time figures only, so a regeneration is byte-identical; the
+//! crate reads no wall clock. Wall-clock performance, live clusters
+//! included, is measured by `benchmark/` (see `BENCHMARK.json`).
 
 use std::fmt;
 
@@ -1768,306 +1767,6 @@ pub fn chaos_bench_json(rows: &[ChaosBenchRow], failover: &[FailoverBenchRow]) -
     Json::Obj(fields).render()
 }
 
-/// How a load-harness client issues its operations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LoadMode {
-    /// Closed loop: the next operation is issued as soon as the pipeline
-    /// window admits it (window 1 ⇒ strictly after the previous reply).
-    Closed,
-    /// Open loop: operations are issued on a fixed schedule, one every
-    /// `interval_ns`, regardless of completions — latency then includes
-    /// the queueing the offered rate induces. The pipeline window still
-    /// bounds in-flight operations; a saturated window blocks the
-    /// schedule.
-    Open {
-        /// Inter-arrival gap per client.
-        interval_ns: u64,
-    },
-}
-
-impl LoadMode {
-    fn label(&self) -> &'static str {
-        match self {
-            LoadMode::Closed => "closed",
-            LoadMode::Open { .. } => "open",
-        }
-    }
-}
-
-/// One configuration of the end-to-end runtime load harness: a live
-/// [`moc_runtime::LiveCluster`] with one client thread per process, all
-/// released from a barrier together.
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeLoadSpec {
-    /// Closed- or open-loop issue discipline.
-    pub mode: LoadMode,
-    /// Number of processes = number of client threads.
-    pub clients: usize,
-    /// m-operations each client issues.
-    pub ops_per_client: usize,
-    /// Size of the shared-object universe.
-    pub num_objects: usize,
-    /// Key-popularity profile (seed-deterministic per thread).
-    pub skew: moc_workload::skew::KeySkew,
-    /// Probability an operation is a single-key write (the rest are
-    /// single-key reads, which gate on the process's pending updates).
-    pub update_fraction: f64,
-    /// Seed for the key and class streams.
-    pub seed: u64,
-    /// Group-commit batching for the ordering layer; `None` = off.
-    pub batching: Option<moc_abcast::BatchConfig>,
-    /// Client pipeline window; 1 = blocking (pipelining off).
-    pub window: usize,
-}
-
-/// One [`RuntimeLoadSpec`] run to completion: the wall-clock throughput
-/// and latency plus the consolidated transport/runtime counters — the
-/// cluster-wide reliable-link totals, the merged replica pipeline metrics
-/// and the merged group-commit batch statistics. `moc load` prints the
-/// row and the counter block from it; the smoke gate reads the counters.
-#[derive(Debug, Clone)]
-pub struct RuntimeLoadReport {
-    /// The configuration that ran.
-    pub spec: RuntimeLoadSpec,
-    /// Aggregate completed operations per wall-clock second.
-    pub qps: u64,
-    /// Invoke-to-reply latency percentiles (wall-clock ns).
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile.
-    pub p999_ns: u64,
-    /// Field-wise sum of every node's [`moc_abcast::LinkStats`].
-    pub link: moc_abcast::LinkStats,
-    /// Merged per-replica pipeline metrics (sums; peak depth is a max).
-    pub pipeline: moc_runtime::PipelineMetrics,
-    /// Merged group-commit batch statistics.
-    pub batch: moc_abcast::BatchStats,
-}
-
-/// Runs one load-harness configuration against a live
-/// [`moc_runtime::LiveCluster`] of the Figure 4 protocol over the
-/// sequencer broadcast — the `moc load` entry point.
-///
-/// Every client thread owns one process via a pipelined session, draws
-/// its keys from its own seed-deterministic skew stream, and records the
-/// true invoke-to-reply time of every operation. The run panics if any
-/// invocation goes unanswered — the harness refuses to report a lossy
-/// run as a result.
-pub fn run_runtime_load_counters(spec: &RuntimeLoadSpec) -> RuntimeLoadReport {
-    use moc_runtime::{LiveCluster, RuntimeConfig};
-    use moc_workload::skew::{KeyPicker, SkewRng};
-    use moc_workload::{query_program, write_program};
-    use std::sync::Barrier;
-    use std::time::Instant;
-
-    assert!(spec.clients > 0 && spec.ops_per_client > 0 && spec.window >= 1);
-    let mut cfg = RuntimeConfig::new(spec.num_objects);
-    if let Some(batch) = spec.batching {
-        cfg = cfg.with_batching(batch);
-    }
-    let cluster: std::sync::Arc<LiveCluster<MscOverSequencer>> =
-        std::sync::Arc::new(LiveCluster::start(spec.clients, cfg));
-    // One write and one read program per key, prebuilt so the measured
-    // path is the protocol, not program construction.
-    let writes: Vec<_> = (0..spec.num_objects)
-        .map(|k| write_program(&[ObjectId::new(k as u32)]))
-        .collect();
-    let reads: Vec<_> = (0..spec.num_objects)
-        .map(|k| query_program(&[ObjectId::new(k as u32)]))
-        .collect();
-    let writes = std::sync::Arc::new(writes);
-    let reads = std::sync::Arc::new(reads);
-    let barrier = std::sync::Arc::new(Barrier::new(spec.clients + 1));
-
-    let mut joins = Vec::new();
-    for t in 0..spec.clients {
-        let cluster = std::sync::Arc::clone(&cluster);
-        let writes = std::sync::Arc::clone(&writes);
-        let reads = std::sync::Arc::clone(&reads);
-        let barrier = std::sync::Arc::clone(&barrier);
-        let spec = *spec;
-        joins.push(std::thread::spawn(move || {
-            let mut keys = KeyPicker::new(spec.skew, spec.num_objects, spec.seed, t);
-            // The class stream is its own deterministic generator so key
-            // and class choices never perturb each other.
-            let mut class = SkewRng::new(spec.seed ^ 0xc1a5_55ed ^ ((t as u64) << 17));
-            let mut session = cluster.pipelined(ProcessId::new(t as u32), spec.window);
-            let mut lat: Vec<u64> = Vec::with_capacity(spec.ops_per_client);
-            barrier.wait();
-            let start = Instant::now();
-            for i in 0..spec.ops_per_client {
-                if let LoadMode::Open { interval_ns } = spec.mode {
-                    let due = std::time::Duration::from_nanos(interval_ns * i as u64);
-                    let elapsed = start.elapsed();
-                    if elapsed < due {
-                        std::thread::sleep(due - elapsed);
-                    }
-                }
-                let k = keys.next_key() as usize;
-                let (program, args) = if class.next_f64() < spec.update_fraction {
-                    (writes[k].clone(), vec![i as i64])
-                } else {
-                    (reads[k].clone(), vec![])
-                };
-                let retired = session
-                    .invoke(program, args)
-                    .expect("load harness runs unquarantined");
-                if let Some(r) = retired {
-                    lat.push(r.responded_at.as_nanos() - r.invoked_at.as_nanos());
-                }
-            }
-            for r in session.drain() {
-                lat.push(r.responded_at.as_nanos() - r.invoked_at.as_nanos());
-            }
-            lat
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    let mut lat: Vec<u64> = Vec::new();
-    for j in joins {
-        lat.extend(j.join().expect("client thread panicked"));
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let cluster = std::sync::Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
-    let report = cluster.shutdown();
-
-    let total_ops = (spec.clients * spec.ops_per_client) as u64;
-    assert_eq!(lat.len() as u64, total_ops, "every invocation replied");
-    assert_eq!(report.history.len() as u64, total_ops, "history complete");
-    lat.sort_unstable();
-    RuntimeLoadReport {
-        spec: *spec,
-        qps: (total_ops as f64 / elapsed) as u64,
-        p50_ns: percentile(&lat, 50.0),
-        p99_ns: percentile(&lat, 99.0),
-        p999_ns: percentile(&lat, 99.9),
-        link: report.total_link_stats(),
-        pipeline: report.total_pipeline(),
-        batch: report.total_batch_stats(),
-    }
-}
-
-/// Renders load runs as a comparison table.
-pub fn runtime_bench_table(rows: &[RuntimeLoadReport]) -> Table {
-    let mut t = Table::new(
-        "E-runtime — live-cluster load: batched stamping and pipelined clients vs the baseline",
-        &[
-            "mode",
-            "clients",
-            "skew",
-            "batch",
-            "pipe",
-            "ops",
-            "qps",
-            "p50 µs",
-            "p99 µs",
-            "p999 µs",
-            "occupancy",
-            "depth",
-            "ooo",
-            "rexmit",
-        ],
-    );
-    for r in rows {
-        let spec = &r.spec;
-        t.row(vec![
-            spec.mode.label().into(),
-            spec.clients.to_string(),
-            spec.skew.label().into(),
-            if spec.batching.is_some() { "on" } else { "off" }.into(),
-            if spec.window > 1 {
-                format!("w{}", spec.window)
-            } else {
-                "off".into()
-            },
-            (spec.clients * spec.ops_per_client).to_string(),
-            r.qps.to_string(),
-            us(r.p50_ns as f64),
-            us(r.p99_ns as f64),
-            us(r.p999_ns as f64),
-            format!("{:.1}", r.batch.occupancy()),
-            r.pipeline.peak_depth.to_string(),
-            r.pipeline.out_of_order_completions.to_string(),
-            r.link.retransmissions.to_string(),
-        ]);
-    }
-    t
-}
-
-/// CI perf-smoke gate for the runtime: three bounded configurations whose
-/// *deterministic* counters must hold — the batched+pipelined run must
-/// group-commit (occupancy above one), every pipelined run must actually
-/// overlap operations (peak depth above one), and no configuration may
-/// drop a reply. Wall-clock numbers are never gated.
-pub fn runtime_smoke() -> Result<Vec<RuntimeLoadReport>, String> {
-    use moc_workload::skew::KeySkew;
-    let base = RuntimeLoadSpec {
-        mode: LoadMode::Closed,
-        clients: 2,
-        ops_per_client: 40,
-        num_objects: 16,
-        skew: KeySkew::Zipfian { theta: 0.99 },
-        update_fraction: 0.9,
-        seed: 42,
-        batching: None,
-        window: 1,
-    };
-    let rows = vec![
-        run_runtime_load_counters(&base),
-        run_runtime_load_counters(&RuntimeLoadSpec {
-            skew: KeySkew::Uniform,
-            window: 8,
-            ..base
-        }),
-        run_runtime_load_counters(&RuntimeLoadSpec {
-            clients: 1,
-            // The window bounds in-flight submissions, so a batch
-            // threshold equal to the window flushes the moment the full
-            // burst lands; the long delay cap only covers stragglers.
-            batching: Some(moc_abcast::BatchConfig {
-                max_batch: 8,
-                max_delay_ns: 50_000_000,
-            }),
-            window: 8,
-            ..base
-        }),
-    ];
-    let mut failures = Vec::new();
-    let batched = |r: &RuntimeLoadReport| r.spec.batching.is_some();
-    let pipelined = |r: &RuntimeLoadReport| r.spec.window > 1;
-    for r in &rows {
-        let what = format!("{}/{}c", r.spec.mode.label(), r.spec.clients);
-        if r.pipeline.dropped_replies != 0 {
-            failures.push(format!(
-                "{what} dropped {} replies",
-                r.pipeline.dropped_replies
-            ));
-        }
-        if pipelined(r) && r.pipeline.peak_depth <= 1 {
-            failures.push(format!(
-                "{what} window {} never overlapped (peak depth {})",
-                r.spec.window, r.pipeline.peak_depth
-            ));
-        }
-        if batched(r) && r.batch.occupancy() <= 1.0 {
-            failures.push(format!(
-                "{what} batching never grouped (occupancy {:.2})",
-                r.batch.occupancy()
-            ));
-        }
-    }
-    if !rows.iter().any(batched) || !rows.iter().any(pipelined) {
-        failures.push("smoke matrix must cover batching and pipelining".into());
-    }
-    if failures.is_empty() {
-        Ok(rows)
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2205,20 +1904,6 @@ mod tests {
                 d.get("rows").and_then(Json::as_arr).is_some(),
                 "{name}: missing rows"
             );
-        }
-    }
-
-    /// The runtime's CI gate (the `runtime-perf` job runs this test): the
-    /// load harness end to end, where the deterministic counters
-    /// (group-commit occupancy, pipeline depth, zero dropped replies,
-    /// every invocation retired) must hold on a bounded run.
-    #[test]
-    fn runtime_smoke_gate_passes() {
-        let rows = runtime_smoke().expect("runtime smoke counters hold");
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            let ops = r.spec.clients as u64 * 40;
-            assert_eq!((r.pipeline.invocations, r.pipeline.retired), (ops, ops));
         }
     }
 

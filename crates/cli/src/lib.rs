@@ -169,19 +169,6 @@ disabled and the sweep must instead find an audited refutation.
 and the consolidated transport/runtime counter block printed after
 the sweep shows the frames it saved. See docs/CHAOS.md and
 docs/RUNTIME-PERF.md." },
-    Subcommand { name: "load", positional: "", run: cmd_load,
-        options: "mode=closed|open clients=N ops=K objects=M skew=uniform|zipfian|normal \
-        update-frac=F seed=S batch=N batch-delay-us=U window=W interval-us=U",
-        about: "\
-Drive a live thread-per-process cluster (Figure 4 protocol over
-the sequencer broadcast) with N client threads released from one
-barrier: closed loop (next op as soon as the pipeline window
-admits it) or open loop (one op per --interval-us, default 100).
-Keys come from the named seed-deterministic skew stream; --batch
-enables group-commit stamping and --window > 1 enables client
-pipelining. Prints the throughput/latency row and the same
-consolidated transport/runtime counter block as `moc chaos`.
-Exits 1 if any reply was dropped. See docs/RUNTIME-PERF.md." },
     Subcommand { name: "monitor", positional: "<file|->", run: cmd_monitor,
         options: "condition=sc|lin|normal window=N max-live-nodes=N tiles=K sabotage",
         about: "\
@@ -338,7 +325,7 @@ impl Args {
     }
 
     /// [`Args::get`], rejected unless the value lies in `range` — a count
-    /// of processes, objects or clients (`1..`) or a fraction (`0.0..=1.0`,
+    /// of processes, objects or tiles (`1..`) or a fraction (`0.0..=1.0`,
     /// which NaN never is) — so a workload generator is never handed a
     /// value it would panic on.
     fn get_in<T, R>(&self, name: &str, default: T, range: R) -> Result<T, String>
@@ -959,18 +946,16 @@ fn chaos_run_one<R: moc_protocol::ReplicaProtocol + 'static>(
     }
 }
 
-/// Renders the consolidated transport/runtime counter block shared by
-/// `moc chaos` and `moc load`: reliable-link totals, group-commit batch
-/// statistics, the hosts' orphan-completion tally, and (when the host
-/// runs pipelined clients) the merged replica pipeline metrics.
+/// Renders the consolidated transport/runtime counter block `moc chaos`
+/// prints after its sweep: reliable-link totals, group-commit batch
+/// statistics and the hosts' orphan-completion tally.
 fn counter_block(
     runs: u64,
     link: &moc_abcast::LinkStats,
     batch: &moc_abcast::BatchStats,
     orphans: u64,
-    pipeline: Option<&moc_runtime::PipelineMetrics>,
 ) -> String {
-    let mut out = format!(
+    format!(
         "transport/runtime counters ({runs} run{}):\n  link:     {} data frames sent, {} received, {} delivered, {} dup-discarded, {} retransmissions, {} acks sent, {} acks received, {} rejoins\n  ordering: {} submissions stamped in {} batches (occupancy {:.2})\n  host:     {orphans} orphan completions\n",
         if runs == 1 { "" } else { "s" },
         link.data_sent,
@@ -984,26 +969,7 @@ fn counter_block(
         batch.items_stamped,
         batch.batches_flushed,
         batch.occupancy(),
-    );
-    if let Some(p) = pipeline {
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "  pipeline: {} invocations, {} retired, peak depth {}, {} out-of-order completions, {:.1} µs mean queue residency, {} dropped replies\n",
-                p.invocations,
-                p.retired,
-                p.peak_depth,
-                p.out_of_order_completions,
-                if p.retired == 0 {
-                    0.0
-                } else {
-                    p.queue_residency_ns as f64 / p.retired as f64 / 1_000.0
-                },
-                p.dropped_replies,
-            ),
-        );
-    }
-    out
+    )
 }
 
 fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
@@ -1065,7 +1031,13 @@ fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
     // Virtual-time horizon scheduled faults live inside. Generous: the
     // retransmission layer stretches runs well past the fair-weather
     // duration.
-    let horizon_ns = ops as u64 * 150_000 + 500_000;
+    let horizon_ns = (ops as u64)
+        .checked_mul(150_000)
+        .and_then(|ns| ns.checked_add(500_000))
+        .ok_or("--ops is too large for the fault horizon")?;
+    if seeds > 0 && seed_base.checked_add(seeds - 1).is_none() {
+        return Err("--seed-base + --seeds runs past the largest seed".into());
+    }
     let mut out = String::new();
     let mut total = 0u64;
     let mut failures: Vec<String> = Vec::new();
@@ -1174,7 +1146,6 @@ fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
         &sweep_link,
         &sweep_batch,
         sweep_orphans,
-        None,
     ));
     if sabotage {
         let _ = std::fmt::Write::write_fmt(
@@ -1202,72 +1173,6 @@ fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
         ),
     );
     Ok((out, if failures.is_empty() { 0 } else { 1 }))
-}
-
-fn cmd_load(args: &Args, _stdin: &str) -> Outcome {
-    use moc_bench::{run_runtime_load_counters, runtime_bench_table, LoadMode, RuntimeLoadSpec};
-    use moc_workload::skew::KeySkew;
-
-    let clients = args.get_in("clients", 4, 1..)?;
-    let ops = args.get_in("ops", 50, 1..)?;
-    let objects = args.get_in("objects", 16, 1..)?;
-    let seed = args.get::<u64>("seed", 42)?;
-    let update_fraction = args.get_in("update-frac", 0.5, 0.0..=1.0)?;
-    let window = args.get::<usize>("window", 8)?;
-    let max_batch = args.get::<usize>("batch", 1)?;
-    let batch_delay_us = args.get::<u64>("batch-delay-us", 100)?;
-    let interval_us = args.get::<u64>("interval-us", 100)?;
-    if window == 0 {
-        return Err("--window must be at least 1 (1 = pipelining off)".into());
-    }
-    if max_batch == 0 {
-        return Err("--batch must be at least 1 (1 = batching off)".into());
-    }
-    let mode = match args.value("mode").unwrap_or("closed") {
-        "closed" => LoadMode::Closed,
-        "open" => LoadMode::Open {
-            interval_ns: interval_us.saturating_mul(1_000).max(1),
-        },
-        other => return Err(format!("unknown mode {other:?} (closed|open)")),
-    };
-    let skew_name = args.value("skew").unwrap_or("uniform");
-    let skew = KeySkew::parse(skew_name)
-        .ok_or_else(|| format!("unknown skew {skew_name:?} (uniform|zipfian|normal)"))?;
-
-    let spec = RuntimeLoadSpec {
-        mode,
-        clients,
-        ops_per_client: ops,
-        num_objects: objects,
-        skew,
-        update_fraction,
-        seed,
-        batching: (max_batch > 1).then(|| moc_abcast::BatchConfig {
-            max_batch,
-            max_delay_ns: batch_delay_us.saturating_mul(1_000),
-        }),
-        window,
-    };
-    let run = run_runtime_load_counters(&spec);
-    let dropped = run.pipeline.dropped_replies;
-    let mut out = runtime_bench_table(std::slice::from_ref(&run)).to_string();
-    out.push('\n');
-    out.push_str(&counter_block(
-        1,
-        &run.link,
-        &run.batch,
-        run.pipeline.orphan_completions,
-        Some(&run.pipeline),
-    ));
-    if dropped > 0 {
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!("LOAD FAILED: {dropped} replies dropped\n"),
-        );
-        return Ok((out, 1));
-    }
-    out.push_str("load run complete: every invocation replied\n");
-    Ok((out, 0))
 }
 
 /// Splices the store-buffering gadget into a history: two fresh
@@ -1347,7 +1252,7 @@ fn cmd_monitor(args: &Args, stdin: &str) -> Outcome {
         "normal" => Condition::MNormality,
         other => return Err(format!("unknown condition {other:?} (sc|lin|normal)")),
     };
-    let window = args.get::<usize>("window", 4)?;
+    let window = args.get_in("window", 4, 1..)?;
     let tiles = args.get_in("tiles", 1, 1..)?;
     let sabotage = args.flag("sabotage");
     if sabotage && condition == Condition::MNormality {
@@ -2292,6 +2197,14 @@ mod tests {
             sv(&["chaos", "--workloads", "nope"]),
             sv(&["chaos", "--processes", "1"]),
             sv(&["chaos", "--batch", "0"]),
+            sv(&[
+                "chaos",
+                "--seed-base",
+                "18446744073709551615",
+                "--seeds",
+                "2",
+            ]),
+            sv(&["chaos", "--ops", "100000000000000000", "--seeds", "0"]),
         ] {
             let (result, code) = dispatch_with_status(&bad, "");
             assert!(result.is_err(), "{bad:?}");
@@ -2336,79 +2249,15 @@ mod tests {
         assert!(!ordering.contains("0 submissions stamped"), "{ordering}");
     }
 
-    #[test]
-    fn load_batched_pipelined_run_replies_to_everything() {
-        let (out, code) = dispatch_with_status(
-            &sv(&[
-                "load",
-                "--clients",
-                "2",
-                "--ops",
-                "20",
-                "--window",
-                "8",
-                "--batch",
-                "8",
-                "--batch-delay-us",
-                "200",
-            ]),
-            "",
-        );
-        let out = out.unwrap();
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("load run complete"), "{out}");
-        assert!(out.contains("transport/runtime counters (1 run):"), "{out}");
-        assert!(
-            out.contains("pipeline: 40 invocations, 40 retired"),
-            "{out}"
-        );
-        assert!(out.contains("0 dropped replies"), "{out}");
-        assert!(out.contains("host:     0 orphan completions"), "{out}");
-    }
-
-    #[test]
-    fn load_open_loop_and_skews_run_clean() {
-        for skew in ["uniform", "zipfian", "normal"] {
-            let (out, code) = dispatch_with_status(
-                &sv(&[
-                    "load",
-                    "--mode",
-                    "open",
-                    "--interval-us",
-                    "50",
-                    "--clients",
-                    "2",
-                    "--ops",
-                    "10",
-                    "--skew",
-                    skew,
-                ]),
-                "",
-            );
-            let out = out.unwrap();
-            assert_eq!(code, 0, "{skew}: {out}");
-            assert!(out.contains(skew), "{out}");
-            assert!(out.contains("\nopen "), "{out}");
-        }
-    }
-
     /// Bad flag values are usage errors naming the flag — never a panic
     /// inside a workload generator or the cluster harness.
     #[test]
-    fn load_bad_flags_exit_2() {
+    fn out_of_range_flags_exit_2() {
         let cases: &[(&[&str], &str)] = &[
-            (&["load", "--mode", "nope"], "mode"),
-            (&["load", "--skew", "nope"], "skew"),
-            (&["load", "--window", "0"], "--window"),
-            (&["load", "--batch", "0"], "--batch"),
-            (&["load", "--clients", "0"], "--clients"),
-            (&["load", "--ops", "0"], "--ops"),
-            (&["load", "--objects", "0"], "--objects"),
-            (&["load", "--update-frac", "1.5"], "--update-frac"),
-            (&["load", "--update-frac", "NaN"], "--update-frac"),
             (&["run", "--processes", "0"], "--processes"),
             (&["run", "--objects", "0"], "--objects"),
             (&["run", "--update-frac", "2"], "--update-frac"),
+            (&["run", "--update-frac", "NaN"], "--update-frac"),
             (&["gen", "--kind", "serial", "--objects", "0"], "--objects"),
             (&["gen", "--kind", "random", "--objects", "0"], "--objects"),
             (&["gen", "--processes", "0"], "--processes"),
@@ -2737,6 +2586,19 @@ mod tests {
         );
         assert!(result.unwrap_err().contains("sabotage"));
         assert_eq!(code, 2);
+        let (result, code) =
+            dispatch_with_status(&sv(&["monitor", "-", "--window", "0"]), "history v1\n");
+        assert!(result.unwrap_err().contains("--window"));
+        assert_eq!(code, 2);
+        // The widest window is legal: one check at the end of the stream.
+        let text = dispatch(&sv(&["gen", "--kind", "serial", "--seed", "3"]), "").unwrap();
+        let (out, code) = dispatch_with_status(
+            &sv(&["monitor", "-", "--window", "18446744073709551615"]),
+            &text,
+        );
+        let out = out.unwrap();
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("mode: healthy"), "{out}");
     }
 
     /// A one-update, one-query history whose writer is process `p`.

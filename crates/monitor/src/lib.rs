@@ -475,7 +475,7 @@ impl OnlineMonitor {
         }
         self.stats.peak_live_nodes = self.stats.peak_live_nodes.max(self.live.len());
         if (self.outstanding.is_empty() && self.fresh >= self.cfg.window)
-            || self.fresh >= self.cfg.window * FORCED_CHECK_FACTOR
+            || self.fresh >= self.cfg.window.saturating_mul(FORCED_CHECK_FACTOR)
         {
             self.check_window(now_ns);
         }
@@ -1069,6 +1069,23 @@ mod tests {
         assert!(summary.stats.retired >= 1, "phase one must retire");
         // Later windows contain the synthesized retired writer.
         assert!(summary.certs[1].window().len() >= 2);
+        cross_validate(&summary);
+    }
+
+    /// The widest window never overflows the forced-check threshold: the
+    /// stream is checked once, at the end.
+    #[test]
+    fn widest_window_checks_once_at_the_end() {
+        let x = oid(0);
+        let mut b = HistoryBuilder::new(1);
+        let w = b.mop(pid(0)).at(0, 10).write(x, 7).finish();
+        b.mop(pid(1)).at(20, 30).read_from(x, 7, w).finish();
+        let h = b.build().unwrap();
+
+        let summary = replay(&h, OnlineMonitor::new(1, mlin(usize::MAX)));
+        assert!(summary.violation.is_none(), "{:?}", summary.violation);
+        assert_eq!(summary.mode, MonitorMode::Healthy);
+        assert_eq!(summary.certs.len(), 1, "one check, at the flush");
         cross_validate(&summary);
     }
 

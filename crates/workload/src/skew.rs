@@ -1,22 +1,12 @@
-//! Seed-deterministic key-skew generators for the load harness.
+//! Seed-deterministic key streams for the benchmark's load generators.
 //!
-//! The runtime benchmark drives N client threads, each picking the keys
-//! its m-operations touch. For results to be reproducible the key
-//! sequence of thread `t` must depend only on `(seed, t)` — never on how
-//! many other threads run, how the OS schedules them, or which platform
-//! executes the binary. These generators therefore sit on a private
-//! splitmix64 stream (no shared state, no library RNG whose algorithm
-//! could drift) and derive one independent stream per thread index.
-//!
-//! Three profiles:
-//!
-//! * [`KeySkew::Uniform`] — every key equally likely.
-//! * [`KeySkew::Zipfian`] — the YCSB-style power-law favourite: key 0 is
-//!   hottest, with tail weight controlled by `theta` (0.99 is the
-//!   classic benchmark setting).
-//! * [`KeySkew::Normal`] — a Gaussian bump centred mid-keyspace,
-//!   clamped to the range; `stddev_frac` scales the spread relative to
-//!   the keyspace size.
+//! `benchmark/` drives N client threads, each picking the keys its
+//! m-operations touch. For results to be reproducible the key sequence
+//! of thread `t` must depend only on `(seed, t)` — never on how many
+//! other threads run, how the OS schedules them, or which platform
+//! executes the binary. The stream therefore sits on a private
+//! splitmix64 generator (no shared state, no library RNG whose algorithm
+//! could drift) and derives one independent stream per thread index.
 
 /// The sole PRNG behind key picking: splitmix64, chosen because its
 /// output is fixed by the algorithm (stable across platforms and
@@ -47,126 +37,42 @@ impl SkewRng {
     }
 }
 
-/// The key-popularity profile of a load-harness client.
+/// The key-popularity profile of a load-generator client. Uniform is the
+/// only profile: it stays an enum because `benchmark/src/generator.rs`
+/// names `KeySkew::Uniform` when it builds its [`KeyPicker`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeySkew {
     /// Every key equally likely.
     Uniform,
-    /// YCSB-style zipfian: rank-`k` key has weight `1/(k+1)^theta`.
-    /// `theta` must be in `(0, 1)`; 0.99 is the classic hot-spot setting.
-    Zipfian {
-        /// Skew exponent.
-        theta: f64,
-    },
-    /// Gaussian over the keyspace, centred at `num_keys / 2`, standard
-    /// deviation `stddev_frac * num_keys`, clamped to the valid range.
-    Normal {
-        /// Spread as a fraction of the keyspace.
-        stddev_frac: f64,
-    },
-}
-
-impl KeySkew {
-    /// Parses a profile name as used by the bench CLI: `uniform`,
-    /// `zipfian` (theta 0.99) or `normal` (stddev 1/8th of keyspace).
-    pub fn parse(name: &str) -> Option<KeySkew> {
-        match name {
-            "uniform" => Some(KeySkew::Uniform),
-            "zipfian" => Some(KeySkew::Zipfian { theta: 0.99 }),
-            "normal" => Some(KeySkew::Normal { stddev_frac: 0.125 }),
-            _ => None,
-        }
-    }
-
-    /// The bench-row label of the profile.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KeySkew::Uniform => "uniform",
-            KeySkew::Zipfian { .. } => "zipfian",
-            KeySkew::Normal { .. } => "normal",
-        }
-    }
 }
 
 /// A per-thread key stream: feed it the workload seed and the thread's
 /// index, then call [`KeyPicker::next_key`] for each operation. The
-/// sequence is a pure function of `(skew, num_keys, seed, thread)`.
+/// sequence is a pure function of `(num_keys, seed, thread)`.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyPicker {
-    skew: KeySkew,
     num_keys: usize,
     rng: SkewRng,
-    /// Precomputed zipfian constants (`zetan`, `eta`, `alpha`); zero for
-    /// the other profiles.
-    zipf: (f64, f64, f64),
 }
 
 impl KeyPicker {
     /// A picker for `thread`'s stream of the `(skew, seed)` workload over
     /// keys `0..num_keys`.
     pub fn new(skew: KeySkew, num_keys: usize, seed: u64, thread: usize) -> Self {
+        let KeySkew::Uniform = skew;
         assert!(num_keys > 0, "need at least one key");
         // Decorrelate the thread streams by running the thread index
         // through the same mixer; thread 0 is not the raw seed stream.
         let mut mixer = SkewRng::new(seed ^ (thread as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-        let stream_seed = mixer.next_u64();
-        let zipf = match skew {
-            KeySkew::Zipfian { theta } => {
-                assert!(
-                    theta > 0.0 && theta < 1.0,
-                    "zipfian theta must be in (0, 1)"
-                );
-                let zetan: f64 = (1..=num_keys).map(|i| 1.0 / (i as f64).powf(theta)).sum();
-                let zeta2: f64 = (1..=2.min(num_keys))
-                    .map(|i| 1.0 / (i as f64).powf(theta))
-                    .sum();
-                let eta = (1.0 - (2.0 / num_keys as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-                let alpha = 1.0 / (1.0 - theta);
-                (zetan, eta, alpha)
-            }
-            _ => (0.0, 0.0, 0.0),
-        };
         KeyPicker {
-            skew,
             num_keys,
-            rng: SkewRng::new(stream_seed),
-            zipf,
+            rng: SkewRng::new(mixer.next_u64()),
         }
     }
 
     /// The next key of the stream.
     pub fn next_key(&mut self) -> u32 {
-        let n = self.num_keys;
-        let key = match self.skew {
-            KeySkew::Uniform => (self.rng.next_u64() % n as u64) as usize,
-            KeySkew::Zipfian { theta } => {
-                // Gray et al.'s constant-time zipfian sampler, as used by
-                // YCSB: ranks map to keys directly (key 0 hottest).
-                let (zetan, eta, alpha) = self.zipf;
-                let u = self.rng.next_f64();
-                let uz = u * zetan;
-                if uz < 1.0 {
-                    0
-                } else if uz < 1.0 + 0.5f64.powf(theta) {
-                    1.min(n - 1)
-                } else {
-                    let k = (n as f64 * (eta * u - eta + 1.0).powf(alpha)) as usize;
-                    k.min(n - 1)
-                }
-            }
-            KeySkew::Normal { stddev_frac } => {
-                // Box–Muller, one variate per call (the second is
-                // discarded to keep the stream a pure function of draw
-                // count).
-                let u1 = self.rng.next_f64().max(f64::MIN_POSITIVE);
-                let u2 = self.rng.next_f64();
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                let centre = n as f64 / 2.0;
-                let sample = centre + z * stddev_frac * n as f64;
-                (sample.round().clamp(0.0, (n - 1) as f64)) as usize
-            }
-        };
-        key as u32
+        (self.rng.next_u64() % self.num_keys as u64) as u32
     }
 }
 
@@ -174,85 +80,57 @@ impl KeyPicker {
 mod tests {
     use super::*;
 
-    fn take(skew: KeySkew, n: usize, seed: u64, thread: usize, count: usize) -> Vec<u32> {
-        let mut p = KeyPicker::new(skew, n, seed, thread);
+    fn take(n: usize, seed: u64, thread: usize, count: usize) -> Vec<u32> {
+        let mut p = KeyPicker::new(KeySkew::Uniform, n, seed, thread);
         (0..count).map(|_| p.next_key()).collect()
     }
 
     /// The determinism contract: the key sequence of a thread is a pure
-    /// function of `(skew, num_keys, seed, thread)` — identical across
+    /// function of `(num_keys, seed, thread)` — identical across
     /// separate instantiations (separate "runs") and unaffected by how
     /// many sibling threads exist or how the OS interleaves them.
     #[test]
     fn sequences_are_deterministic_across_runs_and_thread_counts() {
-        for skew in [
-            KeySkew::Uniform,
-            KeySkew::Zipfian { theta: 0.99 },
-            KeySkew::Normal { stddev_frac: 0.125 },
-        ] {
-            // Same (seed, thread) twice: identical sequence.
-            assert_eq!(
-                take(skew, 16, 42, 0, 256),
-                take(skew, 16, 42, 0, 256),
-                "{skew:?}: re-run must reproduce"
-            );
-            // Reference sequences computed serially...
-            let serial: Vec<Vec<u32>> = (0..8).map(|t| take(skew, 16, 42, t, 256)).collect();
-            // ...must match what real threads produce, for 4- and 8-thread
-            // deployments alike (a thread's stream ignores the others).
-            for threads in [4usize, 8] {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| std::thread::spawn(move || take(skew, 16, 42, t, 256)))
-                    .collect();
-                for (t, h) in handles.into_iter().enumerate() {
-                    assert_eq!(
-                        h.join().unwrap(),
-                        serial[t],
-                        "{skew:?}: thread {t} of {threads} diverged"
-                    );
-                }
+        // Same (seed, thread) twice: identical sequence.
+        assert_eq!(take(16, 42, 0, 256), take(16, 42, 0, 256));
+        // Reference sequences computed serially...
+        let serial: Vec<Vec<u32>> = (0..8).map(|t| take(16, 42, t, 256)).collect();
+        // ...must match what real threads produce, for 4- and 8-thread
+        // deployments alike (a thread's stream ignores the others).
+        for threads in [4usize, 8] {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| std::thread::spawn(move || take(16, 42, t, 256)))
+                .collect();
+            for (t, h) in handles.into_iter().enumerate() {
+                assert_eq!(
+                    h.join().unwrap(),
+                    serial[t],
+                    "thread {t} of {threads} diverged"
+                );
             }
-            // Different seeds and different threads give different streams.
-            assert_ne!(take(skew, 16, 42, 0, 256), take(skew, 16, 43, 0, 256));
-            assert_ne!(take(skew, 16, 42, 0, 256), take(skew, 16, 42, 1, 256));
         }
-    }
-
-    #[test]
-    fn zipfian_favours_low_keys() {
-        let keys = take(KeySkew::Zipfian { theta: 0.99 }, 64, 7, 0, 20_000);
-        let mut counts = [0usize; 64];
-        for k in &keys {
-            counts[*k as usize] += 1;
+        // Different seeds and different threads give different streams.
+        assert_ne!(take(16, 42, 0, 256), take(16, 43, 0, 256));
+        assert_ne!(take(16, 42, 0, 256), take(16, 42, 1, 256));
+        // The uniform stream the benchmark's generators draw, pinned.
+        let pinned: [[u32; 32]; 2] = [
+            [
+                4, 5, 2, 8, 9, 7, 4, 14, 15, 8, 2, 12, 2, 12, 12, 2, 1, 5, 15, 9, 3, 5, 0, 11, 8,
+                10, 6, 10, 4, 13, 12, 4,
+            ],
+            [
+                12, 14, 1, 1, 15, 10, 12, 11, 2, 10, 6, 13, 12, 1, 9, 3, 15, 13, 10, 11, 12, 5, 15,
+                9, 3, 3, 7, 11, 11, 3, 6, 7,
+            ],
+        ];
+        for (t, keys) in pinned.iter().enumerate() {
+            assert_eq!(take(16, 42, t, 32), keys, "thread {t}");
         }
-        assert!(
-            counts[0] > counts[32] * 5,
-            "rank 0 must dominate mid-range keys: {} vs {}",
-            counts[0],
-            counts[32]
-        );
-        assert!(keys.iter().all(|&k| k < 64), "keys stay in range");
-    }
-
-    #[test]
-    fn normal_centres_mid_keyspace() {
-        let keys = take(KeySkew::Normal { stddev_frac: 0.125 }, 64, 7, 0, 20_000);
-        let mean = keys.iter().map(|&k| k as f64).sum::<f64>() / keys.len() as f64;
-        assert!(
-            (mean - 32.0).abs() < 2.0,
-            "mean key ~ keyspace centre, got {mean}"
-        );
-        let lo = keys.iter().filter(|&&k| k < 8).count();
-        assert!(
-            lo < keys.len() / 20,
-            "far tails must be rare, got {lo} of {}",
-            keys.len()
-        );
     }
 
     #[test]
     fn uniform_covers_the_keyspace_evenly() {
-        let keys = take(KeySkew::Uniform, 16, 9, 0, 16_000);
+        let keys = take(16, 9, 0, 16_000);
         let mut counts = [0usize; 16];
         for k in &keys {
             counts[*k as usize] += 1;
@@ -263,13 +141,5 @@ mod tests {
                 "key {k} count {c} outside uniform band"
             );
         }
-    }
-
-    #[test]
-    fn parse_round_trips_labels() {
-        for name in ["uniform", "zipfian", "normal"] {
-            assert_eq!(KeySkew::parse(name).unwrap().label(), name);
-        }
-        assert!(KeySkew::parse("bogus").is_none());
     }
 }
