@@ -10,9 +10,16 @@
 //! state machines above it run unmodified:
 //!
 //! * every payload handed to [`ReliableLink::send`] carries a per-peer
-//!   **sequence number** and is kept until cumulatively acknowledged;
+//!   **sequence number** (its *position* in that stream) and is kept until
+//!   cumulatively acknowledged;
+//! * [`ReliableLink::send_run`] puts several payloads for one peer on the
+//!   wire as one **run** frame ([`LinkMsg::Run`]) holding consecutive
+//!   positions. Only the framing is shared: each position is kept,
+//!   deduplicated, reordered and retransmitted exactly as if it had been
+//!   sent alone, and a retransmission is always a plain [`LinkMsg::Data`];
 //! * receivers **deduplicate** and reorder into gap-free per-sender
-//!   sequence order, acknowledging cumulatively ([`LinkMsg::Ack`]);
+//!   sequence order, acknowledging cumulatively ([`LinkMsg::Ack`]) once
+//!   per data frame, whether it carried one position or a run;
 //! * unacknowledged data is **retransmitted** on a timer with
 //!   *decorrelated-jitter* backoff: each retry draws a fresh timeout
 //!   uniformly from `[rto_ns, min(max_rto_ns, 3 × previous)]` using a
@@ -30,6 +37,10 @@
 //! wire traffic goes out through a caller-supplied buffer, current time
 //! comes in as a parameter, and the single timer the host must provide is
 //! exposed via [`ReliableLink::next_deadline`].
+//!
+//! Frames and payloads are counted apart ([`LinkStats`]): `data_sent` and
+//! `data_received` count data frames, a run being one, while `delivered`,
+//! `duplicates_discarded` and `retransmissions` count positions.
 //!
 //! [`LinkConfig::sabotaged`] disables dedup and retransmission — a
 //! deliberately broken link used by the negative-path conformance tests
@@ -92,8 +103,20 @@ pub enum LinkMsg<M> {
         /// The protocol-layer payload.
         payload: M,
     },
-    /// Cumulative acknowledgement: every `Data` with `seq < upto` from
-    /// the acknowledged peer has been received.
+    /// Consecutive positions of one stream in one frame: `payloads[i]` is
+    /// position `first_seq + i`. The receiver takes each position as if it
+    /// had come in its own [`LinkMsg::Data`] and acknowledges the frame
+    /// once.
+    Run {
+        /// Position of `payloads[0]` in the sender's stream to this
+        /// receiver.
+        first_seq: u64,
+        /// The protocol-layer payloads (`send_run` puts at least two
+        /// here; a lone payload goes as a `Data`).
+        payloads: Vec<M>,
+    },
+    /// Cumulative acknowledgement: every position `< upto` of the
+    /// acknowledged peer's stream has been received.
     Ack {
         /// The receiver's gap-free frontier for this sender.
         upto: u64,
@@ -116,15 +139,20 @@ pub enum LinkMsg<M> {
 /// Counters describing one endpoint's link activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
-    /// `Data` frames sent first-hand (excluding retransmissions).
+    /// Data frames sent first-hand (excluding retransmissions): a `Data`
+    /// or a `Run` counts once, however many payloads it carries.
     pub data_sent: u64,
-    /// `Data` frames received off the wire (duplicates included).
+    /// Data frames (`Data` or `Run`) received off the wire, duplicates
+    /// included.
     pub data_received: u64,
-    /// Payloads surfaced to the layer above.
+    /// Payloads surfaced to the layer above: one per position, so a run
+    /// of `k` positions adds up to `k`.
     pub delivered: u64,
-    /// Duplicate `Data` frames discarded by receive-side dedup.
+    /// Positions discarded by receive-side dedup as already delivered or
+    /// already held (a duplicate `Data` is one, and so is each duplicate
+    /// position of a run).
     pub duplicates_discarded: u64,
-    /// `Data` frames retransmitted.
+    /// Positions retransmitted, each in its own `Data` frame.
     pub retransmissions: u64,
     /// Acknowledgements sent (including snapshot answers).
     pub acks_sent: u64,
@@ -262,21 +290,58 @@ impl<M: Clone> ReliableLink<M> {
         now_ns: u64,
         wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
     ) {
+        let seq = self.stamp(to, std::slice::from_ref(&payload), now_ns);
+        wire.push((to, LinkMsg::Data { seq, payload }));
+    }
+
+    /// Sends `payloads` to `to` as one frame: they take the next
+    /// consecutive positions of that stream, in order, and go out as one
+    /// [`LinkMsg::Run`]. Each position is kept for retransmission on its
+    /// own, exactly as [`ReliableLink::send`] keeps it. A single payload
+    /// goes out as a plain [`LinkMsg::Data`]; none sends nothing.
+    pub fn send_run(
+        &mut self,
+        to: ProcessId,
+        mut payloads: Vec<M>,
+        now_ns: u64,
+        wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
+    ) {
+        if payloads.len() < 2 {
+            if let Some(payload) = payloads.pop() {
+                self.send(to, payload, now_ns, wire);
+            }
+            return;
+        }
+        let first_seq = self.stamp(to, &payloads, now_ns);
+        wire.push((
+            to,
+            LinkMsg::Run {
+                first_seq,
+                payloads,
+            },
+        ));
+    }
+
+    /// Gives `payloads` the next positions of the stream to `to`, keeps a
+    /// copy of each until it is acknowledged and arms the timer, and counts
+    /// one data frame. Returns the first position.
+    fn stamp(&mut self, to: ProcessId, payloads: &[M], now_ns: u64) -> u64 {
         let cfg = self.cfg;
         let s = self
             .senders
             .entry(to)
             .or_insert_with(|| SenderState::new(cfg.rto_ns));
-        let seq = s.next_seq;
-        s.next_seq += 1;
+        let first_seq = s.next_seq;
+        s.next_seq += payloads.len() as u64;
         if cfg.retransmit {
-            s.unacked.insert(seq, payload.clone());
+            s.unacked
+                .extend((first_seq..).zip(payloads.iter().cloned()));
             if s.deadline.is_none() {
                 s.deadline = Some(now_ns + s.rto_ns);
             }
         }
         self.stats.data_sent += 1;
-        wire.push((to, LinkMsg::Data { seq, payload }));
+        first_seq
     }
 
     /// Feeds a wire frame from `from`. Returns the payloads that became
@@ -290,32 +355,11 @@ impl<M: Clone> ReliableLink<M> {
         wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
     ) -> Vec<M> {
         match msg {
-            LinkMsg::Data { seq, payload } => {
-                self.stats.data_received += 1;
-                if !self.cfg.dedup {
-                    // Sabotaged: raw arrivals pass straight through.
-                    self.stats.delivered += 1;
-                    return vec![payload];
-                }
-                let r = self.recv.entry(from).or_insert_with(RecvState::new);
-                let mut ready = Vec::new();
-                if seq < r.next_expected || r.buffer.contains_key(&seq) {
-                    self.stats.duplicates_discarded += 1;
-                } else {
-                    r.buffer.insert(seq, payload);
-                    while let Some(p) = r.buffer.remove(&r.next_expected) {
-                        r.next_expected += 1;
-                        ready.push(p);
-                    }
-                    self.stats.delivered += ready.len() as u64;
-                }
-                // Ack even on duplicates: the original ack may have been
-                // lost, and re-acking is what stops the retransmissions.
-                let upto = r.next_expected;
-                self.stats.acks_sent += 1;
-                wire.push((from, LinkMsg::Ack { upto }));
-                ready
-            }
+            LinkMsg::Data { seq, payload } => self.on_data(from, seq, [payload], wire),
+            LinkMsg::Run {
+                first_seq,
+                payloads,
+            } => self.on_data(from, first_seq, payloads, wire),
             LinkMsg::Ack { upto } => {
                 self.stats.acks_received += 1;
                 self.apply_ack(from, upto, now_ns);
@@ -361,6 +405,49 @@ impl<M: Clone> ReliableLink<M> {
                 Vec::new()
             }
         }
+    }
+
+    /// Takes one data frame from `from` whose payloads hold consecutive
+    /// positions from `first_seq` on: each position is discarded as a
+    /// duplicate, held behind a gap, or delivered with everything held
+    /// that it makes gap-free. The frame is acknowledged once.
+    fn on_data(
+        &mut self,
+        from: ProcessId,
+        first_seq: u64,
+        payloads: impl IntoIterator<Item = M>,
+        wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
+    ) -> Vec<M> {
+        self.stats.data_received += 1;
+        if !self.cfg.dedup {
+            // Sabotaged: raw arrivals pass straight through.
+            let ready: Vec<M> = payloads.into_iter().collect();
+            self.stats.delivered += ready.len() as u64;
+            return ready;
+        }
+        let r = self.recv.entry(from).or_insert_with(RecvState::new);
+        let mut ready = Vec::new();
+        for (seq, payload) in (first_seq..).zip(payloads) {
+            if seq < r.next_expected || r.buffer.contains_key(&seq) {
+                self.stats.duplicates_discarded += 1;
+            } else if seq > r.next_expected {
+                r.buffer.insert(seq, payload);
+            } else {
+                r.next_expected += 1;
+                ready.push(payload);
+                while let Some(p) = r.buffer.remove(&r.next_expected) {
+                    r.next_expected += 1;
+                    ready.push(p);
+                }
+            }
+        }
+        self.stats.delivered += ready.len() as u64;
+        // Ack even on duplicates: the original ack may have been lost, and
+        // re-acking is what stops the retransmissions.
+        let upto = r.next_expected;
+        self.stats.acks_sent += 1;
+        wire.push((from, LinkMsg::Ack { upto }));
+        ready
     }
 
     /// Drops from `wire` every [`LinkMsg::Ack`] that a later one to the
@@ -739,12 +826,14 @@ mod tests {
     }
 
     /// What is left of `wire`, as `(destination, tag)`: `aN` acks up to N,
-    /// `dN` carries payload N, `r` and `s` are the handshake frames.
+    /// `dN` carries payload N, `d[..]` is a run, `r` and `s` are the
+    /// handshake frames.
     fn tags(wire: &Wire) -> Vec<(u32, String)> {
         wire.iter()
             .map(|(to, m)| {
                 let tag = match m {
                     LinkMsg::Data { payload, .. } => format!("d{payload}"),
+                    LinkMsg::Run { payloads, .. } => format!("d{payloads:?}"),
                     LinkMsg::Ack { upto } => format!("a{upto}"),
                     LinkMsg::Rejoin => "r".into(),
                     LinkMsg::Snapshot { .. } => "s".into(),
@@ -852,6 +941,78 @@ mod tests {
             assert_eq!(a.unacked(), 0, "one cumulative ack covers the window");
             assert_eq!(a.next_deadline(), None);
         }
+    }
+
+    #[test]
+    fn a_run_is_one_frame_and_one_ack_and_each_position_stays_its_own() {
+        let cfg = LinkConfig {
+            rto_ns: 100,
+            max_rto_ns: 400,
+            ..LinkConfig::default()
+        };
+        let mut a: ReliableLink<u32> = ReliableLink::new(pid(0), 2, cfg);
+        let mut b: ReliableLink<u32> = ReliableLink::new(pid(1), 2, cfg);
+        let mut wire: Wire = Vec::new();
+        a.send(pid(1), 0, 0, &mut wire);
+        a.send_run(pid(1), vec![1, 2, 3], 0, &mut wire);
+        a.send_run(pid(1), vec![4], 0, &mut wire);
+        a.send_run(pid(1), Vec::new(), 0, &mut wire);
+        let d = |t: &str| (1, t.to_string());
+        assert_eq!(tags(&wire), [d("d0"), d("d[1, 2, 3]"), d("d4")]);
+        assert!(matches!(wire[1].1, LinkMsg::Run { first_seq: 1, .. }));
+        assert_eq!((a.stats().data_sent, a.unacked()), (3, 5));
+
+        // The run lands ahead of the gap at position 0: held, acked once.
+        let mut acks: Wire = Vec::new();
+        let (_, run) = wire.remove(1);
+        assert!(b.on_wire(pid(0), run, 1, &mut acks).is_empty());
+        assert_eq!(tags(&acks), [(0, "a0".to_string())]);
+        // Position 0 fills the gap and the whole run follows it.
+        let (_, first) = wire.remove(0);
+        assert_eq!(b.on_wire(pid(0), first, 2, &mut acks), [0, 1, 2, 3]);
+        // A run overlapping delivered positions delivers only what is new;
+        // the old positions are counted duplicates, and so is a later copy.
+        let overlap = LinkMsg::Run {
+            first_seq: 2,
+            payloads: vec![2, 3, 4],
+        };
+        assert_eq!(b.on_wire(pid(0), overlap, 3, &mut acks), [4]);
+        let (_, last) = wire.remove(0);
+        assert!(b.on_wire(pid(0), last, 4, &mut acks).is_empty());
+        let stats = b.stats();
+        assert_eq!(
+            (
+                stats.data_received,
+                stats.delivered,
+                stats.duplicates_discarded
+            ),
+            (4, 5, 3)
+        );
+        assert_eq!(tags(&acks).last(), Some(&(0, "a5".to_string())));
+
+        // Every ack is lost: each position is retransmitted as a plain
+        // Data frame, and one cumulative ack empties the window.
+        a.on_tick(100, &mut wire);
+        let data: Vec<_> = (0..5).map(|i| d(&format!("d{i}"))).collect();
+        assert_eq!(tags(&wire), data);
+        assert_eq!(a.stats().retransmissions, 5);
+        let (_, ack) = acks.pop().expect("the last ack");
+        a.on_wire(pid(1), ack, 200, &mut Vec::new());
+        assert_eq!((a.unacked(), a.next_deadline()), (0, None));
+    }
+
+    #[test]
+    fn sabotaged_link_passes_a_run_straight_through() {
+        let mut b: ReliableLink<u32> = ReliableLink::new(pid(1), 2, LinkConfig::sabotaged());
+        let run = LinkMsg::Run {
+            first_seq: 0,
+            payloads: vec![7, 8],
+        };
+        let mut acks: Wire = Vec::new();
+        assert_eq!(b.on_wire(pid(0), run.clone(), 1, &mut acks), [7, 8]);
+        assert_eq!(b.on_wire(pid(0), run, 2, &mut acks), [7, 8]);
+        assert!(acks.is_empty());
+        assert_eq!((b.stats().data_received, b.stats().delivered), (2, 4));
     }
 
     #[test]

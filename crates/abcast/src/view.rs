@@ -258,11 +258,6 @@ impl<T: Clone + fmt::Debug> ViewAbcast<T> {
         self.leader_of(self.view) == self.me && self.vc_target.is_none()
     }
 
-    /// Number of own submissions not yet delivered.
-    pub fn pending_submissions(&self) -> usize {
-        self.my_pending.len()
-    }
-
     fn current_timeout(&self) -> u64 {
         self.cfg
             .suspect_timeout_ns

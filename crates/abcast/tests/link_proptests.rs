@@ -4,6 +4,13 @@
 //! handed to `send` must reach its destination **exactly once** and in
 //! **per-sender FIFO order** — the channel contract the Section 5
 //! protocols (and both abcast implementations) are proven against.
+//!
+//! The run schedules cut each stream into random runs (`send_run`) and
+//! let the adversary replay any window of positions already sent as a
+//! forged run: one that overlaps positions delivered, or one that lands
+//! ahead of a gap. The contract is the same, and the counters must say
+//! what happened: `delivered` is the payload count and every other
+//! position fed is a counted duplicate.
 
 use moc_abcast::{LinkConfig, LinkMsg, ReliableLink};
 use moc_core::ids::ProcessId;
@@ -17,10 +24,21 @@ fn encode(sender: usize, receiver: usize, i: u64) -> u64 {
     (sender as u64 + 1) * 1_000_000 + (receiver as u64 + 1) * 10_000 + i
 }
 
+/// Positions a data frame carries.
+fn positions(msg: &LinkMsg<u64>) -> u64 {
+    match msg {
+        LinkMsg::Data { .. } => 1,
+        LinkMsg::Run { payloads, .. } => payloads.len() as u64,
+        _ => 0,
+    }
+}
+
 /// Interprets `actions` as an adversarial network schedule over `n`
 /// link endpoints, then runs a bounded recovery phase (deliver all +
-/// tick) and asserts the exactly-once FIFO contract.
-fn run_schedule(n: usize, actions: &[(u8, u32)]) {
+/// tick) and asserts the exactly-once FIFO contract. With `max_run` 1
+/// every payload is sent on its own; above it a fresh send is a run of up
+/// to `max_run` payloads, and the adversary may forge runs.
+fn run_schedule(n: usize, actions: &[(u8, u32)], max_run: usize) {
     let cfg = LinkConfig {
         rto_ns: 1_000,
         max_rto_ns: 8_000,
@@ -34,7 +52,25 @@ fn run_schedule(n: usize, actions: &[(u8, u32)]) {
     let mut delivered: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); n]; n];
     // sent[sender][receiver]: how many payloads entered the stream.
     let mut sent: Vec<Vec<u64>> = vec![vec![0; n]; n];
+    // frames[sender]: first-hand data frames; fed[receiver]: data frames
+    // and the positions they carried, as fed to `on_wire`.
+    let mut frames: Vec<u64> = vec![0; n];
+    let mut fed: Vec<(u64, u64)> = vec![(0, 0); n];
     let mut now: u64 = 0;
+    let mut feed = |links: &mut [ReliableLink<u64>],
+                    inflight: &mut Vec<Frame>,
+                    (from, to, msg): Frame,
+                    now: u64| {
+        let counts = &mut fed[to.index()];
+        counts.0 += u64::from(positions(&msg) > 0);
+        counts.1 += positions(&msg);
+        let mut wire = Vec::new();
+        let got = links[to.index()].on_wire(from, msg, now, &mut wire);
+        delivered[to.index()][from.index()].extend(got);
+        for (dest, m) in wire {
+            inflight.push((to, dest, m));
+        }
+    };
 
     for &(kind, pick) in actions {
         now += 500;
@@ -45,13 +81,8 @@ fn run_schedule(n: usize, actions: &[(u8, u32)]) {
                     continue;
                 }
                 let idx = pick as usize % inflight.len();
-                let (from, to, msg) = inflight.swap_remove(idx);
-                let mut wire = Vec::new();
-                let got = links[to.index()].on_wire(from, msg, now, &mut wire);
-                delivered[to.index()][from.index()].extend(got);
-                for (dest, m) in wire {
-                    inflight.push((to, dest, m));
-                }
+                let frame = inflight.swap_remove(idx);
+                feed(&mut links, &mut inflight, frame, now);
             }
             // The network eats a frame.
             3 => {
@@ -89,14 +120,42 @@ fn run_schedule(n: usize, actions: &[(u8, u32)]) {
                     inflight.push((ProcessId::new(p as u32), dest, m));
                 }
             }
-            // A fresh payload enters some stream.
+            // The adversary forges a run out of a window of positions
+            // already sent: it may overlap delivered positions, or land
+            // ahead of a gap.
+            9 if max_run > 1 => {
+                let s = pick as usize % n;
+                let r = (s + 1 + (pick as usize / n) % (n - 1)) % n;
+                let total = sent[s][r];
+                if total == 0 {
+                    continue;
+                }
+                let first = (pick as u64 / 7) % total;
+                let len = 1 + (pick as u64 / 11) % (total - first).min(max_run as u64);
+                let payloads = (first..first + len).map(|i| encode(s, r, i)).collect();
+                let run = LinkMsg::Run {
+                    first_seq: first,
+                    payloads,
+                };
+                inflight.push((ProcessId::new(s as u32), ProcessId::new(r as u32), run));
+            }
+            // Fresh payloads enter some stream: one, or a run.
             _ => {
                 let s = pick as usize % n;
                 let r = (s + 1 + (pick as usize / n) % (n - 1)) % n;
-                let val = encode(s, r, sent[s][r]);
-                sent[s][r] += 1;
+                let len = 1 + (pick as usize / 16) % max_run;
+                let run: Vec<u64> = (0..len as u64)
+                    .map(|i| encode(s, r, sent[s][r] + i))
+                    .collect();
+                sent[s][r] += len as u64;
+                frames[s] += 1;
                 let mut wire = Vec::new();
-                links[s].send(ProcessId::new(r as u32), val, now, &mut wire);
+                let to = ProcessId::new(r as u32);
+                if max_run == 1 {
+                    links[s].send(to, run[0], now, &mut wire);
+                } else {
+                    links[s].send_run(to, run, now, &mut wire);
+                }
                 for (dest, m) in wire {
                     inflight.push((ProcessId::new(s as u32), dest, m));
                 }
@@ -112,13 +171,8 @@ fn run_schedule(n: usize, actions: &[(u8, u32)]) {
             converged = true;
             break;
         }
-        for (from, to, msg) in std::mem::take(&mut inflight) {
-            let mut wire = Vec::new();
-            let got = links[to.index()].on_wire(from, msg, now, &mut wire);
-            delivered[to.index()][from.index()].extend(got);
-            for (dest, m) in wire {
-                inflight.push((to, dest, m));
-            }
+        for frame in std::mem::take(&mut inflight) {
+            feed(&mut links, &mut inflight, frame, now);
         }
         now += 10_000; // past the rto cap: every pending timer is due
         for (i, l) in links.iter_mut().enumerate() {
@@ -140,6 +194,20 @@ fn run_schedule(n: usize, actions: &[(u8, u32)]) {
             );
         }
     }
+    // Frames and payloads are counted apart: a run is one frame sent and
+    // one received, and each of its positions is delivered or discarded.
+    for (p, link) in links.iter().enumerate() {
+        let stats = link.stats();
+        let payloads: u64 = (0..n).map(|s| sent[s][p]).sum();
+        assert_eq!(stats.data_sent, frames[p], "P{p}: one frame per send");
+        assert_eq!(stats.data_received, fed[p].0, "P{p}: frames fed");
+        assert_eq!(stats.delivered, payloads, "P{p}: one delivery per payload");
+        assert_eq!(
+            stats.delivered + stats.duplicates_discarded,
+            fed[p].1,
+            "P{p}: every other position fed is a counted duplicate"
+        );
+    }
 }
 
 proptest! {
@@ -150,7 +218,17 @@ proptest! {
         n in 2usize..5,
         actions in proptest::collection::vec((any::<u8>(), any::<u32>()), 0..400),
     ) {
-        run_schedule(n, &actions);
+        run_schedule(n, &actions, 1);
+    }
+
+    /// Streams cut into random runs of up to six payloads, plus forged
+    /// runs replaying windows already sent, over the same adversary.
+    #[test]
+    fn runs_keep_the_link_contract_under_drop_dup_reorder_schedules(
+        n in 2usize..5,
+        actions in proptest::collection::vec((any::<u8>(), any::<u32>()), 0..400),
+    ) {
+        run_schedule(n, &actions, 6);
     }
 
     /// Heavier loss bias: mostly drops and ticks, so almost every payload
@@ -165,6 +243,6 @@ proptest! {
             0..300,
         ),
     ) {
-        run_schedule(n, &actions);
+        run_schedule(n, &actions, 1);
     }
 }

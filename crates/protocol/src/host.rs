@@ -37,7 +37,15 @@
 //! under load: per-sender FIFO and stamp-at-arrival do not depend on when
 //! the outputs leave, and acknowledgements are cumulative, so a settle
 //! puts one per peer on the wire ([`ReliableLink::coalesce_acks`]) however
-//! many frames of that peer were fed.
+//! many frames of that peer were fed. When the broadcast batches (group
+//! commit, [`OrderingSetup::batching`]) the same holds for data: whatever
+//! a settle sends one peer leaves as one frame, a run of consecutive
+//! stream positions ([`LinkMsg::Run`]), so sixteen pipelined submissions
+//! reach the sequencer in one frame and are stamped in the order they were
+//! sent. A settle that sends a peer one message sends it a plain
+//! [`LinkMsg::Data`]. Without batching every message is its own frame, so
+//! the unbatched stack's data-frame count does not depend on how its
+//! inputs fall into wake-ups.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -182,6 +190,9 @@ pub struct ReplicaHost<R: ReplicaProtocol, T> {
     metrics: PipelineMetrics,
     monitored: bool,
     out: Outbox<R::Msg>,
+    /// Frames what a settle sends as one run per peer; `None` unless the
+    /// broadcast batches.
+    runs: Option<RunFramer<R::Msg>>,
     /// Frames to put on the wire, in send order.
     pub wire: Vec<(ProcessId, LinkMsg<R::Msg>)>,
     /// M-operations retired since the driver last drained, FIFO.
@@ -228,6 +239,7 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
             metrics: PipelineMetrics::default(),
             monitored,
             out: Outbox::new(n),
+            runs: setup.batching.map(|_| RunFramer::new(n)),
             wire: Vec::new(),
             retired: Vec::new(),
             monitor_feed: Vec::new(),
@@ -330,7 +342,9 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
     /// Retires completions and admits queued invocations until neither
     /// makes progress — admission can complete synchronously (a local
     /// query) and retirement can open the gate for the next admission —
-    /// then frames everything the replica wants sent and folds the
+    /// then frames everything the replica wants sent — one frame per peer
+    /// when the broadcast batches ([`ReliableLink::send_run`]), one per
+    /// message otherwise and on the trusted channel — and folds the
     /// acknowledgements of the inputs fed since the last settle into one
     /// per peer.
     ///
@@ -404,15 +418,69 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
                 break;
             }
         }
-        for (to, m) in self.out.drain() {
-            match &mut self.link {
-                Some(link) => link.send(to, m, clock().as_nanos(), &mut self.wire),
-                None => self.wire.push((to, LinkMsg::Data { seq: 0, payload: m })),
+        let Some(link) = &mut self.link else {
+            for (to, m) in self.out.drain() {
+                self.wire.push((to, LinkMsg::Data { seq: 0, payload: m }));
+            }
+            return;
+        };
+        match &mut self.runs {
+            Some(runs) => runs.send(self.out.drain(), link, clock, &mut self.wire),
+            None => {
+                for (to, m) in self.out.drain() {
+                    link.send(to, m, clock().as_nanos(), &mut self.wire);
+                }
             }
         }
         // Acknowledge once per peer, however many of its frames were fed.
-        if let Some(link) = &mut self.link {
-            link.coalesce_acks(&mut self.wire);
+        link.coalesce_acks(&mut self.wire);
+    }
+}
+
+/// Groups what one settle sends into one frame per peer. The buckets stay
+/// allocated between settles, so a settle that sends each peer a single
+/// message allocates nothing here.
+struct RunFramer<M> {
+    /// `by_peer[q]`: the messages for `q`, in send order.
+    by_peer: Vec<Vec<M>>,
+    /// The peers with a non-empty bucket, in the order each first appears.
+    order: Vec<ProcessId>,
+}
+
+impl<M: Clone> RunFramer<M> {
+    fn new(n: usize) -> Self {
+        RunFramer {
+            by_peer: (0..n).map(|_| Vec::new()).collect(),
+            order: Vec::with_capacity(n),
+        }
+    }
+
+    /// Sends `msgs` over `link`: everything for one peer as one run, the
+    /// peers in the order each first appears.
+    fn send(
+        &mut self,
+        msgs: Vec<(ProcessId, M)>,
+        link: &mut ReliableLink<M>,
+        clock: &impl Fn() -> EventTime,
+        wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
+    ) {
+        for (to, m) in msgs {
+            let run = &mut self.by_peer[to.index()];
+            if run.is_empty() {
+                self.order.push(to);
+            }
+            run.push(m);
+        }
+        for to in self.order.drain(..) {
+            let run = &mut self.by_peer[to.index()];
+            let now = clock().as_nanos();
+            if run.len() == 1 {
+                // Sent as `Data`; the bucket keeps its buffer for next time.
+                let m = run.pop().expect("one message");
+                link.send(to, m, now, wire);
+            } else {
+                link.send_run(to, std::mem::take(run), now, wire);
+            }
         }
     }
 }

@@ -18,7 +18,7 @@
 //! A replica thread works per *wake-up*, not per message: when it wakes it
 //! feeds its replica everything that arrived while it was busy — frames,
 //! acknowledgements, invocations — and then settles once: one round of
-//! replies, one acknowledgement per peer, one round of sends. Under load
+//! replies, one acknowledgement per peer, one data frame per peer. Under load
 //! the batch grows by itself (classic group commit); idle, it is one
 //! message and nothing waits.
 //!
@@ -1126,12 +1126,17 @@ mod tests {
             .collect()
     }
 
+    /// The stream positions the data frames carry, in frame order.
     fn data_seqs(frames: &[Wire]) -> Vec<u64> {
         frames
             .iter()
-            .filter_map(|m| match m {
-                LinkMsg::Data { seq, .. } => Some(*seq),
-                _ => None,
+            .flat_map(|m| match m {
+                LinkMsg::Data { seq, .. } => *seq..*seq + 1,
+                LinkMsg::Run {
+                    first_seq,
+                    payloads,
+                } => *first_seq..*first_seq + payloads.len() as u64,
+                _ => 0..0,
             })
             .collect()
     }
@@ -1139,7 +1144,8 @@ mod tests {
     /// The sequencer wakes up to five queries of its own client and five
     /// submissions from each follower, interleaved. One wake-up takes them
     /// all, settles once, and so answers the queries in order, stamps the
-    /// ten updates and acknowledges each follower once.
+    /// ten updates and acknowledges each follower once. Nothing batches, so
+    /// every stamp goes out in a frame of its own.
     #[test]
     fn one_wake_up_settles_the_whole_inbox_once() {
         const K: usize = 5;
@@ -1172,6 +1178,7 @@ mod tests {
                 stamped,
                 "every stamp fanned out, in order"
             );
+            assert_eq!(sent.len(), 1 + 2 * K, "unbatched, one frame per stamp");
         }
         let link = hand.driver.host.link_stats();
         assert_eq!((link.data_received, link.acks_sent), (2 * K as u64, 2));
@@ -1183,6 +1190,62 @@ mod tests {
         let metrics = hand.driver.host.replica().metrics();
         assert_eq!(metrics.updates_applied, 2 * K as u64);
         assert_eq!(hand.log.lock().len(), K);
+    }
+
+    /// The frame gate, on a batching stack: a follower that settles once
+    /// after admitting eight pipelined updates sends the sequencer one data
+    /// frame, a run of eight `Submit`s. The sequencer takes two such runs
+    /// in one settle and answers with one cumulative ack and, its batch
+    /// full, one frame per peer.
+    #[test]
+    fn one_settle_sends_the_sequencer_one_frame() {
+        const K: usize = 16;
+        let setup = OrderingSetup {
+            batching: Some(moc_abcast::BatchConfig {
+                max_batch: K,
+                max_delay_ns: 100_000,
+            }),
+            ..OrderingSetup::default()
+        };
+        let host = |me| -> ReplicaHost<Msc, ()> {
+            ReplicaHost::new(p(me), 3, 1, Some(LinkConfig::default()), &setup, false)
+        };
+        let mut follower = host(1);
+        let mut runs = Vec::new();
+        for first in [0, K / 2] {
+            for i in first..first + K / 2 {
+                follower.submit(wx(i as i64), vec![], (), EventTime::ZERO);
+            }
+            follower.settle(&|| EventTime::ZERO);
+            let (to, frame) = follower.wire.pop().expect("a frame");
+            assert!(follower.wire.is_empty(), "one frame per settle");
+            assert_eq!(to, p(0));
+            assert!(
+                matches!(&frame, LinkMsg::Run { first_seq, payloads }
+                    if *first_seq == first as u64 && payloads.len() == K / 2),
+                "a run of the settle's submissions: {frame:?}"
+            );
+            runs.push(frame);
+        }
+        assert_eq!(follower.link_stats().data_sent, 2);
+
+        let mut sequencer = host(0);
+        for frame in runs {
+            sequencer.on_wire(p(1), frame, EventTime::ZERO);
+        }
+        sequencer.settle(&|| EventTime::ZERO);
+        let (to, frames): (Vec<u32>, Vec<Wire>) = sequencer
+            .wire
+            .drain(..)
+            .map(|(to, frame)| (to.as_u32(), frame))
+            .unzip();
+        assert_eq!(to, [1, 0, 1, 2], "the ack, then one frame per peer");
+        assert_eq!(acks(&frames), [K as u64], "one cumulative ack");
+        assert_eq!(data_seqs(&frames), [0, 0, 0], "the batch, once per peer");
+        let link = sequencer.link_stats();
+        assert_eq!((link.data_received, link.delivered), (2, K as u64));
+        assert_eq!((link.data_sent, link.acks_sent), (3, 1));
+        assert_eq!(sequencer.replica().batch_stats().items_stamped, K as u64);
     }
 
     #[test]
