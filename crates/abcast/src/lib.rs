@@ -54,7 +54,7 @@ pub use view::{ViewAbcast, ViewConfig, ViewMsg};
 ///
 /// The hosting layer (simulator node or runtime thread) drains the outbox
 /// and performs the actual sends.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Outbox<M> {
     msgs: Vec<(ProcessId, M)>,
     n: usize,

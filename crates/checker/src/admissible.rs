@@ -65,12 +65,6 @@ impl SearchLimits {
         self.symmetry = false;
         self
     }
-
-    /// Sets the transposition-table capacity bound (clamped to ≥ 16).
-    pub fn with_max_memo_entries(mut self, entries: u64) -> Self {
-        self.max_memo_entries = entries.max(16);
-        self
-    }
 }
 
 impl Default for SearchLimits {

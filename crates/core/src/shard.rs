@@ -126,11 +126,6 @@ impl ShardPlan {
         self.shard_of[obj.index()]
     }
 
-    /// The per-object assignment, indexed by object id.
-    pub fn assignments(&self) -> &[u32] {
-        &self.shard_of
-    }
-
     /// Routes a footprint under the plan's policy.
     pub fn route<I: IntoIterator<Item = ObjectId>>(&self, footprint: I) -> Route {
         let mut shards = footprint.into_iter().map(|o| self.shard_of(o));

@@ -10,6 +10,10 @@
 //! network permits, records the resulting history of each complete
 //! schedule, and checks it against a consistency condition.
 //!
+//! Each explored process is a [`ReplicaHost`] on the trusted channel, the
+//! host that `run_cluster`, `run_chaos_cluster` and `moc-runtime` run: it
+//! admits, stamps and records; this crate only chooses the next move.
+//!
 //! This upgrades the Theorem 15/20 validation from "holds on sampled
 //! seeds" to "holds on all schedules" for the explored configurations —
 //! and, run with the *wrong* condition, it finds counterexample schedules:
@@ -18,19 +22,26 @@
 //! distinction hinges on.
 //!
 //! Exploration branches over:
-//! * delivering any in-flight message (the network may reorder anything);
+//! * delivering any in-flight frame (the network may reorder anything);
 //! * invoking the next scripted m-operation of any idle process.
 //!
 //! Virtual time is the exploration step index, a valid real-time axis for
-//! `~t` because it linearizes the actual event order of the schedule.
+//! `~t` because it linearizes the actual event order of the schedule: a
+//! move's input is stamped `step * 10` and the settle after it reads
+//! `step * 10 + 5`, so a response follows the invocation of its own step.
 
-use moc_abcast::Outbox;
+use moc_abcast::LinkMsg;
 use moc_checker::conditions::{check_with_order, Condition, Strategy};
 use moc_core::constraints::Constraint;
 use moc_core::history::History;
-use moc_core::ids::{MOpId, ProcessId};
+use moc_core::ids::ProcessId;
 use moc_core::mop::{EventTime, MOpRecord};
-use moc_protocol::{Completion, MOperation, OpSpec, ReplicaProtocol};
+use moc_protocol::host::{OrderingSetup, ReplicaHost};
+use moc_protocol::{OpSpec, ReplicaProtocol};
+
+/// Hard cap on events within one schedule: a protocol that exceeds it is
+/// livelocked, reported as a violation.
+const MAX_DEPTH: usize = 10_000;
 
 /// Limits for an exploration run.
 #[derive(Debug, Clone, Copy)]
@@ -38,9 +49,6 @@ pub struct ExploreLimits {
     /// Stop after this many complete schedules (guards combinatorial
     /// blowup; exceeded ⇒ `truncated` in the result).
     pub max_schedules: u64,
-    /// Hard cap on events within one schedule (a protocol that exceeds it
-    /// is livelocked — reported as a violation).
-    pub max_depth: usize,
     /// Duplicate-delivery budget per schedule. The default (0) explores
     /// the paper's reliable reordering channels; a positive budget lets
     /// the explorer also deliver up to this many in-flight messages a
@@ -60,7 +68,6 @@ impl Default for ExploreLimits {
     fn default() -> Self {
         ExploreLimits {
             max_schedules: 200_000,
-            max_depth: 10_000,
             max_duplicates: 0,
             max_leader_crashes: 0,
         }
@@ -77,7 +84,7 @@ pub struct Violation {
 }
 
 /// The outcome of an exploration.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ExploreResult {
     /// Complete schedules explored.
     pub schedules: u64,
@@ -95,156 +102,128 @@ impl ExploreResult {
     }
 }
 
-#[derive(Clone)]
-struct Envelope<M> {
-    from: ProcessId,
-    to: ProcessId,
-    msg: M,
-}
-
-struct Pending {
-    id: MOpId,
-    invoked_step: u64,
-}
-
 /// One node of the exploration tree. Cloned at every branch.
-struct State<R: ReplicaProtocol + Clone>
-where
-    R::Msg: Clone,
-{
-    replicas: Vec<R>,
-    inflight: Vec<Envelope<R::Msg>>,
+#[derive(Clone)]
+struct State<R: ReplicaProtocol> {
+    hosts: Vec<ReplicaHost<R, ()>>,
+    /// `(from, to, frame)` on the wire.
+    inflight: Vec<(ProcessId, ProcessId, LinkMsg<R::Msg>)>,
     script_pos: Vec<usize>,
-    pending: Vec<Option<Pending>>,
-    next_seq: Vec<u32>,
     records: Vec<MOpRecord>,
     step: u64,
     duplicates_used: u32,
     /// The fail-stopped process, if a leader-crash move was taken. It
-    /// never acts again; messages addressed to it vanish.
+    /// never acts again; frames addressed to it vanish.
     crashed: Option<usize>,
-    /// Virtual clock fed to `on_abcast_tick` during quiescent-time
-    /// phases.
+    /// Virtual clock fed to the hosts' ticks at quiescence.
     clock_ns: u64,
 }
 
-impl<R: ReplicaProtocol + Clone> Clone for State<R>
-where
-    R::Msg: Clone,
-{
-    fn clone(&self) -> Self {
-        State {
-            replicas: self.replicas.clone(),
-            inflight: self.inflight.clone(),
-            script_pos: self.script_pos.clone(),
-            pending: self
-                .pending
-                .iter()
-                .map(|p| {
-                    p.as_ref().map(|p| Pending {
-                        id: p.id,
-                        invoked_step: p.invoked_step,
-                    })
-                })
-                .collect(),
-            next_seq: self.next_seq.clone(),
-            records: self.records.clone(),
-            step: self.step,
-            duplicates_used: self.duplicates_used,
-            crashed: self.crashed,
-            clock_ns: self.clock_ns,
+impl<R: ReplicaProtocol> State<R> {
+    /// Settles host `p` at this step's response stamp and collects what it
+    /// put on the wire and retired. Returns whether it sent a frame to a
+    /// live process or completed an m-operation (orphans included).
+    fn settle(&mut self, p: usize) -> bool {
+        let at = EventTime::from_nanos(self.step * 10 + 5);
+        let host = &mut self.hosts[p];
+        let orphans = host.metrics().orphan_completions;
+        host.settle(&|| at);
+        let mut progressed =
+            !host.retired.is_empty() || host.metrics().orphan_completions > orphans;
+        self.records
+            .extend(host.retired.drain(..).map(|r| r.record));
+        let from = ProcessId::new(p as u32);
+        for (to, frame) in host.wire.drain(..) {
+            if self.crashed != Some(to.index()) {
+                self.inflight.push((from, to, frame));
+                progressed = true;
+            }
         }
+        progressed
+    }
+
+    /// Whether some process that is still alive has an operation waiting
+    /// for a response.
+    fn live_pending(&self) -> bool {
+        self.hosts
+            .iter()
+            .enumerate()
+            .any(|(p, host)| host.in_flight() > 0 && self.crashed != Some(p))
     }
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Move {
     Deliver(usize),
-    /// Deliver a *copy* of an in-flight message, leaving the original in
+    /// Deliver a *copy* of an in-flight frame, leaving the original in
     /// flight: the network duplicated it.
     Duplicate(usize),
     Invoke(usize),
     /// Fail-stop the initial coordinator (P0): it never acts again and
-    /// every in-flight message addressed to it is lost.
+    /// every in-flight frame addressed to it is lost.
     CrashLeader,
 }
 
-struct Explorer<'a, R: ReplicaProtocol + Clone>
-where
-    R::Msg: Clone,
-{
+struct Explorer<'a> {
     scripts: &'a [Vec<OpSpec>],
     num_objects: usize,
     condition: Condition,
     limits: ExploreLimits,
-    schedules: u64,
-    violations: Vec<Violation>,
-    truncated: bool,
-    _protocol: std::marker::PhantomData<R>,
+    result: ExploreResult,
 }
 
 /// Explores every schedule of protocol `R` over the given scripts and
 /// checks each complete schedule's history against `condition`.
 ///
+/// Each process is a [`ReplicaHost`] hosting an `R` on the trusted
+/// channel (no link, default ordering setup), so the records checked are
+/// the ones the host builds for the simulator and the runtime.
+///
 /// The per-schedule check uses the polynomial Theorem 7 path when the
 /// history satisfies the WW-constraint under the condition's relation plus
 /// the protocol's broadcast order, falling back to the bounded search.
-pub fn explore<R: ReplicaProtocol + Clone + 'static>(
+pub fn explore<R: ReplicaProtocol + Clone>(
     num_objects: usize,
     scripts: Vec<Vec<OpSpec>>,
     condition: Condition,
     limits: ExploreLimits,
-) -> ExploreResult
-where
-    R::Msg: Clone,
-{
+) -> ExploreResult {
     let n = scripts.len();
-    let state = State {
-        replicas: (0..n)
-            .map(|p| R::new(ProcessId::new(p as u32), n, num_objects))
+    let setup = OrderingSetup::default();
+    let state = State::<R> {
+        hosts: (0..n as u32)
+            .map(|p| ReplicaHost::new(ProcessId::new(p), n, num_objects, None, &setup, false))
             .collect(),
         inflight: Vec::new(),
         script_pos: vec![0; n],
-        pending: (0..n).map(|_| None).collect(),
-        next_seq: vec![0; n],
         records: Vec::new(),
         step: 0,
         duplicates_used: 0,
         crashed: None,
         clock_ns: 0,
     };
-    let mut explorer = Explorer::<R> {
+    let mut explorer = Explorer {
         scripts: &scripts,
         num_objects,
         condition,
         limits,
-        schedules: 0,
-        violations: Vec::new(),
-        truncated: false,
-        _protocol: std::marker::PhantomData,
+        result: ExploreResult::default(),
     };
     explorer.dfs(state, 0);
-    ExploreResult {
-        schedules: explorer.schedules,
-        violations: explorer.violations,
-        truncated: explorer.truncated,
-    }
+    explorer.result
 }
 
-impl<R: ReplicaProtocol + Clone> Explorer<'_, R>
-where
-    R::Msg: Clone,
-{
-    fn moves(&self, s: &State<R>) -> Vec<Move> {
+impl Explorer<'_> {
+    fn moves<R: ReplicaProtocol>(&self, s: &State<R>) -> Vec<Move> {
         let mut moves: Vec<Move> = (0..s.inflight.len()).map(Move::Deliver).collect();
         if s.duplicates_used < self.limits.max_duplicates {
             moves.extend((0..s.inflight.len()).map(Move::Duplicate));
         }
-        for p in 0..s.replicas.len() {
-            if s.crashed == Some(p) {
-                continue;
-            }
-            if s.pending[p].is_none() && s.script_pos[p] < self.scripts[p].len() {
+        for (p, host) in s.hosts.iter().enumerate() {
+            if s.crashed != Some(p)
+                && host.in_flight() == 0
+                && s.script_pos[p] < self.scripts[p].len()
+            {
                 moves.push(Move::Invoke(p));
             }
         }
@@ -254,85 +233,52 @@ where
         moves
     }
 
-    fn apply(&self, s: &mut State<R>, mv: Move) {
+    fn apply<R: ReplicaProtocol>(&self, s: &mut State<R>, mv: Move) {
         s.step += 1;
-        let mut out;
-        let acting: usize;
-        match mv {
+        let now = EventTime::from_nanos(s.step * 10);
+        let acting = match mv {
             Move::Deliver(i) => {
-                let env = s.inflight.swap_remove(i);
-                acting = env.to.index();
-                out = Outbox::new(s.replicas.len());
-                s.replicas[acting].on_message(env.from, env.msg, &mut out);
+                let (from, to, frame) = s.inflight.swap_remove(i);
+                s.hosts[to.index()].on_wire(from, frame, now);
+                to.index()
             }
             Move::Duplicate(i) => {
                 s.duplicates_used += 1;
-                let env = s.inflight[i].clone();
-                acting = env.to.index();
-                out = Outbox::new(s.replicas.len());
-                s.replicas[acting].on_message(env.from, env.msg, &mut out);
+                let (from, to, frame) = s.inflight[i].clone();
+                s.hosts[to.index()].on_wire(from, frame, now);
+                to.index()
             }
             Move::Invoke(p) => {
-                acting = p;
                 let spec = &self.scripts[p][s.script_pos[p]];
                 s.script_pos[p] += 1;
-                let id = MOpId::new(ProcessId::new(p as u32), s.next_seq[p]);
-                s.next_seq[p] += 1;
-                s.pending[p] = Some(Pending {
-                    id,
-                    invoked_step: s.step,
-                });
-                let mop = MOperation::new(id, spec.program.clone(), spec.args.clone());
-                out = Outbox::new(s.replicas.len());
-                s.replicas[p].invoke(mop, &mut out);
+                s.hosts[p].submit(spec.program.clone(), spec.args.clone(), (), now);
+                p
             }
             Move::CrashLeader => {
                 s.crashed = Some(0);
-                s.inflight.retain(|env| env.to.index() != 0);
+                s.inflight.retain(|(_, to, _)| to.index() != 0);
                 return;
             }
-        }
-        let me = ProcessId::new(acting as u32);
-        for (to, msg) in out.drain() {
-            if s.crashed == Some(to.index()) {
-                continue;
-            }
-            s.inflight.push(Envelope { from: me, to, msg });
-        }
-        for c in s.replicas[acting].drain_completions() {
-            self.complete(s, acting, c);
-        }
+        };
+        s.settle(acting);
     }
 
     /// Lets virtual time pass at network quiescence: ticks every live
-    /// replica's broadcast with an ever-advancing clock, so suspicion
-    /// timers fire and view changes run. Returns `true` as soon as a
-    /// round emits messages or completes an operation; `false` if the
-    /// system stays silent — genuine lack of progress.
-    fn tick_until_progress(&self, s: &mut State<R>) -> bool {
+    /// host with an ever-advancing clock, so suspicion timers fire and
+    /// view changes run. Returns `true` as soon as a round emits frames or
+    /// completes an operation; `false` if the system stays silent —
+    /// genuine lack of progress.
+    fn tick_until_progress<R: ReplicaProtocol>(s: &mut State<R>) -> bool {
         const ROUNDS: u32 = 32;
         const TICK_NS: u64 = 1_000_000;
         for _ in 0..ROUNDS {
             s.step += 1;
             s.clock_ns += TICK_NS;
             let mut progressed = false;
-            for p in 0..s.replicas.len() {
-                if s.crashed == Some(p) {
-                    continue;
-                }
-                let mut out = Outbox::new(s.replicas.len());
-                s.replicas[p].on_abcast_tick(s.clock_ns, &mut out);
-                let me = ProcessId::new(p as u32);
-                for (to, msg) in out.drain() {
-                    if s.crashed == Some(to.index()) {
-                        continue;
-                    }
-                    s.inflight.push(Envelope { from: me, to, msg });
-                    progressed = true;
-                }
-                for c in s.replicas[p].drain_completions() {
-                    self.complete(s, p, c);
-                    progressed = true;
+            for p in 0..s.hosts.len() {
+                if s.crashed != Some(p) {
+                    s.hosts[p].on_tick(EventTime::from_nanos(s.clock_ns));
+                    progressed |= s.settle(p);
                 }
             }
             if progressed {
@@ -342,119 +288,83 @@ where
         false
     }
 
-    /// Whether some process that is still alive has an operation waiting
-    /// for a response.
-    fn live_pending(s: &State<R>) -> bool {
-        s.pending
-            .iter()
-            .enumerate()
-            .any(|(p, pend)| pend.is_some() && s.crashed != Some(p))
-    }
-
-    fn complete(&self, s: &mut State<R>, p: usize, c: Completion) {
-        let Some(pending) = s.pending[p].take() else {
-            // Orphan completion: a duplicated message made the replica
-            // apply (and complete) the same m-operation twice. Only the
-            // first completion is the client-visible response event.
-            debug_assert!(self.limits.max_duplicates > 0, "orphan without duplication");
-            return;
-        };
-        if pending.id != c.id {
-            s.pending[p] = Some(pending);
+    fn dfs<R: ReplicaProtocol + Clone>(&mut self, s: State<R>, depth: usize) {
+        if self.result.schedules >= self.limits.max_schedules {
+            self.result.truncated = true;
             return;
         }
-        s.records.push(c.into_record(
-            EventTime::from_nanos(pending.invoked_step * 10),
-            EventTime::from_nanos(s.step * 10 + 5),
-        ));
-    }
-
-    fn dfs(&mut self, s: State<R>, depth: usize) {
-        if self.schedules >= self.limits.max_schedules {
-            self.truncated = true;
-            return;
-        }
-        if depth > self.limits.max_depth {
+        if depth > MAX_DEPTH {
             // Livelock: report as a violation with whatever was recorded.
-            let history =
-                History::new(self.num_objects, s.records).expect("partial history is well-formed");
-            self.violations.push(Violation {
-                history,
-                reason: Some("schedule exceeded the depth bound (livelock?)".into()),
-            });
+            let reason = "schedule exceeded the depth bound (livelock?)";
+            self.report(s.records, Some(reason.into()));
             return;
         }
         let moves = self.moves(&s);
         if moves.is_empty() {
-            if Self::live_pending(&s) {
+            if s.live_pending() {
                 // The network is quiescent but a live process is still
                 // waiting. Let time pass: suspicion timers may start a
                 // view change that unblocks it.
                 let mut next = s;
-                if self.tick_until_progress(&mut next) {
+                if Self::tick_until_progress(&mut next) {
                     self.dfs(next, depth + 1);
                 } else {
-                    let history = History::new(self.num_objects, next.records)
-                        .expect("partial history is well-formed");
-                    self.violations.push(Violation {
-                        history,
-                        reason: Some(
-                            "liveness: a live process's operation can never complete \
-                             (crashed coordinator with no failover?)"
-                                .into(),
-                        ),
-                    });
+                    let reason = "liveness: a live process's operation can never complete \
+                                  (crashed coordinator with no failover?)";
+                    self.report(next.records, Some(reason.into()));
                 }
                 return;
             }
             self.finish_schedule(s);
             return;
         }
-        for mv in moves {
+        // The last move takes the state itself rather than a copy.
+        let (&last, rest) = moves.split_last().expect("moves is non-empty");
+        for &mv in rest {
             let mut next = s.clone();
             self.apply(&mut next, mv);
             self.dfs(next, depth + 1);
-            if self.truncated {
+            if self.result.truncated {
                 return;
             }
         }
+        let mut next = s;
+        self.apply(&mut next, last);
+        self.dfs(next, depth + 1);
     }
 
-    fn finish_schedule(&mut self, s: State<R>) {
-        self.schedules += 1;
-        debug_assert!(
-            s.pending
-                .iter()
-                .enumerate()
-                .all(|(p, pend)| pend.is_none() || s.crashed == Some(p)),
-            "quiescent schedule left a live operation pending"
-        );
+    /// Records a violation carrying the schedule's (partial) history.
+    fn report(&mut self, records: Vec<MOpRecord>, reason: Option<String>) {
+        let history = History::new(self.num_objects, records).expect("history is well-formed");
+        self.result.violations.push(Violation { history, reason });
+    }
+
+    fn finish_schedule<R: ReplicaProtocol>(&mut self, s: State<R>) {
+        self.result.schedules += 1;
+        let orphans: u64 = s.hosts.iter().map(|h| h.metrics().orphan_completions).sum();
+        if orphans > 0 && self.limits.max_duplicates == 0 {
+            // Only a duplicated frame may complete an m-operation twice.
+            let reason = format!("{orphans} orphan completion(s): a frame was applied twice");
+            self.report(s.records, Some(reason));
+            return;
+        }
         let history =
             History::new(self.num_objects, s.records).expect("schedule produced a valid history");
-        let order: Vec<_> = s.replicas[0]
+        let order: Vec<_> = s.hosts[0]
+            .replica()
             .delivery_log()
             .windows(2)
             .filter_map(|w| Some((history.idx_of(w[0])?, history.idx_of(w[1])?)))
             .collect();
         // The delivery order puts these protocols under WW; a schedule that
         // leaves it short (a crashed P0's log) is decided by the search.
-        let verdict = check_with_order(
-            &history,
-            self.condition,
-            &order,
-            Strategy::Certified(Constraint::Ww),
-        );
-        match verdict {
-            Ok(report) if report.satisfied => {}
-            Ok(report) => self.violations.push(Violation {
-                history,
-                reason: report.reason,
-            }),
-            Err(e) => self.violations.push(Violation {
-                history,
-                reason: Some(format!("checker error: {e}")),
-            }),
-        }
+        let strategy = Strategy::Certified(Constraint::Ww);
+        let reason = match check_with_order(&history, self.condition, &order, strategy) {
+            Ok(report) if report.satisfied => return,
+            Ok(report) => report.reason,
+            Err(e) => Some(format!("checker error: {e}")),
+        };
+        self.result.violations.push(Violation { history, reason });
     }
 }
 
@@ -489,7 +399,7 @@ mod tests {
             ExploreLimits::default(),
         );
         assert!(!result.truncated);
-        assert!(result.schedules > 10, "expected many interleavings");
+        assert_eq!(result.schedules, 1708);
         assert!(
             result.holds(),
             "Theorem 15 violated on {} of {} schedules",
@@ -514,6 +424,7 @@ mod tests {
             !result.holds(),
             "some interleaving must show the stale local query"
         );
+        assert_eq!((result.schedules, result.violations.len()), (10, 1));
         // The counterexample: the query responded 0 after w(x)1 responded.
         let v = &result.violations[0];
         assert!(v.history.len() == 2);
@@ -530,7 +441,7 @@ mod tests {
             ExploreLimits::default(),
         );
         assert!(!result.truncated);
-        assert!(result.schedules > 10);
+        assert_eq!(result.schedules, 1512);
         assert!(
             result.holds(),
             "Theorem 20 violated on {} of {} schedules",
@@ -565,6 +476,7 @@ mod tests {
         );
         assert!(result.holds());
         assert!(!result.truncated);
+        assert_eq!(result.schedules, 1512);
     }
 
     /// Without the reliable-link sublayer, a single duplicated message
@@ -592,6 +504,11 @@ mod tests {
              ({} schedules explored)",
             result.schedules
         );
+        assert!(result.truncated);
+        assert_eq!(
+            (result.schedules, result.violations.len()),
+            (100_000, 94_120)
+        );
     }
 
     /// A zero duplicate budget leaves the exploration exactly as before:
@@ -606,6 +523,7 @@ mod tests {
             ExploreLimits::default(),
         );
         assert!(result.holds(), "{} violations", result.violations.len());
+        assert_eq!(result.schedules, 540);
     }
 
     /// Tentpole liveness pair, negative half: under a leader-crash move
@@ -640,6 +558,7 @@ mod tests {
                 .map(|v| &v.reason)
                 .collect::<Vec<_>>()
         );
+        assert_eq!((result.schedules, result.violations.len()), (31_266, 125));
     }
 
     /// Tentpole liveness pair, positive half: the view-based broadcast
@@ -667,7 +586,7 @@ mod tests {
                 .map(|v| &v.reason)
                 .collect::<Vec<_>>()
         );
-        assert!(result.schedules > 10, "expected many crash interleavings");
+        assert_eq!(result.schedules, 28_830, "every crash interleaving");
     }
 
     /// The schedule cap is honoured.
@@ -683,6 +602,6 @@ mod tests {
             },
         );
         assert!(result.truncated);
-        assert!(result.schedules <= 3);
+        assert_eq!(result.schedules, 3);
     }
 }

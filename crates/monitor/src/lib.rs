@@ -151,12 +151,6 @@ impl MonitorConfig {
         self.max_live_nodes = cap.max(2);
         self
     }
-
-    /// Overrides the per-window search budget.
-    pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
-        self
-    }
 }
 
 /// Health of the sentinel's coverage.

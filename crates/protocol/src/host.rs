@@ -27,7 +27,9 @@
 //!
 //! Drivers supply clock, wire and client: the simulator node of
 //! [`crate::harness`] (virtual time; trusted channel for `run_cluster`,
-//! faulty wire for `run_chaos_cluster`; scripted client) and the
+//! faulty wire for `run_chaos_cluster`; scripted client), the `moc-mc`
+//! explorer (the step index as clock, trusted channel, every interleaving
+//! of its frames; the host is cloned at each branch) and the
 //! `moc-runtime` replica thread (wall clock, the peers' inboxes, reply
 //! channels).
 //!
@@ -104,7 +106,7 @@ impl PipelineMetrics {
 }
 
 /// A finished m-operation leaving the host.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Retired<T> {
     /// The history record, with the recorded (clamped) times.
     pub record: MOpRecord,
@@ -117,7 +119,7 @@ pub struct Retired<T> {
 }
 
 /// One observation for an online sentinel, in stream order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum MonitorEvent {
     /// An invocation event at the given time (ns).
     Invoke(MOpId, u64),
@@ -159,6 +161,7 @@ pub struct OrderingSetup<'a> {
 }
 
 /// An invocation on its way through the pipeline.
+#[derive(Clone)]
 struct Inflight<T> {
     id: MOpId,
     is_update: bool,
@@ -172,6 +175,7 @@ struct Inflight<T> {
 ///
 /// Input methods only queue work. Call [`ReplicaHost::settle`] after
 /// every input or batch of inputs, then drain the output queues.
+#[derive(Clone)]
 pub struct ReplicaHost<R: ReplicaProtocol, T> {
     me: ProcessId,
     replica: R,
@@ -440,6 +444,7 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
 /// Groups what one settle sends into one frame per peer. The buckets stay
 /// allocated between settles, so a settle that sends each peer a single
 /// message allocates nothing here.
+#[derive(Clone)]
 struct RunFramer<M> {
     /// `by_peer[q]`: the messages for `q`, in send order.
     by_peer: Vec<Vec<M>>,

@@ -560,38 +560,6 @@ impl<N: Node> World<N> {
         }
     }
 
-    /// Installs a fault plan on a not-yet-started world.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event has been processed already — a plan installed
-    /// mid-run could not replay from the seed alone.
-    pub fn set_fault_plan(&mut self, faults: FaultPlan) {
-        assert!(
-            !self.started,
-            "fault plan must be installed before the run starts"
-        );
-        for c in &faults.crashes {
-            assert!(
-                c.process.index() < self.nodes.len(),
-                "crash names process {} of {}",
-                c.process,
-                self.nodes.len()
-            );
-        }
-        self.faults = faults;
-    }
-
-    /// The installed fault plan (default: benign).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// Whether process `p` is currently inside a crash window.
-    pub fn is_down(&self, p: ProcessId) -> bool {
-        self.down[p.index()]
-    }
-
     /// Number of processes.
     pub fn num_processes(&self) -> usize {
         self.nodes.len()
@@ -605,13 +573,6 @@ impl<N: Node> World<N> {
     /// Immutable access to a node.
     pub fn node(&self, p: ProcessId) -> &N {
         &self.nodes[p.index()]
-    }
-
-    /// Mutable access to a node. Note that mutating protocol state behind
-    /// the simulator's back can break determinism; prefer
-    /// [`World::schedule_call`].
-    pub fn node_mut(&mut self, p: ProcessId) -> &mut N {
-        &mut self.nodes[p.index()]
     }
 
     /// Consumes the world and returns the nodes (e.g. to extract recorded

@@ -864,6 +864,7 @@ fn mc_exploration_replays_identically() {
         )
     };
     let (a, b) = (run(), run());
+    assert_eq!((a.schedules, a.violations.len()), (30_160, 28_512));
     assert_eq!(a.schedules, b.schedules);
     assert_eq!(a.truncated, b.truncated);
     assert_eq!(a.violations.len(), b.violations.len());

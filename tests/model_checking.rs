@@ -31,7 +31,7 @@ fn msc_two_by_two_exhaustive() {
         ExploreLimits::default(),
     );
     assert!(!result.truncated, "config small enough to finish");
-    assert!(result.schedules > 100);
+    assert_eq!(result.schedules, 1412);
     assert!(
         result.holds(),
         "Theorem 15 violated on {}/{} schedules",
@@ -50,7 +50,7 @@ fn msc_over_isis_exhaustive() {
         ExploreLimits::default(),
     );
     assert!(!result.truncated);
-    assert!(result.schedules > 5);
+    assert_eq!(result.schedules, 96);
     assert!(result.holds());
 }
 
@@ -67,6 +67,7 @@ fn aggregate_exhaustive_linearizability() {
         result.holds(),
         "the aggregate baseline is m-linearizable under every interleaving"
     );
+    assert_eq!(result.schedules, 280);
 }
 
 #[test]
