@@ -25,10 +25,10 @@ use moc_core::ids::ProcessId;
 use crate::{Abcast, Delivery, Outbox};
 
 /// A Lamport timestamp: logical clock plus proposer id as tiebreak.
-pub type LamportTs = (u64, u32);
+pub(crate) type LamportTs = (u64, u32);
 
 /// Unique message id: origin plus per-origin counter.
-pub type MsgId = (ProcessId, u64);
+pub(crate) type MsgId = (ProcessId, u64);
 
 /// Wire messages of the ISIS protocol.
 #[derive(Debug, Clone)]
@@ -86,11 +86,6 @@ impl<T> IsisAbcast<T> {
     /// The current Lamport clock (for diagnostics).
     pub fn clock(&self) -> u64 {
         self.clock
-    }
-
-    /// Number of messages awaiting a final timestamp or a predecessor.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Delivers every finalized message that no pending message can
@@ -249,7 +244,7 @@ mod tests {
         assert_eq!(da[0].item, 42);
         assert_eq!(da[0].origin, pid(0));
         assert_eq!(da[0].global_seq, 0);
-        assert_eq!(a.pending_len(), 0);
+        assert!(a.pending.is_empty());
         assert!(a.clock() > 0);
     }
 

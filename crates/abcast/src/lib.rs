@@ -48,7 +48,7 @@ pub use isis::IsisAbcast;
 pub use link::{LinkConfig, LinkMsg, LinkStats, ReliableLink};
 pub use sequencer::SequencerAbcast;
 pub use sharded::{ShardItem, ShardedAbcast, ShardedMsg};
-pub use view::{ViewAbcast, ViewConfig, ViewMsg};
+pub use view::{ViewAbcast, ViewMsg};
 
 /// Buffered outgoing messages produced by a state-machine step.
 ///
@@ -140,7 +140,7 @@ impl Default for BatchConfig {
 
 impl BatchConfig {
     /// Whether this configuration actually batches.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.max_batch > 1
     }
 }
@@ -166,7 +166,7 @@ impl BatchStats {
     }
 
     /// Accumulates another endpoint's counters.
-    pub fn merge(&mut self, other: BatchStats) {
+    pub fn merge(&mut self, other: &BatchStats) {
         self.items_stamped += other.items_stamped;
         self.batches_flushed += other.batches_flushed;
     }
@@ -405,7 +405,7 @@ pub mod testkit {
     use super::*;
     use moc_sim::{Context, DelayModel, NetworkConfig, Node, World};
 
-    pub struct AbcastNode<A: Abcast<u64>> {
+    pub(crate) struct AbcastNode<A: Abcast<u64>> {
         pub inner: A,
         pub delivered: Vec<(ProcessId, u64)>,
         n: usize,

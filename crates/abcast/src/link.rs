@@ -165,17 +165,15 @@ pub struct LinkStats {
 impl LinkStats {
     /// Field-wise sum, for aggregating per-endpoint counters into a
     /// cluster-wide transport total.
-    pub fn merge(&self, other: &LinkStats) -> LinkStats {
-        LinkStats {
-            data_sent: self.data_sent + other.data_sent,
-            data_received: self.data_received + other.data_received,
-            delivered: self.delivered + other.delivered,
-            duplicates_discarded: self.duplicates_discarded + other.duplicates_discarded,
-            retransmissions: self.retransmissions + other.retransmissions,
-            acks_sent: self.acks_sent + other.acks_sent,
-            acks_received: self.acks_received + other.acks_received,
-            rejoins: self.rejoins + other.rejoins,
-        }
+    pub fn merge(&mut self, other: &LinkStats) {
+        self.data_sent += other.data_sent;
+        self.data_received += other.data_received;
+        self.delivered += other.delivered;
+        self.duplicates_discarded += other.duplicates_discarded;
+        self.retransmissions += other.retransmissions;
+        self.acks_sent += other.acks_sent;
+        self.acks_received += other.acks_received;
+        self.rejoins += other.rejoins;
     }
 }
 

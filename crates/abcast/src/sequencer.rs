@@ -82,12 +82,12 @@ pub struct SequencerAbcast<T> {
 
 impl<T> SequencerAbcast<T> {
     /// The default sequencer identity (process 0 by convention).
-    pub const SEQUENCER: ProcessId = ProcessId::new(0);
+    pub(crate) const SEQUENCER: ProcessId = ProcessId::new(0);
 
     /// Re-homes the channel's sequencer role. Every endpoint of a channel
     /// must agree on the sequencer, so call this uniformly right after
     /// [`Abcast::new`], before any traffic flows.
-    pub fn with_sequencer(mut self, sequencer: ProcessId) -> Self {
+    pub(crate) fn with_sequencer(mut self, sequencer: ProcessId) -> Self {
         self.sequencer = sequencer;
         self
     }
@@ -98,18 +98,13 @@ impl<T> SequencerAbcast<T> {
     }
 
     /// Whether this endpoint is the sequencer.
-    pub fn is_sequencer(&self) -> bool {
+    pub(crate) fn is_sequencer(&self) -> bool {
         self.me == self.sequencer
-    }
-
-    /// Whether this endpoint has fail-stopped (a restarted sequencer).
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// The stamps this endpoint assigned (as sequencer) since the last
     /// call, in assignment order.
-    pub fn take_newly_stamped(&mut self) -> Range<u64> {
+    pub(crate) fn take_newly_stamped(&mut self) -> Range<u64> {
         let stamped = self.stamps_taken..self.next_to_assign;
         self.stamps_taken = self.next_to_assign;
         stamped
@@ -358,7 +353,7 @@ mod tests {
 
         // The sequencer crashes and restarts.
         seqr.on_restart(500_000, &mut out);
-        assert!(seqr.is_halted());
+        assert!(seqr.halted);
         assert!(!seqr.transcript().is_empty());
 
         // A new submission after the restart must NOT be stamped: a fresh
@@ -382,7 +377,7 @@ mod tests {
         // Followers that restart are unaffected (their state is a cache
         // of the agreed order, rebuilt gap-free from stamps).
         follower.on_restart(500_000, &mut out);
-        assert!(!follower.is_halted());
+        assert!(!follower.halted);
     }
 
     /// Only the sharded merge takes the new stamps; under a plain sequencer

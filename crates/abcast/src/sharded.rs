@@ -61,7 +61,7 @@
 //!   where the plan shows the item writes nothing `s`'s programs may
 //!   touch and touches nothing they may write, both relative orders
 //!   yield identical states, so the frontier check is skipped.
-//! * **Read-only self-delivery** — an item whose [`write_footprint`]
+//! * **Read-only self-delivery** — an item whose
 //!   [`Footprinted::write_footprint`] is empty changes no replica state,
 //!   so it is applied locally at submission, without sequencer stamping
 //!   or any messages at all. Such deliveries are **replica-private**:
@@ -139,16 +139,6 @@ pub struct ShardedAbcast<T> {
 }
 
 impl<T: Clone + fmt::Debug + Footprinted> ShardedAbcast<T> {
-    /// Total number of ordering channels (shards + the global channel).
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Index of the global fallback channel (always the last channel).
-    pub fn global_channel(&self) -> u32 {
-        (self.channels.len() - 1) as u32
-    }
-
     /// The installed shard plan, if any.
     pub fn plan(&self) -> Option<&ShardPlan> {
         self.plan.as_ref()
@@ -156,18 +146,8 @@ impl<T: Clone + fmt::Debug + Footprinted> ShardedAbcast<T> {
 
     /// Index of the replica-private pseudo-channel carrying read-only
     /// self-deliveries (one past the global channel; never on the wire).
-    pub fn local_channel(&self) -> u32 {
+    pub(crate) fn local_channel(&self) -> u32 {
         self.channels.len() as u32
-    }
-
-    /// Channels whose sequencer has fail-stopped after a restart.
-    pub fn halted_channels(&self) -> Vec<u32> {
-        self.channels
-            .iter()
-            .enumerate()
-            .filter(|(_, ch)| ch.is_halted())
-            .map(|(c, _)| c as u32)
-            .collect()
     }
 
     fn num_shards(&self) -> usize {
@@ -443,7 +423,7 @@ impl<T: Clone + fmt::Debug + Footprinted> Abcast<T> for ShardedAbcast<T> {
     fn batch_stats(&self) -> BatchStats {
         let mut total = BatchStats::default();
         for ch in &self.channels {
-            total.merge(ch.batch_stats());
+            total.merge(&ch.batch_stats());
         }
         total
     }
@@ -682,7 +662,7 @@ mod tests {
         }
         // Per-channel projections are agreed total orders.
         let ref_channels = reference.inner.delivery_channels().unwrap();
-        let num_channels = reference.inner.num_channels();
+        let num_channels = reference.inner.channels.len();
         for node in &nodes[1..] {
             let channels = node.inner.delivery_channels().unwrap();
             assert_eq!(channels.len(), node.delivered.len());
@@ -772,7 +752,7 @@ mod tests {
             assert_eq!(node.delivered.len(), 12);
             assert_eq!(node.delivered, nodes[0].delivered, "total order");
         }
-        assert_eq!(nodes[0].inner.num_channels(), 1);
+        assert_eq!(nodes[0].inner.channels.len(), 1);
         assert!(nodes[0]
             .inner
             .delivery_channels()
@@ -785,8 +765,7 @@ mod tests {
     fn shard_sequencers_are_distributed() {
         let mut a: ShardedAbcast<Item> = ShardedAbcast::new(ProcessId::new(0), 3);
         a.set_shard_plan(two_shard_plan());
-        assert_eq!(a.num_channels(), 3);
-        assert_eq!(a.global_channel(), 2);
+        assert_eq!(a.channels.len(), 3);
         // Shard 0 → P1, shard 1 → P2, global → P0: submissions route there.
         let mut out = Outbox::new(3);
         a.broadcast(item(1, &[0]), &mut out);
@@ -949,7 +928,12 @@ mod tests {
         let mut out = Outbox::new(3);
         a.on_restart(1_000, &mut out);
         // P1 sequences shard channel 0 only.
-        assert_eq!(a.halted_channels(), vec![0]);
+        let halted: Vec<bool> = a
+            .channels
+            .iter()
+            .map(|ch| !ch.transcript().is_empty())
+            .collect();
+        assert_eq!(halted, [true, false, false]);
         assert!(!a.transcript().is_empty());
     }
 }

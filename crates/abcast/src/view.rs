@@ -57,7 +57,7 @@ use crate::{Abcast, BatchConfig, BatchStats, Delivery, Fanout, GroupCommit, Outb
 /// Failover-timing knobs (virtual or real nanoseconds — the protocol
 /// only compares them against the host-provided clock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ViewConfig {
+pub(crate) struct ViewConfig {
     /// Base crash-suspicion timeout: how long unfinished business may see
     /// no progress before the leader is suspected.
     pub suspect_timeout_ns: u64,
@@ -243,7 +243,7 @@ pub struct ViewAbcast<T> {
 
 impl<T: Clone + fmt::Debug> ViewAbcast<T> {
     /// The leader of view `v`: deterministic rotation over the processes.
-    pub fn leader_of(&self, v: u64) -> ProcessId {
+    pub(crate) fn leader_of(&self, v: u64) -> ProcessId {
         ProcessId::new((v % self.n as u64) as u32)
     }
 

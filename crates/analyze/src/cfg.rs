@@ -12,7 +12,7 @@ use moc_core::program::{CmpOp, Instr, Operand, Program};
 
 /// A maximal straight-line run of instructions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BasicBlock {
+pub(crate) struct BasicBlock {
     /// Index of the first instruction in the block.
     pub start: usize,
     /// One past the index of the last instruction in the block.
@@ -31,16 +31,11 @@ impl BasicBlock {
     pub fn len(&self) -> usize {
         self.end - self.start
     }
-
-    /// Whether the block is empty (never true for built CFGs).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
 }
 
 /// Control-flow graph of a validated [`Program`].
 #[derive(Debug, Clone)]
-pub struct Cfg {
+pub(crate) struct Cfg {
     /// Basic blocks ordered by start index; block 0 is the entry.
     pub blocks: Vec<BasicBlock>,
     /// Block index containing each instruction.
@@ -54,7 +49,7 @@ pub struct Cfg {
 
 /// Statically decides a `JumpIf`: `Some(taken)` when the branch always
 /// goes one way, `None` when both edges are feasible.
-pub fn fold_branch(lhs: &Operand, cmp: CmpOp, rhs: &Operand) -> Option<bool> {
+pub(crate) fn fold_branch(lhs: &Operand, cmp: CmpOp, rhs: &Operand) -> Option<bool> {
     if let (Operand::Imm(a), Operand::Imm(b)) = (lhs, rhs) {
         return Some(cmp.holds(*a, *b));
     }
@@ -191,7 +186,7 @@ impl Cfg {
     }
 
     /// Per-instruction reachability from the entry.
-    pub fn reachable_instrs(&self) -> Vec<bool> {
+    pub(crate) fn reachable_instrs(&self) -> Vec<bool> {
         let mut r = vec![false; self.block_of.len()];
         for (b, block) in self.blocks.iter().enumerate() {
             if self.reachable[b] {
@@ -205,14 +200,14 @@ impl Cfg {
 
     /// Whether every execution terminates without relying on fuel: true
     /// iff the reachable subgraph is acyclic.
-    pub fn is_acyclic(&self) -> bool {
+    pub(crate) fn is_acyclic(&self) -> bool {
         self.back_edges.is_empty()
     }
 
     /// Upper bound on instructions executed by any run, when the CFG is
     /// acyclic (`None` if the program can loop). This is the longest
     /// entry-to-exit path measured in instructions — a static fuel bound.
-    pub fn max_path_len(&self) -> Option<u64> {
+    pub(crate) fn max_path_len(&self) -> Option<u64> {
         if !self.is_acyclic() {
             return None;
         }

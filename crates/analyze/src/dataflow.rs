@@ -12,7 +12,7 @@ use crate::cfg::Cfg;
 
 /// Direction of a dataflow analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Facts flow from entry to exits; the per-instruction fact holds
     /// immediately *before* the instruction executes.
     Forward,
@@ -22,7 +22,7 @@ pub enum Direction {
 }
 
 /// A dataflow analysis: lattice + transfer.
-pub trait DataflowAnalysis {
+pub(crate) trait DataflowAnalysis {
     /// The lattice element.
     type Fact: Clone + PartialEq;
 
@@ -48,13 +48,17 @@ pub trait DataflowAnalysis {
 /// Fixpoint solution: one fact per instruction (see [`Direction`] for
 /// which program point it describes), `None` for unreachable code.
 #[derive(Debug, Clone)]
-pub struct Solution<F> {
+pub(crate) struct Solution<F> {
     /// Per-instruction facts.
     pub at: Vec<Option<F>>,
 }
 
 /// Runs `analysis` over `program` to a fixpoint.
-pub fn solve<A: DataflowAnalysis>(program: &Program, cfg: &Cfg, analysis: &A) -> Solution<A::Fact> {
+pub(crate) fn solve<A: DataflowAnalysis>(
+    program: &Program,
+    cfg: &Cfg,
+    analysis: &A,
+) -> Solution<A::Fact> {
     match analysis.direction() {
         Direction::Forward => solve_forward(program, cfg, analysis),
         Direction::Backward => solve_backward(program, cfg, analysis),

@@ -184,7 +184,7 @@ impl Finding {
 }
 
 /// Escapes a string for inclusion in a JSON document.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -201,7 +201,7 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Serializes one finding as a JSON object.
-pub fn finding_json(f: &Finding) -> String {
+pub(crate) fn finding_json(f: &Finding) -> String {
     let instr = match f.instr {
         Some(i) => i.to_string(),
         None => "null".to_string(),
@@ -224,7 +224,7 @@ pub fn max_severity(findings: &[Finding]) -> Option<Severity> {
 
 /// Renders findings as terminal lines, one per finding — the single
 /// human renderer shared by `moc analyze`, `moc shard` and `moc commute`.
-pub fn render_findings_human(findings: &[Finding]) -> String {
+pub(crate) fn render_findings_human(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
         out.push_str(&f.render_human());
@@ -235,7 +235,7 @@ pub fn render_findings_human(findings: &[Finding]) -> String {
 
 /// Renders findings as a JSON array body (no surrounding brackets) — the
 /// single JSON renderer shared by the report subcommands.
-pub fn render_findings_json(findings: &[Finding]) -> String {
+pub(crate) fn render_findings_json(findings: &[Finding]) -> String {
     findings
         .iter()
         .map(finding_json)

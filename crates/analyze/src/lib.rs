@@ -6,9 +6,9 @@
 //! sharpens that story with a classic multi-pass analyzer over the
 //! m-operation DSL of [`moc_core::program`]:
 //!
-//! - [`cfg`] builds basic-block control-flow graphs with feasible-edge
-//!   branch folding;
-//! - [`dataflow`] is a small forward/backward fixpoint framework;
+//! - the crate-internal `cfg` builds basic-block control-flow graphs
+//!   with feasible-edge branch folding, and `dataflow` is a small
+//!   forward/backward fixpoint framework over them;
 //! - [`passes`] produces a [`ProgramSummary`] (refined `may_read` /
 //!   `may_write` / `must_write` sets, update/query classification,
 //!   termination and a static fuel bound) plus lint [`Finding`]s;
@@ -39,15 +39,14 @@
 
 #![warn(missing_docs)]
 
-pub mod cfg;
+pub(crate) mod cfg;
 pub mod conflict;
-pub mod dataflow;
+pub(crate) mod dataflow;
 pub mod diagnostics;
 pub mod movers;
 pub mod passes;
 pub mod shard;
 
-pub use cfg::Cfg;
 pub use conflict::{
     analyze_set, Certificate, CertificateStatus, ConflictEdge, ConflictGraph, SetAnalysis,
 };

@@ -93,7 +93,7 @@ pub fn audit(h: &History, cert_text: &str) -> Result<Verdict, String> {
 /// # Errors
 ///
 /// Any malformation, binding mismatch, or proof defect rejects.
-pub fn audit_document(h: &History, doc: &Json) -> Result<Verdict, String> {
+pub(crate) fn audit_document(h: &History, doc: &Json) -> Result<Verdict, String> {
     if field(doc, "format")?.as_str() != Some("moc-cert") {
         return Err("format is not \"moc-cert\"".into());
     }

@@ -878,7 +878,7 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
 /// The benchmark behind `BENCH_checker.json`: naive vs the precedence-
 /// pruned search vs the Theorem 7 fast path over the generator families.
 /// `budget` caps the naive search's node count (per-family overrides
-/// apply, see [`checker_families`]).
+/// apply, see `checker_families`).
 ///
 /// Each search runs once: node counts and verdicts are deterministic, and
 /// the experiment asserts the engines agree.

@@ -10,7 +10,7 @@
 //! (b) all its external reads are legal against the current
 //! last-writer-per-object state. Visited configurations — the pair of
 //! (scheduled set, last-writer map) — are memoized through the Zobrist
-//! transposition table of [`crate::engine`], in the style of
+//! transposition table of the crate-internal search engine, in the style of
 //! Wing–Gong/Lowe linearizability checkers. The worst case is exponential,
 //! and must be unless P = NP: Theorem 1 (m-sequential consistency) and
 //! Theorem 2 (m-linearizability, even with the reads-from relation known)

@@ -85,7 +85,7 @@ pub struct Certificate {
 }
 
 /// The schema tag of a condition (`"sc"`, `"lin"`, `"normal"`).
-pub fn condition_tag(condition: Condition) -> &'static str {
+pub(crate) fn condition_tag(condition: Condition) -> &'static str {
     match condition {
         Condition::MSequentialConsistency => "sc",
         Condition::MLinearizability => "lin",

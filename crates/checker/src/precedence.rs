@@ -272,7 +272,7 @@ impl PrecedenceGraph {
 
     /// Number of `~rw` edges the saturation derived — orderings forced in
     /// every legal linearization beyond the base relation.
-    pub fn forced_edge_count(&self) -> usize {
+    pub(crate) fn forced_edge_count(&self) -> usize {
         self.edges.len() - self.base_edges
     }
 
@@ -285,7 +285,7 @@ impl PrecedenceGraph {
     /// Tarjan SCC condensation of the direct edge graph. Components are in
     /// topological order; a component with more than one member (or a
     /// self-loop) certifies that no legal linearization exists.
-    pub fn condensation(&self) -> Condensation {
+    pub(crate) fn condensation(&self) -> Condensation {
         let succs = self.successors();
         let mut members: Vec<Vec<usize>> = Vec::new();
         tarjan_scc(
@@ -309,7 +309,7 @@ impl PrecedenceGraph {
 
     /// An inadmissibility core: a cycle of the saturated graph as edge ids
     /// into [`PrecedenceGraph::edges`], or `None` if the graph is acyclic.
-    pub fn find_cycle_edges(&self) -> Option<Vec<usize>> {
+    pub(crate) fn find_cycle_edges(&self) -> Option<Vec<usize>> {
         // The closure has said already whether there is one to look for.
         if self.closed.is_irreflexive() {
             return None;
@@ -634,7 +634,7 @@ fn bfs_path(
 /// Whether the digraph given as an adjacency list contains a cycle
 /// (including self-loops). The shared kernel behind the searches'
 /// up-front acyclicity guard.
-pub fn adjacency_has_cycle(succs: &[Vec<u32>]) -> bool {
+pub(crate) fn adjacency_has_cycle(succs: &[Vec<u32>]) -> bool {
     if succs
         .iter()
         .enumerate()
@@ -688,7 +688,7 @@ impl UnionFind {
 /// relation on every input (witnesses may differ; both are valid).
 ///
 /// Each interaction component is peeled to its forced prefix here; the
-/// engine ([`crate::engine`]) then searches what is left of each component
+/// crate-internal search engine then searches what is left of each component
 /// in turn.
 pub fn pruned_search(
     h: &History,

@@ -20,7 +20,6 @@ use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::inline::InlineList;
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
-use moc_core::relations::Relation;
 
 use crate::admissible::SearchLimits;
 use crate::conditions::{check, check_with_order, CheckReport, Condition, Strategy};
@@ -119,16 +118,6 @@ impl Schedule {
             num_transactions,
             actions,
         })
-    }
-
-    /// Number of entities.
-    pub fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    /// Number of transactions.
-    pub fn num_transactions(&self) -> usize {
-        self.num_transactions
     }
 
     /// The actions in schedule order.
@@ -254,20 +243,6 @@ impl Schedule {
         let report = check(&self.to_history(), Condition::MLinearizability, strategy);
         report.ok().map(|report| report.satisfied)
     }
-
-    /// A serialization order of the transactions if one exists (view
-    /// serializability witness): transaction indices in serial order, with
-    /// `num_transactions` standing for `T∞`.
-    pub fn serialization_witness(&self, limits: SearchLimits) -> Option<Vec<usize>> {
-        let h = self.to_history();
-        let witness = view_check(&h, limits)?.witness?;
-        Some(
-            witness
-                .iter()
-                .map(|&i| h.record(i).process().index())
-                .collect(),
-        )
-    }
 }
 
 /// m-sequential consistency of the constructed history `h` with `T∞`
@@ -282,43 +257,11 @@ fn view_check(h: &History, limits: SearchLimits) -> Option<CheckReport> {
     check_with_order(h, Condition::MSequentialConsistency, &tinf_last, strategy).ok()
 }
 
-/// Builds the classic "conflict matters" relation: a [`Relation`] over the
-/// constructed history that orders transactions by conflicting access in
-/// schedule order. Acyclicity of this relation is *conflict
-/// serializability* — strictly stronger than view serializability; exposed
-/// for comparison in tests and benchmarks.
-pub fn conflict_relation(s: &Schedule, h: &History) -> Relation {
-    let mut rel = Relation::new(h.len());
-    let n = s.actions.len();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let (a, b) = (s.actions[i], s.actions[j]);
-            if a.txn != b.txn
-                && a.entity == b.entity
-                && (a.kind == ActionKind::Write || b.kind == ActionKind::Write)
-            {
-                let pa = h.idx_of(MOpId::new(ProcessId::new(a.txn as u32), 0));
-                let pb = h.idx_of(MOpId::new(ProcessId::new(b.txn as u32), 0));
-                if let (Some(pa), Some(pb)) = (pa, pb) {
-                    rel.add(pa, pb);
-                }
-            }
-        }
-    }
-    rel
-}
-
-/// Whether the schedule is conflict serializable (precedence graph acyclic).
-pub fn is_conflict_serializable(s: &Schedule) -> bool {
-    let h = s.to_history();
-    !conflict_relation(s, &h).has_cycle()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admissible::{find_legal_extension, SearchOutcome};
-    use moc_core::relations::{reads_from, real_time};
+    use moc_core::relations::{reads_from, real_time, Relation};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -327,6 +270,46 @@ mod tests {
     }
     fn limits() -> SearchLimits {
         SearchLimits::default()
+    }
+
+    /// A serialization order of the transactions if one exists (view
+    /// serializability witness): transaction indices in serial order, with
+    /// `num_transactions` standing for `T∞`.
+    fn serialization_witness(s: &Schedule, limits: SearchLimits) -> Option<Vec<usize>> {
+        let h = s.to_history();
+        let witness = view_check(&h, limits)?.witness?;
+        Some(
+            witness
+                .iter()
+                .map(|&i| h.record(i).process().index())
+                .collect(),
+        )
+    }
+
+    /// Whether the schedule is *conflict serializable*: the relation that
+    /// orders transactions by conflicting access in schedule order is
+    /// acyclic. Strictly stronger than view serializability; the contrast
+    /// the tests below draw.
+    fn is_conflict_serializable(s: &Schedule) -> bool {
+        let h = s.to_history();
+        let mut rel = Relation::new(h.len());
+        let n = s.actions.len();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let (a, b) = (s.actions[i], s.actions[j]);
+                if a.txn != b.txn
+                    && a.entity == b.entity
+                    && (a.kind == ActionKind::Write || b.kind == ActionKind::Write)
+                {
+                    let pa = h.idx_of(MOpId::new(ProcessId::new(a.txn as u32), 0));
+                    let pb = h.idx_of(MOpId::new(ProcessId::new(b.txn as u32), 0));
+                    if let (Some(pa), Some(pb)) = (pa, pb) {
+                        rel.add(pa, pb);
+                    }
+                }
+            }
+        }
+        !rel.has_cycle()
     }
 
     /// The reduction decided the naive way, as dense relations handed to
@@ -426,7 +409,7 @@ mod tests {
                 by_dense_relation::is_strict_view_serializable(&s, limits()),
                 "seed {seed}: {s:?}"
             );
-            let witness = s.serialization_witness(limits());
+            let witness = serialization_witness(&s, limits());
             let reference = by_dense_relation::serialization_witness(&s, limits());
             assert_eq!(witness.is_some(), reference.is_some(), "seed {seed}: {s:?}");
             assert_eq!(
@@ -435,7 +418,7 @@ mod tests {
                 "seed {seed}: {s:?}"
             );
             if let Some(w) = witness {
-                assert_eq!(w.last(), Some(&s.num_transactions()), "seed {seed}: {w:?}");
+                assert_eq!(w.last(), Some(&s.num_transactions), "seed {seed}: {w:?}");
             }
             view += usize::from(is_view == Some(true));
             strict += usize::from(is_strict == Some(true));
@@ -488,7 +471,7 @@ mod tests {
         assert_eq!(s.is_view_serializable(limits()), Some(false));
         assert_eq!(s.is_strict_view_serializable(limits()), Some(false));
         assert!(!is_conflict_serializable(&s));
-        assert!(s.serialization_witness(limits()).is_none());
+        assert!(serialization_witness(&s, limits()).is_none());
     }
 
     /// w1(x) r2(x) w2(y): no cycle — serial order T1 T2 works, and the
@@ -508,7 +491,7 @@ mod tests {
         assert_eq!(s.is_view_serializable(limits()), Some(true));
         assert_eq!(s.is_strict_view_serializable(limits()), Some(true));
         assert!(is_conflict_serializable(&s));
-        let w = s.serialization_witness(limits()).unwrap();
+        let w = serialization_witness(&s, limits()).unwrap();
         assert_eq!(w, vec![0, 1, 2]); // T1, T2, then T∞
     }
 

@@ -389,10 +389,20 @@ fn load_history(args: &Args, stdin: &str) -> Result<History, String> {
     from_text(&text).map_err(|e| format!("cannot parse {source}: {e}"))
 }
 
+/// `--objects` of a command that builds a history over that many objects:
+/// within the 32-bit object ids the codec reads back, and refused, as
+/// `moc check` refuses such a header, when the history's per-object
+/// tables cannot be allocated — a usage error, never an allocator abort.
+fn history_objects(args: &Args) -> Result<usize, String> {
+    let objects = args.get_in("objects", 4, 1..=u32::MAX as usize)?;
+    History::new(objects, Vec::new()).map_err(|e| format!("--objects {objects}: {e}"))?;
+    Ok(objects)
+}
+
 fn cmd_run(args: &Args, _stdin: &str) -> Outcome {
     let processes = args.get_in("processes", 3, 1..)?;
     let ops = args.get::<usize>("ops", 5)?;
-    let objects = args.get_in("objects", 4, 1..)?;
+    let objects = history_objects(args)?;
     let seed = args.get::<u64>("seed", 0)?;
     let update_fraction = args.get_in("update-frac", 0.5, 0.0..=1.0)?;
     let spec = WorkloadSpec {
@@ -427,7 +437,7 @@ fn cmd_gen(args: &Args, _stdin: &str) -> Outcome {
     let spec = HistorySpec {
         processes: args.get_in("processes", 3, 1..)?,
         ops_per_process: args.get::<usize>("ops", 4)?,
-        num_objects: args.get_in("objects", 4, 1..)?,
+        num_objects: history_objects(args)?,
         update_fraction: args.get_in("update-frac", 0.5, 0.0..=1.0)?,
         max_span: 2,
     };
@@ -1105,8 +1115,8 @@ fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
                         (_, "view") => chaos_run_one::<MlinOverView>(condition, &config, s),
                         _ => chaos_run_one::<MlinOverSequencer>(condition, &config, s),
                     };
-                    sweep_link = sweep_link.merge(&outcome.link);
-                    sweep_batch.merge(outcome.batch);
+                    sweep_link.merge(&outcome.link);
+                    sweep_batch.merge(&outcome.batch);
                     sweep_orphans += outcome.orphans;
                     if outcome.audited_refutation {
                         audited_refutations += 1;

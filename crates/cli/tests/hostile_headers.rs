@@ -1,10 +1,11 @@
 //! `moc check` on hostile histories — an `objects` header no table can be
 //! sized by, a record of the reserved process, an operation line cut
-//! short — run as a process of its own under a 4 GB address-space limit:
-//! each is a typed error and exit code 2, never an allocator abort (134)
-//! or a capacity-overflow or out-of-bounds panic (101). The CI "Hostile
-//! header gate" and "Hostile id gate" run the same commands against the
-//! release binary.
+//! short — and `moc gen` / `moc run` asked for as many objects, run as a
+//! process of its own under a 4 GB address-space limit: each is a typed
+//! error and exit code 2, never an allocator abort (134) or a
+//! capacity-overflow or out-of-bounds panic (101). The CI "Hostile header
+//! gate" and "Hostile id gate" run the same commands against the release
+//! binary.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -52,6 +53,34 @@ fn hostile_object_headers_exit_2() {
     }
     // The control: a header the limit does not bind passes.
     let (code, stderr) = check_limited("history v1\nobjects 4\nend\n");
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
+/// `moc gen` and `moc run` build a history over `--objects` objects. A
+/// count past the 32-bit object ids, or one whose per-object tables the
+/// limit cannot hold, is a usage error naming the flag, never an
+/// allocator abort in a generator or a replica store (134).
+#[test]
+fn hostile_object_counts_exit_2() {
+    let cases = [
+        ("4000000000", "cannot allocate the per-object tables"),
+        ("4294967296", "must lie in 1..=4294967295"),
+    ];
+    for (count, says) in cases {
+        for args in [
+            &["gen", "--kind", "serial", "--objects", count][..],
+            &["gen", "--kind", "random", "--objects", count],
+            &["gen", "--kind", "writers", "--objects", count],
+            &["run", "--ops", "1", "--objects", count],
+        ] {
+            let (code, stderr) = moc_limited(args, "");
+            assert_eq!(code, Some(2), "moc {args:?}: {stderr}");
+            assert!(stderr.contains("--objects"), "moc {args:?}: {stderr}");
+            assert!(stderr.contains(says), "moc {args:?}: {stderr}");
+        }
+    }
+    // The control: a count the limit does not bind generates.
+    let (code, stderr) = moc_limited(&["gen", "--kind", "writers", "--objects", "4"], "");
     assert_eq!(code, Some(0), "{stderr}");
 }
 

@@ -63,15 +63,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Replaces the set by its complement in `0..universe()`.
-    pub fn complement(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = !*w);
-        let tail = self.len % 64;
-        if let Some(last) = self.words.last_mut().filter(|_| tail > 0) {
-            *last &= (1u64 << tail) - 1;
-        }
-    }
-
     /// Number of elements in the set.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -115,21 +106,6 @@ mod tests {
         assert!(s.remove(64));
         assert!(!s.remove(64));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
-    }
-
-    #[test]
-    fn complement_stays_inside_the_universe() {
-        for len in [0, 1, 63, 64, 65, 130] {
-            let mut s = BitSet::new(len);
-            s.complement();
-            assert_eq!(s.count(), len, "universe {len}");
-            let mut t = BitSet::new(len);
-            if len > 0 {
-                t.insert(len - 1);
-            }
-            t.complement();
-            assert_eq!(t.count(), len.saturating_sub(1), "universe {len}");
-        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl MoverClass {
     }
 
     /// Parses a tag back.
-    pub fn from_tag(tag: &str) -> Option<Self> {
+    pub(crate) fn from_tag(tag: &str) -> Option<Self> {
         match tag {
             "read-only" => Some(MoverClass::ReadOnly),
             "both-mover" => Some(MoverClass::BothMover),

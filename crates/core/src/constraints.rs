@@ -75,45 +75,6 @@ pub fn first_violation(
     None
 }
 
-/// Data-race freedom of an *execution*: every pair of conflicting
-/// m-operations is ordered by real time (they never overlap). Section 4
-/// mentions DRF as the alternate, programmer-enforced route to efficient
-/// implementations: a DRF execution satisfies the OO-constraint under any
-/// relation containing `~t`, so Theorem 7's polynomial checking applies.
-pub fn is_data_race_free(h: &History) -> bool {
-    for i in 0..h.len() {
-        for j in (i + 1)..h.len() {
-            let (a, b) = (MOpIdx(i), MOpIdx(j));
-            if h.conflict(a, b) && !real_time_ordered(h, a, b) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Concurrent-write freedom of an execution: every pair of m-operations
-/// writing a common object is ordered by real time. Weaker than DRF
-/// (read/write races allowed); implies the WO-constraint under any
-/// relation containing `~t`.
-pub fn is_concurrent_write_free(h: &History) -> bool {
-    for i in 0..h.len() {
-        for j in (i + 1)..h.len() {
-            let (a, b) = (MOpIdx(i), MOpIdx(j));
-            let write_common = h.wobjects(a).iter().any(|o| h.wobjects(b).contains(o));
-            if write_common && !real_time_ordered(h, a, b) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn real_time_ordered(h: &History, a: MOpIdx, b: MOpIdx) -> bool {
-    let (ra, rb) = (h.record(a), h.record(b));
-    ra.responded_at < rb.invoked_at || rb.responded_at < ra.invoked_at
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,50 +153,14 @@ mod tests {
     }
 
     #[test]
-    fn drf_and_cwf_on_executions() {
-        // Sequential execution: DRF and CWF.
-        let mut b = HistoryBuilder::new(1);
-        let w = b.mop(pid(0)).at(0, 10).write(oid(0), 1).finish();
-        b.mop(pid(1)).at(20, 30).read_from(oid(0), 1, w).finish();
-        let h = b.build().unwrap();
-        assert!(is_data_race_free(&h));
-        assert!(is_concurrent_write_free(&h));
-
-        // Overlapping read/write on the same object: a data race, but
-        // still concurrent-write free.
-        let mut b = HistoryBuilder::new(1);
-        b.mop(pid(0)).at(0, 20).write(oid(0), 1).finish();
-        b.mop(pid(1)).at(10, 30).read_init(oid(0)).finish();
-        let h = b.build().unwrap();
-        assert!(!is_data_race_free(&h));
-        assert!(is_concurrent_write_free(&h));
-
-        // Overlapping writes to the same object: neither.
-        let mut b = HistoryBuilder::new(1);
-        b.mop(pid(0)).at(0, 20).write(oid(0), 1).finish();
-        b.mop(pid(1)).at(10, 30).write(oid(0), 2).finish();
-        let h = b.build().unwrap();
-        assert!(!is_data_race_free(&h));
-        assert!(!is_concurrent_write_free(&h));
-
-        // Overlapping ops on disjoint objects: both hold vacuously.
-        let mut b = HistoryBuilder::new(2);
-        b.mop(pid(0)).at(0, 20).write(oid(0), 1).finish();
-        b.mop(pid(1)).at(10, 30).write(oid(1), 2).finish();
-        let h = b.build().unwrap();
-        assert!(is_data_race_free(&h));
-        assert!(is_concurrent_write_free(&h));
-    }
-
-    #[test]
     fn drf_implies_oo_under_real_time() {
         use crate::relations::real_time;
         let mut b = HistoryBuilder::new(2);
         let w = b.mop(pid(0)).at(0, 10).write(oid(0), 1).finish();
         b.mop(pid(1)).at(20, 30).read_from(oid(0), 1, w).finish();
         b.mop(pid(2)).at(20, 30).write(oid(1), 5).finish();
+        // Data-race free: the conflicting write and read do not overlap.
         let h = b.build().unwrap();
-        assert!(is_data_race_free(&h));
         let rt = real_time(&h).transitive_closure();
         assert!(satisfies(Constraint::Oo, &h, &rt));
         assert!(satisfies(Constraint::Wo, &h, &rt));

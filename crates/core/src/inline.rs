@@ -53,7 +53,7 @@ impl<T> InlineList<T> {
     }
 
     /// The items, in order, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         match &mut self.0 {
             Repr::Empty => &mut [],
             Repr::Inline { len, items } => &mut items[..usize::from(*len)],

@@ -104,11 +104,6 @@ impl MOpRecord {
         self.ops.iter().any(|op| op.is_write())
     }
 
-    /// Whether this m-operation performed no write.
-    pub fn is_query(&self) -> bool {
-        !self.is_update()
-    }
-
     /// The *external* reads of this m-operation: reads whose value was not
     /// produced by an earlier write of the same m-operation.
     ///
@@ -260,7 +255,6 @@ mod tests {
     fn classification() {
         let r = sample();
         assert!(r.is_update());
-        assert!(!r.is_query());
     }
 
     #[test]

@@ -749,7 +749,7 @@ impl ProgramBuilder {
     }
 
     /// Appends `r(dst) <- lhs op rhs`.
-    pub fn binary(
+    pub(crate) fn binary(
         &mut self,
         op: BinaryOp,
         dst: u8,

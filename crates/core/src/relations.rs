@@ -102,14 +102,6 @@ impl Relation {
         self.bits.fill(0);
     }
 
-    /// Merges `other` into `self`.
-    pub fn union_in_place(&mut self, other: &Relation) {
-        assert_eq!(self.n, other.n, "relation size mismatch");
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= *b;
-        }
-    }
-
     /// Number of pairs in the relation.
     pub fn edge_count(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
@@ -123,14 +115,6 @@ impl Relation {
     /// Iterates over the successors of `i`.
     pub fn successors(&self, i: MOpIdx) -> impl Iterator<Item = MOpIdx> + '_ {
         BitIter::words(self.row(i)).map(MOpIdx)
-    }
-
-    /// The predecessors of `j` (linear scan over rows).
-    pub fn predecessors(&self, j: MOpIdx) -> Vec<MOpIdx> {
-        (0..self.n)
-            .map(MOpIdx)
-            .filter(|&i| self.contains(i, j))
-            .collect()
     }
 
     /// Reflexive-free transitive closure, closed along the condensation:
@@ -248,49 +232,6 @@ impl Relation {
     /// (Kahn's algorithm; self-loops count as cycles).
     pub fn has_cycle(&self) -> bool {
         self.topological_sort().is_none()
-    }
-
-    /// An explicit cycle in the digraph — the visited vertices in order,
-    /// each related to the next and the last related to the first — or
-    /// `None` if the relation is acyclic. Self-loops yield a 1-cycle.
-    pub fn find_cycle(&self) -> Option<Vec<MOpIdx>> {
-        // Iterative coloring DFS: 0 = white, 1 = on stack, 2 = done.
-        let mut color = vec![0u8; self.n];
-        let mut parent = vec![usize::MAX; self.n];
-        for root in 0..self.n {
-            if color[root] != 0 {
-                continue;
-            }
-            let mut stack = vec![(root, self.successors(MOpIdx(root)))];
-            color[root] = 1;
-            while let Some((v, succ)) = stack.last_mut() {
-                let v = *v;
-                match succ.next() {
-                    Some(MOpIdx(w)) if color[w] == 1 => {
-                        // Back edge v -> w: unwind the chain w .. v.
-                        let mut cycle = vec![MOpIdx(v)];
-                        let mut cur = v;
-                        while cur != w {
-                            cur = parent[cur];
-                            cycle.push(MOpIdx(cur));
-                        }
-                        cycle.reverse();
-                        return Some(cycle);
-                    }
-                    Some(MOpIdx(w)) if color[w] == 0 => {
-                        color[w] = 1;
-                        parent[w] = v;
-                        stack.push((w, self.successors(MOpIdx(w))));
-                    }
-                    Some(_) => {}
-                    None => {
-                        color[v] = 2;
-                        stack.pop();
-                    }
-                }
-            }
-        }
-        None
     }
 
     /// A topological order of the digraph, or `None` if it is cyclic.
@@ -588,6 +529,14 @@ mod tests {
         assert!(r.has_cycle());
     }
 
+    /// Merges `other` into `r`.
+    fn union_in_place(r: &mut Relation, other: &Relation) {
+        assert_eq!(r.n, other.n, "relation size mismatch");
+        for (a, b) in r.bits.iter_mut().zip(&other.bits) {
+            *a |= *b;
+        }
+    }
+
     /// The closure this crate used to compute, kept as the reference:
     /// Warshall, here pair by pair.
     fn warshall(r: &Relation) -> Relation {
@@ -672,7 +621,7 @@ mod tests {
                 closed.add_closed(i, targets.row(i), &mut gained);
                 assert_eq!(closed, r.transitive_closure(), "case {case}, step {k}");
                 let mut fresh = before.clone();
-                fresh.union_in_place(&gained);
+                union_in_place(&mut fresh, &gained);
                 assert_eq!(fresh, closed, "case {case}, step {k}: gained");
                 assert!(
                     (0..n).all(|u| before
@@ -797,27 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn find_cycle_returns_a_closed_walk() {
-        let mut r = Relation::new(5);
-        r.add(m(0), m(1));
-        r.add(m(1), m(2));
-        r.add(m(2), m(3));
-        r.add(m(3), m(1));
-        let cycle = r.find_cycle().expect("cyclic");
-        assert!(cycle.len() >= 2);
-        for (k, &v) in cycle.iter().enumerate() {
-            let w = cycle[(k + 1) % cycle.len()];
-            assert!(r.contains(v, w), "{v:?} -> {w:?} missing");
-        }
-        let mut acyclic = Relation::new(3);
-        acyclic.add(m(0), m(1));
-        assert_eq!(acyclic.find_cycle(), None);
-        let mut selfloop = Relation::new(1);
-        selfloop.add(m(0), m(0));
-        assert_eq!(selfloop.find_cycle(), Some(vec![m(0)]));
-    }
-
-    #[test]
     fn topological_sort_deterministic() {
         let mut r = Relation::new(4);
         r.add(m(2), m(0));
@@ -850,7 +778,6 @@ mod tests {
         r.add(m(0), m(129));
         let succ: Vec<usize> = r.successors(m(0)).map(|x| x.0).collect();
         assert_eq!(succ, vec![1, 64, 129]);
-        assert_eq!(r.predecessors(m(129)), vec![m(0)]);
     }
 
     fn two_process_history() -> crate::history::History {

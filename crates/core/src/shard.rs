@@ -102,11 +102,6 @@ impl ShardPlan {
         self
     }
 
-    /// The routing policy in force.
-    pub fn policy(&self) -> RoutePolicy {
-        self.policy
-    }
-
     /// Number of objects the plan covers.
     pub fn num_objects(&self) -> usize {
         self.shard_of.len()
@@ -194,7 +189,7 @@ impl ShardEdgeKind {
     }
 
     /// Parses a tag back.
-    pub fn from_tag(tag: &str) -> Option<Self> {
+    pub(crate) fn from_tag(tag: &str) -> Option<Self> {
         match tag {
             "ww" => Some(ShardEdgeKind::Ww),
             "rw" => Some(ShardEdgeKind::Rw),
@@ -268,12 +263,12 @@ pub struct ShardComposition {
 }
 
 /// The m-SC side condition for a multi-shard plan.
-pub const MSC_PROCESS_CONFINED: &str = "per-shard-with-process-confinement";
+pub(crate) const MSC_PROCESS_CONFINED: &str = "per-shard-with-process-confinement";
 /// The m-SC verdict for a degenerate single-shard plan.
-pub const MSC_SINGLE_ORDER: &str = "single-global-order";
+pub(crate) const MSC_SINGLE_ORDER: &str = "single-global-order";
 /// The m-lin verdict: composes by locality when each shard order respects
 /// real time.
-pub const MLIN_COMPOSES: &str = "composes-by-locality";
+pub(crate) const MLIN_COMPOSES: &str = "composes-by-locality";
 
 impl ShardComposition {
     /// Recomputes the verdict from certificate data alone. Used by the

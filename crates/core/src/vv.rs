@@ -9,7 +9,6 @@
 //! states are prefixes of the same atomic-broadcast order, the timestamps it
 //! compares are in fact totally ordered.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use crate::ids::ObjectId;
@@ -102,19 +101,6 @@ impl VersionVector {
         self.leq(other) && self != other
     }
 
-    /// The componentwise partial order. Returns `None` when the vectors are
-    /// incomparable.
-    pub fn partial_cmp_componentwise(&self, other: &VersionVector) -> Option<Ordering> {
-        let le = self.leq(other);
-        let ge = other.leq(self);
-        match (le, ge) {
-            (true, true) => Some(Ordering::Equal),
-            (true, false) => Some(Ordering::Less),
-            (false, true) => Some(Ordering::Greater),
-            (false, false) => None,
-        }
-    }
-
     /// Componentwise join (least upper bound).
     ///
     /// # Panics
@@ -205,22 +191,6 @@ mod tests {
         assert_eq!(a.bump(ObjectId::new(0)), 2);
         assert_eq!(a.get(ObjectId::new(0)), 2);
         assert_eq!(a.get(ObjectId::new(1)), 0);
-    }
-
-    #[test]
-    fn partial_order_detects_incomparable() {
-        let a = vv(&[1, 0]);
-        let b = vv(&[0, 1]);
-        assert_eq!(a.partial_cmp_componentwise(&b), None);
-        assert_eq!(a.partial_cmp_componentwise(&a), Some(Ordering::Equal));
-        assert_eq!(
-            vv(&[0, 0]).partial_cmp_componentwise(&a),
-            Some(Ordering::Less)
-        );
-        assert_eq!(
-            a.partial_cmp_componentwise(&vv(&[0, 0])),
-            Some(Ordering::Greater)
-        );
     }
 
     #[test]

@@ -10,11 +10,11 @@
 use std::sync::Arc;
 
 use moc_core::ids::ObjectId;
-use moc_core::program::{arg, imm, reg, BinaryOp, CmpOp, Program, ProgramBuilder};
+use moc_core::program::{arg, imm, reg, CmpOp, Program, ProgramBuilder};
 
 /// Atomically reads `objects`, returning their values in order — a
 /// consistent multi-object snapshot.
-pub fn read_many(objects: &[ObjectId]) -> Arc<Program> {
+pub(crate) fn read_many(objects: &[ObjectId]) -> Arc<Program> {
     let mut b = ProgramBuilder::new(format!("read{}", objects.len()));
     for (i, &o) in objects.iter().enumerate() {
         b.read(o, i as u8);
@@ -107,18 +107,6 @@ pub fn sum(objects: &[ObjectId]) -> Arc<Program> {
     Arc::new(b.build().expect("sum is well-formed"))
 }
 
-/// Atomically finds the maximum of `objects`; returns `[max]`.
-pub fn max_of(objects: &[ObjectId]) -> Arc<Program> {
-    assert!(!objects.is_empty(), "max_of needs at least one object");
-    let mut b = ProgramBuilder::new(format!("max{}", objects.len()));
-    b.read(objects[0], 0);
-    for &o in &objects[1..] {
-        b.read(o, 1).binary(BinaryOp::Max, 0, reg(0), reg(1));
-    }
-    b.ret(vec![reg(0)]);
-    Arc::new(b.build().expect("max_of is well-formed"))
-}
-
 /// Conditional transfer: moves `args[0]` from `from` to `to` iff
 /// `from >= args[0]`; returns `[1]` on success, `[0]` otherwise. Both
 /// balances change in the same m-operation, so totals are preserved under
@@ -160,39 +148,6 @@ pub fn kcas(objects: &[ObjectId]) -> Arc<Program> {
     b.bind(fail);
     b.ret(vec![imm(0)]);
     Arc::new(b.build().expect("kcas is well-formed"))
-}
-
-/// Copies the current value of `src` into `dst` atomically.
-pub fn copy_object(src: ObjectId, dst: ObjectId) -> Arc<Program> {
-    let mut b = ProgramBuilder::new("copy");
-    b.read(src, 0).write(dst, reg(0)).ret(vec![reg(0)]);
-    Arc::new(b.build().expect("copy is well-formed"))
-}
-
-/// Adds `args[0]` to every one of `objects` atomically (e.g. interest
-/// applied to all accounts at once); returns the new values.
-pub fn add_to_all(objects: &[ObjectId]) -> Arc<Program> {
-    assert!(objects.len() <= 16, "add_to_all supports up to 16 objects");
-    let mut b = ProgramBuilder::new(format!("addall{}", objects.len()));
-    for (i, &o) in objects.iter().enumerate() {
-        b.read(o, i as u8)
-            .add(i as u8, reg(i as u8), arg(0))
-            .write(o, reg(i as u8));
-    }
-    b.ret((0..objects.len()).map(|i| reg(i as u8)).collect());
-    Arc::new(b.build().expect("add_to_all is well-formed"))
-}
-
-/// Atomically finds the minimum of `objects`; returns `[min]`.
-pub fn min_of(objects: &[ObjectId]) -> Arc<Program> {
-    assert!(!objects.is_empty(), "min_of needs at least one object");
-    let mut b = ProgramBuilder::new(format!("min{}", objects.len()));
-    b.read(objects[0], 0);
-    for &o in &objects[1..] {
-        b.read(o, 1).binary(BinaryOp::Min, 0, reg(0), reg(1));
-    }
-    b.ret(vec![reg(0)]);
-    Arc::new(b.build().expect("min_of is well-formed"))
 }
 
 /// Bounded increment: adds 1 to `object` iff the result stays at most
@@ -291,12 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_max() {
+    fn sum_adds_up() {
         let objs = [oid(0), oid(1), oid(2)];
         let (out, _) = run(&sum(&objs), &[], vec![1, 2, 3]);
         assert_eq!(out, vec![6]);
-        let (out, _) = run(&max_of(&objs), &[], vec![1, 7, 3]);
-        assert_eq!(out, vec![7]);
         assert!(!sum(&objs).is_potential_update());
     }
 
@@ -323,12 +276,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one object")]
-    fn max_of_requires_objects() {
-        let _ = max_of(&[]);
-    }
-
-    #[test]
     fn kcas_generalizes_dcas() {
         let objs = [oid(0), oid(1), oid(2)];
         let p = kcas(&objs);
@@ -352,20 +299,5 @@ mod tests {
     #[should_panic(expected = "at least one object")]
     fn kcas_requires_objects() {
         let _ = kcas(&[]);
-    }
-
-    #[test]
-    fn copy_and_add_to_all_and_min() {
-        let (out, vals) = run(&copy_object(oid(0), oid(1)), &[], vec![7, 0]);
-        assert_eq!(out, vec![7]);
-        assert_eq!(vals, vec![7, 7]);
-
-        let objs = [oid(0), oid(1), oid(2)];
-        let (out, vals) = run(&add_to_all(&objs), &[5], vec![1, 2, 3]);
-        assert_eq!(out, vec![6, 7, 8]);
-        assert_eq!(vals, vec![6, 7, 8]);
-
-        let (out, _) = run(&min_of(&objs), &[], vec![4, 1, 9]);
-        assert_eq!(out, vec![1]);
     }
 }

@@ -71,10 +71,10 @@ pub struct ChaosConfig {
     /// broadcast before the run, if set. Ignored by broadcasts without
     /// batched stamping.
     pub batching: Option<moc_abcast::BatchConfig>,
-    /// When set, an [`OnlineMonitor`] sentinel rides along: every
-    /// invocation and completion is streamed into it as it happens (in
-    /// simulated time), and the run report carries the rolling
-    /// certificates, verdict timeline and any latched violation.
+    /// When set, an [`OnlineMonitor`](moc_monitor::OnlineMonitor) sentinel
+    /// rides along: every invocation and completion is streamed into it
+    /// as it happens (in simulated time), and the run report carries the
+    /// rolling certificates, verdict timeline and any latched violation.
     pub monitor: Option<MonitorConfig>,
 }
 
@@ -254,25 +254,22 @@ impl ChaosRunReport {
         self.history.as_ref().ok().map(moc_core::codec::fingerprint)
     }
 
-    /// The p-th percentile (0..=100) response time for `class`.
-    pub fn percentile_latency(&self, class: MOpClass, p: f64) -> Option<u64> {
-        harness::percentile_latency(&self.latencies, class, p)
-    }
-
     /// Aggregated group-commit counters across all replicas.
     pub fn total_batch_stats(&self) -> moc_abcast::BatchStats {
-        let mut t = moc_abcast::BatchStats::default();
+        let mut total = moc_abcast::BatchStats::default();
         for s in &self.batch_stats {
-            t.merge(*s);
+            total.merge(s);
         }
-        t
+        total
     }
 
     /// Aggregated link counters across all replicas.
     pub fn total_link_stats(&self) -> LinkStats {
-        self.link_stats
-            .iter()
-            .fold(LinkStats::default(), |a, s| a.merge(s))
+        let mut total = LinkStats::default();
+        for s in &self.link_stats {
+            total.merge(s);
+        }
+        total
     }
 }
 
@@ -545,7 +542,11 @@ mod tests {
     /// while still verifying every entry's read-only contract.
     #[test]
     fn aggregate_fast_path_queries_are_verified_not_flagged() {
-        use crate::AggregateOverSharded;
+        /// The aggregate baseline over the conflict-sharded broadcast: with
+        /// a commute plan installed its broadcast queries take the
+        /// replica-private read-only fast path.
+        type AggregateOverSharded =
+            crate::AggregateReplica<moc_abcast::ShardedAbcast<crate::MOperation>>;
         let write_y = || {
             let mut b = ProgramBuilder::new("wy");
             b.write(ObjectId::new(1), moc_core::program::arg(0))

@@ -145,11 +145,6 @@ impl RunReport {
         (!xs.is_empty()).then(|| xs.iter().sum::<u64>() as f64 / xs.len() as f64)
     }
 
-    /// The p-th percentile (0..=100) response time for `class`.
-    pub fn percentile_latency(&self, class: MOpClass, p: f64) -> Option<u64> {
-        percentile_latency(&self.latencies, class, p)
-    }
-
     /// Total network messages sent during the run.
     pub fn total_messages(&self) -> u64 {
         self.sim.messages_sent
@@ -169,21 +164,6 @@ impl RunReport {
 fn class_latencies(latencies: &[(MOpClass, u64)], class: MOpClass) -> Vec<u64> {
     let of_class = latencies.iter().filter(|(c, _)| *c == class);
     of_class.map(|&(_, l)| l).collect()
-}
-
-/// The p-th percentile (0..=100) of the `class` entries of `latencies`.
-pub(crate) fn percentile_latency(
-    latencies: &[(MOpClass, u64)],
-    class: MOpClass,
-    p: f64,
-) -> Option<u64> {
-    let mut xs = class_latencies(latencies, class);
-    if xs.is_empty() {
-        return None;
-    }
-    xs.sort_unstable();
-    let rank = ((p / 100.0) * (xs.len() - 1) as f64).round() as usize;
-    Some(xs[rank.min(xs.len() - 1)])
 }
 
 /// The simulator driver of the replica host: supplies what the host
@@ -545,7 +525,8 @@ mod tests {
         assert!(report.mean_latency(MOpClass::Query).is_some());
         assert!(report.total_messages() > 0);
         // msc queries are local: query latency is (essentially) zero.
-        assert_eq!(report.percentile_latency(MOpClass::Query, 100.0), Some(0));
+        let queries = class_latencies(&report.latencies, MOpClass::Query);
+        assert!(queries.iter().all(|&l| l == 0));
     }
 
     #[test]

@@ -91,17 +91,14 @@ pub struct PipelineMetrics {
 impl PipelineMetrics {
     /// Combines counters from two replicas: sums, except `peak_depth`,
     /// which takes the max.
-    pub fn merge(&self, other: &PipelineMetrics) -> PipelineMetrics {
-        PipelineMetrics {
-            invocations: self.invocations + other.invocations,
-            retired: self.retired + other.retired,
-            peak_depth: self.peak_depth.max(other.peak_depth),
-            out_of_order_completions: self.out_of_order_completions
-                + other.out_of_order_completions,
-            queue_residency_ns: self.queue_residency_ns + other.queue_residency_ns,
-            dropped_replies: self.dropped_replies + other.dropped_replies,
-            orphan_completions: self.orphan_completions + other.orphan_completions,
-        }
+    pub fn merge(&mut self, other: &PipelineMetrics) {
+        self.invocations += other.invocations;
+        self.retired += other.retired;
+        self.peak_depth = self.peak_depth.max(other.peak_depth);
+        self.out_of_order_completions += other.out_of_order_completions;
+        self.queue_residency_ns += other.queue_residency_ns;
+        self.dropped_replies += other.dropped_replies;
+        self.orphan_completions += other.orphan_completions;
     }
 }
 

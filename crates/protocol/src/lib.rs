@@ -381,11 +381,6 @@ pub type MlinOverSequencer = MlinReplica<moc_abcast::SequencerAbcast<MOperation>
 pub type MlinRelevantOverSequencer = MlinRelevant<moc_abcast::SequencerAbcast<MOperation>>;
 /// Convenience alias: the aggregate-object baseline over the sequencer.
 pub type AggregateOverSequencer = AggregateReplica<moc_abcast::SequencerAbcast<MOperation>>;
-/// Convenience alias: the aggregate baseline over the conflict-sharded
-/// broadcast. With a commute plan installed its broadcast queries take
-/// the replica-private read-only fast path — the live exercise of the
-/// harness's private-channel verification.
-pub type AggregateOverSharded = AggregateReplica<moc_abcast::ShardedAbcast<MOperation>>;
 /// Convenience alias: Figure 4 over the conflict-sharded broadcast, which
 /// routes single-shard updates through shard-local sequencers (install a
 /// certified partition with [`ReplicaProtocol::set_shard_plan`]).

@@ -176,11 +176,6 @@ pub struct Replica<A, F> {
 }
 
 impl<A: Abcast<MOperation>, F: Figure> Replica<A, F> {
-    /// Number of query rounds currently awaiting responses.
-    pub fn pending_queries(&self) -> usize {
-        self.rounds.len()
-    }
-
     /// Generates the response of `mop`, which executed here as `rec`.
     fn complete(&mut self, mop: &MOperation, rec: ExecRecord) {
         self.completions.push_back(Completion {
@@ -560,7 +555,7 @@ mod tests {
             r.invoke(read_x(1, 0), &mut out);
             let queries = out.drain();
             assert_eq!(queries.len(), 3, "query to all processes, self included");
-            assert_eq!(r.pending_queries(), 1);
+            assert_eq!(r.rounds.len(), 1);
 
             let qid = match &queries[0].1 {
                 ProtocolMsg::Query { qid, objects } => {
@@ -597,7 +592,7 @@ mod tests {
             assert_eq!(done[0].treated_as, MOpClass::Query);
             assert_eq!(done[0].ops[0].writer, writer);
             assert_eq!(done[0].ops[0].version, 2);
-            assert_eq!(r.pending_queries(), 0);
+            assert_eq!(r.rounds.len(), 0);
         }
 
         /// Responders answer queries from their current copy (A4).

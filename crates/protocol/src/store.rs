@@ -51,7 +51,7 @@ impl ReplicaStore {
     /// Objects absent from `state` stay at their initial value — valid only
     /// if the query never touches them (guaranteed under
     /// [`crate::QueryScope::Relevant`]).
-    pub fn from_snapshot(
+    pub(crate) fn from_snapshot(
         num_objects: usize,
         state: &[(ObjectId, Versioned)],
         ts: VersionVector,
@@ -79,7 +79,7 @@ impl ReplicaStore {
     }
 
     /// All object states, e.g. for a full query response.
-    pub fn snapshot_full(&self) -> Vec<(ObjectId, Versioned)> {
+    pub(crate) fn snapshot_full(&self) -> Vec<(ObjectId, Versioned)> {
         self.values
             .iter()
             .enumerate()
@@ -90,7 +90,7 @@ impl ReplicaStore {
     /// Only the listed objects, for a [`crate::QueryScope::Relevant`]
     /// response — the optimization the paper notes at the end of
     /// Section 5.2.
-    pub fn snapshot_of(&self, objects: &[ObjectId]) -> Vec<(ObjectId, Versioned)> {
+    pub(crate) fn snapshot_of(&self, objects: &[ObjectId]) -> Vec<(ObjectId, Versioned)> {
         objects
             .iter()
             .map(|&o| (o, self.values[o.index()]))
@@ -120,7 +120,7 @@ impl ReplicaStore {
     /// footprint, not the object universe: each object's value before its
     /// first write goes to an undo log, which a fault restores and a
     /// success bumps the versions from.
-    pub fn try_apply(&mut self, mop: &MOperation) -> Result<ExecRecord, ProgramError> {
+    pub(crate) fn try_apply(&mut self, mop: &MOperation) -> Result<ExecRecord, ProgramError> {
         let mut ctx = RecordingContext {
             values: &mut self.values,
             ts: &self.ts,

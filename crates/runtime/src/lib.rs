@@ -211,29 +211,33 @@ pub struct RuntimeReport {
 impl RuntimeReport {
     /// Cluster-wide transport counters (sum over replicas).
     pub fn total_link_stats(&self) -> moc_abcast::LinkStats {
-        self.link_stats
-            .iter()
-            .fold(moc_abcast::LinkStats::default(), |a, s| a.merge(s))
+        let mut total = moc_abcast::LinkStats::default();
+        for s in &self.link_stats {
+            total.merge(s);
+        }
+        total
     }
 
     /// Cluster-wide pipeline counters (sums; peak depth is the max).
     pub fn total_pipeline(&self) -> PipelineMetrics {
-        self.pipeline
-            .iter()
-            .fold(PipelineMetrics::default(), |a, p| a.merge(p))
+        let mut total = PipelineMetrics::default();
+        for p in &self.pipeline {
+            total.merge(p);
+        }
+        total
     }
 
     /// Cluster-wide group-commit counters (sum over replicas).
     pub fn total_batch_stats(&self) -> moc_abcast::BatchStats {
         let mut total = moc_abcast::BatchStats::default();
         for b in &self.batch_stats {
-            total.merge(*b);
+            total.merge(b);
         }
         total
     }
 }
 
-/// Rejection returned by [`LiveCluster::try_invoke`] once the online
+/// Rejection returned by [`PipelinedSession::invoke`] once the online
 /// sentinel has quarantined a process: the containment hook fail-stops
 /// further traffic from the offending replica (mirroring the fixed
 /// sequencer's halt-on-restart negative control) instead of letting a
@@ -316,9 +320,9 @@ where
     /// sentinel riding along: a dedicated monitor thread is fed every
     /// invocation and completion event from the replica threads, checks
     /// windows incrementally, and — on a latched violation — quarantines
-    /// the culprit process so [`LiveCluster::try_invoke`] refuses its
-    /// further traffic. Retrieve the verdicts and rolling certificates
-    /// with [`LiveCluster::shutdown_with_monitor`].
+    /// the culprit process: [`LiveCluster::quarantined`] reports it, and
+    /// its further traffic is refused ([`PipelinedSession::invoke`]
+    /// returns [`Quarantined`], [`LiveCluster::invoke`] panics).
     pub fn start_with_monitor(n: usize, config: RuntimeConfig, monitor: MonitorConfig) -> Self {
         Self::start_inner(n, config, Some(monitor))
     }
@@ -390,8 +394,8 @@ where
     /// # Panics
     ///
     /// Panics if the cluster is shutting down underneath the call, or if
-    /// the sentinel has quarantined `process` (use
-    /// [`LiveCluster::try_invoke`] to handle containment gracefully).
+    /// the sentinel has quarantined `process` (a [`PipelinedSession`]
+    /// returns [`Quarantined`] instead).
     pub fn invoke(&self, process: ProcessId, program: Arc<Program>, args: Vec<Value>) -> Reply {
         self.try_invoke(process, program, args)
             .expect("process not quarantined")
@@ -400,7 +404,7 @@ where
     /// Like [`LiveCluster::invoke`], but refuses — instead of panicking —
     /// when the online sentinel has quarantined `process` after latching
     /// a consistency violation it attributes to that replica.
-    pub fn try_invoke(
+    pub(crate) fn try_invoke(
         &self,
         process: ProcessId,
         program: Arc<Program>,
@@ -454,7 +458,7 @@ where
     /// sentinel's run summary — rolling certificates, verdict timeline,
     /// any latched violation — when the cluster was started with
     /// [`LiveCluster::start_with_monitor`] (`None` otherwise).
-    pub fn shutdown_with_monitor(mut self) -> (RuntimeReport, Option<MonitorRunSummary>) {
+    pub(crate) fn shutdown_with_monitor(mut self) -> (RuntimeReport, Option<MonitorRunSummary>) {
         // Each replica delivers the frames it still holds back, then
         // exits; anything sent to it after that is dropped.
         for tx in &self.inputs {

@@ -255,7 +255,7 @@ impl FaultPlan {
     }
 
     /// Sets the per-message drop probability.
-    pub fn with_drop(mut self, p: f64) -> Self {
+    pub(crate) fn with_drop(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "drop_prob must be in [0, 1]");
         self.drop_prob = p;
         self
@@ -343,7 +343,7 @@ impl FaultPlan {
 /// The coordinator of view `view` in an `n`-process cluster under the
 /// deterministic rotation used by the view-based atomic broadcast:
 /// view `v` is led by process `v mod n`.
-pub fn view_leader(view: u64, n: usize) -> ProcessId {
+pub(crate) fn view_leader(view: u64, n: usize) -> ProcessId {
     assert!(n > 0, "need at least one process");
     ProcessId::new((view % n as u64) as u32)
 }
@@ -817,18 +817,6 @@ impl<N: Node> World<N> {
         }
         self.stats()
     }
-
-    /// Runs while the next event is at or before `until_ns`.
-    pub fn run_until(&mut self, until_ns: u64) -> RunStats {
-        self.start_if_needed();
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at.0 > until_ns {
-                break;
-            }
-            self.step();
-        }
-        self.stats()
-    }
 }
 
 impl<N: Node> fmt::Debug for World<N> {
@@ -995,18 +983,6 @@ mod tests {
         for p in 0..4 {
             assert_eq!(w.node(ProcessId::new(p)).seen, 1);
         }
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut w = ping_world(1, DelayModel::Fixed(1000));
-        w.schedule_call(0, ProcessId::new(0), |_, ctx| {
-            ctx.send(ProcessId::new(1), PingMsg::Ping(1));
-        });
-        w.run_until(500);
-        assert_eq!(w.stats().messages_delivered, 0, "ping still in flight");
-        w.run_until(5000);
-        assert_eq!(w.stats().messages_delivered, 2);
     }
 
     #[test]

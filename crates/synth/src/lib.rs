@@ -167,7 +167,7 @@ pub struct SynthReport {
 /// the static analyzer. This is the configuration that *produces*
 /// histories shaped like the specimen, so Theorem 7 eligibility of the
 /// specimen is judged on it.
-pub fn derived_programs(h: &History) -> Vec<Program> {
+pub(crate) fn derived_programs(h: &History) -> Vec<Program> {
     h.records()
         .iter()
         .enumerate()
@@ -221,7 +221,7 @@ fn fnv_u64(h: u64, v: u64) -> u64 {
 /// footprints, no `rf` between them) receive interchangeable colours, so
 /// generation-order permutations of independent records — exactly the
 /// reorderings PR 7's symmetry reduction prunes — collapse to one key.
-pub fn canonical_key(h: &History) -> String {
+pub(crate) fn canonical_key(h: &History) -> String {
     let n = h.len();
     // Interval endpoint ranks.
     let mut endpoints: Vec<u64> = Vec::with_capacity(2 * n);
@@ -612,7 +612,7 @@ fn specimen_json(s: &Specimen) -> Json {
 }
 
 /// Renders the corpus manifest for a report.
-pub fn render_manifest(report: &SynthReport) -> String {
+pub(crate) fn render_manifest(report: &SynthReport) -> String {
     let doc = Json::Obj(vec![
         ("format".into(), json::str(FORMAT)),
         ("version".into(), json::num(VERSION as i64)),

@@ -5,8 +5,8 @@
 //! seed-deterministic functions here, so a seed printed by either side
 //! replays byte-identically in the other. The vendored proptest stub has
 //! no shrinking, so minimal counterexamples come from the explicit
-//! [`shrink_program`] / [`shrink_history`] candidate generators and the
-//! greedy [`minimize`] driver instead.
+//! [`shrink_program`] candidate generator and the greedy [`minimize`]
+//! driver instead.
 //!
 //! Everything is a plain function of `(&mut StdRng, &bounds)`; proptest
 //! strategies wrap these via `any::<u64>().prop_map(|seed| ...)` at the
@@ -41,7 +41,7 @@ impl Default for ProgramBounds {
 }
 
 /// A random operand: register, small immediate, or argument.
-pub fn operand(rng: &mut StdRng) -> Operand {
+pub(crate) fn operand(rng: &mut StdRng) -> Operand {
     match rng.gen_range(0..3) {
         0 => Operand::Reg(rng.gen_range(0..NUM_REGS as u8)),
         1 => Operand::Imm(rng.gen_range(-100i64..100)),
@@ -300,39 +300,6 @@ pub fn shrink_program(p: &Program) -> Vec<Program> {
     out
 }
 
-/// One-step shrink candidates for a history: drop one whole m-operation
-/// record, or one operation inside a record. Candidates that break
-/// well-formedness (for example, removing a write some other record
-/// reads from) are filtered by re-validation, so every candidate is a
-/// genuine smaller history with strictly fewer operations.
-pub fn shrink_history(h: &History) -> Vec<History> {
-    let mut out = Vec::new();
-    let records = h.records();
-    for i in 0..records.len() {
-        let mut cand = records.to_vec();
-        cand.remove(i);
-        if let Ok(smaller) = History::new(h.num_objects(), cand) {
-            out.push(smaller);
-        }
-    }
-    for i in 0..records.len() {
-        if records[i].ops.len() < 2 {
-            continue;
-        }
-        for j in 0..records[i].ops.len() {
-            let mut cand = records.to_vec();
-            cand[i].ops = (records[i].ops.iter().enumerate())
-                .filter(|&(k, _)| k != j)
-                .map(|(_, &op)| op)
-                .collect();
-            if let Ok(smaller) = History::new(h.num_objects(), cand) {
-                out.push(smaller);
-            }
-        }
-    }
-    out
-}
-
 /// Greedy minimization: repeatedly replaces `value` with the first
 /// shrink candidate still satisfying `pred`. Terminates because every
 /// candidate the shrinkers produce is strictly smaller; the result is
@@ -358,6 +325,39 @@ mod tests {
     use super::*;
     use moc_checker::conditions::Condition;
     use moc_checker::{check_certified, SearchLimits};
+
+    /// One-step shrink candidates for a history: drop one whole m-operation
+    /// record, or one operation inside a record. Candidates that break
+    /// well-formedness (for example, removing a write some other record
+    /// reads from) are filtered by re-validation, so every candidate is a
+    /// genuine smaller history with strictly fewer operations.
+    fn shrink_history(h: &History) -> Vec<History> {
+        let mut out = Vec::new();
+        let records = h.records();
+        for i in 0..records.len() {
+            let mut cand = records.to_vec();
+            cand.remove(i);
+            if let Ok(smaller) = History::new(h.num_objects(), cand) {
+                out.push(smaller);
+            }
+        }
+        for i in 0..records.len() {
+            if records[i].ops.len() < 2 {
+                continue;
+            }
+            for j in 0..records[i].ops.len() {
+                let mut cand = records.to_vec();
+                cand[i].ops = (records[i].ops.iter().enumerate())
+                    .filter(|&(k, _)| k != j)
+                    .map(|(_, &op)| op)
+                    .collect();
+                if let Ok(smaller) = History::new(h.num_objects(), cand) {
+                    out.push(smaller);
+                }
+            }
+        }
+        out
+    }
 
     // `check_certified`, the entry point the synthesis pipeline classifies
     // with. Free provenance can make the closed base relation itself

@@ -155,7 +155,7 @@ pub fn unreachable_write_program(x: ObjectId) -> Arc<Program> {
 /// A program that stores a register no path has initialized — the
 /// uninitialized-register-read (MOC0002) specimen. It still runs
 /// (registers start at zero), which is exactly why it deserves a lint.
-pub fn uninit_register_program(x: ObjectId) -> Arc<Program> {
+pub(crate) fn uninit_register_program(x: ObjectId) -> Arc<Program> {
     let mut b = ProgramBuilder::new("uninit-store");
     b.write(x, reg(4));
     b.ret(vec![]);
@@ -164,7 +164,8 @@ pub fn uninit_register_program(x: ObjectId) -> Arc<Program> {
 
 /// The example program set behind `moc analyze`: one representative of
 /// each protocol workload shape plus two deliberately lint-triggering
-/// specimens ([`unreachable_write_program`], [`uninit_register_program`]).
+/// specimens ([`unreachable_write_program`] and a program that reads an
+/// uninitialised register).
 pub fn demo_programs() -> Vec<Arc<Program>> {
     let x = ObjectId::new(0);
     let y = ObjectId::new(1);
