@@ -58,13 +58,12 @@ pub struct LinkConfig {
     /// Backoff cap: each retry draws a decorrelated-jitter RTO in
     /// `[rto_ns, min(max_rto_ns, 3 × previous RTO)]`, never above this.
     pub max_rto_ns: u64,
-    /// Receive-side deduplication + per-sender reordering. Disabling it
-    /// forwards raw wire arrivals — duplicates and all — to the layer
-    /// above.
-    pub dedup: bool,
-    /// Whether unacknowledged data is retransmitted. Disabling it makes
-    /// every network drop a permanent loss.
-    pub retransmit: bool,
+    /// Receive-side deduplication + per-sender reordering, and
+    /// retransmission of unacknowledged data. Clearing it (only
+    /// [`LinkConfig::sabotaged`] does) forwards raw wire arrivals —
+    /// duplicates and all — to the layer above and makes every network
+    /// drop a permanent loss.
+    pub reliable: bool,
 }
 
 impl Default for LinkConfig {
@@ -72,8 +71,7 @@ impl Default for LinkConfig {
         LinkConfig {
             rto_ns: 25_000,
             max_rto_ns: 400_000,
-            dedup: true,
-            retransmit: true,
+            reliable: true,
         }
     }
 }
@@ -85,8 +83,7 @@ impl LinkConfig {
     /// checker then refutes the resulting histories.
     pub fn sabotaged() -> Self {
         LinkConfig {
-            dedup: false,
-            retransmit: false,
+            reliable: false,
             ..LinkConfig::default()
         }
     }
@@ -331,7 +328,7 @@ impl<M: Clone> ReliableLink<M> {
             .or_insert_with(|| SenderState::new(cfg.rto_ns));
         let first_seq = s.next_seq;
         s.next_seq += payloads.len() as u64;
-        if cfg.retransmit {
+        if cfg.reliable {
             s.unacked
                 .extend((first_seq..).zip(payloads.iter().cloned()));
             if s.deadline.is_none() {
@@ -417,7 +414,7 @@ impl<M: Clone> ReliableLink<M> {
         wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
     ) -> Vec<M> {
         self.stats.data_received += 1;
-        if !self.cfg.dedup {
+        if !self.cfg.reliable {
             // Sabotaged: raw arrivals pass straight through.
             let ready: Vec<M> = payloads.into_iter().collect();
             self.stats.delivered += ready.len() as u64;
@@ -493,7 +490,7 @@ impl<M: Clone> ReliableLink<M> {
     /// that lost traffic at the same instant spread their retries instead
     /// of retransmitting in lockstep storms.
     pub fn on_tick(&mut self, now_ns: u64, wire: &mut Vec<(ProcessId, LinkMsg<M>)>) {
-        if !self.cfg.retransmit {
+        if !self.cfg.reliable {
             return;
         }
         let base = self.cfg.rto_ns;
@@ -528,10 +525,10 @@ impl<M: Clone> ReliableLink<M> {
     /// every peer to resynchronize via [`LinkMsg::Rejoin`].
     pub fn on_restart(&mut self, now_ns: u64, wire: &mut Vec<(ProcessId, LinkMsg<M>)>) {
         let base_rto = self.cfg.rto_ns;
-        let retransmit = self.cfg.retransmit;
+        let reliable = self.cfg.reliable;
         for (&peer, s) in self.senders.iter_mut() {
             s.rto_ns = base_rto;
-            if retransmit && !s.unacked.is_empty() {
+            if reliable && !s.unacked.is_empty() {
                 for (&seq, payload) in &s.unacked {
                     wire.push((
                         peer,

@@ -31,9 +31,7 @@ use moc_protocol::{
     ReplicaProtocol, RunReport,
 };
 use moc_sim::{DelayModel, NetworkConfig};
-use moc_workload::histories::{
-    concurrent_writers_history, multi_component_history, poisoned_multi_component_history,
-};
+use moc_workload::histories::{multi_component_history, poisoned_multi_component_history};
 use moc_workload::synth::{tiled, SynthFamily};
 use moc_workload::{scripts, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -246,7 +244,7 @@ pub fn experiment_checker_scaling(ks: &[usize]) -> Table {
     );
     for &k in ks {
         let mut rng = StdRng::seed_from_u64(k as u64);
-        let h = concurrent_writers_history(k, 3, &mut rng);
+        let h = multi_component_history(1, k, 3, &mut rng);
         let rel = process_order(&h).union(&reads_from(&h));
         let (outcome, stats) =
             find_legal_extension(&h, &rel, SearchLimits::with_max_nodes(20_000_000));
@@ -401,7 +399,7 @@ pub fn experiment_memo_ablation(ks: &[usize]) -> Table {
     );
     for &k in ks {
         let mut rng = StdRng::seed_from_u64(k as u64 + 100);
-        let h = concurrent_writers_history(k, 3, &mut rng);
+        let h = multi_component_history(1, k, 3, &mut rng);
         let rel = process_order(&h).union(&reads_from(&h));
         let limits = SearchLimits::with_max_nodes(50_000_000);
         let (a, s1) = find_legal_extension(&h, &rel, limits);
@@ -642,7 +640,7 @@ pub struct CheckerBenchRow {
     /// Peak transposition-table occupancy over the searched components.
     pub memo_peak: u64,
     /// The Theorem 7 fast path's verdict (`true` = admissible); `None` =
-    /// not applicable (the torn/shredded families reuse version numbers
+    /// not applicable (the torn families reuse version numbers
     /// across writers, which the version-based legality scan cannot
     /// arbitrate).
     pub fast: Option<bool>,
@@ -726,53 +724,33 @@ fn index_writer_order(h: &History) -> Vec<(MOpIdx, MOpIdx)> {
     updates.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
-/// [`multi_component_history`] with component 0's first reader torn: it
-/// keeps object 0 from writer 0 but takes object 1 from writer 1. The
-/// writers are atomic, so the history is inadmissible — yet `~H+` stays
+/// [`multi_component_history`] with the first reader of each of the
+/// first `torn` components torn: in component `c` it keeps object `2c`
+/// from writer 0 but takes object `2c+1` from writer 1. The writers are
+/// atomic, so each torn component is inadmissible — yet `~H+` stays
 /// acyclic, forcing the searches down the exhaustion path. The naive
 /// search exhausts the *product* of the per-component state spaces; the
-/// component-aware search only the sum.
-fn torn_multi_component(components: usize, k: usize, seed: u64) -> History {
-    assert!(k >= 2);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = multi_component_history(components, k, 2, &mut rng);
-    let mut records = h.records().to_vec();
-    let w0 = MOpId::new(ProcessId::new(0), 0);
-    let w1 = MOpId::new(ProcessId::new(1), 0);
-    let reader = records
-        .iter_mut()
-        .find(|r| &*r.label == "c0reader0")
-        .expect("component 0 has a first reader");
-    reader.ops[0] = CompletedOp::read(ObjectId::new(0), 1, w0, 1);
-    reader.ops[1] = CompletedOp::read(ObjectId::new(1), 2, w1, 1);
-    History::new(h.num_objects(), records).expect("torn history stays well-formed")
-}
-
-/// [`multi_component_history`] with *every* component's first reader torn
-/// the way [`torn_multi_component`] tears component 0: object `2c` from
-/// writer 0, object `2c+1` from writer 1 of component `c`. Each component
-/// is independently inadmissible, so a component-aware search must
-/// exhaustively refute every one of them. With `components == 1` (the
+/// component-aware search only the sum. With one component (the
 /// `knot-1xK` family) nothing decomposes and the whole refutation rests on
 /// the transposition table.
-fn shredded_multi_component(components: usize, k: usize, seed: u64) -> History {
-    assert!(k >= 2);
+fn torn_multi_component(components: usize, torn: usize, k: usize, seed: u64) -> History {
+    assert!(k >= 2 && torn <= components);
     let mut rng = StdRng::seed_from_u64(seed);
     let h = multi_component_history(components, k, 2, &mut rng);
     let mut records = h.records().to_vec();
-    for c in 0..components {
+    for c in 0..torn {
         let proc_base = (c * 2 * k) as u32;
         let w0 = MOpId::new(ProcessId::new(proc_base), 0);
         let w1 = MOpId::new(ProcessId::new(proc_base + 1), 0);
-        let label = format!("c{c}reader0");
+        let first_reader = MOpId::new(ProcessId::new(proc_base + k as u32), 0);
         let reader = records
             .iter_mut()
-            .find(|r| *r.label == *label)
+            .find(|r| r.id == first_reader)
             .expect("every component has a first reader");
         reader.ops[0] = CompletedOp::read(ObjectId::new((2 * c) as u32), 1, w0, 1);
         reader.ops[1] = CompletedOp::read(ObjectId::new((2 * c + 1) as u32), 2, w1, 1);
     }
-    History::new(h.num_objects(), records).expect("shredded history stays well-formed")
+    History::new(h.num_objects(), records).expect("torn history stays well-formed")
 }
 
 /// The benchmark families: label, history, whether the Theorem 7 fast path
@@ -786,7 +764,7 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
     vec![
         (
             "writers-3x3".into(),
-            concurrent_writers_history(3, 3, &mut rng),
+            multi_component_history(1, 3, 3, &mut rng),
             true,
             default_budget,
         ),
@@ -804,26 +782,31 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
         ),
         (
             "torn-2x3".into(),
-            torn_multi_component(2, 3, 7),
+            torn_multi_component(2, 1, 3, 7),
             false,
             default_budget,
         ),
         (
             "torn-3x3".into(),
-            torn_multi_component(3, 3, 7),
+            torn_multi_component(3, 1, 3, 7),
             false,
             default_budget,
         ),
-        ("torn-4x4".into(), torn_multi_component(4, 4, 7), false, big),
+        (
+            "torn-4x4".into(),
+            torn_multi_component(4, 1, 4, 7),
+            false,
+            big,
+        ),
         (
             "shred-4x5".into(),
-            shredded_multi_component(4, 5, 7),
+            torn_multi_component(4, 4, 5, 7),
             false,
             big,
         ),
         (
             "shred-4x6".into(),
-            shredded_multi_component(4, 6, 7),
+            torn_multi_component(4, 4, 6, 7),
             false,
             big,
         ),
@@ -831,7 +814,7 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
         // do no worse than the naive one on the strength of its table.
         (
             "knot-1x8".into(),
-            shredded_multi_component(1, 8, 7),
+            torn_multi_component(1, 1, 8, 7),
             false,
             big,
         ),
@@ -886,7 +869,7 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
 /// The fast path only runs on families whose index order is a sound
 /// writer order for the plain-relation question (the admissible families,
 /// and the poisoned one, where the stale read is illegal under *any*
-/// writer order); the torn/shredded families reuse version numbers across
+/// writer order); the torn families reuse version numbers across
 /// writers, which the version-based legality scan cannot arbitrate, so
 /// they report `fast: "n/a"`.
 pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
@@ -1596,7 +1579,7 @@ pub fn experiment_monitor(tile_counts: &[usize]) -> Vec<MonitorBenchRow> {
     let mut rng = StdRng::seed_from_u64(7);
     let serial = serial_history(&spec, &mut rng);
     let mut rng = StdRng::seed_from_u64(7);
-    let writers = concurrent_writers_history(3, 3, &mut rng);
+    let writers = multi_component_history(1, 3, 3, &mut rng);
 
     let mut rows = Vec::new();
     let cases: [(&str, &str, &History, Condition, Option<usize>); 2] = [
@@ -2027,7 +2010,7 @@ mod tests {
     #[test]
     fn pruned_search_never_explores_more_than_naive_on_one_component() {
         for k in [7, 8] {
-            let h = shredded_multi_component(1, k, 7);
+            let h = torn_multi_component(1, 1, k, 7);
             let rel = process_order(&h).union(&reads_from(&h));
             let limits = SearchLimits::default();
             let (naive_out, naive) = find_legal_extension(&h, &rel, limits);

@@ -6,9 +6,12 @@
 //! ```console
 //! $ moc run --protocol msc --processes 4 --ops 6 > history.txt
 //! $ moc check history.txt --condition sc
-//! m-sequential consistency: SATISFIED (fast path, WW-constraint)
+//! m-sequential consistency: SATISFIED (search, 24 nodes)
+//! replay: moc check history.txt --condition sc --max-nodes 5000000
 //! $ moc check history.txt --condition lin
-//! m-linearizability: VIOLATED — no legal sequential extension exists
+//! m-linearizability: VIOLATED (search, 0 nodes)
+//! reason: ~H+ cycle of length 2 refutes admissibility without search
+//! replay: moc check history.txt --condition lin --max-nodes 5000000
 //! $ moc render history.txt
 //! ```
 //!
@@ -23,7 +26,7 @@ use moc_analyze::Severity;
 use moc_checker::admissible::SearchLimits;
 use moc_checker::causal::check_m_causal;
 use moc_checker::certificate::check_certified;
-use moc_checker::conditions::{check, Condition, Strategy};
+use moc_checker::conditions::Condition;
 use moc_core::codec::{from_text, to_text};
 use moc_core::history::History;
 use moc_core::render::{render_listing, render_timeline};
@@ -32,9 +35,8 @@ use moc_protocol::{
     MscOverSequencer, MscOverView,
 };
 use moc_sim::{DelayModel, NetworkConfig};
-use moc_workload::histories::{
-    concurrent_writers_history, random_history, serial_history, HistorySpec,
-};
+use moc_workload::arb::{self, HistoryBounds};
+use moc_workload::histories::{multi_component_history, serial_history, HistorySpec};
 use moc_workload::{scripts, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,8 +105,7 @@ const COMMANDS: &[Subcommand] = &[
         options: "kind=serial|random|writers processes=N ops=K objects=M seed=S update-frac=F k=K",
         about: "Generate a synthetic history; print it." },
     Subcommand { name: "check", positional: "<file|->", run: cmd_check,
-        options: "condition=sc|lin|normal|causal brute max-nodes=N witness minimize \
-        certificate=PATH|-",
+        options: "condition=sc|lin|normal|causal max-nodes=N witness minimize certificate=PATH|-",
         about: "\
 Check a history against a consistency condition. --max-nodes caps
 the search's node budget (default 5000000). The output ends with a
@@ -389,20 +390,37 @@ fn load_history(args: &Args, stdin: &str) -> Result<History, String> {
     from_text(&text).map_err(|e| format!("cannot parse {source}: {e}"))
 }
 
-/// `--objects` of a command that builds a history over that many objects:
-/// within the 32-bit object ids the codec reads back, and refused, as
-/// `moc check` refuses such a header, when the history's per-object
-/// tables cannot be allocated — a usage error, never an allocator abort.
-fn history_objects(args: &Args) -> Result<usize, String> {
-    let objects = args.get_in("objects", 4, 1..=u32::MAX as usize)?;
-    History::new(objects, Vec::new()).map_err(|e| format!("--objects {objects}: {e}"))?;
+/// `--objects` of a command that builds per-object tables: within the
+/// 32-bit object ids the codec reads back, and refused up front, as `moc
+/// check` refuses such a header, unless a history's per-object tables can
+/// be built while `beside` more bytes per object are held — a usage error
+/// naming the flag, never an allocator abort later.
+fn objects_option(args: &Args, default: usize, beside: usize) -> Result<usize, String> {
+    let objects = args.get_in("objects", default, 1..=u32::MAX as usize)?;
+    let refuse = |e: moc_core::CoreError| format!("--objects {objects}: {e}");
+    let mut held = Vec::<u8>::new();
+    (held.try_reserve_exact(objects.saturating_mul(beside))).map_err(|_| {
+        refuse(moc_core::CoreError::ObjectTablesTooLarge {
+            num_objects: objects,
+        })
+    })?;
+    History::new(objects, Vec::new()).map_err(refuse)?;
     Ok(objects)
+}
+
+/// `--objects` of a command that runs a cluster of `processes` replicas.
+/// `ReplicaProtocol::new` cannot fail, so the count is refused before the
+/// cluster is built unless every replica's store and version vector, and
+/// the copy of each the run's report keeps, fit beside the history.
+fn cluster_objects(args: &Args, processes: usize) -> Result<usize, String> {
+    let per_store = size_of::<moc_core::value::Versioned>() + size_of::<u64>();
+    objects_option(args, 4, processes.saturating_mul(2 * per_store))
 }
 
 fn cmd_run(args: &Args, _stdin: &str) -> Outcome {
     let processes = args.get_in("processes", 3, 1..)?;
     let ops = args.get::<usize>("ops", 5)?;
-    let objects = history_objects(args)?;
+    let objects = cluster_objects(args, processes)?;
     let seed = args.get::<u64>("seed", 0)?;
     let update_fraction = args.get_in("update-frac", 0.5, 0.0..=1.0)?;
     let spec = WorkloadSpec {
@@ -433,20 +451,40 @@ fn cmd_run(args: &Args, _stdin: &str) -> Outcome {
 fn cmd_gen(args: &Args, _stdin: &str) -> Outcome {
     let seed = args.get::<u64>("seed", 0)?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let kind = args.value("kind").unwrap_or("serial");
-    let spec = HistorySpec {
-        processes: args.get_in("processes", 3, 1..)?,
-        ops_per_process: args.get::<usize>("ops", 4)?,
-        num_objects: history_objects(args)?,
-        update_fraction: args.get_in("update-frac", 0.5, 0.0..=1.0)?,
-        max_span: 2,
-    };
-    let h = match kind {
-        "serial" => serial_history(&spec, &mut rng),
-        "random" => random_history(&spec, &mut rng),
+    let processes = args.get_in("processes", 3, 1..)?;
+    let ops = args.get::<usize>("ops", 4)?;
+    let update_fraction = args.get_in("update-frac", 0.5, 0.0..=1.0)?;
+    // Beside the history's tables, per object: the serial store, the
+    // grammar's writer lists, or an operation on it by each of the 2k
+    // writers and readers, with its line of text.
+    let h = match args.value("kind").unwrap_or("serial") {
+        "serial" => {
+            let store = size_of::<(i64, moc_core::MOpId, u64)>();
+            let spec = HistorySpec {
+                processes,
+                ops_per_process: ops,
+                num_objects: objects_option(args, 4, store)?,
+                update_fraction,
+                max_span: 2,
+            };
+            serial_history(&spec, &mut rng)
+        }
+        "random" => {
+            let writers = size_of::<Vec<(moc_core::MOpId, i64, u64)>>();
+            let bounds = HistoryBounds {
+                processes,
+                mops_per_process: ops,
+                objects: objects_option(args, 4, writers)?,
+                max_span: 2,
+                update_fraction,
+            };
+            arb::history(&mut rng, &bounds)
+        }
         "writers" => {
             let k = args.get::<usize>("k", 3)?;
-            concurrent_writers_history(k, spec.num_objects, &mut rng)
+            let op = size_of::<moc_core::CompletedOp>() + 32;
+            let objects = objects_option(args, 4, k.saturating_mul(2 * op))?;
+            multi_component_history(1, k, objects, &mut rng)
         }
         other => return Err(format!("unknown kind {other:?} (serial|random|writers)")),
     };
@@ -464,8 +502,7 @@ fn cmd_check(args: &Args, stdin: &str) -> Outcome {
         .cloned()
         .unwrap_or_else(|| "-".into());
     let replay = format!(
-        "replay: moc check {source} --condition {condition_name}{} --max-nodes {max_nodes}\n",
-        if args.flag("brute") { " --brute" } else { "" },
+        "replay: moc check {source} --condition {condition_name} --max-nodes {max_nodes}\n"
     );
 
     if condition_name == "causal" {
@@ -516,39 +553,16 @@ fn cmd_check(args: &Args, stdin: &str) -> Outcome {
             ))
         }
     };
-    let strategy = if args.flag("brute") {
-        Strategy::BruteForce(limits)
-    } else {
-        Strategy::Auto
-    };
-    let (report, cert) = if args.value("certificate").is_some() {
-        // Proof-producing route: always decides via the precedence graph.
-        let (report, cert) = check_certified(&h, condition, limits).map_err(|e| e.to_string())?;
-        (report, Some(cert))
-    } else {
-        let report = check(&h, condition, strategy).map_err(|e| e.to_string())?;
-        (report, None)
-    };
+    let (report, cert) = check_certified(&h, condition, limits).map_err(|e| e.to_string())?;
     let mut out = format!(
-        "{condition}: {}",
+        "{condition}: {} (search, {} nodes)\n",
         if report.satisfied {
             "SATISFIED"
         } else {
             "VIOLATED"
-        }
+        },
+        report.stats.nodes
     );
-    match report.strategy_used {
-        moc_checker::conditions::StrategyUsed::BruteForce => {
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(" (search, {} nodes)", report.stats.nodes),
-            );
-        }
-        moc_checker::conditions::StrategyUsed::Constraint(c) => {
-            let _ = std::fmt::Write::write_fmt(&mut out, format_args!(" (fast path, {c})"));
-        }
-    }
-    out.push('\n');
     if let Some(reason) = &report.reason {
         let _ = std::fmt::Write::write_fmt(&mut out, format_args!("reason: {reason}\n"));
     }
@@ -584,9 +598,7 @@ fn cmd_check(args: &Args, stdin: &str) -> Outcome {
         }
     }
     out.push_str(&replay);
-    if let Some(cert) = cert {
-        write_certificate(args, || cert.to_text(), &mut out)?;
-    }
+    write_certificate(args, || cert.to_text(), &mut out)?;
     Ok((out, 0))
 }
 
@@ -806,8 +818,9 @@ fn program_set_pass<A>(
         },
     };
     // A lower bound: the pass widens the universe to every object the
-    // programs reference.
-    let objects = args.get_in("objects", 1, 1..)?;
+    // programs reference. It holds about 80 bytes per object at its peak
+    // (the universe set, the partition, the report's idle shard).
+    let objects = objects_option(args, 1, 80)?;
     Ok(pass(&refs, objects, opts))
 }
 
@@ -891,7 +904,7 @@ fn chaos_run_one<R: moc_protocol::ReplicaProtocol + 'static>(
     let link = report.total_link_stats();
     let batch = report.total_batch_stats();
     let orphans = report.anomalies.orphan_completions;
-    let expected_sabotage = !config.link.dedup || !config.link.retransmit;
+    let expected_sabotage = !config.link.reliable;
     if !report.anomalies.is_clean() && !expected_sabotage {
         return ChaosOutcome {
             clean: false,
@@ -990,7 +1003,7 @@ fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
     // Faults need a remote hop: at least two processes.
     let processes = args.get_in("processes", 3, 2..)?;
     let ops = args.get::<usize>("ops", 4)?;
-    let objects = args.get_in("objects", 4, 1..)?;
+    let objects = cluster_objects(args, processes)?;
     let seeds = args.get::<u64>("seeds", 5)?;
     let seed_base = args.get::<u64>("seed-base", 0)?;
     let sabotage = args.flag("sabotage");
@@ -1544,7 +1557,7 @@ mod tests {
 
     /// `--certificate`, `--witness` and `--minimize` have nothing to give
     /// under `--condition causal`: each is a usage error, not a verdict that
-    /// silently ignores it. `--brute` and `--max-nodes` stay accepted.
+    /// silently ignores it. `--max-nodes` stays accepted.
     #[test]
     fn causal_rejects_the_flags_it_cannot_honour() {
         let text = dispatch(&sv(&["gen", "--kind", "writers", "--k", "2"]), "").unwrap();
@@ -1556,31 +1569,46 @@ mod tests {
             let expected = format!("{} is not supported with --condition causal", flag[0]);
             assert_eq!(result.unwrap_err(), expected);
         }
-        let cmd = sv(&[
-            "check",
-            "-",
-            "--condition",
-            "causal",
-            "--brute",
-            "--max-nodes",
-            "1000",
-        ]);
+        let cmd = sv(&["check", "-", "--condition", "causal", "--max-nodes", "1000"]);
         let (result, code) = dispatch_with_status(&cmd, &text);
         assert_eq!(code, 0);
         assert!(result.unwrap().contains("m-causal consistency: "));
     }
 
     #[test]
-    fn check_with_witness_and_brute() {
+    fn check_with_witness() {
         let text = dispatch(&sv(&["gen", "--kind", "writers", "--k", "2"]), "").unwrap();
         let out = dispatch(
-            &sv(&["check", "-", "--condition", "sc", "--brute", "--witness"]),
+            &sv(&["check", "-", "--condition", "sc", "--witness"]),
             &text,
         )
         .unwrap();
         assert!(out.contains("SATISFIED"));
         assert!(out.contains("witness:"));
         assert!(out.contains("search,"));
+    }
+
+    /// `--max-nodes` is the search's budget whatever else is asked for: a
+    /// writers history that takes 21 nodes exhausts a budget of 1 on
+    /// every condition, with or without a witness, a certificate or a
+    /// minimizer.
+    #[test]
+    fn max_nodes_binds_on_every_route() {
+        let text = dispatch(&sv(&["gen", "--kind", "writers", "--k", "3"]), "").unwrap();
+        for condition in ["sc", "lin", "normal"] {
+            for tail in [
+                &[][..],
+                &["--witness"],
+                &["--minimize"],
+                &["--certificate", "-"],
+            ] {
+                let cmd = sv(&["check", "-", "--condition", condition, "--max-nodes", "1"]);
+                let (result, code) = dispatch_with_status(&[&cmd[..], &sv(tail)].concat(), &text);
+                assert_eq!(code, 2, "{condition} {tail:?}: {result:?}");
+                let err = result.unwrap_err();
+                assert!(err.contains("search budget exhausted"), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -1615,6 +1643,49 @@ mod tests {
             }
         }
         panic!("no seed produced a violation to minimize");
+    }
+
+    /// `moc gen --kind random` draws the one history grammar: its options
+    /// are the grammar's bounds, with spans of at most two objects.
+    #[test]
+    fn gen_random_draws_the_grammar() {
+        let options: [&[&str]; 2] = [
+            &[],
+            &[
+                "--processes",
+                "5",
+                "--ops",
+                "6",
+                "--objects",
+                "7",
+                "--update-frac",
+                "0.9",
+            ],
+        ];
+        let bounds = [
+            HistoryBounds {
+                processes: 3,
+                mops_per_process: 4,
+                objects: 4,
+                max_span: 2,
+                update_fraction: 0.5,
+            },
+            HistoryBounds {
+                processes: 5,
+                mops_per_process: 6,
+                objects: 7,
+                max_span: 2,
+                update_fraction: 0.9,
+            },
+        ];
+        for (tail, bounds) in options.into_iter().zip(bounds) {
+            for seed in 0..8u64 {
+                let cmd = sv(&["gen", "--kind", "random", "--seed", &seed.to_string()]);
+                let out = dispatch(&[&cmd[..], &sv(tail)].concat(), "").unwrap();
+                let h = arb::history(&mut StdRng::seed_from_u64(seed), &bounds);
+                assert_eq!(out, to_text(&h), "seed {seed} {tail:?}");
+            }
+        }
     }
 
     #[test]
@@ -2347,8 +2418,8 @@ mod tests {
     }
 
     /// Every fixture history gets a verdict under every condition, and
-    /// where the fast path does not decide, `moc check` prints what the
-    /// certified route prints: one graph, one decision.
+    /// `moc check` prints what it prints when it also writes the
+    /// certificate: one graph, one decision.
     #[test]
     fn check_agrees_with_certificate_on_every_fixture() {
         let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
@@ -2363,17 +2434,12 @@ mod tests {
         assert_eq!(files.len(), 13);
         let cert = std::env::temp_dir().join(format!("moc-one-path-{}.json", std::process::id()));
         let cert = cert.display().to_string();
-        let mut searched = 0;
         for file in &files {
             for condition in ["sc", "lin", "normal"] {
                 let plain = sv(&["check", file, "--condition", condition]);
                 let (out, code) = dispatch_with_status(&plain, "");
                 let out = out.unwrap_or_else(|e| panic!("{file} {condition}: {e}"));
                 assert_eq!(code, 0, "{file} {condition}: {out}");
-                if out.lines().next().unwrap().contains("(fast path") {
-                    continue;
-                }
-                searched += 1;
                 let certified = [&plain[..], &sv(&["--certificate", &cert])].concat();
                 let (certified_out, code) = dispatch_with_status(&certified, "");
                 assert_eq!(code, 0, "{file} {condition}");
@@ -2381,7 +2447,6 @@ mod tests {
             }
         }
         let _ = std::fs::remove_file(&cert);
-        assert!(searched >= 30, "{searched} of 39 pairs searched");
     }
 
     #[test]
@@ -2438,18 +2503,18 @@ mod tests {
     #[test]
     fn a_flag_does_not_take_the_next_word() {
         let file = history_file("flag");
-        let (out, code) = dispatch_with_status(&sv(&["check", "--brute", &file]), "");
+        let (out, code) = dispatch_with_status(&sv(&["check", "--witness", &file]), "");
         let out = out.unwrap();
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("SATISFIED (search,"), "{out}");
-        assert!(out.contains(" --brute --max-nodes"), "{out}");
+        assert!(out.contains("witness: "), "{out}");
         std::fs::remove_file(&file).ok();
     }
 
     #[test]
     fn a_valued_option_needs_a_value() {
         let file = history_file("valued");
-        for tail in [&["--certificate"][..], &["--certificate", "--brute"]] {
+        for tail in [&["--certificate"][..], &["--certificate", "--witness"]] {
             let cmd = [&sv(&["check", &file])[..], &sv(tail)].concat();
             let (result, code) = dispatch_with_status(&cmd, "");
             assert_eq!(code, 2, "{tail:?}: {result:?}");
@@ -2469,7 +2534,7 @@ mod tests {
             (&["check", "-"], true),
             (&["check", "-", "--certificate", "-"], true),
             (&["check", "h.txt", "--certificate", "-"], false),
-            (&["check", "--brute", "-"], true),
+            (&["check", "--witness", "-"], true),
             (&["audit", "h.txt", "-"], true),
             (&["audit", "-", "--programs", "demo"], true),
             (&["shard", "--certificate", "-"], false),

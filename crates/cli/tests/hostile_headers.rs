@@ -56,28 +56,47 @@ fn hostile_object_headers_exit_2() {
     assert_eq!(code, Some(0), "{stderr}");
 }
 
-/// `moc gen` and `moc run` build a history over `--objects` objects. A
-/// count past the 32-bit object ids, or one whose per-object tables the
-/// limit cannot hold, is a usage error naming the flag, never an
-/// allocator abort in a generator or a replica store (134).
+/// `moc gen` and `moc run` build a history over `--objects` objects, and
+/// `moc shard` / `moc commute` a partition of as many. A count past the
+/// 32-bit object ids, or one whose per-object tables the limit cannot
+/// hold beside what the command builds with them — the serial store, the
+/// grammar's writer lists, the writers' operations, the replicas' stores
+/// — is a usage error naming the flag, refused before anything is built:
+/// never a panic in a generator (101) or an allocator abort in a
+/// generator, a replica store or the shard pass (134).
 #[test]
 fn hostile_object_counts_exit_2() {
-    let cases = [
+    let mut cases = Vec::new();
+    for (count, says) in [
         ("4000000000", "cannot allocate the per-object tables"),
         ("4294967296", "must lie in 1..=4294967295"),
-    ];
-    for (count, says) in cases {
+    ] {
         for args in [
             &["gen", "--kind", "serial", "--objects", count][..],
             &["gen", "--kind", "random", "--objects", count],
             &["gen", "--kind", "writers", "--objects", count],
             &["run", "--ops", "1", "--objects", count],
+            &["shard", "--objects", count],
+            &["commute", "--objects", count],
         ] {
-            let (code, stderr) = moc_limited(args, "");
-            assert_eq!(code, Some(2), "moc {args:?}: {stderr}");
-            assert!(stderr.contains("--objects"), "moc {args:?}: {stderr}");
-            assert!(stderr.contains(says), "moc {args:?}: {stderr}");
+            cases.push((args.to_vec(), says));
         }
+    }
+    // The history's tables alone fit these; what is built beside them
+    // does not.
+    for args in [
+        &["gen", "--kind", "serial", "--objects", "70000000"][..],
+        &["gen", "--kind", "random", "--objects", "70000000"],
+        &["gen", "--kind", "writers", "--objects", "30000000"],
+        &["run", "--ops", "1", "--objects", "30000000"],
+    ] {
+        cases.push((args.to_vec(), "cannot allocate the per-object tables"));
+    }
+    for (args, says) in cases {
+        let (code, stderr) = moc_limited(&args, "");
+        assert_eq!(code, Some(2), "moc {args:?}: {stderr}");
+        assert!(stderr.contains("--objects"), "moc {args:?}: {stderr}");
+        assert!(stderr.contains(says), "moc {args:?}: {stderr}");
     }
     // The control: a count the limit does not bind generates.
     let (code, stderr) = moc_limited(&["gen", "--kind", "writers", "--objects", "4"], "");

@@ -3,10 +3,11 @@
 //! One grammar, two consumers: the analyzer's soundness proptests and the
 //! `moc-synth` enumeration both draw programs and histories from the
 //! seed-deterministic functions here, so a seed printed by either side
-//! replays byte-identically in the other. The vendored proptest stub has
-//! no shrinking, so minimal counterexamples come from the explicit
-//! [`shrink_program`] candidate generator and the greedy [`minimize`]
-//! driver instead.
+//! replays byte-identically in the other; `moc gen --kind random` prints
+//! [`history`] too, with its options as the bounds. The vendored proptest
+//! stub has no shrinking, so minimal counterexamples come from the
+//! explicit [`shrink_program`] candidate generator and the greedy
+//! [`minimize`] loop instead.
 //!
 //! Everything is a plain function of `(&mut StdRng, &bounds)`; proptest
 //! strategies wrap these via `any::<u64>().prop_map(|seed| ...)` at the
@@ -162,11 +163,14 @@ impl Default for HistoryBounds {
     }
 }
 
-fn distinct_objects(rng: &mut StdRng, bounds: &HistoryBounds) -> Vec<ObjectId> {
-    let span = rng.gen_range(1..=bounds.max_span.clamp(1, bounds.objects));
+/// `1..=max_span` distinct objects of `0..objects`, drawn uniformly: the
+/// footprint of one m-operation, in this grammar and in
+/// [`crate::histories::serial_history`].
+pub(crate) fn distinct_objects(rng: &mut StdRng, objects: usize, max_span: usize) -> Vec<ObjectId> {
+    let span = rng.gen_range(1..=max_span.clamp(1, objects));
     let mut objs = Vec::with_capacity(span);
     while objs.len() < span {
-        let o = ObjectId::new(rng.gen_range(0..bounds.objects) as u32);
+        let o = ObjectId::new(rng.gen_range(0..objects) as u32);
         if !objs.contains(&o) {
             objs.push(o);
         }
@@ -195,7 +199,7 @@ pub fn history(rng: &mut StdRng, bounds: &HistoryBounds) -> History {
         let count = rng.gen_range(1..=bounds.mops_per_process.max(1));
         for seq in 0..count {
             let id = MOpId::new(ProcessId::new(p as u32), seq as u32);
-            let objs = distinct_objects(rng, bounds);
+            let objs = distinct_objects(rng, bounds.objects, bounds.max_span);
             let is_update = rng.gen_bool(bounds.update_fraction.clamp(0.0, 1.0));
             let mut write_mask: Vec<bool> = objs
                 .iter()

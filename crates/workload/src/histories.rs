@@ -1,25 +1,18 @@
 //! Synthetic history generators for the consistency checkers.
 //!
-//! Three families:
+//! Three families (random read provenance is [`crate::arb::history`]'s):
 //!
 //! * [`serial_history`] — a random *serial* execution: m-operations run one
 //!   at a time against a simulated store, so the history is legal and
 //!   m-linearizable by construction. Positive control for checkers at any
 //!   size.
-//! * [`random_history`] — operations get *random* read provenance (any
-//!   writer of the object, or the initial value), decoupled from any real
-//!   execution. Most such histories are inadmissible; deciding them forces
-//!   the brute-force checker to actually search. Fuel for the Theorem 1/2
-//!   scaling benchmarks.
-//! * [`concurrent_writers_history`] — the adversarial family: `k`
-//!   concurrent multi-object writers and `k` readers, each reader
-//!   consistent with a *different* interleaving. Verification must consider
-//!   many writer orders, exhibiting the exponential worst case.
-//! * [`multi_component_history`] — several *disjoint* copies of the
-//!   adversarial family, each on its own object and process range. A naive
-//!   search multiplies the per-component state spaces; a component-aware
-//!   search only sums them, so this family separates the two
-//!   experimentally.
+//! * [`multi_component_history`] — the adversarial family: `k` concurrent
+//!   multi-object writers and `k` readers, each reader consistent with a
+//!   *different* interleaving, in one or several *disjoint* copies. One
+//!   copy exhibits the exponential worst case of the Theorem 1/2
+//!   benchmarks; across copies a naive search multiplies the
+//!   per-component state spaces while a component-aware search only sums
+//!   them, so the family separates the two experimentally.
 //! * [`poisoned_multi_component_history`] — the multi-component family
 //!   plus one stale reader spliced into component 0: it reads a writer's
 //!   value and then, later on the same process, reads the initial value
@@ -33,6 +26,8 @@ use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
 use rand::rngs::StdRng;
 use rand::Rng;
+
+use crate::arb::distinct_objects;
 
 /// Parameters for the synthetic history generators.
 #[derive(Debug, Clone, Copy)]
@@ -61,18 +56,6 @@ impl Default for HistorySpec {
     }
 }
 
-fn distinct_objects(spec: &HistorySpec, rng: &mut StdRng) -> Vec<ObjectId> {
-    let span = rng.gen_range(1..=spec.max_span.clamp(1, spec.num_objects));
-    let mut objs = Vec::with_capacity(span);
-    while objs.len() < span {
-        let o = ObjectId::new(rng.gen_range(0..spec.num_objects) as u32);
-        if !objs.contains(&o) {
-            objs.push(o);
-        }
-    }
-    objs
-}
-
 /// A random serial execution: always legal, m-linearizable, m-normal and
 /// m-sequentially consistent.
 pub fn serial_history(spec: &HistorySpec, rng: &mut StdRng) -> History {
@@ -95,7 +78,7 @@ pub fn serial_history(spec: &HistorySpec, rng: &mut StdRng) -> History {
         let id = MOpId::new(pid, next_seq[p]);
         next_seq[p] += 1;
 
-        let objs = distinct_objects(spec, rng);
+        let objs = distinct_objects(rng, spec.num_objects, spec.max_span);
         let is_update = rng.gen_bool(spec.update_fraction.clamp(0.0, 1.0));
         let mut ops = InlineList::new();
         for &o in &objs {
@@ -131,158 +114,10 @@ pub fn serial_history(spec: &HistorySpec, rng: &mut StdRng) -> History {
     History::new(spec.num_objects, records).expect("serial construction is well-formed")
 }
 
-/// A history whose reads get random provenance — any writer of the object
-/// or the initial value — under fully overlapping intervals. Usually
-/// inadmissible; decided only by search.
-pub fn random_history(spec: &HistorySpec, rng: &mut StdRng) -> History {
-    // First pass: decide the shape (who writes what).
-    struct Shape {
-        id: MOpId,
-        objs: Vec<ObjectId>,
-        write_mask: Vec<bool>,
-        invoked: u64,
-        responded: u64,
-    }
-    let mut shapes = Vec::new();
-    for p in 0..spec.processes {
-        let mut t = 0u64;
-        for seq in 0..spec.ops_per_process {
-            let id = MOpId::new(ProcessId::new(p as u32), seq as u32);
-            let objs = distinct_objects(spec, rng);
-            let is_update = rng.gen_bool(spec.update_fraction.clamp(0.0, 1.0));
-            let write_mask = objs
-                .iter()
-                .map(|_| is_update && rng.gen_bool(0.7))
-                .collect::<Vec<_>>();
-            let invoked = t + rng.gen_range(0..5);
-            let responded = invoked + rng.gen_range(1..20);
-            t = responded;
-            shapes.push(Shape {
-                id,
-                objs,
-                write_mask,
-                invoked,
-                responded,
-            });
-        }
-    }
-    // Collect writers per object.
-    let mut writers: Vec<Vec<(MOpId, i64, u64)>> = vec![Vec::new(); spec.num_objects];
-    let mut next_value = 1i64;
-    let mut write_values = std::collections::HashMap::new();
-    for s in &shapes {
-        for (i, &o) in s.objs.iter().enumerate() {
-            if s.write_mask[i] {
-                let v = next_value;
-                next_value += 1;
-                let ver = writers[o.index()].len() as u64 + 1;
-                writers[o.index()].push((s.id, v, ver));
-                write_values.insert((s.id, o), (v, ver));
-            }
-        }
-    }
-    // Second pass: emit records with random read provenance.
-    let records = shapes
-        .iter()
-        .map(|s| {
-            let ops = s
-                .objs
-                .iter()
-                .enumerate()
-                .map(|(i, &o)| {
-                    if s.write_mask[i] {
-                        let (v, ver) = write_values[&(s.id, o)];
-                        CompletedOp::write(o, v, s.id, ver)
-                    } else {
-                        // Random provenance among writers of o (excluding
-                        // this op, which never writes o) or initial.
-                        let cands: Vec<&(MOpId, i64, u64)> = writers[o.index()]
-                            .iter()
-                            .filter(|(w, _, _)| *w != s.id)
-                            .collect();
-                        if cands.is_empty() || rng.gen_bool(0.2) {
-                            CompletedOp::read(o, 0, MOpId::INITIAL, 0)
-                        } else {
-                            let &(w, v, ver) = cands[rng.gen_range(0..cands.len())];
-                            CompletedOp::read(o, v, w, ver)
-                        }
-                    }
-                })
-                .collect::<InlineList<_>>();
-            MOpRecord {
-                id: s.id,
-                invoked_at: EventTime::from_nanos(s.invoked),
-                responded_at: EventTime::from_nanos(s.responded),
-                ops,
-                outputs: InlineList::new(),
-                treated_as: if s.write_mask.iter().any(|&w| w) {
-                    MOpClass::Update
-                } else {
-                    MOpClass::Query
-                },
-                label: "random".into(),
-            }
-        })
-        .collect();
-    History::new(spec.num_objects, records).expect("random construction is well-formed")
-}
-
-/// The adversarial reader/writer family parameterized by `k`:
-///
-/// * `k` writer processes, each atomically writing all of `x_0..x_{m-1}`
-///   (fully concurrent intervals);
-/// * `k` reader processes, each reading all objects from a *randomly
-///   chosen* writer (consistently — so each reader is individually
-///   satisfiable, but the set of readers pins down interleavings).
-///
-/// Deciding m-sequential consistency over this family forces the search to
-/// explore writer permutations; cost grows combinatorially with `k`.
-pub fn concurrent_writers_history(k: usize, num_objects: usize, rng: &mut StdRng) -> History {
-    let mut records = Vec::new();
-    let objects: Vec<ObjectId> = (0..num_objects).map(|i| ObjectId::new(i as u32)).collect();
-    // Writers: all concurrent.
-    for w in 0..k {
-        let id = MOpId::new(ProcessId::new(w as u32), 0);
-        let ops = objects
-            .iter()
-            .map(|&o| CompletedOp::write(o, (w + 1) as i64, id, 1))
-            .collect();
-        records.push(MOpRecord {
-            id,
-            invoked_at: EventTime::from_nanos(0),
-            responded_at: EventTime::from_nanos(1_000),
-            ops,
-            outputs: InlineList::new(),
-            treated_as: MOpClass::Update,
-            label: format!("writer{w}").into(),
-        });
-    }
-    // Readers: each snapshots one random writer's values, concurrent with
-    // everything.
-    for r in 0..k {
-        let id = MOpId::new(ProcessId::new((k + r) as u32), 0);
-        let w = rng.gen_range(0..k);
-        let wid = MOpId::new(ProcessId::new(w as u32), 0);
-        let ops = objects
-            .iter()
-            .map(|&o| CompletedOp::read(o, (w + 1) as i64, wid, 1))
-            .collect();
-        records.push(MOpRecord {
-            id,
-            invoked_at: EventTime::from_nanos(0),
-            responded_at: EventTime::from_nanos(1_000),
-            ops,
-            outputs: InlineList::new(),
-            treated_as: MOpClass::Query,
-            label: format!("reader{r}").into(),
-        });
-    }
-    History::new(num_objects, records).expect("adversarial construction is well-formed")
-}
-
-/// One component of the multi-component family: the `k`-writer/`k`-reader
-/// adversarial history translated to objects
-/// `[c·m, (c+1)·m)` and processes `[c·2k, (c+1)·2k)`.
+/// Component `c` of the multi-component family: `k` writers, each
+/// atomically writing all of objects `[c·m, (c+1)·m)`, and `k` readers,
+/// each reading all of them from one *randomly chosen* writer, on
+/// processes `[c·2k, (c+1)·2k)`. Every interval is `[0, 1000]`.
 fn component_records(
     c: usize,
     k: usize,
@@ -308,7 +143,7 @@ fn component_records(
             ops,
             outputs: InlineList::new(),
             treated_as: MOpClass::Update,
-            label: format!("c{c}writer{w}").into(),
+            label: format!("writer{w}").into(),
         });
     }
     for r in 0..k {
@@ -326,20 +161,27 @@ fn component_records(
             ops,
             outputs: InlineList::new(),
             treated_as: MOpClass::Query,
-            label: format!("c{c}reader{r}").into(),
+            label: format!("reader{r}").into(),
         });
     }
 }
 
-/// `components` disjoint copies of [`concurrent_writers_history`]: copy
-/// `c` lives on objects `[c·m, (c+1)·m)` and processes `[c·2k, (c+1)·2k)`,
-/// sharing nothing with the other copies. All intervals are fully
-/// concurrent, so only the object footprints partition the history.
+/// The adversarial reader/writer family parameterized by `k`, in
+/// `components` disjoint copies of `objects_per_component` objects each:
+/// copy `c` holds `k` writers, each atomically writing all of its objects,
+/// and `k` readers, each reading all of them from one *randomly chosen*
+/// writer (consistently, so each reader is individually satisfiable, but
+/// the set of readers pins down interleavings). Copy `c` lives on objects
+/// `[c·m, (c+1)·m)` and processes `[c·2k, (c+1)·2k)`, sharing nothing with
+/// the other copies. All intervals are fully concurrent, so only the
+/// object footprints partition the history.
 ///
 /// The family is always admissible (each reader snapshots one writer), but
-/// a search that cannot decompose it must interleave all `components·2k`
-/// m-operations at once, multiplying the per-component state spaces; a
-/// component-aware search solves each copy independently and sums them.
+/// deciding it forces a search to explore writer permutations: its cost
+/// grows combinatorially with `k`. A search that cannot decompose it must
+/// interleave all `components·2k` m-operations at once, multiplying the
+/// per-component state spaces; a component-aware search solves each copy
+/// independently and sums them.
 pub fn multi_component_history(
     components: usize,
     k: usize,
@@ -463,7 +305,6 @@ pub fn tile_history(h: &History, tiles: usize) -> History {
 mod tests {
     use super::*;
     use moc_checker::conditions::{check, Condition, Strategy};
-    use moc_checker::SearchLimits;
     use rand::SeedableRng;
 
     #[test]
@@ -483,33 +324,12 @@ mod tests {
     }
 
     #[test]
-    fn random_histories_are_wellformed_and_checkable() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut rejected = 0;
-        for _ in 0..20 {
-            let h = random_history(&HistorySpec::default(), &mut rng);
-            assert!(!h.is_empty());
-            let r = check(
-                &h,
-                Condition::MSequentialConsistency,
-                Strategy::BruteForce(SearchLimits::with_max_nodes(200_000)),
-            );
-            if let Ok(report) = r {
-                if !report.satisfied {
-                    rejected += 1;
-                }
-            }
-        }
-        assert!(rejected > 0, "random provenance should often be rejected");
-    }
-
-    #[test]
     fn concurrent_writers_with_consistent_readers_is_satisfiable() {
         // Each reader snapshots exactly one writer's full write set, so a
         // witness always exists: order the writers arbitrarily and place
         // every reader immediately after the writer it observed.
         let mut rng = StdRng::seed_from_u64(3);
-        let h = concurrent_writers_history(4, 3, &mut rng);
+        let h = multi_component_history(1, 4, 3, &mut rng);
         assert_eq!(h.len(), 8);
         let report = check(&h, Condition::MSequentialConsistency, Strategy::Auto).unwrap();
         assert!(report.satisfied);
@@ -521,7 +341,7 @@ mod tests {
         // rest from writer 1 — inadmissible (writers write all objects
         // atomically).
         let mut rng = StdRng::seed_from_u64(4);
-        let h = concurrent_writers_history(2, 2, &mut rng);
+        let h = multi_component_history(1, 2, 2, &mut rng);
         let mut records = h.records().to_vec();
         let w0 = MOpId::new(ProcessId::new(0), 0);
         let w1 = MOpId::new(ProcessId::new(1), 0);
@@ -549,10 +369,11 @@ mod tests {
         let report = check(&h, Condition::MSequentialConsistency, Strategy::Auto).unwrap();
         assert!(report.satisfied);
         // The components really are disjoint: no object appears in two.
+        // Component `c` runs on processes `[4c, 4c + 4)` (2k = 4).
         use std::collections::BTreeMap;
         let mut comp_of_obj: BTreeMap<usize, usize> = BTreeMap::new();
         for (_, rec) in h.iter() {
-            let c: usize = rec.label[1..2].parse().unwrap();
+            let c = rec.id.process.as_u32() as usize / 4;
             for op in &rec.ops {
                 assert_eq!(*comp_of_obj.entry(op.object.index()).or_insert(c), c);
             }

@@ -8,10 +8,12 @@
 //!   configurable update fraction, operation span and contention profile)
 //!   for the protocol harness.
 //! * [`histories`] — synthetic [`moc_core::History`] generators for the checker:
-//!   serial (always admissible), random-provenance (usually not), and the
-//!   adversarial reader/writer family whose brute-force verification cost
-//!   grows combinatorially — the workloads behind the Theorem 1/2
-//!   benchmarks.
+//!   serial (always admissible) and the adversarial reader/writer family
+//!   whose brute-force verification cost grows combinatorially — the
+//!   workloads behind the Theorem 1/2 benchmarks.
+//! * [`arb`] — the one random grammar: programs, and histories with free
+//!   read provenance (usually inadmissible), for the proptests, `moc
+//!   synth` and `moc gen --kind random`.
 
 use std::sync::Arc;
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Code-surface table: per crate and in total, the non-test Rust lines
-# (everything above the first `#[cfg(test)]` of each `src/**/*.rs`) and
-# the `pub` items declared in those lines.
+# (everything above the first column-0 `#[cfg(test)]` of each
+# `src/**/*.rs`; an indented one gates a single item, not the rest of the
+# file) and the `pub` items declared in those lines.
 #
 #   scripts/surface.sh            the working tree
 #   scripts/surface.sh <git-rev>  another revision, read via `git show`
@@ -30,7 +31,7 @@ list | while read -r file; do
         *) crate=multiobj ;;
     esac
     show "$file" | awk -v crate="$crate" '
-        /^[ \t]*#\[cfg\(test\)\]/ { exit }
+        /^#\[cfg\(test\)\]/ { exit }
         { lines++ }
         /^[ \t]*pub[ \t]+(fn|struct|enum|trait|type|const|mod|use)[ \t]/ { pubs++ }
         END { print crate, lines + 0, pubs + 0 }'

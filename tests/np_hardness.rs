@@ -17,7 +17,7 @@ use moc_core::history::MOpIdx;
 use moc_core::ids::ObjectId;
 use moc_core::legality::sequence_witnesses_admissibility;
 use moc_core::relations::{process_order, reads_from, real_time};
-use moc_workload::histories::{concurrent_writers_history, serial_history, HistorySpec};
+use moc_workload::histories::{multi_component_history, serial_history, HistorySpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,7 +55,7 @@ fn search_cost_grows_on_adversarial_family() {
     let mut nodes_at = Vec::new();
     for k in [2usize, 4, 6] {
         let mut rng = StdRng::seed_from_u64(k as u64);
-        let h = concurrent_writers_history(k, 3, &mut rng);
+        let h = multi_component_history(1, k, 3, &mut rng);
         let rel = process_order(&h).union(&reads_from(&h));
         let (outcome, stats) = find_legal_extension(&h, &rel, SearchLimits::default());
         assert!(outcome.is_admissible());
@@ -82,7 +82,7 @@ fn refutation_cost_grows_superlinearly_on_torn_instances() {
         let mut total_len = 0u64;
         for seed in 0..8u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let h = concurrent_writers_history(k, num_objects, &mut rng);
+            let h = multi_component_history(1, k, num_objects, &mut rng);
             let mut records = h.records().to_vec();
             for (r, rec) in records
                 .iter_mut()
