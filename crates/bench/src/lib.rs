@@ -1172,7 +1172,8 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// latency (retransmission round trips) but never cost a completion —
 /// every sweep run still quiesces with a full history.
 pub fn experiment_chaos(seeds: u64) -> Vec<ChaosBenchRow> {
-    use moc_protocol::chaos::{run_chaos_cluster, ChaosConfig, ChaosRunReport};
+    use moc_abcast::LinkConfig;
+    use moc_protocol::{run_chaos_cluster, ChaosRunReport};
     use moc_workload::chaos::{FaultFamily, WorkloadFamily};
 
     const PROCESSES: usize = 4;
@@ -1183,8 +1184,9 @@ pub fn experiment_chaos(seeds: u64) -> Vec<ChaosBenchRow> {
         let spec = WorkloadFamily::Mixed.spec(PROCESSES, OPS);
         let mut rng = StdRng::seed_from_u64(seed);
         let s = scripts(&spec, &mut rng);
-        let config = ChaosConfig::new(spec.num_objects, seed)
-            .with_faults(family.plan(PROCESSES, HORIZON_NS));
+        let config = ClusterConfig::new(spec.num_objects, seed)
+            .with_faults(family.plan(PROCESSES, HORIZON_NS))
+            .with_link(LinkConfig::default());
         match protocol {
             "msc" => run_chaos_cluster::<MscOverSequencer>(&config, s),
             _ => run_chaos_cluster::<MlinOverSequencer>(&config, s),
@@ -1303,7 +1305,8 @@ impl FailoverBenchRow {
 /// timeout plus the view-change handshake, several times the
 /// fair-weather update path.
 pub fn experiment_failover(seeds: u64) -> Vec<FailoverBenchRow> {
-    use moc_protocol::chaos::{run_chaos_cluster, ChaosConfig, ChaosRunReport};
+    use moc_abcast::LinkConfig;
+    use moc_protocol::{run_chaos_cluster, ChaosRunReport};
     use moc_workload::chaos::{FaultFamily, WorkloadFamily};
 
     const PROCESSES: usize = 3;
@@ -1321,8 +1324,9 @@ pub fn experiment_failover(seeds: u64) -> Vec<FailoverBenchRow> {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let s = scripts(&spec, &mut rng);
-        let config = ChaosConfig::new(spec.num_objects, seed)
+        let config = ClusterConfig::new(spec.num_objects, seed)
             .with_faults(family.plan(PROCESSES, HORIZON_NS))
+            .with_link(LinkConfig::default())
             .with_failover_timeouts(15_000, 120_000);
         match protocol {
             "msc" => run_chaos_cluster::<MscOverView>(&config, s),

@@ -410,17 +410,32 @@ fn objects_option(args: &Args, default: usize, beside: usize) -> Result<usize, S
 
 /// `--objects` of a command that runs a cluster of `processes` replicas.
 /// `ReplicaProtocol::new` cannot fail, so the count is refused before the
-/// cluster is built unless every replica's store and version vector, and
-/// the copy of each the run's report keeps, fit beside the history.
-fn cluster_objects(args: &Args, processes: usize) -> Result<usize, String> {
-    let per_store = size_of::<moc_core::value::Versioned>() + size_of::<u64>();
-    objects_option(args, 4, processes.saturating_mul(2 * per_store))
+/// cluster is built unless what the run holds at its peak fits beside the
+/// history: every replica's store and version vector and, when queries
+/// collect copies (Figure 6, `query_rounds`), one round per process with
+/// a copy from every replica in flight. The replicas are dropped before
+/// the history is built, but for the one store the report keeps.
+fn cluster_objects(args: &Args, processes: usize, query_rounds: bool) -> Result<usize, String> {
+    use moc_core::value::Versioned;
+    let per_store = size_of::<Versioned>() + size_of::<u64>();
+    let per_copy = size_of::<(moc_core::ObjectId, Versioned)>() + size_of::<u64>();
+    // A finishing round holds its freshest copy and the store built from
+    // it: two copies' worth on a one-replica cluster.
+    let copies = if query_rounds {
+        processes.saturating_mul(processes.max(2))
+    } else {
+        0
+    };
+    let stores = processes.saturating_mul(per_store);
+    let beside = stores.saturating_add(copies.saturating_mul(per_copy));
+    objects_option(args, 4, beside)
 }
 
 fn cmd_run(args: &Args, _stdin: &str) -> Outcome {
     let processes = args.get_in("processes", 3, 1..)?;
     let ops = args.get::<usize>("ops", 5)?;
-    let objects = cluster_objects(args, processes)?;
+    let protocol = args.value("protocol").unwrap_or("mlin");
+    let objects = cluster_objects(args, processes, protocol == "mlin")?;
     let seed = args.get::<u64>("seed", 0)?;
     let update_fraction = args.get_in("update-frac", 0.5, 0.0..=1.0)?;
     let spec = WorkloadSpec {
@@ -438,7 +453,6 @@ fn cmd_run(args: &Args, _stdin: &str) -> Outcome {
             hi: 20_000,
         },
     ));
-    let protocol = args.value("protocol").unwrap_or("mlin");
     let history = match protocol {
         "msc" => run_cluster::<MscOverSequencer>(&config, s).history,
         "mlin" => run_cluster::<MlinOverSequencer>(&config, s).history,
@@ -897,14 +911,14 @@ struct ChaosOutcome {
 
 fn chaos_run_one<R: moc_protocol::ReplicaProtocol + 'static>(
     condition: Condition,
-    config: &moc_protocol::chaos::ChaosConfig,
+    config: &ClusterConfig,
     scripts_in: Vec<moc_protocol::ClientScript>,
 ) -> ChaosOutcome {
-    let report = moc_protocol::chaos::run_chaos_cluster::<R>(config, scripts_in);
+    let report = moc_protocol::run_chaos_cluster::<R>(config, scripts_in);
     let link = report.total_link_stats();
     let batch = report.total_batch_stats();
     let orphans = report.anomalies.orphan_completions;
-    let expected_sabotage = !config.link.reliable;
+    let expected_sabotage = config.link.is_some_and(|l| !l.reliable);
     if !report.anomalies.is_clean() && !expected_sabotage {
         return ChaosOutcome {
             clean: false,
@@ -996,14 +1010,16 @@ fn counter_block(
 }
 
 fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
-    use moc_protocol::chaos::{ChaosConfig, LinkConfig};
+    use moc_abcast::LinkConfig;
     use moc_sim::FaultPlan;
     use moc_workload::chaos::{FaultFamily, WorkloadFamily};
 
     // Faults need a remote hop: at least two processes.
     let processes = args.get_in("processes", 3, 2..)?;
     let ops = args.get::<usize>("ops", 4)?;
-    let objects = cluster_objects(args, processes)?;
+    // A run builds at most its workload's objects (`spec.num_objects`
+    // below), never a store the count sizes.
+    let objects = cluster_objects(args, processes, false)?;
     let seeds = args.get::<u64>("seeds", 5)?;
     let seed_base = args.get::<u64>("seed-base", 0)?;
     let sabotage = args.flag("sabotage");
@@ -1104,7 +1120,7 @@ fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
                     } else {
                         (family.plan(processes, horizon_ns), LinkConfig::default())
                     };
-                    let mut config = ChaosConfig::new(spec.num_objects, seed)
+                    let mut config = ClusterConfig::new(spec.num_objects, seed)
                         .with_faults(plan)
                         .with_link(link);
                     if let Some(batch) = batching {

@@ -428,7 +428,7 @@ impl History {
                 if *last == read.writer as usize {
                     continue;
                 }
-                let writes_it = |w| history.wobjects(w).contains(&read.object);
+                let writes_it = |w| history.wobjects(w).binary_search(&read.object).is_ok();
                 if read.writer == NO_SUCH_WRITER || !read.source().is_none_or(writes_it) {
                     let rec = &history.records[i];
                     let op = rec.external_reads().nth(k).expect("one row per read");

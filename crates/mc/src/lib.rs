@@ -11,8 +11,9 @@
 //! schedule, and checks it against a consistency condition.
 //!
 //! Each explored process is a [`ReplicaHost`] on the trusted channel, the
-//! host that `run_cluster`, `run_chaos_cluster` and `moc-runtime` run: it
-//! admits, stamps and records; this crate only chooses the next move.
+//! host that the simulated cluster (`moc_protocol::harness`) and
+//! `moc-runtime` run: it admits, stamps and records; this crate only
+//! chooses the next move.
 //!
 //! This upgrades the Theorem 15/20 validation from "holds on sampled
 //! seeds" to "holds on all schedules" for the explored configurations —

@@ -26,8 +26,9 @@
 //!    recorded.
 //!
 //! Drivers supply clock, wire and client: the simulator node of
-//! [`crate::harness`] (virtual time; trusted channel for `run_cluster`,
-//! faulty wire for `run_chaos_cluster`; scripted client), the `moc-mc`
+//! [`crate::harness`] (virtual time; the trusted channel, or a reliable
+//! link over a faulty wire, as [`crate::ClusterConfig::link`] picks;
+//! scripted client), the `moc-mc`
 //! explorer (the step index as clock, trusted channel, every interleaving
 //! of its frames; the host is cloned at each branch) and the
 //! `moc-runtime` replica thread (wall clock, the peers' inboxes, reply

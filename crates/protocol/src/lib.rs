@@ -26,12 +26,13 @@
 //!
 //! [`host`] is the one piece of code that hosts any of these replicas:
 //! it stamps invocation and response events, gates and retires the
-//! process's m-operations and builds the history records. [`harness`] and
-//! [`chaos`] drive it on the deterministic simulator (fair-weather and
-//! fault-injecting), co-locating a scripted client with each replica, and
-//! emit a validated [`moc_core::History`] plus latency and message
-//! metrics — the raw material for the Theorem 15/20 validation tests and
-//! the benchmark suite; `moc-runtime` drives it on OS threads.
+//! process's m-operations and builds the history records. [`harness`]
+//! drives it on the deterministic simulator, on the trusted channel or
+//! behind a reliable link over a fault-injecting wire, co-locating a
+//! scripted client with each replica, and emits a [`moc_core::History`]
+//! plus latency and message metrics — the raw material for the Theorem
+//! 15/20 validation tests and the benchmark suite; `moc-runtime` drives
+//! it on OS threads.
 
 use std::fmt;
 use std::sync::Arc;
@@ -44,14 +45,15 @@ use moc_core::program::Program;
 use moc_core::value::{Value, Versioned};
 use moc_core::vv::VersionVector;
 
-pub mod chaos;
 pub mod harness;
 pub mod host;
 pub mod replica;
 pub mod store;
 
-pub use chaos::{run_chaos_cluster, ChaosAnomalies, ChaosConfig, ChaosRunReport};
-pub use harness::{run_cluster, ClientScript, ClusterConfig, OpSpec, RunReport};
+pub use harness::{
+    run_chaos_cluster, run_cluster, ChaosAnomalies, ChaosRunReport, ClientScript, ClusterConfig,
+    OpSpec, RunReport,
+};
 pub use replica::{AggregateReplica, MlinRelevant, MlinReplica, MscReplica, QueryScope};
 pub use store::{ExecRecord, ReplicaStore};
 

@@ -21,15 +21,15 @@
 //! under message duplication and demands the *opposite*: a history the
 //! checker refutes with a certificate the auditor upholds.
 
+use moc_abcast::LinkConfig;
 use moc_audit::audit;
 use moc_checker::admissible::SearchLimits;
 use moc_checker::certificate::check_certified;
 use moc_checker::conditions::Condition;
-use moc_protocol::chaos::{
-    run_chaos_cluster, ChaosConfig, ChaosRunReport, LinkConfig, MonitorConfig,
-};
+use moc_monitor::MonitorConfig;
 use moc_protocol::{
-    ClientScript, MlinOverSequencer, MlinOverView, MscOverSequencer, MscOverView, ReplicaProtocol,
+    run_chaos_cluster, run_cluster, ChaosRunReport, ClientScript, ClusterConfig, MlinOverSequencer,
+    MlinOverView, MscOverSequencer, MscOverView, ReplicaProtocol,
 };
 use moc_sim::FaultPlan;
 use moc_workload::chaos::{FaultFamily, WorkloadFamily};
@@ -59,7 +59,8 @@ fn run_one<R: ReplicaProtocol + 'static>(
     condition: Condition,
 ) -> ChaosRunReport {
     let (num_objects, s) = sweep_scripts(wl, seed);
-    let config = ChaosConfig::new(num_objects, seed)
+    let config = ClusterConfig::new(num_objects, seed)
+        .with_link(LinkConfig::default())
         .with_faults(family.plan(PROCESSES, HORIZON_NS))
         // The online sentinel rides along on every sweep run, so the
         // whole sweep doubles as streaming/batch cross-validation.
@@ -211,7 +212,7 @@ fn sabotaged_link_yields_an_audited_refutation() {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let s = scripts(&spec, &mut rng);
-        let config = ChaosConfig::new(1, seed)
+        let config = ClusterConfig::new(1, seed)
             .with_faults(FaultPlan::default().with_dup(0.5))
             .with_link(LinkConfig::sabotaged())
             .with_monitor(MonitorConfig::new(Condition::MSequentialConsistency).with_window(3));
@@ -280,7 +281,8 @@ fn run_leader_one<R: ReplicaProtocol + 'static>(
         .into_iter()
         .map(|c| c.with_think_time(LEADER_THINK_NS))
         .collect();
-    let config = ChaosConfig::new(num_objects, seed)
+    let config = ClusterConfig::new(num_objects, seed)
+        .with_link(LinkConfig::default())
         .with_faults(family.plan(PROCESSES, LEADER_HORIZON_NS))
         // Suspicion well below the outage lengths, so failover fires
         // inside every crash window instead of waiting out the victim.
@@ -357,7 +359,8 @@ fn crashed_fixed_sequencer_is_detected_not_silent() {
             .into_iter()
             .map(|c| c.with_think_time(LEADER_THINK_NS))
             .collect();
-        let config = ChaosConfig::new(spec.num_objects, seed)
+        let config = ClusterConfig::new(spec.num_objects, seed)
+            .with_link(LinkConfig::default())
             .with_faults(FaultFamily::LeaderCrashBurst.plan(PROCESSES, LEADER_HORIZON_NS))
             .with_max_events(2_000_000);
         let report = run_chaos_cluster::<MscOverSequencer>(&config, s);
@@ -505,7 +508,8 @@ fn sharded_msc_conformance_sweep() {
                     + i as u64;
                 let mut rng = StdRng::seed_from_u64(seed);
                 let scripts = confined_scripts(num_shards, processes, OPS_PER_PROCESS, 1, &mut rng);
-                let config = ChaosConfig::new(2 * num_shards, seed)
+                let config = ClusterConfig::new(2 * num_shards, seed)
+                    .with_link(LinkConfig::default())
                     .with_faults(family.plan(processes, HORIZON_NS))
                     .with_shard_plan(plan.clone());
                 let report = run_chaos_cluster::<MscOverSharded>(&config, scripts);
@@ -570,7 +574,8 @@ fn sharded_runs_replay_identically() {
     let mk = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
         let scripts = confined_scripts(3, 3, 4, 1, &mut rng);
-        let config = ChaosConfig::new(6, seed)
+        let config = ClusterConfig::new(6, seed)
+            .with_link(LinkConfig::default())
             .with_faults(FaultPlan::lossy(0.15).with_dup(0.1))
             .with_shard_plan(plan.clone());
         run_chaos_cluster::<MscOverSharded>(&config, scripts)
@@ -632,7 +637,9 @@ fn missharded_hub_object_is_caught() {
     for seed in 0..30u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let scripts = hub_scripts(3, 4, 1, &mut rng);
-        let config = ChaosConfig::new(3, seed).with_shard_plan(missharded.clone());
+        let config = ClusterConfig::new(3, seed)
+            .with_link(LinkConfig::default())
+            .with_shard_plan(missharded.clone());
         let report = run_chaos_cluster::<MscOverSharded>(&config, scripts);
         runs += 1;
         if report.anomalies.store_divergence {
@@ -650,13 +657,32 @@ fn missharded_hub_object_is_caught() {
     for seed in 0..10u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let scripts = hub_scripts(3, 4, 1, &mut rng);
-        let config = ChaosConfig::new(3, seed).with_shard_plan(honest_plan.clone());
+        let config = ClusterConfig::new(3, seed)
+            .with_link(LinkConfig::default())
+            .with_shard_plan(honest_plan.clone());
         let report = run_chaos_cluster::<MscOverSharded>(&config, scripts);
         assert!(
             report.anomalies.is_clean(),
             "seed {seed}: honest plan must be clean: {:?}",
             report.anomalies
         );
+    }
+}
+
+/// `run_cluster` checks what `missharded_hub_object_is_caught` counts:
+/// on the trusted channel too, the mis-sharded hub plan makes the replica
+/// stores diverge, and the run panics on it.
+#[test]
+#[should_panic(expected = "store_divergence: true")]
+fn run_cluster_panics_on_missharded_store_divergence() {
+    let missharded = ShardPlan::new(vec![0, 1, 0])
+        .unwrap()
+        .with_route_policy(RoutePolicy::FirstObject);
+    for seed in 0..30u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scripts = hub_scripts(3, 4, 1, &mut rng);
+        let config = ClusterConfig::new(3, seed).with_shard_plan(missharded.clone());
+        run_cluster::<MscOverSharded>(&config, scripts);
     }
 }
 
@@ -712,7 +738,8 @@ fn commute_fast_path_conformance_sweep() {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let scripts =
                     commuting_scripts(num_shards, processes, OPS_PER_PROCESS + 1, 1, &mut rng);
-                let config = ChaosConfig::new(2 * num_shards, seed)
+                let config = ClusterConfig::new(2 * num_shards, seed)
+                    .with_link(LinkConfig::default())
                     .with_faults(family.plan(processes, HORIZON_NS))
                     .with_shard_plan(shard_plan.clone())
                     .with_commute_plan(commute_plan.clone());
@@ -797,7 +824,8 @@ fn fabricated_commute_cert_is_caught() {
     for seed in 0..30u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let scripts = commuting_scripts(num_shards, 3, 4, 1, &mut rng);
-        let config = ChaosConfig::new(2 * num_shards, seed)
+        let config = ClusterConfig::new(2 * num_shards, seed)
+            .with_link(LinkConfig::default())
             .with_shard_plan(shard_plan.clone())
             .with_commute_plan(CommutePlan::vacuous(num_shards));
         let report = run_chaos_cluster::<MscOverSharded>(&config, scripts);
@@ -817,7 +845,8 @@ fn fabricated_commute_cert_is_caught() {
     for seed in 0..10u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let scripts = commuting_scripts(num_shards, 3, 4, 1, &mut rng);
-        let config = ChaosConfig::new(2 * num_shards, seed)
+        let config = ClusterConfig::new(2 * num_shards, seed)
+            .with_link(LinkConfig::default())
             .with_shard_plan(shard_plan.clone())
             .with_commute_plan(commute_plan.clone());
         let report = run_chaos_cluster::<MscOverSharded>(&config, scripts);

@@ -7,12 +7,12 @@
 
 use std::sync::Arc;
 
+use moc_abcast::LinkConfig;
 use moc_checker::conditions::{check, Condition, Strategy};
 use moc_core::history::History;
 use moc_core::ids::{ObjectId, ProcessId};
 use moc_core::program::Program;
 use moc_core::value::Value;
-use moc_protocol::chaos::{run_chaos_cluster, ChaosConfig};
 use moc_protocol::{
     run_cluster, ClientScript, ClusterConfig, MlinOverSequencer, MscOverSequencer, OpSpec,
     ReplicaProtocol,
@@ -145,22 +145,19 @@ where
         || -> Vec<ClientScript> { workload().into_iter().map(ClientScript::new).collect() };
     let objects = DATA + 1;
 
-    let fair = run_cluster::<R>(&ClusterConfig::new(objects, 11), scripts());
-    assert_conforms("run_cluster", &fair.history, condition);
-    assert!(fair.final_stores.iter().all(|s| *s == fair.final_stores[0]));
-
-    for (name, faults) in [
-        ("chaos benign", FaultPlan::default()),
-        ("chaos lossy", FaultPlan::lossy(0.2).with_dup(0.1)),
+    // `run_cluster` asserts the run clean: no anomalies, stores converged.
+    let trusted = ClusterConfig::new(objects, 11);
+    let benign = trusted.clone().with_link(LinkConfig::default());
+    let lossy = benign
+        .clone()
+        .with_faults(FaultPlan::lossy(0.2).with_dup(0.1));
+    for (name, cfg) in [
+        ("trusted channel", trusted),
+        ("chaos benign", benign),
+        ("chaos lossy", lossy),
     ] {
-        let cfg = ChaosConfig::new(objects, 11).with_faults(faults);
-        let report = run_chaos_cluster::<R>(&cfg, scripts());
-        assert!(
-            report.anomalies.is_clean(),
-            "{name}: {:?}",
-            report.anomalies
-        );
-        assert_conforms(name, report.history.as_ref().expect("valid"), condition);
+        let report = run_cluster::<R>(&cfg, scripts());
+        assert_conforms(name, &report.history, condition);
     }
 
     let cluster: LiveCluster<R> = LiveCluster::start(PROCESSES, RuntimeConfig::new(objects));

@@ -196,13 +196,12 @@ fn figure5_msc_protocol_trace() {
         .collect();
     assert_eq!(labels, vec!["w1", "w4"]);
 
-    // Both replicas converged to version 2 of x, value 4.
-    for store in &report.final_stores {
-        let v = store.get(x);
-        assert_eq!(v.value, 4);
-        assert_eq!(v.version, 2);
-        assert_eq!(store.ts().as_slice(), &[2]);
-    }
+    // Both replicas converged (`run_cluster` checks) to version 2 of x,
+    // value 4.
+    let v = report.final_store.get(x);
+    assert_eq!(v.value, 4);
+    assert_eq!(v.version, 2);
+    assert_eq!(report.final_store.ts().as_slice(), &[2]);
 
     // The query (local, per A3) read version 2 — both updates had arrived.
     let query = report
@@ -285,12 +284,11 @@ fn figure7_mlin_protocol_trace() {
         .sum();
     assert_eq!(query_msgs, 6, "2n messages for one query round, n = 3");
 
-    // Replica convergence: x at version 2 (value 4), y at version 1.
-    for store in &report.final_stores {
-        assert_eq!(store.get(x).value, 4);
-        assert_eq!(store.get(y).value, 3);
-        assert_eq!(store.ts().as_slice(), &[2, 1]);
-    }
+    // Replica convergence (`run_cluster` checks): x at version 2 (value
+    // 4), y at version 1.
+    assert_eq!(report.final_store.get(x).value, 4);
+    assert_eq!(report.final_store.get(y).value, 3);
+    assert_eq!(report.final_store.ts().as_slice(), &[2, 1]);
 
     // Theorem 20.
     let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
