@@ -397,25 +397,36 @@ fn load_history(args: &Args, stdin: &str) -> Result<History, String> {
 /// naming the flag, never an allocator abort later.
 fn objects_option(args: &Args, default: usize, beside: usize) -> Result<usize, String> {
     let objects = args.get_in("objects", default, 1..=u32::MAX as usize)?;
-    let refuse = |e: moc_core::CoreError| format!("--objects {objects}: {e}");
-    let mut held = Vec::<u8>::new();
-    (held.try_reserve_exact(objects.saturating_mul(beside))).map_err(|_| {
-        refuse(moc_core::CoreError::ObjectTablesTooLarge {
-            num_objects: objects,
-        })
-    })?;
-    History::new(objects, Vec::new()).map_err(refuse)?;
+    objects_fit(objects, objects, beside)?;
     Ok(objects)
 }
 
-/// `--objects` of a command that runs a cluster of `processes` replicas.
+/// Refuses `--objects asked` unless the per-object tables of a history
+/// over the `built` objects the command builds with it fit while `beside`
+/// more bytes per object are held.
+fn objects_fit(asked: usize, built: usize, beside: usize) -> Result<(), String> {
+    let refuse = |e: moc_core::CoreError| format!("--objects {asked}: {e}");
+    let mut held = Vec::<u8>::new();
+    (held.try_reserve_exact(built.saturating_mul(beside)))
+        .map_err(|_| refuse(moc_core::CoreError::ObjectTablesTooLarge { num_objects: built }))?;
+    History::new(built, Vec::new()).map_err(refuse)?;
+    Ok(())
+}
+
+/// `--objects` of a command that runs clusters of `processes` replicas,
+/// each over at most `most` objects (fewer when `--objects` says so).
 /// `ReplicaProtocol::new` cannot fail, so the count is refused before the
 /// cluster is built unless what the run holds at its peak fits beside the
 /// history: every replica's store and version vector and, when queries
 /// collect copies (Figure 6, `query_rounds`), one round per process with
 /// a copy from every replica in flight. The replicas are dropped before
 /// the history is built, but for the one store the report keeps.
-fn cluster_objects(args: &Args, processes: usize, query_rounds: bool) -> Result<usize, String> {
+fn cluster_objects(
+    args: &Args,
+    processes: usize,
+    query_rounds: bool,
+    most: usize,
+) -> Result<usize, String> {
     use moc_core::value::Versioned;
     let per_store = size_of::<Versioned>() + size_of::<u64>();
     let per_copy = size_of::<(moc_core::ObjectId, Versioned)>() + size_of::<u64>();
@@ -428,14 +439,16 @@ fn cluster_objects(args: &Args, processes: usize, query_rounds: bool) -> Result<
     };
     let stores = processes.saturating_mul(per_store);
     let beside = stores.saturating_add(copies.saturating_mul(per_copy));
-    objects_option(args, 4, beside)
+    let objects = args.get_in("objects", 4, 1..=u32::MAX as usize)?;
+    objects_fit(objects, objects.min(most), beside)?;
+    Ok(objects)
 }
 
 fn cmd_run(args: &Args, _stdin: &str) -> Outcome {
     let processes = args.get_in("processes", 3, 1..)?;
     let ops = args.get::<usize>("ops", 5)?;
     let protocol = args.value("protocol").unwrap_or("mlin");
-    let objects = cluster_objects(args, processes, protocol == "mlin")?;
+    let objects = cluster_objects(args, processes, protocol == "mlin", usize::MAX)?;
     let seed = args.get::<u64>("seed", 0)?;
     let update_fraction = args.get_in("update-frac", 0.5, 0.0..=1.0)?;
     let spec = WorkloadSpec {
@@ -1017,9 +1030,6 @@ fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
     // Faults need a remote hop: at least two processes.
     let processes = args.get_in("processes", 3, 2..)?;
     let ops = args.get::<usize>("ops", 4)?;
-    // A run builds at most its workload's objects (`spec.num_objects`
-    // below), never a store the count sizes.
-    let objects = cluster_objects(args, processes, false)?;
     let seeds = args.get::<u64>("seeds", 5)?;
     let seed_base = args.get::<u64>("seed-base", 0)?;
     let sabotage = args.flag("sabotage");
@@ -1066,6 +1076,14 @@ fn cmd_chaos(args: &Args, _stdin: &str) -> Outcome {
             })
             .collect::<Result<_, _>>()?,
     };
+    // A run builds its workload's objects, or fewer when `--objects` says
+    // so (`spec.num_objects` below): the largest such cluster is probed.
+    let most = workloads
+        .iter()
+        .map(|wl| wl.spec(processes, ops).num_objects.max(1))
+        .max()
+        .unwrap_or(1);
+    let objects = cluster_objects(args, processes, false, most)?;
 
     // Virtual-time horizon scheduled faults live inside. Generous: the
     // retransmission layer stretches runs well past the fair-weather

@@ -103,6 +103,11 @@ fn hostile_object_counts_exit_2() {
     // The control: a count the limit does not bind generates.
     let (code, stderr) = moc_limited(&["gen", "--kind", "writers", "--objects", "4"], "");
     assert_eq!(code, Some(0), "{stderr}");
+    // `moc chaos` builds no more objects than its workloads have, so a
+    // large count costs its sweep nothing: it runs.
+    let chaos = ["chaos", "--seeds", "1", "--objects", "30000000"];
+    let (code, stderr) = moc_limited(&chaos, "");
+    assert_eq!(code, Some(0), "moc {chaos:?}: {stderr}");
 }
 
 /// Process 4294967295 is the initial m-operation's, written `init`: a

@@ -289,8 +289,8 @@ pub struct RunReport<H = History> {
     pub latencies: Vec<(MOpClass, u64)>,
     /// Per-replica protocol message counters.
     pub replica_metrics: Vec<ReplicaMetrics>,
-    /// Per-replica link counters (retransmissions, dedup discards, …);
-    /// zero on the trusted channel.
+    /// Per-replica link counters (retransmissions, dedup discards, …); on
+    /// the trusted channel only the data frames and deliveries count.
     pub link_stats: Vec<LinkStats>,
     /// Simulator counters (messages, events, virtual duration), including
     /// fault counters (drops, duplicates, crashes).
@@ -835,6 +835,40 @@ mod tests {
         assert_eq!(h.len(), 5);
         assert_eq!(report.sim.messages_dropped, 0);
         assert!(report.total_link_stats().retransmissions == 0);
+    }
+
+    /// The trusted channel still ticks for the broadcast's own deadlines.
+    /// One write per process leaves the sequencer a partial batch that
+    /// only the group-commit flush sends, and the view backend's partial
+    /// batch and suspicion timer wait on a tick the same way. Every write
+    /// finishes, in one batch of three.
+    #[test]
+    fn trusted_channel_ticks_for_the_broadcasts_deadlines() {
+        fn run<R: ReplicaProtocol + 'static>(name: &str) {
+            let cfg = ClusterConfig::new(1, 7).with_batching(BatchConfig {
+                max_batch: 16,
+                max_delay_ns: 5_000,
+            });
+            let scripts = (0..3)
+                .map(|v| ClientScript::new(vec![OpSpec::new(write_x(), vec![v])]))
+                .collect();
+            let report = run_chaos_cluster::<R>(&cfg, scripts);
+            assert!(
+                report.anomalies.is_clean(),
+                "{name}: {:?}",
+                report.anomalies
+            );
+            assert_eq!(report.history.as_ref().map(History::len), Ok(3), "{name}");
+            let batch = report.total_batch_stats();
+            assert_eq!(
+                (batch.items_stamped, batch.batches_flushed),
+                (3, 1),
+                "{name}"
+            );
+            assert!(batch.occupancy() > 1.0, "{name}: {batch:?}");
+        }
+        run::<MscOverSequencer>("sequencer");
+        run::<MscOverView>("view");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!    ones of its process are in flight only if it and all of them are
 //!    updates, so a query observes the process's own earlier writes even
 //!    under Figure 4's local queries. Pipelined updates are stamped in
-//!    program order only over a per-sender FIFO channel (the link's
-//!    contract); on a trusted, reordering channel the driver keeps one
-//!    m-operation in flight per process.
+//!    program order only over a per-sender FIFO channel: the link's
+//!    contract, or a trusted channel that is FIFO by construction (the
+//!    runtime's inboxes). On a trusted, reordering channel (the
+//!    simulator's) the driver keeps one m-operation in flight per process.
 //! 2. **submit / deliver / apply** — the replica's own actions.
 //! 3. **stash** — completions that overtake an earlier invocation wait.
 //! 4. **retire** — strictly FIFO. The *recorded* interval is clamped to
@@ -32,7 +33,15 @@
 //! explorer (the step index as clock, trusted channel, every interleaving
 //! of its frames; the host is cloned at each branch) and the
 //! `moc-runtime` replica thread (wall clock, the peers' inboxes, reply
-//! channels).
+//! channels; the trusted channel unless the network loses, duplicates or
+//! delays frames).
+//!
+//! The trusted channel (`link: None`) puts each message on the wire as it
+//! is, unnumbered: nothing is acknowledged, retransmitted or deduplicated,
+//! and only the broadcast's own deadlines (group-commit flush, failover
+//! suspicion) call for a tick. [`ReplicaHost::link_stats`] still counts the
+//! data frames sent and received there, so frames per operation read the
+//! same way on both channels.
 //!
 //! How many inputs a settle covers is the driver's choice. The simulator
 //! node settles after each one. The replica thread feeds everything that
@@ -41,14 +50,15 @@
 //! the outputs leave, and acknowledgements are cumulative, so a settle
 //! puts one per peer on the wire ([`ReliableLink::coalesce_acks`]) however
 //! many frames of that peer were fed. When the broadcast batches (group
-//! commit, [`OrderingSetup::batching`]) the same holds for data: whatever
-//! a settle sends one peer leaves as one frame, a run of consecutive
-//! stream positions ([`LinkMsg::Run`]), so sixteen pipelined submissions
-//! reach the sequencer in one frame and are stamped in the order they were
-//! sent. A settle that sends a peer one message sends it a plain
-//! [`LinkMsg::Data`]. Without batching every message is its own frame, so
-//! the unbatched stack's data-frame count does not depend on how its
-//! inputs fall into wake-ups.
+//! commit, [`OrderingSetup::batching`]) the same holds for data, on either
+//! channel: whatever a settle sends one peer leaves as one frame, a run of
+//! consecutive stream positions ([`LinkMsg::Run`]; on the trusted channel
+//! the positions are unused), so sixteen pipelined submissions reach the
+//! sequencer in one frame and are stamped in the order they were sent. A
+//! settle that sends a peer one message sends it a plain [`LinkMsg::Data`].
+//! Without batching every message is its own frame, so the unbatched
+//! stack's data-frame count does not depend on how its inputs fall into
+//! wake-ups.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -177,9 +187,12 @@ struct Inflight<T> {
 pub struct ReplicaHost<R: ReplicaProtocol, T> {
     me: ProcessId,
     replica: R,
-    /// `None` is the trusted channel: frames pass unnumbered, are never
-    /// acked or retransmitted, and the host is never ticked.
+    /// `None` is the trusted channel: frames pass unnumbered and are never
+    /// acked or retransmitted; only the broadcast's deadlines tick the host.
     link: Option<ReliableLink<R::Msg>>,
+    /// The trusted channel's frame counts (data frames sent and received,
+    /// payloads delivered). A link keeps its own.
+    trusted: LinkStats,
     next_seq: u32,
     /// Invocations the gate has not yet let through, in invocation order.
     admission: VecDeque<(MOperation, Inflight<T>)>,
@@ -233,6 +246,7 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
             me,
             replica,
             link: link.map(|cfg| ReliableLink::new(me, n, cfg)),
+            trusted: LinkStats::default(),
             next_seq: 0,
             admission: VecDeque::new(),
             pending: VecDeque::new(),
@@ -263,10 +277,11 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
         self.metrics
     }
 
-    /// The link endpoint's transport counters (zero on the trusted
-    /// channel).
+    /// The link endpoint's transport counters. On the trusted channel only
+    /// the data frames and the payloads they delivered count; nothing is
+    /// acknowledged, retransmitted or discarded there.
     pub fn link_stats(&self) -> LinkStats {
-        self.link.as_ref().map(|l| l.stats()).unwrap_or_default()
+        self.link.as_ref().map_or(self.trusted, |l| l.stats())
     }
 
     /// Invocations submitted but not yet retired.
@@ -279,7 +294,7 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
     /// suspicion / group-commit deadline, whichever first.
     pub fn next_deadline(&self) -> Option<u64> {
         match (
-            self.link.as_ref()?.next_deadline(),
+            self.link.as_ref().and_then(|l| l.next_deadline()),
             self.replica.abcast_deadline(),
         ) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -311,13 +326,27 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
 
     /// A frame arrives off the wire.
     pub fn on_wire(&mut self, from: ProcessId, frame: LinkMsg<R::Msg>, now: EventTime) {
-        let ready = match (&mut self.link, frame) {
-            (Some(link), frame) => link.on_wire(from, frame, now.as_nanos(), &mut self.wire),
-            (None, LinkMsg::Data { payload, .. }) => vec![payload],
-            (None, _) => Vec::new(),
+        let mut deliver = |m| self.replica.on_message(from, m, &mut self.out);
+        let Some(link) = &mut self.link else {
+            // The trusted channel: each frame arrives once, its payloads
+            // in the order they were sent.
+            match frame {
+                LinkMsg::Data { payload, .. } => {
+                    self.trusted.data_received += 1;
+                    self.trusted.delivered += 1;
+                    deliver(payload);
+                }
+                LinkMsg::Run { payloads, .. } => {
+                    self.trusted.data_received += 1;
+                    self.trusted.delivered += payloads.len() as u64;
+                    payloads.into_iter().for_each(deliver);
+                }
+                _ => {}
+            }
+            return;
         };
-        for m in ready {
-            self.replica.on_message(from, m, &mut self.out);
+        for m in link.on_wire(from, frame, now.as_nanos(), &mut self.wire) {
+            deliver(m);
         }
     }
 
@@ -345,8 +374,8 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
     /// makes progress — admission can complete synchronously (a local
     /// query) and retirement can open the gate for the next admission —
     /// then frames everything the replica wants sent — one frame per peer
-    /// when the broadcast batches ([`ReliableLink::send_run`]), one per
-    /// message otherwise and on the trusted channel — and folds the
+    /// when the broadcast batches ([`ReliableLink::send_run`] behind a
+    /// link), one per message otherwise — and, behind a link, folds the
     /// acknowledgements of the inputs fed since the last settle into one
     /// per peer.
     ///
@@ -420,28 +449,51 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
                 break;
             }
         }
-        let Some(link) = &mut self.link else {
-            for (to, m) in self.out.drain() {
-                self.wire.push((to, LinkMsg::Data { seq: 0, payload: m }));
+        let (link, trusted, wire) = (&mut self.link, &mut self.trusted, &mut self.wire);
+        let mut send = |to, batch: Batch<R::Msg>| match (link.as_mut(), batch) {
+            (Some(link), Batch::One(m)) => link.send(to, m, clock().as_nanos(), wire),
+            (Some(link), Batch::Run(ms)) => link.send_run(to, ms, clock().as_nanos(), wire),
+            (None, batch) => {
+                trusted.data_sent += 1;
+                wire.push((to, batch.unnumbered()));
             }
-            return;
         };
+        let msgs = self.out.drain();
         match &mut self.runs {
-            Some(runs) => runs.send(self.out.drain(), link, clock, &mut self.wire),
-            None => {
-                for (to, m) in self.out.drain() {
-                    link.send(to, m, clock().as_nanos(), &mut self.wire);
-                }
-            }
+            Some(runs) => runs.frame(msgs, send),
+            None => msgs.into_iter().for_each(|(to, m)| send(to, Batch::One(m))),
         }
-        // Acknowledge once per peer, however many of its frames were fed.
-        link.coalesce_acks(&mut self.wire);
+        if let Some(link) = &mut self.link {
+            // Acknowledge once per peer, however many of its frames were fed.
+            link.coalesce_acks(&mut self.wire);
+        }
     }
 }
 
-/// Groups what one settle sends into one frame per peer. The buckets stay
-/// allocated between settles, so a settle that sends each peer a single
-/// message allocates nothing here.
+/// What one settle sends one peer in one frame.
+enum Batch<M> {
+    /// A lone message, framed as [`LinkMsg::Data`].
+    One(M),
+    /// Several, in send order, framed as one [`LinkMsg::Run`].
+    Run(Vec<M>),
+}
+
+impl<M> Batch<M> {
+    /// The frame on the trusted channel, which numbers no stream positions.
+    fn unnumbered(self) -> LinkMsg<M> {
+        match self {
+            Batch::One(payload) => LinkMsg::Data { seq: 0, payload },
+            Batch::Run(payloads) => LinkMsg::Run {
+                first_seq: 0,
+                payloads,
+            },
+        }
+    }
+}
+
+/// Groups what one settle sends into one frame per peer, on either
+/// channel. The buckets stay allocated between settles, so a settle that
+/// sends each peer a single message allocates nothing here.
 #[derive(Clone)]
 struct RunFramer<M> {
     /// `by_peer[q]`: the messages for `q`, in send order.
@@ -450,7 +502,7 @@ struct RunFramer<M> {
     order: Vec<ProcessId>,
 }
 
-impl<M: Clone> RunFramer<M> {
+impl<M> RunFramer<M> {
     fn new(n: usize) -> Self {
         RunFramer {
             by_peer: (0..n).map(|_| Vec::new()).collect(),
@@ -458,15 +510,9 @@ impl<M: Clone> RunFramer<M> {
         }
     }
 
-    /// Sends `msgs` over `link`: everything for one peer as one run, the
+    /// Hands `send` everything `msgs` holds for one peer as one batch, the
     /// peers in the order each first appears.
-    fn send(
-        &mut self,
-        msgs: Vec<(ProcessId, M)>,
-        link: &mut ReliableLink<M>,
-        clock: &impl Fn() -> EventTime,
-        wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
-    ) {
+    fn frame(&mut self, msgs: Vec<(ProcessId, M)>, mut send: impl FnMut(ProcessId, Batch<M>)) {
         for (to, m) in msgs {
             let run = &mut self.by_peer[to.index()];
             if run.is_empty() {
@@ -476,13 +522,11 @@ impl<M: Clone> RunFramer<M> {
         }
         for to in self.order.drain(..) {
             let run = &mut self.by_peer[to.index()];
-            let now = clock().as_nanos();
             if run.len() == 1 {
-                // Sent as `Data`; the bucket keeps its buffer for next time.
-                let m = run.pop().expect("one message");
-                link.send(to, m, now, wire);
+                // The bucket keeps its buffer for next time.
+                send(to, Batch::One(run.pop().expect("one message")));
             } else {
-                link.send_run(to, std::mem::take(run), now, wire);
+                send(to, Batch::Run(std::mem::take(run)));
             }
         }
     }

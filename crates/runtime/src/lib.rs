@@ -18,9 +18,43 @@
 //! A replica thread works per *wake-up*, not per message: when it wakes it
 //! feeds its replica everything that arrived while it was busy — frames,
 //! acknowledgements, invocations — and then settles once: one round of
-//! replies, one acknowledgement per peer, one data frame per peer. Under load
-//! the batch grows by itself (classic group commit); idle, it is one
-//! message and nothing waits.
+//! replies, one data frame per peer when the broadcast batches, and behind
+//! a link one acknowledgement per peer. Under load the batch grows by
+//! itself (classic group commit); idle, it is one message and nothing
+//! waits.
+//!
+//! ## The channel under the replicas
+//!
+//! The paper's protocols assume reliable channels. The replicas get them
+//! in one of two ways, chosen from the network the [`RuntimeConfig`]
+//! describes; there is no separate switch.
+//!
+//! - **A lossless network** (`drop_prob == 0`, `dup_prob == 0` and no
+//!   `artificial_delay`, as [`RuntimeConfig::new`] builds it) runs the
+//!   trusted channel: no link sits under the replicas, and the wire
+//!   carries data frames alone. The inboxes already deliver what a link
+//!   would rebuild — every frame exactly once, and each sender's frames
+//!   in the order it sent them — and the host's *updates pipeline* gate
+//!   relies on exactly that:
+//!   - each inbox is a `std::sync::mpsc` channel (the vendored crossbeam
+//!     wraps it), and each peer writes its frames into it from one
+//!     thread, its replica's, so they arrive in the order they were sent;
+//!   - a replica's frames to itself go through its hold queue with
+//!     `deliver_at = 0`, where arrival order breaks the ties, so they too
+//!     come out in send order;
+//!   - nothing drops, duplicates or delays a frame: each is sent once,
+//!     due at once.
+//!
+//!   A settle sends no acknowledgements and arms no retransmission timer;
+//!   only the broadcast's own deadlines (group-commit flush, failover
+//!   suspicion) wake a replica early. The data frames are still counted
+//!   in [`RuntimeReport::link_stats`].
+//! - **A network that can lose, duplicate or delay frames**
+//!   ([`RuntimeConfig::with_faults`], [`RuntimeConfig::with_artificial_delay`])
+//!   puts the [`moc_abcast::ReliableLink`] sublayer, tuned by
+//!   [`RuntimeConfig::link`], under every replica: it numbers,
+//!   acknowledges, retransmits and deduplicates frames, and restores each
+//!   sender's order behind the delays.
 //!
 //! Invocation and response events are stamped with nanoseconds since the
 //! cluster epoch, so the history assembled at
@@ -99,7 +133,9 @@ pub struct RuntimeConfig {
     /// Probability a frame is delivered twice, with independent delays
     /// (loopback exempt).
     pub dup_prob: f64,
-    /// Reliable-link tuning. Wall-clock defaults (2ms base RTO, 50ms cap)
+    /// Reliable-link tuning, used only when the network can lose,
+    /// duplicate or delay frames (a lossless one runs the trusted channel;
+    /// see the crate docs). Wall-clock defaults (2ms base RTO, 50ms cap)
     /// absorb OS scheduling jitter; spurious retransmissions are made
     /// harmless by receive-side dedup.
     pub link: LinkConfig,
@@ -170,7 +206,8 @@ impl RuntimeConfig {
     }
 
     /// Overrides the reliable-link tuning (e.g. [`LinkConfig::sabotaged`]
-    /// to study what the faults do to an unprotected stack).
+    /// to study what the faults do to an unprotected stack). It takes
+    /// effect only on a network with faults or delays.
     pub fn with_link(mut self, link: LinkConfig) -> Self {
         self.link = link;
         self
@@ -280,11 +317,12 @@ enum Input<M> {
 
 /// A running cluster of `n` replica threads.
 ///
-/// Replicas talk through the [`moc_abcast::ReliableLink`] sublayer (inside
-/// each thread's [`ReplicaHost`]): every wire frame
-/// is a [`LinkMsg`], so the protocol state machines see exactly-once,
-/// per-sender-FIFO channels even when the network is configured to drop
-/// or duplicate messages.
+/// Every wire frame is a [`LinkMsg`], and the protocol state machines see
+/// exactly-once, per-sender-FIFO channels: on a lossless network the
+/// inboxes are such channels already (the trusted channel), and on one
+/// configured to drop, duplicate or delay messages each thread's
+/// [`ReplicaHost`] runs the [`moc_abcast::ReliableLink`] sublayer (see the
+/// crate docs).
 pub struct LiveCluster<R: ReplicaProtocol> {
     inputs: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
     replica_handles: Vec<JoinHandle<ReplicaExit>>,
@@ -751,13 +789,17 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
             batching: config.batching,
             ..OrderingSetup::default()
         };
+        // Only a network that can lose, duplicate or delay (and so
+        // reorder) frames needs the link; see the crate docs.
+        let faulty =
+            config.drop_prob > 0.0 || config.dup_prob > 0.0 || config.artificial_delay.is_some();
         ReplicaDriver {
             me,
             host: ReplicaHost::new(
                 me,
                 peers.len(),
                 config.num_objects,
-                Some(config.link),
+                faulty.then_some(config.link),
                 &setup,
                 sentinel.is_some(),
             ),
@@ -1054,8 +1096,14 @@ mod tests {
         log: Arc<Mutex<HistoryLog>>,
     }
 
+    /// A network that may delay frames (here by nothing), so the replicas
+    /// keep the link, and the clock the test turns stays the only clock.
+    fn linked() -> RuntimeConfig {
+        RuntimeConfig::new(1).with_artificial_delay(DelayModel::Fixed(0))
+    }
+
     impl ByHand {
-        fn new(me: u32) -> Self {
+        fn new(me: u32, config: RuntimeConfig) -> Self {
             let (inputs, mut inboxes): (Vec<_>, Vec<_>) = (0..3)
                 .map(|_| {
                     let (tx, rx) = unbounded::<Input<Wire>>();
@@ -1067,7 +1115,6 @@ mod tests {
             let now: Box<dyn Fn() -> EventTime> =
                 Box::new(move || EventTime::from_nanos(hand.get()));
             let rx = inboxes[me as usize].take().expect("own inbox");
-            let config = RuntimeConfig::new(1);
             let log = Arc::new(Mutex::new(HistoryLog::new()));
             let shared = Arc::clone(&log);
             ByHand {
@@ -1102,16 +1149,11 @@ mod tests {
     }
 
     /// The first `count` frames `from` sends the sequencer when its client
-    /// pipelines `count` updates: one `Submit` each.
-    fn submits(from: u32, count: usize) -> Vec<Wire> {
-        let mut host: ReplicaHost<Msc, ()> = ReplicaHost::new(
-            p(from),
-            3,
-            1,
-            Some(LinkConfig::default()),
-            &OrderingSetup::default(),
-            false,
-        );
+    /// pipelines `count` updates: one `Submit` each, behind `link` or on
+    /// the trusted channel.
+    fn submits(from: u32, count: usize, link: Option<LinkConfig>) -> Vec<Wire> {
+        let setup = OrderingSetup::default();
+        let mut host: ReplicaHost<Msc, ()> = ReplicaHost::new(p(from), 3, 1, link, &setup, false);
         for i in 0..count {
             host.submit(wx(i as i64), vec![], (), EventTime::ZERO);
         }
@@ -1150,28 +1192,41 @@ mod tests {
     /// all, settles once, and so answers the queries in order, stamps the
     /// ten updates and acknowledges each follower once. Nothing batches, so
     /// every stamp goes out in a frame of its own.
-    #[test]
-    fn one_wake_up_settles_the_whole_inbox_once() {
-        const K: usize = 5;
-        let mut hand = ByHand::new(0);
+    /// The sequencer's inbox for [`one_wake_up_settles_the_whole_inbox_once`]
+    /// and its trusted twin: `k` queries of its own client and `k`
+    /// submissions from each follower, interleaved, framed for `link`.
+    /// Returns the reply channel.
+    fn fill_sequencer_inbox(hand: &ByHand, k: usize, link: Option<LinkConfig>) -> Receiver<Reply> {
         let (reply_tx, replies) = unbounded();
-        let mut from_p1 = submits(1, K).into_iter();
-        let mut from_p2 = submits(2, K).into_iter();
-        for _ in 0..K {
+        let mut from_p1 = submits(1, k, link).into_iter();
+        let mut from_p2 = submits(2, k, link).into_iter();
+        for _ in 0..k {
             hand.invoke(rx(), &reply_tx);
             for (from, frames) in [(1, &mut from_p1), (2, &mut from_p2)] {
                 let _ = hand.inbox.send(Input::Net(Frame {
                     deliver_at: 0,
                     from: p(from),
-                    msg: frames.next().expect("K frames"),
+                    msg: frames.next().expect("k frames"),
                 }));
             }
         }
+        replies
+    }
+
+    fn reply_seqs(replies: &Receiver<Reply>) -> Vec<u32> {
+        std::iter::from_fn(|| replies.try_recv().ok())
+            .map(|r| r.id.seq)
+            .collect()
+    }
+
+    #[test]
+    fn one_wake_up_settles_the_whole_inbox_once() {
+        const K: usize = 5;
+        let mut hand = ByHand::new(0, linked());
+        let replies = fill_sequencer_inbox(&hand, K, Some(LinkConfig::default()));
         assert!(hand.driver.wake_up(None).is_continue());
 
-        let seqs: Vec<u32> = std::iter::from_fn(|| replies.try_recv().ok())
-            .map(|r: Reply| r.id.seq)
-            .collect();
+        let seqs = reply_seqs(&replies);
         assert_eq!(seqs, [0, 1, 2, 3, 4], "replies in invocation order");
         let stamped: Vec<u64> = (0..2 * K as u64).collect();
         for follower in [1, 2] {
@@ -1191,6 +1246,44 @@ mod tests {
         // are the next wake-up's, which acknowledges them — to itself — once.
         assert!(hand.driver.wake_up(None).is_continue());
         assert_eq!(hand.driver.host.link_stats().acks_sent, 3);
+        let metrics = hand.driver.host.replica().metrics();
+        assert_eq!(metrics.updates_applied, 2 * K as u64);
+        assert_eq!(hand.log.lock().len(), K);
+    }
+
+    /// The same wake-up on a lossless network, where the replicas run the
+    /// trusted channel: the same replies and stamps, but no
+    /// acknowledgement, each stamp still in a frame of its own, every data
+    /// frame counted, and no timer to arm.
+    #[test]
+    fn one_trusted_wake_up_sends_no_ack() {
+        const K: usize = 5;
+        let mut hand = ByHand::new(0, RuntimeConfig::new(1));
+        let replies = fill_sequencer_inbox(&hand, K, None);
+        assert!(hand.driver.wake_up(None).is_continue());
+
+        assert_eq!(reply_seqs(&replies), [0, 1, 2, 3, 4]);
+        for follower in [1, 2] {
+            let sent = hand.sent(follower);
+            assert!(acks(&sent).is_empty(), "nothing to acknowledge");
+            assert_eq!(
+                data_seqs(&sent),
+                [0; 2 * K],
+                "unnumbered, one frame per stamp"
+            );
+        }
+        // Two followers and itself hear of every stamp.
+        let link = hand.driver.host.link_stats();
+        assert_eq!(
+            (link.data_received, link.data_sent, link.acks_sent),
+            (2 * K as u64, 3 * 2 * K as u64, 0)
+        );
+        assert_eq!(hand.driver.host.next_deadline(), None, "no timer armed");
+
+        assert!(hand.driver.wake_up(None).is_continue());
+        let link = hand.driver.host.link_stats();
+        assert_eq!((link.data_received, link.acks_sent), (4 * K as u64, 0));
+        assert_eq!(link.delivered, link.data_received);
         let metrics = hand.driver.host.replica().metrics();
         assert_eq!(metrics.updates_applied, 2 * K as u64);
         assert_eq!(hand.log.lock().len(), K);
@@ -1252,9 +1345,50 @@ mod tests {
         assert_eq!(sequencer.replica().batch_stats().items_stamped, K as u64);
     }
 
+    /// The same frame gate on the trusted channel: a follower's settle of
+    /// eight pipelined updates sends the sequencer one unnumbered run,
+    /// which the sequencer takes whole; its full batch goes out as one
+    /// frame per peer, with no ack beside them.
+    #[test]
+    fn one_trusted_settle_sends_the_sequencer_one_run() {
+        const K: usize = 8;
+        let setup = OrderingSetup {
+            batching: Some(moc_abcast::BatchConfig {
+                max_batch: K,
+                max_delay_ns: 100_000,
+            }),
+            ..OrderingSetup::default()
+        };
+        let host =
+            |me| -> ReplicaHost<Msc, ()> { ReplicaHost::new(p(me), 3, 1, None, &setup, false) };
+        let mut follower = host(1);
+        for i in 0..K {
+            follower.submit(wx(i as i64), vec![], (), EventTime::ZERO);
+        }
+        follower.settle(&|| EventTime::ZERO);
+        let (to, frame) = follower.wire.pop().expect("a frame");
+        assert!(follower.wire.is_empty(), "one frame per settle");
+        assert_eq!(to, p(0));
+        assert!(
+            matches!(&frame, LinkMsg::Run { first_seq: 0, payloads } if payloads.len() == K),
+            "an unnumbered run of the settle's submissions: {frame:?}"
+        );
+        assert_eq!(follower.link_stats().data_sent, 1);
+
+        let mut sequencer = host(0);
+        sequencer.on_wire(p(1), frame, EventTime::ZERO);
+        sequencer.settle(&|| EventTime::ZERO);
+        let to: Vec<u32> = sequencer.wire.iter().map(|(to, _)| to.as_u32()).collect();
+        assert_eq!(to, [0, 1, 2], "one frame per peer, no ack");
+        let link = sequencer.link_stats();
+        assert_eq!((link.data_received, link.delivered), (1, K as u64));
+        assert_eq!((link.data_sent, link.acks_sent), (3, 0));
+        assert_eq!(sequencer.replica().batch_stats().items_stamped, K as u64);
+    }
+
     #[test]
     fn shutdown_met_mid_drain_exits_without_settling() {
-        let mut hand = ByHand::new(1);
+        let mut hand = ByHand::new(1, RuntimeConfig::new(1));
         let (reply_tx, replies) = unbounded();
         hand.invoke(wx(1), &reply_tx);
         let _ = hand.inbox.send(Input::Shutdown);
@@ -1272,7 +1406,7 @@ mod tests {
     /// keeps refilling. A wake-up ticks whenever a deadline is due.
     #[test]
     fn a_due_deadline_ticks_though_the_inbox_never_runs_dry() {
-        let mut hand = ByHand::new(1);
+        let mut hand = ByHand::new(1, linked());
         let (reply_tx, _replies) = unbounded();
         hand.invoke(wx(1), &reply_tx);
         assert!(hand.driver.wake_up(None).is_continue());
@@ -1522,6 +1656,63 @@ mod tests {
         assert_eq!(report.history.len(), 12, "every invocation completed");
         let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
         assert!(lin.satisfied, "{:?}", lin.reason);
+        // The faults hit, and the link recovered them.
+        let link = report.total_link_stats();
+        assert!(
+            link.retransmissions > 0 && link.duplicates_discarded > 0,
+            "{link:?}"
+        );
+    }
+
+    /// A lossless network runs the trusted channel: the replicas exchange
+    /// data frames and nothing else.
+    #[test]
+    fn a_lossless_cluster_sends_no_acks() {
+        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(3, RuntimeConfig::new(1));
+        for i in 0..6 {
+            cluster.invoke(p(i % 3), wx(i64::from(i)), vec![]);
+        }
+        let report = cluster.shutdown();
+        assert_eq!(report.history.len(), 6);
+        let link = report.total_link_stats();
+        assert!(link.data_sent > 0 && link.data_received > 0, "{link:?}");
+        assert_eq!((link.acks_sent, link.retransmissions), (0, 0), "{link:?}");
+    }
+
+    /// The view-based broadcast on the lossless network's trusted channel,
+    /// group-committing: a blocking client's lone submission waits in a
+    /// partial batch that only the flush deadline sends, so every
+    /// operation finishing shows the replicas tick for the broadcast's
+    /// deadlines with no link under them.
+    #[test]
+    fn view_backend_works_live_on_the_trusted_channel() {
+        let config = RuntimeConfig::new(1).with_batching(moc_abcast::BatchConfig {
+            max_batch: 16,
+            max_delay_ns: 200_000,
+        });
+        let cluster: LiveCluster<moc_protocol::MscOverView> = LiveCluster::start(3, config);
+        std::thread::scope(|s| {
+            for process in 0..3u32 {
+                let cluster = &cluster;
+                s.spawn(move || {
+                    for i in 0..4 {
+                        let program = if i % 2 == 0 { inc() } else { rx() };
+                        cluster.invoke(p(process), program, vec![]);
+                    }
+                });
+            }
+        });
+        let report = cluster.shutdown();
+        assert_eq!(report.history.len(), 12, "every invocation completed");
+        assert_eq!(report.total_link_stats().acks_sent, 0);
+        assert_eq!(report.total_batch_stats().items_stamped, 6);
+        let sc = check(
+            &report.history,
+            Condition::MSequentialConsistency,
+            Strategy::Auto,
+        )
+        .unwrap();
+        assert!(sc.satisfied, "{:?}", sc.reason);
     }
 
     #[test]
