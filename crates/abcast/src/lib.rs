@@ -79,14 +79,19 @@ impl<M> Outbox<M> {
         self.msgs.push((to, msg));
     }
 
-    /// Queues a copy of `msg` for every process, including the sender.
+    /// Queues a copy of `msg` for every process, including the sender:
+    /// `n - 1` clones, and the last process gets `msg` itself.
     pub fn send_all(&mut self, msg: M)
     where
         M: Clone,
     {
-        for p in 0..self.n {
+        let Some(last) = self.n.checked_sub(1) else {
+            return;
+        };
+        for p in 0..last {
             self.msgs.push((ProcessId::new(p as u32), msg.clone()));
         }
+        self.msgs.push((ProcessId::new(last as u32), msg));
     }
 
     /// Drains the queued messages.

@@ -3,9 +3,9 @@
 //! Process 0 acts as the sequencer. A broadcast is submitted to the
 //! sequencer, which stamps it with the next global sequence number and
 //! relays it to every process (including itself and the submitter). Each
-//! process buffers stamped messages and delivers them gap-free in stamp
-//! order, which yields the agreed total order even when the network
-//! reorders messages arbitrarily.
+//! process delivers stamped messages gap-free in stamp order, buffering
+//! only those that arrive behind a gap, which yields the agreed total
+//! order even when the network reorders messages arbitrarily.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -110,16 +110,35 @@ impl<T> SequencerAbcast<T> {
         stamped
     }
 
+    /// Delivers the item stamped `next_to_deliver`.
+    fn deliver_next(&mut self, origin: ProcessId, item: T) {
+        self.delivered.push(Delivery {
+            origin,
+            global_seq: self.next_to_deliver,
+            item,
+        });
+        self.next_to_deliver += 1;
+        self.delivered_count += 1;
+    }
+
+    /// Takes in the item stamped `seq`. On a channel that keeps the
+    /// sequencer's order the stamp is the frontier and the buffer is
+    /// empty, so the item is delivered at once; only a stamp behind a gap
+    /// waits in the buffer, and `pump` hands it on once the gap fills. A
+    /// stamp below the frontier is a duplicate of a delivered one (e.g. a
+    /// retransmission that an imperfect link let through) and is ignored;
+    /// buffering a stamp again is idempotent.
+    fn accept(&mut self, seq: u64, origin: ProcessId, item: T) {
+        if seq == self.next_to_deliver && self.buffer.is_empty() {
+            self.deliver_next(origin, item);
+        } else if seq >= self.next_to_deliver {
+            self.buffer.insert(seq, (origin, item));
+        }
+    }
+
     fn pump(&mut self) {
-        while let Some(entry) = self.buffer.remove(&self.next_to_deliver) {
-            let (origin, item) = entry;
-            self.delivered.push(Delivery {
-                origin,
-                global_seq: self.next_to_deliver,
-                item,
-            });
-            self.next_to_deliver += 1;
-            self.delivered_count += 1;
+        while let Some((origin, item)) = self.buffer.remove(&self.next_to_deliver) {
+            self.deliver_next(origin, item);
         }
     }
 
@@ -187,22 +206,12 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
                 Self::fan_out(self.group.push(seq, (origin, item)), out);
             }
             SequencerMsg::Ordered { seq, origin, item } => {
-                // A stamp below the delivery frontier is a duplicate of an
-                // already-delivered frame (e.g. a retransmission that an
-                // imperfect link let through): the gap-free stamp-order
-                // discipline simply ignores it. Re-inserting a buffered
-                // stamp is likewise idempotent.
-                if seq >= self.next_to_deliver {
-                    self.buffer.insert(seq, (origin, item));
-                    self.pump();
-                }
+                self.accept(seq, origin, item);
+                self.pump();
             }
             SequencerMsg::OrderedBatch { first_seq, items } => {
                 for (i, (origin, item)) in items.into_iter().enumerate() {
-                    let seq = first_seq + i as u64;
-                    if seq >= self.next_to_deliver {
-                        self.buffer.insert(seq, (origin, item));
-                    }
+                    self.accept(first_seq + i as u64, origin, item);
                 }
                 self.pump();
             }
@@ -265,6 +274,9 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -529,6 +541,116 @@ mod tests {
         follower.on_message(pid(0), batch, &mut out);
         assert!(follower.drain_delivered().is_empty(), "duplicate ignored");
         assert_eq!(follower.delivered_count(), 2);
+    }
+
+    /// The reference follower: every stamp at or past the frontier is
+    /// inserted into the buffer, then the buffer is pumped.
+    #[derive(Default)]
+    struct InsertThenPump {
+        next: u64,
+        buffer: BTreeMap<u64, (ProcessId, u64)>,
+    }
+
+    impl InsertThenPump {
+        fn on_message(&mut self, msg: SequencerMsg<u64>) -> Vec<(u64, ProcessId, u64)> {
+            let items = match msg {
+                SequencerMsg::Ordered { seq, origin, item } => vec![(seq, origin, item)],
+                SequencerMsg::OrderedBatch { first_seq, items } => (first_seq..)
+                    .zip(items)
+                    .map(|(seq, (origin, item))| (seq, origin, item))
+                    .collect(),
+                SequencerMsg::Submit { .. } => unreachable!("followers get no submissions"),
+            };
+            for (seq, origin, item) in items {
+                if seq >= self.next {
+                    self.buffer.insert(seq, (origin, item));
+                }
+            }
+            let mut out = Vec::new();
+            while let Some((origin, item)) = self.buffer.remove(&self.next) {
+                out.push((self.next, origin, item));
+                self.next += 1;
+            }
+            out
+        }
+    }
+
+    /// The frame carrying stamps `range`: a lone stamp as `Ordered` or a
+    /// one-item batch, as `single_as_batch` says, more as `OrderedBatch`.
+    /// Stamp `s` always carries the same origin and item.
+    fn frame(range: Range<u64>, single_as_batch: bool) -> SequencerMsg<u64> {
+        let origin = |s: u64| pid((s % 3) as u32);
+        if range.end - range.start == 1 && !single_as_batch {
+            let seq = range.start;
+            SequencerMsg::Ordered {
+                seq,
+                origin: origin(seq),
+                item: seq * 10,
+            }
+        } else {
+            SequencerMsg::OrderedBatch {
+                first_seq: range.start,
+                items: range.map(|s| (origin(s), s * 10)).collect(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A follower fed a stamp range cut into `Ordered` and
+        /// `OrderedBatch` frames, plus duplicate frames over random
+        /// sub-ranges, all in a random order, delivers every stamp once,
+        /// in stamp order, and ends with an empty buffer; after every
+        /// frame it has delivered exactly what the insert-then-pump
+        /// endpoint delivers.
+        #[test]
+        fn any_arrival_order_delivers_what_insert_then_pump_does(
+            len in 1u64..48,
+            cuts in prop::collection::vec((any::<bool>(), any::<bool>()), 48),
+            dups in prop::collection::vec((0u64..48, 1u64..8, any::<bool>()), 0..8),
+            seed in any::<u64>(),
+        ) {
+            let mut frames = Vec::new();
+            let mut start = 0;
+            for s in 0..len {
+                let (cut, single_as_batch) = cuts[s as usize];
+                if cut || s + 1 == len {
+                    frames.push(frame(start..s + 1, single_as_batch));
+                    start = s + 1;
+                }
+            }
+            for (first, count, single_as_batch) in dups {
+                let first = first % len;
+                frames.push(frame(first..(first + count).min(len), single_as_batch));
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..frames.len()).rev() {
+                frames.swap(i, rng.gen_range(0..=i));
+            }
+
+            let mut follower: SequencerAbcast<u64> = SequencerAbcast::new(pid(1), 3);
+            let mut reference = InsertThenPump::default();
+            let mut out = Outbox::new(3);
+            let mut delivered = Vec::new();
+            for msg in frames {
+                let expected = reference.on_message(msg.clone());
+                follower.on_message(pid(0), msg, &mut out);
+                let got: Vec<_> = follower
+                    .drain_delivered()
+                    .into_iter()
+                    .map(|d| (d.global_seq, d.origin, d.item))
+                    .collect();
+                prop_assert_eq!(&got, &expected);
+                delivered.extend(got);
+            }
+            prop_assert!(out.is_empty(), "a follower sends nothing");
+            let seqs: Vec<u64> = delivered.iter().map(|&(seq, ..)| seq).collect();
+            prop_assert_eq!(seqs, (0..len).collect::<Vec<_>>());
+            prop_assert!(delivered.iter().all(|&(seq, _, item)| item == seq * 10));
+            prop_assert_eq!(follower.delivered_count(), len);
+            prop_assert!(follower.buffer.is_empty(), "nothing left behind");
+        }
     }
 
     #[test]

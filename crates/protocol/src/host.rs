@@ -17,7 +17,10 @@
 //!    runtime's inboxes). On a trusted, reordering channel (the
 //!    simulator's) the driver keeps one m-operation in flight per process.
 //! 2. **submit / deliver / apply** — the replica's own actions.
-//! 3. **stash** — completions that overtake an earlier invocation wait.
+//! 3. **stash** — a completion that answers the oldest pending invocation,
+//!    with nothing stashed, retires at once: over a FIFO channel that is
+//!    every completion. Only one that overtakes an earlier invocation
+//!    waits, keyed by id, until the earlier ones retire.
 //! 4. **retire** — strictly FIFO. The *recorded* interval is clamped to
 //!    follow the previous retirement (the model's processes are
 //!    sequential); the true times travel alongside in [`Retired`].
@@ -85,8 +88,10 @@ pub struct PipelineMetrics {
     pub retired: u64,
     /// Peak of admitted-but-uncompleted plus gate-queued invocations.
     pub peak_depth: u64,
-    /// Completions that arrived before an earlier invocation of the same
-    /// process finished (retired strictly FIFO via the stash).
+    /// Completions that overtook an earlier invocation of the same
+    /// process: each waited in the stash until that one finished, so
+    /// retirement stays strictly FIFO. Completions that answer the oldest
+    /// invocation retire at once and do not count.
     pub out_of_order_completions: u64,
     /// Total time invocations spent queued behind the admission gate
     /// before reaching the protocol.
@@ -386,6 +391,12 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
             let mut progress = false;
             for c in self.replica.drain_completions() {
                 progress = true;
+                // On a FIFO channel each completion answers the oldest
+                // invocation, with nothing stashed ahead of it.
+                if self.stash.is_empty() && self.pending.front().is_some_and(|p| p.id == c.id) {
+                    self.retire_front(c, clock);
+                    continue;
+                }
                 let in_pipeline = self.pending.iter().any(|p| p.id == c.id);
                 if !in_pipeline || self.stash.contains_key(&c.id) {
                     self.metrics.orphan_completions += 1;
@@ -409,25 +420,7 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
                     break;
                 };
                 progress = true;
-                let p = self.pending.pop_front().expect("front exists");
-                let responded_at = clock();
-                let invoked_rec = p.invoked_at.max(self.last_retired);
-                let responded_rec = responded_at.max(invoked_rec);
-                self.last_retired = responded_rec;
-                let record = c.into_record(invoked_rec, responded_rec);
-                if self.monitored {
-                    self.monitor_feed.push(MonitorEvent::Complete(
-                        Box::new(record.clone()),
-                        responded_rec.as_nanos(),
-                    ));
-                }
-                self.metrics.retired += 1;
-                self.retired.push(Retired {
-                    record,
-                    invoked_at: p.invoked_at,
-                    responded_at,
-                    token: p.token,
-                });
+                self.retire_front(c, clock);
             }
             // The gate: an invocation joins in-flight ones only if it and
             // they are updates. A query is only ever admitted alone, so
@@ -467,6 +460,32 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
             // Acknowledge once per peer, however many of its frames were fed.
             link.coalesce_acks(&mut self.wire);
         }
+    }
+
+    /// Retires the oldest pending invocation, which `c` answers: clamps
+    /// its recorded interval after the previous retirement, builds the
+    /// record, feeds the sentinel and queues the [`Retired`].
+    fn retire_front(&mut self, c: Completion, clock: &impl Fn() -> EventTime) {
+        let p = self.pending.pop_front().expect("c answers the front");
+        debug_assert_eq!(p.id, c.id);
+        let responded_at = clock();
+        let invoked_rec = p.invoked_at.max(self.last_retired);
+        let responded_rec = responded_at.max(invoked_rec);
+        self.last_retired = responded_rec;
+        let record = c.into_record(invoked_rec, responded_rec);
+        if self.monitored {
+            self.monitor_feed.push(MonitorEvent::Complete(
+                Box::new(record.clone()),
+                responded_rec.as_nanos(),
+            ));
+        }
+        self.metrics.retired += 1;
+        self.retired.push(Retired {
+            record,
+            invoked_at: p.invoked_at,
+            responded_at,
+            token: p.token,
+        });
     }
 }
 
@@ -808,6 +827,60 @@ mod tests {
             .unwrap();
             prop_assert!(verdict.satisfied, "{:?}", verdict.reason);
         }
+    }
+
+    /// A one-process cluster on the trusted channel, its own sequencer:
+    /// sixteen pipelined updates, and each round feeds the host what its
+    /// last settle sent itself — in send order, or reversed, which makes
+    /// later submissions overtake earlier ones — until nothing is sent.
+    /// Returns how many retired in each settle, and the counters.
+    fn sixteen_looped_back(reverse: bool) -> (Vec<usize>, PipelineMetrics) {
+        let me = ProcessId::new(0);
+        let setup = OrderingSetup::default();
+        let mut host: ReplicaHost<MscOverSequencer, usize> =
+            ReplicaHost::new(me, 1, OBJECTS, None, &setup, false);
+        let clock = || EventTime::ZERO;
+        for k in 0..16 {
+            host.submit(write_own(0), vec![k as i64], k, EventTime::ZERO);
+        }
+        host.settle(&clock);
+        let mut per_settle = Vec::new();
+        let mut tokens = Vec::new();
+        while !host.wire.is_empty() {
+            let mut frames: Vec<_> = host.wire.drain(..).collect();
+            if reverse {
+                frames.reverse();
+            }
+            for (to, frame) in frames {
+                assert_eq!(to, me);
+                host.on_wire(me, frame, EventTime::ZERO);
+            }
+            host.settle(&clock);
+            per_settle.push(host.retired.len());
+            tokens.extend(host.retired.drain(..).map(|r| r.token));
+        }
+        assert_eq!(tokens, (0..16).collect::<Vec<_>>(), "FIFO retirement");
+        (per_settle, host.metrics())
+    }
+
+    /// Completions that arrive in invocation order retire at once and
+    /// count as nothing out of order, though sixteen retire in one settle;
+    /// completions that overtake an earlier invocation count.
+    #[test]
+    fn only_a_completion_that_overtakes_counts_as_out_of_order() {
+        let (per_settle, in_order) = sixteen_looped_back(false);
+        assert_eq!(
+            per_settle,
+            [0, 16],
+            "submit, then all sixteen in one settle"
+        );
+        assert_eq!(in_order.retired, 16);
+        assert_eq!(in_order.out_of_order_completions, 0);
+
+        let (_, overtaken) = sixteen_looped_back(true);
+        assert_eq!(overtaken.retired, 16);
+        assert_eq!(overtaken.out_of_order_completions, 15, "all but the oldest");
+        assert_eq!(overtaken.orphan_completions, 0);
     }
 
     /// Negative control for the gate: hand a query straight to the

@@ -21,7 +21,9 @@
 //! replies, one data frame per peer when the broadcast batches, and behind
 //! a link one acknowledgement per peer. Under load the batch grows by
 //! itself (classic group commit); idle, it is one message and nothing
-//! waits.
+//! waits. When the network delays nothing, the frames the replica sent
+//! itself are fed back in the same wake-up, one more settle per round of
+//! them (see below).
 //!
 //! ## The channel under the replicas
 //!
@@ -39,9 +41,13 @@
 //!   - each inbox is a `std::sync::mpsc` channel (the vendored crossbeam
 //!     wraps it), and each peer writes its frames into it from one
 //!     thread, its replica's, so they arrive in the order they were sent;
-//!   - a replica's frames to itself go through its hold queue with
-//!     `deliver_at = 0`, where arrival order breaks the ties, so they too
-//!     come out in send order;
+//!   - a replica's frames to itself never leave its thread: the wake-up
+//!     that sent them feeds them back right after its flush, in send
+//!     order, and settles again, for a bounded number of rounds. What is
+//!     left over waits in its hold queue, due at once, where arrival order
+//!     breaks the ties, and the next wake-up feeds it before any input.
+//!     Nothing else the replica sends itself enters that queue, so these
+//!     frames too come out in send order;
 //!   - nothing drops, duplicates or delays a frame: each is sent once,
 //!     due at once.
 //!
@@ -750,6 +756,15 @@ impl<M> HoldQueue<M> {
 /// which does not block. Two full pipelines of sixteen fit with room.
 const DRAIN_MAX: usize = 64;
 
+/// Most rounds of its own frames a wake-up feeds a replica after the
+/// settle. A round feeds what the last flush sent the replica itself,
+/// then settles and flushes again. The sequencer needs two rounds to stamp
+/// and apply its own client's update (submit, then the ordered frame);
+/// the bound keeps a protocol that keeps talking to itself from starving
+/// the inbox. What is left goes through the hold queue to the next
+/// wake-up.
+const LOOPBACK_ROUNDS: usize = 4;
+
 /// The thread driver of the shared replica host: supplies the clock (ns
 /// since the cluster epoch), the peers' inboxes as the wire, each
 /// invocation's reply channel as its token, and the sentinel channel. The
@@ -763,6 +778,9 @@ struct ReplicaDriver<R: ReplicaProtocol, C> {
     host: ReplicaHost<R, Sender<Reply>>,
     outlet: Outlet,
     hold: HoldQueue<LinkMsg<R::Msg>>,
+    /// What the last flush sent the replica itself, in send order, when
+    /// the network delays nothing: fed back in the same wake-up.
+    loopback: Vec<LinkMsg<R::Msg>>,
     rx: Receiver<Input<LinkMsg<R::Msg>>>,
     peers: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
     sentinel: Option<Sender<MonitorEvent>>,
@@ -805,6 +823,7 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
             ),
             outlet: Outlet::new(me, config),
             hold: HoldQueue::new(),
+            loopback: Vec::new(),
             rx,
             peers,
             sentinel,
@@ -841,7 +860,9 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
     /// One turn of the crank: feeds the host every held frame that is due,
     /// then `first` and whatever else is already in the inbox (at most
     /// [`DRAIN_MAX`] inputs), ticks if a deadline is due, and only then
-    /// settles and sends — once. Breaks, without settling, on `Shutdown`.
+    /// settles and sends — once — before it loops back the replica's
+    /// frames to itself ([`ReplicaDriver::loop_back`]). Breaks, without
+    /// settling, on `Shutdown`.
     ///
     /// The tick does not wait for an idle inbox: `recv_timeout` hands over
     /// a waiting message before it looks at the clock, so under load a
@@ -879,13 +900,41 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
         }
         self.host.settle(&self.now);
         self.flush();
+        self.loop_back();
         ControlFlow::Continue(())
+    }
+
+    /// Feeds the replica the frames it just sent itself, in send order,
+    /// and settles and flushes once per round, for at most
+    /// [`LOOPBACK_ROUNDS`] rounds. Frames still left are held, due at
+    /// once, for the next wake-up, which feeds them before its inputs.
+    fn loop_back(&mut self) {
+        for _ in 0..LOOPBACK_ROUNDS {
+            if self.loopback.is_empty() {
+                return;
+            }
+            let at = (self.now)();
+            for msg in self.loopback.drain(..) {
+                self.host.on_wire(self.me, msg, at);
+            }
+            self.host.settle(&self.now);
+            self.flush();
+        }
+        for msg in self.loopback.drain(..) {
+            self.hold.push(Frame {
+                deliver_at: 0,
+                from: self.me,
+                msg,
+            });
+        }
     }
 
     /// Hands on what a settle left in the host's three queues: sentinel
     /// observations, replies (and their records), frames. The records
     /// enter the shared log under one lock, and only then do their replies
     /// go out: a client never holds a reply whose record is not logged.
+    /// Frames to the replica itself wait in `loopback` when the network
+    /// delays nothing, and in the hold queue otherwise.
     fn flush(&mut self) {
         if let Some(tx) = &self.sentinel {
             for ev in self.host.monitor_feed.drain(..) {
@@ -911,7 +960,12 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
                 self.dropped_replies += 1;
             }
         }
+        let immediate = self.outlet.config.artificial_delay.is_none();
         for (to, msg) in self.host.wire.drain(..) {
+            if to == self.me && immediate {
+                self.loopback.push(msg);
+                continue;
+            }
             let copies = self.outlet.copies(to);
             let mut deliver = |msg| {
                 let frame = Frame {
@@ -991,6 +1045,35 @@ mod tests {
 
     fn p(index: u32) -> ProcessId {
         ProcessId::new(index)
+    }
+
+    /// How long a live-cluster test may run before [`watchdog`] fails it.
+    /// Each takes well under a second; the bound leaves room for a loaded
+    /// machine or a sanitizer build.
+    const LIVE_TEST_BOUND: Duration = Duration::from_secs(120);
+
+    /// Runs a live-cluster test's body on a thread of its own and fails
+    /// the test, by name, if the body has not returned within
+    /// [`LIVE_TEST_BOUND`]. A replica that never answers leaves its client
+    /// in a receive that has no timeout; without the bound the test binary
+    /// would hang until its CI job is killed, and no test would be named.
+    /// A panic in the body is the test's own failure and is passed on.
+    fn watchdog(name: &str, body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done) = unbounded();
+        let runner = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                body();
+                let _ = done_tx.send(());
+            })
+            .expect("spawn the test body");
+        if let Err(RecvTimeoutError::Timeout) = done.recv_timeout(LIVE_TEST_BOUND) {
+            panic!("{name} did not finish within {LIVE_TEST_BOUND:?}: a replica never answered");
+        }
+        // The body returned, or panicked and dropped the sender unsent.
+        if let Err(panic) = runner.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     /// The hold queue on a clock the test turns by hand.
@@ -1254,7 +1337,8 @@ mod tests {
     /// The same wake-up on a lossless network, where the replicas run the
     /// trusted channel: the same replies and stamps, but no
     /// acknowledgement, each stamp still in a frame of its own, every data
-    /// frame counted, and no timer to arm.
+    /// frame counted, and no timer to arm. Its own copies of the ordered
+    /// frames are fed back and applied in the same wake-up.
     #[test]
     fn one_trusted_wake_up_sends_no_ack() {
         const K: usize = 5;
@@ -1272,21 +1356,66 @@ mod tests {
                 "unnumbered, one frame per stamp"
             );
         }
-        // Two followers and itself hear of every stamp.
+        // Two followers and itself hear of every stamp, and it received
+        // its own copies too.
         let link = hand.driver.host.link_stats();
         assert_eq!(
             (link.data_received, link.data_sent, link.acks_sent),
-            (2 * K as u64, 3 * 2 * K as u64, 0)
+            (4 * K as u64, 3 * 2 * K as u64, 0)
         );
-        assert_eq!(hand.driver.host.next_deadline(), None, "no timer armed");
-
-        assert!(hand.driver.wake_up(None).is_continue());
-        let link = hand.driver.host.link_stats();
-        assert_eq!((link.data_received, link.acks_sent), (4 * K as u64, 0));
         assert_eq!(link.delivered, link.data_received);
+        assert_eq!(hand.driver.host.next_deadline(), None, "no timer armed");
+        assert_eq!(hand.driver.hold.next_deadline(), None, "nothing held");
         let metrics = hand.driver.host.replica().metrics();
         assert_eq!(metrics.updates_applied, 2 * K as u64);
         assert_eq!(hand.log.lock().len(), K);
+    }
+
+    /// On the trusted channel the sequencer's own client waits for no
+    /// second wake-up: the one that takes its update submits it to itself,
+    /// stamps it, applies its own ordered copy and answers, while the
+    /// followers get the stamp.
+    #[test]
+    fn the_sequencers_own_update_is_answered_in_one_wake_up() {
+        let mut hand = ByHand::new(0, RuntimeConfig::new(1));
+        let (reply_tx, replies) = unbounded();
+        hand.invoke(wx(7), &reply_tx);
+        assert!(hand.driver.wake_up(None).is_continue());
+
+        assert_eq!(reply_seqs(&replies), [0], "answered in the same wake-up");
+        assert_eq!(hand.driver.host.replica().metrics().updates_applied, 1);
+        assert_eq!(hand.log.lock().len(), 1);
+        for follower in [1, 2] {
+            assert_eq!(data_seqs(&hand.sent(follower)), [0], "the stamp");
+        }
+        // The submission and the ordered copy to itself, and nothing held.
+        let link = hand.driver.host.link_stats();
+        assert_eq!((link.data_sent, link.data_received), (4, 2));
+        assert_eq!(hand.driver.hold.next_deadline(), None);
+    }
+
+    /// A client that alternates updates and queries at the sequencer sets
+    /// off a round of frames to itself after each round: the second
+    /// update is admitted only once the first is answered, the third only
+    /// once the second is. One wake-up feeds four rounds; the submission
+    /// the fourth sets off waits in the hold queue, due at once, and the
+    /// next wake-up takes it first.
+    #[test]
+    fn loopback_rounds_are_bounded_and_the_rest_is_held() {
+        let mut hand = ByHand::new(0, RuntimeConfig::new(1));
+        let (reply_tx, replies) = unbounded();
+        for k in 0..5 {
+            let program = if k % 2 == 0 { wx(k) } else { rx() };
+            hand.invoke(program, &reply_tx);
+        }
+        assert!(hand.driver.wake_up(None).is_continue());
+        assert_eq!(reply_seqs(&replies), [0, 1, 2, 3]);
+        assert_eq!(hand.driver.hold.next_deadline(), Some(0), "one left");
+
+        assert!(hand.driver.wake_up(None).is_continue());
+        assert_eq!(reply_seqs(&replies), [4]);
+        assert_eq!(hand.driver.hold.next_deadline(), None);
+        assert_eq!(hand.driver.host.replica().metrics().updates_applied, 3);
     }
 
     /// The frame gate, on a batching stack: a follower that settles once
@@ -1434,14 +1563,17 @@ mod tests {
 
     #[test]
     fn write_then_read_roundtrip() {
-        let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start(3, RuntimeConfig::new(1));
-        cluster.invoke(ProcessId::new(0), wx(9), vec![]);
-        let r = cluster.invoke(ProcessId::new(2), rx(), vec![]);
-        assert_eq!(r.outputs, vec![9], "mlin query after update must see it");
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 2);
-        let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-        assert!(lin.satisfied);
+        watchdog("write_then_read_roundtrip", || {
+            let cluster: LiveCluster<MlinOverSequencer> =
+                LiveCluster::start(3, RuntimeConfig::new(1));
+            cluster.invoke(ProcessId::new(0), wx(9), vec![]);
+            let r = cluster.invoke(ProcessId::new(2), rx(), vec![]);
+            assert_eq!(r.outputs, vec![9], "mlin query after update must see it");
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 2);
+            let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
+            assert!(lin.satisfied);
+        });
     }
 
     /// The history holds every reply once, in the order the replicas
@@ -1449,22 +1581,25 @@ mod tests {
     /// turned to later comes later.
     #[test]
     fn shutdown_keeps_the_order_the_replicas_answered() {
-        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(3, RuntimeConfig::new(1));
-        let mut replies = Vec::new();
-        for (process, count) in [(1, 3), (0, 2), (2, 4), (1, 2)] {
-            for k in 0..count {
-                replies.push(cluster.invoke(p(process), wx(k), vec![]).id);
+        watchdog("shutdown_keeps_the_order_the_replicas_answered", || {
+            let cluster: LiveCluster<MscOverSequencer> =
+                LiveCluster::start(3, RuntimeConfig::new(1));
+            let mut replies = Vec::new();
+            for (process, count) in [(1, 3), (0, 2), (2, 4), (1, 2)] {
+                for k in 0..count {
+                    replies.push(cluster.invoke(p(process), wx(k), vec![]).id);
+                }
             }
-        }
-        let history = cluster.shutdown().history;
-        let recorded: Vec<MOpId> = history.records().iter().map(|r| r.id).collect();
-        assert_eq!(recorded, replies, "one record per reply, in answer order");
-        for process in 0..3 {
-            let seqs = history.by_process(p(process)).iter();
-            let seqs: Vec<u32> = seqs.map(|&idx| history.record(idx).id.seq).collect();
-            let count = [2, 5, 4][process as usize];
-            assert_eq!(seqs, (0..count).collect::<Vec<u32>>());
-        }
+            let history = cluster.shutdown().history;
+            let recorded: Vec<MOpId> = history.records().iter().map(|r| r.id).collect();
+            assert_eq!(recorded, replies, "one record per reply, in answer order");
+            for process in 0..3 {
+                let seqs = history.by_process(p(process)).iter();
+                let seqs: Vec<u32> = seqs.map(|&idx| history.record(idx).id.seq).collect();
+                let count = [2, 5, 4][process as usize];
+                assert_eq!(seqs, (0..count).collect::<Vec<u32>>());
+            }
+        });
     }
 
     /// Three pipelined clients, one per process, keep their windows full at
@@ -1473,210 +1608,229 @@ mod tests {
     /// the log as they were answered, and it is m-sequentially consistent.
     #[test]
     fn pipelined_clients_share_one_log() {
-        const PER_CLIENT: usize = 60;
-        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(3, RuntimeConfig::new(1));
-        let answered: Vec<Vec<MOpId>> = std::thread::scope(|s| {
-            let clients: Vec<_> = (0..3)
-                .map(|process| {
-                    let cluster = &cluster;
-                    s.spawn(move || {
-                        let mut session = cluster.pipelined(p(process), 8);
-                        let mut ids = Vec::new();
-                        for k in 0..PER_CLIENT {
-                            let program = if k % 3 == 2 { rx() } else { inc() };
-                            let reply = session.invoke(program, vec![]).expect("not quarantined");
-                            ids.extend(reply.map(|r| r.id));
-                        }
-                        ids.extend(session.drain().into_iter().map(|r| r.id));
-                        ids
+        watchdog("pipelined_clients_share_one_log", || {
+            const PER_CLIENT: usize = 60;
+            let cluster: LiveCluster<MscOverSequencer> =
+                LiveCluster::start(3, RuntimeConfig::new(1));
+            let answered: Vec<Vec<MOpId>> = std::thread::scope(|s| {
+                let clients: Vec<_> = (0..3)
+                    .map(|process| {
+                        let cluster = &cluster;
+                        s.spawn(move || {
+                            let mut session = cluster.pipelined(p(process), 8);
+                            let mut ids = Vec::new();
+                            for k in 0..PER_CLIENT {
+                                let program = if k % 3 == 2 { rx() } else { inc() };
+                                let reply =
+                                    session.invoke(program, vec![]).expect("not quarantined");
+                                ids.extend(reply.map(|r| r.id));
+                            }
+                            ids.extend(session.drain().into_iter().map(|r| r.id));
+                            ids
+                        })
                     })
-                })
-                .collect();
-            clients.into_iter().map(|c| c.join().unwrap()).collect()
+                    .collect();
+                clients.into_iter().map(|c| c.join().unwrap()).collect()
+            });
+            let history = cluster.shutdown().history;
+            assert_eq!(history.len(), 3 * PER_CLIENT);
+            for (process, ids) in answered.iter().enumerate() {
+                let logged: Vec<MOpId> = history
+                    .records()
+                    .iter()
+                    .map(|r| r.id)
+                    .filter(|id| id.process == p(process as u32))
+                    .collect();
+                assert_eq!(
+                    &logged, ids,
+                    "process {process}: the log is its answer order"
+                );
+                let seqs: Vec<u32> = logged.iter().map(|id| id.seq).collect();
+                assert_eq!(seqs, (0..PER_CLIENT as u32).collect::<Vec<u32>>());
+            }
+            let sc = check(&history, Condition::MSequentialConsistency, Strategy::Auto).unwrap();
+            assert!(sc.satisfied);
         });
-        let history = cluster.shutdown().history;
-        assert_eq!(history.len(), 3 * PER_CLIENT);
-        for (process, ids) in answered.iter().enumerate() {
-            let logged: Vec<MOpId> = history
-                .records()
-                .iter()
-                .map(|r| r.id)
-                .filter(|id| id.process == p(process as u32))
-                .collect();
-            assert_eq!(
-                &logged, ids,
-                "process {process}: the log is its answer order"
-            );
-            let seqs: Vec<u32> = logged.iter().map(|id| id.seq).collect();
-            assert_eq!(seqs, (0..PER_CLIENT as u32).collect::<Vec<u32>>());
-        }
-        let sc = check(&history, Condition::MSequentialConsistency, Strategy::Auto).unwrap();
-        assert!(sc.satisfied);
     }
 
     #[test]
     fn concurrent_clients_preserve_increments() {
-        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(
-            4,
-            RuntimeConfig::new(1).with_artificial_delay(DelayModel::Uniform {
-                lo: 1_000,
-                hi: 200_000,
-            }),
-        );
-        let cluster = Arc::new(cluster);
-        let mut joins = Vec::new();
-        for p in 0..4u32 {
-            let c = Arc::clone(&cluster);
-            joins.push(std::thread::spawn(move || {
-                for _ in 0..5 {
-                    c.invoke(ProcessId::new(p), inc(), vec![]);
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        let final_value = cluster.invoke(ProcessId::new(0), rx(), vec![]).outputs[0];
-        // msc query reads the local copy; process 0 has applied every
-        // delivered update... but some may still be in flight. Give the
-        // cluster a moment to converge, then re-read.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut v = final_value;
-        while v != 20 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-            v = cluster.invoke(ProcessId::new(0), rx(), vec![]).outputs[0];
-        }
-        assert_eq!(v, 20, "all 20 increments must land");
+        watchdog("concurrent_clients_preserve_increments", || {
+            let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(
+                4,
+                RuntimeConfig::new(1).with_artificial_delay(DelayModel::Uniform {
+                    lo: 1_000,
+                    hi: 200_000,
+                }),
+            );
+            let cluster = Arc::new(cluster);
+            let mut joins = Vec::new();
+            for p in 0..4u32 {
+                let c = Arc::clone(&cluster);
+                joins.push(std::thread::spawn(move || {
+                    for _ in 0..5 {
+                        c.invoke(ProcessId::new(p), inc(), vec![]);
+                    }
+                }));
+            }
+            for j in joins {
+                j.join().unwrap();
+            }
+            let final_value = cluster.invoke(ProcessId::new(0), rx(), vec![]).outputs[0];
+            // msc query reads the local copy; process 0 has applied every
+            // delivered update... but some may still be in flight. Give the
+            // cluster a moment to converge, then re-read.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut v = final_value;
+            while v != 20 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+                v = cluster.invoke(ProcessId::new(0), rx(), vec![]).outputs[0];
+            }
+            assert_eq!(v, 20, "all 20 increments must land");
 
-        let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
-        let report = cluster.shutdown();
-        let sc = check(
-            &report.history,
-            Condition::MSequentialConsistency,
-            Strategy::Auto,
-        )
-        .unwrap();
-        assert!(sc.satisfied, "Theorem 15 on the live runtime");
+            let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
+            let report = cluster.shutdown();
+            let sc = check(
+                &report.history,
+                Condition::MSequentialConsistency,
+                Strategy::Auto,
+            )
+            .unwrap();
+            assert!(sc.satisfied, "Theorem 15 on the live runtime");
+        });
     }
 
     #[test]
     fn single_process_cluster_works() {
-        let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start(1, RuntimeConfig::new(1));
-        cluster.invoke(ProcessId::new(0), wx(3), vec![]);
-        let r = cluster.invoke(ProcessId::new(0), rx(), vec![]);
-        assert_eq!(r.outputs, vec![3]);
-        assert!(r.invoked_at <= r.responded_at);
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 2);
+        watchdog("single_process_cluster_works", || {
+            let cluster: LiveCluster<MlinOverSequencer> =
+                LiveCluster::start(1, RuntimeConfig::new(1));
+            cluster.invoke(ProcessId::new(0), wx(3), vec![]);
+            let r = cluster.invoke(ProcessId::new(0), rx(), vec![]);
+            assert_eq!(r.outputs, vec![3]);
+            assert!(r.invoked_at <= r.responded_at);
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 2);
+        });
     }
 
     #[test]
     fn heavy_delay_reordering_stays_consistent() {
-        // Millisecond-scale random delays: messages overtake each other
-        // constantly; the history must still check out.
-        let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start(
-            3,
-            RuntimeConfig::new(2)
-                .with_artificial_delay(DelayModel::Exponential { mean: 1_000_000 }),
-        );
-        let cluster = Arc::new(cluster);
-        let mut joins = Vec::new();
-        for p in 0..3u32 {
-            let c = Arc::clone(&cluster);
-            joins.push(std::thread::spawn(move || {
-                for i in 0..4 {
-                    if i % 2 == 0 {
-                        c.invoke(ProcessId::new(p), wx(p as i64 * 10 + i), vec![]);
-                    } else {
-                        c.invoke(ProcessId::new(p), rx(), vec![]);
+        watchdog("heavy_delay_reordering_stays_consistent", || {
+            // Millisecond-scale random delays: messages overtake each other
+            // constantly; the history must still check out.
+            let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start(
+                3,
+                RuntimeConfig::new(2)
+                    .with_artificial_delay(DelayModel::Exponential { mean: 1_000_000 }),
+            );
+            let cluster = Arc::new(cluster);
+            let mut joins = Vec::new();
+            for p in 0..3u32 {
+                let c = Arc::clone(&cluster);
+                joins.push(std::thread::spawn(move || {
+                    for i in 0..4 {
+                        if i % 2 == 0 {
+                            c.invoke(ProcessId::new(p), wx(p as i64 * 10 + i), vec![]);
+                        } else {
+                            c.invoke(ProcessId::new(p), rx(), vec![]);
+                        }
                     }
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 12);
-        let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-        assert!(lin.satisfied, "{:?}", lin.reason);
+                }));
+            }
+            for j in joins {
+                j.join().unwrap();
+            }
+            let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 12);
+            let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
+            assert!(lin.satisfied, "{:?}", lin.reason);
+        });
     }
 
     #[test]
     fn replies_carry_monotone_event_times_per_process() {
-        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(2, RuntimeConfig::new(1));
-        let p = ProcessId::new(0);
-        let r1 = cluster.invoke(p, wx(1), vec![]);
-        let r2 = cluster.invoke(p, wx(2), vec![]);
-        assert!(r1.responded_at <= r2.invoked_at, "process order in time");
-        assert_eq!(r1.id.seq, 0);
-        assert_eq!(r2.id.seq, 1);
-        cluster.shutdown();
+        watchdog("replies_carry_monotone_event_times_per_process", || {
+            let cluster: LiveCluster<MscOverSequencer> =
+                LiveCluster::start(2, RuntimeConfig::new(1));
+            let p = ProcessId::new(0);
+            let r1 = cluster.invoke(p, wx(1), vec![]);
+            let r2 = cluster.invoke(p, wx(2), vec![]);
+            assert!(r1.responded_at <= r2.invoked_at, "process order in time");
+            assert_eq!(r1.id.seq, 0);
+            assert_eq!(r2.id.seq, 1);
+            cluster.shutdown();
+        });
     }
 
     #[test]
     fn reliable_link_masks_drops_and_duplicates_live() {
-        // A 20% drop / 10% dup network: the link's retransmissions and
-        // dedup must keep every invocation completing and the history
-        // m-linearizable.
-        let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start(
-            3,
-            RuntimeConfig::new(1)
-                .with_artificial_delay(DelayModel::Uniform {
-                    lo: 1_000,
-                    hi: 100_000,
-                })
-                .with_faults(0.2, 0.1)
-                .with_link(LinkConfig {
-                    rto_ns: 1_000_000,
-                    max_rto_ns: 20_000_000,
-                    ..LinkConfig::default()
-                }),
-        );
-        let cluster = Arc::new(cluster);
-        let mut joins = Vec::new();
-        for p in 0..3u32 {
-            let c = Arc::clone(&cluster);
-            joins.push(std::thread::spawn(move || {
-                for i in 0..4 {
-                    if i % 2 == 0 {
-                        c.invoke(ProcessId::new(p), wx(p as i64 * 10 + i), vec![]);
-                    } else {
-                        c.invoke(ProcessId::new(p), rx(), vec![]);
+        watchdog("reliable_link_masks_drops_and_duplicates_live", || {
+            // A 20% drop / 10% dup network: the link's retransmissions and
+            // dedup must keep every invocation completing and the history
+            // m-linearizable.
+            let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start(
+                3,
+                RuntimeConfig::new(1)
+                    .with_artificial_delay(DelayModel::Uniform {
+                        lo: 1_000,
+                        hi: 100_000,
+                    })
+                    .with_faults(0.2, 0.1)
+                    .with_link(LinkConfig {
+                        rto_ns: 1_000_000,
+                        max_rto_ns: 20_000_000,
+                        ..LinkConfig::default()
+                    }),
+            );
+            let cluster = Arc::new(cluster);
+            let mut joins = Vec::new();
+            for p in 0..3u32 {
+                let c = Arc::clone(&cluster);
+                joins.push(std::thread::spawn(move || {
+                    for i in 0..4 {
+                        if i % 2 == 0 {
+                            c.invoke(ProcessId::new(p), wx(p as i64 * 10 + i), vec![]);
+                        } else {
+                            c.invoke(ProcessId::new(p), rx(), vec![]);
+                        }
                     }
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 12, "every invocation completed");
-        let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-        assert!(lin.satisfied, "{:?}", lin.reason);
-        // The faults hit, and the link recovered them.
-        let link = report.total_link_stats();
-        assert!(
-            link.retransmissions > 0 && link.duplicates_discarded > 0,
-            "{link:?}"
-        );
+                }));
+            }
+            for j in joins {
+                j.join().unwrap();
+            }
+            let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 12, "every invocation completed");
+            let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
+            assert!(lin.satisfied, "{:?}", lin.reason);
+            // The faults hit, and the link recovered them.
+            let link = report.total_link_stats();
+            assert!(
+                link.retransmissions > 0 && link.duplicates_discarded > 0,
+                "{link:?}"
+            );
+        });
     }
 
     /// A lossless network runs the trusted channel: the replicas exchange
     /// data frames and nothing else.
     #[test]
     fn a_lossless_cluster_sends_no_acks() {
-        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(3, RuntimeConfig::new(1));
-        for i in 0..6 {
-            cluster.invoke(p(i % 3), wx(i64::from(i)), vec![]);
-        }
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 6);
-        let link = report.total_link_stats();
-        assert!(link.data_sent > 0 && link.data_received > 0, "{link:?}");
-        assert_eq!((link.acks_sent, link.retransmissions), (0, 0), "{link:?}");
+        watchdog("a_lossless_cluster_sends_no_acks", || {
+            let cluster: LiveCluster<MscOverSequencer> =
+                LiveCluster::start(3, RuntimeConfig::new(1));
+            for i in 0..6 {
+                cluster.invoke(p(i % 3), wx(i64::from(i)), vec![]);
+            }
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 6);
+            let link = report.total_link_stats();
+            assert!(link.data_sent > 0 && link.data_received > 0, "{link:?}");
+            assert_eq!((link.acks_sent, link.retransmissions), (0, 0), "{link:?}");
+        });
     }
 
     /// The view-based broadcast on the lossless network's trusted channel,
@@ -1686,98 +1840,105 @@ mod tests {
     /// deadlines with no link under them.
     #[test]
     fn view_backend_works_live_on_the_trusted_channel() {
-        let config = RuntimeConfig::new(1).with_batching(moc_abcast::BatchConfig {
-            max_batch: 16,
-            max_delay_ns: 200_000,
+        watchdog("view_backend_works_live_on_the_trusted_channel", || {
+            let config = RuntimeConfig::new(1).with_batching(moc_abcast::BatchConfig {
+                max_batch: 16,
+                max_delay_ns: 200_000,
+            });
+            let cluster: LiveCluster<moc_protocol::MscOverView> = LiveCluster::start(3, config);
+            std::thread::scope(|s| {
+                for process in 0..3u32 {
+                    let cluster = &cluster;
+                    s.spawn(move || {
+                        for i in 0..4 {
+                            let program = if i % 2 == 0 { inc() } else { rx() };
+                            cluster.invoke(p(process), program, vec![]);
+                        }
+                    });
+                }
+            });
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 12, "every invocation completed");
+            assert_eq!(report.total_link_stats().acks_sent, 0);
+            assert_eq!(report.total_batch_stats().items_stamped, 6);
+            let sc = check(
+                &report.history,
+                Condition::MSequentialConsistency,
+                Strategy::Auto,
+            )
+            .unwrap();
+            assert!(sc.satisfied, "{:?}", sc.reason);
         });
-        let cluster: LiveCluster<moc_protocol::MscOverView> = LiveCluster::start(3, config);
-        std::thread::scope(|s| {
-            for process in 0..3u32 {
-                let cluster = &cluster;
-                s.spawn(move || {
-                    for i in 0..4 {
-                        let program = if i % 2 == 0 { inc() } else { rx() };
-                        cluster.invoke(p(process), program, vec![]);
-                    }
-                });
-            }
-        });
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 12, "every invocation completed");
-        assert_eq!(report.total_link_stats().acks_sent, 0);
-        assert_eq!(report.total_batch_stats().items_stamped, 6);
-        let sc = check(
-            &report.history,
-            Condition::MSequentialConsistency,
-            Strategy::Auto,
-        )
-        .unwrap();
-        assert!(sc.satisfied, "{:?}", sc.reason);
     }
 
     #[test]
     fn view_backend_works_live() {
-        // The view-based broadcast on real threads and wall-clock
-        // suspicion timers: no crash occurs, so view 0 must stay stable
-        // (wall-clock timeouts absorb scheduling jitter) and the history
-        // must be m-linearizable.
-        let cluster: LiveCluster<moc_protocol::MlinOverView> = LiveCluster::start(
-            3,
-            RuntimeConfig::new(1).with_artificial_delay(DelayModel::Uniform {
-                lo: 1_000,
-                hi: 100_000,
-            }),
-        );
-        let cluster = Arc::new(cluster);
-        let mut joins = Vec::new();
-        for p in 0..3u32 {
-            let c = Arc::clone(&cluster);
-            joins.push(std::thread::spawn(move || {
-                for i in 0..4 {
-                    if i % 2 == 0 {
-                        c.invoke(ProcessId::new(p), wx(p as i64 * 10 + i), vec![]);
-                    } else {
-                        c.invoke(ProcessId::new(p), rx(), vec![]);
+        watchdog("view_backend_works_live", || {
+            // The view-based broadcast on real threads and wall-clock
+            // suspicion timers: no crash occurs, so view 0 must stay stable
+            // (wall-clock timeouts absorb scheduling jitter) and the history
+            // must be m-linearizable.
+            let cluster: LiveCluster<moc_protocol::MlinOverView> = LiveCluster::start(
+                3,
+                RuntimeConfig::new(1).with_artificial_delay(DelayModel::Uniform {
+                    lo: 1_000,
+                    hi: 100_000,
+                }),
+            );
+            let cluster = Arc::new(cluster);
+            let mut joins = Vec::new();
+            for p in 0..3u32 {
+                let c = Arc::clone(&cluster);
+                joins.push(std::thread::spawn(move || {
+                    for i in 0..4 {
+                        if i % 2 == 0 {
+                            c.invoke(ProcessId::new(p), wx(p as i64 * 10 + i), vec![]);
+                        } else {
+                            c.invoke(ProcessId::new(p), rx(), vec![]);
+                        }
                     }
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 12, "every invocation completed");
-        let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-        assert!(lin.satisfied, "{:?}", lin.reason);
+                }));
+            }
+            for j in joins {
+                j.join().unwrap();
+            }
+            let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 12, "every invocation completed");
+            let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
+            assert!(lin.satisfied, "{:?}", lin.reason);
+        });
     }
 
     #[test]
     fn monitored_cluster_emits_rolling_certs() {
-        let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start_with_monitor(
-            2,
-            RuntimeConfig::new(1),
-            MonitorConfig::new(Condition::MLinearizability).with_window(2),
-        );
-        for i in 0..4 {
-            cluster.invoke(ProcessId::new(i % 2), wx(i as i64), vec![]);
-            cluster.invoke(ProcessId::new((i + 1) % 2), rx(), vec![]);
-        }
-        assert!(!cluster.quarantined(ProcessId::new(0)));
-        let (report, monitor) = cluster.shutdown_with_monitor();
-        assert_eq!(report.history.len(), 8, "every invocation completed");
-        let summary = monitor.expect("sentinel attached");
-        assert!(summary.violation.is_none(), "{:?}", summary.violation);
-        assert_eq!(summary.stats.completions, 8, "every completion streamed");
-        assert!(
-            !summary.certs.is_empty(),
-            "quiescence points must emit rolling certificates"
-        );
-        for cert in &summary.certs {
-            assert!(cert.admissible);
-            let batch = check(&cert.window(), Condition::MLinearizability, Strategy::Auto).unwrap();
-            assert!(batch.satisfied, "streaming and batch verdicts agree");
-        }
+        watchdog("monitored_cluster_emits_rolling_certs", || {
+            let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start_with_monitor(
+                2,
+                RuntimeConfig::new(1),
+                MonitorConfig::new(Condition::MLinearizability).with_window(2),
+            );
+            for i in 0..4 {
+                cluster.invoke(ProcessId::new(i % 2), wx(i as i64), vec![]);
+                cluster.invoke(ProcessId::new((i + 1) % 2), rx(), vec![]);
+            }
+            assert!(!cluster.quarantined(ProcessId::new(0)));
+            let (report, monitor) = cluster.shutdown_with_monitor();
+            assert_eq!(report.history.len(), 8, "every invocation completed");
+            let summary = monitor.expect("sentinel attached");
+            assert!(summary.violation.is_none(), "{:?}", summary.violation);
+            assert_eq!(summary.stats.completions, 8, "every completion streamed");
+            assert!(
+                !summary.certs.is_empty(),
+                "quiescence points must emit rolling certificates"
+            );
+            for cert in &summary.certs {
+                assert!(cert.admissible);
+                let batch =
+                    check(&cert.window(), Condition::MLinearizability, Strategy::Auto).unwrap();
+                assert!(batch.satisfied, "streaming and batch verdicts agree");
+            }
+        });
     }
 
     /// Three always-busy clients under the m-lin sentinel: the replica
@@ -1787,42 +1948,45 @@ mod tests {
     /// invocation the feed delivered behind the cut is skipped, counted.
     #[test]
     fn busy_mlin_cluster_never_latches_on_feed_order() {
-        let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start_with_monitor(
-            3,
-            RuntimeConfig::new(7),
-            MonitorConfig::new(Condition::MLinearizability).with_window(4),
-        );
-        let cluster = Arc::new(cluster);
-        let clients: Vec<_> = (0..3u32)
-            .map(|p| {
-                let c = Arc::clone(&cluster);
-                std::thread::spawn(move || {
-                    for i in 0..150 {
-                        let program = match i % 3 {
-                            0 => inc(),
-                            1 => rx(),
-                            _ => wx(i64::from(p) * 1000 + i),
-                        };
-                        c.invoke(ProcessId::new(p), program, vec![]);
-                    }
+        watchdog("busy_mlin_cluster_never_latches_on_feed_order", || {
+            let cluster: LiveCluster<MlinOverSequencer> = LiveCluster::start_with_monitor(
+                3,
+                RuntimeConfig::new(7),
+                MonitorConfig::new(Condition::MLinearizability).with_window(4),
+            );
+            let cluster = Arc::new(cluster);
+            let clients: Vec<_> = (0..3u32)
+                .map(|p| {
+                    let c = Arc::clone(&cluster);
+                    std::thread::spawn(move || {
+                        for i in 0..150 {
+                            let program = match i % 3 {
+                                0 => inc(),
+                                1 => rx(),
+                                _ => wx(i64::from(p) * 1000 + i),
+                            };
+                            c.invoke(ProcessId::new(p), program, vec![]);
+                        }
+                    })
                 })
-            })
-            .collect();
-        for client in clients {
-            client.join().unwrap();
-        }
-        let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
-        let (report, monitor) = cluster.shutdown_with_monitor();
-        let summary = monitor.expect("sentinel attached");
-        assert!(summary.violation.is_none(), "{:?}", summary.violation);
-        assert_eq!(summary.stats.completions, 450, "every completion streamed");
-        let stats = summary.stats;
-        assert!(
-            stats.retired > 225 && stats.peak_live_nodes < 150,
-            "the cut follows the stream: {stats:?}"
-        );
-        let batch = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-        assert!(batch.satisfied, "{:?}", batch.reason);
+                .collect();
+            for client in clients {
+                client.join().unwrap();
+            }
+            let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
+            let (report, monitor) = cluster.shutdown_with_monitor();
+            let summary = monitor.expect("sentinel attached");
+            assert!(summary.violation.is_none(), "{:?}", summary.violation);
+            assert_eq!(summary.stats.completions, 450, "every completion streamed");
+            let stats = summary.stats;
+            assert!(
+                stats.retired > 225 && stats.peak_live_nodes < 150,
+                "the cut follows the stream: {stats:?}"
+            );
+            let batch =
+                check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
+            assert!(batch.satisfied, "{:?}", batch.reason);
+        });
     }
 
     /// The sentinel thread end-to-end on a poisoned event stream: the
@@ -1889,31 +2053,33 @@ mod tests {
     /// operating.
     #[test]
     fn quarantined_process_is_fenced() {
-        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start_with_monitor(
-            2,
-            RuntimeConfig::new(1),
-            MonitorConfig::new(Condition::MSequentialConsistency),
-        );
-        cluster.invoke(ProcessId::new(0), wx(1), vec![]);
-        // Containment decision, as the sentinel thread would make it.
-        cluster.quarantine[1].store(true, Ordering::SeqCst);
-        let err = cluster
-            .try_invoke(ProcessId::new(1), wx(2), vec![])
-            .unwrap_err();
-        assert_eq!(
-            err,
-            Quarantined {
-                process: ProcessId::new(1)
-            }
-        );
-        assert!(cluster.quarantined(ProcessId::new(1)));
-        assert!(
-            cluster.try_invoke(ProcessId::new(0), rx(), vec![]).is_ok(),
-            "unaffected processes keep working"
-        );
-        let (report, monitor) = cluster.shutdown_with_monitor();
-        assert_eq!(report.history.len(), 2, "the fenced invocation never ran");
-        assert!(monitor.expect("sentinel attached").violation.is_none());
+        watchdog("quarantined_process_is_fenced", || {
+            let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start_with_monitor(
+                2,
+                RuntimeConfig::new(1),
+                MonitorConfig::new(Condition::MSequentialConsistency),
+            );
+            cluster.invoke(ProcessId::new(0), wx(1), vec![]);
+            // Containment decision, as the sentinel thread would make it.
+            cluster.quarantine[1].store(true, Ordering::SeqCst);
+            let err = cluster
+                .try_invoke(ProcessId::new(1), wx(2), vec![])
+                .unwrap_err();
+            assert_eq!(
+                err,
+                Quarantined {
+                    process: ProcessId::new(1)
+                }
+            );
+            assert!(cluster.quarantined(ProcessId::new(1)));
+            assert!(
+                cluster.try_invoke(ProcessId::new(0), rx(), vec![]).is_ok(),
+                "unaffected processes keep working"
+            );
+            let (report, monitor) = cluster.shutdown_with_monitor();
+            assert_eq!(report.history.len(), 2, "the fenced invocation never ran");
+            assert!(monitor.expect("sentinel attached").violation.is_none());
+        });
     }
 
     /// A pipelined session keeps several updates in flight at once: the
@@ -1923,38 +2089,41 @@ mod tests {
     /// m-sequentially consistent.
     #[test]
     fn pipelined_updates_overlap_and_stay_consistent() {
-        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(2, RuntimeConfig::new(1));
-        let p = ProcessId::new(1);
-        let mut replies = Vec::new();
-        {
-            let mut session = cluster.pipelined(p, 8);
-            for i in 0..8 {
-                if let Some(r) = session.invoke(wx(i), vec![]).unwrap() {
-                    replies.push(r);
+        watchdog("pipelined_updates_overlap_and_stay_consistent", || {
+            let cluster: LiveCluster<MscOverSequencer> =
+                LiveCluster::start(2, RuntimeConfig::new(1));
+            let p = ProcessId::new(1);
+            let mut replies = Vec::new();
+            {
+                let mut session = cluster.pipelined(p, 8);
+                for i in 0..8 {
+                    if let Some(r) = session.invoke(wx(i), vec![]).unwrap() {
+                        replies.push(r);
+                    }
                 }
+                assert!(session.in_flight() > 0, "window admits without blocking");
+                replies.extend(session.drain());
             }
-            assert!(session.in_flight() > 0, "window admits without blocking");
-            replies.extend(session.drain());
-        }
-        assert_eq!(replies.len(), 8, "every pipelined invocation replied");
-        for (i, r) in replies.iter().enumerate() {
-            assert_eq!(r.id.seq, i as u32, "replies retire in invocation order");
-            assert!(r.invoked_at <= r.responded_at);
-        }
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 8);
-        let pipe = report.total_pipeline();
-        assert_eq!(pipe.invocations, 8);
-        assert_eq!(pipe.retired, 8);
-        assert!(pipe.peak_depth > 1, "updates overlapped: {pipe:?}");
-        assert_eq!(pipe.dropped_replies, 0);
-        let sc = check(
-            &report.history,
-            Condition::MSequentialConsistency,
-            Strategy::Auto,
-        )
-        .unwrap();
-        assert!(sc.satisfied, "{:?}", sc.reason);
+            assert_eq!(replies.len(), 8, "every pipelined invocation replied");
+            for (i, r) in replies.iter().enumerate() {
+                assert_eq!(r.id.seq, i as u32, "replies retire in invocation order");
+                assert!(r.invoked_at <= r.responded_at);
+            }
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 8);
+            let pipe = report.total_pipeline();
+            assert_eq!(pipe.invocations, 8);
+            assert_eq!(pipe.retired, 8);
+            assert!(pipe.peak_depth > 1, "updates overlapped: {pipe:?}");
+            assert_eq!(pipe.dropped_replies, 0);
+            let sc = check(
+                &report.history,
+                Condition::MSequentialConsistency,
+                Strategy::Auto,
+            )
+            .unwrap();
+            assert!(sc.satisfied, "{:?}", sc.reason);
+        });
     }
 
     /// The admission gate: a query entering a pipeline of the process's
@@ -1962,22 +2131,25 @@ mod tests {
     /// even on the local-query msc protocol.
     #[test]
     fn pipelined_query_reads_own_writes() {
-        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(2, RuntimeConfig::new(1));
-        let p = ProcessId::new(1);
-        let mut session = cluster.pipelined(p, 4);
-        session.invoke(wx(41), vec![]).unwrap();
-        session.invoke(wx(42), vec![]).unwrap();
-        session.invoke(rx(), vec![]).unwrap();
-        let replies = session.drain();
-        assert_eq!(replies.len(), 3);
-        assert_eq!(
-            replies[2].outputs,
-            vec![42],
-            "query gated behind the process's pending updates"
-        );
-        drop(session);
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 3);
+        watchdog("pipelined_query_reads_own_writes", || {
+            let cluster: LiveCluster<MscOverSequencer> =
+                LiveCluster::start(2, RuntimeConfig::new(1));
+            let p = ProcessId::new(1);
+            let mut session = cluster.pipelined(p, 4);
+            session.invoke(wx(41), vec![]).unwrap();
+            session.invoke(wx(42), vec![]).unwrap();
+            session.invoke(rx(), vec![]).unwrap();
+            let replies = session.drain();
+            assert_eq!(replies.len(), 3);
+            assert_eq!(
+                replies[2].outputs,
+                vec![42],
+                "query gated behind the process's pending updates"
+            );
+            drop(session);
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 3);
+        });
     }
 
     /// Batching and pipelining together, with the sentinel attached: a
@@ -1986,60 +2158,67 @@ mod tests {
     /// the final history checks out.
     #[test]
     fn batched_pipelined_cluster_stays_clean_under_monitor() {
-        let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start_with_monitor(
-            3,
-            RuntimeConfig::new(1).with_batching(moc_abcast::BatchConfig {
-                max_batch: 4,
-                max_delay_ns: 50_000_000,
-            }),
-            MonitorConfig::new(Condition::MSequentialConsistency).with_window(2),
-        );
-        let cluster = Arc::new(cluster);
-        let mut joins = Vec::new();
-        for p in 1..3u32 {
-            let c = Arc::clone(&cluster);
-            joins.push(std::thread::spawn(move || {
-                let mut session = c.pipelined(ProcessId::new(p), 4);
-                for i in 0..6 {
-                    session.invoke(wx(p as i64 * 100 + i), vec![]).unwrap();
+        watchdog(
+            "batched_pipelined_cluster_stays_clean_under_monitor",
+            || {
+                let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start_with_monitor(
+                    3,
+                    RuntimeConfig::new(1).with_batching(moc_abcast::BatchConfig {
+                        max_batch: 4,
+                        max_delay_ns: 50_000_000,
+                    }),
+                    MonitorConfig::new(Condition::MSequentialConsistency).with_window(2),
+                );
+                let cluster = Arc::new(cluster);
+                let mut joins = Vec::new();
+                for p in 1..3u32 {
+                    let c = Arc::clone(&cluster);
+                    joins.push(std::thread::spawn(move || {
+                        let mut session = c.pipelined(ProcessId::new(p), 4);
+                        for i in 0..6 {
+                            session.invoke(wx(p as i64 * 100 + i), vec![]).unwrap();
+                        }
+                        session.drain();
+                    }));
                 }
-                session.drain();
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
-        let (report, monitor) = cluster.shutdown_with_monitor();
-        assert_eq!(report.history.len(), 12, "every invocation completed");
-        let summary = monitor.expect("sentinel attached");
-        assert!(summary.violation.is_none(), "{:?}", summary.violation);
-        assert_eq!(summary.stats.completions, 12);
-        let batch = report.total_batch_stats();
-        assert_eq!(batch.items_stamped, 12, "every update went through a batch");
-        assert!(
-            batch.occupancy() > 1.0,
-            "pipelined burst group-commits: {batch:?}"
+                for j in joins {
+                    j.join().unwrap();
+                }
+                let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
+                let (report, monitor) = cluster.shutdown_with_monitor();
+                assert_eq!(report.history.len(), 12, "every invocation completed");
+                let summary = monitor.expect("sentinel attached");
+                assert!(summary.violation.is_none(), "{:?}", summary.violation);
+                assert_eq!(summary.stats.completions, 12);
+                let batch = report.total_batch_stats();
+                assert_eq!(batch.items_stamped, 12, "every update went through a batch");
+                assert!(
+                    batch.occupancy() > 1.0,
+                    "pipelined burst group-commits: {batch:?}"
+                );
+                assert_eq!(report.total_pipeline().dropped_replies, 0);
+                let sc = check(
+                    &report.history,
+                    Condition::MSequentialConsistency,
+                    Strategy::Auto,
+                )
+                .unwrap();
+                assert!(sc.satisfied, "{:?}", sc.reason);
+            },
         );
-        assert_eq!(report.total_pipeline().dropped_replies, 0);
-        let sc = check(
-            &report.history,
-            Condition::MSequentialConsistency,
-            Strategy::Auto,
-        )
-        .unwrap();
-        assert!(sc.satisfied, "{:?}", sc.reason);
     }
 
     #[test]
     fn isis_backend_works_live() {
-        let cluster: LiveCluster<MscReplica<IsisAbcast<MOperation>>> =
-            LiveCluster::start(3, RuntimeConfig::new(2));
-        for i in 0..5 {
-            cluster.invoke(ProcessId::new((i % 3) as u32), wx(i as i64), vec![]);
-        }
-        let report = cluster.shutdown();
-        assert_eq!(report.history.len(), 5);
-        assert!(report.replica_metrics.iter().any(|m| m.updates_applied > 0));
+        watchdog("isis_backend_works_live", || {
+            let cluster: LiveCluster<MscReplica<IsisAbcast<MOperation>>> =
+                LiveCluster::start(3, RuntimeConfig::new(2));
+            for i in 0..5 {
+                cluster.invoke(ProcessId::new((i % 3) as u32), wx(i as i64), vec![]);
+            }
+            let report = cluster.shutdown();
+            assert_eq!(report.history.len(), 5);
+            assert!(report.replica_metrics.iter().any(|m| m.updates_applied > 0));
+        });
     }
 }
