@@ -428,16 +428,17 @@ fn cluster_objects(
     most: usize,
 ) -> Result<usize, String> {
     use moc_core::value::Versioned;
-    let per_store = size_of::<Versioned>() + size_of::<u64>();
-    let per_copy = size_of::<(moc_core::ObjectId, Versioned)>() + size_of::<u64>();
-    // A finishing round holds its freshest copy and the store built from
-    // it: two copies' worth on a one-replica cluster.
+    // A copy holds what a store does: the states, densely, and a version
+    // vector.
+    let per_copy = size_of::<Versioned>() + size_of::<u64>();
+    // A finishing round's freshest copy becomes the store the query runs
+    // on, so a round holds at most one copy per replica.
     let copies = if query_rounds {
-        processes.saturating_mul(processes.max(2))
+        processes.saturating_mul(processes)
     } else {
         0
     };
-    let stores = processes.saturating_mul(per_store);
+    let stores = processes.saturating_mul(per_copy);
     let beside = stores.saturating_add(copies.saturating_mul(per_copy));
     let objects = args.get_in("objects", 4, 1..=u32::MAX as usize)?;
     objects_fit(objects, objects.min(most), beside)?;

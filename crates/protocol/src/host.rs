@@ -709,7 +709,7 @@ mod tests {
         submitted_at: Vec<Vec<u64>>,
         metrics: Vec<PipelineMetrics>,
         /// Every replica's copy of every object, with its version.
-        stores: Vec<Vec<(ObjectId, Versioned)>>,
+        stores: Vec<Vec<Versioned>>,
     }
 
     /// Closed-loop clients keeping up to `window` m-operations in flight,

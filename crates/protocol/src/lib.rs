@@ -184,9 +184,10 @@ pub enum ProtocolMsg<A> {
     QueryResponse {
         /// The query round being answered.
         qid: QueryId,
-        /// Object states; the full array, or only the objects the query
-        /// references under [`QueryScope::Relevant`].
-        state: Vec<(moc_core::ids::ObjectId, Versioned)>,
+        /// Object states, densely: the full array in object order, or, under
+        /// [`QueryScope::Relevant`], the states of the objects the query
+        /// asked for, in the order it asked for them.
+        state: Vec<Versioned>,
         /// The responder's version vector at answer time.
         ts: VersionVector,
     },

@@ -152,9 +152,12 @@ pub type AggregateReplica<A> = Replica<A, AggregateObject>;
 #[derive(Debug, Clone)]
 struct QueryRound {
     mop: MOperation,
+    /// The objects the query asked for, in the order the responses list
+    /// their states; `None`: all of them.
+    objects: Option<Vec<ObjectId>>,
     /// Best snapshot so far (`othX`, `othts`); `None` until the first
     /// response.
-    best: Option<(Vec<(ObjectId, Versioned)>, VersionVector)>,
+    best: Option<(Vec<Versioned>, VersionVector)>,
     responses: usize,
 }
 
@@ -239,6 +242,7 @@ impl<A: Abcast<MOperation>, F: Figure> Replica<A, F> {
             qid,
             QueryRound {
                 mop,
+                objects: objects.clone(),
                 best: None,
                 responses: 0,
             },
@@ -248,7 +252,7 @@ impl<A: Abcast<MOperation>, F: Figure> Replica<A, F> {
     }
 
     /// A5: keep the maximal-timestamp response; A6 once all `n` arrived.
-    fn on_response(&mut self, qid: QueryId, state: Vec<(ObjectId, Versioned)>, ts: VersionVector) {
+    fn on_response(&mut self, qid: QueryId, state: Vec<Versioned>, ts: VersionVector) {
         let Some(round) = self.rounds.get_mut(&qid) else {
             // A response for a query we no longer (or never) track. Over
             // the paper's reliable channels this cannot happen; under an
@@ -279,7 +283,9 @@ impl<A: Abcast<MOperation>, F: Figure> Replica<A, F> {
         let (state, ts) = round
             .best
             .expect("n >= 1 responses implies a snapshot was retained");
-        let mut snapshot = ReplicaStore::from_snapshot(self.store.num_objects(), &state, ts);
+        let objects = round.objects.as_deref();
+        let mut snapshot =
+            ReplicaStore::from_snapshot(self.store.num_objects(), objects, state, ts);
         let rec = snapshot.apply(&round.mop);
         debug_assert!(
             rec.ops.iter().all(|op| op.is_read()),
@@ -570,14 +576,11 @@ mod tests {
             let writer = MOpId::new(pid(2), 0);
             let respond = |ver: u64, val: i64| ProtocolMsg::QueryResponse {
                 qid,
-                state: vec![(
-                    oid(0),
-                    if ver == 0 {
-                        Versioned::INITIAL
-                    } else {
-                        Versioned::new(val, ver, writer)
-                    },
-                )],
+                state: vec![if ver == 0 {
+                    Versioned::INITIAL
+                } else {
+                    Versioned::new(val, ver, writer)
+                }],
                 ts: VersionVector::from_entries(vec![ver]),
             };
             let mut sink = Outbox::new(n);

@@ -46,20 +46,29 @@ impl ReplicaStore {
         }
     }
 
-    /// Reconstructs a store from a query-response snapshot: `state` holds
-    /// (a projection of) the objects, `ts` the responder's version vector.
-    /// Objects absent from `state` stay at their initial value — valid only
-    /// if the query never touches them (guaranteed under
-    /// [`crate::QueryScope::Relevant`]).
+    /// Reconstructs a store from a query-response snapshot, `ts` being the
+    /// responder's version vector. With `objects` `None`, `state` is the
+    /// full array and becomes the store as it is; otherwise `state[i]` is
+    /// the state of `objects[i]`, and every other object stays at its
+    /// initial value — valid only if the query never touches them
+    /// (guaranteed under [`crate::QueryScope::Relevant`]).
     pub(crate) fn from_snapshot(
         num_objects: usize,
-        state: &[(ObjectId, Versioned)],
+        objects: Option<&[ObjectId]>,
+        state: Vec<Versioned>,
         ts: VersionVector,
     ) -> Self {
-        let mut values = vec![Versioned::INITIAL; num_objects];
-        for &(obj, v) in state {
-            values[obj.index()] = v;
-        }
+        let values = match objects {
+            None => state,
+            Some(objects) => {
+                let mut values = vec![Versioned::INITIAL; num_objects];
+                for (obj, v) in objects.iter().zip(state) {
+                    values[obj.index()] = v;
+                }
+                values
+            }
+        };
+        assert_eq!(values.len(), num_objects, "a snapshot of the whole array");
         ReplicaStore { values, ts }
     }
 
@@ -78,23 +87,16 @@ impl ReplicaStore {
         self.values[object.index()]
     }
 
-    /// All object states, e.g. for a full query response.
-    pub(crate) fn snapshot_full(&self) -> Vec<(ObjectId, Versioned)> {
-        self.values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (ObjectId::new(i as u32), v))
-            .collect()
+    /// All object states in object order, for a full query response.
+    pub(crate) fn snapshot_full(&self) -> Vec<Versioned> {
+        self.values.clone()
     }
 
-    /// Only the listed objects, for a [`crate::QueryScope::Relevant`]
-    /// response — the optimization the paper notes at the end of
-    /// Section 5.2.
-    pub(crate) fn snapshot_of(&self, objects: &[ObjectId]) -> Vec<(ObjectId, Versioned)> {
-        objects
-            .iter()
-            .map(|&o| (o, self.values[o.index()]))
-            .collect()
+    /// The states of the listed objects, in the order listed, for a
+    /// [`crate::QueryScope::Relevant`] response — the optimization the
+    /// paper notes at the end of Section 5.2.
+    pub(crate) fn snapshot_of(&self, objects: &[ObjectId]) -> Vec<Versioned> {
+        objects.iter().map(|&o| self.values[o.index()]).collect()
     }
 
     /// Applies `mop` to this store: executes the program and, per action
@@ -322,13 +324,21 @@ mod tests {
         let mut s = ReplicaStore::new(3);
         s.apply(&MOperation::new(mid(0, 0), write_xy(), vec![7, 8]));
         let snap = s.snapshot_full();
-        let s2 = ReplicaStore::from_snapshot(3, &snap, s.ts().clone());
+        assert_eq!(snap.len(), 3, "one state per object, nothing else");
+        let s2 = ReplicaStore::from_snapshot(3, None, snap, s.ts().clone());
         assert_eq!(s, s2);
-        let partial = s.snapshot_of(&[oid(1)]);
-        assert_eq!(partial, vec![(oid(1), Versioned::new(8, 1, mid(0, 0)))]);
-        let s3 = ReplicaStore::from_snapshot(3, &partial, s.ts().clone());
-        assert_eq!(s3.get(oid(1)), s.get(oid(1)));
-        assert_eq!(s3.get(oid(0)), Versioned::INITIAL);
+        let x = Versioned::new(7, 1, mid(0, 0));
+        let y = Versioned::new(8, 1, mid(0, 0));
+        assert_eq!(
+            s.snapshot_of(&[oid(1), oid(0)]),
+            [y, x],
+            "in the order asked"
+        );
+        let asked = [oid(1)];
+        let partial = s.snapshot_of(&asked);
+        let s3 = ReplicaStore::from_snapshot(3, Some(&asked), partial, s.ts().clone());
+        assert_eq!(s3.get(oid(1)), y);
+        assert_eq!(s3.get(oid(0)), Versioned::INITIAL, "not asked for");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A live, thread-based cluster hosting the consistency-protocol replicas
 //! of `moc-protocol` — the same state machines that run on the
-//! deterministic simulator, here driven by OS threads, crossbeam channels
-//! and wall-clock time.
+//! deterministic simulator, here driven by OS threads, park-and-unpark
+//! inboxes and wall-clock time.
 //!
 //! Topology: one replica thread per process and nothing in between. A
 //! replica sends each frame straight into the destination's inbox, stamped
@@ -15,11 +15,18 @@
 //! makes the invoking thread the process's sole thread of control, and the
 //! replica keeps the process's program order.
 //!
+//! Every hand-off between threads — a frame or invocation into a replica's
+//! inbox, a reply back to its client, an observation to the sentinel — is
+//! one crate-private inbox: a vector under a lock that the sender pushes
+//! to before it unparks the one receiving thread, and that the receiver
+//! takes whole in one lock, swapping it with a vector of its own.
+//!
 //! A replica thread works per *wake-up*, not per message: when it wakes it
-//! feeds its replica everything that arrived while it was busy — frames,
-//! acknowledgements, invocations — and then settles once: one round of
-//! replies, one data frame per peer when the broadcast batches, and behind
-//! a link one acknowledgement per peer. Under load the batch grows by
+//! takes everything that arrived while it was busy — frames,
+//! acknowledgements, invocations — feeds it to its replica and then
+//! settles once: one round of replies, one data frame per peer when the
+//! broadcast batches, and behind a link one acknowledgement per peer.
+//! Under load the batch grows by
 //! itself (classic group commit); idle, it is one message and nothing
 //! waits. When the network delays nothing, the frames the replica sent
 //! itself are fed back in the same wake-up, one more settle per round of
@@ -38,9 +45,16 @@
 //!   would rebuild — every frame exactly once, and each sender's frames
 //!   in the order it sent them — and the host's *updates pipeline* gate
 //!   relies on exactly that:
-//!   - each inbox is a `std::sync::mpsc` channel (the vendored crossbeam
-//!     wraps it), and each peer writes its frames into it from one
-//!     thread, its replica's, so they arrive in the order they were sent;
+//!   - each peer writes its frames into an inbox from one thread, its
+//!     replica's, and the inbox hands each item to the receiver exactly
+//!     once and one sender's items in the order they were sent: a send
+//!     pushes under the inbox's lock, which orders one thread's pushes,
+//!     and a take swaps the whole queue out under the same lock, so it
+//!     hands over a prefix of the push order, the next take the rest, and
+//!     no item is in two vectors at once. A send cannot go unnoticed
+//!     either: the receiver binds its thread before it first looks at the
+//!     queue, and a sender unparks it after its push, so a look that
+//!     comes before the push is followed by a wake-up;
 //!   - a replica's frames to itself never leave its thread: the wake-up
 //!     that sent them feeds them back right after its flush, in send
 //!     order, and settles again, for a bounded number of rounds. What is
@@ -98,7 +112,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use inbox::Inbox;
 use moc_abcast::{LinkConfig, LinkMsg};
 use moc_core::history::{History, HistoryLog};
 use moc_core::ids::{MOpId, ProcessId};
@@ -115,6 +129,8 @@ use moc_sim::DelayModel;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod inbox;
 
 /// Salt mixed into the seed for a sender's fault sampler, so enabling
 /// faults does not perturb its delay stream (mirrors the simulator's
@@ -316,10 +332,16 @@ enum Input<M> {
     Invoke {
         program: Arc<Program>,
         args: Vec<Value>,
-        reply: Sender<Reply>,
+        reply: ReplyTo,
     },
     Shutdown,
 }
+
+/// Where an invocation's reply goes: its session's inbox.
+type ReplyTo = Arc<Inbox<Reply>>;
+
+/// Every replica's inbox, indexed by process.
+type Inboxes<M> = Arc<[Inbox<Input<M>>]>;
 
 /// A running cluster of `n` replica threads.
 ///
@@ -330,7 +352,7 @@ enum Input<M> {
 /// [`ReplicaHost`] runs the [`moc_abcast::ReliableLink`] sublayer (see the
 /// crate docs).
 pub struct LiveCluster<R: ReplicaProtocol> {
-    inputs: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
+    inboxes: Inboxes<LinkMsg<R::Msg>>,
     replica_handles: Vec<JoinHandle<ReplicaExit>>,
     invoke_locks: Vec<Mutex<()>>,
     /// Every replica's records, pushed as the replica answers them.
@@ -339,7 +361,7 @@ pub struct LiveCluster<R: ReplicaProtocol> {
     /// Per-process containment flags, set by the sentinel thread when a
     /// violation latches. All-false without a monitor attached.
     quarantine: Arc<Vec<AtomicBool>>,
-    monitor_tx: Option<Sender<MonitorEvent>>,
+    monitor_feed: Option<Arc<Inbox<MonitorEvent>>>,
     monitor_handle: Option<JoinHandle<MonitorRunSummary>>,
 }
 
@@ -374,60 +396,57 @@ where
     fn start_inner(n: usize, config: RuntimeConfig, monitor: Option<MonitorConfig>) -> Self {
         assert!(n > 0, "need at least one process");
         let epoch = Instant::now();
-        let (inputs, inboxes): (Vec<_>, Vec<_>) = (0..n)
-            .map(|_| unbounded::<Input<LinkMsg<R::Msg>>>())
-            .unzip();
+        let inboxes: Inboxes<LinkMsg<R::Msg>> = (0..n).map(|_| Inbox::new()).collect();
         let quarantine: Arc<Vec<AtomicBool>> =
             Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
         let log = Arc::new(Mutex::new(HistoryLog::new()));
 
-        let (monitor_tx, monitor_handle) = match monitor {
+        let (monitor_feed, monitor_handle) = match monitor {
             None => (None, None),
             Some(mcfg) => {
-                let (tx, rx) = unbounded::<MonitorEvent>();
+                let feed = Arc::new(Inbox::new());
+                let events = Arc::clone(&feed);
                 let flags = Arc::clone(&quarantine);
                 let num_objects = config.num_objects;
                 let handle = std::thread::Builder::new()
                     .name("sentinel".into())
-                    .spawn(move || monitor_main(num_objects, mcfg, rx, flags))
+                    .spawn(move || monitor_main(num_objects, mcfg, &events, flags))
                     .expect("spawn sentinel thread");
-                (Some(tx), Some(handle))
+                (Some(feed), Some(handle))
             }
         };
 
-        let replica_handles = inboxes
-            .into_iter()
-            .enumerate()
-            .map(|(p, rx)| {
+        let replica_handles = (0..n)
+            .map(|p| {
                 let me = ProcessId::new(p as u32);
-                let peers = inputs.clone();
-                let sentinel = monitor_tx.clone();
+                let inboxes = Arc::clone(&inboxes);
+                let sentinel = monitor_feed.clone();
                 let log = Arc::clone(&log);
                 let now = move || EventTime::from_nanos(epoch.elapsed().as_nanos() as u64);
                 std::thread::Builder::new()
                     .name(format!("replica-{p}"))
                     .spawn(move || {
-                        ReplicaDriver::<R, _>::new(me, config, now, rx, peers, sentinel, log).run()
+                        ReplicaDriver::<R, _>::new(me, config, now, inboxes, sentinel, log).run()
                     })
                     .expect("spawn replica thread")
             })
             .collect();
 
         LiveCluster {
-            inputs,
+            inboxes,
             replica_handles,
             invoke_locks: (0..n).map(|_| Mutex::new(())).collect(),
             log,
             num_objects: config.num_objects,
             quarantine,
-            monitor_tx,
+            monitor_feed,
             monitor_handle,
         }
     }
 
     /// Number of processes.
     pub fn num_processes(&self) -> usize {
-        self.inputs.len()
+        self.inboxes.len()
     }
 
     /// Invokes `program(args)` as the next m-operation of `process`,
@@ -468,13 +487,12 @@ where
     pub fn pipelined(&self, process: ProcessId, window: usize) -> PipelinedSession<'_, R> {
         assert!(window >= 1, "window must be at least 1");
         let guard = self.invoke_locks[process.index()].lock();
-        let (reply_tx, replies) = unbounded();
         PipelinedSession {
             cluster: self,
             process,
             window,
-            reply_tx,
-            replies,
+            replies: Arc::new(Inbox::new()),
+            taken: Vec::new(),
             outstanding: 0,
             _guard: guard,
         }
@@ -504,10 +522,8 @@ where
     /// [`LiveCluster::start_with_monitor`] (`None` otherwise).
     pub(crate) fn shutdown_with_monitor(mut self) -> (RuntimeReport, Option<MonitorRunSummary>) {
         // Each replica delivers the frames it still holds back, then
-        // exits; anything sent to it after that is dropped.
-        for tx in &self.inputs {
-            let _ = tx.send(Input::Shutdown);
-        }
+        // closes its inbox and exits; a send to it after that fails.
+        self.stop_replicas();
         let mut replica_metrics = Vec::new();
         let mut link_stats = Vec::new();
         let mut pipeline = Vec::new();
@@ -521,9 +537,7 @@ where
         }
         // The replicas are joined: nothing pushes any more.
         let log = std::mem::take(&mut *self.log.lock());
-        // Every replica-held sender is gone once the threads are joined;
-        // dropping ours disconnects the sentinel, which flushes and exits.
-        drop(self.monitor_tx.take());
+        self.close_monitor_feed();
         let monitor = self
             .monitor_handle
             .take()
@@ -544,13 +558,35 @@ where
     }
 }
 
+impl<R: ReplicaProtocol> LiveCluster<R> {
+    /// Tells every replica thread to exit. `Shutdown` travels in-band,
+    /// behind whatever its inbox already holds.
+    fn stop_replicas(&self) {
+        for inbox in self.inboxes.iter() {
+            let _ = inbox.send(Input::Shutdown);
+        }
+    }
+
+    /// Once the replicas are joined nothing feeds the sentinel any more:
+    /// closing its feed lets it take what is left, flush and exit.
+    fn close_monitor_feed(&self) {
+        if let Some(feed) = &self.monitor_feed {
+            feed.close();
+        }
+    }
+}
+
 impl<R: ReplicaProtocol> Drop for LiveCluster<R> {
-    /// Replicas hold each other's inboxes, so a cluster dropped without
-    /// [`LiveCluster::shutdown`] would never see them disconnect: tell the
-    /// threads to exit.
+    /// A cluster dropped without [`LiveCluster::shutdown`] stops and joins
+    /// its threads all the same (after `shutdown` there are none left).
     fn drop(&mut self) {
-        for tx in &self.inputs {
-            let _ = tx.send(Input::Shutdown);
+        self.stop_replicas();
+        for h in self.replica_handles.drain(..) {
+            let _ = h.join();
+        }
+        self.close_monitor_feed();
+        if let Some(h) = self.monitor_handle.take() {
+            let _ = h.join();
         }
     }
 }
@@ -563,16 +599,20 @@ impl<R: ReplicaProtocol> Drop for LiveCluster<R> {
 /// returns) the oldest reply first.
 ///
 /// Replies always come back in invocation order (the replica retires
-/// strictly FIFO), so one reply channel serves the whole session.
+/// strictly FIFO), so one reply inbox serves the whole session.
 /// Dropping the session drains any outstanding replies, so no invocation
-/// is abandoned.
+/// is abandoned, and then closes the inbox: a reply sent after that is
+/// counted dropped.
 pub struct PipelinedSession<'a, R: ReplicaProtocol> {
     cluster: &'a LiveCluster<R>,
     process: ProcessId,
     window: usize,
-    reply_tx: Sender<Reply>,
-    replies: Receiver<Reply>,
-    /// Invocations sent whose reply has not been received.
+    /// Every invocation of the session carries a handle to this inbox.
+    replies: ReplyTo,
+    /// What the last take swapped out of `replies`, newest first: handed
+    /// out one at a time from the back.
+    taken: Vec<Reply>,
+    /// Invocations sent whose reply has not been handed out.
     outstanding: usize,
     _guard: parking_lot::MutexGuard<'a, ()>,
 }
@@ -597,13 +637,13 @@ where
             });
         }
         let retired = (self.outstanding >= self.window).then(|| self.next_reply());
-        self.cluster.inputs[self.process.index()]
-            .send(Input::Invoke {
-                program,
-                args,
-                reply: self.reply_tx.clone(),
-            })
-            .expect("replica thread alive");
+        let invoke = Input::Invoke {
+            program,
+            args,
+            reply: Arc::clone(&self.replies),
+        };
+        let sent = self.cluster.inboxes[self.process.index()].send(invoke);
+        assert!(sent.is_ok(), "the replica thread has exited");
         self.outstanding += 1;
         Ok(retired)
     }
@@ -617,20 +657,30 @@ where
     pub fn drain(&mut self) -> Vec<Reply> {
         (0..self.outstanding).map(|_| self.next_reply()).collect()
     }
+}
 
+impl<R: ReplicaProtocol> PipelinedSession<'_, R> {
+    /// Blocks for the oldest outstanding reply. The replica answers every
+    /// invocation, in order, and the inbox stays open while the session
+    /// lives.
     fn next_reply(&mut self) -> Reply {
         self.outstanding -= 1;
-        self.replies
-            .recv()
-            .expect("replica answers every invocation")
+        loop {
+            if let Some(reply) = self.taken.pop() {
+                return reply;
+            }
+            self.replies.take(&mut self.taken, None);
+            self.taken.reverse();
+        }
     }
 }
 
 impl<R: ReplicaProtocol> Drop for PipelinedSession<'_, R> {
     fn drop(&mut self) {
-        for _ in 0..self.outstanding {
-            let _ = self.replies.recv();
+        while self.outstanding > 0 {
+            self.next_reply();
         }
+        self.replies.close();
     }
 }
 
@@ -638,38 +688,43 @@ impl<R: ReplicaProtocol> Drop for PipelinedSession<'_, R> {
 /// [`OnlineMonitor`], and sets the containment flag of the culprit
 /// process (all processes when the violation has no attributable
 /// culprit) the moment a violation latches. Exits — flushing a final
-/// window — when every event sender is gone.
+/// window — once its feed is closed and taken empty.
 fn monitor_main(
     num_objects: usize,
     cfg: MonitorConfig,
-    rx: Receiver<MonitorEvent>,
+    feed: &Inbox<MonitorEvent>,
     quarantine: Arc<Vec<AtomicBool>>,
 ) -> MonitorRunSummary {
     let mut mon = OnlineMonitor::new(num_objects, cfg);
     let mut last_ns = 0u64;
     let mut contained = false;
-    while let Ok(ev) = rx.recv() {
-        last_ns = last_ns.max(ev.at_ns());
-        ev.apply(&mut mon);
-        if contained {
-            continue;
-        }
-        if let Some(v) = mon.violation() {
-            contained = true;
-            match v.culprit {
-                Some(p) if p.index() < quarantine.len() => {
-                    quarantine[p.index()].store(true, Ordering::SeqCst);
-                }
-                _ => {
-                    for flag in quarantine.iter() {
-                        flag.store(true, Ordering::SeqCst);
-                    }
+    let mut events = Vec::new();
+    loop {
+        let open = feed.take(&mut events, None);
+        for ev in events.drain(..) {
+            last_ns = last_ns.max(ev.at_ns());
+            ev.apply(&mut mon);
+            if contained {
+                continue;
+            }
+            if let Some(v) = mon.violation() {
+                contained = true;
+                match v.culprit {
+                    Some(p) if p.index() < quarantine.len() => fence(&quarantine[p.index()]),
+                    _ => quarantine.iter().for_each(fence),
                 }
             }
+        }
+        if !open {
+            break;
         }
     }
     mon.flush(last_ns + 1);
     mon.into_summary()
+}
+
+fn fence(flag: &AtomicBool) {
+    flag.store(true, Ordering::SeqCst);
 }
 
 /// A replica's sending side of the network: the fate of a frame between
@@ -749,13 +804,6 @@ impl<M> HoldQueue<M> {
     }
 }
 
-/// Most inputs one wake-up takes out of the inbox before it settles. The
-/// vendored channel cannot say how many are waiting, so the drain stops
-/// here to keep the replies of the first from waiting on an inbox that
-/// refills as fast as it empties; what is left is the next wake-up's,
-/// which does not block. Two full pipelines of sixteen fit with room.
-const DRAIN_MAX: usize = 64;
-
 /// Most rounds of its own frames a wake-up feeds a replica after the
 /// settle. A round feeds what the last flush sent the replica itself,
 /// then settles and flushes again. The sequencer needs two rounds to stamp
@@ -767,27 +815,30 @@ const LOOPBACK_ROUNDS: usize = 4;
 
 /// The thread driver of the shared replica host: supplies the clock (ns
 /// since the cluster epoch), the peers' inboxes as the wire, each
-/// invocation's reply channel as its token, and the sentinel channel. The
+/// invocation's reply inbox as its token, and the sentinel's feed. The
 /// host — and with it the replica — lives and dies on this thread.
 ///
 /// The driver works per *wake-up*, not per message: whatever arrived while
-/// the thread was busy is the batch ([`ReplicaDriver::wake_up`]), and the
-/// batch is settled, acknowledged and answered once.
+/// the thread was busy is the batch ([`ReplicaDriver::wake_up`]), taken in
+/// one lock, and the batch is settled, acknowledged and answered once.
 struct ReplicaDriver<R: ReplicaProtocol, C> {
     me: ProcessId,
-    host: ReplicaHost<R, Sender<Reply>>,
+    host: ReplicaHost<R, ReplyTo>,
     outlet: Outlet,
     hold: HoldQueue<LinkMsg<R::Msg>>,
     /// What the last flush sent the replica itself, in send order, when
     /// the network delays nothing: fed back in the same wake-up.
     loopback: Vec<LinkMsg<R::Msg>>,
-    rx: Receiver<Input<LinkMsg<R::Msg>>>,
-    peers: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
-    sentinel: Option<Sender<MonitorEvent>>,
+    /// Every replica's inbox, this one's at `me`: the wire.
+    inboxes: Inboxes<LinkMsg<R::Msg>>,
+    /// What the last take swapped out of the inbox. Empty between
+    /// wake-ups; it keeps its capacity from one to the next.
+    batch: Vec<Input<LinkMsg<R::Msg>>>,
+    sentinel: Option<Arc<Inbox<MonitorEvent>>>,
     /// The cluster's history, shared by every replica thread.
     log: Arc<Mutex<HistoryLog>>,
     /// One flush's replies, held while their records are logged.
-    answers: Vec<(Sender<Reply>, Reply)>,
+    answers: Vec<(ReplyTo, Reply)>,
     dropped_replies: u64,
     now: C,
 }
@@ -797,9 +848,8 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
         me: ProcessId,
         config: RuntimeConfig,
         now: C,
-        rx: Receiver<Input<LinkMsg<R::Msg>>>,
-        peers: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
-        sentinel: Option<Sender<MonitorEvent>>,
+        inboxes: Inboxes<LinkMsg<R::Msg>>,
+        sentinel: Option<Arc<Inbox<MonitorEvent>>>,
         log: Arc<Mutex<HistoryLog>>,
     ) -> Self {
         let setup = OrderingSetup {
@@ -815,7 +865,7 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
             me,
             host: ReplicaHost::new(
                 me,
-                peers.len(),
+                inboxes.len(),
                 config.num_objects,
                 faulty.then_some(config.link),
                 &setup,
@@ -824,8 +874,8 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
             outlet: Outlet::new(me, config),
             hold: HoldQueue::new(),
             loopback: Vec::new(),
-            rx,
-            peers,
+            inboxes,
+            batch: Vec::new(),
             sentinel,
             log,
             answers: Vec::new(),
@@ -834,50 +884,41 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
         }
     }
 
-    /// Sleeps until an input arrives or the earliest pending deadline — a
+    /// Wakes up when an input arrives or the earliest pending deadline — a
     /// held frame, link retransmission, failover suspicion, or a
-    /// group-commit flush — whichever first, then takes the wake-up.
+    /// group-commit flush — comes due, whichever first, until `Shutdown`.
     fn run(mut self) -> ReplicaExit {
         loop {
             let at = (self.now)().as_nanos();
             let deadlines = [self.host.next_deadline(), self.hold.next_deadline()];
             let deadline = deadlines.into_iter().flatten().min();
-            let first = match deadline.map_or(u64::MAX, |d| d.saturating_sub(at)) {
-                0 => None,
-                wait => match self.rx.recv_timeout(Duration::from_nanos(wait)) {
-                    Ok(input) => Some(input),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                },
-            };
-            if self.wake_up(first).is_break() {
+            let wait = deadline.map(|d| Duration::from_nanos(d.saturating_sub(at)));
+            if self.wake_up(wait).is_break() {
                 break;
             }
         }
         self.exit()
     }
 
-    /// One turn of the crank: feeds the host every held frame that is due,
-    /// then `first` and whatever else is already in the inbox (at most
-    /// [`DRAIN_MAX`] inputs), ticks if a deadline is due, and only then
-    /// settles and sends — once — before it loops back the replica's
-    /// frames to itself ([`ReplicaDriver::loop_back`]). Breaks, without
-    /// settling, on `Shutdown`.
+    /// One turn of the crank: waits up to `wait` (`None`: until an input
+    /// comes) and takes everything in the inbox in one lock, feeds the
+    /// host every held frame that is due and then those inputs, in the
+    /// order they came, ticks if a deadline is due, and only then settles
+    /// and sends — once — before it loops back the replica's frames to
+    /// itself ([`ReplicaDriver::loop_back`]). Breaks, without settling, on
+    /// `Shutdown`; what came after it is dropped.
     ///
-    /// The tick does not wait for an idle inbox: `recv_timeout` hands over
-    /// a waiting message before it looks at the clock, so under load a
-    /// timeout never comes. It follows the inputs so that an acknowledgement
-    /// already in the inbox disarms the retransmission it would set off.
-    fn wake_up(&mut self, first: Option<Input<LinkMsg<R::Msg>>>) -> ControlFlow<()> {
+    /// The tick does not wait for an idle inbox: under load the inbox is
+    /// never empty when a wake-up looks. It follows the inputs so that an
+    /// acknowledgement already in the inbox disarms the retransmission it
+    /// would set off.
+    fn wake_up(&mut self, wait: Option<Duration>) -> ControlFlow<()> {
+        self.inboxes[self.me.index()].take(&mut self.batch, wait);
         let mut at = (self.now)();
         while let Some(frame) = self.hold.pop_due(at.as_nanos()) {
             self.host.on_wire(frame.from, frame.msg, at);
         }
-        let mut next = first;
-        for _ in 0..DRAIN_MAX {
-            let Some(input) = next.take().or_else(|| self.rx.try_recv().ok()) else {
-                break;
-            };
+        for input in self.batch.drain(..) {
             // Read per input: an invocation is stamped after it was sent.
             at = (self.now)();
             match input {
@@ -978,7 +1019,7 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
                 } else {
                     // A peer that has shut down has no waiting client, so
                     // a frame it no longer takes is safe to lose.
-                    let _ = self.peers[to.index()].send(Input::Net(frame));
+                    let _ = self.inboxes[to.index()].send(Input::Net(frame));
                 }
             };
             // Duplication is the only path that clones the payload; the
@@ -992,10 +1033,12 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
         }
     }
 
-    /// No client is waiting any more. What is still held is delivered, in
-    /// deadline order, so the counters account for every frame that got
-    /// here; nothing it sets off is sent.
+    /// No client is waiting any more: the inbox closes, so a later send to
+    /// it fails. What is still held is delivered, in deadline order, so the
+    /// counters account for every frame that got here; nothing it sets off
+    /// is sent.
     fn exit(mut self) -> ReplicaExit {
+        self.inboxes[self.me.index()].close();
         while let Some(frame) = self.hold.pop_due(u64::MAX) {
             self.host.on_wire(frame.from, frame.msg, (self.now)());
         }
@@ -1059,18 +1102,26 @@ mod tests {
     /// would hang until its CI job is killed, and no test would be named.
     /// A panic in the body is the test's own failure and is passed on.
     fn watchdog(name: &str, body: impl FnOnce() + Send + 'static) {
-        let (done_tx, done) = unbounded();
+        /// Closes the inbox when the body returns or unwinds.
+        struct Finished(Arc<Inbox<()>>);
+        impl Drop for Finished {
+            fn drop(&mut self) {
+                self.0.close();
+            }
+        }
+        let done = Arc::new(Inbox::new());
+        let finished = Finished(Arc::clone(&done));
         let runner = std::thread::Builder::new()
             .name(name.to_string())
             .spawn(move || {
+                let _finished = finished;
                 body();
-                let _ = done_tx.send(());
             })
             .expect("spawn the test body");
-        if let Err(RecvTimeoutError::Timeout) = done.recv_timeout(LIVE_TEST_BOUND) {
+        if done.take(&mut Vec::new(), Some(LIVE_TEST_BOUND)) {
             panic!("{name} did not finish within {LIVE_TEST_BOUND:?}: a replica never answered");
         }
-        // The body returned, or panicked and dropped the sender unsent.
+        // The body returned, or panicked.
         if let Err(panic) = runner.join() {
             std::panic::resume_unwind(panic);
         }
@@ -1167,14 +1218,14 @@ mod tests {
     type Wire = LinkMsg<<Msc as ReplicaProtocol>::Msg>;
 
     /// One replica of three with no thread under it: the test turns the
-    /// clock, fills the inbox and holds the other end of every peer's.
+    /// clock, fills its inbox and takes what it sends from every peer's.
     struct ByHand {
         driver: ReplicaDriver<Msc, Box<dyn Fn() -> EventTime>>,
         clock: std::rc::Rc<std::cell::Cell<u64>>,
-        inbox: Sender<Input<Wire>>,
-        /// `peers[q]` is what the replica sent `q` (its own entry is `None`:
-        /// frames to itself never leave the thread).
-        peers: Vec<Option<Receiver<Input<Wire>>>>,
+        me: usize,
+        /// The replica's inbox and its peers'. Frames to itself never
+        /// enter its own.
+        inboxes: Inboxes<Wire>,
         /// The log the replica pushes its records into.
         log: Arc<Mutex<HistoryLog>>,
     }
@@ -1187,48 +1238,66 @@ mod tests {
 
     impl ByHand {
         fn new(me: u32, config: RuntimeConfig) -> Self {
-            let (inputs, mut inboxes): (Vec<_>, Vec<_>) = (0..3)
-                .map(|_| {
-                    let (tx, rx) = unbounded::<Input<Wire>>();
-                    (tx, Some(rx))
-                })
-                .unzip();
+            let inboxes: Inboxes<Wire> = (0..3).map(|_| Inbox::new()).collect();
             let clock = std::rc::Rc::new(std::cell::Cell::new(1_000));
             let hand = std::rc::Rc::clone(&clock);
             let now: Box<dyn Fn() -> EventTime> =
                 Box::new(move || EventTime::from_nanos(hand.get()));
-            let rx = inboxes[me as usize].take().expect("own inbox");
             let log = Arc::new(Mutex::new(HistoryLog::new()));
             let shared = Arc::clone(&log);
+            let wire = Arc::clone(&inboxes);
             ByHand {
-                driver: ReplicaDriver::new(p(me), config, now, rx, inputs.clone(), None, shared),
+                driver: ReplicaDriver::new(p(me), config, now, wire, None, shared),
                 clock,
-                inbox: inputs[me as usize].clone(),
-                peers: inboxes,
+                me: me as usize,
+                inboxes,
                 log,
             }
         }
 
-        fn invoke(&self, program: Arc<Program>, reply: &Sender<Reply>) {
-            let reply = reply.clone();
+        /// Puts `input` into the replica's inbox.
+        fn send(&self, input: Input<Wire>) {
+            assert!(
+                self.inboxes[self.me].send(input).is_ok(),
+                "the inbox is open"
+            );
+        }
+
+        fn invoke(&self, program: Arc<Program>, reply: &ReplyTo) {
+            let reply = Arc::clone(reply);
             let args = vec![];
-            let _ = self.inbox.send(Input::Invoke {
+            self.send(Input::Invoke {
                 program,
                 args,
                 reply,
             });
         }
 
+        /// A wake-up that finds whatever the test put in the inbox.
+        fn wake_up(&mut self) -> ControlFlow<()> {
+            self.driver.wake_up(Some(Duration::ZERO))
+        }
+
         /// Everything the replica has sent `to` so far.
         fn sent(&self, to: u32) -> Vec<Wire> {
-            let rx = self.peers[to as usize].as_ref().expect("a peer");
-            std::iter::from_fn(|| rx.try_recv().ok())
+            assert_ne!(
+                to as usize, self.me,
+                "frames to itself never leave the thread"
+            );
+            let mut taken = Vec::new();
+            self.inboxes[to as usize].take(&mut taken, Some(Duration::ZERO));
+            taken
+                .into_iter()
                 .map(|input| match input {
                     Input::Net(frame) => frame.msg,
                     _ => panic!("replicas only send each other frames"),
                 })
                 .collect()
         }
+    }
+
+    fn reply_inbox() -> ReplyTo {
+        Arc::new(Inbox::new())
     }
 
     /// The first `count` frames `from` sends the sequencer when its client
@@ -1278,15 +1347,15 @@ mod tests {
     /// The sequencer's inbox for [`one_wake_up_settles_the_whole_inbox_once`]
     /// and its trusted twin: `k` queries of its own client and `k`
     /// submissions from each follower, interleaved, framed for `link`.
-    /// Returns the reply channel.
-    fn fill_sequencer_inbox(hand: &ByHand, k: usize, link: Option<LinkConfig>) -> Receiver<Reply> {
-        let (reply_tx, replies) = unbounded();
+    /// Returns the reply inbox.
+    fn fill_sequencer_inbox(hand: &ByHand, k: usize, link: Option<LinkConfig>) -> ReplyTo {
+        let replies = reply_inbox();
         let mut from_p1 = submits(1, k, link).into_iter();
         let mut from_p2 = submits(2, k, link).into_iter();
         for _ in 0..k {
-            hand.invoke(rx(), &reply_tx);
+            hand.invoke(rx(), &replies);
             for (from, frames) in [(1, &mut from_p1), (2, &mut from_p2)] {
-                let _ = hand.inbox.send(Input::Net(Frame {
+                hand.send(Input::Net(Frame {
                     deliver_at: 0,
                     from: p(from),
                     msg: frames.next().expect("k frames"),
@@ -1296,10 +1365,11 @@ mod tests {
         replies
     }
 
-    fn reply_seqs(replies: &Receiver<Reply>) -> Vec<u32> {
-        std::iter::from_fn(|| replies.try_recv().ok())
-            .map(|r| r.id.seq)
-            .collect()
+    /// The replies waiting in `replies`, by sequence number.
+    fn reply_seqs(replies: &ReplyTo) -> Vec<u32> {
+        let mut taken = Vec::new();
+        replies.take(&mut taken, Some(Duration::ZERO));
+        taken.iter().map(|r| r.id.seq).collect()
     }
 
     #[test]
@@ -1307,7 +1377,7 @@ mod tests {
         const K: usize = 5;
         let mut hand = ByHand::new(0, linked());
         let replies = fill_sequencer_inbox(&hand, K, Some(LinkConfig::default()));
-        assert!(hand.driver.wake_up(None).is_continue());
+        assert!(hand.wake_up().is_continue());
 
         let seqs = reply_seqs(&replies);
         assert_eq!(seqs, [0, 1, 2, 3, 4], "replies in invocation order");
@@ -1327,7 +1397,7 @@ mod tests {
 
         // Its own copies of the ordered frames never left the thread: they
         // are the next wake-up's, which acknowledges them — to itself — once.
-        assert!(hand.driver.wake_up(None).is_continue());
+        assert!(hand.wake_up().is_continue());
         assert_eq!(hand.driver.host.link_stats().acks_sent, 3);
         let metrics = hand.driver.host.replica().metrics();
         assert_eq!(metrics.updates_applied, 2 * K as u64);
@@ -1344,7 +1414,7 @@ mod tests {
         const K: usize = 5;
         let mut hand = ByHand::new(0, RuntimeConfig::new(1));
         let replies = fill_sequencer_inbox(&hand, K, None);
-        assert!(hand.driver.wake_up(None).is_continue());
+        assert!(hand.wake_up().is_continue());
 
         assert_eq!(reply_seqs(&replies), [0, 1, 2, 3, 4]);
         for follower in [1, 2] {
@@ -1378,9 +1448,9 @@ mod tests {
     #[test]
     fn the_sequencers_own_update_is_answered_in_one_wake_up() {
         let mut hand = ByHand::new(0, RuntimeConfig::new(1));
-        let (reply_tx, replies) = unbounded();
-        hand.invoke(wx(7), &reply_tx);
-        assert!(hand.driver.wake_up(None).is_continue());
+        let replies = reply_inbox();
+        hand.invoke(wx(7), &replies);
+        assert!(hand.wake_up().is_continue());
 
         assert_eq!(reply_seqs(&replies), [0], "answered in the same wake-up");
         assert_eq!(hand.driver.host.replica().metrics().updates_applied, 1);
@@ -1403,16 +1473,16 @@ mod tests {
     #[test]
     fn loopback_rounds_are_bounded_and_the_rest_is_held() {
         let mut hand = ByHand::new(0, RuntimeConfig::new(1));
-        let (reply_tx, replies) = unbounded();
+        let replies = reply_inbox();
         for k in 0..5 {
             let program = if k % 2 == 0 { wx(k) } else { rx() };
-            hand.invoke(program, &reply_tx);
+            hand.invoke(program, &replies);
         }
-        assert!(hand.driver.wake_up(None).is_continue());
+        assert!(hand.wake_up().is_continue());
         assert_eq!(reply_seqs(&replies), [0, 1, 2, 3]);
         assert_eq!(hand.driver.hold.next_deadline(), Some(0), "one left");
 
-        assert!(hand.driver.wake_up(None).is_continue());
+        assert!(hand.wake_up().is_continue());
         assert_eq!(reply_seqs(&replies), [4]);
         assert_eq!(hand.driver.hold.next_deadline(), None);
         assert_eq!(hand.driver.host.replica().metrics().updates_applied, 3);
@@ -1518,27 +1588,43 @@ mod tests {
     #[test]
     fn shutdown_met_mid_drain_exits_without_settling() {
         let mut hand = ByHand::new(1, RuntimeConfig::new(1));
-        let (reply_tx, replies) = unbounded();
-        hand.invoke(wx(1), &reply_tx);
-        let _ = hand.inbox.send(Input::Shutdown);
-        hand.invoke(wx(2), &reply_tx);
-        assert!(hand.driver.wake_up(None).is_break());
+        let replies = reply_inbox();
+        hand.invoke(wx(1), &replies);
+        hand.send(Input::Shutdown);
+        hand.invoke(wx(2), &replies);
+        assert!(hand.wake_up().is_break());
         assert_eq!(hand.driver.host.in_flight(), 1, "what came first was fed");
         assert!(hand.sent(0).is_empty(), "but nothing it set off was sent");
         let exit = hand.driver.exit();
-        assert!(hand.log.lock().is_empty() && replies.try_recv().is_err());
+        assert!(hand.log.lock().is_empty() && reply_seqs(&replies).is_empty());
         assert_eq!(exit.link_stats.data_sent, 0);
+        assert!(hand.inboxes[1].send(Input::Shutdown).is_err(), "closed");
     }
 
-    /// `recv_timeout` hands over a waiting message before it looks at the
-    /// clock, so a loop that ticks on `Timeout` never ticks while the inbox
-    /// keeps refilling. A wake-up ticks whenever a deadline is due.
+    /// A reply whose session has closed its inbox is not delivered: the
+    /// replica counts it dropped, once.
+    #[test]
+    fn a_reply_sent_after_close_counts_as_dropped() {
+        let mut hand = ByHand::new(0, RuntimeConfig::new(1));
+        let replies = reply_inbox();
+        hand.invoke(rx(), &replies);
+        replies.close();
+        assert!(hand.wake_up().is_continue());
+        assert_eq!(hand.driver.host.metrics().retired, 1, "answered");
+        assert_eq!(hand.log.lock().len(), 1, "and logged");
+        assert!(reply_seqs(&replies).is_empty());
+        assert_eq!(hand.driver.exit().pipeline.dropped_replies, 1);
+    }
+
+    /// A loop that ticks only when its wait times out never ticks while the
+    /// inbox keeps refilling. A wake-up ticks whenever a deadline is due,
+    /// however much it took from the inbox.
     #[test]
     fn a_due_deadline_ticks_though_the_inbox_never_runs_dry() {
         let mut hand = ByHand::new(1, linked());
-        let (reply_tx, _replies) = unbounded();
-        hand.invoke(wx(1), &reply_tx);
-        assert!(hand.driver.wake_up(None).is_continue());
+        let replies = reply_inbox();
+        hand.invoke(wx(1), &replies);
+        assert!(hand.wake_up().is_continue());
         assert_eq!(data_seqs(&hand.sent(0)), [0], "the submission went out");
         let deadline = hand.driver.host.next_deadline().expect("unacked");
         assert_eq!(
@@ -1546,19 +1632,18 @@ mod tests {
             hand.clock.get() + hand.driver.outlet.config.link.rto_ns
         );
 
-        // The retransmission comes due with more in the inbox than one
+        // The retransmission comes due with a full inbox, all of which the
         // wake-up takes.
+        const QUEUED: usize = 69;
         hand.clock.set(deadline);
-        for _ in 0..DRAIN_MAX + 5 {
-            hand.invoke(rx(), &reply_tx);
+        for _ in 0..QUEUED {
+            hand.invoke(rx(), &replies);
         }
-        assert!(hand.driver.wake_up(None).is_continue());
+        assert!(hand.wake_up().is_continue());
         assert_eq!(hand.driver.host.link_stats().retransmissions, 1);
         assert_eq!(data_seqs(&hand.sent(0)), [0], "retransmitted");
         assert!(hand.driver.host.next_deadline().expect("re-armed") > deadline);
-        assert_eq!(hand.driver.host.metrics().invocations, 1 + DRAIN_MAX as u64);
-        let left = std::iter::from_fn(|| hand.driver.rx.try_recv().ok()).count();
-        assert_eq!(left, 5, "the rest is the next wake-up's");
+        assert_eq!(hand.driver.host.metrics().invocations, 1 + QUEUED as u64);
     }
 
     #[test]
@@ -1997,13 +2082,14 @@ mod tests {
     #[test]
     fn sentinel_latches_violation_and_quarantines_culprit() {
         use moc_core::op::CompletedOp;
-        let (tx, rx) = unbounded::<MonitorEvent>();
+        let feed = Arc::new(Inbox::new());
         let flags: Arc<Vec<AtomicBool>> =
             Arc::new((0..2).map(|_| AtomicBool::new(false)).collect());
         let cfg = MonitorConfig::new(Condition::MSequentialConsistency).with_window(1);
         let handle = {
             let flags = Arc::clone(&flags);
-            std::thread::spawn(move || monitor_main(2, cfg, rx, flags))
+            let feed = Arc::clone(&feed);
+            std::thread::spawn(move || monitor_main(2, cfg, &feed, flags))
         };
         let x = ObjectId::new(0);
         let y = ObjectId::new(1);
@@ -2032,11 +2118,15 @@ mod tests {
                 CompletedOp::read(x, 0, MOpId::INITIAL, 0),
             ],
         );
-        tx.send(MonitorEvent::Invoke(a_id, 0)).unwrap();
-        tx.send(MonitorEvent::Invoke(b_id, 0)).unwrap();
-        tx.send(MonitorEvent::Complete(Box::new(a), 10)).unwrap();
-        tx.send(MonitorEvent::Complete(Box::new(b), 10)).unwrap();
-        drop(tx);
+        for ev in [
+            MonitorEvent::Invoke(a_id, 0),
+            MonitorEvent::Invoke(b_id, 0),
+            MonitorEvent::Complete(Box::new(a), 10),
+            MonitorEvent::Complete(Box::new(b), 10),
+        ] {
+            assert!(feed.send(ev).is_ok());
+        }
+        feed.close();
         let summary = handle.join().unwrap();
         let v = summary.violation.as_ref().expect("violation latched");
         assert!(
