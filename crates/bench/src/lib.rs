@@ -16,9 +16,9 @@ use std::fmt;
 
 use moc_abcast::IsisAbcast;
 use moc_checker::admissible::{find_legal_extension, SearchLimits, SearchOutcome};
-use moc_checker::conditions::{check_with_order, Condition, Strategy};
+use moc_checker::certificate::certify;
+use moc_checker::conditions::Condition;
 use moc_checker::precedence::{pruned_search, PrecedenceGraph};
-use moc_core::constraints::Constraint;
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::json::{num, str as jstr, Json};
@@ -259,8 +259,9 @@ pub fn experiment_checker_scaling(ks: &[usize]) -> Table {
 }
 
 /// E5 — the Theorem 7 polynomial path vs brute force on protocol-generated
-/// histories. The fast path is one legality scan along the protocol's own
-/// writer order, with no search, and every history passes it (asserted).
+/// histories. The fast path, `certify` with the protocol's `~ww` as its
+/// hint, is one legality scan along the protocol's own writer order, with
+/// no search, and every history passes it (asserted).
 /// The brute force (without the ~ww hint) searches; the table records its
 /// node count and outcome under a 3 000 000-node budget.
 pub fn experiment_fast_vs_brute(sizes: &[usize], seed: u64) -> Table {
@@ -271,14 +272,18 @@ pub fn experiment_fast_vs_brute(sizes: &[usize], seed: u64) -> Table {
     for &ops_per_process in sizes {
         let report = run_protocol::<MscOverSequencer>(4, ops_per_process, 0.6, seed);
         let ww = report.ww_order();
-        let fast = check_with_order(
+        let condition = Condition::MSequentialConsistency;
+        let (fast, _) = certify(
             &report.history,
-            Condition::MSequentialConsistency,
-            &ww,
-            Strategy::Constraint(Constraint::Ww),
+            condition,
+            Some(&ww),
+            SearchLimits::default(),
         )
-        .expect("protocol history is under WW");
-        assert!(fast.satisfied);
+        .expect("Theorem 7 decides without search");
+        assert!(
+            fast.satisfied && fast.by_theorem7,
+            "protocol history is under WW"
+        );
 
         // Brute force on the *plain* relation (no ~ww) — the verification
         // problem the paper proves NP-complete. Cap the budget.
@@ -581,10 +586,14 @@ pub fn experiment_validation(seed: u64) -> Table {
     );
     let mut add = |report: RunReport, condition: Condition| {
         let ww = report.ww_order();
-        let strategy = Strategy::Constraint(Constraint::Ww);
-        let verdict = check_with_order(&report.history, condition, &ww, strategy)
-            .map(|r| if r.satisfied { "PASS" } else { "FAIL" })
-            .unwrap_or("ERROR");
+        let verdict = certify(
+            &report.history,
+            condition,
+            Some(&ww),
+            SearchLimits::default(),
+        )
+        .map(|(r, _)| if r.satisfied { "PASS" } else { "FAIL" })
+        .unwrap_or("ERROR");
         t.row(vec![
             report.protocol.to_string(),
             condition.to_string(),
@@ -610,7 +619,8 @@ pub fn experiment_validation(seed: u64) -> Table {
 /// One configuration of the certified-checker benchmark behind
 /// `BENCH_checker.json`: the same history decided by the naive search
 /// (under a per-family node budget), the precedence-pruned search, and
-/// (where the writer order is known sound) the Theorem 7 fast path. Every
+/// (where the writer order is known sound) `certify` with that order as
+/// its hint, which Theorem 7 decides when it admits. Every
 /// field is a seed-deterministic count or verdict.
 #[derive(Debug, Clone)]
 pub struct CheckerBenchRow {
@@ -639,10 +649,11 @@ pub struct CheckerBenchRow {
     pub memo_hits: u64,
     /// Peak transposition-table occupancy over the searched components.
     pub memo_peak: u64,
-    /// The Theorem 7 fast path's verdict (`true` = admissible); `None` =
-    /// not applicable (the torn families reuse version numbers
-    /// across writers, which the version-based legality scan cannot
-    /// arbitrate).
+    /// The verdict of `certify` with the index writer order as its hint
+    /// (`true` = admissible): Theorem 7's witness where the hint puts the
+    /// history under WW and it is legal, the search over `~H` alone
+    /// otherwise. `None` = not run (the torn families reuse version
+    /// numbers across writers, so their index order is no writer order).
     pub fast: Option<bool>,
     /// `naive_nodes / max(pruned_nodes, 1)`; `None` when the naive search
     /// was budget-capped (the true ratio is only bounded below).
@@ -701,7 +712,7 @@ impl CheckerBenchRow {
     }
 }
 
-/// `admissible` / `inadmissible` / `n/a`: the fast path's verdict as a
+/// `admissible` / `inadmissible` / `n/a`: the hinted route's verdict as a
 /// table cell and a `BENCH_checker.json` value.
 fn fast_cell(fast: Option<bool>) -> &'static str {
     match fast {
@@ -866,12 +877,11 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
 /// Each search runs once: node counts and verdicts are deterministic, and
 /// the experiment asserts the engines agree.
 ///
-/// The fast path only runs on families whose index order is a sound
+/// The hinted route only runs on families whose index order is a sound
 /// writer order for the plain-relation question (the admissible families,
 /// and the poisoned one, where the stale read is illegal under *any*
-/// writer order); the torn families reuse version numbers across
-/// writers, which the version-based legality scan cannot arbitrate, so
-/// they report `fast: "n/a"`.
+/// writer order, so the search refutes it); the torn families reuse
+/// version numbers across writers, so they report `fast: "n/a"`.
 pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
     let mut rows = Vec::new();
     for (family, h, fast_applies, naive_budget) in checker_families(budget) {
@@ -920,8 +930,8 @@ pub fn experiment_certified_checker(budget: u64) -> Vec<CheckerBenchRow> {
         let fast = fast_applies.then(|| {
             let ww = index_writer_order(&h);
             let condition = Condition::MSequentialConsistency;
-            let fast = check_with_order(&h, condition, &ww, Strategy::Constraint(Constraint::Ww))
-                .expect("index order satisfies WW on generator families");
+            let (fast, _) = certify(&h, condition, Some(&ww), SearchLimits::default())
+                .expect("the index order decides or the search does");
             if verdict != "budget" {
                 assert_eq!(
                     fast.satisfied,

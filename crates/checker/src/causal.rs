@@ -21,11 +21,12 @@
 //! different orders — which is exactly what the classic two-writers /
 //! two-readers litmus exploits.
 //!
-//! Each sub-history is decided as m-sequential consistency by
-//! [`check_with_order`]. Its own `~p ∪ ~rf` misses only the causality
-//! through the queries it drops: a query of another process `r` reading
-//! from `w` orders `w` before `r`'s next update `u`, and `(w, u)` goes in
-//! as extra order. `w = u` is a causal cycle, and the reflexive edge
+//! Each sub-history is decided as m-sequential consistency by the search
+//! over its `~p ∪ ~rf` and the pairs below, which are part of the
+//! causality order and so evidence (`EdgeKind::Base` edges). Its own
+//! `~p ∪ ~rf` misses only the causality through the queries it drops: a
+//! query of another process `r` reading from `w` orders `w` before `r`'s
+//! next update `u`, and `(w, u)` goes in as extra order. `w = u` is a causal cycle, and the reflexive edge
 //! refutes. Every causal cycle holds a `~rf` edge out of an update, which
 //! every sub-history keeps, so a cyclic history serializes for no process.
 
@@ -33,7 +34,7 @@ use moc_core::history::{History, MOpIdx};
 use moc_core::ids::ProcessId;
 
 use crate::admissible::{SearchLimits, SearchStats};
-use crate::conditions::{check_with_order, CheckError, CheckReport, Condition, Strategy};
+use crate::conditions::{decide_with, CheckError, CheckReport, Condition};
 
 /// Per-process verdicts of the m-causal-consistency check.
 #[derive(Debug, Clone)]
@@ -67,7 +68,7 @@ pub fn check_m_causal(h: &History, limits: SearchLimits) -> Result<CausalReport,
             .collect();
         let records = keep.iter().map(|&i| h.record(i).clone()).collect();
         let sub = History::new(h.num_objects(), records)
-            .map_err(|e| CheckError::Internal(format!("sub-history of {p}: {e}")))?;
+            .expect("a sub-history keeps every writer its records read from");
         // Both ends of a pair are updates, which every sub-history keeps.
         let at = |i: MOpIdx| MOpIdx(keep.partition_point(|&k| k < i));
         let order: Vec<_> = through_queries
@@ -75,15 +76,12 @@ pub fn check_m_causal(h: &History, limits: SearchLimits) -> Result<CausalReport,
             .filter(|&&(r, _, _)| r != p)
             .map(|&(_, w, u)| (at(w), at(u)))
             .collect();
-        let strategy = Strategy::BruteForce(limits);
-        let decided = check_with_order(&sub, Condition::MSequentialConsistency, &order, strategy);
-        if let Ok(CheckReport { stats: s, .. }) | Err(CheckError::LimitExceeded(s)) = &decided {
-            stats.nodes += s.nodes;
-            stats.memo_hits += s.memo_hits;
-        }
-        let witness = match decided {
-            Err(CheckError::LimitExceeded(_)) => return Err(CheckError::LimitExceeded(stats)),
-            decided => decided?.witness,
+        let decided = decide_with(&sub, Condition::MSequentialConsistency, &order, limits);
+        let (Ok(CheckReport { stats: s, .. }) | Err(CheckError::LimitExceeded(s))) = &decided;
+        stats.nodes += s.nodes;
+        stats.memo_hits += s.memo_hits;
+        let Ok(CheckReport { witness, .. }) = decided else {
+            return Err(CheckError::LimitExceeded(stats));
         };
         per_process.push((
             p,
@@ -121,7 +119,7 @@ fn query_mediated_pairs(h: &History) -> Vec<(ProcessId, MOpIdx, MOpIdx)> {
 mod tests {
     use super::*;
     use crate::admissible::{find_legal_extension, SearchOutcome};
-    use crate::conditions::check;
+    use crate::conditions::{check, Strategy};
     use moc_core::history::HistoryBuilder;
     use moc_core::ids::ObjectId;
     use moc_core::legality::sequence_witnesses_admissibility;

@@ -1,9 +1,9 @@
 //! Proof-producing verdicts: the `moc-cert` format.
 //!
-//! [`check_certified`] decides admissibility like [`crate::conditions::check`]
-//! but additionally returns a [`Certificate`] — a self-contained, versioned
-//! JSON document that an *independent* checker (the `moc-audit` crate, which
-//! does not import this crate) can re-validate against the raw history:
+//! [`certify`] decides admissibility and returns, besides the report, a
+//! [`Certificate`] — a self-contained, versioned JSON document that an
+//! *independent* checker (the `moc-audit` crate, which does not import this
+//! crate) can re-validate against the raw history:
 //!
 //! * **admissible** → the witness linearization plus a legality trace (for
 //!   each external read, the witness position it reads from), checkable by a
@@ -27,7 +27,8 @@ use moc_core::history::{History, MOpIdx};
 use moc_core::ids::ObjectId;
 
 use crate::admissible::{SearchLimits, SearchOutcome, SearchStats};
-use crate::conditions::{CheckError, CheckReport, Condition, StrategyUsed};
+use crate::conditions::{CheckError, CheckReport, Condition};
+use crate::fast::check_under_constraint;
 use crate::precedence::{pruned_search, CycleProof, EdgeKind, PrecedenceGraph};
 
 /// Format identifier of the certificate documents this module emits.
@@ -203,14 +204,67 @@ fn edge_why(kind: &EdgeKind) -> &'static str {
     }
 }
 
-/// Decides `condition` on `h` via the precedence-graph route and returns
-/// both the report and a certificate for the verdict.
+/// Decides `condition` on `h` and returns both the report and a
+/// certificate for the verdict: the one verdict path.
 ///
-/// The report is the one [`crate::conditions::check`] gives under
-/// [`crate::conditions::Strategy::BruteForce`]`(limits)`: the `~H+` graph is
-/// saturated, a cycle refutes without search (and *is* the certificate);
-/// otherwise the statically-pruned search decides and yields either a
-/// witness or an exhaustion attestation.
+/// With `hint` `None`, the `~H+` graph is saturated, a cycle refutes
+/// without search (and *is* the certificate); otherwise the
+/// statically-pruned search decides and yields either a witness or an
+/// exhaustion attestation.
+///
+/// With `Some(order)` (possibly empty), Theorem 7 is tried first over the
+/// closure of `~H ∪ order`: `order` is a candidate, the arbitration order a
+/// protocol ran (a broadcast's `~ww`, say), never evidence. If that
+/// closure is acyclic, under the WW- or OO-constraint and legal, its
+/// topological sort is the witness (a linear extension of `~H` too), with
+/// no search. Any other outcome is decided as with `None`, over `~H`
+/// alone, so no pair of `order` is ever cited in a refutation.
+///
+/// # Errors
+///
+/// [`CheckError::LimitExceeded`] if the pruned search exhausts `limits`.
+pub fn certify(
+    h: &History,
+    condition: Condition,
+    hint: Option<&[(MOpIdx, MOpIdx)]>,
+    limits: SearchLimits,
+) -> Result<(CheckReport, Certificate), CheckError> {
+    let (report, core) = verdict(h, condition, hint, limits)?;
+    let cert = certificate(h, codec::fingerprint(h), &report, core);
+    Ok((report, cert))
+}
+
+/// [`certify`]'s verdict and refutation core, with no certificate made:
+/// what [`crate::conditions::check`] reports.
+pub(crate) fn verdict(
+    h: &History,
+    condition: Condition,
+    hint: Option<&[(MOpIdx, MOpIdx)]>,
+    limits: SearchLimits,
+) -> Result<(CheckReport, Option<CycleProof>), CheckError> {
+    let order = hint.unwrap_or(&[]);
+    let mut graph = PrecedenceGraph::unsaturated(h, condition, order);
+    if hint.is_some() {
+        if let Some(witness) = check_under_constraint(h, graph.closed()) {
+            let report = CheckReport {
+                condition,
+                satisfied: true,
+                witness: Some(witness),
+                by_theorem7: true,
+                stats: SearchStats::default(),
+                reason: None,
+            };
+            return Ok((report, None));
+        }
+        if !order.is_empty() {
+            graph = PrecedenceGraph::unsaturated(h, condition, &[]);
+        }
+    }
+    graph.saturate(h);
+    decide(h, condition, &graph, limits)
+}
+
+/// [`certify`] with no hint: the search over the saturated `~H+` graph.
 ///
 /// # Errors
 ///
@@ -220,8 +274,7 @@ pub fn check_certified(
     condition: Condition,
     limits: SearchLimits,
 ) -> Result<(CheckReport, Certificate), CheckError> {
-    let graph = PrecedenceGraph::for_condition(h, condition);
-    check_certified_on(h, condition, &graph, codec::fingerprint(h), limits)
+    certify(h, condition, None, limits)
 }
 
 /// [`check_certified`] on a graph the caller already saturated with
@@ -246,6 +299,19 @@ pub fn check_certified_on(
 ) -> Result<(CheckReport, Certificate), CheckError> {
     debug_assert_eq!(fingerprint, codec::fingerprint(h));
     let (report, core) = decide(h, condition, graph, limits)?;
+    let cert = certificate(h, fingerprint, &report, core);
+    Ok((report, cert))
+}
+
+/// The certificate of `report` on `h`: the refutation core if there is
+/// one, else the witness with its legality trace, else the search's
+/// exhaustion attestation.
+fn certificate(
+    h: &History,
+    fingerprint: u64,
+    report: &CheckReport,
+    core: Option<CycleProof>,
+) -> Certificate {
     let proof = match (core, &report.witness) {
         (Some(core), _) => Proof::Cycle(core),
         (None, Some(order)) => Proof::Witness {
@@ -256,15 +322,14 @@ pub fn check_certified_on(
             stats: report.stats,
         },
     };
-    let cert = Certificate {
-        condition,
+    Certificate {
+        condition: report.condition,
         admissible: report.satisfied,
         ops: h.len(),
         objects: h.num_objects(),
         fingerprint,
         proof,
-    };
-    Ok((report, cert))
+    }
 }
 
 /// The verdict over a saturated graph, every route's: a `~H+` cycle refutes
@@ -284,7 +349,7 @@ pub(crate) fn decide(
         condition,
         satisfied: witness.is_some(),
         witness,
-        strategy_used: StrategyUsed::BruteForce,
+        by_theorem7: false,
         stats,
         reason,
     };

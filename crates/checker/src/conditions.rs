@@ -12,20 +12,18 @@
 //! m-normality is less restrictive than m-linearizability: it only orders
 //! non-overlapping m-operations that act on a common object.
 //!
-//! Every strategy decides over one [`PrecedenceGraph`]: `~H` as the edges
-//! of [`PrecedenceGraph::for_condition`], closed once. Theorem 7 reads that
-//! closure; failing it, the graph is saturated and decided exactly as
-//! [`crate::certificate::check_certified`] decides it.
+//! Every verdict is [`crate::certificate::certify`]'s: `~H` as the edges
+//! of one [`PrecedenceGraph`], closed once, then Theorem 7 over it when
+//! the caller gives a hint, and failing that the saturated graph and the
+//! pruned search.
 
 use std::fmt;
 
-use moc_core::constraints::Constraint;
 use moc_core::history::{History, MOpIdx};
 use moc_core::relations::{object_order, process_order, reads_from, real_time, Relation};
 
 use crate::admissible::{SearchLimits, SearchStats};
-use crate::certificate::decide;
-use crate::fast::{check_under_constraint, FastError, FastOutcome};
+use crate::certificate::{decide, verdict};
 use crate::precedence::PrecedenceGraph;
 
 /// A consistency condition for multi-object operation histories.
@@ -67,49 +65,22 @@ impl Condition {
     }
 }
 
-/// How to decide admissibility. Whatever the strategy, a history whose
-/// `~H` is cyclic is refuted by a `~H+` cycle.
+/// How [`check`] decides: Theorem 7 first, then the search. The one
+/// strategy there is; [`crate::certificate::certify`] is the entry that
+/// takes a hint and returns the certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// Always run the (worst-case exponential) backtracking search.
-    BruteForce(SearchLimits),
-    /// Require the given constraint and use the polynomial Theorem 7 path;
-    /// fails with [`CheckError::ConstraintNotSatisfied`] if the history is
-    /// not under the constraint.
-    Constraint(Constraint),
-    /// Use the Theorem 7 path if the history satisfies the WW- or
-    /// OO-constraint (tried in that order — WW is what the Section 5
-    /// protocols enforce), otherwise fall back to the search.
+    /// Use the Theorem 7 path if `~H` satisfies the WW- or OO-constraint
+    /// and is legal, otherwise decide by the search.
     #[default]
     Auto,
-    /// The caller holds a static certificate (see `moc-analyze`) that the
-    /// configuration enforces `constraint`, so the Theorem 7 path is
-    /// expected to decide. Unlike [`Strategy::Constraint`], a history
-    /// that nevertheless violates the constraint (e.g. the certificate
-    /// was issued for a different program set) silently falls back to
-    /// the brute-force search instead of erroring.
-    Certified(Constraint),
 }
 
-/// Which decision procedure produced the verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrategyUsed {
-    /// The backtracking search decided.
-    BruteForce,
-    /// The Theorem 7 fast path decided under this constraint.
-    Constraint(Constraint),
-}
-
-/// Errors surfaced by [`check`].
+/// Errors surfaced by [`check`] and [`crate::certificate::certify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckError {
     /// The search exhausted its node budget without a verdict.
     LimitExceeded(SearchStats),
-    /// `Strategy::Constraint` was requested but the history is not under
-    /// the constraint.
-    ConstraintNotSatisfied(String),
-    /// Internal invariant violation in the fast path.
-    Internal(String),
 }
 
 impl fmt::Display for CheckError {
@@ -118,8 +89,6 @@ impl fmt::Display for CheckError {
             CheckError::LimitExceeded(s) => {
                 write!(f, "search budget exhausted after {} nodes", s.nodes)
             }
-            CheckError::ConstraintNotSatisfied(msg) => f.write_str(msg),
-            CheckError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }
@@ -135,96 +104,51 @@ pub struct CheckReport {
     pub satisfied: bool,
     /// When satisfied: a legal sequential order witnessing admissibility.
     pub witness: Option<Vec<MOpIdx>>,
-    /// Which procedure decided.
-    pub strategy_used: StrategyUsed,
-    /// Search statistics (zero for the fast path).
+    /// Whether Theorem 7 decided: the witness is a topological sort of
+    /// `~H+`, with no search. Every refutation comes from the saturated
+    /// graph of `~H` alone, so it is `false` on every violation.
+    pub by_theorem7: bool,
+    /// Search statistics (zero for the Theorem 7 path).
     pub stats: SearchStats,
     /// Human-readable explanation when not satisfied.
     pub reason: Option<String>,
 }
 
-/// Checks whether history `h` satisfies `condition` using `strategy`.
+/// Checks whether history `h` satisfies `condition`: the report
+/// [`crate::certificate::certify`] makes with an empty hint and default
+/// limits, with no certificate built.
 ///
 /// # Errors
 ///
-/// See [`CheckError`]. With `Strategy::Auto` and default limits, errors only
-/// occur on pathological instances that exhaust the search budget.
+/// [`CheckError::LimitExceeded`], only on pathological instances that
+/// exhaust the default search budget.
 pub fn check(
     h: &History,
     condition: Condition,
-    strategy: Strategy,
+    _strategy: Strategy,
 ) -> Result<CheckReport, CheckError> {
-    check_with_order(h, condition, &[], strategy)
+    verdict(h, condition, Some(&[]), SearchLimits::default()).map(|(report, _)| report)
 }
 
-/// Like [`check`], with `order`: pairs the caller knows to be ordered
-/// besides `~H` — the atomic-broadcast order `~ww` of a protocol run, say —
-/// which join the condition's base edges.
-///
-/// # Errors
-///
-/// See [`check`].
-pub fn check_with_order(
+/// The search's verdict over `~H` and `pairs`, which belong to the
+/// condition's relation (`T∞` last, causality through a dropped query):
+/// their edges are evidence the auditor cannot re-derive, so no
+/// certificate is made, and Theorem 7 is not tried.
+pub(crate) fn decide_with(
     h: &History,
     condition: Condition,
-    order: &[(MOpIdx, MOpIdx)],
-    strategy: Strategy,
+    pairs: &[(MOpIdx, MOpIdx)],
+    limits: SearchLimits,
 ) -> Result<CheckReport, CheckError> {
-    let mut graph = PrecedenceGraph::unsaturated(h, condition, order);
-    let (constraints, limits) = match strategy {
-        Strategy::BruteForce(limits) => (&[][..], limits),
-        Strategy::Constraint(c) | Strategy::Certified(c) => (&[c][..], SearchLimits::default()),
-        Strategy::Auto => (
-            &[Constraint::Ww, Constraint::Oo][..],
-            SearchLimits::default(),
-        ),
-    };
-    // Theorem 7 applies to an acyclic `~H` only; a cyclic one is left to
-    // the `~H+` cycle that refutes it.
-    if graph.closed().is_irreflexive() {
-        for &c in constraints {
-            match check_under_constraint(h, graph.closed(), c) {
-                Ok(outcome) => return Ok(fast_report(condition, c, outcome)),
-                Err(e @ FastError::ConstraintNotSatisfied(_)) => {
-                    if let Strategy::Constraint(_) = strategy {
-                        return Err(CheckError::ConstraintNotSatisfied(e.to_string()));
-                    }
-                }
-                Err(e @ FastError::ExtendedRelationCyclic) => {
-                    return Err(CheckError::Internal(e.to_string()))
-                }
-            }
-        }
-    }
+    let mut graph = PrecedenceGraph::unsaturated(h, condition, pairs);
     graph.saturate(h);
     decide(h, condition, &graph, limits).map(|(report, _)| report)
-}
-
-fn fast_report(condition: Condition, constraint: Constraint, outcome: FastOutcome) -> CheckReport {
-    let (witness, reason) = match outcome {
-        FastOutcome::Admissible(witness) => (Some(witness), None),
-        FastOutcome::NotAdmissible(bad) => (
-            None,
-            Some(format!(
-                "history is not legal: {} is ordered between {:?} and {} \
-                 while overwriting an object read between them",
-                bad.gamma, bad.beta, bad.alpha
-            )),
-        ),
-    };
-    CheckReport {
-        condition,
-        satisfied: witness.is_some(),
-        witness,
-        strategy_used: StrategyUsed::Constraint(constraint),
-        stats: SearchStats::default(),
-        reason,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certificate::certify;
     use moc_core::history::HistoryBuilder;
     use moc_core::ids::{ObjectId, ProcessId};
 
@@ -307,87 +231,59 @@ mod tests {
     }
 
     #[test]
-    fn constraint_strategy_errors_without_constraint() {
-        let h = stale_read();
-        // Both ops touch x and one writes: OO requires them ordered; the
-        // base m-SC relation doesn't order them.
-        let err = check(
-            &h,
-            Condition::MSequentialConsistency,
-            Strategy::Constraint(moc_core::constraints::Constraint::Oo),
-        )
-        .unwrap_err();
-        assert!(matches!(err, CheckError::ConstraintNotSatisfied(_)));
-    }
-
-    #[test]
-    fn auto_uses_fast_path_under_real_time() {
+    fn auto_refutes_an_illegal_history_by_its_saturated_cycle() {
         // Under m-linearizability the stale-read history IS under the
-        // OO-constraint (real time orders the two x-ops), so Auto uses the
-        // fast path and rejects with a reason.
+        // OO-constraint (real time orders the two x-ops) and illegal: the
+        // `~H+` cycle refutes it without search.
         let h = stale_read();
         let report = check(&h, Condition::MLinearizability, Strategy::Auto).unwrap();
         assert!(!report.satisfied);
-        assert!(matches!(report.strategy_used, StrategyUsed::Constraint(_)));
-        assert!(report.reason.is_some());
-    }
-
-    #[test]
-    fn brute_force_strategy_reports_stats() {
-        let h = stale_read();
-        let report = check(
-            &h,
-            Condition::MSequentialConsistency,
-            Strategy::BruteForce(SearchLimits::default()),
-        )
-        .unwrap();
-        assert!(report.satisfied);
-        assert_eq!(report.strategy_used, StrategyUsed::BruteForce);
-        let w = report.witness.unwrap();
-        assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn certified_strategy_uses_fast_path_when_constraint_holds() {
-        // Under m-linearizability the stale-read history satisfies OO
-        // (real time orders the conflicting pair): the certificate route
-        // decides via Theorem 7.
-        let h = stale_read();
-        let report = check(
-            &h,
-            Condition::MLinearizability,
-            Strategy::Certified(moc_core::constraints::Constraint::Oo),
-        )
-        .unwrap();
-        assert!(!report.satisfied);
+        assert!(!report.by_theorem7);
+        assert_eq!(report.stats.nodes, 0);
         assert_eq!(
-            report.strategy_used,
-            StrategyUsed::Constraint(moc_core::constraints::Constraint::Oo)
+            report.reason.as_deref(),
+            Some("~H+ cycle of length 2 refutes admissibility without search")
         );
     }
 
     #[test]
-    fn certified_strategy_falls_back_when_certificate_misses() {
-        // Under m-SC the pair is unordered, so the OO precondition fails;
-        // Certified degrades to brute force where Constraint would error.
-        let h = stale_read();
-        let report = check(
-            &h,
-            Condition::MSequentialConsistency,
-            Strategy::Certified(moc_core::constraints::Constraint::Oo),
-        )
-        .unwrap();
+    fn auto_admits_by_theorem7_under_real_time() {
+        // A fresh read after the write responded: real time orders the
+        // conflicting pair, the read is legal, and the witness is a
+        // topological sort with no search.
+        let x = oid(0);
+        let mut b = HistoryBuilder::new(1);
+        let w = b.mop(pid(0)).at(0, 10).write(x, 1).finish();
+        b.mop(pid(1)).at(20, 30).read_from(x, 1, w).finish();
+        let h = b.build().unwrap();
+        let report = check(&h, Condition::MLinearizability, Strategy::Auto).unwrap();
         assert!(report.satisfied);
-        assert_eq!(report.strategy_used, StrategyUsed::BruteForce);
+        assert!(report.by_theorem7);
+        assert_eq!(report.stats, SearchStats::default());
+        assert_eq!(report.witness, Some(vec![MOpIdx(0), MOpIdx(1)]));
+    }
+
+    #[test]
+    fn auto_searches_where_no_constraint_holds() {
+        // Under m-SC two writers of x on two processes are unordered, so
+        // neither WW nor OO holds and the search decides.
+        let x = oid(0);
+        let mut b = HistoryBuilder::new(1);
+        b.mop(pid(0)).at(0, 10).write(x, 1).finish();
+        b.mop(pid(1)).at(20, 30).write(x, 2).finish();
+        let h = b.build().unwrap();
+        let report = check(&h, Condition::MSequentialConsistency, Strategy::Auto).unwrap();
+        assert!(report.satisfied);
+        assert!(!report.by_theorem7);
         // The pruned search may decide entirely by forced-prefix peeling.
         assert!(
             report.stats.nodes + report.stats.peeled > 0,
-            "fallback actually did the work"
+            "the search actually did the work"
         );
     }
 
     #[test]
-    fn a_cyclic_history_is_refuted_under_every_strategy() {
+    fn a_cyclic_history_is_refuted_on_every_route() {
         // The first m-operation of p0 reads x from the second: ~p and ~rf
         // order the pair both ways, so ~H itself is cyclic.
         let x = oid(0);
@@ -396,25 +292,26 @@ mod tests {
         b.mop(pid(0)).at(0, 10).read_from(x, 1, second).finish();
         b.mop(pid(0)).at(20, 30).write(x, 1).finish();
         let h = b.build().unwrap();
-        let strategies = [
-            Strategy::BruteForce(SearchLimits::default()),
-            Strategy::Constraint(Constraint::Ww),
-            Strategy::Auto,
-            Strategy::Certified(Constraint::Oo),
-        ];
+        let limits = SearchLimits::default();
         for condition in [
             Condition::MSequentialConsistency,
             Condition::MLinearizability,
             Condition::MNormality,
         ] {
-            for strategy in strategies {
-                let report = check(&h, condition, strategy)
-                    .unwrap_or_else(|e| panic!("{condition}, {strategy:?}: {e}"));
-                assert!(!report.satisfied, "{condition}, {strategy:?}");
+            let reports = [
+                check(&h, condition, Strategy::Auto).unwrap(),
+                certify(&h, condition, None, limits).unwrap().0,
+                certify(&h, condition, Some(&[(MOpIdx(0), MOpIdx(1))]), limits)
+                    .unwrap()
+                    .0,
+                decide_with(&h, condition, &[], limits).unwrap(),
+            ];
+            for (route, report) in reports.iter().enumerate() {
+                assert!(!report.satisfied, "{condition}, route {route}");
                 assert_eq!(
                     report.reason.as_deref(),
                     Some("~H+ cycle of length 2 refutes admissibility without search"),
-                    "{condition}, {strategy:?}"
+                    "{condition}, route {route}"
                 );
             }
         }

@@ -7,24 +7,24 @@
 //! respect to the condition's relation (D 4.7): there must exist a legal
 //! sequential history equivalent to it that respects the relation.
 //!
-//! * [`conditions`] — the user-facing entry point:
-//!   [`conditions::check`] decides m-sequential consistency,
-//!   m-linearizability or m-normality using a chosen [`conditions::Strategy`];
-//!   [`conditions::check_with_order`] takes extra known order (a
-//!   broadcast's `~ww`) as pairs.
+//! * [`certificate`] — the one verdict path, [`certify`]: every verdict
+//!   comes with a versioned JSON certificate (witness + legality trace,
+//!   `~H+` refutation cycle, or search-exhaustion attestation) that the
+//!   independent `moc-audit` crate re-validates against the raw history.
+//!   Given a hint (a protocol's arbitration order, a broadcast's `~ww`),
+//!   the polynomial path of Theorem 7 runs first over the closure of `~H`
+//!   and the hint: under the OO- or WW-constraint, admissibility collapses
+//!   to legality, and a witness falls out of a topological sort of `~H+`.
+//!   The hint is a candidate, never evidence: any other outcome is decided
+//!   over `~H` alone, where a `~H+` cycle refutes and otherwise the pruned
+//!   search decides. [`check_certified`] is the route without a hint.
+//! * [`conditions`] — the conditions and their relations, and
+//!   [`conditions::check`], the report of [`certify`] with an empty hint,
+//!   with no certificate built.
 //! * [`precedence`] — the one construction of `~H` every route decides
 //!   over: the condition's edges (`~t` as its transitive reduction), closed
 //!   once, then saturated with `~rw` to `~H+` — SCC condensation, forced
 //!   edges, cycle refutation, and the statically-pruned search.
-//! * The polynomial path of Theorem 7 runs first, over the graph's closure
-//!   of `~H`: under the OO- or WW-constraint, admissibility collapses to
-//!   legality, and a witness falls out of a topological sort of `~H+`.
-//!   Without it, a `~H+` cycle refutes and otherwise the pruned search
-//!   decides — the same function for [`check`] and [`check_certified`].
-//! * [`certificate`] — proof-producing verdicts: every check result
-//!   serializes to a versioned JSON certificate (witness + legality trace,
-//!   `~H+` refutation cycle, or search-exhaustion attestation) that the
-//!   independent `moc-audit` crate re-validates against the raw history.
 //! * [`admissible`] — the naive decision procedure over a dense relation:
 //!   a memoized backtracking search for a legal linear extension, the
 //!   reference the pruned search is tested against and the bench's naive
@@ -34,14 +34,15 @@
 //! * [`serializability`] — database schedules and the Theorem 2 reduction:
 //!   strict view serializability ⇔ m-linearizability, view serializability
 //!   ⇔ m-sequential consistency, for one-transaction-per-process histories,
-//!   each decided as that condition by [`conditions::check_with_order`], as
-//!   is each process's sub-history of [`causal`] m-causal consistency.
+//!   each decided by the search over that condition's relation (with the
+//!   "T∞ last" pairs), as is each process's sub-history of [`causal`]
+//!   m-causal consistency (with the causality through dropped queries).
 //!
 //! ## Example
 //!
 //! ```
-//! use moc_checker::conditions::{check, Condition, Strategy};
-//! use moc_core::history::HistoryBuilder;
+//! use moc_checker::{certify, Condition, Proof, SearchLimits};
+//! use moc_core::history::{HistoryBuilder, MOpIdx};
 //! use moc_core::ids::{ObjectId, ProcessId};
 //!
 //! let x = ObjectId::new(0);
@@ -49,8 +50,15 @@
 //! let w = b.mop(ProcessId::new(0)).at(0, 10).write(x, 1).finish();
 //! b.mop(ProcessId::new(1)).at(20, 30).read_from(x, 1, w).finish();
 //! let h = b.build()?;
-//! let report = check(&h, Condition::MLinearizability, Strategy::Auto)?;
-//! assert!(report.satisfied);
+//! // Real time orders the write before the read: Theorem 7 admits.
+//! let (report, cert) = certify(&h, Condition::MLinearizability, Some(&[]), SearchLimits::default())?;
+//! assert!(report.satisfied && report.by_theorem7);
+//! assert!(matches!(cert.proof, Proof::Witness { .. }));
+//! // A hint that puts the read first contradicts `~H`: no Theorem 7
+//! // witness, so the search over `~H` alone decides, and admits.
+//! let hint = [(MOpIdx(1), MOpIdx(0))];
+//! let (report, _) = certify(&h, Condition::MLinearizability, Some(&hint), SearchLimits::default())?;
+//! assert!(report.satisfied && !report.by_theorem7);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -67,8 +75,8 @@ pub mod witness;
 
 pub use admissible::{find_legal_extension, SearchLimits, SearchOutcome, SearchStats};
 pub use causal::{check_m_causal, CausalReport};
-pub use certificate::{check_certified, Certificate, Proof};
-pub use conditions::{check, check_with_order, CheckError, CheckReport, Condition, Strategy};
+pub use certificate::{certify, check_certified, Certificate, Proof};
+pub use conditions::{check, CheckError, CheckReport, Condition, Strategy};
 pub use minimize::{minimize_violation, Minimized};
 pub use precedence::PrecedenceGraph;
 pub use serializability::Schedule;

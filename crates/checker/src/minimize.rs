@@ -11,7 +11,7 @@
 use moc_core::history::History;
 
 use crate::admissible::SearchLimits;
-use crate::conditions::{check, CheckError, Condition, Strategy};
+use crate::conditions::{decide_with, Condition};
 
 /// Outcome of [`minimize_violation`].
 #[derive(Debug)]
@@ -27,10 +27,9 @@ pub struct Minimized {
 /// Errors from minimization.
 #[derive(Debug)]
 pub enum MinimizeError {
-    /// The input history already satisfies the condition.
+    /// The input history already satisfies the condition (or the search
+    /// ran out of budget on it).
     NotAViolation,
-    /// A consistency check failed (budget exhausted or malformed input).
-    Check(CheckError),
 }
 
 impl std::fmt::Display for MinimizeError {
@@ -39,28 +38,18 @@ impl std::fmt::Display for MinimizeError {
             MinimizeError::NotAViolation => {
                 f.write_str("input history satisfies the condition; nothing to minimize")
             }
-            MinimizeError::Check(e) => write!(f, "check failed while minimizing: {e}"),
         }
     }
 }
 
 impl std::error::Error for MinimizeError {}
 
-fn violates(
-    h: &History,
-    condition: Condition,
-    limits: SearchLimits,
-    checks: &mut u64,
-) -> Result<bool, CheckError> {
+fn violates(h: &History, condition: Condition, limits: SearchLimits, checks: &mut u64) -> bool {
     *checks += 1;
-    // Auto first (fast path where applicable); on budget exhaustion treat
-    // as "unknown" and keep the record (conservative: may stay non-minimal
-    // but never returns a satisfying history).
-    match check(h, condition, Strategy::BruteForce(limits)) {
-        Ok(report) => Ok(!report.satisfied),
-        Err(CheckError::LimitExceeded(_)) => Ok(false),
-        Err(e) => Err(e),
-    }
+    // The search; on budget exhaustion treat as "unknown" and keep the
+    // record (conservative: may stay non-minimal but never returns a
+    // satisfying history).
+    decide_with(h, condition, &[], limits).is_ok_and(|report| !report.satisfied)
 }
 
 /// Shrinks `h` — which must violate `condition` — to a 1-minimal violating
@@ -73,15 +62,14 @@ fn violates(
 ///
 /// # Errors
 ///
-/// [`MinimizeError::NotAViolation`] if `h` satisfies the condition, or a
-/// wrapped [`CheckError`] if checking fails outright.
+/// [`MinimizeError::NotAViolation`] if `h` satisfies the condition.
 pub fn minimize_violation(
     h: &History,
     condition: Condition,
     limits: SearchLimits,
 ) -> Result<Minimized, MinimizeError> {
     let mut checks = 0u64;
-    if !violates(h, condition, limits, &mut checks).map_err(MinimizeError::Check)? {
+    if !violates(h, condition, limits, &mut checks) {
         return Err(MinimizeError::NotAViolation);
     }
 
@@ -101,15 +89,13 @@ pub fn minimize_violation(
                 i += 1; // removal orphans a read — keep the record
                 continue;
             };
-            match violates(&smaller, condition, limits, &mut checks) {
-                Ok(true) => {
-                    current.remove(i);
-                    removed += 1;
-                    progress = true;
-                    // Do not advance i: the next record shifted into place.
-                }
-                Ok(false) => i += 1,
-                Err(e) => return Err(MinimizeError::Check(e)),
+            if violates(&smaller, condition, limits, &mut checks) {
+                current.remove(i);
+                removed += 1;
+                progress = true;
+                // Do not advance i: the next record shifted into place.
+            } else {
+                i += 1;
             }
         }
     }

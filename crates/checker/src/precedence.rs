@@ -45,8 +45,11 @@ use crate::engine::{self, BitRows, ComponentPlan, SearchProblem};
 /// Why an edge is in the precedence graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EdgeKind {
-    /// A pair the caller knows to be ordered (e.g. the atomic-broadcast
-    /// order `~ww`), handed to [`crate::conditions::check_with_order`].
+    /// A pair of the condition's relation beyond `~p`, `~rf`, `~t` and
+    /// `~x`: `T∞` last for view serializability, causality through a
+    /// dropped query for m-causal consistency. Neither route certifies, so
+    /// no certificate cites one. The pairs of a caller's hint sit here only
+    /// in the closure Theorem 7 reads, never in a graph that is decided.
     Base,
     /// Process order `~p`: same process, consecutive sequence numbers.
     Process,
@@ -107,9 +110,9 @@ impl PrecedenceGraph {
         graph
     }
 
-    /// The graph of `~H` alone — the condition's base edges plus the pairs
-    /// of `order` as [`EdgeKind::Base`] edges — closed once, before any
-    /// `~rw` edge is derived.
+    /// The graph of `~H` — the condition's base edges plus the pairs of
+    /// `order` as [`EdgeKind::Base`] edges — closed once, before any `~rw`
+    /// edge is derived.
     pub(crate) fn unsaturated(
         h: &History,
         condition: Condition,
@@ -1285,8 +1288,8 @@ mod tests {
         );
     }
 
-    /// The `check_with_order` route: m-SC over `~p ∪ ~rf` and a caller's
-    /// order, here each object's writers chained in index order (as an
+    /// Base pairs and hints alike: m-SC over `~p ∪ ~rf` and extra order,
+    /// here each object's writers chained in index order (as an
     /// atomic broadcast orders updates) or against it.
     #[test]
     fn saturation_matches_the_round_based_reference_with_caller_order() {

@@ -22,7 +22,7 @@ use moc_core::mop::{EventTime, MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
 
 use crate::admissible::SearchLimits;
-use crate::conditions::{check, check_with_order, CheckReport, Condition, Strategy};
+use crate::conditions::{decide_with, CheckReport, Condition};
 
 /// A read or write action of some transaction, in schedule order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -239,8 +239,7 @@ impl Schedule {
     /// Worst-case exponential (Theorem 2: NP-complete even with the
     /// reads-from relation known).
     pub fn is_strict_view_serializable(&self, limits: SearchLimits) -> Option<bool> {
-        let strategy = Strategy::BruteForce(limits);
-        let report = check(&self.to_history(), Condition::MLinearizability, strategy);
+        let report = decide_with(&self.to_history(), Condition::MLinearizability, &[], limits);
         report.ok().map(|report| report.satisfied)
     }
 }
@@ -253,8 +252,7 @@ fn view_check(h: &History, limits: SearchLimits) -> Option<CheckReport> {
     // `to_history` builds T∞ last.
     let tinf = MOpIdx(h.len() - 1);
     let tinf_last: Vec<_> = (0..tinf.0).map(|i| (MOpIdx(i), tinf)).collect();
-    let strategy = Strategy::BruteForce(limits);
-    check_with_order(h, Condition::MSequentialConsistency, &tinf_last, strategy).ok()
+    decide_with(h, Condition::MSequentialConsistency, &tinf_last, limits).ok()
 }
 
 #[cfg(test)]

@@ -5,14 +5,15 @@
 //! * The checker is total on arbitrary random-provenance histories
 //!   (no panics, stable verdicts) and its positive verdicts always carry
 //!   validating witnesses.
-//! * On real-time-total histories (every pair ordered), the Theorem 7
-//!   fast path agrees with the brute force under the OO-constraint.
+//! * On real-time-total histories (every pair ordered, so under the
+//!   OO-constraint), the Theorem 7 route decides and agrees with the brute
+//!   force.
 
 use moc_checker::admissible::{find_legal_extension, SearchLimits, SearchOutcome, SearchStats};
-use moc_checker::conditions::{check, Condition, Strategy as CheckStrategy, StrategyUsed};
+use moc_checker::conditions::{check, Condition, Strategy as CheckStrategy};
 use moc_checker::precedence::{pruned_search, PrecedenceGraph};
 use moc_checker::witness::{is_sequential, make_sequential_history};
-use moc_core::constraints::Constraint;
+use moc_core::constraints::{satisfies, Constraint};
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::inline::InlineList;
@@ -149,13 +150,13 @@ proptest! {
         prop_assert!(is_sequential(&serial));
         prop_assert!(serial.equivalent(&h));
 
-        // Real-time-total serial histories satisfy OO; the fast path must
-        // agree (it always accepts here).
-        let oo = Constraint::Oo;
-        let fast = check(&h, Condition::MLinearizability, CheckStrategy::Constraint(oo))
+        // Real-time-total serial histories satisfy OO; the Theorem 7 route
+        // must decide and agree (it always accepts here).
+        prop_assert!(satisfies(Constraint::Oo, &h, &rel.transitive_closure()));
+        let fast = check(&h, Condition::MLinearizability, CheckStrategy::Auto)
             .expect("serial history is under OO via real time");
         prop_assert!(fast.satisfied);
-        prop_assert_eq!(fast.strategy_used, StrategyUsed::Constraint(oo));
+        prop_assert!(fast.by_theorem7);
     }
 
     #[test]

@@ -370,7 +370,7 @@ impl<H> RunReport<H> {
 impl RunReport {
     /// The broadcast order `~ww` over the recorded history, as the pairs
     /// of consecutive updates in [`Self::update_order`]. Handed to
-    /// `moc_checker::check_with_order`, it puts the history under the
+    /// `moc_checker::certify` as its hint, it puts the history under the
     /// WW-constraint, so Theorem 7's polynomial checker applies to it.
     pub fn ww_order(&self) -> Vec<(MOpIdx, MOpIdx)> {
         let idx = |id| self.history.idx_of(id);

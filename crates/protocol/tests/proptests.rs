@@ -5,8 +5,9 @@
 use std::sync::Arc;
 
 use moc_abcast::IsisAbcast;
-use moc_checker::conditions::{check_with_order, Condition, Strategy as CheckStrategy};
-use moc_core::constraints::Constraint;
+use moc_checker::certificate::certify;
+use moc_checker::conditions::Condition;
+use moc_checker::SearchLimits;
 use moc_core::ids::ObjectId;
 use moc_core::program::{arg, imm, reg, CmpOp, ProgramBuilder};
 use moc_protocol::{
@@ -121,13 +122,15 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let report = run::<MscReplica<IsisAbcast<MOperation>>>(&ops, delay, seed);
-        let verdict = check_with_order(
+        let ww = report.ww_order();
+        let (verdict, _) = certify(
             &report.history,
             Condition::MSequentialConsistency,
-            &report.ww_order(),
-            CheckStrategy::Constraint(Constraint::Ww),
-        ).expect("protocol histories are under WW");
+            Some(&ww),
+            SearchLimits::default(),
+        ).expect("Theorem 7 decides without search");
         prop_assert!(verdict.satisfied, "{:?}", verdict.reason);
+        prop_assert!(verdict.by_theorem7, "protocol histories are under WW");
     }
 
     /// Theorem 20 over arbitrary workloads.
@@ -139,13 +142,15 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let report = run::<MlinOverSequencer>(&ops, delay, seed);
-        let verdict = check_with_order(
+        let ww = report.ww_order();
+        let (verdict, _) = certify(
             &report.history,
             Condition::MLinearizability,
-            &report.ww_order(),
-            CheckStrategy::Constraint(Constraint::Ww),
-        ).expect("protocol histories are under WW");
+            Some(&ww),
+            SearchLimits::default(),
+        ).expect("Theorem 7 decides without search");
         prop_assert!(verdict.satisfied, "{:?}", verdict.reason);
+        prop_assert!(verdict.by_theorem7, "protocol histories are under WW");
     }
 
     /// Increment counting: with u update-only increment workloads the

@@ -16,8 +16,9 @@
 use std::sync::Arc;
 
 use moc_abcast::IsisAbcast;
-use moc_checker::conditions::{check, check_with_order, Condition, Strategy};
-use moc_core::constraints::Constraint;
+use moc_checker::certificate::certify;
+use moc_checker::conditions::{check, Condition, Strategy};
+use moc_checker::SearchLimits;
 use moc_core::ids::ObjectId;
 use moc_core::program::{arg, imm, reg, CmpOp, Program, ProgramBuilder};
 use moc_protocol::{
@@ -144,18 +145,21 @@ fn run<R: ReplicaProtocol + 'static>(seed: u64, network: NetworkConfig) -> RunRe
 /// Theorem 7 path using the recorded broadcast order, cross-checked with
 /// the brute-force searcher on the plain base relation.
 fn assert_satisfies(report: &RunReport, condition: Condition) {
-    // Fast path: base relation ∪ ~ww satisfies the WW-constraint.
-    let fast = check_with_order(
+    // Fast path: base relation ∪ ~ww satisfies the WW-constraint, so
+    // Theorem 7 decides with ~ww as the hint.
+    let ww = report.ww_order();
+    let (fast, _) = certify(
         &report.history,
         condition,
-        &report.ww_order(),
-        Strategy::Constraint(Constraint::Ww),
+        Some(&ww),
+        SearchLimits::default(),
     )
     .unwrap_or_else(|e| panic!("{}: fast check errored: {e}", report.protocol));
     assert!(
-        fast.satisfied,
+        fast.satisfied && fast.by_theorem7,
         "{}: {condition} violated (fast path): {:?}",
-        report.protocol, fast.reason
+        report.protocol,
+        fast.reason
     );
 
     // Brute force on the plain relation (no ~ww hint): must agree.

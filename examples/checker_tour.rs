@@ -9,10 +9,10 @@
 //!
 //! Run with: `cargo run --example checker_tour`
 
-use moc_checker::conditions::{check, check_with_order, Condition, Strategy};
+use moc_checker::certificate::{certify, check_certified};
+use moc_checker::conditions::Condition;
 use moc_checker::serializability::{Action, Schedule};
 use moc_checker::SearchLimits;
-use moc_core::constraints::Constraint;
 use moc_core::history::{HistoryBuilder, MOpIdx};
 use moc_core::ids::{ObjectId, ProcessId};
 use moc_core::legality::{extended_relation, sequence_is_legal};
@@ -70,26 +70,15 @@ fn main() {
     println!("legal witness from ~H+: {}", rendered.join(" "));
     assert!(sequence_is_legal(&h1, &witness));
 
-    // ── Theorem 7 fast path vs brute force ───────────────────────────────
-    let fast = check_with_order(
-        &h1,
-        Condition::MSequentialConsistency,
-        &ww,
-        Strategy::Constraint(Constraint::Ww),
-    )
-    .expect("H1 is under the WW-constraint");
-    let brute = check_with_order(
-        &h1,
-        Condition::MSequentialConsistency,
-        &ww,
-        Strategy::BruteForce(SearchLimits::default()),
-    )
-    .expect("within budget");
+    // ── Theorem 7 fast path (the WW order as the hint) vs the search ─────
+    let sc = Condition::MSequentialConsistency;
+    let (fast, _) = certify(&h1, sc, Some(&ww), SearchLimits::default()).expect("within budget");
+    let (brute, _) = check_certified(&h1, sc, SearchLimits::default()).expect("within budget");
     println!(
-        "\nTheorem 7 fast path: admissible = {} | brute force: admissible = {} ({} nodes)",
+        "\nTheorem 7 fast path: admissible = {} | search without the hint: admissible = {} ({} nodes)",
         fast.satisfied, brute.satisfied, brute.stats.nodes
     );
-    assert!(fast.satisfied && brute.satisfied);
+    assert!(fast.satisfied && fast.by_theorem7 && brute.satisfied);
 
     // ── Theorem 2: strict view serializability via m-linearizability ─────
     // r3(x) w1(x) w2(y) r3(y): view serializable but not strict view
@@ -134,12 +123,7 @@ fn main() {
         .read_init(x)
         .finish();
     let bad = b.build().expect("well-formed");
-    let verdict = check(
-        &bad,
-        Condition::MSequentialConsistency,
-        Strategy::BruteForce(SearchLimits::default()),
-    )
-    .expect("within budget");
+    let (verdict, _) = check_certified(&bad, sc, SearchLimits::default()).expect("within budget");
     println!(
         "\nstale multi-object read admissible? {} ({})",
         verdict.satisfied,

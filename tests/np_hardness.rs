@@ -11,7 +11,8 @@
 //!    Theorem 7 fast path — when a constraint applies — stays flat.
 
 use moc_checker::admissible::{find_legal_extension, SearchLimits};
-use moc_checker::conditions::{check, Condition, Strategy};
+use moc_checker::certificate::check_certified;
+use moc_checker::conditions::Condition;
 use moc_checker::serializability::{Action, Schedule};
 use moc_core::history::MOpIdx;
 use moc_core::ids::ObjectId;
@@ -175,12 +176,8 @@ fn reduction_agrees_with_direct_checking() {
         );
         // Direct check on the constructed history.
         let h = s.to_history();
-        let report = check(
-            &h,
-            Condition::MLinearizability,
-            Strategy::BruteForce(SearchLimits::default()),
-        )
-        .unwrap();
+        let (report, _) =
+            check_certified(&h, Condition::MLinearizability, SearchLimits::default()).unwrap();
         // The direct condition adds process order — trivial here (one
         // m-operation per process), so the verdicts must agree.
         assert_eq!(report.satisfied, expected);

@@ -13,7 +13,9 @@
 
 use std::sync::Arc;
 
-use moc_checker::conditions::{check, check_with_order, Condition, Strategy};
+use moc_checker::certificate::{certify, check_certified};
+use moc_checker::conditions::{check, Condition, Strategy};
+use moc_checker::SearchLimits;
 use moc_core::constraints::{satisfies, Constraint};
 use moc_core::history::{HistoryBuilder, MOpIdx};
 use moc_core::ids::{ObjectId, ProcessId};
@@ -138,15 +140,15 @@ fn figure2_and_3_ww_history() {
     let witness = ext.topological_sort().unwrap();
     assert!(sequence_is_legal(&h1, &witness));
 
-    // Theorem 7: admissible (fast) agrees with admissible (search).
-    let fast = check_with_order(
-        &h1,
-        Condition::MSequentialConsistency,
-        &[(alpha, gamma), (gamma, delta)],
-        Strategy::Constraint(Constraint::Ww),
-    )
-    .unwrap();
-    assert!(fast.satisfied);
+    // Theorem 7: admissible (fast, the WW edges as the hint) agrees with
+    // admissible (search).
+    let sc = Condition::MSequentialConsistency;
+    let hint = [(alpha, gamma), (gamma, delta)];
+    let (fast, _) = certify(&h1, sc, Some(&hint), SearchLimits::default()).unwrap();
+    assert!(fast.satisfied && fast.by_theorem7);
+    assert_eq!(fast.witness, Some(witness));
+    let (search, _) = check_certified(&h1, sc, SearchLimits::default()).unwrap();
+    assert!(search.satisfied);
 }
 
 /// Figure 5: an execution of the Figure 4 protocol. Two writers and a

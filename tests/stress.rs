@@ -3,8 +3,9 @@
 //! history sizes — which is exactly the paper's point).
 
 use moc_abcast::IsisAbcast;
-use moc_checker::conditions::{check_with_order, Condition, Strategy, StrategyUsed};
-use moc_core::constraints::Constraint;
+use moc_checker::certificate::certify;
+use moc_checker::conditions::Condition;
+use moc_checker::SearchLimits;
 use moc_protocol::{
     run_cluster, ClusterConfig, MOperation, MlinOverSequencer, MscReplica, RunReport,
 };
@@ -27,15 +28,18 @@ fn big_spec() -> WorkloadSpec {
 }
 
 fn assert_fast_admissible(report: &RunReport, condition: Condition) {
-    let ww = Constraint::Ww;
-    let outcome = check_with_order(
+    let ww = report.ww_order();
+    let (outcome, _) = certify(
         &report.history,
         condition,
-        &report.ww_order(),
-        Strategy::Constraint(ww),
+        Some(&ww),
+        SearchLimits::default(),
     )
-    .expect("protocol histories satisfy the WW-constraint");
-    assert_eq!(outcome.strategy_used, StrategyUsed::Constraint(ww));
+    .expect("Theorem 7 decides without search");
+    assert!(
+        outcome.by_theorem7,
+        "protocol histories satisfy the WW-constraint"
+    );
     assert!(
         outcome.satisfied,
         "{}: history of {} ops not admissible: {:?}",
