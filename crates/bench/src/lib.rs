@@ -22,7 +22,7 @@ use moc_checker::precedence::{pruned_search, PrecedenceGraph};
 use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{MOpId, ObjectId, ProcessId};
 use moc_core::json::{num, str as jstr, Json};
-use moc_core::mop::MOpClass;
+use moc_core::mop::{MOpClass, MOpRecord};
 use moc_core::op::CompletedOp;
 use moc_core::relations::{process_order, reads_from};
 use moc_protocol::{
@@ -99,6 +99,17 @@ impl fmt::Display for Table {
     }
 }
 
+/// Each recorded m-operation's class and response time (ns).
+fn latencies(h: &History) -> impl Iterator<Item = (MOpClass, u64)> + '_ {
+    let span = |r: &MOpRecord| r.responded_at.as_nanos() - r.invoked_at.as_nanos();
+    h.records().iter().map(move |r| (r.treated_as, span(r)))
+}
+
+/// Network messages a simulated run sent.
+fn messages(report: &RunReport) -> f64 {
+    report.sim.map_or(0, |sim| sim.messages_sent) as f64
+}
+
 fn us(ns: f64) -> String {
     format!("{:.1}", ns / 1_000.0)
 }
@@ -155,7 +166,7 @@ pub fn experiment_query_cost(ns: &[usize], ops_per_process: usize, seed: u64) ->
                     .mean_latency(MOpClass::Update)
                     .map(us)
                     .unwrap_or_else(|| "-".into()),
-                format!("{:.1}", report.total_messages() as f64 / ops),
+                format!("{:.1}", messages(&report) / ops),
             ]);
         };
         add(run_protocol::<MscOverSequencer>(
@@ -193,12 +204,15 @@ pub fn experiment_baseline(query_fracs: &[f64], ops_per_process: usize, seed: u6
         let uf = 1.0 - qf;
         let mut add = |report: RunReport| {
             let ops = report.history.len() as f64;
-            let mean: f64 = report.latencies.iter().map(|&(_, l)| l as f64).sum::<f64>() / ops;
+            let mean = latencies(&report.history)
+                .map(|(_, l)| l as f64)
+                .sum::<f64>()
+                / ops;
             t.row(vec![
                 format!("{qf:.1}"),
                 report.protocol.to_string(),
                 us(mean),
-                format!("{:.1}", report.total_messages() as f64 / ops),
+                format!("{:.1}", messages(&report) / ops),
             ]);
         };
         add(run_protocol::<MscOverSequencer>(
@@ -361,9 +375,7 @@ pub fn experiment_abcast(ns: &[usize], ops_per_process: usize, seed: u64) -> Tab
     );
     for &n in ns {
         let mut add = |report: RunReport, name: &str| {
-            let updates = report
-                .latencies
-                .iter()
+            let updates = latencies(&report.history)
                 .filter(|(c, _)| *c == MOpClass::Update)
                 .count() as f64;
             t.row(vec![
@@ -373,7 +385,7 @@ pub fn experiment_abcast(ns: &[usize], ops_per_process: usize, seed: u64) -> Tab
                     .mean_latency(MOpClass::Update)
                     .map(us)
                     .unwrap_or_else(|| "-".into()),
-                format!("{:.1}", report.total_messages() as f64 / updates),
+                format!("{:.1}", messages(&report) / updates),
             ]);
         };
         add(
@@ -1230,13 +1242,14 @@ pub fn experiment_chaos(seeds: u64) -> Vec<ChaosBenchRow> {
                     family.name(),
                     report.anomalies
                 );
-                row.delivered += report.sim.messages_delivered;
-                row.dropped += report.sim.messages_dropped;
-                row.duplicated += report.sim.messages_duplicated;
+                let sim = report.sim.expect("a simulated run");
+                row.delivered += sim.messages_delivered;
+                row.dropped += sim.messages_dropped;
+                row.duplicated += sim.messages_duplicated;
                 let link = report.total_link_stats();
                 row.retransmitted += link.retransmissions;
                 row.dedup_discarded += link.duplicates_discarded;
-                for &(class, l) in &report.latencies {
+                for (class, l) in report.history.iter().flat_map(latencies) {
                     match class {
                         MOpClass::Query => queries.push(l),
                         MOpClass::Update => updates.push(l),
@@ -1358,11 +1371,10 @@ pub fn experiment_failover(seeds: u64) -> Vec<FailoverBenchRow> {
                     family.name(),
                     report.anomalies
                 );
-                let run_updates: Vec<u64> = report
-                    .latencies
-                    .iter()
+                let run_updates: Vec<u64> = (report.history.iter())
+                    .flat_map(latencies)
                     .filter(|(class, _)| *class == MOpClass::Update)
-                    .map(|&(_, l)| l)
+                    .map(|(_, l)| l)
                     .collect();
                 updates.extend_from_slice(&run_updates);
                 let failed_over = report

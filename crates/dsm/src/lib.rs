@@ -20,9 +20,9 @@
 //! * [`Consistency::Aggregate`] — the "one big object" baseline from the
 //!   paper's introduction, for comparison.
 //!
-//! Every execution is recorded; [`Dsm::finish`] returns the history, and
-//! [`DsmReport::check`] verifies the promised condition with the
-//! NP-complete checker or the polynomial Theorem 7 path.
+//! Every execution is recorded; [`Dsm::finish`] returns the history and
+//! the run's broadcast order, and [`DsmReport::check`] verifies the
+//! promised condition by Theorem 7 with that order, or by the search.
 //!
 //! ```
 //! use moc_dsm::{Consistency, DsmBuilder};
@@ -51,8 +51,8 @@ pub mod methods;
 
 use std::sync::Arc;
 
-use moc_checker::conditions::{check, CheckReport, Condition, Strategy};
-use moc_core::history::History;
+use moc_checker::{certify, CheckReport, Condition, SearchLimits};
+use moc_core::history::{History, MOpIdx};
 use moc_core::ids::{ObjectId, ProcessId};
 use moc_core::program::Program;
 use moc_core::value::Value;
@@ -321,6 +321,7 @@ impl Dsm {
             ClusterKind::Aggregate(c) => c.shutdown(),
         };
         DsmReport {
+            ww_order: report.ww_order(),
             history: report.history,
             consistency: self.consistency,
         }
@@ -334,19 +335,25 @@ pub struct DsmReport {
     pub history: History,
     /// The consistency the cluster was configured with.
     pub consistency: Consistency,
+    /// The broadcast order the run ran (`moc_protocol::RunReport::ww_order`).
+    pub ww_order: Vec<(MOpIdx, MOpIdx)>,
 }
 
 impl DsmReport {
     /// Checks the history against `condition` (e.g. the configured
-    /// guarantee, [`Consistency::guaranteed_condition`]).
+    /// guarantee, [`Consistency::guaranteed_condition`]), with the run's
+    /// order as the hint Theorem 7 tries.
     ///
     /// # Panics
     ///
-    /// Panics if the checker exhausts its budget — with protocol-generated
-    /// histories the polynomial path almost always applies; reach for
-    /// [`moc_checker::conditions::check`] directly to control limits.
+    /// Panics if the checker exhausts its budget — with the run's order
+    /// the polynomial path almost always applies; reach for
+    /// [`moc_checker::certify`] directly to control limits.
     pub fn check(&self, condition: Condition) -> CheckReport {
-        check(&self.history, condition, Strategy::Auto).expect("checker budget exhausted")
+        let hint = Some(self.ww_order.as_slice());
+        certify(&self.history, condition, hint, SearchLimits::default())
+            .expect("checker budget exhausted")
+            .0
     }
 
     /// Checks the weaker m-causal consistency condition (implied by every

@@ -272,11 +272,6 @@ impl<R: ReplicaProtocol, T> ReplicaHost<R, T> {
         &self.replica
     }
 
-    /// Consumes the host, keeping the replica.
-    pub(crate) fn into_replica(self) -> R {
-        self.replica
-    }
-
     /// Pipeline counters so far.
     pub fn metrics(&self) -> PipelineMetrics {
         self.metrics

@@ -51,8 +51,8 @@ pub mod replica;
 pub mod store;
 
 pub use harness::{
-    run_chaos_cluster, run_cluster, ChaosAnomalies, ChaosRunReport, ClientScript, ClusterConfig,
-    OpSpec, RunReport,
+    run_chaos_cluster, run_cluster, tally, ChaosAnomalies, ChaosRunReport, ClientScript,
+    ClusterConfig, OpSpec, RunReport,
 };
 pub use replica::{AggregateReplica, MlinRelevant, MlinReplica, MscReplica, QueryScope};
 pub use store::{ExecRecord, ReplicaStore};

@@ -68,7 +68,7 @@
 //!   A settle sends no acknowledgements and arms no retransmission timer;
 //!   only the broadcast's own deadlines (group-commit flush, failover
 //!   suspicion) wake a replica early. The data frames are still counted
-//!   in [`RuntimeReport::link_stats`].
+//!   in the report's [`RunReport::link_stats`].
 //! - **A network that can lose, duplicate or delay frames**
 //!   ([`RuntimeConfig::with_faults`], [`RuntimeConfig::with_artificial_delay`])
 //!   puts the [`moc_abcast::ReliableLink`] sublayer, tuned by
@@ -79,7 +79,10 @@
 //! Invocation and response events are stamped with nanoseconds since the
 //! cluster epoch, so the history assembled at
 //! [`LiveCluster::shutdown`] carries a genuine real-time order `~t` and
-//! can be checked for m-linearizability.
+//! can be checked for m-linearizability. Shutdown tallies the replicas as
+//! a simulated run does ([`moc_protocol::tally`]), but not at quiescence:
+//! a replica drops what reaches it after it exits, so its log need only be
+//! a prefix of the longest, and only equal logs need equal stores.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -102,6 +105,7 @@
 //! assert_eq!(reply.outputs, vec![7]);
 //! let report = cluster.shutdown();
 //! assert_eq!(report.history.len(), 2);
+//! assert!(report.anomalies.is_clean());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -120,11 +124,10 @@ use moc_core::inline::InlineList;
 use moc_core::mop::{EventTime, MOpClass};
 use moc_core::program::Program;
 use moc_core::value::Value;
-use moc_monitor::OnlineMonitor;
-pub use moc_monitor::{MonitorConfig, MonitorRunSummary};
-pub use moc_protocol::host::PipelineMetrics;
+pub use moc_monitor::MonitorConfig;
+use moc_monitor::{MonitorRunSummary, OnlineMonitor};
 use moc_protocol::host::{MonitorEvent, OrderingSetup, ReplicaHost};
-use moc_protocol::ReplicaProtocol;
+use moc_protocol::{tally, ChaosAnomalies, ReplicaProtocol, RunReport};
 use moc_sim::DelayModel;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -251,50 +254,8 @@ pub struct Reply {
     pub responded_at: EventTime,
 }
 
-/// Everything a finished cluster leaves behind.
-#[derive(Debug)]
-pub struct RuntimeReport {
-    /// The recorded, validated history.
-    pub history: History,
-    /// Per-replica message metrics.
-    pub replica_metrics: Vec<moc_protocol::ReplicaMetrics>,
-    /// Per-replica reliable-link transport counters.
-    pub link_stats: Vec<moc_abcast::LinkStats>,
-    /// Per-replica invocation-pipeline counters.
-    pub pipeline: Vec<PipelineMetrics>,
-    /// Per-replica broadcast group-commit counters (all zero unless the
-    /// cluster ran with [`RuntimeConfig::with_batching`]).
-    pub batch_stats: Vec<moc_abcast::BatchStats>,
-}
-
-impl RuntimeReport {
-    /// Cluster-wide transport counters (sum over replicas).
-    pub fn total_link_stats(&self) -> moc_abcast::LinkStats {
-        let mut total = moc_abcast::LinkStats::default();
-        for s in &self.link_stats {
-            total.merge(s);
-        }
-        total
-    }
-
-    /// Cluster-wide pipeline counters (sums; peak depth is the max).
-    pub fn total_pipeline(&self) -> PipelineMetrics {
-        let mut total = PipelineMetrics::default();
-        for p in &self.pipeline {
-            total.merge(p);
-        }
-        total
-    }
-
-    /// Cluster-wide group-commit counters (sum over replicas).
-    pub fn total_batch_stats(&self) -> moc_abcast::BatchStats {
-        let mut total = moc_abcast::BatchStats::default();
-        for b in &self.batch_stats {
-            total.merge(b);
-        }
-        total
-    }
-}
+/// What a finished cluster leaves behind: every driver's run report.
+pub type RuntimeReport = RunReport;
 
 /// Rejection returned by [`PipelinedSession::invoke`] once the online
 /// sentinel has quarantined a process: the containment hook fail-stops
@@ -353,7 +314,7 @@ type Inboxes<M> = Arc<[Inbox<Input<M>>]>;
 /// crate docs).
 pub struct LiveCluster<R: ReplicaProtocol> {
     inboxes: Inboxes<LinkMsg<R::Msg>>,
-    replica_handles: Vec<JoinHandle<ReplicaExit>>,
+    replica_handles: Vec<JoinHandle<Finished<R>>>,
     invoke_locks: Vec<Mutex<()>>,
     /// Every replica's records, pushed as the replica answers them.
     log: Arc<Mutex<HistoryLog>>,
@@ -365,12 +326,8 @@ pub struct LiveCluster<R: ReplicaProtocol> {
     monitor_handle: Option<JoinHandle<MonitorRunSummary>>,
 }
 
-struct ReplicaExit {
-    metrics: moc_protocol::ReplicaMetrics,
-    link_stats: moc_abcast::LinkStats,
-    pipeline: PipelineMetrics,
-    batch: moc_abcast::BatchStats,
-}
+/// A replica thread's exit: its host and the replies it could not deliver.
+type Finished<R> = (ReplicaHost<R, ReplyTo>, u64);
 
 impl<R> LiveCluster<R>
 where
@@ -504,37 +461,30 @@ where
         self.quarantine[process.index()].load(Ordering::SeqCst)
     }
 
-    /// Stops the cluster: flushes in-flight messages, joins all threads and
-    /// finishes the recorded history.
+    /// Stops the cluster: flushes in-flight messages, joins all threads,
+    /// finishes the recorded history and tallies the replicas, reporting
+    /// anomalies, never panicking on them (see the crate docs).
     ///
     /// The history's [`History::records`] are in the order the replicas
     /// answered them: each replica pushes what it retired into one shared
     /// [`HistoryLog`] just before it replies, so every process's records
     /// ascend and the processes interleave. The log indexed each record as it came;
     /// shutdown only builds the object tables and validates.
-    pub fn shutdown(self) -> RuntimeReport {
-        self.shutdown_with_monitor().0
-    }
-
-    /// Like [`LiveCluster::shutdown`], additionally returning the
-    /// sentinel's run summary — rolling certificates, verdict timeline,
-    /// any latched violation — when the cluster was started with
-    /// [`LiveCluster::start_with_monitor`] (`None` otherwise).
-    pub(crate) fn shutdown_with_monitor(mut self) -> (RuntimeReport, Option<MonitorRunSummary>) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a thread panicked, or if the history fails validation: a
+    /// defect of this crate, whatever the network did, since every record
+    /// is an answered invocation's (a frame applied twice is an orphan,
+    /// tallied, never recorded).
+    pub fn shutdown(mut self) -> RuntimeReport {
         // Each replica delivers the frames it still holds back, then
         // closes its inbox and exits; a send to it after that fails.
         self.stop_replicas();
-        let mut replica_metrics = Vec::new();
-        let mut link_stats = Vec::new();
-        let mut pipeline = Vec::new();
-        let mut batch_stats = Vec::new();
-        for h in std::mem::take(&mut self.replica_handles) {
-            let exit = h.join().expect("replica thread panicked");
-            replica_metrics.push(exit.metrics);
-            link_stats.push(exit.link_stats);
-            pipeline.push(exit.pipeline);
-            batch_stats.push(exit.batch);
-        }
+        let (hosts, dropped_replies): (Vec<_>, Vec<_>) = std::mem::take(&mut self.replica_handles)
+            .into_iter()
+            .map(|h| h.join().expect("replica thread panicked"))
+            .unzip();
         // The replicas are joined: nothing pushes any more.
         let log = std::mem::take(&mut *self.log.lock());
         self.close_monitor_feed();
@@ -542,19 +492,16 @@ where
             .monitor_handle
             .take()
             .map(|h| h.join().expect("sentinel thread panicked"));
-        let history = log
-            .finish(self.num_objects)
-            .expect("runtime produced an invalid history");
-        (
-            RuntimeReport {
-                history,
-                replica_metrics,
-                link_stats,
-                pipeline,
-                batch_stats,
-            },
-            monitor,
-        )
+        let history = || log.finish(self.num_objects).map_err(|e| e.to_string());
+        let valid = |_: &ChaosAnomalies, history: Result<History, String>| {
+            history.expect("runtime produced an invalid history")
+        };
+        let mut report = tally(hosts, ChaosAnomalies::default(), false, history, valid);
+        for (pipeline, dropped) in report.pipeline.iter_mut().zip(dropped_replies) {
+            pipeline.dropped_replies = dropped;
+        }
+        report.monitor = monitor;
+        report
     }
 }
 
@@ -887,7 +834,7 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
     /// Wakes up when an input arrives or the earliest pending deadline — a
     /// held frame, link retransmission, failover suspicion, or a
     /// group-commit flush — comes due, whichever first, until `Shutdown`.
-    fn run(mut self) -> ReplicaExit {
+    fn run(mut self) -> Finished<R> {
         loop {
             let at = (self.now)().as_nanos();
             let deadlines = [self.host.next_deadline(), self.hold.next_deadline()];
@@ -1035,23 +982,14 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
 
     /// No client is waiting any more: the inbox closes, so a later send to
     /// it fails. What is still held is delivered, in deadline order, so the
-    /// counters account for every frame that got here; nothing it sets off
-    /// is sent.
-    fn exit(mut self) -> ReplicaExit {
+    /// counters and the delivery log account for every frame that got
+    /// here; nothing it sets off is sent. The host goes to the tally.
+    fn exit(mut self) -> Finished<R> {
         self.inboxes[self.me.index()].close();
         while let Some(frame) = self.hold.pop_due(u64::MAX) {
             self.host.on_wire(frame.from, frame.msg, (self.now)());
         }
-        let replica = self.host.replica();
-        ReplicaExit {
-            metrics: replica.metrics(),
-            link_stats: self.host.link_stats(),
-            pipeline: PipelineMetrics {
-                dropped_replies: self.dropped_replies,
-                ..self.host.metrics()
-            },
-            batch: replica.batch_stats(),
-        }
+        (self.host, self.dropped_replies)
     }
 }
 
@@ -1059,7 +997,7 @@ impl<R: ReplicaProtocol, C: Fn() -> EventTime> ReplicaDriver<R, C> {
 mod tests {
     use super::*;
     use moc_abcast::IsisAbcast;
-    use moc_checker::conditions::{check, Condition, Strategy};
+    use moc_checker::{certify, CheckReport, Condition, SearchLimits};
     use moc_core::ids::ObjectId;
     use moc_core::mop::MOpRecord;
     use moc_core::program::{imm, reg, ProgramBuilder};
@@ -1088,6 +1026,18 @@ mod tests {
 
     fn p(index: u32) -> ProcessId {
         ProcessId::new(index)
+    }
+
+    /// The verdict on a live report's history under `condition`, certified
+    /// with the run's broadcast order as the hint, after asserting the
+    /// tally clean and the history admissible.
+    fn certified(report: &RuntimeReport, condition: Condition) -> CheckReport {
+        assert!(report.anomalies.is_clean(), "{:?}", report.anomalies);
+        let hint = report.ww_order();
+        let limits = SearchLimits::default();
+        let (verdict, _) = certify(&report.history, condition, Some(&hint), limits).unwrap();
+        assert!(verdict.satisfied, "{:?}", verdict.reason);
+        verdict
     }
 
     /// How long a live-cluster test may run before [`watchdog`] fails it.
@@ -1595,9 +1545,9 @@ mod tests {
         assert!(hand.wake_up().is_break());
         assert_eq!(hand.driver.host.in_flight(), 1, "what came first was fed");
         assert!(hand.sent(0).is_empty(), "but nothing it set off was sent");
-        let exit = hand.driver.exit();
+        let (host, _) = hand.driver.exit();
         assert!(hand.log.lock().is_empty() && reply_seqs(&replies).is_empty());
-        assert_eq!(exit.link_stats.data_sent, 0);
+        assert_eq!(host.link_stats().data_sent, 0);
         assert!(hand.inboxes[1].send(Input::Shutdown).is_err(), "closed");
     }
 
@@ -1613,7 +1563,7 @@ mod tests {
         assert_eq!(hand.driver.host.metrics().retired, 1, "answered");
         assert_eq!(hand.log.lock().len(), 1, "and logged");
         assert!(reply_seqs(&replies).is_empty());
-        assert_eq!(hand.driver.exit().pipeline.dropped_replies, 1);
+        assert_eq!(hand.driver.exit().1, 1, "dropped replies");
     }
 
     /// A loop that ticks only when its wait times out never ticks while the
@@ -1656,8 +1606,7 @@ mod tests {
             assert_eq!(r.outputs, vec![9], "mlin query after update must see it");
             let report = cluster.shutdown();
             assert_eq!(report.history.len(), 2);
-            let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-            assert!(lin.satisfied);
+            assert!(certified(&report, Condition::MLinearizability).by_theorem7);
         });
     }
 
@@ -1675,7 +1624,9 @@ mod tests {
                     replies.push(cluster.invoke(p(process), wx(k), vec![]).id);
                 }
             }
-            let history = cluster.shutdown().history;
+            let report = cluster.shutdown();
+            assert!(report.anomalies.is_clean(), "{:?}", report.anomalies);
+            let history = report.history;
             let recorded: Vec<MOpId> = history.records().iter().map(|r| r.id).collect();
             assert_eq!(recorded, replies, "one record per reply, in answer order");
             for process in 0..3 {
@@ -1717,7 +1668,8 @@ mod tests {
                     .collect();
                 clients.into_iter().map(|c| c.join().unwrap()).collect()
             });
-            let history = cluster.shutdown().history;
+            let report = cluster.shutdown();
+            let history = &report.history;
             assert_eq!(history.len(), 3 * PER_CLIENT);
             for (process, ids) in answered.iter().enumerate() {
                 let logged: Vec<MOpId> = history
@@ -1733,8 +1685,7 @@ mod tests {
                 let seqs: Vec<u32> = logged.iter().map(|id| id.seq).collect();
                 assert_eq!(seqs, (0..PER_CLIENT as u32).collect::<Vec<u32>>());
             }
-            let sc = check(&history, Condition::MSequentialConsistency, Strategy::Auto).unwrap();
-            assert!(sc.satisfied);
+            assert!(certified(&report, Condition::MSequentialConsistency).by_theorem7);
         });
     }
 
@@ -1775,13 +1726,8 @@ mod tests {
 
             let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
             let report = cluster.shutdown();
-            let sc = check(
-                &report.history,
-                Condition::MSequentialConsistency,
-                Strategy::Auto,
-            )
-            .unwrap();
-            assert!(sc.satisfied, "Theorem 15 on the live runtime");
+            let sc = certified(&report, Condition::MSequentialConsistency);
+            assert!(sc.by_theorem7, "Theorem 15 on the live runtime");
         });
     }
 
@@ -1796,6 +1742,7 @@ mod tests {
             assert!(r.invoked_at <= r.responded_at);
             let report = cluster.shutdown();
             assert_eq!(report.history.len(), 2);
+            assert!(report.anomalies.is_clean(), "{:?}", report.anomalies);
         });
     }
 
@@ -1829,8 +1776,7 @@ mod tests {
             let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
             let report = cluster.shutdown();
             assert_eq!(report.history.len(), 12);
-            let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-            assert!(lin.satisfied, "{:?}", lin.reason);
+            assert!(certified(&report, Condition::MLinearizability).by_theorem7);
         });
     }
 
@@ -1845,7 +1791,8 @@ mod tests {
             assert!(r1.responded_at <= r2.invoked_at, "process order in time");
             assert_eq!(r1.id.seq, 0);
             assert_eq!(r2.id.seq, 1);
-            cluster.shutdown();
+            let report = cluster.shutdown();
+            assert!(report.anomalies.is_clean(), "{:?}", report.anomalies);
         });
     }
 
@@ -1889,8 +1836,7 @@ mod tests {
             let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
             let report = cluster.shutdown();
             assert_eq!(report.history.len(), 12, "every invocation completed");
-            let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-            assert!(lin.satisfied, "{:?}", lin.reason);
+            assert!(certified(&report, Condition::MLinearizability).by_theorem7);
             // The faults hit, and the link recovered them.
             let link = report.total_link_stats();
             assert!(
@@ -1912,6 +1858,7 @@ mod tests {
             }
             let report = cluster.shutdown();
             assert_eq!(report.history.len(), 6);
+            assert!(report.anomalies.is_clean(), "{:?}", report.anomalies);
             let link = report.total_link_stats();
             assert!(link.data_sent > 0 && link.data_received > 0, "{link:?}");
             assert_eq!((link.acks_sent, link.retransmissions), (0, 0), "{link:?}");
@@ -1946,13 +1893,7 @@ mod tests {
             assert_eq!(report.history.len(), 12, "every invocation completed");
             assert_eq!(report.total_link_stats().acks_sent, 0);
             assert_eq!(report.total_batch_stats().items_stamped, 6);
-            let sc = check(
-                &report.history,
-                Condition::MSequentialConsistency,
-                Strategy::Auto,
-            )
-            .unwrap();
-            assert!(sc.satisfied, "{:?}", sc.reason);
+            certified(&report, Condition::MSequentialConsistency);
         });
     }
 
@@ -1990,8 +1931,7 @@ mod tests {
             let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
             let report = cluster.shutdown();
             assert_eq!(report.history.len(), 12, "every invocation completed");
-            let lin = check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-            assert!(lin.satisfied, "{:?}", lin.reason);
+            certified(&report, Condition::MLinearizability);
         });
     }
 
@@ -2008,9 +1948,10 @@ mod tests {
                 cluster.invoke(ProcessId::new((i + 1) % 2), rx(), vec![]);
             }
             assert!(!cluster.quarantined(ProcessId::new(0)));
-            let (report, monitor) = cluster.shutdown_with_monitor();
+            let report = cluster.shutdown();
             assert_eq!(report.history.len(), 8, "every invocation completed");
-            let summary = monitor.expect("sentinel attached");
+            assert!(certified(&report, Condition::MLinearizability).by_theorem7);
+            let summary = report.monitor.as_ref().expect("sentinel attached");
             assert!(summary.violation.is_none(), "{:?}", summary.violation);
             assert_eq!(summary.stats.completions, 8, "every completion streamed");
             assert!(
@@ -2019,8 +1960,14 @@ mod tests {
             );
             for cert in &summary.certs {
                 assert!(cert.admissible);
-                let batch =
-                    check(&cert.window(), Condition::MLinearizability, Strategy::Auto).unwrap();
+                let limits = SearchLimits::default();
+                let (batch, _) = certify(
+                    &cert.window(),
+                    Condition::MLinearizability,
+                    Some(&[]),
+                    limits,
+                )
+                .unwrap();
                 assert!(batch.satisfied, "streaming and batch verdicts agree");
             }
         });
@@ -2059,8 +2006,8 @@ mod tests {
                 client.join().unwrap();
             }
             let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
-            let (report, monitor) = cluster.shutdown_with_monitor();
-            let summary = monitor.expect("sentinel attached");
+            let report = cluster.shutdown();
+            let summary = report.monitor.as_ref().expect("sentinel attached");
             assert!(summary.violation.is_none(), "{:?}", summary.violation);
             assert_eq!(summary.stats.completions, 450, "every completion streamed");
             let stats = summary.stats;
@@ -2068,9 +2015,7 @@ mod tests {
                 stats.retired > 225 && stats.peak_live_nodes < 150,
                 "the cut follows the stream: {stats:?}"
             );
-            let batch =
-                check(&report.history, Condition::MLinearizability, Strategy::Auto).unwrap();
-            assert!(batch.satisfied, "{:?}", batch.reason);
+            assert!(certified(&report, Condition::MLinearizability).by_theorem7);
         });
     }
 
@@ -2166,9 +2111,11 @@ mod tests {
                 cluster.try_invoke(ProcessId::new(0), rx(), vec![]).is_ok(),
                 "unaffected processes keep working"
             );
-            let (report, monitor) = cluster.shutdown_with_monitor();
+            let report = cluster.shutdown();
             assert_eq!(report.history.len(), 2, "the fenced invocation never ran");
-            assert!(monitor.expect("sentinel attached").violation.is_none());
+            assert!(report.anomalies.is_clean(), "{:?}", report.anomalies);
+            let summary = report.monitor.expect("sentinel attached");
+            assert!(summary.violation.is_none());
         });
     }
 
@@ -2206,13 +2153,7 @@ mod tests {
             assert_eq!(pipe.retired, 8);
             assert!(pipe.peak_depth > 1, "updates overlapped: {pipe:?}");
             assert_eq!(pipe.dropped_replies, 0);
-            let sc = check(
-                &report.history,
-                Condition::MSequentialConsistency,
-                Strategy::Auto,
-            )
-            .unwrap();
-            assert!(sc.satisfied, "{:?}", sc.reason);
+            assert!(certified(&report, Condition::MSequentialConsistency).by_theorem7);
         });
     }
 
@@ -2239,6 +2180,7 @@ mod tests {
             drop(session);
             let report = cluster.shutdown();
             assert_eq!(report.history.len(), 3);
+            assert!(report.anomalies.is_clean(), "{:?}", report.anomalies);
         });
     }
 
@@ -2275,9 +2217,9 @@ mod tests {
                     j.join().unwrap();
                 }
                 let cluster = Arc::try_unwrap(cluster).unwrap_or_else(|_| panic!("refs remain"));
-                let (report, monitor) = cluster.shutdown_with_monitor();
+                let report = cluster.shutdown();
                 assert_eq!(report.history.len(), 12, "every invocation completed");
-                let summary = monitor.expect("sentinel attached");
+                let summary = report.monitor.as_ref().expect("sentinel attached");
                 assert!(summary.violation.is_none(), "{:?}", summary.violation);
                 assert_eq!(summary.stats.completions, 12);
                 let batch = report.total_batch_stats();
@@ -2287,13 +2229,8 @@ mod tests {
                     "pipelined burst group-commits: {batch:?}"
                 );
                 assert_eq!(report.total_pipeline().dropped_replies, 0);
-                let sc = check(
-                    &report.history,
-                    Condition::MSequentialConsistency,
-                    Strategy::Auto,
-                )
-                .unwrap();
-                assert!(sc.satisfied, "{:?}", sc.reason);
+                let sc = certified(&report, Condition::MSequentialConsistency);
+                assert!(sc.by_theorem7);
             },
         );
     }
@@ -2308,7 +2245,64 @@ mod tests {
             }
             let report = cluster.shutdown();
             assert_eq!(report.history.len(), 5);
+            assert!(report.anomalies.is_clean(), "{:?}", report.anomalies);
             assert!(report.replica_metrics.iter().any(|m| m.updates_applied > 0));
+        });
+    }
+
+    /// The live negative control: with neither dedup nor retransmission
+    /// ([`LinkConfig::sabotaged`]) on a network that duplicates half its
+    /// frames, the sequencer stamps a duplicated `Submit` twice and every
+    /// replica applies that update twice; at its origin the second
+    /// application is a completion nobody waits for. Every cluster shuts
+    /// down without a panic or a hang, its history valid and whole (an
+    /// orphan is never recorded), and the tally shows the orphans.
+    #[test]
+    fn sabotaged_live_cluster_reports_its_anomalies() {
+        watchdog("sabotaged_live_cluster_reports_its_anomalies", || {
+            let mut orphans = 0;
+            for seed in 0..8 {
+                let config = RuntimeConfig {
+                    seed,
+                    ..RuntimeConfig::new(1)
+                }
+                .with_faults(0.0, 0.5)
+                .with_link(LinkConfig::sabotaged());
+                let cluster: LiveCluster<MscOverSequencer> = LiveCluster::start(3, config);
+                for i in 0..6 {
+                    cluster.invoke(p(i % 3), wx(i64::from(i)), vec![]);
+                }
+                let report = cluster.shutdown();
+                assert_eq!(report.history.len(), 6, "seed {seed}: every reply recorded");
+                orphans += report.anomalies.orphan_completions;
+            }
+            assert!(orphans > 0, "no duplicated Submit was applied twice");
+        });
+    }
+
+    /// A history that fails validation is a defect of the runtime (see
+    /// [`LiveCluster::shutdown`]), and shutdown names it in a panic. Here
+    /// the log is doctored with a record that reads from an m-operation
+    /// nobody recorded.
+    #[test]
+    #[should_panic(expected = "runtime produced an invalid history")]
+    fn an_invalid_live_history_is_a_runtime_defect() {
+        watchdog("an_invalid_live_history_is_a_runtime_defect", || {
+            use moc_core::op::CompletedOp;
+            let cluster: LiveCluster<MscOverSequencer> =
+                LiveCluster::start(2, RuntimeConfig::new(1));
+            cluster.invoke(p(0), wx(1), vec![]);
+            let (reader, ghost) = (MOpId::new(p(1), 0), MOpId::new(p(1), 7));
+            cluster.log.lock().push(MOpRecord {
+                id: reader,
+                invoked_at: EventTime::from_nanos(1),
+                responded_at: EventTime::from_nanos(2),
+                ops: [CompletedOp::read(ObjectId::new(0), 5, ghost, 1)].into(),
+                outputs: InlineList::new(),
+                treated_as: MOpClass::Query,
+                label: "ghost".into(),
+            });
+            cluster.shutdown();
         });
     }
 }

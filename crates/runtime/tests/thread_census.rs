@@ -62,7 +62,7 @@ fn a_cluster_is_its_replicas_and_at_most_a_sentinel() {
         cluster_threads(),
         names(&["replica-0", "replica-1", "replica-2"])
     );
-    bare.shutdown();
+    assert!(bare.shutdown().anomalies.is_clean());
     assert_eq!(
         cluster_threads_after_shutdown(),
         names(&[]),
@@ -83,6 +83,6 @@ fn a_cluster_is_its_replicas_and_at_most_a_sentinel() {
         std::thread::yield_now();
     }
     assert_eq!(cluster_threads(), expected);
-    monitored.shutdown();
+    assert!(monitored.shutdown().anomalies.is_clean());
     assert_eq!(cluster_threads_after_shutdown(), names(&[]));
 }

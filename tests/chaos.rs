@@ -417,7 +417,6 @@ fn leader_crash_replays_identically() {
                 family.name()
             );
             assert_eq!(a.update_order, b.update_order);
-            assert_eq!(a.latencies, b.latencies);
         }
     }
 }
@@ -450,7 +449,6 @@ fn chaos_runs_replay_identically() {
             );
             assert!(a.fingerprint().is_some(), "{}/{seed}", family.name());
             assert_eq!(a.update_order, b.update_order);
-            assert_eq!(a.latencies, b.latencies);
         }
     }
 }
@@ -548,15 +546,15 @@ fn sharded_msc_conformance_sweep() {
                 // cross-shard footprint, so the global channel stays idle
                 // and every shard channel that got updates kept them.
                 let updates = report.update_order.len();
-                let per_channel: usize = report.channel_logs.iter().map(|l| l.len()).sum();
+                let per_channel: usize = report.channel_logs().iter().map(|l| l.len()).sum();
                 assert_eq!(per_channel, updates, "{tuple}: channel logs cover the log");
                 assert!(
-                    report.channel_logs.len() <= num_shards,
+                    report.channel_logs().len() <= num_shards,
                     "{tuple}: confined updates must not reach the global channel"
                 );
                 if updates > 0 {
                     assert!(
-                        report.channel_logs.iter().any(|l| !l.is_empty()),
+                        report.channel_logs().iter().any(|l| !l.is_empty()),
                         "{tuple}: updates flowed through shard channels"
                     );
                 }
@@ -585,8 +583,7 @@ fn sharded_runs_replay_identically() {
         assert_eq!(a.sim, b.sim);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert!(a.fingerprint().is_some());
-        assert_eq!(a.channel_logs, b.channel_logs);
-        assert_eq!(a.latencies, b.latencies);
+        assert_eq!(a.channel_logs(), b.channel_logs());
     }
 }
 
